@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures, prints the
 rows in paper style and saves a CSV under ``results/``.  Scaled-down workload
 sizes (fewer requests / sampled sweep points) are used where the paper's full
-runs would take hours; EXPERIMENTS.md documents the scaling.
+runs would take hours; each benchmark's docstring states its scaling.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import uniform_workload
 
 NUM_REQUESTS = 48
@@ -25,10 +25,15 @@ MODEL_SETTINGS = {
 }
 
 
-def _run(deployment, scheduler, backend, decode_tokens):
+def _run(deployment, scheduler_factory, backend_builder, decode_tokens):
     requests = uniform_workload(NUM_REQUESTS, prefill_tokens=16384, decode_tokens=decode_tokens)
-    simulator = ServingSimulator(deployment, scheduler=scheduler, backend=backend)
-    return simulator.run(requests).metrics.requests_per_minute
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=scheduler_factory,
+        backend_builder=backend_builder,
+    )
+    return ClusterSimulator(topology).run(requests).requests_per_minute
 
 
 def test_figure12(benchmark, yi_deployment, llama2_deployment, llama3_deployment, report):
@@ -46,19 +51,13 @@ def test_figure12(benchmark, yi_deployment, llama2_deployment, llama3_deployment
         for model_name, deployment in deployments.items():
             settings = MODEL_SETTINGS[model_name]
             chunk, decode_tokens = settings["chunk_size"], settings["decode_tokens"]
-            vllm = _run(deployment, VLLMScheduler(), FASerialBackend(deployment), decode_tokens)
-            sarathi = _run(
-                deployment,
-                SarathiScheduler(chunk_size=chunk),
-                FASerialBackend(deployment),
-                decode_tokens,
-            )
-            sarathi_pod = _run(
-                deployment,
-                SarathiScheduler(chunk_size=chunk),
-                PODBackend(deployment),
-                decode_tokens,
-            )
+
+            def sarathi_scheduler(chunk=chunk):
+                return SarathiScheduler(chunk_size=chunk)
+
+            vllm = _run(deployment, VLLMScheduler, FASerialBackend, decode_tokens)
+            sarathi = _run(deployment, sarathi_scheduler, FASerialBackend, decode_tokens)
+            sarathi_pod = _run(deployment, sarathi_scheduler, PODBackend, decode_tokens)
             table.add_row(
                 {
                     "model": model_name,

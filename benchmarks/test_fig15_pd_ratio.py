@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import pd_ratio_workload
 
 PD_RATIOS = (8, 12, 16, 20, 24)
@@ -20,13 +20,16 @@ NUM_REQUESTS = 32
 CHUNK_SIZE = 1024
 
 
-def _throughput(deployment, backend, pd_ratio):
+def _throughput(deployment, backend_builder, pd_ratio):
     requests = pd_ratio_workload(NUM_REQUESTS, total_tokens=TOTAL_TOKENS, pd_ratio=pd_ratio)
-    simulator = ServingSimulator(
-        deployment, scheduler=SarathiScheduler(chunk_size=CHUNK_SIZE), backend=backend
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=lambda: SarathiScheduler(chunk_size=CHUNK_SIZE),
+        backend_builder=backend_builder,
     )
-    result = simulator.run(requests)
-    return result.metrics.requests_per_minute, result.metrics.hybrid_iteration_fraction
+    metrics = ClusterSimulator(topology).run(requests).metrics.fleet
+    return metrics.requests_per_minute, metrics.hybrid_iteration_fraction
 
 
 def test_figure15(benchmark, llama3_deployment, report):
@@ -37,12 +40,8 @@ def test_figure15(benchmark, llama3_deployment, report):
 
     def run() -> None:
         for pd_ratio in PD_RATIOS:
-            sarathi, hybrid_fraction = _throughput(
-                llama3_deployment, FASerialBackend(llama3_deployment), pd_ratio
-            )
-            sarathi_pod, _ = _throughput(
-                llama3_deployment, PODBackend(llama3_deployment), pd_ratio
-            )
+            sarathi, hybrid_fraction = _throughput(llama3_deployment, FASerialBackend, pd_ratio)
+            sarathi_pod, _ = _throughput(llama3_deployment, PODBackend, pd_ratio)
             table.add_row(
                 {
                     "pd_ratio": pd_ratio,

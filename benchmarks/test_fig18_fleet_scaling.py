@@ -17,7 +17,7 @@ Expected shape, as in fig16 but at scale:
 * only the disaggregated topology pays for KV transfers.
 
 Rows are persisted as CSV and JSON under ``results/`` and gated by
-``python -m repro.bench.regression`` in CI.
+``python -m repro diff`` in CI.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Llama-3-8B (TP-2), Poisson arrivals at QPS 1.1 and 1.2, chunk size 1536 for
 the Sarathi configurations.  The request count is scaled down from 2048 to 160
-per run (documented in EXPERIMENTS.md); metrics reported are TTFT/TBT/request
+per run so the table regenerates in seconds; metrics reported are TTFT/TBT/request
 latency P50/P99 and the fraction of requests with at least one 200 ms / 500 ms
 generation stall.
 """
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import internal_workload, with_poisson_arrivals
 
 NUM_REQUESTS = 160
@@ -22,12 +22,17 @@ CHUNK_SIZE = 1536
 QPS_LEVELS = (1.1, 1.2)
 
 
-def _simulate(deployment, scheduler, backend, qps, seed, workload_fn):
+def _simulate(deployment, scheduler_factory, backend_builder, qps, seed, workload_fn):
     requests = with_poisson_arrivals(
         workload_fn(NUM_REQUESTS, seed=seed), qps=qps, seed=seed + 1
     )
-    simulator = ServingSimulator(deployment, scheduler=scheduler, backend=backend)
-    return simulator.run(requests).metrics
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=scheduler_factory,
+        backend_builder=backend_builder,
+    )
+    return ClusterSimulator(topology).run(requests).metrics.fleet
 
 
 def run_online_table(
@@ -39,13 +44,17 @@ def run_online_table(
     workload_fn=internal_workload,
 ):
     """Shared driver for Tables 5 and 6."""
+
+    def sarathi():
+        return SarathiScheduler(chunk_size=chunk_size)
+
+    systems = {
+        "vLLM": (VLLMScheduler, FASerialBackend),
+        "Sarathi": (sarathi, FASerialBackend),
+        "Sarathi+POD": (sarathi, PODBackend),
+    }
     rows = []
     for qps in qps_levels:
-        systems = {
-            "vLLM": (VLLMScheduler(), FASerialBackend(deployment)),
-            "Sarathi": (SarathiScheduler(chunk_size=chunk_size), FASerialBackend(deployment)),
-            "Sarathi+POD": (SarathiScheduler(chunk_size=chunk_size), PODBackend(deployment)),
-        }
         for system, (scheduler, backend) in systems.items():
             metrics = _simulate(deployment, scheduler, backend, qps, workload_seed, workload_fn)
             rows.append(

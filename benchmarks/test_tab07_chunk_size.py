@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import internal_workload, with_poisson_arrivals
 
 NUM_REQUESTS = 128
@@ -19,9 +19,15 @@ QPS = 1.1
 CHUNK_SIZES = (1024, 1536, 2048)
 
 
-def _metrics(deployment, scheduler, backend):
+def _metrics(deployment, scheduler_factory, backend_builder):
     requests = with_poisson_arrivals(internal_workload(NUM_REQUESTS, seed=5), qps=QPS, seed=6)
-    return ServingSimulator(deployment, scheduler=scheduler, backend=backend).run(requests).metrics
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=scheduler_factory,
+        backend_builder=backend_builder,
+    )
+    return ClusterSimulator(topology).run(requests).metrics.fleet
 
 
 def test_table7(benchmark, llama3_deployment, report):
@@ -31,7 +37,7 @@ def test_table7(benchmark, llama3_deployment, report):
     )
 
     def run() -> None:
-        vllm = _metrics(llama3_deployment, VLLMScheduler(), FASerialBackend(llama3_deployment))
+        vllm = _metrics(llama3_deployment, VLLMScheduler, FASerialBackend)
         table.add_row(
             {
                 "system": "vLLM (original)",
@@ -44,8 +50,8 @@ def test_table7(benchmark, llama3_deployment, report):
         for chunk_size in CHUNK_SIZES:
             metrics = _metrics(
                 llama3_deployment,
-                SarathiScheduler(chunk_size=chunk_size),
-                PODBackend(llama3_deployment),
+                lambda chunk_size=chunk_size: SarathiScheduler(chunk_size=chunk_size),
+                PODBackend,
             )
             table.add_row(
                 {

@@ -33,13 +33,14 @@ def main() -> None:
         simulator = memory_pressure_simulator(deployment, capacity, prefix_caching, preemption)
         result = simulator.run_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED)
         pressure = compute_memory_pressure(result.requests, result.kv_stats)
+        metrics = result.metrics.fleet
         label = (
             f"caching={'on' if prefix_caching else 'off'} "
             f"preempt={'on' if preemption else 'off'}"
         )
         print(
-            f"{label:24s} {result.metrics.requests_per_minute:8.1f} "
-            f"{result.metrics.ttft_p50:9.3f} {result.metrics.ttft_p99:9.3f} "
+            f"{label:24s} {metrics.requests_per_minute:8.1f} "
+            f"{metrics.ttft_p50:9.3f} {metrics.ttft_p99:9.3f} "
             f"{pressure.prefix_hit_rate:9.2f} {pressure.num_preemptions:9d}"
         )
 

@@ -30,9 +30,12 @@ def main() -> None:
 
     telemetry = Telemetry(sample_interval=0.5)
     simulator = memory_pressure_simulator(
-        deployment, capacity_tokens=capacity, prefix_caching=True, preemption=True
+        deployment,
+        capacity_tokens=capacity,
+        prefix_caching=True,
+        preemption=True,
+        recorder=telemetry,
     )
-    simulator.recorder = telemetry
     result = simulator.run_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED)
     telemetry.finalize()
 
@@ -73,7 +76,11 @@ def main() -> None:
         telemetry,
         "results/obs_example",
         title=f"{SCENARIO} @ {capacity} KV tokens",
-        summary={"scenario": SCENARIO, "capacity_tokens": capacity, **result.metrics.as_row()},
+        summary={
+            "scenario": SCENARIO,
+            "capacity_tokens": capacity,
+            **result.metrics.fleet.as_row(),
+        },
     )
     print("\nreport bundle:")
     for kind, path in paths.items():

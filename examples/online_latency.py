@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import sys
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.models import paper_deployment
 from repro.serving import (
     FASerialBackend,
     PODBackend,
     SarathiScheduler,
-    ServingSimulator,
     VLLMScheduler,
     describe_workload,
     internal_workload,
@@ -30,10 +30,14 @@ def main(qps: float = 1.1, num_requests: int = 64) -> None:
     print(f"Workload: {stats.as_dict()}")
     print(f"Arrival rate: {qps} requests/s (Poisson)")
     print()
+
+    def sarathi() -> SarathiScheduler:
+        return SarathiScheduler(chunk_size=1536)
+
     systems = {
-        "vLLM (original)": (VLLMScheduler(), FASerialBackend(deployment)),
-        "Sarathi": (SarathiScheduler(chunk_size=1536), FASerialBackend(deployment)),
-        "Sarathi+POD": (SarathiScheduler(chunk_size=1536), PODBackend(deployment)),
+        "vLLM (original)": (VLLMScheduler, FASerialBackend),
+        "Sarathi": (sarathi, FASerialBackend),
+        "Sarathi+POD": (sarathi, PODBackend),
     }
     header = (
         f"{'system':<18} {'TTFT p50/p99 (s)':>18} {'TBT p50/p99 (s)':>18} "
@@ -42,11 +46,10 @@ def main(qps: float = 1.1, num_requests: int = 64) -> None:
     print(header)
     for name, (scheduler, backend) in systems.items():
         requests = with_poisson_arrivals(internal_workload(num_requests, seed=0), qps=qps, seed=1)
-        metrics = (
-            ServingSimulator(deployment, scheduler=scheduler, backend=backend)
-            .run(requests)
-            .metrics
+        topology = ColocatedTopology(
+            deployment, num_replicas=1, scheduler_factory=scheduler, backend_builder=backend
         )
+        metrics = ClusterSimulator(topology).run(requests).metrics.fleet
         print(
             f"{name:<18} {metrics.ttft_p50:>8.2f}/{metrics.ttft_p99:<8.2f} "
             f"{metrics.tbt_p50:>8.3f}/{metrics.tbt_p99:<8.3f} "

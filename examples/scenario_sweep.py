@@ -12,10 +12,22 @@ from __future__ import annotations
 
 import sys
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.models import paper_deployment
-from repro.serving import PODBackend, SarathiScheduler, ServingSimulator
+from repro.serving import PODBackend, SarathiScheduler
 from repro.serving.metrics import compute_tenant_metrics, slo_attainment
 from repro.workloads import SCENARIOS, get_scenario, scenario_table
+
+
+def sarathi_pod(deployment) -> ClusterSimulator:
+    """A fresh single Sarathi+POD replica (chunk 1024)."""
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+        backend_builder=PODBackend,
+    )
+    return ClusterSimulator(topology)
 
 
 def main(num_requests: int = 24) -> None:
@@ -34,12 +46,8 @@ def main(num_requests: int = 24) -> None:
     print(header)
     print("-" * len(header))
     for name in SCENARIOS:
-        simulator = ServingSimulator(
-            deployment,
-            scheduler=SarathiScheduler(chunk_size=1024),
-            backend=PODBackend(deployment),
-        )
-        metrics = simulator.run_scenario(name, num_requests=num_requests, seed=7).metrics
+        simulator = sarathi_pod(deployment)
+        metrics = simulator.run_scenario(name, num_requests=num_requests, seed=7).metrics.fleet
         print(
             f"{name:<26} {metrics.requests_per_minute:>8.1f} {metrics.ttft_p50:>8.2f}s "
             f"{metrics.tbt_p99:>7.3f}s {metrics.stall_fraction_200ms:>6.1%}"
@@ -47,11 +55,9 @@ def main(num_requests: int = 24) -> None:
     print()
 
     scenario = get_scenario("multi-tenant-slo")
-    simulator = ServingSimulator(
-        deployment, scheduler=SarathiScheduler(chunk_size=1024), backend=PODBackend(deployment)
-    )
+    simulator = sarathi_pod(deployment)
     result = simulator.run_scenario(scenario.name, num_requests=num_requests * 2, seed=7)
-    sliced = compute_tenant_metrics(result.requests, makespan=result.metrics.makespan)
+    sliced = compute_tenant_metrics(result.requests, makespan=result.makespan)
     print(f"Per-tenant SLO attainment ({scenario.name}, {num_requests * 2} requests):")
     header = (
         f"{'tenant':<12} {'SLO class':<12} {'reqs':>5} {'TTFT p99':>9} "

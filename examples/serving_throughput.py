@@ -11,23 +11,27 @@ from __future__ import annotations
 
 import sys
 
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.models import paper_deployment
 from repro.serving import (
     FASerialBackend,
     PODBackend,
     SarathiScheduler,
-    ServingSimulator,
     VLLMScheduler,
     uniform_workload,
 )
 
 
+def sarathi() -> SarathiScheduler:
+    return SarathiScheduler(chunk_size=1024)
+
+
 def main(num_requests: int = 24) -> None:
     deployment = paper_deployment("llama-3-8b")
     systems = {
-        "vLLM (original)": (VLLMScheduler(), FASerialBackend(deployment)),
-        "Sarathi": (SarathiScheduler(chunk_size=1024), FASerialBackend(deployment)),
-        "Sarathi+POD": (SarathiScheduler(chunk_size=1024), PODBackend(deployment)),
+        "vLLM (original)": (VLLMScheduler, FASerialBackend),
+        "Sarathi": (sarathi, FASerialBackend),
+        "Sarathi+POD": (sarathi, PODBackend),
     }
 
     print(f"Serving {num_requests} requests of 16K prompt + 1K output tokens "
@@ -39,8 +43,10 @@ def main(num_requests: int = 24) -> None:
     )
     for name, (scheduler, backend) in systems.items():
         requests = uniform_workload(num_requests, prefill_tokens=16384, decode_tokens=1024)
-        simulator = ServingSimulator(deployment, scheduler=scheduler, backend=backend)
-        metrics = simulator.run(requests).metrics
+        topology = ColocatedTopology(
+            deployment, num_replicas=1, scheduler_factory=scheduler, backend_builder=backend
+        )
+        metrics = ClusterSimulator(topology).run(requests).metrics.fleet
         print(
             f"{name:<18} {metrics.requests_per_minute:>8.2f} {metrics.ttft_p50:>13.2f} "
             f"{metrics.tbt_p99:>12.3f} {metrics.stall_fraction_200ms:>12.1%}"

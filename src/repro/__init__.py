@@ -2,8 +2,9 @@
 
 A pure-Python reproduction of *POD-Attention: Unlocking Full Prefill-Decode
 Overlap for Faster LLM Inference* (ASPLOS 2025) on a simulated GPU substrate.
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured comparison of every table and figure.
+The README's "Architecture map" lists the subsystems, and its "Benchmarks →
+paper figures" table maps every table and figure to the benchmark that
+regenerates it.
 
 Public API highlights:
 
@@ -42,7 +43,6 @@ from repro.models.config import (
 from repro.planner import PlanCandidate, PlannerConfig, PlanResult, capacity_plan
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.workloads.scenario import SCENARIOS, build_scenario, run_scenario
 
 __version__ = "1.0.0"
@@ -74,7 +74,6 @@ __all__ = [
     "paper_deployment",
     "SarathiScheduler",
     "VLLMScheduler",
-    "ServingSimulator",
     # Fleets, economics and capacity planning
     "ClusterSimulator",
     "ClusterSpec",

@@ -1,7 +1,7 @@
 """``caller-mutation``: public entry points never mutate caller request lists.
 
-``ServingSimulator.run`` / ``ClusterSimulator.run`` return their input
-request objects inside the result, so callers legitimately hold onto the
+Callers of ``ClusterSimulator.run`` and the other ``run`` entry points
+replay one trace through several configurations, so they hold onto the
 list they passed in — a simulator that sorts, pops or overwrites that list
 corrupts the caller's view (the PR 4 cluster-input-mutation bug).  The
 contract: an entry point either leaves the parameter alone or *first*

@@ -116,7 +116,7 @@ def fig20_simulator(
         deployment,
         num_replicas=1,
         scheduler_factory=lambda: SarathiScheduler(chunk_size=FIG20_CHUNK_SIZE),
-        backend_factory=lambda: PODBackend(deployment),
+        backend_builder=PODBackend,
     )
     return ClusterSimulator(
         topology,

@@ -22,7 +22,6 @@ from repro.serving.attention_backend import PODBackend
 from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.metrics import compute_memory_pressure
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.simulator import ServingSimulator
 
 #: The sweep's fixed parameters.
 FIG19_NUM_REQUESTS = 48
@@ -54,18 +53,21 @@ def memory_pressure_simulator(
     prefix_caching: bool,
     preemption: bool,
     chunk_size: int = FIG19_CHUNK_SIZE,
-) -> ServingSimulator:
+    recorder: Any | None = None,
+) -> ClusterSimulator:
     """A Sarathi+POD single-replica stack with an explicit KV memory mode."""
-    return ServingSimulator(
+    topology = ColocatedTopology(
         deployment,
-        scheduler=SarathiScheduler(chunk_size=chunk_size, preemption=preemption),
-        backend=PODBackend(deployment),
+        num_replicas=1,
+        scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size, preemption=preemption),
+        backend_builder=PODBackend,
         kv_config=KVCacheConfig(
             capacity_tokens=capacity_tokens,
             block_size=16,
             enable_prefix_caching=prefix_caching,
         ),
     )
+    return ClusterSimulator(topology, recorder=recorder)
 
 
 def fig19_single_row(
@@ -91,7 +93,7 @@ def fig19_single_row(
         "preemption": _flag(preemption),
         "router": "-",
     }
-    row.update(result.metrics.as_row())
+    row.update(result.metrics.fleet.as_row())
     row.update(pressure.as_row())
     return row
 
@@ -111,7 +113,7 @@ def fig19_cluster_row(
         deployment,
         num_replicas=num_replicas,
         scheduler_factory=lambda: SarathiScheduler(chunk_size=FIG19_CHUNK_SIZE),
-        backend_factory=lambda: PODBackend(deployment),
+        backend_builder=PODBackend,
         kv_config=KVCacheConfig(
             capacity_tokens=capacity_tokens, block_size=16, enable_prefix_caching=True
         ),

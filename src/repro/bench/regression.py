@@ -4,11 +4,12 @@ The benchmark suite regenerates every ``results/*.csv`` / ``results/*.json``
 artifact deterministically (seeded RNGs, analytic cost models).  This module
 compares a freshly generated results directory against a committed baseline
 snapshot with per-metric tolerances and reports every divergence — the CI
-perf gate runs it after the benchmarks and fails the build on any regression::
+perf gate runs it (as ``repro diff``) after the benchmarks and fails the
+build on any regression::
 
     cp -r results results-baseline        # snapshot the committed artifacts
     python -m pytest benchmarks -x -q     # regenerates results/
-    python -m repro.bench.regression --baseline results-baseline --current results
+    python -m repro diff --baseline results-baseline --current results
 
 Exit status is 0 when every artifact matches within tolerance and 1
 otherwise; ``--list`` shows which artifacts would be compared.  To
@@ -19,11 +20,9 @@ benchmarks and commit the updated ``results/`` files (see README
 
 from __future__ import annotations
 
-import argparse
 import csv
 import fnmatch
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -204,64 +203,3 @@ def write_markdown_summary(
     lines.append("")
     with path.open("a") as handle:
         handle.write("\n".join(lines))
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.regression",
-        description="Diff freshly generated benchmark artifacts against a baseline "
-        "snapshot and exit nonzero on any out-of-tolerance metric.",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, required=True, help="baseline results directory"
-    )
-    parser.add_argument(
-        "--current", type=Path, required=True, help="freshly generated results directory"
-    )
-    parser.add_argument(
-        "--pattern",
-        action="append",
-        default=None,
-        help="artifact glob(s) to compare (default: *.csv and *.json)",
-    )
-    parser.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    parser.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-    parser.add_argument(
-        "--list", action="store_true", help="list the artifacts that would be compared"
-    )
-    parser.add_argument(
-        "--markdown-summary",
-        type=Path,
-        default=None,
-        help="append a markdown report to this file (e.g. $GITHUB_STEP_SUMMARY)",
-    )
-    args = parser.parse_args(argv)
-    patterns = args.pattern or ["*.csv", "*.json"]
-
-    if args.list:
-        for path in discover_artifacts(args.baseline, patterns):
-            print(path.name)
-        return 0
-
-    regressions = compare_directories(
-        args.baseline, args.current, patterns, rtol=args.rtol, atol=args.atol
-    )
-    if args.markdown_summary is not None:
-        write_markdown_summary(
-            args.markdown_summary,
-            args.baseline,
-            discover_artifacts(args.baseline, patterns),
-            regressions,
-        )
-    if regressions:
-        print(f"PERF GATE: {len(regressions)} regression(s) vs {args.baseline}:")
-        for line in regressions:
-            print(f"  - {line}")
-        return 1
-    count = len(discover_artifacts(args.baseline, patterns))
-    print(f"PERF GATE: {count} artifact(s) match {args.baseline} within tolerance.")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

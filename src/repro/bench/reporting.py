@@ -2,7 +2,8 @@
 
 Every benchmark regenerates one of the paper's tables or figures; these
 helpers print the rows/series in a consistent, paper-style layout and can
-persist them as CSV files for EXPERIMENTS.md.
+persist them as CSV files under ``results/`` (the README's "Benchmarks →
+paper figures" table maps each file to its figure).
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.topology import ColocatedTopology
 from repro.models.config import Deployment
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 
 #: The sweep's fixed parameters (also the golden test's recompute inputs).
 FIG17_NUM_REQUESTS = 32
@@ -41,25 +42,19 @@ def scenario_system_simulator(
     deployment: Deployment,
     system: str,
     chunk_size: int = FIG17_CHUNK_SIZE,
-) -> ServingSimulator:
+) -> ClusterSimulator:
     """A fresh single-replica simulator for one of the sweep's three systems."""
-    if system == "vLLM":
-        return ServingSimulator(
-            deployment, scheduler=VLLMScheduler(), backend=FASerialBackend(deployment)
-        )
-    if system == "Sarathi":
-        return ServingSimulator(
-            deployment,
-            scheduler=SarathiScheduler(chunk_size=chunk_size),
-            backend=FASerialBackend(deployment),
-        )
-    if system == "Sarathi+POD":
-        return ServingSimulator(
-            deployment,
-            scheduler=SarathiScheduler(chunk_size=chunk_size),
-            backend=PODBackend(deployment),
-        )
-    raise ValueError(f"unknown system {system!r}; choose from {FIG17_SYSTEMS}")
+    if system not in FIG17_SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; choose from {FIG17_SYSTEMS}")
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=(
+            VLLMScheduler if system == "vLLM" else lambda: SarathiScheduler(chunk_size=chunk_size)
+        ),
+        backend_builder=PODBackend if system == "Sarathi+POD" else FASerialBackend,
+    )
+    return ClusterSimulator(topology)
 
 
 def scenario_single_replica_row(
@@ -75,7 +70,7 @@ def scenario_single_replica_row(
 
     simulator = scenario_system_simulator(deployment, system, chunk_size)
     result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
-    metrics = result.metrics
+    metrics = result.metrics.fleet
     return {
         "scenario": scenario,
         "mode": "single",

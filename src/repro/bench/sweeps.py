@@ -39,8 +39,8 @@ def figure11_sweep(
     """The hybrid-batch sweep of §5.1 (context 4K–20K, chunk 512–2K, varying batch).
 
     The paper sweeps over a thousand batches; ``max_points`` lets benchmarks
-    subsample the grid (deterministically) to keep runtimes reasonable, which
-    is documented in EXPERIMENTS.md.
+    subsample the grid (deterministically) to keep runtimes reasonable; each
+    benchmark's docstring states the sample it draws.
     """
     points = [
         SweepPoint(context_length=ctx, chunk_size=min(chunk, ctx), decode_batch_size=bs)

@@ -101,15 +101,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         "chunk": args.chunk_size,
         "backend": args.backend,
     }
-    payload: dict[str, Any] = {"command": "run", "config": config_row}
-    if hasattr(metrics, "economics_row"):  # ClusterMetrics
-        payload["metrics"] = metrics.as_row()
-        payload["economics"] = metrics.economics_row()
-        payload["control"] = metrics.control_row()
-        row = {**config_row, **metrics.as_row(), **metrics.economics_row()}
-    else:  # single-replica ServingMetrics
-        payload["metrics"] = metrics.as_row()
-        row = {**config_row, "replicas": 1, **metrics.as_row()}
+    payload = {
+        "command": "run",
+        "config": config_row,
+        "metrics": metrics.as_row(),
+        "economics": metrics.economics_row(),
+        "control": metrics.control_row(),
+    }
+    row = {**config_row, **metrics.as_row(), **metrics.economics_row()}
 
     from repro.cli.output import emit
 
@@ -209,7 +208,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """Diff two results/ directories with the perf-regression gate."""
-    from repro.bench.regression import compare_directories, discover_artifacts
+    from repro.bench.regression import (
+        compare_directories,
+        discover_artifacts,
+        write_markdown_summary,
+    )
     from repro.cli.output import emit
 
     patterns = args.pattern or ["*.csv", "*.json"]
@@ -226,6 +229,13 @@ def cmd_diff(args: argparse.Namespace) -> int:
     regressions = compare_directories(
         args.baseline, args.current, patterns, rtol=args.rtol, atol=args.atol
     )
+    if args.markdown_summary is not None:
+        write_markdown_summary(
+            args.markdown_summary,
+            args.baseline,
+            discover_artifacts(args.baseline, patterns),
+            regressions,
+        )
     payload = {
         "command": "diff",
         "baseline": str(args.baseline),
@@ -249,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser(
         "run",
-        help="serve one scenario on one fleet (serving or cluster simulator)",
-        description="Serve a workload scenario and print its metrics. A single "
-        "replica uses the serving simulator; --replicas/--topology/--mix build a "
-        "cluster (heterogeneous fleets via --mix, e.g. 'a100:2+a6000:2~').",
+        help="serve one scenario on one fleet",
+        description="Serve a workload scenario on a simulated fleet and print its "
+        "metrics. --replicas/--topology/--mix shape the fleet (heterogeneous "
+        "fleets via --mix, e.g. 'a100:2+a6000:2~').",
     )
     _add_trace_options(run)
-    run.add_argument("--replicas", type=int, default=1, help="fleet size (1 = serving simulator)")
+    run.add_argument("--replicas", type=int, default=1, help="fleet size (default: 1)")
     run.add_argument(
         "--topology", choices=("colocated", "disaggregated"), default="colocated"
     )
@@ -364,6 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--atol", type=float, default=2e-3)
     diff.add_argument(
         "--list", action="store_true", help="list the artifacts that would be compared"
+    )
+    diff.add_argument(
+        "--markdown-summary",
+        type=Path,
+        default=None,
+        help="append a markdown report to this file (e.g. $GITHUB_STEP_SUMMARY)",
     )
     _add_format_options(diff)
     diff.set_defaults(func=cmd_diff)

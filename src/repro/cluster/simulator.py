@@ -13,24 +13,27 @@ advancing whichever is earliest:
    (disaggregated prefill pool).
 
 Both hot-path decisions are cheap at fleet scale: the earliest replica comes
-from a ``(next_ready_time, replica_id)`` heap with lazy invalidation (stale
-entries are discarded or refreshed on peek), so each event's replica pick is
-O(log R); and routing loads are read from the replicas' incremental counters
-— O(1) per replica, O(R) per arrival — rather than rescanning every
+from a ``(next_ready_time, replica_id)`` heap holding one live entry per
+replica, so each event's replica pick is O(log R) however many requests a
+replica has queued; and routing loads are read from the replicas' incremental
+counters — O(1) per replica, O(R) per arrival — rather than rescanning every
 outstanding request in the pool.  ``debug_validate_loads=True`` restores the
 reference scans and cross-checks them (sampled) against the counters via the
 load-accounting invariant.
 
-With one replica and any router this degenerates to exactly the
-``ServingSimulator`` loop — the validation test pins that equivalence — which
-is what makes cluster-level results trustworthy extrapolations of the
-single-replica model (the "validate against ground truth" discipline of
-CounterPoint).
+A 1-replica colocated topology is the single-replica serving model itself:
+with any router it degenerates to exactly the plain
+:meth:`~repro.serving.replica.ReplicaRuntime.run_to_completion` loop, which
+the differential oracle in :mod:`repro.verify.oracles` pins on every
+scenario.  That equivalence is what makes cluster-level results trustworthy
+extrapolations of the single-replica model (the "validate against ground
+truth" discipline of CounterPoint).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.metrics import ClusterMetrics, compute_cluster_metrics
@@ -77,7 +80,6 @@ class ClusterSimulator:
         router: Policy (name or instance) for external arrivals.
         decode_router: Policy for prefill→decode handoffs in disaggregated
             topologies; defaults to a fresh instance of the same policy.
-        keep_iteration_log: Retain per-iteration results on every replica.
         recorder: Optional shared :class:`repro.verify.events.EventRecorder`;
             every replica emits its events onto it (tagged by ``replica_id``)
             and the cluster adds routing / KV-transfer events.  ``None``
@@ -101,13 +103,11 @@ class ClusterSimulator:
         topology,
         router: str | RouterPolicy = "round-robin",
         decode_router: str | RouterPolicy | None = None,
-        keep_iteration_log: bool = False,
         recorder=None,
         debug_validate_loads: bool = False,
         control=None,
     ) -> None:
         self.topology = topology
-        self.keep_iteration_log = keep_iteration_log
         if control is not None and topology.kind != "colocated":
             raise ValueError(
                 "the control plane supports colocated topologies only "
@@ -122,9 +122,7 @@ class ClusterSimulator:
         self.recorder = recorder
         self.debug_validate_loads = debug_validate_loads
         self._load_snapshots = 0
-        self.replicas = topology.build_replicas(
-            keep_iteration_log=keep_iteration_log, recorder=recorder
-        )
+        self.replicas = topology.build_replicas(recorder=recorder)
         self.router = get_router(router) if isinstance(router, str) else router
         if decode_router is None:
             # Fresh instance of the same policy class, so custom (unregistered)
@@ -245,9 +243,7 @@ class ClusterSimulator:
             # A used fleet carries clocks/counters from the previous trace
             # (and may have been grown by the autoscaler); rebuild so repeated
             # run() calls start from a clean cluster.
-            self.replicas = self.topology.build_replicas(
-                keep_iteration_log=self.keep_iteration_log, recorder=self.recorder
-            )
+            self.replicas = self.topology.build_replicas(recorder=self.recorder)
         self.router.reset()
         self.decode_router.reset()
         self._load_snapshots = 0
@@ -283,27 +279,39 @@ class ClusterSimulator:
         if control is not None:
             control.reset()
 
-        # Ready-time heap over the fleet: each entry is a snapshot of one
-        # replica's next_ready_time.  Entries go stale when the replica steps
-        # or receives work; they are lazily discarded/refreshed on peek, so
-        # picking the next replica is O(log R) instead of a linear scan.
+        # Ready-time heap over the fleet with one live entry per replica;
+        # queued maps a replica id to its live entry's time.  Work only pulls
+        # a replica's ready time earlier, so an enqueue pushes only when it
+        # does, and the entry it supersedes is dropped when it surfaces.  A
+        # step only moves the time later, so the stepped replica's entry
+        # stays in place and is refreshed when it next surfaces.  Picking the
+        # next replica is O(log R) however many requests each replica holds.
         ready_heap: list[tuple[float, int]] = []
+        queued: dict[int, float] = {}
 
         def push_ready(replica: ReplicaRuntime) -> None:
             ready = replica.next_ready_time()
-            if ready is not None:
-                heapq.heappush(ready_heap, (ready, replica.replica_id))
+            replica_id = replica.replica_id
+            if ready is not None and ready < queued.get(replica_id, math.inf):
+                queued[replica_id] = ready
+                heapq.heappush(ready_heap, (ready, replica_id))
 
         while True:
             next_step_time = None
             next_replica_id = -1
             while ready_heap:
                 ready, replica_id = ready_heap[0]
+                if ready != queued.get(replica_id):
+                    heapq.heappop(ready_heap)  # superseded by an earlier push
+                    continue
                 actual = self.replicas[replica_id].next_ready_time()
                 if actual is None:
-                    heapq.heappop(ready_heap)  # replica drained since the push
+                    heapq.heappop(ready_heap)  # drained
+                    del queued[replica_id]
                 elif actual != ready:
+                    # Stale: the replica stepped since this entry was timed.
                     heapq.heapreplace(ready_heap, (actual, replica_id))
+                    queued[replica_id] = actual
                 else:
                     next_step_time = ready
                     next_replica_id = replica_id
@@ -343,11 +351,7 @@ class ClusterSimulator:
                             for _ in range(decision):
                                 index = len(self.replicas)
                                 self.replicas.append(
-                                    self.topology.build_replica(
-                                        index,
-                                        keep_iteration_log=self.keep_iteration_log,
-                                        recorder=self.recorder,
-                                    )
+                                    self.topology.build_replica(index, recorder=self.recorder)
                                 )
                                 ready_at = now + control.autoscaler.cold_start_s
                                 if self.recorder is not None:
@@ -454,7 +458,7 @@ class ClusterSimulator:
 
             if next_replica_id < 0:
                 break  # every queue is drained
-            heapq.heappop(ready_heap)  # the entry validated above
+            # The validated entry stays in the heap; the step makes it stale.
             next_replica = self.replicas[next_replica_id]
             outcome = next_replica.step()
             if control is not None:
@@ -494,7 +498,6 @@ class ClusterSimulator:
                     heapq.heappush(
                         transfers, (next_replica.clock + delay, transfer_seq, request)
                     )
-            push_ready(next_replica)
 
         unfinished = [r for r in requests if not r.is_terminal]
         if unfinished:

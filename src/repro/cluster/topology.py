@@ -94,14 +94,12 @@ class ColocatedTopology:
     Homogeneous by default; pass ``replica_specs`` (one
     :class:`~repro.models.config.ReplicaSpec` per replica) for a
     heterogeneous fleet.  ``backend_builder`` builds a backend *for a given
-    deployment* and takes precedence over the legacy zero-argument
-    ``backend_factory`` (which cannot vary per replica).
+    deployment* (default: :class:`~repro.serving.attention_backend.PODBackend`).
     """
 
     deployment: Deployment
     num_replicas: int
     scheduler_factory: Callable[[], Scheduler] | None = None
-    backend_factory: Callable[[], AttentionBackend] | None = None
     kv_config: KVCacheConfig | None = None
     replica_specs: tuple[ReplicaSpec, ...] = ()
     backend_builder: Callable[[Deployment], AttentionBackend] | None = None
@@ -142,15 +140,9 @@ class ColocatedTopology:
         return min(self.replica_specs, key=lambda spec: spec.cost_per_hour)
 
     def _make_backend(self, deployment: Deployment) -> AttentionBackend:
-        if self.backend_builder is not None:
-            return self.backend_builder(deployment)
-        if self.backend_factory is not None:
-            return self.backend_factory()
-        return PODBackend(deployment)
+        return (self.backend_builder or PODBackend)(deployment)
 
-    def build_replica(
-        self, replica_id: int, keep_iteration_log: bool = False, recorder=None
-    ) -> ReplicaRuntime:
+    def build_replica(self, replica_id: int, recorder=None) -> ReplicaRuntime:
         """Build one hybrid replica (autoscaler scale-up path).
 
         The caller is responsible for re-sharing estimate caches across the
@@ -164,20 +156,14 @@ class ColocatedTopology:
             scheduler=make_scheduler(),
             backend=self._make_backend(deployment),
             kv_config=self.kv_config,
-            keep_iteration_log=keep_iteration_log,
             replica_id=replica_id,
             role="hybrid",
             recorder=recorder,
         )
 
-    def build_replicas(
-        self, keep_iteration_log: bool = False, recorder=None
-    ) -> list[ReplicaRuntime]:
+    def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
         replicas = [
-            self.build_replica(
-                index, keep_iteration_log=keep_iteration_log, recorder=recorder
-            )
-            for index in range(self.num_replicas)
+            self.build_replica(index, recorder=recorder) for index in range(self.num_replicas)
         ]
         # Identical replicas compute identical estimates; one shared memo
         # keeps a fleet from re-deriving them once per replica.
@@ -208,7 +194,6 @@ class DisaggregatedTopology:
     num_decode: int
     chunk_size: int = 1024
     transfer: KVTransferModel = field(default_factory=KVTransferModel)
-    backend_factory: Callable[[], AttentionBackend] | None = None
     kv_config: KVCacheConfig | None = None
     limits: SchedulerLimits | None = None
     replica_specs: tuple[ReplicaSpec, ...] = ()
@@ -242,22 +227,15 @@ class DisaggregatedTopology:
         return self.spec_for(replica_id).deployment
 
     def _make_backend(self, deployment: Deployment) -> AttentionBackend:
-        if self.backend_builder is not None:
-            return self.backend_builder(deployment)
-        if self.backend_factory is not None:
-            return self.backend_factory()
-        return PODBackend(deployment)
+        return (self.backend_builder or PODBackend)(deployment)
 
-    def build_replicas(
-        self, keep_iteration_log: bool = False, recorder=None
-    ) -> list[ReplicaRuntime]:
+    def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
         replicas = [
             ReplicaRuntime(
                 self.deployment_for(index),
                 scheduler=PrefillPoolScheduler(chunk_size=self.chunk_size, limits=self.limits),
                 backend=self._make_backend(self.deployment_for(index)),
                 kv_config=self.kv_config,
-                keep_iteration_log=keep_iteration_log,
                 release_on="first_token",
                 replica_id=index,
                 role="prefill",
@@ -271,7 +249,6 @@ class DisaggregatedTopology:
                 scheduler=DecodePoolScheduler(limits=self.limits),
                 backend=self._make_backend(self.deployment_for(self.num_prefill + index)),
                 kv_config=self.kv_config,
-                keep_iteration_log=keep_iteration_log,
                 replica_id=self.num_prefill + index,
                 role="decode",
                 recorder=recorder,

@@ -3,8 +3,7 @@
 This package models the parts of a GPU that the POD-Attention argument
 depends on: SMs with private compute and a capped draw on shared HBM
 bandwidth, an occupancy-limited hardware CTA scheduler, streams, wave
-quantization, and an activity-based energy model.  See DESIGN.md for why this
-substitution preserves the paper's behaviour.
+quantization, and an activity-based energy model.
 """
 
 from repro.gpu.atomics import AtomicCounter, AtomicCounterArray

@@ -13,7 +13,7 @@ that matter for the prefill/decode overlap argument are modelled:
 
 Numbers for the presets are taken from public spec sheets and
 micro-benchmarking literature; they are first-order approximations, which is
-all the reproduction requires (see DESIGN.md §1).
+all the reproduction requires.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ and this package provides sinks that aggregate instead of record —
   integrals reconcile exactly against the run's aggregate counters.
 * :class:`~repro.obs.profiling.HostProfiler` — host wall/CPU/peak-RSS
   self-profiling for benchmark artifacts.
-* :mod:`repro.obs.report` — the run-report generator
-  (``python -m repro.obs.report``).
+* :mod:`repro.obs.report` — the run-report generator (``repro report``).
 
 Telemetry off (the default ``recorder=None``) costs nothing: the hot paths
 keep their single ``is not None`` check.  See ``docs/observability.md``.
@@ -32,6 +31,7 @@ from repro.obs.metrics import (
     normalize_labels,
 )
 from repro.obs.profiling import HostProfiler, peak_rss_mb
+from repro.obs.report import generate_report, render_html, render_markdown
 from repro.obs.sampler import DEFAULT_INTERVAL, FleetSampler
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import REQUESTS_PID, Span, SpanTracer
@@ -56,15 +56,3 @@ __all__ = [
     "Span",
     "SpanTracer",
 ]
-
-_REPORT_EXPORTS = {"generate_report", "render_html", "render_markdown"}
-
-
-def __getattr__(name: str) -> object:
-    # Lazy: keeps ``python -m repro.obs.report`` from double-importing the
-    # report module through the package (runpy's sys.modules warning).
-    if name in _REPORT_EXPORTS:
-        from repro.obs import report
-
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,20 +11,18 @@ self-contained artifact bundle:
 * ``trace.json`` — the Perfetto-loadable span trace
   (https://ui.perfetto.dev).
 
-The module is also a CLI that serves any registered workload scenario with
-telemetry attached and reports on it::
+:func:`scenario_telemetry` serves any registered workload scenario with
+telemetry attached; ``repro report`` is its command line::
 
-    PYTHONPATH=src python -m repro.obs.report --scenario shared-prefix-chat \\
+    PYTHONPATH=src python -m repro report --scenario shared-prefix-chat \\
         --num-requests 48 --seed 19 --out results/obs_report
 
-``--replicas N`` switches to a cluster run (``--router`` picks the policy).
+``--replicas N`` sizes the fleet (``--router`` picks the policy).
 """
 
 from __future__ import annotations
 
-import argparse
 import html as html_mod
-import json
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -267,7 +265,7 @@ def generate_report(
     return paths
 
 
-# ---------------------------------------------------------------------- CLI
+# ----------------------------------------------------------------- scenarios
 
 
 def scenario_telemetry(
@@ -286,8 +284,8 @@ def scenario_telemetry(
 
     Returns ``(telemetry, summary_row)``.  A thin telemetry dressing over
     :func:`repro.workloads.scenario.run_scenario` (the shared entry point):
-    single-replica runs use the Sarathi+POD memory-pressure stack (prefix
-    caching on); ``replicas > 1`` runs a colocated cluster under ``router``.
+    ``replicas`` colocated Sarathi+POD replicas with prefix caching on,
+    routed by ``router``.
     """
     from repro.bench.pressure_rows import FIG19_CHUNK_SIZE
     from repro.models.config import paper_deployment
@@ -318,91 +316,11 @@ def scenario_telemetry(
         backend="pod",
         kv_config=kv_config,
     )
-    metrics = result.metrics
-    summary: dict[str, Any] = getattr(metrics, "fleet", metrics).as_row()
     telemetry.finalize()
-    summary = {"scenario": scenario, "replicas": replicas, "seed": seed, **summary}
+    summary: dict[str, Any] = {
+        "scenario": scenario,
+        "replicas": replicas,
+        "seed": seed,
+        **result.metrics.fleet.as_row(),
+    }
     return telemetry, summary
-
-
-def run_scenario_with_telemetry(
-    scenario: str,
-    num_requests: int | None = None,
-    seed: int = 0,
-    qps: float | None = None,
-    replicas: int = 1,
-    router: str = "prefix-affinity",
-    capacity_tokens: int | None = None,
-    sample_interval: float = 0.5,
-    model: str = "llama-3-8b",
-) -> tuple[Telemetry, dict[str, Any]]:
-    """Deprecated alias of :func:`scenario_telemetry`.
-
-    The scenario entry points were unified behind
-    :func:`repro.workloads.scenario.run_scenario`; this wrapper survives one
-    release for callers of the old name.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_scenario_with_telemetry() is deprecated; use "
-        "repro.obs.report.scenario_telemetry() or "
-        "repro.workloads.scenario.run_scenario(recorder=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scenario_telemetry(
-        scenario,
-        num_requests=num_requests,
-        seed=seed,
-        qps=qps,
-        replicas=replicas,
-        router=router,
-        capacity_tokens=capacity_tokens,
-        sample_interval=sample_interval,
-        model=model,
-    )
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Serve a workload scenario with telemetry and write a run report.",
-    )
-    parser.add_argument("--scenario", default="shared-prefix-chat")
-    parser.add_argument("--num-requests", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--qps", type=float, default=None)
-    parser.add_argument("--replicas", type=int, default=1)
-    parser.add_argument("--router", default="prefix-affinity")
-    parser.add_argument(
-        "--capacity-tokens",
-        type=int,
-        default=None,
-        help="KV capacity in tokens (default: sized from the deployment's GPU memory)",
-    )
-    parser.add_argument("--interval", type=float, default=0.5, help="sample cadence (sim s)")
-    parser.add_argument("--model", default="llama-3-8b")
-    parser.add_argument("--out", default="results/obs_report")
-    args = parser.parse_args(argv)
-
-    telemetry, summary = scenario_telemetry(
-        args.scenario,
-        num_requests=args.num_requests,
-        seed=args.seed,
-        qps=args.qps,
-        replicas=args.replicas,
-        router=args.router,
-        capacity_tokens=args.capacity_tokens,
-        sample_interval=args.interval,
-        model=args.model,
-    )
-    title = f"{args.scenario} — telemetry report (seed {args.seed})"
-    paths = generate_report(telemetry, args.out, title=title, summary=summary)
-    manifest = {kind: str(path) for kind, path in paths.items()}
-    print(json.dumps({"report": manifest, "summary": summary}, indent=2, default=str))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

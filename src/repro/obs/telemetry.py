@@ -5,7 +5,7 @@
 any simulator is one argument::
 
     telemetry = Telemetry()
-    sim = ServingSimulator(deployment, recorder=telemetry)
+    sim = ClusterSimulator(topology, recorder=telemetry)
     sim.run(requests)
     telemetry.finalize()
     telemetry.registry.merged_histogram("request_e2e_s").percentile(99)
@@ -13,7 +13,7 @@ any simulator is one argument::
 and combining it with the verifier's recorder is a list (the simulators
 normalize it through :func:`~repro.verify.events.as_sink`)::
 
-    sim = ServingSimulator(deployment, recorder=[recorder, telemetry])
+    sim = ClusterSimulator(topology, recorder=[recorder, telemetry])
 
 Telemetry is **opt-in**: with ``recorder=None`` (the default everywhere)
 the simulators skip every emission site on a single ``is not None`` check,

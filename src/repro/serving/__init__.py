@@ -1,4 +1,4 @@
-"""LLM serving substrate: requests, KV cache, schedulers, engine and simulator."""
+"""LLM serving substrate: requests, KV cache, schedulers, engine and replica runtime."""
 
 from repro.serving.attention_backend import (
     AttentionBackend,
@@ -32,7 +32,6 @@ from repro.serving.request import Request, RequestState, make_requests
 from repro.serving.scheduler import Scheduler, SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator, SimulationResult, simulate_offline
 from repro.serving.trace import (
     WORKLOAD_GENERATORS,
     WorkloadStats,
@@ -78,9 +77,6 @@ __all__ = [
     "SchedulerLimits",
     "SarathiScheduler",
     "VLLMScheduler",
-    "ServingSimulator",
-    "SimulationResult",
-    "simulate_offline",
     "WORKLOAD_GENERATORS",
     "WorkloadStats",
     "arxiv_workload",

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.models.config import Deployment
-from repro.models.linear_ops import LinearCostParams
 from repro.models.transformer import IterationBreakdown, IterationCostModel
 from repro.serving.attention_backend import AttentionBackend
 from repro.serving.batch import ScheduledBatch
@@ -29,18 +28,10 @@ class IterationResult:
 class InferenceEngine:
     """Computes iteration durations for scheduled batches."""
 
-    def __init__(
-        self,
-        deployment: Deployment,
-        backend: AttentionBackend,
-        linear_params: LinearCostParams | None = None,
-        scheduler_overhead: float = 1.5e-3,
-    ) -> None:
+    def __init__(self, deployment: Deployment, backend: AttentionBackend) -> None:
         self.deployment = deployment
         self.backend = backend
-        self.iteration_model = IterationCostModel(
-            deployment, linear_params, scheduler_overhead=scheduler_overhead
-        )
+        self.iteration_model = IterationCostModel(deployment)
         self.total_iterations = 0
         self.hybrid_iterations = 0
 

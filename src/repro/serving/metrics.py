@@ -165,7 +165,7 @@ class MemoryPressureStats:
     Combines the :class:`~repro.serving.kv_cache.KVCacheStats` counters of
     the allocator with the request-level preemption record; built by
     :func:`compute_memory_pressure` and surfaced on
-    ``SimulationResult.kv_stats`` / the fig19 benchmark rows.
+    ``ClusterResult.kv_stats`` / the fig19 benchmark rows.
     """
 
     prefix_block_hits: int

@@ -1,12 +1,12 @@
 """Steppable per-replica serving runtime.
 
-``ReplicaRuntime`` is the event-level core extracted from the original
-``ServingSimulator.run`` loop: one replica's pending/waiting/running queues,
-KV cache, engine and local clock, advanced one iteration at a time via
-:meth:`step`.  ``ServingSimulator`` drives a single runtime to completion;
-``repro.cluster.ClusterSimulator`` interleaves many runtimes event-by-event
-under one global clock, which is why the stepping API is explicit rather than
-buried in a ``run()`` loop.
+``ReplicaRuntime`` is the event-level serving core: one replica's
+pending/waiting/running queues, KV cache, engine and local clock, advanced one
+iteration at a time via :meth:`step`.  ``repro.cluster.ClusterSimulator``
+interleaves one or more runtimes event-by-event under one global clock, which
+is why the stepping API is explicit rather than buried in a ``run()`` loop;
+:meth:`ReplicaRuntime.run_to_completion` is the plain single-replica loop the
+differential oracle in ``repro.verify.oracles`` replays against it.
 
 Two details matter for cluster use:
 
@@ -37,7 +37,6 @@ from repro.models.config import Deployment
 
 if TYPE_CHECKING:  # avoid a runtime serving -> verify import cycle
     from repro.verify.events import EventSink
-from repro.models.linear_ops import LinearCostParams
 from repro.serving.attention_backend import AttentionBackend, FASerialBackend
 from repro.serving.engine import InferenceEngine, IterationResult
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
@@ -47,6 +46,10 @@ from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.utils.validation import check_in_choices
 
 RELEASE_MODES = ("finish", "first_token")
+
+#: A replica that executes this many iterations without draining is taken to
+#: be livelocked (e.g. a scheduler that never finishes a request).
+MAX_ITERATIONS = 2_000_000
 
 # Compact the consumed head of the pending list once it grows past this size
 # (keeps long online traces from pinning already-admitted request tuples).
@@ -69,8 +72,8 @@ class StepOutcome:
 class ReplicaRuntime:
     """One serving replica, advanced iteration-by-iteration.
 
-    The runtime owns its KV cache and (by default) its engine; the scheduler
-    and attention backend are injected so replicas of different roles (hybrid,
+    The runtime owns its KV cache and engine; the scheduler and attention
+    backend are injected so replicas of different roles (hybrid,
     prefill-only, decode-only) share one stepping loop.
     """
 
@@ -80,11 +83,7 @@ class ReplicaRuntime:
         scheduler: Scheduler | None = None,
         backend: AttentionBackend | None = None,
         kv_config: KVCacheConfig | None = None,
-        linear_params: LinearCostParams | None = None,
-        engine: InferenceEngine | None = None,
-        keep_iteration_log: bool = False,
         release_on: str = "finish",
-        max_iterations: int = 2_000_000,
         replica_id: int = 0,
         role: str = "hybrid",
         recorder: "EventSink | list[EventSink] | None" = None,
@@ -94,10 +93,8 @@ class ReplicaRuntime:
         self.scheduler = scheduler or SarathiScheduler()
         self.backend = backend or FASerialBackend(deployment)
         self.kv_cache = KVCacheManager(kv_config or KVCacheConfig.for_deployment(deployment))
-        self.engine = engine or InferenceEngine(deployment, self.backend, linear_params)
-        self.keep_iteration_log = keep_iteration_log
+        self.engine = InferenceEngine(deployment, self.backend)
         self.release_on = release_on
-        self.max_iterations = max_iterations
         self.replica_id = replica_id
         self.role = role
         if recorder is not None:
@@ -128,7 +125,6 @@ class ReplicaRuntime:
         self.busy_time = 0.0
         self.steps_executed = 0
         self.released: list[Request] = []
-        self.iteration_log: list[IterationResult] = []
 
         # Incremental load accounting (see module docstring): counters over
         # every accepted-but-unreleased request, kept exactly in sync with
@@ -279,9 +275,9 @@ class ReplicaRuntime:
                 self.clock = self._pending[self._cursor][0]
                 continue
 
-            if self.steps_executed >= self.max_iterations:
+            if self.steps_executed >= MAX_ITERATIONS:
                 raise RuntimeError(
-                    f"simulation exceeded {self.max_iterations} iterations without draining"
+                    f"simulation exceeded {MAX_ITERATIONS} iterations without draining"
                 )
             running_ids_before = (
                 {request.request_id for request in self.running}
@@ -315,8 +311,6 @@ class ReplicaRuntime:
             self.clock += result.duration
             self.busy_time += result.duration
             self.steps_executed += 1
-            if self.keep_iteration_log:
-                self.iteration_log.append(result)
             if self.recorder is not None:
                 self._record_iteration(batch, running_ids_before, iteration_start, result)
 
@@ -436,7 +430,7 @@ class ReplicaRuntime:
             )
 
     def run_to_completion(self) -> None:
-        """Step until drained (the single-replica ``ServingSimulator`` loop)."""
+        """Step until drained: the plain single-replica loop."""
         while self.next_ready_time() is not None:
             if not self.step().executed:
                 break

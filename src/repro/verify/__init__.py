@@ -5,7 +5,7 @@ into machine-checkable facts so performance refactors of the serving hot
 paths can land without fear.
 
 * :mod:`repro.verify.events` — structured event log emitted (opt-in) by
-  ``ServingSimulator`` / ``ReplicaRuntime`` / ``ClusterSimulator``.
+  ``ReplicaRuntime`` / ``ClusterSimulator``.
 * :mod:`repro.verify.invariants` — causality, token-conservation, KV
   accounting, batch-budget and monotone-clock checks over those logs.
 * :mod:`repro.verify.oracles` — differential oracles between independent
@@ -68,6 +68,7 @@ from repro.verify.oracles import (
     kv_allocator_operations,
     scheduler_conservation,
     single_replica_equivalence,
+    single_replica_reference,
 )
 
 #: Fuzzer and stateful-machine names are re-exported lazily: both modules
@@ -149,4 +150,5 @@ __all__ = [
     "kv_allocator_operations",
     "scheduler_conservation",
     "single_replica_equivalence",
+    "single_replica_reference",
 ]

@@ -4,7 +4,7 @@ Every scheduling decision the simulators make — a request handed to a
 replica, admitted into the running set, a batch formed, a chunk executed, KV
 blocks allocated or freed, a request released — can be captured as a typed
 :class:`Event` on an :class:`EventRecorder`.  The recorder is an *opt-in*
-hook: ``ServingSimulator``, ``ReplicaRuntime`` and ``ClusterSimulator`` all
+hook: ``ReplicaRuntime`` and ``ClusterSimulator`` both
 take ``recorder=None`` and every emission site is behind a single
 ``is not None`` check, so runs without a recorder pay effectively nothing
 (measured at +0.3% on the fig17 benchmark timer, against this PR's <2%
@@ -276,7 +276,7 @@ class TeeSink(EventSink):
 
         recorder = EventRecorder()
         telemetry = Telemetry(...)
-        ServingSimulator(deployment, recorder=TeeSink([recorder, telemetry]))
+        ClusterSimulator(topology, recorder=TeeSink([recorder, telemetry]))
     """
 
     __slots__ = ("sinks",)

@@ -3,7 +3,8 @@
 Composes random-but-seeded workloads from the ``repro.workloads`` primitives
 (arrival processes × shape models × optional tenant mixes) with random
 scheduler and KV-cache configurations, runs each sample through a recorded
-``ServingSimulator`` and checks the full invariant suite on the event log.
+1-replica ``ClusterSimulator`` and checks the full invariant suite on the
+event log.
 
 The hypothesis strategy lives here (``fuzz_configs()``) so both the pytest
 property test and the nightly CI job share it; shrinking works out of the
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
+from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.topology import ColocatedTopology
 from repro.models.config import Deployment, paper_deployment
 from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.scheduler import Scheduler, SchedulerLimits
@@ -29,7 +32,6 @@ from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
 from repro.serving.attention_backend import get_backend
 from repro.serving.request import Request
-from repro.serving.simulator import ServingSimulator
 from repro.verify.events import EventRecorder
 from repro.verify.invariants import Violation, check_event_log, check_kv_drain_balance
 from repro.workloads.arrivals import get_arrival_process
@@ -161,20 +163,21 @@ def run_fuzz_case(
     largest = max(request.total_tokens for request in requests)
     capacity = math.ceil(largest * factor / block_size) * block_size
     recorder = EventRecorder(strict_payloads=True)
-    simulator = ServingSimulator(
+    topology = ColocatedTopology(
         deployment,
-        scheduler=_build_scheduler(config),
-        backend=get_backend(config.backend, deployment),
+        num_replicas=1,
+        scheduler_factory=lambda: _build_scheduler(config),
+        backend_builder=lambda replica_deployment: get_backend(config.backend, replica_deployment),
         kv_config=KVCacheConfig(
             capacity_tokens=capacity,
             block_size=block_size,
             enable_prefix_caching=config.prefix_caching,
         ),
-        recorder=recorder,
     )
+    simulator = ClusterSimulator(topology, recorder=recorder)
     result = simulator.run(requests)
     violations = check_event_log(recorder)
-    violations.extend(check_kv_drain_balance([simulator]))
+    violations.extend(check_kv_drain_balance(simulator.replicas))
     unfinished = [r.request_id for r in result.requests if not r.is_finished]
     if unfinished:
         violations.append(

@@ -687,8 +687,6 @@ def check_kv_drain_balance(managers: Iterable[Any]) -> list[Violation]:
     violations: list[Violation] = []
     for index, entry in enumerate(managers):
         manager = getattr(entry, "kv_cache", entry)
-        if manager is None:  # e.g. a ServingSimulator that has not run yet
-            continue
         replica_id = getattr(entry, "replica_id", index)
         if manager.used_blocks != 0:
             violations.append(

@@ -5,10 +5,11 @@ here as an executable oracle returning a list of human-readable discrepancy
 strings (empty = the oracle passes):
 
 * :func:`single_replica_equivalence` — a 1-replica ``ClusterSimulator`` is
-  the same machine as ``ServingSimulator`` (shared ``ReplicaRuntime`` core),
-  so *every* scenario must produce identical per-request timestamps and
-  metrics through both drivers, under every router policy (with one replica
-  a router has no choice to make).
+  the same machine as :func:`single_replica_reference` (one
+  ``ReplicaRuntime`` with the whole trace enqueued up front, stepped to
+  drain), so *every* scenario must produce identical per-request timestamps
+  and metrics through both, under every router policy (with one replica a
+  router has no choice to make).
 * :func:`scheduler_conservation` — schedulers differ in *when* tokens run,
   never in *how many*: on one trace, Sarathi and vLLM must schedule exactly
   the same prefill/decode token totals and finish every request, with their
@@ -40,16 +41,18 @@ from repro.cluster.topology import ColocatedTopology
 from repro.core.pod_kernel import PODAttention
 from repro.gpu.engine import ExecutionEngine
 from repro.models.config import Deployment
-from repro.serving.attention_backend import PODBackend, get_backend
-from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
-from repro.serving.metrics import ServingMetrics
+from repro.serving.attention_backend import AttentionBackend, PODBackend, get_backend
+from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, KVCacheStats
+from repro.serving.metrics import ServingMetrics, compute_metrics
+from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
+from repro.serving.scheduler import Scheduler
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
+from repro.utils.validation import check_in_choices
 from repro.verify.events import CHUNK_EXECUTED, EventRecorder
 from repro.verify.invariants import check_event_log
-from repro.workloads.scenario import SCENARIOS
+from repro.workloads.scenario import SCENARIOS, build_scenario
 
 #: Router policies a 1-replica cluster must reduce under (all of them).
 REDUCIBLE_ROUTERS = (
@@ -96,6 +99,35 @@ def _compare_metrics(label: str, reference: ServingMetrics, candidate: ServingMe
     return discrepancies
 
 
+def single_replica_reference(
+    deployment: Deployment,
+    requests: Sequence[Request],
+    scheduler: Scheduler,
+    backend: AttentionBackend,
+    kv_config: KVCacheConfig | None = None,
+) -> tuple[list[Request], ServingMetrics, KVCacheStats]:
+    """Serve ``requests`` on one ``ReplicaRuntime`` with the plain drain loop.
+
+    The reference side of the single-replica oracles: fresh copies of every
+    request are enqueued up front and
+    :meth:`~repro.serving.replica.ReplicaRuntime.run_to_completion` steps the
+    runtime until it drains.  Returns the served copies, their metrics and
+    the KV-cache counters.
+    """
+    served = [request.fresh_copy() for request in requests]
+    runtime = ReplicaRuntime(deployment, scheduler=scheduler, backend=backend, kv_config=kv_config)
+    for request in served:
+        runtime.enqueue(request)
+    runtime.run_to_completion()
+    metrics = compute_metrics(
+        served,
+        makespan=runtime.clock,
+        num_iterations=runtime.engine.total_iterations,
+        hybrid_iterations=runtime.engine.hybrid_iterations,
+    )
+    return served, metrics, runtime.kv_cache.stats
+
+
 def single_replica_equivalence(
     deployment: Deployment,
     scenario: str,
@@ -104,32 +136,40 @@ def single_replica_equivalence(
     seed: int = 0,
     chunk_size: int = 1024,
     backend: str = "pod",
+    scheduler: str = "sarathi",
+    offline: bool = False,
 ) -> list[str]:
-    """Diff one scenario through ``ServingSimulator`` vs a 1-replica cluster.
+    """Diff one scenario through :func:`single_replica_reference` vs a 1-replica cluster.
 
-    Both sides rebuild the trace from the scenario registry (builds are pure
-    functions of their arguments), run the same scheduler/backend stack, and
-    must agree on every per-request timestamp and every metric field exactly.
+    Both sides serve the same registry trace (``offline`` moves every arrival
+    to t=0) on the same scheduler (``"sarathi"`` at ``chunk_size``, or
+    ``"vllm"``) and backend, and must agree on every per-request timestamp
+    and every metric field exactly.
     """
-    label = f"{scenario}/{router}"
-    single = ServingSimulator(
-        deployment,
-        scheduler=SarathiScheduler(chunk_size=chunk_size),
-        backend=get_backend(backend, deployment),
-    ).run_scenario(scenario, num_requests=num_requests, seed=seed)
+    check_in_choices("scheduler", scheduler, ("sarathi", "vllm"))
+    label = f"{scenario}/{router}/{scheduler}+{backend}{'/offline' if offline else ''}"
+    trace = build_scenario(scenario, num_requests=num_requests, seed=seed)
+    if offline:
+        trace = [request.fresh_copy(arrival_time=0.0) for request in trace]
 
+    def make_scheduler() -> Scheduler:
+        if scheduler == "vllm":
+            return VLLMScheduler()
+        return SarathiScheduler(chunk_size=chunk_size)
+
+    reference, reference_metrics, _ = single_replica_reference(
+        deployment, trace, make_scheduler(), get_backend(backend, deployment)
+    )
     topology = ColocatedTopology(
         deployment,
         num_replicas=1,
-        scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size),
-        backend_factory=lambda: get_backend(backend, deployment),
+        scheduler_factory=make_scheduler,
+        backend_builder=lambda replica_deployment: get_backend(backend, replica_deployment),
     )
-    cluster = ClusterSimulator(topology, router=router).run_scenario(
-        scenario, num_requests=num_requests, seed=seed
-    )
+    cluster = ClusterSimulator(topology, router=router).run(trace)
 
-    discrepancies = _compare_requests(label, single.requests, cluster.requests)
-    discrepancies.extend(_compare_metrics(label, single.metrics, cluster.metrics.fleet))
+    discrepancies = _compare_requests(label, reference, cluster.requests)
+    discrepancies.extend(_compare_metrics(label, reference_metrics, cluster.metrics.fleet))
     if cluster.assignments and set(cluster.assignments.values()) != {0}:
         discrepancies.append(f"{label}: 1-replica cluster routed off replica 0")
     return discrepancies
@@ -182,12 +222,13 @@ def scheduler_conservation(
         ("vLLM", VLLMScheduler()),
     ):
         recorder = EventRecorder(strict_payloads=True)
-        simulator = ServingSimulator(
+        topology = ColocatedTopology(
             deployment,
-            scheduler=scheduler,
-            backend=PODBackend(deployment),
-            recorder=recorder,
+            num_replicas=1,
+            scheduler_factory=lambda: scheduler,
+            backend_builder=PODBackend,
         )
+        simulator = ClusterSimulator(topology, recorder=recorder)
         result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
         for violation in check_event_log(recorder):
             discrepancies.append(f"{name}: {violation}")

@@ -19,8 +19,9 @@ Three machines:
   checker as the oracle after every rule and drain-balance checks at teardown.
 * :class:`ClusterInterleavingMachine` — a small fleet driven with the cluster
   event-loop discipline (arrivals globally monotone, earliest replica steps
-  first); single-replica fleets are additionally pinned against a fresh
-  ``ServingSimulator`` run over the same trace (the differential oracle).
+  first); single-replica fleets are additionally pinned against
+  :func:`~repro.verify.oracles.single_replica_reference` run over the same
+  trace (the differential oracle).
 
 Minimized failing examples graduate into ``tests/corpus/`` as JSON entries
 (one file per bug) and are replayed deterministically by
@@ -51,13 +52,13 @@ from hypothesis.stateful import (
 from repro.cluster.router import ReplicaLoad, get_router
 from repro.cluster.topology import ColocatedTopology
 from repro.models.config import ReplicaSpec, paper_deployment
+from repro.serving.attention_backend import FASerialBackend
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, prefix_block_hashes
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.verify.events import EventRecorder
 from repro.verify.invariants import (
     InvariantViolationError,
@@ -66,6 +67,7 @@ from repro.verify.invariants import (
     check_kv_drain_balance,
     check_replica_load_counters,
 )
+from repro.verify.oracles import single_replica_reference
 
 
 def _require(violations: Sequence[Violation]) -> None:
@@ -546,9 +548,9 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
     (exactly the ``ClusterSimulator`` loop invariants); the machine chooses
     *when* to route and how many steps run between arrivals.  With one
     replica the teardown additionally replays the accumulated trace through
-    a fresh ``ServingSimulator`` and requires identical per-request timings
-    and KV counters — the differential oracle that pins the incremental
-    mid-run path against the batch path.
+    :func:`~repro.verify.oracles.single_replica_reference` and requires
+    identical per-request timings and KV counters — the differential oracle
+    that pins the incremental mid-run path against the batch path.
 
     The control-plane rules (``scale_up``/``scale_down``/``shed_request``)
     mirror the elastic fleet operations: provisioning with a cold start,
@@ -855,19 +857,20 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
     def _check_single_replica_oracle(self) -> None:
         """Replay the trace batch-mode and require identical outcomes."""
         kind, chunk_size, preemption = self.scheduler_config
-        simulator = ServingSimulator(
+        served, _, kv_stats = single_replica_reference(
             _DEPLOYMENT,
-            scheduler=_build_scheduler(kind, chunk_size, preemption),
+            self.trace,
+            _build_scheduler(kind, chunk_size, preemption),
+            FASerialBackend(_DEPLOYMENT),
             kv_config=self.kv_config,
         )
-        result = simulator.run([request.fresh_copy() for request in self.trace])
         oracle = {
             request.request_id: (
                 request.first_token_time,
                 request.finish_time,
                 request.preemption_count,
             )
-            for request in result.requests
+            for request in served
         }
         incremental = {
             request.request_id: (
@@ -883,7 +886,7 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
             f"{incremental} != {oracle}"
         )
         merged = self.replicas[0].kv_cache.stats
-        assert merged.counter_totals() == simulator.kv_cache.stats.counter_totals(), (
+        assert merged.counter_totals() == kv_stats.counter_totals(), (
             "KV counters diverged from the batch-mode oracle"
         )
 

@@ -7,8 +7,8 @@ deterministic request trace from a name::
     from repro.workloads import build_scenario
     requests = build_scenario("rag-burst", num_requests=64, seed=3)
 
-``SCENARIOS`` is consumed by ``ServingSimulator.run_scenario``,
-``ClusterSimulator.run_scenario``, the cluster sweep runner (any scenario
+``SCENARIOS`` is consumed by :func:`run_scenario` (and
+``ClusterSimulator.run_scenario``), the cluster sweep runner (any scenario
 name is a valid ``ClusterSweepPoint.workload``) and the Figure 17 scenario
 sweep benchmark.  Builds are pure functions of ``(name, num_requests, seed,
 qps)``: the same arguments always yield an identical trace.
@@ -17,7 +17,7 @@ qps)``: the same arguments always yield an identical trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.serving.request import Request
 from repro.workloads.arrivals import get_arrival_process
@@ -29,6 +29,9 @@ from repro.workloads.tenants import (
     compose_tenants,
     slo_targets,
 )
+
+if TYPE_CHECKING:  # the cluster layer imports this module
+    from repro.cluster.simulator import ClusterResult
 
 
 @dataclass(frozen=True)
@@ -230,30 +233,26 @@ def run_scenario(
     chunk_size: int = 1024,
     backend: str = "pod",
     kv_config: Any | None = None,
-) -> Any:
-    """Serve a registered scenario — the one entry point for every simulator.
+) -> ClusterResult:
+    """Serve a registered scenario — the one entry point for every run.
 
-    This is the shared keyword surface behind ``ServingSimulator.run_scenario``,
-    ``ClusterSimulator.run_scenario`` and the observability report CLI:
+    This is the shared keyword surface behind ``ClusterSimulator.run_scenario``,
+    the ``repro`` CLI and the observability report:
 
-    * ``simulator=`` runs the trace on an already-configured simulator (its
-      own scheduler/backend/fleet govern; passing fleet-building keywords
-      alongside is an error).
-    * Otherwise a simulator is built here: a single-replica
-      ``ServingSimulator`` (Sarathi chunking + the named attention backend),
-      or — when ``spec``/``replicas > 1``/a non-colocated ``topology``/a
-      ``control`` plane asks for one — a ``ClusterSimulator`` over
-      ``topology_from_spec``.  ``spec`` may be any
+    * ``simulator=`` runs the trace on an already-configured
+      ``ClusterSimulator`` (its own fleet governs; passing fleet-building
+      keywords alongside is an error).
+    * Otherwise a ``ClusterSimulator`` is built here over
+      ``topology_from_spec``: ``spec`` may be any
       :class:`repro.models.config.ClusterSpec`, including heterogeneous
-      ``replicas=[...]`` fleets.
+      ``replicas=[...]`` fleets; without one, ``replicas`` × ``topology`` of
+      ``model`` (one Sarathi replica on the named attention backend by
+      default).
 
     ``overrides`` is a mapping of :class:`Scenario` field replacements
     (``dataclasses.replace``) applied before the trace is built, e.g.
     ``{"qps": 3.0}`` or ``{"arrival": "gamma-burst"}``.  Builds stay pure
     functions of ``(name, overrides, num_requests, seed, qps)``.
-
-    Returns the simulator's own result type (``SimulationResult`` for a
-    single replica, ``ClusterResult`` for a fleet).
     """
     import dataclasses
 
@@ -281,36 +280,17 @@ def run_scenario(
 
     # Lazy imports: the serving/cluster layers import repro.workloads, so
     # importing them at module scope here would be a cycle.
+    from repro.cluster.simulator import ClusterSimulator
+    from repro.cluster.topology import topology_from_spec
     from repro.models.config import ClusterSpec, paper_deployment
 
-    if spec is not None and (replicas != 1 or topology != "colocated"):
+    if spec is None:
+        spec = ClusterSpec(paper_deployment(model), max(replicas, 1), topology=topology)
+    elif replicas != 1 or topology != "colocated":
         raise ValueError(
             "spec= already fixes the fleet size and topology; also passing "
             "replicas=/topology= is ambiguous"
         )
-    wants_cluster = (
-        spec is not None or replicas != 1 or topology != "colocated" or control is not None
-    )
-    if not wants_cluster:
-        from repro.serving.attention_backend import get_backend
-        from repro.serving.scheduler_sarathi import SarathiScheduler
-        from repro.serving.simulator import ServingSimulator
-
-        deployment = paper_deployment(model)
-        sim = ServingSimulator(
-            deployment,
-            scheduler=SarathiScheduler(chunk_size=chunk_size),
-            backend=get_backend(backend, deployment),
-            kv_config=kv_config,
-            recorder=recorder,
-        )
-        return sim.run(requests)
-
-    from repro.cluster.simulator import ClusterSimulator
-    from repro.cluster.topology import topology_from_spec
-
-    if spec is None:
-        spec = ClusterSpec(paper_deployment(model), max(replicas, 1), topology=topology)
     built = topology_from_spec(spec, chunk_size=chunk_size, backend=backend)
     if kv_config is not None:
         built.kv_config = kv_config

@@ -34,9 +34,12 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 from repro.attention.workload import HybridBatch
+from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.gpu.config import a100_sxm_80gb
 from repro.gpu.engine import ExecutionEngine
 from repro.models.config import Deployment, paper_deployment
+from repro.serving.attention_backend import FASerialBackend
+from repro.serving.scheduler_sarathi import SarathiScheduler
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +63,31 @@ def yi_deployment() -> Deployment:
 @pytest.fixture()
 def engine(a100) -> ExecutionEngine:
     return ExecutionEngine(a100)
+
+
+@pytest.fixture(scope="session")
+def single_replica():
+    """Factory for a single-replica serving stack: a 1-replica ``ClusterSimulator``.
+
+    ``scheduler`` and ``backend`` are instances that every run of the returned
+    simulator reuses, attention memo included (defaults: a fresh
+    ``SarathiScheduler`` and ``FASerialBackend``); ``kv_config`` and
+    ``recorder`` pass through.
+    """
+
+    def build(deployment, scheduler=None, backend=None, kv_config=None, recorder=None):
+        scheduler = scheduler or SarathiScheduler()
+        backend = backend or FASerialBackend(deployment)
+        topology = ColocatedTopology(
+            deployment,
+            num_replicas=1,
+            scheduler_factory=lambda: scheduler,
+            backend_builder=lambda _: backend,
+            kv_config=kv_config,
+        )
+        return ClusterSimulator(topology, recorder=recorder)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Tests for the perf/regression gate (``repro.bench.regression``).
+"""Tests for the perf/regression gate (``repro.bench.regression``, run as ``repro diff``).
 
 The acceptance demonstration lives here: perturbing a *committed* baseline
 metric beyond tolerance makes the gate exit nonzero, while an identical copy
@@ -20,8 +20,8 @@ from repro.bench.regression import (
     compare_directories,
     compare_rows,
     load_rows,
-    main,
 )
+from repro.cli import main
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 
@@ -131,13 +131,17 @@ class TestColumnTolerances:
         assert compare_rows("x", baseline, [{"stalls_pct": 0.5}]) != []
 
 
+def diff(*args: str) -> int:
+    return main(["diff", *args])
+
+
 class TestCLIGate:
-    """Acceptance: the gate exits nonzero when a committed metric is perturbed."""
+    """Acceptance: ``repro diff`` exits nonzero when a committed metric is perturbed."""
 
     def test_clean_copy_of_committed_results_passes(self, tmp_path):
         snapshot = tmp_path / "snapshot"
         shutil.copytree(RESULTS_DIR, snapshot)
-        assert main(["--baseline", str(snapshot), "--current", str(RESULTS_DIR)]) == 0
+        assert diff("--baseline", str(snapshot), "--current", str(RESULTS_DIR)) == 0
 
     def test_perturbed_committed_metric_fails(self, tmp_path, capsys):
         perturbed = tmp_path / "perturbed"
@@ -148,12 +152,32 @@ class TestCLIGate:
             float(rows[0]["Sarathi_req_per_min"]) * 1.05
         )
         write_csv(path, rows)
-        exit_code = main(["--baseline", str(RESULTS_DIR), "--current", str(perturbed)])
+        exit_code = diff("--baseline", str(RESULTS_DIR), "--current", str(perturbed))
         assert exit_code == 1
         assert "Sarathi_req_per_min" in capsys.readouterr().out
 
     def test_list_mode(self, capsys):
-        assert main(["--baseline", str(RESULTS_DIR), "--current", str(RESULTS_DIR), "--list"]) == 0
+        assert diff("--baseline", str(RESULTS_DIR), "--current", str(RESULTS_DIR), "--list") == 0
         out = capsys.readouterr().out
         assert "fig15_pd_ratio.csv" in out
         assert "fig16_cluster_scaling.json" in out
+
+    def test_markdown_summary_appends_the_verdict(self, tmp_path, capsys):
+        summary = tmp_path / "summary.md"
+        summary.write_text("# earlier step\n")
+        clean = ["--baseline", str(RESULTS_DIR), "--current", str(RESULTS_DIR)]
+        assert diff(*clean, "--markdown-summary", str(summary)) == 0
+        perturbed = tmp_path / "perturbed"
+        perturbed.mkdir()
+        (perturbed / "t.csv").write_text("metric,value\nthroughput,50.0\n")
+        baseline = tmp_path / "baseline"
+        baseline.mkdir()
+        (baseline / "t.csv").write_text("metric,value\nthroughput,100.0\n")
+        args = ["--baseline", str(baseline), "--current", str(perturbed)]
+        assert diff(*args, "--markdown-summary", str(summary)) == 1
+        capsys.readouterr()
+        text = summary.read_text()
+        assert text.startswith("# earlier step\n")
+        assert text.count("## Perf regression gate") == 2
+        assert "artifact(s)** match" in text
+        assert "**1 regression(s)**" in text and "column 'value'" in text

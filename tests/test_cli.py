@@ -74,7 +74,7 @@ class TestHelpSurface:
                 "diff",
                 {
                     "--baseline", "--current", "--pattern", "--rtol", "--atol",
-                    "--list", "--format", "--out",
+                    "--list", "--markdown-summary", "--format", "--out",
                 },
             ),
         ],
@@ -101,7 +101,9 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "run"
         assert payload["metrics"]["req_per_min"] > 0
-        assert "economics" not in payload  # serving simulator has no fleet bill
+        # One replica is a one-replica fleet: same payload as any cluster run.
+        assert payload["metrics"]["replicas"] == 1
+        assert set(payload) == {"command", "config", "metrics", "economics", "control"}
 
     def test_cluster_json_carries_economics(self, capsys):
         assert (

@@ -13,11 +13,12 @@ from repro.cluster import (
     topology_from_spec,
 )
 from repro.models.config import ClusterSpec
-from repro.serving.attention_backend import FASerialBackend
+from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.request import Request, RequestState
+from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import arxiv_workload, uniform_workload, with_poisson_arrivals
+from repro.verify import single_replica_reference
 
 
 def tab06_trace(num_requests: int = 64):
@@ -26,25 +27,26 @@ def tab06_trace(num_requests: int = 64):
 
 
 class TestSingleReplicaEquivalence:
-    """A 1-replica cluster with pass-through routing must reproduce the
-    single-replica ServingSimulator on the tab06 arxiv trace (ISSUE acceptance:
-    within 1%; the shared stepping core makes it exact)."""
+    """A 1-replica cluster with pass-through routing must reproduce the plain
+    single-replica drain loop on the tab06 arxiv trace (within 1%; the shared
+    stepping core makes it exact)."""
 
     @pytest.fixture(scope="class")
     def pair(self, llama3_deployment):
-        single = ServingSimulator(
+        _, single, _ = single_replica_reference(
             llama3_deployment,
-            scheduler=SarathiScheduler(chunk_size=1024),
-            backend=FASerialBackend(llama3_deployment),
-        ).run(tab06_trace())
+            tab06_trace(),
+            SarathiScheduler(chunk_size=1024),
+            FASerialBackend(llama3_deployment),
+        )
         topology = ColocatedTopology(
             llama3_deployment,
             num_replicas=1,
             scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
-            backend_factory=lambda: FASerialBackend(llama3_deployment),
+            backend_builder=FASerialBackend,
         )
         cluster = ClusterSimulator(topology, router="round-robin").run(tab06_trace())
-        return single.metrics, cluster.metrics.fleet
+        return single, cluster.metrics.fleet
 
     @pytest.mark.parametrize(
         "metric",
@@ -69,6 +71,34 @@ class TestSingleReplicaEquivalence:
     def test_makespan_exact(self, pair):
         single, fleet = pair
         assert fleet.makespan == pytest.approx(single.makespan, rel=1e-9)
+
+
+class TestReadyHeap:
+    """The ready heap holds one live entry per replica, so its upkeep per
+    step does not grow with the number of requests a replica has queued."""
+
+    def test_ready_time_queries_per_step_are_bounded(self, llama3_deployment, monkeypatch):
+        calls = 0
+        next_ready_time = ReplicaRuntime.next_ready_time
+
+        def counted(replica):
+            nonlocal calls
+            calls += 1
+            return next_ready_time(replica)
+
+        monkeypatch.setattr(ReplicaRuntime, "next_ready_time", counted)
+        topology = ColocatedTopology(
+            llama3_deployment,
+            num_replicas=1,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+            backend_builder=PODBackend,
+        )
+        simulator = ClusterSimulator(topology)
+        # Figure 12's offline trace: 48 prompts of 16K tokens, all at t=0.
+        simulator.run(uniform_workload(48, prefill_tokens=16384, decode_tokens=1024))
+        steps = simulator.replicas[0].steps_executed
+        assert steps > 1000
+        assert calls <= 3 * steps
 
 
 class TestColocatedCluster:
@@ -101,11 +131,16 @@ class TestColocatedCluster:
         assert result.decode_assignments == {}
 
     def test_two_replicas_beat_one(self, llama3_deployment, result):
-        single = ServingSimulator(
+        topology = ColocatedTopology(
             llama3_deployment,
-            scheduler=SarathiScheduler(chunk_size=1024),
-        ).run(with_poisson_arrivals(arxiv_workload(48, seed=5), qps=0.85 * 2, seed=6))
-        assert result.metrics.fleet.makespan < single.metrics.makespan
+            num_replicas=1,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+            backend_builder=FASerialBackend,
+        )
+        single = ClusterSimulator(topology).run(
+            with_poisson_arrivals(arxiv_workload(48, seed=5), qps=0.85 * 2, seed=6)
+        )
+        assert result.metrics.fleet.makespan < single.makespan
 
     def test_row_shape(self, result):
         row = result.metrics.as_row()

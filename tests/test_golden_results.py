@@ -34,7 +34,6 @@ from repro.gpu.engine import ExecutionEngine
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import arxiv_workload, pd_ratio_workload, with_poisson_arrivals
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
@@ -119,21 +118,23 @@ class TestFigure15Golden:
     """Sarathi vs Sarathi+POD offline throughput across P:D token ratios."""
 
     @staticmethod
-    def _throughput(deployment, backend, pd_ratio):
+    def _throughput(single_replica, deployment, backend, pd_ratio):
         requests = pd_ratio_workload(32, total_tokens=16_500, pd_ratio=pd_ratio)
-        simulator = ServingSimulator(
+        simulator = single_replica(
             deployment, scheduler=SarathiScheduler(chunk_size=1024), backend=backend
         )
-        result = simulator.run(requests)
-        return result.metrics.requests_per_minute, result.metrics.hybrid_iteration_fraction
+        metrics = simulator.run(requests).metrics.fleet
+        return metrics.requests_per_minute, metrics.hybrid_iteration_fraction
 
-    def test_matches_committed_csv(self, llama3_deployment):
+    def test_matches_committed_csv(self, llama3_deployment, single_replica):
         recomputed = []
         for pd_ratio in (8, 12, 16, 20, 24):
             sarathi, hybrid_fraction = self._throughput(
-                llama3_deployment, FASerialBackend(llama3_deployment), pd_ratio
+                single_replica, llama3_deployment, FASerialBackend(llama3_deployment), pd_ratio
             )
-            pod, _ = self._throughput(llama3_deployment, PODBackend(llama3_deployment), pd_ratio)
+            pod, _ = self._throughput(
+                single_replica, llama3_deployment, PODBackend(llama3_deployment), pd_ratio
+            )
             recomputed.append(
                 {
                     "pd_ratio": float(pd_ratio),
@@ -232,7 +233,7 @@ class TestTable6Golden:
     path: ``arxiv_workload`` + ``with_poisson_arrivals`` wrappers over the
     new ``repro.workloads`` generators must reproduce the committed rows."""
 
-    def test_matches_committed_csv(self, llama3_deployment):
+    def test_matches_committed_csv(self, llama3_deployment, single_replica):
         recomputed = []
         for qps in (0.85, 0.95):
             systems = {
@@ -250,10 +251,8 @@ class TestTable6Golden:
                 requests = with_poisson_arrivals(
                     arxiv_workload(160, seed=17), qps=qps, seed=18
                 )
-                simulator = ServingSimulator(
-                    llama3_deployment, scheduler=scheduler, backend=backend
-                )
-                metrics = simulator.run(requests).metrics
+                simulator = single_replica(llama3_deployment, scheduler=scheduler, backend=backend)
+                metrics = simulator.run(requests).metrics.fleet
                 recomputed.append(
                     {
                         "workload": "arxiv",

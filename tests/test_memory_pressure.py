@@ -23,7 +23,6 @@ from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.verify.events import EventRecorder, KV_SHARED_ALLOC, PREEMPTED
 from repro.verify.invariants import (
     check_event_log,
@@ -235,59 +234,59 @@ class TestPreemption:
             for i in range(5)
         ]
 
-    def _run(self, scheduler, capacity=512, recorder=None):
-        simulator = ServingSimulator(
-            paper_deployment("llama-3-8b"),
-            scheduler=scheduler,
-            kv_config=KVCacheConfig(capacity_tokens=capacity, block_size=16),
-            recorder=recorder,
-        )
-        return simulator, simulator.run(self._pressure_trace())
+    @pytest.fixture()
+    def run(self, single_replica):
+        def run(scheduler, capacity=512, recorder=None):
+            simulator = single_replica(
+                paper_deployment("llama-3-8b"),
+                scheduler=scheduler,
+                kv_config=KVCacheConfig(capacity_tokens=capacity, block_size=16),
+                recorder=recorder,
+            )
+            return simulator, simulator.run(self._pressure_trace())
 
-    def test_preempt_then_readmit_completes(self):
+        return run
+
+    def test_preempt_then_readmit_completes(self, run):
         recorder = EventRecorder()
-        simulator, result = self._run(
+        simulator, result = run(
             SarathiScheduler(chunk_size=256, preemption=True), recorder=recorder
         )
         assert all(r.is_finished for r in result.requests)
-        assert result.metrics.num_preemptions > 0
+        assert result.metrics.fleet.num_preemptions > 0
         assert check_event_log(recorder) == []
-        assert check_kv_drain_balance([simulator]) == []
+        assert check_kv_drain_balance(simulator.replicas) == []
         preempted = recorder.of_kind(PREEMPTED)
         assert preempted and all(e.data["lost_tokens"] >= 0 for e in preempted)
 
-    def test_victims_are_lowest_priority(self):
+    def test_victims_are_lowest_priority(self, run):
         recorder = EventRecorder()
-        _, result = self._run(
-            SarathiScheduler(chunk_size=256, preemption=True), recorder=recorder
-        )
+        _, result = run(SarathiScheduler(chunk_size=256, preemption=True), recorder=recorder)
         preempted_ids = {e.request_id for e in recorder.of_kind(PREEMPTED)}
         # Request 0 (earliest admitted = highest priority) is never a victim.
         assert 0 not in preempted_ids
 
-    def test_vllm_preemption_completes(self):
+    def test_vllm_preemption_completes(self, run):
         recorder = EventRecorder()
-        simulator, result = self._run(
+        simulator, result = run(
             VLLMScheduler(limits=SchedulerLimits(max_batch_size=8), preemption=True),
             recorder=recorder,
         )
         assert all(r.is_finished for r in result.requests)
         assert check_event_log(recorder) == []
 
-    def test_seed_admission_stalls_where_preemption_serves(self):
+    def test_seed_admission_stalls_where_preemption_serves(self, run):
         # Full-reservation admission serializes this trace (requests admit
         # one at a time); preemption-mode admission books only the prompt and
         # overlaps them, cutting TTFT tails.
-        _, stalled = self._run(SarathiScheduler(chunk_size=256), capacity=512)
-        _, served = self._run(
-            SarathiScheduler(chunk_size=256, preemption=True), capacity=512
-        )
-        assert served.metrics.ttft_p99 < stalled.metrics.ttft_p99
+        _, stalled = run(SarathiScheduler(chunk_size=256), capacity=512)
+        _, served = run(SarathiScheduler(chunk_size=256, preemption=True), capacity=512)
+        assert served.metrics.fleet.ttft_p99 < stalled.metrics.fleet.ttft_p99
         assert all(r.is_finished for r in served.requests)
 
-    def test_infeasible_request_raises_clearly(self):
+    def test_infeasible_request_raises_clearly(self, single_replica):
         trace = [Request(request_id=0, prefill_tokens=64, decode_tokens=512)]
-        simulator = ServingSimulator(
+        simulator = single_replica(
             paper_deployment("llama-3-8b"),
             scheduler=SarathiScheduler(chunk_size=256, preemption=True),
             kv_config=KVCacheConfig(capacity_tokens=256, block_size=16),
@@ -312,9 +311,9 @@ class TestPreemption:
 
 
 class TestCachingWithPreemptionEndToEnd:
-    def test_recorded_run_passes_all_invariants(self):
+    def test_recorded_run_passes_all_invariants(self, single_replica):
         recorder = EventRecorder()
-        simulator = ServingSimulator(
+        simulator = single_replica(
             paper_deployment("llama-3-8b"),
             scheduler=SarathiScheduler(chunk_size=512, preemption=True),
             kv_config=KVCacheConfig(
@@ -325,15 +324,15 @@ class TestCachingWithPreemptionEndToEnd:
         result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=3)
         assert all(r.is_finished for r in result.requests)
         assert check_event_log(recorder) == []
-        assert check_kv_drain_balance([simulator]) == []
+        assert check_kv_drain_balance(simulator.replicas) == []
         shared = recorder.of_kind(KV_SHARED_ALLOC)
         assert shared and any(e.data["cached_tokens"] > 0 for e in shared)
         assert result.kv_stats.hit_rate > 0.0
 
-    def test_caching_off_run_is_flat(self):
+    def test_caching_off_run_is_flat(self, single_replica):
         """Default-config event streams never contain the new event kinds."""
         recorder = EventRecorder()
-        simulator = ServingSimulator(
+        simulator = single_replica(
             paper_deployment("llama-3-8b"),
             scheduler=SarathiScheduler(chunk_size=512),
             recorder=recorder,

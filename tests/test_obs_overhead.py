@@ -29,9 +29,8 @@ def deployment():
 
 def run_pressured(deployment, recorder):
     simulator = memory_pressure_simulator(
-        deployment, capacity_tokens=8192, prefix_caching=True, preemption=True
+        deployment, capacity_tokens=8192, prefix_caching=True, preemption=True, recorder=recorder
     )
-    simulator.recorder = as_sink(recorder)
     result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=19)
     return simulator, result
 

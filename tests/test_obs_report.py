@@ -1,4 +1,4 @@
-"""Run-report generator: artifact bundle contents and the CLI."""
+"""Run-report generator: artifact bundle contents and ``repro report``."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import json
 
 import pytest
 
-from repro.obs.report import (
-    generate_report,
-    main,
-    run_scenario_with_telemetry,
-    scenario_telemetry,
-)
+from repro.cli import main
+from repro.obs.report import generate_report, scenario_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -19,18 +15,6 @@ def small_run():
     return scenario_telemetry(
         "shared-prefix-chat", num_requests=12, seed=19, capacity_tokens=8192
     )
-
-
-class TestDeprecatedAlias:
-    def test_warns_and_matches_new_entry_point(self):
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            _, summary = run_scenario_with_telemetry(
-                "shared-prefix-chat", num_requests=8, seed=3, capacity_tokens=8192
-            )
-        _, expected = scenario_telemetry(
-            "shared-prefix-chat", num_requests=8, seed=3, capacity_tokens=8192
-        )
-        assert summary == expected
 
 
 class TestGenerateReport:
@@ -78,6 +62,7 @@ class TestCLI:
     def test_single_replica_smoke(self, tmp_path, capsys):
         code = main(
             [
+                "report",
                 "--scenario",
                 "shared-prefix-chat",
                 "--num-requests",
@@ -96,6 +81,7 @@ class TestCLI:
     def test_cluster_smoke(self, tmp_path, capsys):
         code = main(
             [
+                "report",
                 "--scenario",
                 "shared-prefix-chat",
                 "--num-requests",

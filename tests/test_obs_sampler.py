@@ -32,9 +32,12 @@ def deployment():
 def run_pressured(deployment, capacity, num_requests=24, interval=0.5):
     telemetry = Telemetry(sample_interval=interval)
     simulator = memory_pressure_simulator(
-        deployment, capacity_tokens=capacity, prefix_caching=True, preemption=True
+        deployment,
+        capacity_tokens=capacity,
+        prefix_caching=True,
+        preemption=True,
+        recorder=telemetry,
     )
-    simulator.recorder = telemetry
     result = simulator.run_scenario(
         "shared-prefix-chat", num_requests=num_requests, seed=FIG19_SEED
     )
@@ -49,7 +52,7 @@ class TestCadence:
         assert len(times) >= 3
         for boundary in times[:-1]:  # the last row is the partial window
             assert boundary == pytest.approx(round(boundary / 0.5) * 0.5)
-        assert times[-1] <= result.metrics.makespan + 0.5
+        assert times[-1] <= result.makespan + 0.5
 
     def test_finalize_is_idempotent(self, deployment):
         telemetry, _ = run_pressured(deployment, 16384)
@@ -82,7 +85,7 @@ class TestGoldenReconciliation:
     def test_sampler_integrals_equal_serving_metrics(self, deployment):
         telemetry, result = run_pressured(deployment, 8192)
         totals = telemetry.sampler.window_totals()
-        metrics = result.metrics
+        metrics = result.metrics.fleet
         assert totals["completions"] == metrics.num_requests
         assert totals["preemptions"] == metrics.num_preemptions
         assert totals["prefix_tokens_reused"] == metrics.cached_prefix_tokens

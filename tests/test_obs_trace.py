@@ -19,7 +19,6 @@ from repro.models.config import paper_deployment
 from repro.obs.trace import REQUESTS_PID, SpanTracer
 from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.verify import EventRecorder, assert_no_violations, check_event_log
 
 PHASES = {"queued", "prefill", "recompute", "decode"}
@@ -35,9 +34,8 @@ def pressured_run(deployment):
     """A preemption-heavy shared-prefix run traced end to end."""
     tracer = SpanTracer()
     simulator = memory_pressure_simulator(
-        deployment, capacity_tokens=8192, prefix_caching=True, preemption=True
+        deployment, capacity_tokens=8192, prefix_caching=True, preemption=True, recorder=tracer
     )
-    simulator.recorder = tracer
     result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=19)
     return tracer, result
 
@@ -167,9 +165,9 @@ class TestPerfettoExport:
         # ts/dur are microseconds: a multi-second run must exceed 1e6.
         assert max(e["ts"] for e in request_spans) > 1e6
 
-    def test_keep_step_spans_off_drops_replica_tracks(self, deployment):
+    def test_keep_step_spans_off_drops_replica_tracks(self, deployment, single_replica):
         tracer = SpanTracer(keep_step_spans=False)
-        simulator = ServingSimulator(
+        simulator = single_replica(
             deployment, scheduler=SarathiScheduler(chunk_size=1024), recorder=tracer
         )
         simulator.run_scenario("shared-prefix-chat", num_requests=8, seed=1)

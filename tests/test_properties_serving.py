@@ -6,7 +6,7 @@ and checks the invariants that every correct configuration must uphold:
 * no Sarathi batch with prefill work exceeds the iteration token budget;
 * KV-cache blocks are always freed when requests leave a replica;
 * no router ever drops (or duplicates) a request;
-* ``simulate_offline`` never mutates caller-owned requests.
+* a single-replica run never mutates caller-owned requests.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import make_requests
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import simulate_offline
 from repro.verify.fuzzer import build_fuzz_requests, fuzz_configs
 from repro.verify.invariants import check_replica_load_counters
 from repro.serving.trace import with_poisson_arrivals
@@ -130,18 +129,22 @@ def test_router_never_drops_a_request_disaggregated(specs, router, num_decode):
 
 @settings(max_examples=10, deadline=None)
 @given(specs=request_specs, arrivals=st.floats(0.5, 5.0))
-def test_simulate_offline_does_not_mutate_caller_requests(specs, arrivals):
+def test_single_replica_run_does_not_mutate_caller_requests(specs, arrivals):
     requests = with_poisson_arrivals(make_requests(specs), qps=arrivals, seed=3)
     original_arrivals = [r.arrival_time for r in requests]
     original_states = [r.state for r in requests]
-    result = simulate_offline(
-        DEPLOYMENT, requests, SarathiScheduler(chunk_size=1024), FASerialBackend(DEPLOYMENT)
+    topology = ColocatedTopology(
+        DEPLOYMENT,
+        num_replicas=1,
+        scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+        backend_builder=FASerialBackend,
     )
+    result = ClusterSimulator(topology).run(requests)
     # Caller-owned objects are untouched …
     assert [r.arrival_time for r in requests] == original_arrivals
     assert [r.state for r in requests] == original_states
-    # … and the simulation ran on fresh zero-arrival copies.
-    assert all(r.arrival_time == 0.0 for r in result.requests)
+    # … and the simulation ran on fresh copies of them.
+    assert [r.arrival_time for r in result.requests] == original_arrivals
     assert all(r.is_finished for r in result.requests)
     assert not set(map(id, result.requests)) & set(map(id, requests))
 

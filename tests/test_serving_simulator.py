@@ -1,4 +1,4 @@
-"""End-to-end tests for the serving simulator."""
+"""End-to-end tests for single-replica serving (a 1-replica ``ClusterSimulator``)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from repro.serving.metrics import compute_metrics
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import uniform_workload, with_poisson_arrivals
+from repro.verify import STEP, EventRecorder
 
 
 class TestScheduledBatch:
@@ -66,9 +66,9 @@ class TestBackends:
 
 class TestOfflineServing:
     @pytest.fixture(scope="class")
-    def small_offline_run(self, llama3_deployment):
+    def small_offline_run(self, llama3_deployment, single_replica):
         requests = uniform_workload(8, prefill_tokens=8192, decode_tokens=256)
-        simulator = ServingSimulator(
+        simulator = single_replica(
             llama3_deployment,
             scheduler=SarathiScheduler(chunk_size=1024),
             backend=PODBackend(llama3_deployment),
@@ -84,7 +84,7 @@ class TestOfflineServing:
             assert request.decode_done_tokens == request.decode_tokens
 
     def test_metrics_populated(self, small_offline_run):
-        metrics = small_offline_run.metrics
+        metrics = small_offline_run.metrics.fleet
         assert metrics.requests_per_minute > 0
         assert metrics.ttft_p50 > 0
         assert metrics.latency_p99 >= metrics.latency_p50
@@ -96,31 +96,31 @@ class TestOfflineServing:
             assert request.first_token_time <= request.finish_time
             assert all(interval >= 0 for interval in request.tbt_samples)
 
-    def test_pod_backend_improves_offline_throughput(self, llama3_deployment):
+    def test_pod_backend_improves_offline_throughput(self, llama3_deployment, single_replica):
         """Figure 12 direction: Sarathi+POD processes requests faster than Sarathi."""
 
         def run(backend):
             requests = uniform_workload(8, prefill_tokens=8192, decode_tokens=256)
-            simulator = ServingSimulator(
+            simulator = single_replica(
                 llama3_deployment, scheduler=SarathiScheduler(chunk_size=1024), backend=backend
             )
-            return simulator.run(requests).metrics.requests_per_minute
+            return simulator.run(requests).requests_per_minute
 
         sarathi = run(FASerialBackend(llama3_deployment))
         sarathi_pod = run(PODBackend(llama3_deployment))
         assert sarathi_pod > sarathi
 
-    def test_vllm_stalls_more_than_sarathi(self, llama3_deployment):
+    def test_vllm_stalls_more_than_sarathi(self, llama3_deployment, single_replica):
         """Tables 5-6 direction: vLLM pauses decodes for prefills, Sarathi does not."""
 
         def run(scheduler):
             requests = with_poisson_arrivals(
                 uniform_workload(12, prefill_tokens=8192, decode_tokens=128), qps=1.5, seed=3
             )
-            simulator = ServingSimulator(
+            simulator = single_replica(
                 llama3_deployment, scheduler=scheduler, backend=FASerialBackend(llama3_deployment)
             )
-            return simulator.run(requests).metrics
+            return simulator.run(requests).metrics.fleet
 
         vllm = run(VLLMScheduler())
         sarathi = run(SarathiScheduler(chunk_size=1024))
@@ -134,15 +134,15 @@ class TestOfflineServing:
 
 
 class TestSimulatorValidation:
-    def test_empty_request_list_rejected(self, llama3_deployment):
-        simulator = ServingSimulator(llama3_deployment)
+    def test_empty_request_list_rejected(self, llama3_deployment, single_replica):
+        simulator = single_replica(llama3_deployment)
         with pytest.raises(ValueError):
             simulator.run([])
 
-    def test_arrival_times_respected(self, llama3_deployment):
+    def test_arrival_times_respected(self, llama3_deployment, single_replica):
         requests = uniform_workload(4, prefill_tokens=2048, decode_tokens=16)
         requests = with_poisson_arrivals(requests, qps=0.5, seed=1)
-        simulator = ServingSimulator(
+        simulator = single_replica(
             llama3_deployment,
             scheduler=SarathiScheduler(chunk_size=2048),
             backend=FASerialBackend(llama3_deployment),
@@ -151,17 +151,24 @@ class TestSimulatorValidation:
         for request in result.requests:
             assert request.first_token_time >= request.arrival_time
 
-    def test_iteration_log(self, llama3_deployment):
+    def test_iteration_log(self, llama3_deployment, single_replica):
+        """The per-iteration record is the recorder's ``step`` stream."""
         requests = uniform_workload(2, prefill_tokens=2048, decode_tokens=8)
-        simulator = ServingSimulator(
+        recorder = EventRecorder()
+        simulator = single_replica(
             llama3_deployment,
             scheduler=SarathiScheduler(chunk_size=1024),
             backend=FASerialBackend(llama3_deployment),
-            keep_iteration_log=True,
+            recorder=recorder,
         )
         result = simulator.run(requests)
-        assert len(result.iteration_log) == result.metrics.num_iterations
-        assert all(entry.duration > 0 for entry in result.iteration_log)
+        steps = recorder.of_kind(STEP)
+        assert len(steps) == result.metrics.fleet.num_iterations
+        assert all(event.data["duration"] > 0 for event in steps)
+        # The first output token rides on a request's final prefill chunk.
+        assert sum(event.data["num_tokens"] for event in steps) == sum(
+            r.prefill_tokens + r.decode_tokens - 1 for r in requests
+        )
 
 
 class TestServingMetrics:

@@ -8,7 +8,6 @@ from repro.cluster import ClusterSimulator, ColocatedTopology, DisaggregatedTopo
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import arxiv_workload, with_poisson_arrivals
 from repro.verify import (
     ARRIVAL,
@@ -68,17 +67,19 @@ class TestRecorderOffByDefault:
         assert runtime.recorder is None
         assert runtime.kv_cache.observer is None
 
-    def test_simulation_without_recorder_emits_nothing(self, llama3_deployment):
-        simulator = ServingSimulator(llama3_deployment, scheduler=SarathiScheduler())
+    def test_simulation_without_recorder_emits_nothing(self, llama3_deployment, single_replica):
+        simulator = single_replica(llama3_deployment, scheduler=SarathiScheduler())
         result = simulator.run(small_trace())
-        assert result.metrics.num_requests == 6
+        assert simulator.recorder is None
+        assert simulator.replicas[0].recorder is None
+        assert result.metrics.fleet.num_requests == 6
 
 
 class TestSingleReplicaEmission:
     @pytest.fixture(scope="class")
-    def recorded(self, llama3_deployment):
+    def recorded(self, llama3_deployment, single_replica):
         recorder = EventRecorder()
-        simulator = ServingSimulator(
+        simulator = single_replica(
             llama3_deployment,
             scheduler=SarathiScheduler(chunk_size=1024),
             recorder=recorder,
@@ -88,15 +89,15 @@ class TestSingleReplicaEmission:
 
     def test_lifecycle_counts(self, recorded):
         recorder, result = recorded
-        n = result.metrics.num_requests
+        n = result.metrics.fleet.num_requests
         summary = recorder.summary()
         for kind in (ENQUEUED, ARRIVAL, "admitted", KV_ALLOC, KV_FREE, "released", COMPLETED):
             assert summary[kind] == n, kind
 
     def test_one_batch_and_step_per_iteration(self, recorded):
         recorder, result = recorded
-        assert len(recorder.of_kind(BATCH_FORMED)) == result.metrics.num_iterations
-        assert len(recorder.of_kind(STEP)) == result.metrics.num_iterations
+        assert len(recorder.of_kind(BATCH_FORMED)) == result.metrics.fleet.num_iterations
+        assert len(recorder.of_kind(STEP)) == result.metrics.fleet.num_iterations
 
     def test_enqueued_payload_describes_the_request(self, recorded):
         recorder, result = recorded
@@ -130,9 +131,9 @@ class TestSingleReplicaEmission:
         assert allocated == freed > 0
         assert recorder.of_kind(KV_FREE)[-1].data["used_blocks"] == 0
 
-    def test_recording_does_not_change_results(self, llama3_deployment, recorded):
+    def test_recording_does_not_change_results(self, llama3_deployment, single_replica, recorded):
         _, result = recorded
-        bare = ServingSimulator(
+        bare = single_replica(
             llama3_deployment, scheduler=SarathiScheduler(chunk_size=1024)
         ).run(small_trace())
         assert bare.metrics == result.metrics
@@ -162,9 +163,9 @@ class TestKVCacheObserver:
 
 
 class TestRecorderHoldsLatestRun:
-    def test_single_replica_rerun_clears_stale_events(self, llama3_deployment):
+    def test_single_replica_rerun_clears_stale_events(self, llama3_deployment, single_replica):
         recorder = EventRecorder()
-        simulator = ServingSimulator(
+        simulator = single_replica(
             llama3_deployment, scheduler=SarathiScheduler(chunk_size=1024), recorder=recorder
         )
         simulator.run(small_trace())

@@ -13,9 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import ClusterSimulator, ColocatedTopology, DisaggregatedTopology
+from repro.serving.attention_backend import FASerialBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import arxiv_workload, with_poisson_arrivals
 from repro.verify import (
     CHUNK_EXECUTED,
@@ -34,7 +34,13 @@ def trace(num_requests=6, qps=2.0):
 
 def record_single(deployment, scheduler) -> EventRecorder:
     recorder = EventRecorder()
-    ServingSimulator(deployment, scheduler=scheduler, recorder=recorder).run(trace())
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=lambda: scheduler,
+        backend_builder=FASerialBackend,
+    )
+    ClusterSimulator(topology, recorder=recorder).run(trace())
     return recorder
 
 

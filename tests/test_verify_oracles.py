@@ -1,9 +1,10 @@
 """Differential-oracle tests: the cross-layer reductions the repro must hold.
 
 The headline acceptance check lives here: a 1-replica cluster must reproduce
-``ServingSimulator`` *exactly* (per-request timestamps and every metric
-field) on every scenario in the workload registry, and under every router
-policy — with one replica, routing must be a no-op.
+the plain single-replica drain loop (``single_replica_reference``) *exactly*
+(per-request timestamps and every metric field) on every scenario in the
+workload registry, under every router policy — with one replica, routing
+must be a no-op — and on offline traces and the vLLM + FA-serial stack.
 """
 
 from __future__ import annotations
@@ -31,6 +32,30 @@ class TestSingleReplicaEquivalence:
         assert (
             single_replica_equivalence(
                 llama3_deployment, SCENARIO_NAMES[0], router=router, num_requests=16
+            )
+            == []
+        )
+
+    def test_offline_trace_reduces(self, llama3_deployment):
+        """Every arrival at t=0, the Figure 12 regime."""
+        assert (
+            single_replica_equivalence(
+                llama3_deployment, "arxiv-summarization", num_requests=16, offline=True
+            )
+            == []
+        )
+
+    @pytest.mark.parametrize("offline", [False, True])
+    def test_vllm_fa_serial_stack_reduces(self, llama3_deployment, offline):
+        """The baseline stack of Figure 12 and Tables 5-7."""
+        assert (
+            single_replica_equivalence(
+                llama3_deployment,
+                "enterprise-internal",
+                num_requests=16,
+                scheduler="vllm",
+                backend="fa_serial",
+                offline=offline,
             )
             == []
         )
@@ -79,17 +104,16 @@ class TestDiscrepancyReporting:
         a = Request(request_id=0, prefill_tokens=10, decode_tokens=2)
         assert _compare_requests("probe", [a], []) == ["probe: request 0 missing"]
 
-    def test_metric_divergence_is_reported(self, llama3_deployment):
+    def test_metric_divergence_is_reported(self, llama3_deployment, single_replica):
         from dataclasses import replace
 
         from repro.serving.scheduler_sarathi import SarathiScheduler
-        from repro.serving.simulator import ServingSimulator
         from repro.verify.oracles import _compare_metrics
 
         metrics = (
-            ServingSimulator(llama3_deployment, scheduler=SarathiScheduler())
+            single_replica(llama3_deployment, scheduler=SarathiScheduler())
             .run_scenario("code-completion-surge", num_requests=4, seed=0)
-            .metrics
+            .metrics.fleet
         )
         other = replace(metrics, makespan=metrics.makespan * 2)
         found = _compare_metrics("probe", metrics, other)

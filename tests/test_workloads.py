@@ -9,7 +9,6 @@ from repro.cluster import ClusterSimulator, ClusterSweepPoint, run_sweep_point, 
 from repro.models.config import ClusterSpec
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.attention_backend import PODBackend
-from repro.serving.simulator import ServingSimulator
 from repro.workloads import (
     ARRIVAL_PROCESSES,
     SCENARIOS,
@@ -188,26 +187,26 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="expected 5 fields"):
             load_trace(path)
 
-    def test_replay_through_simulator(self, tmp_path, llama3_deployment):
+    def test_replay_through_simulator(self, tmp_path, llama3_deployment, single_replica):
         """Trace → CSV → ReplayArrivals → simulator: the full replay loop."""
         original = build_scenario("multi-tenant-slo", num_requests=8, seed=4)
         path = save_trace(original, tmp_path / "trace.csv")
         loaded = load_trace(path)
         replay = ReplayArrivals([r.arrival_time for r in loaded])
         assert replay.times(len(loaded)) == [r.arrival_time for r in original]
-        simulator = ServingSimulator(
+        simulator = single_replica(
             llama3_deployment,
             scheduler=SarathiScheduler(chunk_size=1024),
             backend=PODBackend(llama3_deployment),
         )
         result = simulator.run(loaded)
-        assert result.metrics.num_requests == 8
+        assert result.metrics.fleet.num_requests == 8
 
 
 class TestSimulatorIntegration:
-    def test_serving_simulator_run_scenario_deterministic(self, llama3_deployment):
+    def test_serving_simulator_run_scenario_deterministic(self, llama3_deployment, single_replica):
         def run():
-            simulator = ServingSimulator(
+            simulator = single_replica(
                 llama3_deployment,
                 scheduler=SarathiScheduler(chunk_size=1024),
                 backend=PODBackend(llama3_deployment),

@@ -20,15 +20,23 @@ cores idle, wave quantization strands SMs in the last wave, warp-fused CTAs
 suffer stragglers, and SM-level co-location of prefill and decode allows both
 resources to be saturated at once.
 
-The inner simulation loop is vectorised with NumPy (state arrays indexed by
-dispatched-CTA id) so that kernels with thousands of CTAs simulate in
-milliseconds; the dispatch and bookkeeping layers remain plain Python objects.
+Each event costs O(alive CTAs).  The alive CTAs' state lives in compact NumPy
+arrays, one column per resident CTA in dispatch order (a retiring CTA's column
+is dropped), and one vectorised pass per event computes the rates, the time to
+the next event, the advance and the retirements.  Per-SM co-location and
+occupancy counts are updated at dispatch and retirement, and FLOP and byte
+totals are booked when a CTA retires.  The dispatcher keeps SMs in buckets by
+resident count and remembers, per CTA footprint, where its last pick found no
+SM, so a pick inspects only SMs that could have changed instead of all of them.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,72 +48,19 @@ from repro.gpu.result import CTARecord, ExecutionResult, KernelResult
 
 _EPS = 1e-15
 _TIME_EPS = 1e-12
+_MAX_EVENTS = 500_000
+#: A pick retests the SMs released since its footprint last failed only while
+#: they are this few; a longer log is cheaper to replace by a full search.
+_MAX_RETEST = 16
 
 PLACEMENT_POLICIES = ("breadth_first", "lowest_index", "round_robin")
 
-
-def water_fill(capacity: float, caps: Sequence[float]) -> list[float]:
-    """Distribute ``capacity`` across consumers with individual ``caps``.
-
-    Classic max-min fair (water-filling) allocation: every consumer receives an
-    equal share unless its cap is lower, in which case the leftover is
-    redistributed among the uncapped consumers.
-    """
-    n = len(caps)
-    if n == 0:
-        return []
-    alloc = [0.0] * n
-    remaining = capacity
-    active = [i for i in range(n) if caps[i] > 0]
-    while active and remaining > _EPS:
-        fair = remaining / len(active)
-        capped = [i for i in active if caps[i] - alloc[i] <= fair + _EPS]
-        if not capped:
-            for i in active:
-                alloc[i] += fair
-            remaining = 0.0
-            break
-        for i in capped:
-            grant = caps[i] - alloc[i]
-            alloc[i] = caps[i]
-            remaining -= grant
-        active = [i for i in active if i not in capped]
-    return alloc
-
-
-@dataclass
-class _SMState:
-    """Mutable per-SM resource tracking (used only by the dispatcher)."""
-
-    index: int
-    resident_count: int = 0
-    used_threads: int = 0
-    used_shared_mem: int = 0
-    used_registers: int = 0
-
-    def can_host(self, kernel: Kernel, spec: GPUSpec) -> bool:
-        if self.resident_count >= spec.max_ctas_per_sm:
-            return False
-        if self.used_threads + kernel.threads_per_cta > spec.max_threads_per_sm:
-            return False
-        if self.used_shared_mem + kernel.shared_mem_per_cta > spec.shared_mem_per_sm:
-            return False
-        regs = kernel.registers_per_thread * kernel.threads_per_cta
-        if self.used_registers + regs > spec.registers_per_sm:
-            return False
-        return True
-
-    def admit(self, kernel: Kernel) -> None:
-        self.resident_count += 1
-        self.used_threads += kernel.threads_per_cta
-        self.used_shared_mem += kernel.shared_mem_per_cta
-        self.used_registers += kernel.registers_per_thread * kernel.threads_per_cta
-
-    def release(self, kernel: Kernel) -> None:
-        self.resident_count -= 1
-        self.used_threads -= kernel.threads_per_cta
-        self.used_shared_mem -= kernel.shared_mem_per_cta
-        self.used_registers -= kernel.registers_per_thread * kernel.threads_per_cta
+#: The ``tag_flops`` / ``tag_bytes`` entries, by booking index: prefill and
+#: decode CTAs are booked apart, every other tag (fused, empty or custom) as
+#: ``"untagged"``.
+_BOOKED_TAGS = (PREFILL_TAG, DECODE_TAG, "untagged")
+_PREFILL, _DECODE, _UNTAGGED = range(len(_BOOKED_TAGS))
+_BOOKING = {PREFILL_TAG: _PREFILL, DECODE_TAG: _DECODE}
 
 
 @dataclass
@@ -114,6 +69,8 @@ class _LaunchState:
 
     launch: KernelLaunch
     index: int
+    #: Threads, shared memory and registers one CTA occupies on its SM.
+    footprint: tuple[int, int, int]
     dispatched: int = 0
     completed: int = 0
     eligible_time: float | None = None
@@ -140,7 +97,8 @@ class ExecutionEngine:
         spec: The GPU to simulate.
         placement: How the hardware CTA scheduler picks an SM for the next CTA.
             ``breadth_first`` (default) spreads CTAs across SMs, ``lowest_index``
-            packs them onto low-numbered SMs, ``round_robin`` cycles.
+            packs them onto low-numbered SMs, ``round_robin`` cycles (starting
+            from SM 0 on every run).
         record_ctas: Whether to keep a per-CTA trace in the result (useful for
             tests and co-location analysis; adds memory overhead).
     """
@@ -158,7 +116,6 @@ class ExecutionEngine:
         self.spec = spec
         self.placement = placement
         self.record_ctas = record_ctas
-        self._rr_pointer = 0
 
     # ------------------------------------------------------------------ API
 
@@ -184,257 +141,313 @@ class _Execution:
     """One simulation run (separate from the engine so the engine is reusable)."""
 
     def __init__(self, engine: ExecutionEngine, launches: list[KernelLaunch]) -> None:
-        self.engine = engine
-        self.spec = engine.spec
-        self.launches = [_LaunchState(launch=launch, index=i) for i, launch in enumerate(launches)]
-        self.sms = [_SMState(index=i) for i in range(self.spec.num_sms)]
+        spec = engine.spec
+        self.spec = spec
+        self.placement = engine.placement
+        self.record_ctas = engine.record_ctas
+        self.launches = [
+            _LaunchState(
+                launch=launch,
+                index=i,
+                footprint=(
+                    launch.kernel.threads_per_cta,
+                    launch.kernel.shared_mem_per_cta,
+                    launch.kernel.registers_per_thread * launch.kernel.threads_per_cta,
+                ),
+            )
+            for i, launch in enumerate(launches)
+        ]
         self.time = 0.0
         self.records: list[CTARecord] = []
+        self.tensor_peak = spec.tensor_flops_per_sm
+        self.cuda_peak = spec.cuda_flops_per_sm
 
-        capacity = sum(state.kernel.num_ctas for state in self.launches)
-        self._capacity = capacity
-        # Per dispatched-CTA state arrays (indexed by dispatch slot).
-        self.rem_flops = np.zeros(capacity)
-        self.rem_bytes = np.zeros(capacity)
-        self.rem_fixed = np.zeros(capacity)
-        self.max_cf = np.ones(capacity)
-        self.max_mf = np.ones(capacity)
-        self.sm_of = np.zeros(capacity, dtype=np.int64)
-        self.pipe_is_cuda = np.zeros(capacity, dtype=bool)
-        self.is_prefill = np.zeros(capacity, dtype=bool)
-        self.is_decode = np.zeros(capacity, dtype=bool)
-        self.launch_of = np.zeros(capacity, dtype=np.int64)
-        self.dispatch_idx = np.zeros(capacity, dtype=np.int64)
-        self.start_times = np.zeros(capacity)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.tags: list[str] = [""] * capacity
-        self.flops_of = np.zeros(capacity)
-        self.bytes_of = np.zeros(capacity)
-        self.compute_rate = np.zeros(capacity)
-        self.mem_rate = np.zeros(capacity)
-        self._next_slot = 0
+        # Per-SM residency, indexed by SM id.
+        num_sms = spec.num_sms
+        self.num_sms = num_sms
+        self.resident = [0] * num_sms
+        self.threads = [0] * num_sms
+        self.shared_mem = [0] * num_sms
+        self.registers = [0] * num_sms
+        self.prefill_ctas = [0] * num_sms
+        self.decode_ctas = [0] * num_sms
+        self.occupied_sms = 0
+        self.colocated_sms = 0
+        # SM ids by resident count, each bucket in index order, so breadth-first's
+        # min((resident count, index)) is the first bucket entry that fits.
+        total_ctas = sum(state.kernel.num_ctas for state in self.launches)
+        most_resident = min(spec.max_ctas_per_sm, total_ctas)
+        self.buckets: list[list[int]] = [list(range(num_sms))]
+        self.buckets += [[] for _ in range(most_resident)]
+        # SM ids in release order, and per footprint the length of that log when
+        # a pick last found no SM: dispatch only consumes resources, so only SMs
+        # released since then can fit that footprint.
+        self.released: list[int] = []
+        self.failed_at: dict[tuple[int, int, int], int] = {}
+        self.rr_pointer = 0
+
+        # Alive CTAs, one column each, in dispatch order.  Rows of ``state``:
+        # 0-2 remaining FLOPs, bytes and fixed time; 3-4 the compute and memory
+        # throughput shared on the CTA's SM (its pipe's peak, and the event's
+        # per-SM bandwidth); 5-6 the CTA's compute and memory caps; 7-9 its
+        # rates (fixed time drains at 1).  Rows of ``keys``: the CTA's compute
+        # pipe (SM id, + num_sms on the CUDA pipe) and memory port (SM id +
+        # 2 * num_sms) in one count space, and its dispatch slot.
+        self.state = np.zeros((10, 0))
+        self.keys = np.zeros((3, 0), dtype=np.int64)
+        # Per dispatch slot: launch, dispatch index, SM, record tag, start time,
+        # FLOPs, bytes, CUDA pipe?, booking index into _BOOKED_TAGS.
+        self.ctas: list[tuple[_LaunchState, int, int, str, float, float, float, bool, int]] = []
 
         # Busy-time integrals for utilization and energy accounting.
         self.tensor_flops_done = 0.0
         self.cuda_flops_done = 0.0
         self.bytes_done = 0.0
-        self.tag_flops: dict[str, float] = {}
-        self.tag_bytes: dict[str, float] = {}
+        self.tag_flops = [0.0] * len(_BOOKED_TAGS)
+        self.tag_bytes = [0.0] * len(_BOOKED_TAGS)
+        self.tag_seen = [False] * len(_BOOKED_TAGS)
         self.colocated_sm_seconds = 0.0
         self.active_sm_seconds = 0.0
         self.resident_cta_seconds = 0.0
         self._need_dispatch = True
 
-        self._init_eligibility()
-
-    def _init_eligibility(self) -> None:
         seen_streams: set[int] = set()
         for state in self.launches:
             stream = state.launch.stream
             if stream not in seen_streams:
-                state.eligible_time = self.spec.kernel_launch_overhead
+                state.eligible_time = spec.kernel_launch_overhead
                 seen_streams.add(stream)
 
     # ------------------------------------------------------------- dispatch
 
-    def _eligible_launches(self) -> list[_LaunchState]:
-        return [
-            state
-            for state in self.launches
-            if state.eligible_time is not None
-            and state.eligible_time <= self.time + _TIME_EPS
-            and not state.fully_dispatched
-        ]
-
-    def _pick_sm(self, kernel: Kernel) -> _SMState | None:
-        candidates = [sm for sm in self.sms if sm.can_host(kernel, self.spec)]
-        if not candidates:
-            return None
-        policy = self.engine.placement
-        if policy == "breadth_first":
-            return min(candidates, key=lambda sm: (sm.resident_count, sm.index))
-        if policy == "lowest_index":
-            return min(candidates, key=lambda sm: sm.index)
-        # round_robin
-        n = self.spec.num_sms
-        for offset in range(n):
-            sm = self.sms[(self.engine._rr_pointer + offset) % n]
-            if sm.can_host(kernel, self.spec):
-                self.engine._rr_pointer = (sm.index + 1) % n
-                return sm
-        return None
-
-    def _dispatch_one(self, state: _LaunchState, sm: _SMState) -> None:
-        work = state.kernel.work_for(state.dispatched, sm.index)
-        slot = self._next_slot
-        self._next_slot += 1
-        self.rem_flops[slot] = work.flops
-        self.rem_bytes[slot] = work.dram_bytes
-        self.rem_fixed[slot] = work.fixed_time
-        self.max_cf[slot] = work.max_compute_fraction
-        self.max_mf[slot] = work.max_mem_fraction
-        self.sm_of[slot] = sm.index
-        self.pipe_is_cuda[slot] = work.meta.get("pipe", "tensor") == "cuda"
-        self.is_prefill[slot] = work.tag == PREFILL_TAG
-        self.is_decode[slot] = work.tag == DECODE_TAG
-        self.launch_of[slot] = state.index
-        self.dispatch_idx[slot] = state.dispatched
-        self.start_times[slot] = self.time
-        self.alive[slot] = True
-        self.tags[slot] = work.tag or "untagged"
-        self.flops_of[slot] = work.flops
-        self.bytes_of[slot] = work.dram_bytes
-        sm.admit(state.kernel)
-        if state.start_time is None:
-            state.start_time = self.time
-        state.dispatched += 1
+    def _pick_sm(self, footprint: tuple[int, int, int]) -> int:
+        """The SM the placement policy gives the next CTA of ``footprint``, or -1."""
+        threads, shared_mem, registers = footprint
+        spec = self.spec
+        resident = self.resident
+        num_sms = self.num_sms
+        pointer = self.rr_pointer
+        released = self.released
+        failed_at = self.failed_at.get(footprint)
+        order: Iterable[int]
+        if failed_at is not None and len(released) - failed_at <= _MAX_RETEST:
+            # Only SMs released since this footprint last fit nowhere can fit it.
+            retest = released[failed_at:]
+            if self.placement == "breadth_first":
+                order = sorted(retest, key=lambda sm: (resident[sm], sm))
+            elif self.placement == "lowest_index":
+                order = sorted(retest)
+            else:
+                order = sorted(retest, key=lambda sm: (sm - pointer) % num_sms)
+        elif self.placement == "breadth_first":
+            order = itertools.chain.from_iterable(self.buckets[: spec.max_ctas_per_sm])
+        elif self.placement == "lowest_index":
+            order = range(num_sms)
+        else:
+            order = ((pointer + offset) % num_sms for offset in range(num_sms))
+        for sm in order:
+            if (
+                resident[sm] < spec.max_ctas_per_sm
+                and self.threads[sm] + threads <= spec.max_threads_per_sm
+                and self.shared_mem[sm] + shared_mem <= spec.shared_mem_per_sm
+                and self.registers[sm] + registers <= spec.registers_per_sm
+            ):
+                break
+        else:
+            self.failed_at[footprint] = len(released)
+            return -1
+        if self.placement == "round_robin":
+            self.rr_pointer = (sm + 1) % num_sms
+        return sm
 
     def _dispatch_ready_ctas(self) -> bool:
-        dispatched_any = False
-        progressed = True
-        while progressed:
-            progressed = False
-            for state in self._eligible_launches():
-                sm = self._pick_sm(state.kernel)
-                if sm is None:
-                    continue
-                self._dispatch_one(state, sm)
-                progressed = True
-                dispatched_any = True
-                break  # restart launch scan so earlier launches keep priority
-        return dispatched_any
+        """Fill each eligible launch, in launch order, until its next CTA fits nowhere.
 
-    # ----------------------------------------------------------------- rates
-
-    def _recompute_rates(self) -> None:
-        spec = self.spec
-        num_sms = spec.num_sms
-        alive = self.alive
-        self.compute_rate[:] = 0.0
-        self.mem_rate[:] = 0.0
-
-        # Compute pipes: per-SM capacity split among compute-active residents.
-        for is_cuda, peak in ((False, spec.tensor_flops_per_sm), (True, spec.cuda_flops_per_sm)):
-            sel = alive & (self.rem_flops > _EPS) & (self.pipe_is_cuda == is_cuda)
-            if not np.any(sel):
+        Dispatch only consumes SM resources, so a launch that stops fitting stays
+        unfit for the rest of the pass: this dispatches exactly what a launch scan
+        restarted after every CTA (earlier launches first) would.
+        """
+        horizon = self.time + _TIME_EPS
+        columns: list[tuple[float, ...]] = []
+        keys: list[tuple[int, int, int]] = []
+        for state in self.launches:
+            if state.eligible_time is None or state.eligible_time > horizon:
                 continue
-            sms = self.sm_of[sel]
-            counts = np.bincount(sms, minlength=num_sms)
-            share = peak / counts[sms]
-            cap = self.max_cf[sel] * peak
-            self.compute_rate[sel] = np.minimum(share, cap)
+            kernel = state.kernel
+            while state.dispatched < kernel.num_ctas:
+                sm = self._pick_sm(state.footprint)
+                if sm < 0:
+                    break
+                work = kernel.work_for(state.dispatched, sm)
+                booked = _BOOKING.get(work.tag, _UNTAGGED)
+                self._admit(sm, state.footprint, booked)
+                is_cuda = work.meta.get("pipe", "tensor") == "cuda"
+                peak = self.cuda_peak if is_cuda else self.tensor_peak
+                flops, nbytes = float(work.flops), float(work.dram_bytes)
+                pipe = sm + self.num_sms if is_cuda else sm
+                keys.append((pipe, sm + 2 * self.num_sms, len(self.ctas)))
+                columns.append(
+                    (
+                        flops,
+                        nbytes,
+                        float(work.fixed_time),
+                        peak,
+                        0.0,
+                        work.max_compute_fraction * peak,
+                        work.max_mem_fraction * self.spec.sm_mem_bandwidth,
+                        0.0,
+                        0.0,
+                        1.0,
+                    )
+                )
+                self.ctas.append(
+                    (
+                        state,
+                        state.dispatched,
+                        sm,
+                        work.tag or "untagged",
+                        self.time,
+                        flops,
+                        nbytes,
+                        is_cuda,
+                        booked,
+                    )
+                )
+                if state.start_time is None:
+                    state.start_time = self.time
+                state.dispatched += 1
+        if not columns:
+            return False
+        self.state = np.concatenate((self.state, np.array(columns).T), axis=1)
+        self.keys = np.concatenate((self.keys, np.array(keys, dtype=np.int64).T), axis=1)
+        return True
 
-        # Memory: global pool shared max-min fairly across SMs, with a per-SM cap.
-        mem_sel = alive & (self.rem_bytes > _EPS)
-        if np.any(mem_sel):
-            sms = self.sm_of[mem_sel]
-            counts = np.bincount(sms, minlength=num_sms)
-            active_sms = int(np.count_nonzero(counts))
-            per_sm_bw = min(spec.sm_mem_bandwidth, spec.hbm_bandwidth / active_sms)
-            share = per_sm_bw / counts[sms]
-            cap = self.max_mf[mem_sel] * spec.sm_mem_bandwidth
-            self.mem_rate[mem_sel] = np.minimum(share, cap)
+    def _admit(self, sm: int, footprint: tuple[int, int, int], booked: int) -> None:
+        threads, shared_mem, registers = footprint
+        count = self.resident[sm]
+        self.resident[sm] = count + 1
+        if self.placement == "breadth_first":
+            self.buckets[count].remove(sm)
+            bisect.insort(self.buckets[count + 1], sm)
+        if count == 0:
+            self.occupied_sms += 1
+        self.threads[sm] += threads
+        self.shared_mem[sm] += shared_mem
+        self.registers[sm] += registers
+        if booked == _PREFILL:
+            if self.prefill_ctas[sm] == 0 and self.decode_ctas[sm] > 0:
+                self.colocated_sms += 1
+            self.prefill_ctas[sm] += 1
+        elif booked == _DECODE:
+            if self.decode_ctas[sm] == 0 and self.prefill_ctas[sm] > 0:
+                self.colocated_sms += 1
+            self.decode_ctas[sm] += 1
+
+    def _release(self, sm: int, footprint: tuple[int, int, int], booked: int) -> None:
+        threads, shared_mem, registers = footprint
+        count = self.resident[sm] - 1
+        self.resident[sm] = count
+        if self.placement == "breadth_first":
+            self.buckets[count + 1].remove(sm)
+            bisect.insort(self.buckets[count], sm)
+        if count == 0:
+            self.occupied_sms -= 1
+        self.threads[sm] -= threads
+        self.shared_mem[sm] -= shared_mem
+        self.registers[sm] -= registers
+        if booked == _PREFILL:
+            self.prefill_ctas[sm] -= 1
+            if self.prefill_ctas[sm] == 0 and self.decode_ctas[sm] > 0:
+                self.colocated_sms -= 1
+        elif booked == _DECODE:
+            self.decode_ctas[sm] -= 1
+            if self.decode_ctas[sm] == 0 and self.prefill_ctas[sm] > 0:
+                self.colocated_sms -= 1
+        self.released.append(sm)
 
     # ------------------------------------------------------------------ loop
 
-    def _next_event_dt(self) -> float:
-        alive = self.alive
-        dt = np.inf
-        c_sel = alive & (self.compute_rate > _EPS)
-        if np.any(c_sel):
-            dt = min(dt, float(np.min(self.rem_flops[c_sel] / self.compute_rate[c_sel])))
-        m_sel = alive & (self.mem_rate > _EPS)
-        if np.any(m_sel):
-            dt = min(dt, float(np.min(self.rem_bytes[m_sel] / self.mem_rate[m_sel])))
-        f_sel = alive & (self.rem_fixed > _EPS)
-        if np.any(f_sel):
-            dt = min(dt, float(np.min(self.rem_fixed[f_sel])))
+    def _step(self) -> bool:
+        """One event: rates, time to the next event, advance, retirement.
+
+        Returns whether any CTA retired.
+        """
+        spec = self.spec
+        num_sms = self.num_sms
+        state, keys = self.state, self.keys
+        remaining = state[:3]
+        active = remaining > _EPS
+        # Compute- and memory-active residents per pipe and per SM memory port.
+        sharing = np.bincount(keys[:2].ravel(), active[:2].ravel(), 3 * num_sms)
+        # Memory: the equal-cap max-min split of the HBM pool over the SMs with
+        # memory-active residents, which then share their SM's draw.
+        active_sms = int(np.count_nonzero(sharing[2 * num_sms :]))
+        if active_sms:
+            state[4] = min(spec.sm_mem_bandwidth, spec.hbm_bandwidth / active_sms)
+        # Each active CTA gets an equal share of its SM's throughput, up to its
+        # cap; an idle one gets 0 (an idle pipe's share is inf or nan, fmin
+        # drops the nan and the cap times False is 0).
+        rate = state[7:]
+        np.multiply(np.fmin(state[3:5] / sharing[keys[:2]], state[5:7]), active[:2], out=rate[:2])
+
+        candidates = np.where((rate > _EPS) & active, remaining / rate, np.inf)
+        dt = float(candidates.min())
         # A launch waiting only on its launch-overhead gap can also be the next event.
-        for state in self.launches:
-            if state.eligible_time is not None and not state.fully_dispatched:
-                if state.eligible_time > self.time + _TIME_EPS:
-                    dt = min(dt, state.eligible_time - self.time)
-        return dt
+        for launch in self.launches:
+            if launch.eligible_time is not None and not launch.fully_dispatched:
+                if launch.eligible_time > self.time + _TIME_EPS:
+                    dt = min(dt, launch.eligible_time - self.time)
+        if not math.isfinite(dt):
+            raise RuntimeError("simulation stalled: residents exist but nothing progresses")
 
-    def _advance(self, dt: float) -> None:
-        alive = self.alive
-        if np.any(alive):
-            sms_alive = self.sm_of[alive]
-            prefill_sms = np.bincount(
-                self.sm_of[alive & self.is_prefill], minlength=self.spec.num_sms
-            )
-            decode_sms = np.bincount(
-                self.sm_of[alive & self.is_decode], minlength=self.spec.num_sms
-            )
-            occupied = np.bincount(sms_alive, minlength=self.spec.num_sms) > 0
-            colocated = int(np.count_nonzero((prefill_sms > 0) & (decode_sms > 0)))
-            self.colocated_sm_seconds += colocated * dt
-            self.active_sm_seconds += int(np.count_nonzero(occupied)) * dt
-            self.resident_cta_seconds += int(np.count_nonzero(alive)) * dt
-
-        flops_step = np.minimum(self.rem_flops, self.compute_rate * dt)
-        bytes_step = np.minimum(self.rem_bytes, self.mem_rate * dt)
-        flops_step[~alive] = 0.0
-        bytes_step[~alive] = 0.0
-        self.rem_flops -= flops_step
-        self.rem_bytes -= bytes_step
-        self.rem_fixed[alive] = np.maximum(0.0, self.rem_fixed[alive] - dt)
-
-        tensor_step = float(np.sum(flops_step[~self.pipe_is_cuda]))
-        cuda_step = float(np.sum(flops_step[self.pipe_is_cuda]))
-        self.tensor_flops_done += tensor_step
-        self.cuda_flops_done += cuda_step
-        self.bytes_done += float(np.sum(bytes_step))
-        prefill_sel = self.is_prefill
-        decode_sel = self.is_decode
-        other_sel = ~(prefill_sel | decode_sel)
-        for tag, sel in ((PREFILL_TAG, prefill_sel), (DECODE_TAG, decode_sel)):
-            f = float(np.sum(flops_step[sel]))
-            b = float(np.sum(bytes_step[sel]))
-            if f or b:
-                self.tag_flops[tag] = self.tag_flops.get(tag, 0.0) + f
-                self.tag_bytes[tag] = self.tag_bytes.get(tag, 0.0) + b
-        f = float(np.sum(flops_step[other_sel]))
-        b = float(np.sum(bytes_step[other_sel]))
-        if f or b:
-            self.tag_flops["untagged"] = self.tag_flops.get("untagged", 0.0) + f
-            self.tag_bytes["untagged"] = self.tag_bytes.get("untagged", 0.0) + b
+        self.colocated_sm_seconds += self.colocated_sms * dt
+        self.active_sm_seconds += self.occupied_sms * dt
+        self.resident_cta_seconds += remaining.shape[1] * dt
+        remaining -= np.minimum(remaining, rate * dt)
         self.time += dt
 
-    def _retire_finished(self) -> bool:
-        done = (
-            self.alive
-            & (self.rem_flops <= _EPS)
-            & (self.rem_bytes <= _EPS)
-            & (self.rem_fixed <= _EPS)
-        )
-        finished_slots = np.flatnonzero(done)
-        if finished_slots.size == 0:
+        alive = (remaining > _EPS).any(axis=0)
+        if np.count_nonzero(alive) == alive.size:
             return False
-        for slot in finished_slots:
-            slot = int(slot)
-            self.alive[slot] = False
-            state = self.launches[int(self.launch_of[slot])]
-            sm = self.sms[int(self.sm_of[slot])]
-            sm.release(state.kernel)
-            state.completed += 1
-            if self.engine.record_ctas:
-                self.records.append(
-                    CTARecord(
-                        kernel=state.kernel.name,
-                        dispatch_index=int(self.dispatch_idx[slot]),
-                        sm_id=int(self.sm_of[slot]),
-                        tag=self.tags[slot],
-                        start_time=float(self.start_times[slot]),
-                        end_time=self.time,
-                        flops=float(self.flops_of[slot]),
-                        dram_bytes=float(self.bytes_of[slot]),
-                    )
-                )
-            if state.finished and state.end_time is None:
-                state.end_time = self.time
-                self._unlock_successor(state)
+        finished = np.flatnonzero(~alive)
+        leftovers = state[:2, finished].T.tolist()
+        for slot, (flops_left, bytes_left) in zip(keys[2, finished].tolist(), leftovers):
+            self._retire(slot, flops_left, bytes_left)
+        self.state = state.compress(alive, axis=1)
+        self.keys = keys.compress(alive, axis=1)
         return True
+
+    def _retire(self, slot: int, flops_left: float, bytes_left: float) -> None:
+        launch, index, sm, tag, start_time, flops, nbytes, is_cuda, booked = self.ctas[slot]
+        flops_done = flops - flops_left
+        bytes_done = nbytes - bytes_left
+        if is_cuda:
+            self.cuda_flops_done += flops_done
+        else:
+            self.tensor_flops_done += flops_done
+        self.bytes_done += bytes_done
+        if flops_done or bytes_done:
+            self.tag_flops[booked] += flops_done
+            self.tag_bytes[booked] += bytes_done
+            self.tag_seen[booked] = True
+        self._release(sm, launch.footprint, booked)
+        launch.completed += 1
+        if self.record_ctas:
+            self.records.append(
+                CTARecord(
+                    kernel=launch.kernel.name,
+                    dispatch_index=index,
+                    sm_id=sm,
+                    tag=tag,
+                    start_time=start_time,
+                    end_time=self.time,
+                    flops=flops,
+                    dram_bytes=nbytes,
+                )
+            )
+        if launch.finished and launch.end_time is None:
+            launch.end_time = self.time
+            self._unlock_successor(launch)
 
     def _unlock_successor(self, finished_state: _LaunchState) -> None:
         stream = finished_state.launch.stream
@@ -446,52 +459,48 @@ class _Execution:
             break
 
     def run(self) -> ExecutionResult:
-        max_iterations = 500_000
-        for _ in range(max_iterations):
-            if self._need_dispatch:
-                dispatched = self._dispatch_ready_ctas()
-                if not dispatched:
+        # Idle CTAs divide by zero rates and counts; _step discards those quotients.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_MAX_EVENTS):
+                if self._need_dispatch and not self._dispatch_ready_ctas():
                     # Nothing fits right now; retry only after a CTA retires or
                     # a new launch becomes eligible.
                     self._need_dispatch = False
-            if not np.any(self.alive):
-                pending = [
-                    s
-                    for s in self.launches
-                    if not s.finished and s.eligible_time is not None and not s.fully_dispatched
-                ]
-                if not pending:
-                    break
-                next_time = min(s.eligible_time for s in pending)
-                if next_time <= self.time + _TIME_EPS and not self._need_dispatch:
+                if self.state.shape[1] == 0:
+                    pending = [
+                        s.eligible_time
+                        for s in self.launches
+                        if not s.finished
+                        and s.eligible_time is not None
+                        and not s.fully_dispatched
+                    ]
+                    if not pending:
+                        break
+                    next_time = min(pending)
+                    if next_time <= self.time + _TIME_EPS and not self._need_dispatch:
+                        self._need_dispatch = True
+                        continue
+                    if next_time <= self.time + _TIME_EPS:
+                        # Eligible but nothing dispatched: should not happen because
+                        # occupancy was validated; guard against infinite loops.
+                        raise RuntimeError("no CTA could be dispatched despite eligible launches")
+                    self.time = next_time
                     self._need_dispatch = True
                     continue
-                if next_time <= self.time + _TIME_EPS:
-                    # Eligible but nothing dispatched: should not happen because
-                    # occupancy was validated; guard against infinite loops.
-                    raise RuntimeError("no CTA could be dispatched despite eligible launches")
-                self.time = next_time
-                self._need_dispatch = True
-                continue
-            self._recompute_rates()
-            dt = self._next_event_dt()
-            if not np.isfinite(dt):
-                raise RuntimeError("simulation stalled: residents exist but nothing progresses")
-            previous_time = self.time
-            self._advance(dt)
-            if self._retire_finished():
-                self._need_dispatch = True
-            if not self._need_dispatch:
-                for state in self.launches:
-                    if (
-                        state.eligible_time is not None
-                        and not state.fully_dispatched
-                        and previous_time < state.eligible_time <= self.time + _TIME_EPS
-                    ):
-                        self._need_dispatch = True
-                        break
-        else:  # pragma: no cover - safety net
-            raise RuntimeError("execution exceeded the maximum number of simulation events")
+                previous_time = self.time
+                if self._step():
+                    self._need_dispatch = True
+                if not self._need_dispatch:
+                    for state in self.launches:
+                        if (
+                            state.eligible_time is not None
+                            and not state.fully_dispatched
+                            and previous_time < state.eligible_time <= self.time + _TIME_EPS
+                        ):
+                            self._need_dispatch = True
+                            break
+            else:  # pragma: no cover - safety net
+                raise RuntimeError("execution exceeded the maximum number of simulation events")
 
         return self._build_result()
 
@@ -527,7 +536,7 @@ class _Execution:
             if self.active_sm_seconds > 0
             else 0.0
         )
-        avg_resident = self.resident_cta_seconds / total_time
+        booked = [index for index, seen in enumerate(self.tag_seen) if seen]
         return ExecutionResult(
             total_time=total_time,
             kernels=kernels,
@@ -536,9 +545,9 @@ class _Execution:
             flops_executed=self.tensor_flops_done + self.cuda_flops_done,
             bytes_moved=self.bytes_done,
             energy_joules=energy,
-            tag_flops=dict(self.tag_flops),
-            tag_bytes=dict(self.tag_bytes),
+            tag_flops={_BOOKED_TAGS[index]: self.tag_flops[index] for index in booked},
+            tag_bytes={_BOOKED_TAGS[index]: self.tag_bytes[index] for index in booked},
             colocation_fraction=colocation,
-            avg_resident_ctas=avg_resident,
+            avg_resident_ctas=self.resident_cta_seconds / total_time,
             cta_records=self.records,
         )

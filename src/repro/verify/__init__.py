@@ -10,7 +10,9 @@ paths can land without fear.
   accounting, batch-budget and monotone-clock checks over those logs.
 * :mod:`repro.verify.oracles` — differential oracles between independent
   layers (single-replica vs cluster, scheduler vs scheduler, analytic cost
-  model vs GPU simulator).
+  model vs GPU simulator, GPU engine vs its frozen reference).
+* :mod:`repro.verify.reference_engine` — the frozen reference copy of the
+  event-driven GPU engine that ``engine_equivalence`` diffs against.
 * :mod:`repro.verify.fuzzer` — hypothesis-driven scenario fuzzing that runs
   the invariant checker on randomly composed workloads and configs.
 * :mod:`repro.verify.stateful` — hypothesis stateful machines driving raw
@@ -56,20 +58,24 @@ from repro.verify.invariants import (
     assert_no_violations,
     check_cost_accounting,
     check_event_log,
+    check_execution,
     check_kv_drain_balance,
     check_replica_load_counters,
 )
 from repro.verify.oracles import (
+    ENGINE_RTOL,
     REDUCIBLE_ROUTERS,
     SeedBlockAllocator,
     all_scenario_equivalences,
     analytic_vs_simulated,
+    engine_equivalence,
     kv_allocator_equivalence,
     kv_allocator_operations,
     scheduler_conservation,
     single_replica_equivalence,
     single_replica_reference,
 )
+from repro.verify.reference_engine import ReferenceEngine
 
 #: Fuzzer and stateful-machine names are re-exported lazily: both modules
 #: need hypothesis (a test-only dependency), and importing the recorder /
@@ -140,12 +146,16 @@ __all__ = [
     "assert_no_violations",
     "check_event_log",
     "check_cost_accounting",
+    "check_execution",
     "check_kv_drain_balance",
     "check_replica_load_counters",
+    "ENGINE_RTOL",
     "REDUCIBLE_ROUTERS",
+    "ReferenceEngine",
     "SeedBlockAllocator",
     "all_scenario_equivalences",
     "analytic_vs_simulated",
+    "engine_equivalence",
     "kv_allocator_equivalence",
     "kv_allocator_operations",
     "scheduler_conservation",

@@ -39,6 +39,10 @@ rules any correct serving/cluster simulation must satisfy:
   start completes; ``drain_started`` fires at most once per live replica and
   ``scaled_down`` only after (and never before) its ``drain_started``.
 
+:func:`check_execution` applies the same discipline one layer down, to a run
+of the event-driven GPU engine: SM capacity, in-order streams with their
+launch-overhead gaps, and conservation of the recorded CTA work.
+
 The checker is pure: it consumes the event list and returns
 :class:`Violation` records (empty = all invariants hold).  ``assert_no_violations``
 wraps it for tests and the fuzzer.
@@ -49,6 +53,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.gpu.config import GPUSpec
+from repro.gpu.cta import DECODE_TAG, PREFILL_TAG
+from repro.gpu.kernel import Kernel, KernelLaunch
+from repro.gpu.result import CTARecord, ExecutionResult
 from repro.verify.events import (
     ADMITTED,
     ARRIVAL,
@@ -73,6 +81,13 @@ from repro.verify.events import (
 
 #: Slack for comparing float clocks accumulated through different code paths.
 TIME_EPS = 1e-9
+
+#: Relative slack of the GPU engine's work totals: the same FLOPs and bytes
+#: summed per CTA record and per engine event, in different orders.
+WORK_RTOL = 1e-12
+#: The engine counts remaining FLOPs or bytes at or below this as done, so a
+#: retired CTA may leave that much of its recorded work unexecuted.
+_ENGINE_WORK_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -757,6 +772,152 @@ def check_cost_accounting(metrics: Any, rtol: float = 1e-9) -> list[Violation]:
                     f"cost_usd / tokens x 1000 = {expected!r}",
                 )
             )
+    return violations
+
+
+def check_execution(
+    launches: Sequence[KernelLaunch], result: ExecutionResult, spec: GPUSpec
+) -> list[Violation]:
+    """Event-level invariants of one GPU-engine run, replayed from its CTA records.
+
+    ``result`` must come from an engine with ``record_ctas=True`` running
+    ``launches`` on ``spec``, and kernel names must be distinct (a record
+    names its kernel).  Three invariants:
+
+    * **sm-capacity** — no SM ever holds more CTAs, threads, shared memory or
+      registers than ``spec`` allows;
+    * **stream-order** — each kernel spans exactly its CTA records, and the
+      launches of one stream start in order, each at least
+      ``kernel_launch_overhead`` after its predecessor ends (the first one
+      that long after t=0);
+    * **work-conservation** — every CTA retires exactly once; recorded FLOPs
+      and bytes sum to ``flops_executed`` / ``bytes_moved`` and to the
+      per-tag totals (tags other than prefill and decode are booked as
+      ``"untagged"``) within :data:`WORK_RTOL`; for static kernels they also sum to
+      ``Kernel.total_flops()`` / ``total_dram_bytes()``.
+    """
+    violations: list[Violation] = []
+
+    def flag(invariant: str, message: str, time: float = 0.0) -> None:
+        violations.append(Violation(invariant, message, time=time))
+
+    def close(actual: float, expected: float, count: int) -> bool:
+        slack = WORK_RTOL * max(abs(actual), abs(expected)) + _ENGINE_WORK_EPS * count
+        return abs(actual - expected) <= slack
+
+    kernels: dict[str, Kernel] = {}
+    for launch in launches:
+        if launch.kernel.name in kernels:
+            flag("work-conservation", f"kernel name {launch.kernel.name!r} is launched twice")
+            return violations
+        kernels[launch.kernel.name] = launch.kernel
+    records: dict[str, list[CTARecord]] = {name: [] for name in kernels}
+    for record in result.cta_records:
+        if record.kernel not in records:
+            flag("work-conservation", f"record of unknown kernel {record.kernel!r}")
+            return violations
+        records[record.kernel].append(record)
+
+    # Work conservation.
+    for name, kernel in kernels.items():
+        retired = sorted(record.dispatch_index for record in records[name])
+        if retired != list(range(kernel.num_ctas)):
+            flag(
+                "work-conservation",
+                f"kernel {name!r} retired dispatch indices {retired[:8]}... "
+                f"({len(retired)} records), not each of 0..{kernel.num_ctas - 1} once",
+            )
+        if kernel.ctas is not None:
+            for label, recorded, expected in (
+                ("FLOPs", sum(r.flops for r in records[name]), kernel.total_flops()),
+                ("bytes", sum(r.dram_bytes for r in records[name]), kernel.total_dram_bytes()),
+            ):
+                if not close(recorded, expected, 0):
+                    flag(
+                        "work-conservation",
+                        f"kernel {name!r} records {recorded!r} {label}, "
+                        f"its CTAs total {expected!r}",
+                    )
+    everything = result.cta_records
+    for label, recorded, executed in (
+        ("FLOPs", sum(r.flops for r in everything), result.flops_executed),
+        ("bytes", sum(r.dram_bytes for r in everything), result.bytes_moved),
+    ):
+        if not close(executed, recorded, len(everything)):
+            flag("work-conservation", f"executed {executed!r} {label}, records sum {recorded!r}")
+    booked: dict[str, list[CTARecord]] = {PREFILL_TAG: [], DECODE_TAG: [], "untagged": []}
+    for record in everything:
+        booked[record.tag if record.tag in booked else "untagged"].append(record)
+    for tag in sorted(set(result.tag_flops) | set(result.tag_bytes)):
+        if tag not in booked:
+            flag("work-conservation", f"unexpected per-tag total {tag!r}")
+    for tag, tagged in booked.items():
+        for label, recorded, executed in (
+            ("FLOPs", sum(r.flops for r in tagged), result.tag_flops.get(tag, 0.0)),
+            ("bytes", sum(r.dram_bytes for r in tagged), result.tag_bytes.get(tag, 0.0)),
+        ):
+            if not close(executed, recorded, len(tagged)):
+                flag(
+                    "work-conservation",
+                    f"tag {tag!r} executed {executed!r} {label}, records sum {recorded!r}",
+                )
+
+    # SM capacity: replay admissions and releases per SM.  A CTA retiring at
+    # t frees its slot before one dispatched at t takes it; a zero-length CTA
+    # holds its slot through the instant it runs.
+    limits = (
+        ("CTAs", spec.max_ctas_per_sm),
+        ("threads", spec.max_threads_per_sm),
+        ("shared memory", spec.shared_mem_per_sm),
+        ("registers", spec.registers_per_sm),
+    )
+    changes: list[tuple[float, int, int, tuple[int, int, int, int]]] = []
+    for record in everything:
+        kernel = kernels[record.kernel]
+        threads = kernel.threads_per_cta
+        shared_mem = kernel.shared_mem_per_cta
+        registers = kernel.registers_per_thread * threads
+        release = 2 if record.end_time == record.start_time else 0
+        changes.append((record.start_time, 1, record.sm_id, (1, threads, shared_mem, registers)))
+        changes.append(
+            (record.end_time, release, record.sm_id, (-1, -threads, -shared_mem, -registers))
+        )
+    changes.sort(key=lambda change: change[:3])
+    usage: dict[int, list[int]] = {}
+    exceeded: set[tuple[int, str]] = set()
+    for time, kind, sm, delta in changes:
+        used = usage.setdefault(sm, [0, 0, 0, 0])
+        for position, amount in enumerate(delta):
+            used[position] += amount
+        if kind != 1:
+            continue
+        for (resource, limit), amount in zip(limits, used):
+            if amount > limit and (sm, resource) not in exceeded:
+                exceeded.add((sm, resource))
+                flag("sm-capacity", f"SM {sm} holds {amount} {resource} > {limit}", time)
+
+    # Stream order and launch-overhead gaps.
+    overhead = spec.kernel_launch_overhead
+    last_end: dict[int, float] = {}
+    for launch, timing in zip(launches, result.kernels):
+        mine = records[launch.kernel.name]
+        if mine:
+            span = (min(r.start_time for r in mine), max(r.end_time for r in mine))
+            if (timing.start_time, timing.end_time) != span:
+                flag(
+                    "stream-order",
+                    f"kernel {timing.name!r} spans {(timing.start_time, timing.end_time)}, "
+                    f"its CTAs {span}",
+                )
+        ready = last_end.get(launch.stream, 0.0) + overhead
+        if timing.start_time < ready - TIME_EPS:
+            flag(
+                "stream-order",
+                f"kernel {timing.name!r} on stream {launch.stream} starts at "
+                f"{timing.start_time!r}, before {ready!r} (predecessor end + launch overhead)",
+                timing.start_time,
+            )
+        last_end[launch.stream] = timing.end_time
     return violations
 
 

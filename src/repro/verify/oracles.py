@@ -23,13 +23,18 @@ strings (empty = the oracle passes):
   which lives here as :class:`SeedBlockAllocator`): identical observable
   state, identical observer emissions and identical exceptions on any
   operation sequence.  The prefix-caching subsystem is strictly opt-in.
+* :func:`engine_equivalence` — the event-driven GPU engine
+  (:class:`~repro.gpu.engine.ExecutionEngine`) must reproduce the frozen
+  :class:`~repro.verify.reference_engine.ReferenceEngine` exactly: the same
+  event times, placements and CTA records under every placement policy, with
+  FLOP, byte, energy and utilization totals within :data:`ENGINE_RTOL`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +44,10 @@ from repro.attention.workload import HybridBatch
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.topology import ColocatedTopology
 from repro.core.pod_kernel import PODAttention
-from repro.gpu.engine import ExecutionEngine
+from repro.gpu.config import GPUSpec
+from repro.gpu.engine import PLACEMENT_POLICIES, ExecutionEngine
+from repro.gpu.kernel import KernelLaunch
+from repro.gpu.result import ExecutionResult
 from repro.models.config import Deployment
 from repro.serving.attention_backend import AttentionBackend, PODBackend, get_backend
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, KVCacheStats
@@ -52,6 +60,7 @@ from repro.serving.scheduler_vllm import VLLMScheduler
 from repro.utils.validation import check_in_choices
 from repro.verify.events import CHUNK_EXECUTED, EventRecorder
 from repro.verify.invariants import check_event_log
+from repro.verify.reference_engine import ReferenceEngine
 from repro.workloads.scenario import SCENARIOS, build_scenario
 
 #: Router policies a 1-replica cluster must reduce under (all of them).
@@ -389,6 +398,108 @@ def kv_allocator_equivalence(
             f"observer emissions diverge: candidate {len(emissions)}, "
             f"reference {len(reference.emissions)}"
         )
+    return discrepancies
+
+
+# ---------------------------------------------------- GPU engine equivalence
+
+#: Relative tolerance of the engine totals that are float sums (FLOPs, bytes,
+#: per-tag totals, energy, utilizations): the reference sums them per event,
+#: the engine per retired CTA.  Times, placements and CTA records are exact.
+ENGINE_RTOL = 1e-12
+
+
+def _execute(
+    run: Callable[[Sequence[KernelLaunch]], ExecutionResult],
+    launch_factory: Callable[[], Sequence[KernelLaunch]],
+) -> ExecutionResult | str:
+    """The run's result, or its error as ``"<type>: <message>"``."""
+    try:
+        return run(launch_factory())
+    except (ValueError, RuntimeError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def _compare_executions(
+    label: str, reference: ExecutionResult, candidate: ExecutionResult
+) -> list[str]:
+    discrepancies: list[str] = []
+    for name in ("total_time", "colocation_fraction", "avg_resident_ctas"):
+        ref, got = getattr(reference, name), getattr(candidate, name)
+        if ref != got:
+            discrepancies.append(f"{label}: {name} differs ({ref!r} vs {got!r})")
+    for name in (
+        "flops_executed",
+        "bytes_moved",
+        "energy_joules",
+        "compute_utilization",
+        "memory_utilization",
+    ):
+        ref, got = getattr(reference, name), getattr(candidate, name)
+        if not math.isclose(ref, got, rel_tol=ENGINE_RTOL):
+            discrepancies.append(f"{label}: {name} beyond {ENGINE_RTOL} ({ref!r} vs {got!r})")
+    for name in ("tag_flops", "tag_bytes"):
+        ref_tags, got_tags = getattr(reference, name), getattr(candidate, name)
+        if sorted(ref_tags) != sorted(got_tags):
+            discrepancies.append(f"{label}: {name} tags {sorted(ref_tags)} vs {sorted(got_tags)}")
+            continue
+        for tag in sorted(ref_tags):
+            if not math.isclose(ref_tags[tag], got_tags[tag], rel_tol=ENGINE_RTOL):
+                discrepancies.append(
+                    f"{label}: {name}[{tag!r}] beyond {ENGINE_RTOL} "
+                    f"({ref_tags[tag]!r} vs {got_tags[tag]!r})"
+                )
+    if reference.kernels != candidate.kernels:
+        discrepancies.append(
+            f"{label}: kernel timings differ ({reference.kernels} vs {candidate.kernels})"
+        )
+    ref_records, got_records = reference.cta_records, candidate.cta_records
+    if len(ref_records) != len(got_records):
+        discrepancies.append(f"{label}: {len(ref_records)} vs {len(got_records)} CTA records")
+    for index, (ref_record, got_record) in enumerate(zip(ref_records, got_records)):
+        if ref_record != got_record:
+            discrepancies.append(
+                f"{label}: CTA record {index} differs ({ref_record} vs {got_record})"
+            )
+            break
+    return discrepancies
+
+
+def engine_equivalence(
+    spec: GPUSpec,
+    launch_factory: Callable[[], Sequence[KernelLaunch]],
+    placements: Sequence[str] = PLACEMENT_POLICIES,
+) -> list[str]:
+    """Diff ``ExecutionEngine`` against the frozen ``ReferenceEngine`` on one launch set.
+
+    ``launch_factory`` builds the launches afresh for every run: a binder
+    kernel (POD-Attention's ``SMAwareScheduler``) advances its counters on
+    each dispatch, so two engines cannot share one set of launches.  Under
+    each placement both engines run with per-CTA records and must agree:
+
+    * exactly on ``total_time``, every kernel's start and end, every CTA
+      record in order (kernel, dispatch index, SM, tag, start, end, FLOPs,
+      bytes), ``colocation_fraction`` and ``avg_resident_ctas``;
+    * within :data:`ENGINE_RTOL` on ``flops_executed``, ``bytes_moved``, the
+      per-tag FLOPs and bytes, energy and both utilizations;
+    * on the error, when a run raises (empty launch lists, kernels that
+      cannot fit, stalls).
+    """
+    discrepancies: list[str] = []
+    for placement in placements:
+        reference = _execute(ReferenceEngine(spec, placement).run, launch_factory)
+        candidate = _execute(
+            ExecutionEngine(spec, placement=placement, record_ctas=True).run, launch_factory
+        )
+        if isinstance(reference, str) or isinstance(candidate, str):
+            if reference != candidate:
+                ref_outcome = reference if isinstance(reference, str) else "a result"
+                got_outcome = candidate if isinstance(candidate, str) else "a result"
+                discrepancies.append(
+                    f"{placement}: reference gave {ref_outcome}, engine gave {got_outcome}"
+                )
+            continue
+        discrepancies.extend(_compare_executions(placement, reference, candidate))
     return discrepancies
 
 

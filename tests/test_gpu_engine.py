@@ -3,51 +3,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
-from repro.gpu.engine import ExecutionEngine, water_fill
+from repro.gpu.engine import PLACEMENT_POLICIES, ExecutionEngine
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.utils.units import KB
+from repro.verify.invariants import check_execution
 
 
 def _kernel(ctas, threads=256, smem=48 * KB, regs=128, name="k"):
     return Kernel.from_ctas(
         name, ctas, threads_per_cta=threads, shared_mem_per_cta=smem, registers_per_thread=regs
     )
-
-
-class TestWaterFill:
-    def test_no_caps_bind(self):
-        assert water_fill(9.0, [10.0, 10.0, 10.0]) == pytest.approx([3.0, 3.0, 3.0])
-
-    def test_cap_binds_and_redistributes(self):
-        alloc = water_fill(10.0, [2.0, 10.0])
-        assert alloc[0] == pytest.approx(2.0)
-        assert alloc[1] == pytest.approx(8.0)
-
-    def test_empty(self):
-        assert water_fill(10.0, []) == []
-
-    def test_zero_caps(self):
-        assert water_fill(10.0, [0.0, 0.0]) == [0.0, 0.0]
-
-    @given(
-        st.floats(min_value=0.1, max_value=1e3),
-        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=12),
-    )
-    def test_allocation_invariants(self, capacity, caps):
-        alloc = water_fill(capacity, caps)
-        assert len(alloc) == len(caps)
-        # Never exceed individual caps nor the total capacity.
-        for a, cap in zip(alloc, caps):
-            assert a <= cap + 1e-9
-        assert sum(alloc) <= capacity + 1e-6
-        # Work-conserving: either capacity exhausted or every consumer capped.
-        if sum(caps) >= capacity:
-            assert sum(alloc) == pytest.approx(capacity, rel=1e-6)
-        else:
-            assert sum(alloc) == pytest.approx(sum(caps), rel=1e-6)
 
 
 class TestSingleCTATiming:
@@ -273,3 +240,41 @@ class TestEngineValidation:
         ctas = [CTAWork(flops=1e8, dram_bytes=0.0)] * 4
         result = engine.run_kernel(_kernel(ctas, smem=8 * KB, regs=32))
         assert {record.sm_id for record in result.cta_records} == {0}
+
+    def test_round_robin_restarts_on_every_run(self, a100):
+        # The placement pointer belongs to the run: a reused engine places an
+        # identical second run identically, starting again at SM 0.
+        engine = ExecutionEngine(a100, placement="round_robin")
+        kernel = _kernel([CTAWork(flops=1e8, dram_bytes=1e4)] * 50)
+        first = engine.run_kernel(kernel)
+        second = engine.run_kernel(kernel)
+        assert min(record.sm_id for record in first.cta_records) == 0
+        assert second.cta_records == first.cta_records
+
+
+class TestExecutionInvariants:
+    """``check_execution`` holds on runs that stress capacity, streams and tags."""
+
+    def _launches(self, a100):
+        compute = CTAWork(flops=a100.tensor_flops_per_sm * 1e-4, dram_bytes=1e5, tag=PREFILL_TAG)
+        memory = CTAWork(flops=1e6, dram_bytes=a100.sm_mem_bandwidth * 1e-4, tag=DECODE_TAG)
+        fused = compute.merged_with(memory)
+        cuda = CTAWork(flops=1e7, dram_bytes=0.0, fixed_time=2e-6, meta={"pipe": "cuda"})
+        return [
+            KernelLaunch(_kernel([compute] * 300, regs=224, name="prefill"), 0),
+            KernelLaunch(_kernel([memory] * 250, regs=64, smem=16 * KB, name="decode"), 1),
+            KernelLaunch(_kernel([fused, cuda] * 120, threads=128, name="fused"), 0),
+        ]
+
+    @pytest.mark.parametrize("placement", PLACEMENT_POLICIES)
+    def test_mixed_streams_hold_every_invariant(self, a100, placement):
+        launches = self._launches(a100)
+        result = ExecutionEngine(a100, placement=placement).run(launches)
+        assert check_execution(launches, result, a100) == []
+        assert result.total_ctas == 300 + 250 + 240
+
+    def test_records_are_required(self, a100):
+        launches = self._launches(a100)
+        result = ExecutionEngine(a100, record_ctas=False).run(launches)
+        violations = check_execution(launches, result, a100)
+        assert violations and {v.invariant for v in violations} == {"work-conservation"}

@@ -15,7 +15,7 @@ from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import uniform_workload
+from repro.workloads import uniform_workload
 
 NUM_REQUESTS = 48
 MODEL_SETTINGS = {

@@ -12,7 +12,7 @@ from conftest import run_once
 from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.trace import pd_ratio_workload
+from repro.workloads import pd_ratio_workload
 
 PD_RATIOS = (8, 12, 16, 20, 24)
 TOTAL_TOKENS = 16_500

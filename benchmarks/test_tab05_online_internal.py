@@ -15,17 +15,15 @@ from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import internal_workload, with_poisson_arrivals
+from repro.workloads import build_scenario
 
 NUM_REQUESTS = 160
 CHUNK_SIZE = 1536
 QPS_LEVELS = (1.1, 1.2)
 
 
-def _simulate(deployment, scheduler_factory, backend_builder, qps, seed, workload_fn):
-    requests = with_poisson_arrivals(
-        workload_fn(NUM_REQUESTS, seed=seed), qps=qps, seed=seed + 1
-    )
+def _simulate(deployment, scheduler_factory, backend_builder, qps, seed, scenario):
+    requests = build_scenario(scenario, NUM_REQUESTS, seed=seed, qps=qps)
     topology = ColocatedTopology(
         deployment,
         num_replicas=1,
@@ -41,7 +39,7 @@ def run_online_table(
     qps_levels,
     chunk_size,
     workload_seed=0,
-    workload_fn=internal_workload,
+    scenario="enterprise-internal",
 ):
     """Shared driver for Tables 5 and 6."""
 
@@ -56,7 +54,7 @@ def run_online_table(
     rows = []
     for qps in qps_levels:
         for system, (scheduler, backend) in systems.items():
-            metrics = _simulate(deployment, scheduler, backend, qps, workload_seed, workload_fn)
+            metrics = _simulate(deployment, scheduler, backend, qps, workload_seed, scenario)
             rows.append(
                 {
                     "workload": workload_label,

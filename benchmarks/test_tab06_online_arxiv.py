@@ -10,8 +10,6 @@ from conftest import run_once
 
 from test_tab05_online_internal import run_online_table
 
-from repro.serving.trace import arxiv_workload
-
 QPS_LEVELS = (0.85, 0.95)
 CHUNK_SIZE = 1024
 
@@ -30,7 +28,7 @@ def test_table6(benchmark, llama3_deployment, report):
                 QPS_LEVELS,
                 CHUNK_SIZE,
                 workload_seed=17,
-                workload_fn=arxiv_workload,
+                scenario="arxiv-summarization",
             )
         )
 

@@ -12,7 +12,7 @@ from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import internal_workload, with_poisson_arrivals
+from repro.workloads import build_scenario
 
 NUM_REQUESTS = 128
 QPS = 1.1
@@ -20,7 +20,7 @@ CHUNK_SIZES = (1024, 1536, 2048)
 
 
 def _metrics(deployment, scheduler_factory, backend_builder):
-    requests = with_poisson_arrivals(internal_workload(NUM_REQUESTS, seed=5), qps=QPS, seed=6)
+    requests = build_scenario("enterprise-internal", NUM_REQUESTS, seed=5, qps=QPS)
     topology = ColocatedTopology(
         deployment,
         num_replicas=1,

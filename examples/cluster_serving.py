@@ -14,7 +14,7 @@ import sys
 
 from repro.cluster import ClusterSimulator, topology_from_spec
 from repro.models import ClusterSpec, paper_deployment
-from repro.serving import arxiv_workload, with_poisson_arrivals
+from repro.workloads import build_scenario
 
 
 def main(num_replicas: int = 4) -> None:
@@ -40,9 +40,7 @@ def main(num_replicas: int = 4) -> None:
             continue
         spec = ClusterSpec(deployment, num_replicas=num_replicas, topology=topology_name)
         for router in ("round-robin", "least-tokens", "prefill-aware"):
-            requests = with_poisson_arrivals(
-                arxiv_workload(num_requests, seed=17), qps=qps, seed=18
-            )
+            requests = build_scenario("arxiv-summarization", num_requests, seed=17, qps=qps)
             simulator = ClusterSimulator(topology_from_spec(spec), router=router)
             metrics = simulator.run(requests).metrics
             fleet = metrics.fleet

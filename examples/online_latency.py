@@ -13,20 +13,13 @@ import sys
 
 from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.models import paper_deployment
-from repro.serving import (
-    FASerialBackend,
-    PODBackend,
-    SarathiScheduler,
-    VLLMScheduler,
-    describe_workload,
-    internal_workload,
-    with_poisson_arrivals,
-)
+from repro.serving import FASerialBackend, PODBackend, SarathiScheduler, VLLMScheduler
+from repro.workloads import InternalShape, build_scenario, describe_workload
 
 
 def main(qps: float = 1.1, num_requests: int = 64) -> None:
     deployment = paper_deployment("llama-3-8b")
-    stats = describe_workload(internal_workload(num_requests, seed=0))
+    stats = describe_workload(InternalShape().build(num_requests, seed=0))
     print(f"Workload: {stats.as_dict()}")
     print(f"Arrival rate: {qps} requests/s (Poisson)")
     print()
@@ -45,7 +38,7 @@ def main(qps: float = 1.1, num_requests: int = 64) -> None:
     )
     print(header)
     for name, (scheduler, backend) in systems.items():
-        requests = with_poisson_arrivals(internal_workload(num_requests, seed=0), qps=qps, seed=1)
+        requests = build_scenario("enterprise-internal", num_requests, seed=0, qps=qps)
         topology = ColocatedTopology(
             deployment, num_replicas=1, scheduler_factory=scheduler, backend_builder=backend
         )

@@ -13,13 +13,8 @@ import sys
 
 from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.models import paper_deployment
-from repro.serving import (
-    FASerialBackend,
-    PODBackend,
-    SarathiScheduler,
-    VLLMScheduler,
-    uniform_workload,
-)
+from repro.serving import FASerialBackend, PODBackend, SarathiScheduler, VLLMScheduler
+from repro.workloads import uniform_workload
 
 
 def sarathi() -> SarathiScheduler:

@@ -19,7 +19,7 @@ seconds on every commit:
 
 Findings are suppressible per line (``# repro-lint: disable=<rule> -- why``),
 diffable against a committed baseline file, and rendered as text or JSON.
-``python -m repro.analysis`` exits nonzero on any new finding; the pass also
+``python -m repro lint`` exits nonzero on any new finding; the pass also
 runs as a tier-1 pytest self-check, so the analyzer analyzes the repo that
 ships it.  See ``docs/static_analysis.md`` for the rule catalog and the
 suppression/baseline workflow.

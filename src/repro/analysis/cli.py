@@ -1,4 +1,7 @@
-"""``python -m repro.analysis`` — run the project-contract lint pass.
+"""``repro lint`` — run the project-contract lint pass.
+
+:func:`add_arguments` declares the flags and :func:`run` executes them;
+:mod:`repro.cli` mounts both as its ``lint`` subcommand.
 
 Exit codes: 0 when no finding is new against the baseline, 1 when at least
 one is, 2 on usage errors.  ``--write-baseline`` accepts the current
@@ -25,12 +28,8 @@ from repro.analysis.engine import LintEngine
 from repro.analysis.report import Report, render_json, render_text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="AST lint pass enforcing the repro project contracts "
-        "(event-schema, determinism, default-off, caller-mutation).",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint flags on ``parser``."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -70,13 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registered rules and exit",
     )
-    return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Lint ``args.paths``; usage errors exit 2 through ``parser.error``."""
     if args.list_rules:
         for name, factory in sorted(RULES.items()):
             print(f"{name}: {factory().description}")

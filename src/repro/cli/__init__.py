@@ -7,12 +7,14 @@ One argparse surface over the library's operational entry points::
     repro plan    capacity planner: cheapest fleet that meets the SLOs
     repro report  telemetry run report bundle (HTML / markdown / CSV / trace)
     repro diff    perf-regression gate over results/ artifact directories
+    repro lint    project-contract lint pass over the sources
 
 Invoke as ``python -m repro`` (always available) or via the ``repro``
 console script when the package is installed.  Every subcommand prints
 machine-readable output — JSON by default, CSV via ``--format csv`` where
 the result is tabular — and exits nonzero only on operational failure
-(``diff`` treats an out-of-tolerance artifact as failure; that is its job).
+(``diff`` treats an out-of-tolerance artifact as failure and ``lint`` a new
+finding; that is their job).
 """
 
 from repro.cli.main import build_parser, main

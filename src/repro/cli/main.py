@@ -6,12 +6,15 @@ Each subcommand is a thin adapter: parse flags, call the library entry point
 the perf-regression gate) and emit the result through
 :mod:`repro.cli.output`.  Library imports happen inside the command
 functions so ``repro --help`` stays instant and the CLI layer cannot create
-import cycles with the simulators it wraps.
+import cycles with the simulators it wraps.  ``lint`` mounts the flags and
+run function of :mod:`repro.analysis.cli`, the lint pass's own (simulator-free)
+front end.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from pathlib import Path
 from typing import Any, Sequence
@@ -383,6 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format_options(diff)
     diff.set_defaults(func=cmd_diff)
+
+    from repro.analysis import cli as lint_cli
+
+    lint = subparsers.add_parser(
+        "lint",
+        help="project-contract lint pass over the sources",
+        description="AST lint pass enforcing the repro project contracts "
+        "(event-schema, determinism, default-off, caller-mutation). Exits 1 when "
+        "a finding is new against the baseline, 2 on usage errors.",
+    )
+    lint_cli.add_arguments(lint)
+    lint.set_defaults(func=functools.partial(lint_cli.run, parser=lint))
 
     return parser
 

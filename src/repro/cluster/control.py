@@ -25,20 +25,29 @@ to one built before this module existed):
 
 :class:`ControlPlane` bundles the two policies plus their per-run mutable
 state (token buckets, per-tenant outstanding counts, cooldown clock).  It is
-a *policy* object: the :class:`~repro.cluster.simulator.ClusterSimulator`
-owns the fleet sets (live / warming / draining / retired) and executes the
-decisions this object returns, so the control plane itself stays trivially
-unit-testable.
+a *policy* object, so it stays trivially unit-testable.
+
+:class:`FleetState` is the elastic fleet's lifecycle: the live / warming /
+draining / retired sets, the activation ledger replica-seconds are billed
+from, and the ``scaled_up`` / ``drain_started`` / ``scaled_down`` events.
+The :class:`~repro.cluster.simulator.ClusterSimulator` executes the control
+plane's decisions through it, and the stateful cluster machine
+(:class:`repro.verify.stateful.ClusterInterleavingMachine`) drives the same
+object, so the lifecycle the tests check is the one that runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.serving.request import Request
 from repro.utils.validation import check_positive
 from repro.workloads.tenants import SLO_CLASSES
+
+if TYPE_CHECKING:  # repro.verify imports the cluster layer
+    from repro.serving.replica import ReplicaRuntime
+    from repro.verify.events import EventSink
 
 #: Rejection reason strings carried on ``rejected`` events.
 SHED_OVERLOAD = "overload"
@@ -304,3 +313,79 @@ class ControlPlane:
         if self.admission is None:
             return "standard"
         return self.admission.tier_of(tenant)
+
+
+class FleetState:
+    """The elastic fleet's lifecycle and its billing ledger, for one run.
+
+    Replicas are indices into the fleet.  A replica is *warming* from its
+    scale-up until its cold start ends (billed, but routed nothing), then
+    *live*; a replica chosen for scale-down is *draining* (no new routes)
+    until its last request finishes, then *retired*.  Every replica is billed from its
+    activation (t=0 for the initial fleet, the scale-up decision for grown
+    ones) until it retires or the run ends.  Transitions emit
+    ``scaled_up`` / ``drain_started`` / ``scaled_down`` onto ``recorder``.
+    """
+
+    def __init__(self, initial: Iterable[int], recorder: EventSink | None = None) -> None:
+        self.live: set[int] = set(initial)
+        self.warming: dict[int, float] = {}  # replica index -> cold-start end
+        self.draining: set[int] = set()
+        self.activated_at: dict[int, float] = dict.fromkeys(self.live, 0.0)
+        #: Retired replica index -> retirement time (its keys are the retired set).
+        self.deactivated_at: dict[int, float] = {}
+        self.num_scale_ups = 0
+        self.num_scale_downs = 0
+        #: Largest concurrently provisioned (live + warming) fleet size.
+        self.peak_replicas = len(self.live)
+        self._recorder = recorder
+
+    def promote(self, now: float) -> None:
+        """Make every warming replica whose cold start has ended by ``now`` live."""
+        for index in [i for i, ready_at in self.warming.items() if ready_at <= now]:
+            del self.warming[index]
+            self.live.add(index)
+
+    def provision(self, index: int, now: float, ready_at: float) -> None:
+        """Add replica ``index``, decided at ``now``; it takes traffic from ``ready_at``."""
+        if self._recorder is not None:
+            self._recorder.emit("scaled_up", time=now, replica_id=index, ready_at=ready_at)
+        self.activated_at[index] = now
+        self.num_scale_ups += 1
+        if ready_at <= now:
+            self.live.add(index)
+        else:
+            self.warming[index] = ready_at
+        self.peak_replicas = max(self.peak_replicas, len(self.live) + len(self.warming))
+
+    def drain(self, index: int, now: float, replica: ReplicaRuntime) -> None:
+        """Stop routing to live replica ``index``; retire it now if it is idle."""
+        self.live.remove(index)
+        self.num_scale_downs += 1
+        if self._recorder is not None:
+            self._recorder.emit("drain_started", time=now, replica_id=index)
+        if replica.is_drained:
+            self._retire(index, max(now, replica.clock))
+        else:
+            self.draining.add(index)
+
+    def note_step(self, index: int, replica: ReplicaRuntime) -> None:
+        """After replica ``index`` steps: retire it if that step ended its drain.
+
+        It leaves at its local clock, the end of its last iteration.
+        """
+        if index in self.draining and replica.is_drained:
+            self.draining.remove(index)
+            self._retire(index, replica.clock)
+
+    def _retire(self, index: int, end: float) -> None:
+        self.deactivated_at[index] = end
+        if self._recorder is not None:
+            self._recorder.emit("scaled_down", time=end, replica_id=index)
+
+    def active_seconds(self, makespan: float) -> dict[int, float]:
+        """Replica index -> billed seconds, for a run that ended at ``makespan``."""
+        return {
+            index: max(0.0, self.deactivated_at.get(index, makespan) - start)
+            for index, start in self.activated_at.items()
+        }

@@ -11,11 +11,14 @@ a topology or router policy loses its hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.serving.metrics import ServingMetrics, compute_metrics, compute_tenant_metrics
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
+
+if TYPE_CHECKING:
+    from repro.cluster.control import FleetState
 
 
 @dataclass(frozen=True)
@@ -187,31 +190,25 @@ def compute_cluster_metrics(
     router: str,
     num_kv_transfers: int = 0,
     total_kv_transfer_time: float = 0.0,
-    replica_seconds: float | None = None,
-    num_scale_ups: int = 0,
-    num_scale_downs: int = 0,
-    peak_replicas: int | None = None,
     replica_costs: Mapping[int, float] | None = None,
-    replica_active_seconds: Mapping[int, float] | None = None,
+    fleet: FleetState | None = None,
 ) -> ClusterMetrics:
     """Aggregate a cluster run into :class:`ClusterMetrics`.
 
-    ``replica_seconds`` and ``peak_replicas`` default to the static-fleet
-    values (``len(replicas) * makespan`` and ``len(replicas)``); the
-    simulator passes the control plane's provisioning ledger when one is
-    active.  ``replica_costs`` maps replica id → USD/hour; with it set,
-    every replica is billed for its active time (``replica_active_seconds``
-    when given, else the full makespan) and the fleet totals land in
+    ``fleet`` is an elastic run's lifecycle ledger; ``None`` describes a
+    static fleet, whose every replica serves (and is billed) for the whole
+    makespan.  ``replica_costs`` maps replica id → USD/hour; with it set,
+    every replica is billed for its active time and the fleet totals land in
     ``cost_usd`` / ``usd_per_1k_tokens``.
     """
-    fleet = compute_metrics(
+    fleet_metrics = compute_metrics(
         requests,
         makespan=makespan,
         num_iterations=sum(r.engine.total_iterations for r in replicas),
         hybrid_iterations=sum(r.engine.hybrid_iterations for r in replicas),
     )
     costs = replica_costs or {}
-    active = replica_active_seconds or {}
+    active = fleet.active_seconds(makespan) if fleet is not None else {}
     stats_list = []
     for r in replicas:
         rate = costs.get(r.replica_id, 0.0)
@@ -235,7 +232,7 @@ def compute_cluster_metrics(
         per_tenant = compute_tenant_metrics(requests, makespan=makespan)
     total_tokens = sum(r.total_tokens for r in requests if r.is_finished)
     return ClusterMetrics(
-        fleet=fleet,
+        fleet=fleet_metrics,
         replicas=stats,
         topology=topology,
         router=router,
@@ -243,59 +240,13 @@ def compute_cluster_metrics(
         total_kv_transfer_time=total_kv_transfer_time,
         per_tenant=per_tenant,
         replica_seconds=(
-            len(replicas) * makespan if replica_seconds is None else replica_seconds
+            len(replicas) * makespan if fleet is None else sum(active.values())
         ),
-        num_scale_ups=num_scale_ups,
-        num_scale_downs=num_scale_downs,
-        peak_replicas=len(replicas) if peak_replicas is None else peak_replicas,
+        num_scale_ups=fleet.num_scale_ups if fleet is not None else 0,
+        num_scale_downs=fleet.num_scale_downs if fleet is not None else 0,
+        peak_replicas=fleet.peak_replicas if fleet is not None else len(replicas),
         cost_usd=sum(stat.cost_usd for stat in stats),
         total_tokens=total_tokens,
         fleet_cost_per_hour=sum(costs.values()),
     )
 
-
-def goodput_per_dollar(
-    requests: Sequence[Request],
-    slos: Mapping[str, Any],
-    cost_usd: float,
-) -> dict[str, dict[str, float]]:
-    """Per-SLO-tier goodput-per-dollar for one priced cluster run.
-
-    ``slos`` maps tenant → SLO class (a :func:`repro.workloads.tenants.slo_targets`
-    dict).  For each distinct tier the offered-traffic attainment
-    (:func:`repro.serving.metrics.slo_attainment`) is evaluated over that
-    tier's slice, and the attained request count is divided by the slice's
-    cost share (dollars prorated by offered requests).  Returns
-    ``{tier: {"offered", "attainment", "attained", "cost_usd",
-    "attained_per_usd"}}``; untagged requests and tenants without an SLO are
-    skipped.
-    """
-    from repro.serving.metrics import slo_attainment
-
-    tiers: dict[str, list[Request]] = {}
-    tier_targets: dict[str, Any] = {}
-    for request in requests:
-        slo = slos.get(request.tenant) if request.tenant else None
-        if slo is None:
-            continue
-        name = getattr(slo, "name", str(slo))
-        tiers.setdefault(name, []).append(request)
-        tier_targets[name] = slo
-    total_offered = sum(len(slice_) for slice_ in tiers.values())
-    out: dict[str, dict[str, float]] = {}
-    for name in sorted(tiers):
-        slice_ = tiers[name]
-        slo = tier_targets[name]
-        attainment = slo_attainment(
-            slice_, ttft_target_s=slo.ttft_target_s, tbt_target_s=slo.tbt_target_s
-        )
-        attained = attainment * len(slice_)
-        share = cost_usd * len(slice_) / total_offered if total_offered else 0.0
-        out[name] = {
-            "offered": float(len(slice_)),
-            "attainment": attainment,
-            "attained": attained,
-            "cost_usd": share,
-            "attained_per_usd": attained / share if share > 0 else 0.0,
-        }
-    return out

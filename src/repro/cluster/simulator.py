@@ -17,9 +17,12 @@ from a ``(next_ready_time, replica_id)`` heap holding one live entry per
 replica, so each event's replica pick is O(log R) however many requests a
 replica has queued; and routing loads are read from the replicas' incremental
 counters — O(1) per replica, O(R) per arrival — rather than rescanning every
-outstanding request in the pool.  ``debug_validate_loads=True`` restores the
-reference scans and cross-checks them (sampled) against the counters via the
-load-accounting invariant.
+outstanding request in the pool (the ``load-accounting`` invariant checks the
+counters against those scans).
+
+With a control plane the simulator executes its decisions at each arrival —
+autoscaling, then admission — through a :class:`~repro.cluster.control.FleetState`,
+which owns the fleet lifecycle and its billing ledger.
 
 A 1-replica colocated topology is the single-replica serving model itself:
 with any router it degenerates to exactly the plain
@@ -36,17 +39,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from repro.cluster.control import FleetState
 from repro.cluster.metrics import ClusterMetrics, compute_cluster_metrics
 from repro.cluster.router import ReplicaLoad, RouterPolicy, get_router
 from repro.serving.attention_backend import share_estimate_caches
 from repro.serving.kv_cache import KVCacheStats
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request, RequestState
-
-
-#: With ``debug_validate_loads``, every Nth load snapshot (plus the first) is
-#: cross-checked against the incremental counters.
-_LOAD_VALIDATE_EVERY = 64
 
 
 @dataclass
@@ -87,10 +86,6 @@ class ClusterSimulator:
             the *latest* run's events: ``run()`` clears it on entry, just as
             it rebuilds a used fleet (keep per-run recorders and
             ``merge_events`` to retain multiple streams).
-        debug_validate_loads: Route on full outstanding-request scans instead
-            of the incremental counters, cross-checking the two (sampled every
-            ``_LOAD_VALIDATE_EVERY`` snapshots) and raising on any drift.
-            Debug aid only — it reintroduces the quadratic routing cost.
         control: Optional :class:`repro.cluster.control.ControlPlane`
             (colocated topologies only).  Adds autoscaling (replicas join
             after a cold start, leave by draining) and admission control
@@ -104,7 +99,6 @@ class ClusterSimulator:
         router: str | RouterPolicy = "round-robin",
         decode_router: str | RouterPolicy | None = None,
         recorder=None,
-        debug_validate_loads: bool = False,
         control=None,
     ) -> None:
         self.topology = topology
@@ -120,8 +114,6 @@ class ClusterSimulator:
 
             recorder = as_sink(recorder)
         self.recorder = recorder
-        self.debug_validate_loads = debug_validate_loads
-        self._load_snapshots = 0
         self.replicas = topology.build_replicas(recorder=recorder)
         self.router = get_router(router) if isinstance(router, str) else router
         if decode_router is None:
@@ -172,8 +164,6 @@ class ClusterSimulator:
             # State-oblivious policies (round-robin) only need the pool size;
             # skip the load snapshot entirely.
             return [ReplicaLoad.zero(index) for index in indices]
-        if self.debug_validate_loads:
-            return self._scanned_loads(indices)
         loads = []
         for index in indices:
             replica = self.replicas[index]
@@ -190,37 +180,45 @@ class ClusterSimulator:
             )
         return loads
 
-    def _scanned_loads(self, indices: list[int]) -> list[ReplicaLoad]:
-        """Debug path: full outstanding-request scans, cross-checked (sampled)
-        against the incremental counters via the load-accounting invariant."""
-        self._load_snapshots += 1
-        if self._load_snapshots % _LOAD_VALIDATE_EVERY == 1:
-            # Local import: repro.verify imports repro.cluster (oracles).
-            from repro.verify.invariants import (
-                InvariantViolationError,
-                check_replica_load_counters,
-            )
+    # ----------------------------------------------------------- control
 
-            violations = check_replica_load_counters(
-                self.replicas[index] for index in indices
+    def _control_arrival(self, request: Request, fleet: FleetState) -> list[int] | None:
+        """Run the control plane for one arrival: one scaling decision, then admission.
+
+        Returns the live replicas to route ``request`` among, or ``None`` when
+        admission control shed it.
+        """
+        control = self.control
+        now = request.arrival_time
+        fleet.promote(now)
+        outstanding = sum(self.replicas[i].load_num_requests for i in fleet.live)
+        decision = control.autoscale(now, len(fleet.live), len(fleet.warming), outstanding)
+        if decision > 0:
+            ready_at = now + control.autoscaler.cold_start_s
+            for _ in range(decision):
+                index = len(self.replicas)
+                self.replicas.append(self.topology.build_replica(index, recorder=self.recorder))
+                fleet.provision(index, now, ready_at)
+            # New backends adopt the fleet's warmed memo.
+            share_estimate_caches(replica.backend for replica in self.replicas)
+        for _ in range(-decision):
+            # Drain the least-loaded live replica (lowest index on ties).
+            victim = min(fleet.live, key=lambda i: (self.replicas[i].load_num_requests, i))
+            fleet.drain(victim, now, self.replicas[victim])
+        reason = control.admit(request, now, len(fleet.live), outstanding)
+        if reason is None:
+            return sorted(fleet.live)
+        if self.recorder is not None:
+            self.recorder.emit(
+                "rejected",
+                time=now,
+                request_id=request.request_id,
+                reason=reason,
+                tenant=request.tenant or "default",
+                tier=control.tier_of(request.tenant),
             )
-            if violations:
-                raise InvariantViolationError(violations)
-        loads = []
-        for index in indices:
-            num, tokens, prefill_tokens = self.replicas[index].scan_load()
-            cost, perf = self._replica_economics(index)
-            loads.append(
-                ReplicaLoad(
-                    replica_id=index,
-                    num_requests=num,
-                    outstanding_tokens=tokens,
-                    outstanding_prefill_tokens=prefill_tokens,
-                    cost_per_hour=cost,
-                    perf_weight=perf,
-                )
-            )
-        return loads
+        request.reject(now)
+        return None
 
     # --------------------------------------------------------------- run
 
@@ -246,7 +244,6 @@ class ClusterSimulator:
             self.replicas = self.topology.build_replicas(recorder=self.recorder)
         self.router.reset()
         self.decode_router.reset()
-        self._load_snapshots = 0
         self._economics.clear()
         requests = [request.fresh_copy() for request in requests]
         arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
@@ -261,23 +258,11 @@ class ClusterSimulator:
         decode_indices = self.topology.decode_indices
         disaggregated = self.topology.kind == "disaggregated"
 
-        # Control-plane fleet state: replica index sets plus the provisioning
-        # ledger replica-seconds are billed from.  Warming replicas have been
-        # provisioned but are still cold-starting (no traffic yet); draining
-        # replicas take no new routes and retire when their last request
-        # finishes.  All of it is inert when ``control`` is None.
         control = self.control
-        live: set[int] = set(entry_indices)
-        warming: dict[int, float] = {}  # replica index -> cold-start end
-        draining: set[int] = set()
-        retired: set[int] = set()
-        activated_at: dict[int, float] = dict.fromkeys(live, 0.0)
-        deactivated_at: dict[int, float] = {}
-        num_scale_ups = 0
-        num_scale_downs = 0
-        peak_replicas = len(live)
+        fleet = None
         if control is not None:
             control.reset()
+            fleet = FleetState(entry_indices, self.recorder)
 
         # Ready-time heap over the fleet with one live entry per replica;
         # queued maps a replica id to its live entry's time.  Work only pulls
@@ -335,91 +320,10 @@ class ClusterSimulator:
                     request = arrivals[arrival_index]
                     arrival_index += 1
                     candidates = entry_indices
-                    if control is not None:
-                        now = request.arrival_time
-                        # Promote warming replicas whose cold start completed.
-                        for index in [i for i, at in warming.items() if at <= now]:
-                            del warming[index]
-                            live.add(index)
-                        outstanding = sum(
-                            self.replicas[i].load_num_requests for i in live
-                        )
-                        decision = control.autoscale(
-                            now, len(live), len(warming), outstanding
-                        )
-                        if decision > 0:
-                            for _ in range(decision):
-                                index = len(self.replicas)
-                                self.replicas.append(
-                                    self.topology.build_replica(index, recorder=self.recorder)
-                                )
-                                ready_at = now + control.autoscaler.cold_start_s
-                                if self.recorder is not None:
-                                    self.recorder.emit(
-                                        "scaled_up",
-                                        time=now,
-                                        replica_id=index,
-                                        ready_at=ready_at,
-                                    )
-                                activated_at[index] = now
-                                num_scale_ups += 1
-                                if ready_at <= now:
-                                    live.add(index)
-                                else:
-                                    warming[index] = ready_at
-                            # New backends adopt the fleet's warmed memo.
-                            share_estimate_caches(
-                                replica.backend for replica in self.replicas
-                            )
-                            peak_replicas = max(
-                                peak_replicas, len(live) + len(warming)
-                            )
-                        elif decision < 0:
-                            for _ in range(-decision):
-                                victim = min(
-                                    live,
-                                    key=lambda i: (
-                                        self.replicas[i].load_num_requests,
-                                        i,
-                                    ),
-                                )
-                                live.remove(victim)
-                                num_scale_downs += 1
-                                if self.recorder is not None:
-                                    self.recorder.emit(
-                                        "drain_started",
-                                        time=now,
-                                        replica_id=victim,
-                                    )
-                                if self.replicas[victim].is_drained:
-                                    # Nothing outstanding: retires on the spot.
-                                    retired.add(victim)
-                                    end = max(now, self.replicas[victim].clock)
-                                    deactivated_at[victim] = end
-                                    if self.recorder is not None:
-                                        self.recorder.emit(
-                                            "scaled_down",
-                                            time=end,
-                                            replica_id=victim,
-                                        )
-                                else:
-                                    draining.add(victim)
-                        reason = control.admit(
-                            request, now, len(live), outstanding
-                        )
-                        if reason is not None:
-                            if self.recorder is not None:
-                                self.recorder.emit(
-                                    "rejected",
-                                    time=now,
-                                    request_id=request.request_id,
-                                    reason=reason,
-                                    tenant=request.tenant or "default",
-                                    tier=control.tier_of(request.tenant),
-                                )
-                            request.reject(now)
-                            continue
-                        candidates = sorted(live)
+                    if fleet is not None:
+                        candidates = self._control_arrival(request, fleet)
+                        if candidates is None:
+                            continue  # shed by admission control
                     loads = self._loads(candidates, self.router)
                     choice = self.router.choose(loads, request)
                     target = candidates[choice]
@@ -461,21 +365,10 @@ class ClusterSimulator:
             # The validated entry stays in the heap; the step makes it stale.
             next_replica = self.replicas[next_replica_id]
             outcome = next_replica.step()
-            if control is not None:
+            if fleet is not None:
                 for released in outcome.released:
                     control.note_release(released)
-                if next_replica_id in draining and next_replica.is_drained:
-                    # Connection draining complete: the replica leaves the
-                    # fleet at its local clock (its last iteration's end).
-                    draining.remove(next_replica_id)
-                    retired.add(next_replica_id)
-                    deactivated_at[next_replica_id] = next_replica.clock
-                    if self.recorder is not None:
-                        self.recorder.emit(
-                            "scaled_down",
-                            time=next_replica.clock,
-                            replica_id=next_replica_id,
-                        )
+                fleet.note_step(next_replica_id, next_replica)
             if disaggregated and next_replica.replica_id in self._prefill_ids:
                 for request in outcome.released:
                     if request.state == RequestState.FINISHED:
@@ -507,19 +400,6 @@ class ClusterSimulator:
             )
 
         makespan = max(replica.clock for replica in self.replicas)
-        replica_seconds = None
-        replica_active_seconds: dict[int, float] | None = None
-        if control is not None:
-            # Provisioning cost ledger: every replica is billed from its
-            # activation (t=0 for the initial fleet, the scale-up decision for
-            # grown replicas — cold starts are paid for) until it retires or,
-            # if still serving, the run ends.  The same ledger prices each
-            # replica individually for the dollar accounting.
-            replica_active_seconds = {
-                index: max(0.0, deactivated_at.get(index, makespan) - start)
-                for index, start in activated_at.items()
-            }
-            replica_seconds = sum(replica_active_seconds.values())
         replica_costs = {
             replica.replica_id: self._replica_economics(replica.replica_id)[0]
             for replica in self.replicas
@@ -532,12 +412,8 @@ class ClusterSimulator:
             router=self.router.name,
             num_kv_transfers=num_transfers,
             total_kv_transfer_time=total_transfer_time,
-            replica_seconds=replica_seconds,
-            num_scale_ups=num_scale_ups,
-            num_scale_downs=num_scale_downs,
-            peak_replicas=peak_replicas if control is not None else None,
             replica_costs=replica_costs,
-            replica_active_seconds=replica_active_seconds,
+            fleet=fleet,
         )
         kv_stats = KVCacheStats()
         for replica in self.replicas:

@@ -23,8 +23,12 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.topology import topology_from_spec
 from repro.models.config import ClusterSpec, KVTransferModel, paper_deployment
 from repro.serving.request import Request
-from repro.serving.trace import WORKLOAD_GENERATORS, get_workload, with_poisson_arrivals
 from repro.utils.validation import check_positive
+from repro.workloads.scenario import build_scenario
+
+#: Historical sweep labels of the paper's two traces -> their scenarios.  Rows
+#: keep the label (fig16/fig18 read ``workload=arxiv``).
+WORKLOAD_LABELS = {"arxiv": "arxiv-summarization", "internal": "enterprise-internal"}
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,6 @@ class ClusterSweepPoint:
     kv_link_latency: float | None = None  # None = KVTransferModel default
     backend: str = "pod"
     seed: int = 0
-    #: Route on reference scans cross-checked against the incremental load
-    #: counters (slow; meant for debugging and validation sweeps).
-    debug_validate_loads: bool = False
 
     def __post_init__(self) -> None:
         check_positive("num_replicas", self.num_replicas)
@@ -68,19 +69,12 @@ class ClusterSweepPoint:
 def build_point_trace(point: ClusterSweepPoint) -> list[Request]:
     """Build the request trace for one grid point.
 
-    ``point.workload`` is either a legacy generator name (``internal`` /
-    ``arxiv``, Poisson arrivals — byte-compatible with earlier sweeps) or any
-    scenario from ``repro.workloads.SCENARIOS``, whose own arrival process is
-    scaled to the point's fleet-wide QPS.
+    ``point.workload`` is any scenario from ``repro.workloads.SCENARIOS`` (or
+    a label in :data:`WORKLOAD_LABELS`), whose own arrival process is scaled
+    to the point's fleet-wide QPS.
     """
-    if point.workload in WORKLOAD_GENERATORS:
-        requests = get_workload(point.workload, num_requests=point.num_requests, seed=point.seed)
-        return with_poisson_arrivals(requests, qps=point.qps, seed=point.seed + 1)
-    from repro.workloads.scenario import build_scenario
-
-    return build_scenario(
-        point.workload, num_requests=point.num_requests, seed=point.seed, qps=point.qps
-    )
+    scenario = WORKLOAD_LABELS.get(point.workload, point.workload)
+    return build_scenario(scenario, num_requests=point.num_requests, seed=point.seed, qps=point.qps)
 
 
 def run_sweep_point(point: ClusterSweepPoint) -> dict[str, Any]:
@@ -100,10 +94,7 @@ def run_sweep_point(point: ClusterSweepPoint) -> dict[str, Any]:
         transfer=KVTransferModel(**transfer_kwargs),
     )
     topology = topology_from_spec(spec, chunk_size=point.chunk_size, backend=point.backend)
-    simulator = ClusterSimulator(
-        topology, router=point.router, debug_validate_loads=point.debug_validate_loads
-    )
-    result = simulator.run(requests)
+    result = ClusterSimulator(topology, router=point.router).run(requests)
     row: dict[str, Any] = {
         "model": point.model,
         "workload": point.workload,

@@ -75,13 +75,6 @@ class ExecutionResult:
         """All CTA records that executed on a given SM."""
         return [record for record in self.cta_records if record.sm_id == sm_id]
 
-    def tags_per_sm(self) -> dict[int, set[str]]:
-        """Map each SM to the set of operation tags it executed."""
-        mapping: dict[int, set[str]] = {}
-        for record in self.cta_records:
-            mapping.setdefault(record.sm_id, set()).add(record.tag)
-        return mapping
-
     def summary(self) -> dict[str, float]:
         """Compact dictionary view used by benchmarks and examples."""
         return {

@@ -32,17 +32,6 @@ from repro.serving.request import Request, RequestState, make_requests
 from repro.serving.scheduler import Scheduler, SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import (
-    WORKLOAD_GENERATORS,
-    WorkloadStats,
-    arxiv_workload,
-    describe_workload,
-    get_workload,
-    internal_workload,
-    pd_ratio_workload,
-    uniform_workload,
-    with_poisson_arrivals,
-)
 
 __all__ = [
     "AttentionBackend",
@@ -77,13 +66,4 @@ __all__ = [
     "SchedulerLimits",
     "SarathiScheduler",
     "VLLMScheduler",
-    "WORKLOAD_GENERATORS",
-    "WorkloadStats",
-    "arxiv_workload",
-    "describe_workload",
-    "get_workload",
-    "internal_workload",
-    "pd_ratio_workload",
-    "uniform_workload",
-    "with_poisson_arrivals",
 ]

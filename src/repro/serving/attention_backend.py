@@ -1,11 +1,11 @@
 """Attention backends used by the serving engine.
 
 The serving engine needs per-layer attention times for every iteration's
-batch.  A backend supplies them either from the fast analytic model (default —
-needed because an end-to-end run evaluates tens of thousands of iterations) or
-from the event-driven GPU simulator (slower, used for validation and for the
-attention-level benchmarks).  Backends correspond to the serving systems the
-paper compares:
+batch.  A backend supplies them from the analytic model: an end-to-end run
+evaluates tens of thousands of iterations, and the differential oracle
+``analytic_vs_simulated`` (:mod:`repro.verify.oracles`) pins that model to the
+event-driven GPU engine.  Backends correspond to the serving systems the paper
+compares:
 
 * ``FASerialBackend``  — Sarathi / vLLM baseline: independently optimized
   FlashAttention prefill and decode kernels run back to back.
@@ -20,12 +20,8 @@ from dataclasses import dataclass
 
 from repro.attention.analytic import analytic_attention_times
 from repro.attention.cost_model import AttentionCostParams
-from repro.attention.executors import FASerial
 from repro.attention.workload import HybridBatch
-from repro.core.pod_kernel import PODAttention
-from repro.gpu.engine import ExecutionEngine
 from repro.models.config import Deployment
-from repro.utils.validation import check_in_choices
 
 
 @dataclass(frozen=True)
@@ -73,14 +69,10 @@ class AttentionBackend(ABC):
         self,
         deployment: Deployment,
         params: AttentionCostParams | None = None,
-        mode: str = "analytic",
     ) -> None:
-        check_in_choices("mode", mode, ("analytic", "simulate"))
         self.deployment = deployment
         self.params = params or AttentionCostParams()
-        self.mode = mode
         self._cache: dict[tuple, AttentionEstimate] = {}
-        self._engine = ExecutionEngine(deployment.gpu, record_ctas=False)
 
     def estimate(self, batch: HybridBatch) -> AttentionEstimate:
         """Per-layer attention estimate for ``batch`` (memoised on batch shape)."""
@@ -102,7 +94,7 @@ class AttentionBackend(ABC):
         """Adopt ``cache`` as this backend's estimate memo.
 
         Estimates are pure functions of the quantized batch signature, so
-        backends that agree on (class, mode, params, deployment) can share
+        backends that agree on (class, params, deployment) can share
         one memo; a cluster fleet uses this to stop every replica from
         re-deriving the same estimates (the dominant sweep cost at scale).
         """
@@ -116,24 +108,6 @@ class FASerialBackend(AttentionBackend):
     name = "FA_Serial"
 
     def _estimate_uncached(self, batch: HybridBatch) -> AttentionEstimate:
-        if self.mode == "simulate":
-            result = FASerial(self.params).run(self.deployment, batch, self._engine)
-            prefill = result.prefill_time or 0.0
-            decode = result.decode_time or 0.0
-            # Attribute the non-attention remainder (kernel launch gaps,
-            # scheduling slack) to the two phases in proportion to their
-            # attention times, mirroring PODBackend's hybrid attribution —
-            # folding it all into prefill skews per-phase breakdowns.
-            remainder = max(0.0, result.total_time - prefill - decode)
-            attention = prefill + decode
-            if attention > 0.0:
-                prefill_share = prefill / attention
-            else:
-                prefill_share = 1.0 if batch.has_prefill else 0.0
-            return AttentionEstimate(
-                prefill_time=prefill + remainder * prefill_share,
-                decode_time=decode + remainder * (1.0 - prefill_share),
-            )
         times = analytic_attention_times(self.deployment, batch, self.params)
         return AttentionEstimate(prefill_time=times.prefill_time, decode_time=times.decode_time)
 
@@ -144,27 +118,13 @@ class PODBackend(AttentionBackend):
     name = "POD"
 
     def _estimate_uncached(self, batch: HybridBatch) -> AttentionEstimate:
-        if self.mode == "simulate":
-            result = PODAttention(self.params).run(self.deployment, batch, self._engine)
-            if batch.is_hybrid:
-                # Attribute the fused time to the two phases in proportion to
-                # their serial estimates so iteration breakdowns stay meaningful.
-                times = analytic_attention_times(self.deployment, batch, self.params)
-                serial = max(times.serial_time, 1e-12)
-                prefill_share = times.prefill_time / serial
-                return AttentionEstimate(
-                    prefill_time=result.total_time * prefill_share,
-                    decode_time=result.total_time * (1.0 - prefill_share),
-                )
-            return AttentionEstimate(
-                prefill_time=result.total_time if batch.has_prefill else 0.0,
-                decode_time=result.total_time if not batch.has_prefill else 0.0,
-            )
         times = analytic_attention_times(self.deployment, batch, self.params)
         if not batch.is_hybrid:
             return AttentionEstimate(
                 prefill_time=times.prefill_time, decode_time=times.decode_time
             )
+        # Attribute the fused time to the two phases in proportion to their
+        # serial estimates so iteration breakdowns stay meaningful.
         serial = max(times.serial_time, 1e-12)
         prefill_share = times.prefill_time / serial
         return AttentionEstimate(
@@ -176,8 +136,8 @@ class PODBackend(AttentionBackend):
 def share_estimate_caches(backends) -> None:
     """Point identically-configured backends at one shared estimate memo.
 
-    Grouping key is (class, mode, params, deployment): backends that agree on
-    all four compute identical estimates for identical signatures.  Note the
+    Grouping key is (class, params, deployment): backends that agree on all
+    three compute identical estimates for identical signatures.  Note the
     signature is *quantized*, so a bucket is seeded by whichever concrete
     batch reaches it first — with a shared memo that is fleet-global rather
     than per-replica order, which can shift estimates within the
@@ -185,7 +145,7 @@ def share_estimate_caches(backends) -> None:
     """
     caches: dict[tuple, dict] = {}
     for backend in backends:
-        key = (type(backend), backend.mode, backend.params, backend.deployment)
+        key = (type(backend), backend.params, backend.deployment)
         backend.use_shared_cache(caches.setdefault(key, {}))
 
 
@@ -199,10 +159,9 @@ def get_backend(
     name: str,
     deployment: Deployment,
     params: AttentionCostParams | None = None,
-    mode: str = "analytic",
 ) -> AttentionBackend:
     """Instantiate a backend by short name (``"fa_serial"`` or ``"pod"``)."""
     key = name.lower()
     if key not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
-    return BACKENDS[key](deployment, params, mode)
+    return BACKENDS[key](deployment, params)

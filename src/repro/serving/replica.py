@@ -99,7 +99,7 @@ class ReplicaRuntime:
         self.role = role
         if recorder is not None:
             # Lazy import: repro.verify imports the cluster layer, which
-            # imports this module (same cycle dance as _scanned_loads).
+            # imports this module.
             from repro.verify.events import as_sink
 
             recorder = as_sink(recorder)
@@ -234,8 +234,8 @@ class ReplicaRuntime:
         """Recompute ``(num_requests, total_tokens, prefill_tokens)`` by scan.
 
         O(outstanding) reference implementation of the incremental
-        ``load_*`` counters, kept for the cluster debug path and the
-        load-accounting invariant (``repro.verify.invariants``).
+        ``load_*`` counters, kept for the load-accounting invariant
+        (``repro.verify.invariants``) and the tests' scan-checking router.
         """
         num = tokens = prefill_tokens = 0
         for request in self.outstanding_requests():

@@ -2,7 +2,9 @@
 
 The public API raises ``ValueError`` with a descriptive message instead of
 failing deep inside the simulator, which keeps configuration errors easy to
-diagnose for downstream users.
+diagnose for downstream users.  The numeric checks also reject ``nan`` and
+infinities: a ``nan`` compares false against everything, so it would slip past
+a one-sided bound and stall the simulator later.
 """
 
 from __future__ import annotations
@@ -11,18 +13,21 @@ from typing import Iterable, TypeVar
 
 T = TypeVar("T")
 
+_INF = float("inf")
+
 
 def check_positive(name: str, value: float) -> float:
-    """Return ``value`` if strictly positive, otherwise raise ``ValueError``."""
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    """Return ``value`` if strictly positive and finite, otherwise raise ``ValueError``."""
+    # One chained comparison: this runs for every decode of every step.
+    if not 0 < value < _INF:
+        raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
     return value
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if >= 0, otherwise raise ``ValueError``."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    """Return ``value`` if >= 0 and finite, otherwise raise ``ValueError``."""
+    if not 0 <= value < _INF:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
     return value
 
 

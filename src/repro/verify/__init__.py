@@ -66,7 +66,6 @@ from repro.verify.oracles import (
     ENGINE_RTOL,
     REDUCIBLE_ROUTERS,
     SeedBlockAllocator,
-    all_scenario_equivalences,
     analytic_vs_simulated,
     engine_equivalence,
     kv_allocator_equivalence,
@@ -153,7 +152,6 @@ __all__ = [
     "REDUCIBLE_ROUTERS",
     "ReferenceEngine",
     "SeedBlockAllocator",
-    "all_scenario_equivalences",
     "analytic_vs_simulated",
     "engine_equivalence",
     "kv_allocator_equivalence",

@@ -36,8 +36,9 @@ rules any correct serving/cluster simulation must satisfy:
 * **Scaling causality** — a replica is scaled up at most once and its
   ``ready_at`` never precedes the decision; arrivals are never routed to a
   draining or retired replica, nor to a scaled-up replica before its cold
-  start completes; ``drain_started`` fires at most once per live replica and
-  ``scaled_down`` only after (and never before) its ``drain_started``.
+  start completes; ``drain_started`` fires at most once per live replica,
+  ``scaled_down`` only after (and never before) its ``drain_started``, and a
+  retired replica runs no further iteration.
 
 :func:`check_execution` applies the same discipline one layer down, to a run
 of the event-driven GPU engine: SM capacity, in-order streams with their
@@ -532,6 +533,8 @@ def check_event_log(
 
         elif event.kind == STEP:
             replica = event.replica_id
+            if replica in retired:
+                flag("scaling-causality", "a retired replica ran an iteration", event)
             start, duration = event.time, event.data["duration"]
             if duration < 0:
                 flag("monotone-clock", f"negative iteration duration {duration}", event)
@@ -665,8 +668,8 @@ def check_replica_load_counters(replicas: Iterable[Any]) -> list[Violation]:
     :class:`repro.serving.replica.ReplicaRuntime` maintains at enqueue, chunk
     execution and release; this invariant recomputes the load by scanning
     ``outstanding_requests()`` (``scan_load``) and flags any drift.  Accepts
-    any iterable of runtimes, so both the cluster debug path and tests can
-    sample it mid-run.
+    any iterable of runtimes, so tests and the stateful machines can sample
+    it mid-run.
     """
     violations: list[Violation] = []
     for replica in replicas:

@@ -61,7 +61,7 @@ from repro.utils.validation import check_in_choices
 from repro.verify.events import CHUNK_EXECUTED, EventRecorder
 from repro.verify.invariants import check_event_log
 from repro.verify.reference_engine import ReferenceEngine
-from repro.workloads.scenario import SCENARIOS, build_scenario
+from repro.workloads.scenario import build_scenario
 
 #: Router policies a 1-replica cluster must reduce under (all of them).
 REDUCIBLE_ROUTERS = (
@@ -181,32 +181,6 @@ def single_replica_equivalence(
     discrepancies.extend(_compare_metrics(label, reference_metrics, cluster.metrics.fleet))
     if cluster.assignments and set(cluster.assignments.values()) != {0}:
         discrepancies.append(f"{label}: 1-replica cluster routed off replica 0")
-    return discrepancies
-
-
-def all_scenario_equivalences(
-    deployment: Deployment,
-    scenarios: Sequence[str] | None = None,
-    routers: Sequence[str] = REDUCIBLE_ROUTERS,
-    num_requests: int = 20,
-    seed: int = 0,
-) -> list[str]:
-    """Every registry scenario under round-robin, plus one scenario under
-    every other router (with one replica all routers are the same machine)."""
-    names = list(scenarios if scenarios is not None else SCENARIOS)
-    discrepancies: list[str] = []
-    for name in names:
-        discrepancies.extend(
-            single_replica_equivalence(
-                deployment, name, router=routers[0], num_requests=num_requests, seed=seed
-            )
-        )
-    for router in routers[1:]:
-        discrepancies.extend(
-            single_replica_equivalence(
-                deployment, names[0], router=router, num_requests=num_requests, seed=seed
-            )
-        )
     return discrepancies
 
 

@@ -49,6 +49,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cluster.control import FleetState
 from repro.cluster.router import ReplicaLoad, get_router
 from repro.cluster.topology import ColocatedTopology
 from repro.models.config import ReplicaSpec, paper_deployment
@@ -553,12 +554,14 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
     that pins the incremental mid-run path against the batch path.
 
     The control-plane rules (``scale_up``/``scale_down``/``shed_request``)
-    mirror the elastic fleet operations: provisioning with a cold start,
-    connection draining before retirement, and admission-control rejections.
-    Every rule is followed by a full event-log replay, so the shed-isolation
-    and scaling-causality invariants act as the oracle for them.  Shedding
-    keeps the single-replica differential oracle valid (a rejected request
-    never reaches a replica); scaling up disables it by growing the fleet.
+    drive the elastic fleet operations through the simulator's own
+    :class:`~repro.cluster.control.FleetState`: provisioning with a cold
+    start, connection draining before retirement, and admission-control
+    rejections.  Every rule is followed by a full event-log replay, so the
+    shed-isolation and scaling-causality invariants act as the oracle for
+    the lifecycle code the simulator runs.  Shedding keeps the
+    single-replica differential oracle valid (a rejected request never
+    reaches a replica); scaling up disables it by growing the fleet.
     """
 
     #: Fleet-size ceiling for the scale_up rule (keeps examples small).
@@ -614,11 +617,7 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.last_step_time = 0.0
         self.next_id = 0
-        # Elastic-fleet state, mirroring the simulator's bookkeeping.
-        self.live: set[int] = set(range(num_replicas))
-        self.warming: dict[int, float] = {}  # replica index -> ready_at
-        self.draining: dict[int, float] = {}  # replica index -> drain start
-        self.retired: set[int] = set()
+        self.fleet = FleetState(range(num_replicas), self.recorder)
         self.num_shed = 0
 
     # ------------------------------------------------------------- helpers
@@ -648,17 +647,7 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
             return False
         self.last_step_time = replica.next_ready_time()
         replica.step()
-        index = replica.replica_id
-        if index in self.draining and replica.is_drained:
-            # Drain complete: retire on the replica's local clock (the
-            # simulator's discipline; scaled_down is exempt from the global
-            # monotone-clock check for exactly this reason).
-            self.recorder.emit(
-                "scaled_down",
-                time=max(self.draining.pop(index), replica.clock),
-                replica_id=index,
-            )
-            self.retired.add(index)
+        self.fleet.note_step(replica.replica_id, replica)
         return True
 
     def _promote_and_advance(self, data: st.DataObject) -> float:
@@ -678,10 +667,7 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
             if replica is None or replica.next_ready_time() >= arrival:
                 break
             self._step_earliest()
-        for index, ready_at in list(self.warming.items()):
-            if ready_at <= arrival:
-                del self.warming[index]
-                self.live.add(index)
+        self.fleet.promote(arrival)
         return arrival
 
     # --------------------------------------------------------------- rules
@@ -724,7 +710,7 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
             prefix_tokens=prefix_tokens,
         )
         self.trace.append(request.fresh_copy())
-        candidates = sorted(self.live)
+        candidates = sorted(self.fleet.live)
         choice = self.router.choose(self._loads(candidates), request)
         target = self.replicas[candidates[choice]]
         self.recorder.emit(
@@ -784,35 +770,15 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
                 replica_id=index,
             )
         )
-        self.recorder.emit(
-            "scaled_up",
-            time=decision_time,
-            replica_id=index,
-            ready_at=decision_time + cold,
-        )
-        if cold == 0.0:
-            self.live.add(index)
-        else:
-            self.warming[index] = decision_time + cold
+        self.fleet.provision(index, decision_time, decision_time + cold)
 
-    @precondition(lambda self: len(self.live) > 1)
+    @precondition(lambda self: len(self.fleet.live) > 1)
     @rule(data=st.data())
     def scale_down(self, data: st.DataObject) -> None:
         """Start draining one live replica; retire it the moment it is idle."""
-        victim = data.draw(st.sampled_from(sorted(self.live)), label="victim")
+        victim = data.draw(st.sampled_from(sorted(self.fleet.live)), label="victim")
         drain_time = max(self.now, self.last_step_time)
-        self.recorder.emit("drain_started", time=drain_time, replica_id=victim)
-        self.live.discard(victim)
-        replica = self.replicas[victim]
-        if replica.is_drained:
-            self.recorder.emit(
-                "scaled_down",
-                time=max(drain_time, replica.clock),
-                replica_id=victim,
-            )
-            self.retired.add(victim)
-        else:
-            self.draining[victim] = drain_time
+        self.fleet.drain(victim, drain_time, self.replicas[victim])
 
     @rule(data=st.data())
     def shed_request(self, data: st.DataObject) -> None:

@@ -12,8 +12,10 @@ Turns the paper's two fixed traces into a composable scenario system:
 * :mod:`repro.workloads.scenario` — the ``SCENARIOS`` registry consumed by
   the simulators, sweep runners and the Figure 17 benchmark.
 
-``repro.serving.trace`` keeps its historical API as thin wrappers over this
-package, so seeded traces are byte-identical with pre-refactor generators.
+This package is the one source of traces: the paper's two online traces are
+the ``enterprise-internal`` and ``arxiv-summarization`` scenarios (shapes
+drawn from ``seed``, Poisson arrivals from ``seed + 1``), and their seeded
+traces are pinned by the golden-regression tests.
 """
 
 from repro.workloads.arrivals import (

@@ -29,8 +29,7 @@ if TYPE_CHECKING:  # runtime import would close the serving → workloads cycle
 
 def _accumulate(gaps: np.ndarray) -> list[float]:
     """Sum inter-arrival gaps into arrival times, one Python-float add at a
-    time — the exact accumulation order of the original
-    ``with_poisson_arrivals`` helper, which golden-regression tests pin
+    time — the accumulation order the golden-regression tests pin
     byte-for-byte.  Do not replace with ``np.cumsum``."""
     arrivals = []
     arrival = 0.0
@@ -64,9 +63,9 @@ class ArrivalProcess(ABC):
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at a constant mean rate (the paper's online setting).
 
-    The gap draws and the sequential float accumulation intentionally mirror
-    the original ``with_poisson_arrivals`` helper so that seeded traces are
-    byte-identical with the pre-refactor generator (golden-regression pinned).
+    The gap draws and the sequential float accumulation are pinned: seeded
+    traces stay byte-identical with the committed baselines (golden-regression
+    tests).
     """
 
     name = "poisson"

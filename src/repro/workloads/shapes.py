@@ -5,9 +5,9 @@ arXiv-Summarization); production fleets mix many more.  Each model here is a
 seeded generator of ``(prefill_tokens, decode_tokens)`` pairs reproducing a
 characteristic mix:
 
-* ``internal`` / ``arxiv`` — the paper's Table 5/6 traces, moved verbatim
-  from ``repro.serving.trace`` (same RNG call sequence, so seeded traces are
-  byte-identical with the pre-refactor generators).
+* ``internal`` / ``arxiv`` — the paper's Table 5/6 traces (their RNG call
+  sequence is pinned: seeded traces stay byte-identical with the committed
+  baselines).
 * ``long-summarization`` — very long documents, medium summaries.
 * ``short-chat`` — short prompts, chatty decodes (decode-bound).
 * ``rag`` — retrieval-augmented generation: huge stuffed-context prefill,

@@ -10,7 +10,8 @@ same shape plus a tenant column::
 ``arrival_time`` is written with ``repr()`` so a save → load → save cycle is
 byte-exact, which makes deterministic replay (``ReplayArrivals``) and the
 golden-regression discipline possible for recorded traces.  An empty tenant
-cell round-trips to ``None``.
+cell round-trips to ``None``.  A malformed row (a non-numeric or non-finite
+cell, a negative arrival) raises ``ValueError`` naming the file and line.
 """
 
 from __future__ import annotations
@@ -63,15 +64,17 @@ def load_trace(path: str | Path) -> list[Request]:
             if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"{path}:{line_number}: expected {len(TRACE_COLUMNS)} fields")
             request_id, arrival, prefill, decode, tenant = row
-            requests.append(
-                Request(
+            try:
+                request = Request(
                     request_id=int(request_id),
                     prefill_tokens=int(prefill),
                     decode_tokens=int(decode),
                     arrival_time=float(arrival),
                     tenant=tenant or None,
                 )
-            )
+            except ValueError as error:
+                raise ValueError(f"{path}:{line_number}: {error}") from error
+            requests.append(request)
     if not requests:
         raise ValueError(f"{path}: trace contains no requests")
     return requests

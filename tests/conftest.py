@@ -34,12 +34,13 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 from repro.attention.workload import HybridBatch
-from repro.cluster import ClusterSimulator, ColocatedTopology
+from repro.cluster import ClusterSimulator, ColocatedTopology, RouterPolicy
 from repro.gpu.config import a100_sxm_80gb
 from repro.gpu.engine import ExecutionEngine
 from repro.models.config import Deployment, paper_deployment
 from repro.serving.attention_backend import FASerialBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
+from repro.verify.invariants import InvariantViolationError, Violation
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +89,59 @@ def single_replica():
         return ClusterSimulator(topology, recorder=recorder)
 
     return build
+
+
+class ScanCheckingRouter(RouterPolicy):
+    """Router wrapper that checks every load snapshot it receives, then delegates.
+
+    Each ``ReplicaLoad`` must equal a fresh ``scan_load()`` of the replica it
+    describes (the ``load-accounting`` invariant, on every routing decision),
+    else the run raises ``InvariantViolationError``.  Since the wrapped policy
+    then routes on the same snapshot, routing on the simulator's incremental
+    counters provably matches routing on full outstanding-request scans.
+    """
+
+    def __init__(self, inner: RouterPolicy, simulator: ClusterSimulator) -> None:
+        self.inner = inner
+        self.simulator = simulator
+        self.name = inner.name
+        self.snapshots_checked = 0
+
+    def choose(self, loads, request) -> int:
+        violations = []
+        for load in loads:
+            replica = self.simulator.replicas[load.replica_id]
+            snapshot = (load.num_requests, load.outstanding_tokens, load.outstanding_prefill_tokens)
+            scanned = replica.scan_load()
+            if snapshot != scanned:
+                violations.append(
+                    Violation(
+                        "load-accounting",
+                        f"routing snapshot {snapshot} != scanned load {scanned}",
+                        replica_id=load.replica_id,
+                        request_id=request.request_id,
+                        time=request.arrival_time,
+                    )
+                )
+        if violations:
+            raise InvariantViolationError(violations)
+        self.snapshots_checked += 1
+        return self.inner.choose(loads, request)
+
+    def reset(self) -> None:
+        self.inner.reset()
+
+
+@pytest.fixture(scope="session")
+def scan_checked():
+    """Wrap a ``ClusterSimulator``'s routers in :class:`ScanCheckingRouter`; returns it."""
+
+    def wrap(simulator: ClusterSimulator) -> ClusterSimulator:
+        simulator.router = ScanCheckingRouter(simulator.router, simulator)
+        simulator.decode_router = ScanCheckingRouter(simulator.decode_router, simulator)
+        return simulator
+
+    return wrap
 
 
 @pytest.fixture(scope="session")

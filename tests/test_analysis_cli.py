@@ -1,9 +1,9 @@
-"""CLI, baseline and reporter tests for ``python -m repro.analysis``.
+"""CLI, baseline and reporter tests for ``repro lint``.
 
 Exit-code contract: 0 when nothing is new against the baseline, 1 when at
-least one finding is, 2 on usage errors.  Tests drive :func:`main` directly
-on ``tmp_path`` trees so they never depend on the repo's own sources or its
-committed baseline.
+least one finding is, 2 on usage errors.  Tests drive ``repro lint`` through
+:func:`repro.cli.main` on ``tmp_path`` trees so they never depend on the
+repo's own sources or its committed baseline.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from collections import Counter
 import pytest
 
 from repro.analysis.baseline import load_baseline, subtract_baseline, write_baseline
-from repro.analysis.cli import main
 from repro.analysis.findings import Finding
 from repro.analysis.report import Report, render_json, render_text
+from repro.cli import main as repro_main
 
 CLEAN = "import numpy as np\nrng = np.random.default_rng(7)\n"
 DIRTY = "import numpy as np\nnp.random.shuffle(xs)\ntotal = np.random.random()\n"
@@ -32,8 +32,13 @@ def tree(tmp_path):
     return tmp_path
 
 
+def main(argv):
+    """``repro lint <argv>``."""
+    return repro_main(["lint", *argv])
+
+
 def run_cli(args, tree):
-    """Run main() rooted at the fixture tree, never the repo baseline."""
+    """Run ``repro lint`` rooted at the fixture tree, never the repo baseline."""
     return main([str(tree / "pkg"), "--root", str(tree), *args])
 
 

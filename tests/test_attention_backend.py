@@ -1,12 +1,9 @@
-"""Regression tests for the attention-estimate cache and backend attribution.
+"""Regression tests for the attention-estimate cache.
 
-Pins the two estimator bugs fixed alongside the cluster hot-path refactor:
-
-* the quantized cache key used to bucket 1-2 short-context decodes to
-  ``(0, 0)`` — the *no-decodes* signature — so a hybrid batch could return a
-  cached prefill-only estimate with ``decode_time == 0``;
-* the FA-serial simulate path folded the entire non-attention remainder of
-  the simulated total into ``prefill_time``, skewing per-phase breakdowns.
+Pins the estimator bug fixed alongside the cluster hot-path refactor: the
+quantized cache key used to bucket 1-2 short-context decodes to ``(0, 0)`` —
+the *no-decodes* signature — so a hybrid batch could return a cached
+prefill-only estimate with ``decode_time == 0``.
 
 Plus the fleet-shared estimate memo (``share_estimate_caches``) introduced
 for cluster sweeps.
@@ -67,39 +64,6 @@ class TestQuantizedSignature:
         assert backend.cache_size == 2
 
 
-class TestSimulatePathAttribution:
-    @pytest.fixture(scope="class")
-    def hybrid_estimate(self, llama3_deployment):
-        backend = FASerialBackend(llama3_deployment, mode="simulate")
-        batch = HybridBatch.uniform(512, 2048, 8, 2048)
-        return backend, batch, backend.estimate(batch)
-
-    def test_phases_sum_to_simulated_total(self, hybrid_estimate, llama3_deployment):
-        from repro.attention.executors import FASerial
-
-        backend, batch, estimate = hybrid_estimate
-        result = FASerial(backend.params).run(llama3_deployment, batch, backend._engine)
-        assert estimate.total == pytest.approx(result.total_time, rel=1e-12)
-
-    def test_remainder_split_across_both_phases(self, hybrid_estimate, llama3_deployment):
-        """Neither phase absorbs the whole non-attention remainder."""
-        from repro.attention.executors import FASerial
-
-        backend, batch, estimate = hybrid_estimate
-        result = FASerial(backend.params).run(llama3_deployment, batch, backend._engine)
-        prefill = result.prefill_time or 0.0
-        decode = result.decode_time or 0.0
-        remainder = result.total_time - prefill - decode
-        assert remainder > 0.0  # the regime the bug needed
-        assert estimate.prefill_time > prefill
-        assert estimate.decode_time > decode
-        # Proportional attribution: phase shares of the total match the
-        # phases' shares of the attention time.
-        assert estimate.prefill_time / estimate.total == pytest.approx(
-            prefill / (prefill + decode), rel=1e-9
-        )
-
-
 class TestSharedEstimateCache:
     def test_identical_backends_share_entries(self, llama3_deployment):
         first = PODBackend(llama3_deployment)
@@ -110,10 +74,10 @@ class TestSharedEstimateCache:
         assert second.estimate(SMALL_HYBRID) is estimate
 
     def test_differently_configured_backends_do_not_share(self, llama3_deployment):
-        analytic = FASerialBackend(llama3_deployment, mode="analytic")
-        pod = PODBackend(llama3_deployment, mode="analytic")
-        share_estimate_caches([analytic, pod])
-        analytic.estimate(SMALL_HYBRID)
+        serial = FASerialBackend(llama3_deployment)
+        pod = PODBackend(llama3_deployment)
+        share_estimate_caches([serial, pod])
+        serial.estimate(SMALL_HYBRID)
         assert pod.cache_size == 0
 
     def test_existing_entries_survive_sharing(self, llama3_deployment):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 
-SUBCOMMANDS = ("run", "sweep", "plan", "report", "diff")
+SUBCOMMANDS = ("run", "sweep", "plan", "report", "diff", "lint")
 
 
 def subparser(name):
@@ -75,6 +75,13 @@ class TestHelpSurface:
                 {
                     "--baseline", "--current", "--pattern", "--rtol", "--atol",
                     "--list", "--markdown-summary", "--format", "--out",
+                },
+            ),
+            (
+                "lint",
+                {
+                    "--format", "--rules", "--baseline", "--write-baseline", "--root",
+                    "--list-rules",
                 },
             ),
         ],

@@ -24,11 +24,12 @@ from repro.cluster.control import (
     SHED_OVERLOAD,
     SHED_RATE_LIMIT,
     SHED_TENANT_QUEUE,
+    FleetState,
 )
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.trace import arxiv_workload, with_poisson_arrivals
 from repro.verify import EventRecorder, assert_no_violations
+from repro.workloads import build_scenario
 from repro.workloads.tenants import SLO_CLASSES, TenantSpec, slo_targets
 
 
@@ -41,9 +42,7 @@ def colocated(deployment, num_replicas=1):
 
 
 def burst_trace(num_requests=48, qps=3.0):
-    return with_poisson_arrivals(
-        arxiv_workload(num_requests, seed=5), qps=qps, seed=6
-    )
+    return build_scenario("arxiv-summarization", num_requests, seed=5, qps=qps)
 
 
 class TestPolicyValidation:
@@ -315,6 +314,64 @@ class TestAutoscalerIntegration:
             assert result.makespan == pytest.approx(auto.makespan, rel=1e-12)
             assert result.assignments == auto.assignments
             assert result.metrics.num_scale_ups == auto.metrics.num_scale_ups
+
+
+class _StubReplica:
+    """The two replica attributes ``FleetState`` reads."""
+
+    def __init__(self, clock=0.0, is_drained=True):
+        self.clock = clock
+        self.is_drained = is_drained
+
+
+class TestFleetState:
+    def test_cold_start_warms_then_promotes(self):
+        recorder = EventRecorder(strict_payloads=True)
+        fleet = FleetState(range(2), recorder)
+        fleet.provision(2, now=1.0, ready_at=3.0)
+        assert fleet.live == {0, 1} and fleet.warming == {2: 3.0}
+        fleet.promote(2.5)
+        assert 2 not in fleet.live
+        fleet.promote(3.0)
+        assert fleet.live == {0, 1, 2} and not fleet.warming
+        assert (fleet.num_scale_ups, fleet.peak_replicas) == (1, 3)
+        (event,) = recorder.of_kind("scaled_up")
+        assert (event.time, event.replica_id, event.data["ready_at"]) == (1.0, 2, 3.0)
+
+    def test_zero_cold_start_is_live_at_once(self):
+        fleet = FleetState(range(1))
+        fleet.provision(1, now=2.0, ready_at=2.0)
+        assert fleet.live == {0, 1} and not fleet.warming
+
+    def test_idle_replica_retires_on_the_spot(self):
+        recorder = EventRecorder(strict_payloads=True)
+        fleet = FleetState(range(2), recorder)
+        fleet.drain(1, now=4.0, replica=_StubReplica(clock=5.0))
+        assert fleet.live == {0} and not fleet.draining
+        assert fleet.deactivated_at == {1: 5.0}  # its clock ran past the decision
+        assert [e.kind for e in recorder.events] == ["drain_started", "scaled_down"]
+
+    def test_busy_replica_retires_when_its_drain_completes(self):
+        recorder = EventRecorder(strict_payloads=True)
+        fleet = FleetState(range(2), recorder)
+        replica = _StubReplica(clock=4.0, is_drained=False)
+        fleet.drain(1, now=4.0, replica=replica)
+        assert fleet.draining == {1}
+        replica.clock = 6.0
+        fleet.note_step(1, replica)  # still serving
+        assert fleet.draining == {1} and not fleet.deactivated_at
+        replica.clock, replica.is_drained = 7.5, True
+        fleet.note_step(1, replica)
+        assert not fleet.draining and fleet.deactivated_at == {1: 7.5}
+        (down,) = recorder.of_kind("scaled_down")
+        assert down.time == 7.5
+        assert fleet.num_scale_downs == 1
+
+    def test_ledger_bills_activation_to_retirement_or_run_end(self):
+        fleet = FleetState(range(2))
+        fleet.provision(2, now=3.0, ready_at=5.0)
+        fleet.drain(1, now=4.0, replica=_StubReplica(clock=6.0))
+        assert fleet.active_seconds(makespan=10.0) == {0: 10.0, 1: 6.0, 2: 7.0}
 
 
 class TestDrainPath:

@@ -17,13 +17,13 @@ from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.request import Request, RequestState
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.trace import arxiv_workload, uniform_workload, with_poisson_arrivals
 from repro.verify import single_replica_reference
+from repro.workloads import build_scenario, uniform_workload
 
 
 def tab06_trace(num_requests: int = 64):
     """The Table 6 arXiv-Summarization online trace (scaled request count)."""
-    return with_poisson_arrivals(arxiv_workload(num_requests, seed=17), qps=0.85, seed=18)
+    return build_scenario("arxiv-summarization", num_requests, seed=17, qps=0.85)
 
 
 class TestSingleReplicaEquivalence:
@@ -104,7 +104,7 @@ class TestReadyHeap:
 class TestColocatedCluster:
     @pytest.fixture(scope="class")
     def result(self, llama3_deployment):
-        requests = with_poisson_arrivals(arxiv_workload(48, seed=5), qps=0.85 * 2, seed=6)
+        requests = build_scenario("arxiv-summarization", 48, seed=5, qps=0.85 * 2)
         topology = ColocatedTopology(
             llama3_deployment,
             num_replicas=2,
@@ -138,7 +138,7 @@ class TestColocatedCluster:
             backend_builder=FASerialBackend,
         )
         single = ClusterSimulator(topology).run(
-            with_poisson_arrivals(arxiv_workload(48, seed=5), qps=0.85 * 2, seed=6)
+            build_scenario("arxiv-summarization", 48, seed=5, qps=0.85 * 2)
         )
         assert result.metrics.fleet.makespan < single.makespan
 
@@ -152,7 +152,7 @@ class TestColocatedCluster:
 class TestDisaggregatedCluster:
     @pytest.fixture(scope="class")
     def result(self, llama3_deployment):
-        requests = with_poisson_arrivals(arxiv_workload(48, seed=5), qps=0.85 * 2, seed=6)
+        requests = build_scenario("arxiv-summarization", 48, seed=5, qps=0.85 * 2)
         topology = DisaggregatedTopology(
             llama3_deployment, num_prefill=1, num_decode=1, chunk_size=1024
         )
@@ -183,7 +183,7 @@ class TestDisaggregatedCluster:
     def test_decode_tbt_cleaner_than_colocated(self, llama3_deployment, result):
         """The disaggregation win: decodes never share an iteration with
         prefill chunks, so tail TBT drops versus colocated hybrid serving."""
-        requests = with_poisson_arrivals(arxiv_workload(48, seed=5), qps=0.85 * 2, seed=6)
+        requests = build_scenario("arxiv-summarization", 48, seed=5, qps=0.85 * 2)
         colocated = ClusterSimulator(
             ColocatedTopology(
                 llama3_deployment,
@@ -330,12 +330,13 @@ class TestClusterValidation:
 
 class TestIncrementalLoadAccounting:
     """The heap/counter hot path must be indistinguishable from the
-    reference scan-based routing it replaced."""
+    reference scan-based routing it replaced: ``scan_checked`` checks every
+    routing snapshot against a full outstanding-request scan."""
 
     @pytest.mark.parametrize("topology_kind", ["colocated", "disaggregated"])
     @pytest.mark.parametrize("router", ["least-requests", "least-tokens", "prefill-aware"])
     def test_counter_routing_matches_scan_routing(
-        self, llama3_deployment, topology_kind, router
+        self, llama3_deployment, scan_checked, topology_kind, router
     ):
         def build():
             if topology_kind == "colocated":
@@ -350,11 +351,11 @@ class TestIncrementalLoadAccounting:
 
         requests = tab06_trace(24)
         fast = ClusterSimulator(build(), router=router).run(requests)
-        # debug_validate_loads routes on fresh scans and cross-checks the
-        # incremental counters against them (sampled) as it goes.
-        scanned = ClusterSimulator(build(), router=router, debug_validate_loads=True).run(
-            requests
-        )
+        checked = scan_checked(ClusterSimulator(build(), router=router))
+        scanned = checked.run(requests)
+        assert checked.router.snapshots_checked == len(requests)
+        if topology_kind == "disaggregated":
+            assert checked.decode_router.snapshots_checked == len(scanned.decode_assignments)
         assert fast.assignments == scanned.assignments
         assert fast.decode_assignments == scanned.decode_assignments
         assert fast.metrics.fleet.makespan == scanned.metrics.fleet.makespan
@@ -374,7 +375,7 @@ class TestIncrementalLoadAccounting:
             assert replica.load_prefill_tokens == 0
             assert replica.scan_load() == (0, 0, 0)
 
-    def test_debug_flag_raises_on_corrupted_counter(self, llama3_deployment):
+    def test_scan_router_flags_corrupted_counter(self, llama3_deployment, scan_checked):
         from repro.verify.invariants import InvariantViolationError
 
         topology = ColocatedTopology(
@@ -382,9 +383,7 @@ class TestIncrementalLoadAccounting:
             num_replicas=2,
             scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
         )
-        simulator = ClusterSimulator(
-            topology, router="least-tokens", debug_validate_loads=True
-        )
+        simulator = scan_checked(ClusterSimulator(topology, router="least-tokens"))
         simulator.replicas[0].load_total_tokens += 7  # inject drift
         with pytest.raises(InvariantViolationError, match="load-accounting"):
             simulator.run(tab06_trace(8))

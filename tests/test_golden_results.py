@@ -8,8 +8,12 @@ per chunk), Figure 15 (P:D ratio throughput sweep) and Table 6 (online
 latency, arXiv trace) — through the *library* APIs and pin them to the
 committed artifacts within a tight tolerance.  A perf refactor that silently
 changes reproduced numbers (or a workload refactor that perturbs a seeded
-trace, e.g. the ``serving.trace`` → ``repro.workloads`` delegation) fails
-here instead of shipping.
+trace) fails here instead of shipping.
+
+The committed artifacts are read from the ``results_snapshot`` the session
+took when it started (see the repo-root ``conftest.py``): a tier-1 run
+regenerates ``results/`` in ``benchmarks/`` before these tests run, and
+comparing the code with its own fresh output would pin nothing.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from repro.gpu.engine import ExecutionEngine
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import arxiv_workload, pd_ratio_workload, with_poisson_arrivals
-
-RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
+from repro.workloads import build_scenario, pd_ratio_workload
 
 # Tight enough that any behavioural change to the models trips the test;
 # loose enough to absorb last-ulp float differences across platforms after
@@ -44,8 +46,8 @@ RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 TOLERANCE = dict(rel=2e-3, abs=2e-3)
 
 
-def load_golden(filename: str) -> list[dict[str, object]]:
-    path = RESULTS_DIR / filename
+def load_golden(directory: Path, filename: str) -> list[dict[str, object]]:
+    path = directory / filename
     assert path.exists(), f"committed golden artifact missing: {path}"
     with path.open(newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -83,7 +85,7 @@ def assert_rows_match(golden: list[dict], recomputed: list[dict], context: str) 
 class TestFigure6Golden:
     """Per-layer attention runtime per chunk (Yi-6B, chunk 512, ctx 16K)."""
 
-    def test_matches_committed_csv(self, yi_deployment):
+    def test_matches_committed_csv(self, yi_deployment, results_snapshot):
         engine = ExecutionEngine(yi_deployment.gpu, record_ctas=False)
         recomputed = []
         for decode_batch_size, label in ((54, "w/o quantization"), (55, "w/ quantization")):
@@ -111,7 +113,8 @@ class TestFigure6Golden:
                         "POD_speedup_pct": round(pod.speedup_over(serial) * 100, 1),
                     }
                 )
-        assert_rows_match(load_golden("fig06_chunk_sweep.csv"), recomputed, "fig06")
+        golden = load_golden(results_snapshot, "fig06_chunk_sweep.csv")
+        assert_rows_match(golden, recomputed, "fig06")
 
 
 class TestFigure15Golden:
@@ -126,7 +129,7 @@ class TestFigure15Golden:
         metrics = simulator.run(requests).metrics.fleet
         return metrics.requests_per_minute, metrics.hybrid_iteration_fraction
 
-    def test_matches_committed_csv(self, llama3_deployment, single_replica):
+    def test_matches_committed_csv(self, llama3_deployment, single_replica, results_snapshot):
         recomputed = []
         for pd_ratio in (8, 12, 16, 20, 24):
             sarathi, hybrid_fraction = self._throughput(
@@ -144,7 +147,8 @@ class TestFigure15Golden:
                     "hybrid_iteration_pct": round(hybrid_fraction * 100, 1),
                 }
             )
-        assert_rows_match(load_golden("fig15_pd_ratio.csv"), recomputed, "fig15")
+        golden = load_golden(results_snapshot, "fig15_pd_ratio.csv")
+        assert_rows_match(golden, recomputed, "fig15")
 
 
 class TestFigure16Golden:
@@ -162,8 +166,8 @@ class TestFigure16Golden:
         ("colocated", "prefill-aware", 4),
     )
 
-    def test_matches_committed_csv(self):
-        golden = load_golden("fig16_cluster_scaling.csv")
+    def test_matches_committed_csv(self, results_snapshot):
+        golden = load_golden(results_snapshot, "fig16_cluster_scaling.csv")
         by_key = {
             (row["topology"], row["router"], int(row["replicas"])): row for row in golden
         }
@@ -201,8 +205,8 @@ class TestFigure17Golden:
     )
     CLUSTER_SCENARIO = "code-completion-surge"
 
-    def test_single_replica_rows_match(self, llama3_deployment):
-        golden = load_golden("fig17_scenario_sweep.csv")
+    def test_single_replica_rows_match(self, llama3_deployment, results_snapshot):
+        golden = load_golden(results_snapshot, "fig17_scenario_sweep.csv")
         by_key = {(row["scenario"], row["mode"], row["system"]): row for row in golden}
         for scenario, system in self.SINGLE_SUBSET:
             key = (scenario, "single", system)
@@ -212,8 +216,8 @@ class TestFigure17Golden:
             recomputed["util_mean"] = ""
             assert_rows_match([by_key[key]], [recomputed], f"fig17 {key}")
 
-    def test_cluster_row_matches(self):
-        golden = load_golden("fig17_scenario_sweep.csv")
+    def test_cluster_row_matches(self, results_snapshot):
+        golden = load_golden(results_snapshot, "fig17_scenario_sweep.csv")
         by_key = {(row["scenario"], row["mode"], row["system"]): row for row in golden}
         key = (self.CLUSTER_SCENARIO, "cluster-x4", "Sarathi+POD")
         assert key in by_key, f"fig17: committed CSV lost row {key}"
@@ -229,11 +233,10 @@ class TestFigure17Golden:
 
 
 class TestTable6Golden:
-    """Online latency on the arXiv trace — exercises the full compatibility
-    path: ``arxiv_workload`` + ``with_poisson_arrivals`` wrappers over the
-    new ``repro.workloads`` generators must reproduce the committed rows."""
+    """Online latency on the arXiv trace: the ``arxiv-summarization`` scenario
+    must reproduce the committed rows."""
 
-    def test_matches_committed_csv(self, llama3_deployment, single_replica):
+    def test_matches_committed_csv(self, llama3_deployment, single_replica, results_snapshot):
         recomputed = []
         for qps in (0.85, 0.95):
             systems = {
@@ -248,9 +251,7 @@ class TestTable6Golden:
                 ),
             }
             for system, (scheduler, backend) in systems.items():
-                requests = with_poisson_arrivals(
-                    arxiv_workload(160, seed=17), qps=qps, seed=18
-                )
+                requests = build_scenario("arxiv-summarization", 160, seed=17, qps=qps)
                 simulator = single_replica(llama3_deployment, scheduler=scheduler, backend=backend)
                 metrics = simulator.run(requests).metrics.fleet
                 recomputed.append(
@@ -268,4 +269,5 @@ class TestTable6Golden:
                         "stalls_500ms_pct": round(metrics.stall_fraction_500ms * 100, 1),
                     }
                 )
-        assert_rows_match(load_golden("tab06_online_arxiv.csv"), recomputed, "tab06")
+        golden = load_golden(results_snapshot, "tab06_online_arxiv.csv")
+        assert_rows_match(golden, recomputed, "tab06")

@@ -162,7 +162,7 @@ class TestControlGauges:
             ControlPlane,
         )
         from repro.serving.scheduler_sarathi import SarathiScheduler
-        from repro.serving.trace import arxiv_workload, with_poisson_arrivals
+        from repro.workloads import build_scenario
 
         telemetry = Telemetry(sample_interval=1.0)
         control = ControlPlane(
@@ -184,9 +184,7 @@ class TestControlGauges:
         simulator = ClusterSimulator(
             topology, router="least-tokens", recorder=telemetry, control=control
         )
-        result = simulator.run(
-            with_poisson_arrivals(arxiv_workload(48, seed=5), qps=3.0, seed=6)
-        )
+        result = simulator.run(build_scenario("arxiv-summarization", 48, seed=5, qps=3.0))
         telemetry.finalize()
         return telemetry, result
 

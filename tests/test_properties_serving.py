@@ -23,7 +23,7 @@ from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
 from repro.verify.fuzzer import build_fuzz_requests, fuzz_configs
 from repro.verify.invariants import check_replica_load_counters
-from repro.serving.trace import with_poisson_arrivals
+from repro.workloads import PoissonArrivals
 
 DEPLOYMENT = paper_deployment("llama-3-8b")
 
@@ -92,7 +92,7 @@ def test_kv_blocks_freed_when_replica_drains(specs, scheduler_cls):
     qps=st.floats(0.5, 20.0),
 )
 def test_router_never_drops_a_request_colocated(specs, router, num_replicas, qps):
-    requests = with_poisson_arrivals(make_requests(specs), qps=qps, seed=7)
+    requests = PoissonArrivals(qps).assign(make_requests(specs), seed=7)
     topology = ColocatedTopology(
         DEPLOYMENT,
         num_replicas=num_replicas,
@@ -112,7 +112,7 @@ def test_router_never_drops_a_request_colocated(specs, router, num_replicas, qps
     num_decode=st.integers(1, 2),
 )
 def test_router_never_drops_a_request_disaggregated(specs, router, num_decode):
-    requests = with_poisson_arrivals(make_requests(specs), qps=4.0, seed=13)
+    requests = PoissonArrivals(4.0).assign(make_requests(specs), seed=13)
     topology = DisaggregatedTopology(
         DEPLOYMENT, num_prefill=1, num_decode=num_decode, chunk_size=1024
     )
@@ -130,7 +130,7 @@ def test_router_never_drops_a_request_disaggregated(specs, router, num_decode):
 @settings(max_examples=10, deadline=None)
 @given(specs=request_specs, arrivals=st.floats(0.5, 5.0))
 def test_single_replica_run_does_not_mutate_caller_requests(specs, arrivals):
-    requests = with_poisson_arrivals(make_requests(specs), qps=arrivals, seed=3)
+    requests = PoissonArrivals(arrivals).assign(make_requests(specs), seed=3)
     original_arrivals = [r.arrival_time for r in requests]
     original_states = [r.state for r in requests]
     topology = ColocatedTopology(
@@ -175,16 +175,15 @@ def test_load_counters_match_scan_under_fuzzed_scenarios(config):
 
 @settings(max_examples=8, deadline=None)
 @given(config=fuzz_configs())
-def test_cluster_load_validation_passes_under_fuzzed_scenarios(config):
-    """A cluster routed on reference scans with counter cross-checking
-    (``debug_validate_loads``) drains every fuzzed trace without drift."""
+def test_cluster_load_validation_passes_under_fuzzed_scenarios(scan_checked, config):
+    """A cluster whose every routing snapshot is checked against a full
+    outstanding-request scan (``scan_checked``) drains every fuzzed trace
+    without drift."""
     requests = build_fuzz_requests(config)
     topology = ColocatedTopology(
         DEPLOYMENT,
         num_replicas=2,
         scheduler_factory=lambda: SarathiScheduler(chunk_size=config.chunk_size),
     )
-    result = ClusterSimulator(
-        topology, router="least-tokens", debug_validate_loads=True
-    ).run(requests)
+    result = scan_checked(ClusterSimulator(topology, router="least-tokens")).run(requests)
     assert all(request.is_finished for request in result.requests)

@@ -20,8 +20,8 @@ from repro.serving.metrics import (
     slo_attainment,
 )
 from repro.serving.request import Request
-from repro.serving.trace import describe_workload
 from repro.utils.stats import percentile
+from repro.workloads import describe_workload
 
 
 def finished_request(

@@ -79,6 +79,12 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             Request(request_id=0, prefill_tokens=1, decode_tokens=0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        """A NaN arrival used to be accepted, and a run holding one never drained."""
+        with pytest.raises(ValueError, match="arrival_time must be >= 0"):
+            Request(request_id=0, prefill_tokens=8, decode_tokens=2, arrival_time=arrival)
+
 
 class TestMakeRequests:
     def test_builds_ids_and_arrivals(self):

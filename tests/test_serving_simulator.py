@@ -10,8 +10,8 @@ from repro.serving.metrics import compute_metrics
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import uniform_workload, with_poisson_arrivals
 from repro.verify import STEP, EventRecorder
+from repro.workloads import PoissonArrivals, uniform_workload
 
 
 class TestScheduledBatch:
@@ -57,11 +57,6 @@ class TestBackends:
         backend.estimate(medium_hybrid_batch)
         backend.estimate(medium_hybrid_batch)
         assert backend.cache_size == 1
-
-    def test_simulate_mode_agrees_with_analytic(self, llama3_deployment, small_hybrid_batch):
-        analytic = FASerialBackend(llama3_deployment, mode="analytic").estimate(small_hybrid_batch)
-        simulated = FASerialBackend(llama3_deployment, mode="simulate").estimate(small_hybrid_batch)
-        assert simulated.total == pytest.approx(analytic.total, rel=0.4)
 
 
 class TestOfflineServing:
@@ -114,8 +109,8 @@ class TestOfflineServing:
         """Tables 5-6 direction: vLLM pauses decodes for prefills, Sarathi does not."""
 
         def run(scheduler):
-            requests = with_poisson_arrivals(
-                uniform_workload(12, prefill_tokens=8192, decode_tokens=128), qps=1.5, seed=3
+            requests = PoissonArrivals(1.5).assign(
+                uniform_workload(12, prefill_tokens=8192, decode_tokens=128), seed=3
             )
             simulator = single_replica(
                 llama3_deployment, scheduler=scheduler, backend=FASerialBackend(llama3_deployment)
@@ -141,7 +136,7 @@ class TestSimulatorValidation:
 
     def test_arrival_times_respected(self, llama3_deployment, single_replica):
         requests = uniform_workload(4, prefill_tokens=2048, decode_tokens=16)
-        requests = with_poisson_arrivals(requests, qps=0.5, seed=1)
+        requests = PoissonArrivals(0.5).assign(requests, seed=1)
         simulator = single_replica(
             llama3_deployment,
             scheduler=SarathiScheduler(chunk_size=2048),

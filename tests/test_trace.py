@@ -1,17 +1,18 @@
-"""Tests for the synthetic workload generators."""
+"""Tests for the paper's workload generators (``repro.workloads``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serving.trace import (
-    arxiv_workload,
+from repro.cluster.sweep import ClusterSweepPoint, build_point_trace
+from repro.workloads import (
+    ArxivShape,
+    InternalShape,
+    PoissonArrivals,
+    build_scenario,
     describe_workload,
-    get_workload,
-    internal_workload,
     pd_ratio_workload,
     uniform_workload,
-    with_poisson_arrivals,
 )
 
 
@@ -38,59 +39,68 @@ class TestUniformWorkloads:
 class TestPaperWorkloads:
     def test_internal_workload_statistics(self):
         """Matches the published statistics: mean context ~10.5K, mean decode ~331."""
-        stats = describe_workload(internal_workload(2048, seed=0))
+        stats = describe_workload(InternalShape().build(2048, seed=0))
         assert stats.mean_context_tokens == pytest.approx(10_500, rel=0.12)
         assert stats.mean_decode_tokens == pytest.approx(331, rel=0.35)
         assert stats.mean_pd_ratio < 40
 
     def test_arxiv_workload_statistics(self):
         """Mean context ~9.5K and ~42% more decode tokens than the internal workload."""
-        arxiv_stats = describe_workload(arxiv_workload(2048, seed=1))
-        internal_stats = describe_workload(internal_workload(2048, seed=0))
+        arxiv_stats = describe_workload(ArxivShape().build(2048, seed=1))
+        internal_stats = describe_workload(InternalShape().build(2048, seed=0))
         assert arxiv_stats.mean_context_tokens == pytest.approx(9_500, rel=0.12)
         assert arxiv_stats.mean_decode_tokens > 1.2 * internal_stats.mean_decode_tokens
 
     def test_context_lengths_within_paper_range(self):
-        for request in internal_workload(512, seed=2):
+        for request in InternalShape().build(512, seed=2):
             total = request.prefill_tokens + request.decode_tokens
             assert 4096 * 0.9 <= total <= 32768 * 1.1
 
     def test_deterministic_given_seed(self):
-        a = internal_workload(64, seed=7)
-        b = internal_workload(64, seed=7)
+        a = InternalShape().build(64, seed=7)
+        b = InternalShape().build(64, seed=7)
         assert [(r.prefill_tokens, r.decode_tokens) for r in a] == [
             (r.prefill_tokens, r.decode_tokens) for r in b
         ]
 
     def test_different_seeds_differ(self):
-        a = internal_workload(64, seed=1)
-        b = internal_workload(64, seed=2)
+        a = InternalShape().build(64, seed=1)
+        b = InternalShape().build(64, seed=2)
         assert [(r.prefill_tokens, r.decode_tokens) for r in a] != [
             (r.prefill_tokens, r.decode_tokens) for r in b
         ]
 
     def test_get_workload(self):
-        assert len(get_workload("internal", num_requests=16)) == 16
-        assert len(get_workload("arxiv", num_requests=16)) == 16
+        """Sweep points name the paper's traces by their historical labels."""
+        labels = (("internal", "enterprise-internal"), ("arxiv", "arxiv-summarization"))
+        for label, scenario in labels:
+            point = ClusterSweepPoint(
+                num_replicas=2, workload=label, requests_per_replica=8, seed=3
+            )
+            trace = build_point_trace(point)
+            expected = build_scenario(scenario, 16, seed=3, qps=point.qps)
+            assert [(r.prefill_tokens, r.decode_tokens, r.arrival_time) for r in trace] == [
+                (r.prefill_tokens, r.decode_tokens, r.arrival_time) for r in expected
+            ]
         with pytest.raises(ValueError):
-            get_workload("sharegpt")
+            build_point_trace(ClusterSweepPoint(num_replicas=1, workload="sharegpt"))
 
 
 class TestPoissonArrivals:
     def test_arrivals_are_increasing(self):
-        requests = with_poisson_arrivals(uniform_workload(100, 1000, 10), qps=2.0, seed=0)
+        requests = PoissonArrivals(2.0).assign(uniform_workload(100, 1000, 10), seed=0)
         arrivals = [r.arrival_time for r in requests]
         assert arrivals == sorted(arrivals)
         assert arrivals[0] > 0
 
     def test_mean_rate_close_to_qps(self):
-        requests = with_poisson_arrivals(uniform_workload(2000, 1000, 10), qps=1.1, seed=3)
+        requests = PoissonArrivals(1.1).assign(uniform_workload(2000, 1000, 10), seed=3)
         duration = requests[-1].arrival_time
         assert 2000 / duration == pytest.approx(1.1, rel=0.1)
 
     def test_invalid_qps(self):
         with pytest.raises(ValueError):
-            with_poisson_arrivals(uniform_workload(4, 100, 10), qps=0.0)
+            PoissonArrivals(0.0)
 
     def test_describe_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,11 @@ class TestCheckPositive:
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="x must be > 0"):
+            check_positive("x", value)
+
 
 class TestCheckNonNegative:
     def test_accepts_zero(self):
@@ -58,6 +63,11 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_non_negative("x", -1e-9)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            check_non_negative("x", value)
 
 
 class TestCheckInChoices:

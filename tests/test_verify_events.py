@@ -8,7 +8,6 @@ from repro.cluster import ClusterSimulator, ColocatedTopology, DisaggregatedTopo
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler_sarathi import SarathiScheduler
-from repro.serving.trace import arxiv_workload, with_poisson_arrivals
 from repro.verify import (
     ARRIVAL,
     BATCH_FORMED,
@@ -25,10 +24,11 @@ from repro.verify import (
     TRANSFER_START,
     merge_events,
 )
+from repro.workloads import build_scenario
 
 
 def small_trace(num_requests=6, qps=2.0):
-    return with_poisson_arrivals(arxiv_workload(num_requests, seed=11), qps=qps, seed=12)
+    return build_scenario("arxiv-summarization", num_requests, seed=11, qps=qps)
 
 
 class TestEventRecorder:

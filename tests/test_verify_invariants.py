@@ -16,7 +16,6 @@ from repro.cluster import ClusterSimulator, ColocatedTopology, DisaggregatedTopo
 from repro.serving.attention_backend import FASerialBackend
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.serving.trace import arxiv_workload, with_poisson_arrivals
 from repro.verify import (
     CHUNK_EXECUTED,
     COMPLETED,
@@ -26,10 +25,11 @@ from repro.verify import (
     assert_no_violations,
     check_event_log,
 )
+from repro.workloads import build_scenario
 
 
 def trace(num_requests=6, qps=2.0):
-    return with_poisson_arrivals(arxiv_workload(num_requests, seed=11), qps=qps, seed=12)
+    return build_scenario("arxiv-summarization", num_requests, seed=11, qps=qps)
 
 
 def record_single(deployment, scheduler) -> EventRecorder:
@@ -434,6 +434,16 @@ class TestScalingCausalityViolations:
         ]
         found = violations_of(events, "scaling-causality")
         assert any("retired replica" in v.message for v in found)
+
+    def test_retired_replica_runs_no_iteration(self):
+        """A replica leaves the fleet only once drained: it never steps again."""
+        events = [
+            Event("drain_started", 1.0, 0, -1, {}),
+            Event("scaled_down", 1.5, 0, -1, {}),
+            Event("step", 2.0, 0, -1, {"duration": 0.1}),
+        ]
+        found = violations_of(events, "scaling-causality")
+        assert any("retired replica ran an iteration" in v.message for v in found)
 
     def test_scaled_down_without_drain(self):
         events = [Event("scaled_down", 1.0, 0, -1, {})]

@@ -29,6 +29,7 @@ from repro.workloads import (
     save_trace,
     scenario_table,
     slo_targets,
+    uniform_workload,
 )
 
 
@@ -86,12 +87,12 @@ class TestRegistries:
 
 
 class TestArrivalProcesses:
-    def test_poisson_matches_legacy_wrapper(self):
-        from repro.serving.trace import uniform_workload, with_poisson_arrivals
-
-        legacy = with_poisson_arrivals(uniform_workload(50, 100, 10), qps=2.0, seed=9)
+    def test_poisson_assign_matches_times(self):
+        requests = uniform_workload(50, 100, 10)
+        assigned = PoissonArrivals(2.0).assign(requests, seed=9)
         times = PoissonArrivals(2.0).times(50, seed=9)
-        assert [r.arrival_time for r in legacy] == times
+        assert [r.arrival_time for r in assigned] == times
+        assert [r.arrival_time for r in requests] == times  # assigned in place
 
     def test_diurnal_rate_oscillates_around_qps(self):
         process = DiurnalArrivals(qps=4.0, period=100.0, depth=0.5)
@@ -185,6 +186,22 @@ class TestTraceIO:
         path = tmp_path / "short.csv"
         path.write_text("request_id,arrival_time,prefill_tokens,decode_tokens,tenant\n0,1.0,5\n")
         with pytest.raises(ValueError, match="expected 5 fields"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("1,nan,64,4,", "arrival_time"),
+            ("1,inf,64,4,", "arrival_time"),
+            ("1,-0.5,64,4,", "arrival_time"),
+            ("1,0.5,x,4,", "invalid literal"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, field):
+        path = tmp_path / "bad_row.csv"
+        header = "request_id,arrival_time,prefill_tokens,decode_tokens,tenant"
+        path.write_text(f"{header}\n0,0.1,64,4,\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad_row.csv:3: .*{field}"):
             load_trace(path)
 
     def test_replay_through_simulator(self, tmp_path, llama3_deployment, single_replica):

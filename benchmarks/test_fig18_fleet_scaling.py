@@ -32,8 +32,8 @@ from repro.cluster.sweep import run_cluster_sweep
 
 FLEET_SIZES = (8, 16, 32)
 #: The 64-replica point roughly doubles the job's simulation work, so it runs
-#: only in the nightly schedule (which skips the perf gate — the committed
-#: baseline holds the default sizes).
+#: only in the nightly schedule.  The committed baseline holds the default
+#: sizes, so the nightly table goes to its own ``*_nightly`` files.
 NIGHTLY_FLEET_SIZES = (64,)
 ROUTERS = ("least-tokens", "prefill-aware")
 TOPOLOGIES = ("colocated", "disaggregated")
@@ -45,11 +45,19 @@ def fleet_sizes() -> tuple[int, ...]:
     return FLEET_SIZES
 
 
+def artifact_stem() -> str:
+    """The ``results/`` file stem: only the default sweep writes the committed table."""
+    if fleet_sizes() == FLEET_SIZES:
+        return "fig18_fleet_scaling"
+    return "fig18_fleet_scaling_nightly"
+
+
 def test_figure18(benchmark, report):
     sizes = fleet_sizes()
+    stem = artifact_stem()
     table, finish = report(
         "Figure 18: fleet scaling, router x topology x 8-64 replicas (Llama-3-8B, arXiv trace)",
-        "fig18_fleet_scaling.csv",
+        f"{stem}.csv",
     )
 
     def run() -> None:
@@ -60,7 +68,7 @@ def test_figure18(benchmark, report):
 
     run_once(benchmark, run)
     result = finish()
-    result.save_json(default_results_dir() / "fig18_fleet_scaling.json")
+    result.save_json(default_results_dir() / f"{stem}.json")
 
     assert len(result.rows) == len(sizes) * len(ROUTERS) * len(TOPOLOGIES)
     by_key = {(row["topology"], row["router"], row["replicas"]): row for row in result.rows}

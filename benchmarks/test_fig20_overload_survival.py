@@ -28,17 +28,25 @@ from conftest import run_once
 
 from repro.bench.control_rows import (
     FIG20_POLICIES,
+    FIG20_SURGE_FACTORS,
     fig20_row,
     fig20_surge_factors,
 )
 from repro.bench.reporting import default_results_dir
 
 
+def artifact_stem() -> str:
+    """The ``results/`` file stem: only the default sweep writes the committed table."""
+    if fig20_surge_factors() == FIG20_SURGE_FACTORS:
+        return "fig20_overload_survival"
+    return "fig20_overload_survival_nightly"
+
+
 def test_figure20(benchmark, llama3_deployment, report):
     surge_factors = fig20_surge_factors()
     table, finish = report(
         "Figure 20: overload survival — surge magnitude x control policy",
-        "fig20_overload_survival.csv",
+        f"{artifact_stem()}.csv",
     )
 
     def run() -> None:
@@ -48,7 +56,7 @@ def test_figure20(benchmark, llama3_deployment, report):
 
     run_once(benchmark, run)
     result = finish()
-    result.save_json(default_results_dir() / "fig20_overload_survival.json")
+    result.save_json(default_results_dir() / f"{artifact_stem()}.json")
 
     assert len(result.rows) == len(surge_factors) * len(FIG20_POLICIES)
 
@@ -110,7 +118,7 @@ def test_figure20(benchmark, llama3_deployment, report):
 
 def test_figure20_json_artifact():
     """The JSON artifact mirrors the CSV rows (written by test_figure20)."""
-    path = default_results_dir() / "fig20_overload_survival.json"
+    path = default_results_dir() / f"{artifact_stem()}.json"
     assert path.exists(), "run test_figure20 first (pytest runs files in order)"
     payload = json.loads(path.read_text())
     assert payload["rows"], "fig20 JSON artifact has no rows"

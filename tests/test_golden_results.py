@@ -11,9 +11,9 @@ changes reproduced numbers (or a workload refactor that perturbs a seeded
 trace) fails here instead of shipping.
 
 The committed artifacts are read from the ``results_snapshot`` the session
-took when it started (see the repo-root ``conftest.py``): a tier-1 run
-regenerates ``results/`` in ``benchmarks/`` before these tests run, and
-comparing the code with its own fresh output would pin nothing.
+took of ``HEAD`` when it started (see the repo-root ``conftest.py``): a
+tier-1 run regenerates ``results/`` in ``benchmarks/`` before these tests
+run, and comparing the code with its own fresh output would pin nothing.
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ def _occupancy_for(deployment: Deployment, threads: int, shared_mem: int, regs: 
     return max_resident_ctas(deployment.gpu, probe)
 
 
-def analytic_prefill_time(
+def _prefill_time(
     deployment: Deployment, batch: HybridBatch, params: AttentionCostParams | None = None
 ) -> float:
     """Analytic estimate of the FA prefill kernel's time for this batch."""
@@ -105,7 +105,7 @@ def analytic_prefill_time(
     return _kernel_time(deployment, works, occupancy)
 
 
-def analytic_decode_time(
+def _decode_time(
     deployment: Deployment, batch: HybridBatch, params: AttentionCostParams | None = None
 ) -> float:
     """Analytic estimate of the FA decode kernel's time for this batch."""
@@ -133,8 +133,8 @@ def analytic_attention_times(
     the event-driven simulator.
     """
     params = params or AttentionCostParams()
-    prefill_time = analytic_prefill_time(deployment, batch, params)
-    decode_time = analytic_decode_time(deployment, batch, params)
+    prefill_time = _prefill_time(deployment, batch, params)
+    decode_time = _decode_time(deployment, batch, params)
     serial_time = prefill_time + decode_time
 
     # Fused: POD's decode tiles shrink to 16 query rows, removing most of the

@@ -1,7 +1,8 @@
 """Tile-level cost model: hybrid batches → per-CTA FLOP/byte workloads.
 
 This module translates attention tile schedules into the :class:`CTAWork`
-units consumed by the GPU execution engine.  It encodes the facts the paper's
+units consumed by the GPU execution engine and into the :class:`CTAAggregate`
+totals consumed by the analytic model.  It encodes the facts the paper's
 argument is built on:
 
 * prefill attention performs ``4 * tile_q * kv * head_dim`` FLOPs per CTA and
@@ -13,12 +14,18 @@ argument is built on:
   output / query traffic (Table 8);
 * grouped-query attention determines how many query heads share one KV head,
   and therefore both the padding waste and the L2 reuse factor.
+
+Each phase computes its per-CTA cost once, as one row per distinct CTA: a
+prefill query tile has ``q_heads × splits`` identical CTAs and a decode
+request ``kv_heads × splits``.  The same rows feed both paths: the CTA
+builders expand them for the engine and the aggregates sum them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.attention.workload import DecodeRequest, HybridBatch, PrefillChunk
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
@@ -133,6 +140,72 @@ def _round_up(value: int, multiple: int) -> int:
 
 
 # --------------------------------------------------------------------------
+# Rows: one per distinct CTA
+# --------------------------------------------------------------------------
+#
+# A row is the (effective FLOPs, effective DRAM bytes) of one distinct CTA; each
+# phase's row function also returns how many identical copies each row stands
+# for.  The builders expand rows into a kernel's launch layout for the engine,
+# and the aggregates sum them for the analytic model (which only needs a
+# kernel's CTA count, FLOPs, bytes and fixed time), so the two cannot diverge.
+
+_Row = tuple[float, float]
+
+
+@dataclass(frozen=True)
+class CTAAggregate:
+    """Reduction of a CTA work list: count plus the resource totals."""
+
+    count: int
+    total_flops: float
+    total_dram_bytes: float
+    max_fixed_time: float
+
+    @classmethod
+    def empty(cls) -> "CTAAggregate":
+        return cls(count=0, total_flops=0.0, total_dram_bytes=0.0, max_fixed_time=0.0)
+
+    @classmethod
+    def of(cls, works: list[CTAWork]) -> "CTAAggregate":
+        """Reduce an explicit work list (reference for the row sums)."""
+        if not works:
+            return cls.empty()
+        return cls(
+            count=len(works),
+            total_flops=sum(w.flops for w in works),
+            total_dram_bytes=sum(w.dram_bytes for w in works),
+            max_fixed_time=max(w.fixed_time for w in works),
+        )
+
+    def merge(self, other: "CTAAggregate") -> "CTAAggregate":
+        return CTAAggregate(
+            count=self.count + other.count,
+            total_flops=self.total_flops + other.total_flops,
+            total_dram_bytes=self.total_dram_bytes + other.total_dram_bytes,
+            max_fixed_time=max(self.max_fixed_time, other.max_fixed_time),
+        )
+
+
+def _ctas(rows: list[_Row], tag: str, params: AttentionCostParams) -> list[CTAWork]:
+    """One :class:`CTAWork` per row; the builders repeat it for every copy."""
+    return [
+        CTAWork(flops=flops, dram_bytes=dram, tag=tag, fixed_time=params.cta_fixed_overhead)
+        for flops, dram in rows
+    ]
+
+
+def _aggregate(rows: list[_Row], copies: int, params: AttentionCostParams) -> CTAAggregate:
+    """Sum the rows, each counted ``copies`` times, in row order."""
+    count = len(rows) * copies
+    return CTAAggregate(
+        count=count,
+        total_flops=sum((flops * copies for flops, _ in rows), 0.0),
+        total_dram_bytes=sum((dram * copies for _, dram in rows), 0.0),
+        max_fixed_time=params.cta_fixed_overhead if count else 0.0,
+    )
+
+
+# --------------------------------------------------------------------------
 # Prefill
 # --------------------------------------------------------------------------
 
@@ -170,35 +243,32 @@ def default_prefill_splits(
     return splits
 
 
-def _prefill_kv_miss_model(
+def _prefill_dram_kv_cap(
     deployment: Deployment,
     chunk: PrefillChunk,
     q_tiles: int,
     num_splits: int,
     params: AttentionCostParams,
-) -> tuple[float, float]:
-    """L2 reuse model for a chunk's KV reads: (unique_kv_bytes, miss_factor).
+) -> float:
+    """L2 reuse model: the most KV bytes a chunk's CTAs pull from DRAM.
 
     Every CTA of a KV head group streams that head's visible KV.  The unique
     KV working set usually fits (or nearly fits) in L2, so DRAM traffic is
-    far below the nominal sum of per-CTA reads.  Shared by the object-based
-    builder and the closed-form aggregate so the two can never diverge.
+    far below the nominal sum of per-CTA reads.
     """
     model = deployment.model
     unique_kv_bytes = (
         chunk.total_context * model.head_dim * 2 * model.dtype_bytes
         * deployment.kv_heads_per_gpu
     )
-    readers_per_kv_head = q_tiles * deployment.group_size * num_splits
     l2_capacity = params.l2_usable_fraction * deployment.gpu.l2_bytes
     if unique_kv_bytes <= l2_capacity:
-        miss_factor = params.cold_miss_factor
-    else:
-        miss_factor = min(
-            float(readers_per_kv_head),
-            params.cold_miss_factor * unique_kv_bytes / l2_capacity,
-        )
-    return unique_kv_bytes, miss_factor
+        return unique_kv_bytes * params.cold_miss_factor
+    readers_per_kv_head = q_tiles * deployment.group_size * num_splits
+    return unique_kv_bytes * min(
+        float(readers_per_kv_head),
+        params.cold_miss_factor * unique_kv_bytes / l2_capacity,
+    )
 
 
 def _prefill_tile_kv_extent(chunk: PrefillChunk, tile: TileShape, q_tile_idx: int) -> int:
@@ -208,6 +278,50 @@ def _prefill_tile_kv_extent(chunk: PrefillChunk, tile: TileShape, q_tile_idx: in
         chunk.prior_tokens + (q_tile_idx + 1) * tile.tile_q,
     )
     return min(chunk.total_context, _round_up(kv_extent, tile.tile_kv))
+
+
+def _prefill_rows(
+    deployment: Deployment,
+    chunk: PrefillChunk,
+    tile: TileShape,
+    num_splits: int,
+    params: AttentionCostParams,
+) -> tuple[list[_Row], int]:
+    """One row per query tile of a chunk, and its copies (``q_heads × splits``).
+
+    A CTA pads its query rows to the full tile length and reads one of
+    ``num_splits`` equal slices of its tile's causal KV extent, so the CTAs of
+    one tile are identical across query heads and KV splits.
+    """
+    model = deployment.model
+    head_dim = model.head_dim
+    dtype = model.dtype_bytes
+    q_tiles = math.ceil(chunk.chunk_tokens / tile.tile_q)
+    copies = deployment.q_heads_per_gpu * num_splits
+
+    q_rows = tile.tile_q  # kernels pad the last tile to full tile length
+    split = num_splits > 1
+    q_bytes = q_rows * head_dim * dtype
+    out_bytes = q_rows * head_dim * (params.partial_accumulator_bytes if split else dtype)
+    # Partial outputs are re-read by the reduction pass.
+    extra_split_bytes = q_rows * head_dim * params.partial_accumulator_bytes if split else 0.0
+    base_dram = params.effective_bytes(q_bytes + out_bytes + extra_split_bytes)
+
+    tiles: list[_Row] = []  # (effective FLOPs, nominal KV bytes) of each query tile
+    nominal_total = 0.0
+    for q_tile_idx in range(q_tiles):
+        kv_span = _prefill_tile_kv_extent(chunk, tile, q_tile_idx) / num_splits
+        raw_flops = 4.0 * q_rows * kv_span * head_dim
+        kv_bytes = kv_span * head_dim * 2 * dtype
+        tiles.append((params.effective_prefill_flops(raw_flops, tile.tile_q), kv_bytes))
+        nominal_total += kv_bytes * copies
+
+    # Distribute the modelled DRAM KV traffic across CTAs in proportion to
+    # their nominal reads.
+    kv_cap = _prefill_dram_kv_cap(deployment, chunk, q_tiles, num_splits, params)
+    scale = min(nominal_total, kv_cap) / nominal_total
+    rows = [(flops, base_dram + params.effective_bytes(kv * scale)) for flops, kv in tiles]
+    return rows, copies
 
 
 def prefill_cta_works(
@@ -221,71 +335,27 @@ def prefill_cta_works(
     """Per-CTA work of one prefill chunk's attention.
 
     CTAs are laid out as ``(q_head, q_tile, kv_split)`` in row-major order,
-    matching how FlashAttention-2 parallelises chunked prefill.
+    matching how FlashAttention-2 parallelises chunked prefill: ``q_heads``
+    repeats of the query-tile sequence, each tile repeated ``num_splits`` times.
     """
     params = params or AttentionCostParams()
-    model = deployment.model
-    head_dim = model.head_dim
-    dtype = model.dtype_bytes
-    q_heads = deployment.q_heads_per_gpu
-
-    q_tiles = math.ceil(chunk.chunk_tokens / tile.tile_q)
     num_splits = max(1, num_splits)
+    rows, _ = _prefill_rows(deployment, chunk, tile, num_splits, params)
+    head = [cta for cta in _ctas(rows, tag, params) for _ in range(num_splits)]
+    return head * deployment.q_heads_per_gpu
 
-    unique_kv_bytes, miss_factor = _prefill_kv_miss_model(
-        deployment, chunk, q_tiles, num_splits, params
-    )
-    nominal_total = 0.0
-    per_cta_nominal: list[float] = []
 
-    works: list[CTAWork] = []
-    for q_head in range(q_heads):
-        for q_tile_idx in range(q_tiles):
-            rows = tile.tile_q  # kernels pad the last tile to full tile length
-            kv_extent = _prefill_tile_kv_extent(chunk, tile, q_tile_idx)
-            for split in range(num_splits):
-                kv_span = kv_extent / num_splits
-                raw_flops = 4.0 * rows * kv_span * head_dim
-                flops = params.effective_prefill_flops(raw_flops, tile.tile_q)
-                kv_bytes = kv_span * head_dim * 2 * dtype
-                q_bytes = rows * head_dim * dtype
-                out_bytes = rows * head_dim * (
-                    params.partial_accumulator_bytes if num_splits > 1 else dtype
-                )
-                extra_split_bytes = 0.0
-                if num_splits > 1:
-                    # Partial outputs are re-read by the reduction pass.
-                    extra_split_bytes = rows * head_dim * params.partial_accumulator_bytes
-                per_cta_nominal.append(kv_bytes)
-                nominal_total += kv_bytes
-                works.append(
-                    CTAWork(
-                        flops=flops,
-                        dram_bytes=params.effective_bytes(q_bytes + out_bytes + extra_split_bytes),
-                        tag=tag,
-                        fixed_time=params.cta_fixed_overhead,
-                        meta={
-                            "q_head": q_head,
-                            "q_tile": q_tile_idx,
-                            "split": split,
-                            "kv_extent": kv_extent,
-                        },
-                    )
-                )
-
-    # Distribute the modelled DRAM KV traffic across CTAs in proportion to
-    # their nominal reads.
-    dram_kv_total = min(nominal_total, unique_kv_bytes * miss_factor)
-    if nominal_total > 0:
-        scale = dram_kv_total / nominal_total
-        works = [
-            replace(
-                work,
-                dram_bytes=work.dram_bytes + params.effective_bytes(nominal * scale),
-            )
-            for work, nominal in zip(works, per_cta_nominal)
-        ]
-    return works
+def prefill_cta_aggregate(
+    deployment: Deployment,
+    chunk: PrefillChunk,
+    tile: TileShape = FA_PREFILL_TILE,
+    num_splits: int = 1,
+    params: AttentionCostParams | None = None,
+) -> CTAAggregate:
+    """Reduction of :func:`prefill_cta_works`, summed over its rows."""
+    params = params or AttentionCostParams()
+    rows, copies = _prefill_rows(deployment, chunk, tile, max(1, num_splits), params)
+    return _aggregate(rows, copies, params)
 
 
 # --------------------------------------------------------------------------
@@ -316,6 +386,38 @@ def default_decode_splits(
     return max(1, min(math.ceil(target / base), params.max_kv_splits, kv_tiles))
 
 
+def _decode_rows(
+    deployment: Deployment,
+    decodes: tuple[DecodeRequest, ...],
+    tile: TileShape,
+    num_splits: int,
+    params: AttentionCostParams,
+) -> tuple[list[_Row], int]:
+    """One row per decode request, and its copies (``kv_heads × splits``).
+
+    Each CTA streams its KV slice exactly once from DRAM (no cross-request
+    reuse) and performs matmuls padded to ``tile.tile_q`` query rows — the
+    padding waste that POD eliminates by shrinking the decode tile to 16 rows.
+    """
+    model = deployment.model
+    head_dim = model.head_dim
+    dtype = model.dtype_bytes
+    group_size = deployment.group_size
+
+    padded_rows = max(tile.tile_q, group_size)
+    q_bytes = group_size * head_dim * dtype
+    out_bytes = group_size * head_dim * (
+        params.partial_accumulator_bytes if num_splits > 1 else dtype
+    )
+    rows: list[_Row] = []
+    for request in decodes:
+        kv_span = request.context_tokens / num_splits
+        flops = params.effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
+        kv_bytes = kv_span * head_dim * 2 * dtype
+        rows.append((flops, params.effective_bytes(kv_bytes + q_bytes + out_bytes)))
+    return rows, deployment.kv_heads_per_gpu * num_splits
+
+
 def decode_cta_works(
     deployment: Deployment,
     decodes: tuple[DecodeRequest, ...],
@@ -326,159 +428,12 @@ def decode_cta_works(
 ) -> list[CTAWork]:
     """Per-CTA work of a decode batch's attention.
 
-    CTAs are laid out as ``(request, kv_head, kv_split)``.  Each CTA streams
-    its KV slice exactly once from DRAM (no cross-request reuse) and performs
-    matmuls padded to ``tile.tile_q`` query rows — the padding waste that POD
-    eliminates by shrinking the decode tile to 16 rows.
+    CTAs are laid out as ``(request, kv_head, kv_split)``: each request's CTA
+    repeated ``kv_heads × num_splits`` times.
     """
     params = params or AttentionCostParams()
-    model = deployment.model
-    head_dim = model.head_dim
-    dtype = model.dtype_bytes
-    kv_heads = deployment.kv_heads_per_gpu
-    group_size = deployment.group_size
-    num_splits = max(1, num_splits)
-
-    padded_rows = max(tile.tile_q, group_size)
-    works: list[CTAWork] = []
-    for request_idx, request in enumerate(decodes):
-        for kv_head in range(kv_heads):
-            for split in range(num_splits):
-                kv_span = request.context_tokens / num_splits
-                raw_flops = 4.0 * padded_rows * kv_span * head_dim
-                flops = params.effective_decode_flops(raw_flops)
-                kv_bytes = kv_span * head_dim * 2 * dtype
-                q_bytes = group_size * head_dim * dtype
-                out_bytes = group_size * head_dim * (
-                    params.partial_accumulator_bytes if num_splits > 1 else dtype
-                )
-                works.append(
-                    CTAWork(
-                        flops=flops,
-                        dram_bytes=params.effective_bytes(kv_bytes + q_bytes + out_bytes),
-                        tag=tag,
-                        fixed_time=params.cta_fixed_overhead,
-                        meta={
-                            "request": request_idx,
-                            "kv_head": kv_head,
-                            "split": split,
-                            "context": request.context_tokens,
-                        },
-                    )
-                )
-    return works
-
-
-# --------------------------------------------------------------------------
-# Closed-form aggregates
-# --------------------------------------------------------------------------
-#
-# The analytic model only ever reduces a CTA work list to four quantities
-# (count, total FLOPs, total DRAM bytes, max fixed time).  The serving hot
-# path evaluates the analytic model on every estimate-cache miss, so building
-# thousands of CTAWork objects per miss just to sum them dominates fleet-scale
-# sweeps.  These aggregates compute the same reductions in closed form —
-# every CTA of one (q_tile) / (request) group is identical, so its
-# contribution is value × group size (``tests`` pin agreement with the
-# object-based builders).
-
-
-@dataclass(frozen=True)
-class CTAAggregate:
-    """Reduction of a CTA work list: count plus the resource totals."""
-
-    count: int
-    total_flops: float
-    total_dram_bytes: float
-    max_fixed_time: float
-
-    @classmethod
-    def empty(cls) -> "CTAAggregate":
-        return cls(count=0, total_flops=0.0, total_dram_bytes=0.0, max_fixed_time=0.0)
-
-    @classmethod
-    def of(cls, works: list[CTAWork]) -> "CTAAggregate":
-        """Reduce an explicit work list (reference for the closed forms)."""
-        if not works:
-            return cls.empty()
-        return cls(
-            count=len(works),
-            total_flops=sum(w.flops for w in works),
-            total_dram_bytes=sum(w.dram_bytes for w in works),
-            max_fixed_time=max(w.fixed_time for w in works),
-        )
-
-    def merge(self, other: "CTAAggregate") -> "CTAAggregate":
-        return CTAAggregate(
-            count=self.count + other.count,
-            total_flops=self.total_flops + other.total_flops,
-            total_dram_bytes=self.total_dram_bytes + other.total_dram_bytes,
-            max_fixed_time=max(self.max_fixed_time, other.max_fixed_time),
-        )
-
-
-def prefill_cta_aggregate(
-    deployment: Deployment,
-    chunk: PrefillChunk,
-    tile: TileShape = FA_PREFILL_TILE,
-    num_splits: int = 1,
-    params: AttentionCostParams | None = None,
-) -> CTAAggregate:
-    """Closed-form reduction of :func:`prefill_cta_works`.
-
-    All CTAs of one query tile are identical across query heads and KV
-    splits, so each tile contributes ``per-CTA value × q_heads × splits``.
-    """
-    params = params or AttentionCostParams()
-    model = deployment.model
-    head_dim = model.head_dim
-    dtype = model.dtype_bytes
-    q_heads = deployment.q_heads_per_gpu
-
-    q_tiles = math.ceil(chunk.chunk_tokens / tile.tile_q)
-    num_splits = max(1, num_splits)
-
-    unique_kv_bytes, miss_factor = _prefill_kv_miss_model(
-        deployment, chunk, q_tiles, num_splits, params
-    )
-
-    rows = tile.tile_q
-    group = q_heads * num_splits  # identical CTAs per query tile
-    q_bytes = rows * head_dim * dtype
-    out_bytes = rows * head_dim * (
-        params.partial_accumulator_bytes if num_splits > 1 else dtype
-    )
-    extra_split_bytes = (
-        rows * head_dim * params.partial_accumulator_bytes if num_splits > 1 else 0.0
-    )
-    base_dram = params.effective_bytes(q_bytes + out_bytes + extra_split_bytes)
-
-    per_tile_kv_bytes: list[float] = []
-    per_tile_flops: list[float] = []
-    nominal_total = 0.0
-    for q_tile_idx in range(q_tiles):
-        kv_extent = _prefill_tile_kv_extent(chunk, tile, q_tile_idx)
-        kv_span = kv_extent / num_splits
-        raw_flops = 4.0 * rows * kv_span * head_dim
-        per_tile_flops.append(params.effective_prefill_flops(raw_flops, tile.tile_q))
-        kv_bytes = kv_span * head_dim * 2 * dtype
-        per_tile_kv_bytes.append(kv_bytes)
-        nominal_total += kv_bytes * group
-
-    dram_kv_total = min(nominal_total, unique_kv_bytes * miss_factor)
-    scale = dram_kv_total / nominal_total if nominal_total > 0 else 0.0
-    total_flops = sum(flops * group for flops in per_tile_flops)
-    total_dram = sum(
-        (base_dram + params.effective_bytes(kv_bytes * scale)) * group
-        for kv_bytes in per_tile_kv_bytes
-    )
-    count = q_tiles * group
-    return CTAAggregate(
-        count=count,
-        total_flops=total_flops,
-        total_dram_bytes=total_dram,
-        max_fixed_time=params.cta_fixed_overhead if count else 0.0,
-    )
+    rows, copies = _decode_rows(deployment, decodes, tile, max(1, num_splits), params)
+    return [cta for cta in _ctas(rows, tag, params) for _ in range(copies)]
 
 
 def decode_cta_aggregate(
@@ -488,37 +443,50 @@ def decode_cta_aggregate(
     num_splits: int = 1,
     params: AttentionCostParams | None = None,
 ) -> CTAAggregate:
-    """Closed-form reduction of :func:`decode_cta_works` (identical CTAs per
-    request across KV heads and splits)."""
+    """Reduction of :func:`decode_cta_works`, summed over its rows."""
     params = params or AttentionCostParams()
-    model = deployment.model
-    head_dim = model.head_dim
-    dtype = model.dtype_bytes
-    kv_heads = deployment.kv_heads_per_gpu
-    group_size = deployment.group_size
-    num_splits = max(1, num_splits)
+    rows, copies = _decode_rows(deployment, decodes, tile, max(1, num_splits), params)
+    return _aggregate(rows, copies, params)
 
-    padded_rows = max(tile.tile_q, group_size)
-    group = kv_heads * num_splits
-    q_bytes = group_size * head_dim * dtype
-    out_bytes = group_size * head_dim * (
-        params.partial_accumulator_bytes if num_splits > 1 else dtype
-    )
-    total_flops = 0.0
-    total_dram = 0.0
-    for request in decodes:
-        kv_span = request.context_tokens / num_splits
-        raw_flops = 4.0 * padded_rows * kv_span * head_dim
-        total_flops += params.effective_decode_flops(raw_flops) * group
-        kv_bytes = kv_span * head_dim * 2 * dtype
-        total_dram += params.effective_bytes(kv_bytes + q_bytes + out_bytes) * group
-    count = len(decodes) * group
-    return CTAAggregate(
-        count=count,
-        total_flops=total_flops,
-        total_dram_bytes=total_dram,
-        max_fixed_time=params.cta_fixed_overhead if count else 0.0,
-    )
+
+# --------------------------------------------------------------------------
+# Batch-level helpers
+# --------------------------------------------------------------------------
+
+
+def _chunk_splits(
+    deployment: Deployment,
+    batch: HybridBatch,
+    tile: TileShape,
+    params: AttentionCostParams,
+    num_splits: int | None,
+    max_prefill_ctas: int | None,
+) -> Iterator[tuple[PrefillChunk, int]]:
+    """Each prefill chunk with its KV splits: ``num_splits``, else the heuristic."""
+    for chunk in batch.prefills:
+        if num_splits is None:
+            yield chunk, default_prefill_splits(deployment, chunk, tile, params, max_prefill_ctas)
+        else:
+            yield chunk, num_splits
+
+
+def batch_prefill_ctas(
+    deployment: Deployment,
+    batch: HybridBatch,
+    tile: TileShape = FA_PREFILL_TILE,
+    params: AttentionCostParams | None = None,
+    num_splits: int | None = None,
+    max_prefill_ctas: int | None = None,
+) -> list[CTAWork]:
+    """All prefill CTAs of a hybrid batch (empty list when it has no prefill)."""
+    params = params or AttentionCostParams()
+    return [
+        cta
+        for chunk, splits in _chunk_splits(
+            deployment, batch, tile, params, num_splits, max_prefill_ctas
+        )
+        for cta in prefill_cta_works(deployment, chunk, tile, splits, params)
+    ]
 
 
 def batch_prefill_aggregate(
@@ -532,61 +500,11 @@ def batch_prefill_aggregate(
     """Aggregate of every prefill CTA in a batch (see :func:`batch_prefill_ctas`)."""
     params = params or AttentionCostParams()
     aggregate = CTAAggregate.empty()
-    for chunk in batch.prefills:
-        splits = (
-            num_splits
-            if num_splits is not None
-            else default_prefill_splits(deployment, chunk, tile, params, max_ctas=max_prefill_ctas)
-        )
-        aggregate = aggregate.merge(
-            prefill_cta_aggregate(deployment, chunk, tile, splits, params)
-        )
+    for chunk, splits in _chunk_splits(
+        deployment, batch, tile, params, num_splits, max_prefill_ctas
+    ):
+        aggregate = aggregate.merge(prefill_cta_aggregate(deployment, chunk, tile, splits, params))
     return aggregate
-
-
-def batch_decode_aggregate(
-    deployment: Deployment,
-    batch: HybridBatch,
-    tile: TileShape = FA_DECODE_TILE,
-    params: AttentionCostParams | None = None,
-    num_splits: int | None = None,
-) -> CTAAggregate:
-    """Aggregate of every decode CTA in a batch (see :func:`batch_decode_ctas`)."""
-    params = params or AttentionCostParams()
-    if not batch.decodes:
-        return CTAAggregate.empty()
-    splits = (
-        num_splits
-        if num_splits is not None
-        else default_decode_splits(deployment, batch.decodes, tile, params)
-    )
-    return decode_cta_aggregate(deployment, batch.decodes, tile, splits, params)
-
-
-# --------------------------------------------------------------------------
-# Batch-level helpers
-# --------------------------------------------------------------------------
-
-
-def batch_prefill_ctas(
-    deployment: Deployment,
-    batch: HybridBatch,
-    tile: TileShape = FA_PREFILL_TILE,
-    params: AttentionCostParams | None = None,
-    num_splits: int | None = None,
-    max_prefill_ctas: int | None = None,
-) -> list[CTAWork]:
-    """All prefill CTAs of a hybrid batch (empty list when it has no prefill)."""
-    params = params or AttentionCostParams()
-    works: list[CTAWork] = []
-    for chunk in batch.prefills:
-        splits = (
-            num_splits
-            if num_splits is not None
-            else default_prefill_splits(deployment, chunk, tile, params, max_ctas=max_prefill_ctas)
-        )
-        works.extend(prefill_cta_works(deployment, chunk, tile, splits, params))
-    return works
 
 
 def batch_decode_ctas(
@@ -598,25 +516,20 @@ def batch_decode_ctas(
 ) -> list[CTAWork]:
     """All decode CTAs of a hybrid batch (empty list when it has no decodes)."""
     params = params or AttentionCostParams()
-    if not batch.decodes:
-        return []
-    splits = (
-        num_splits
-        if num_splits is not None
-        else default_decode_splits(deployment, batch.decodes, tile, params)
-    )
-    return decode_cta_works(deployment, batch.decodes, tile, splits, params)
+    if num_splits is None:
+        num_splits = default_decode_splits(deployment, batch.decodes, tile, params)
+    return decode_cta_works(deployment, batch.decodes, tile, num_splits, params)
 
 
-def batch_flops_and_bytes(
+def batch_decode_aggregate(
     deployment: Deployment,
     batch: HybridBatch,
+    tile: TileShape = FA_DECODE_TILE,
     params: AttentionCostParams | None = None,
-) -> tuple[float, float]:
-    """Total effective FLOPs and DRAM bytes of a batch (used by the analytic model)."""
+    num_splits: int | None = None,
+) -> CTAAggregate:
+    """Aggregate of every decode CTA in a batch (see :func:`batch_decode_ctas`)."""
     params = params or AttentionCostParams()
-    prefill = batch_prefill_ctas(deployment, batch, params=params)
-    decode = batch_decode_ctas(deployment, batch, params=params)
-    flops = sum(w.flops for w in prefill + decode)
-    dram = sum(w.dram_bytes for w in prefill + decode)
-    return flops, dram
+    if num_splits is None:
+        num_splits = default_decode_splits(deployment, batch.decodes, tile, params)
+    return decode_cta_aggregate(deployment, batch.decodes, tile, num_splits, params)

@@ -143,18 +143,3 @@ class FIBatched(AttentionExecutor):
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
         kernel = fi_batched_kernel(deployment, batch, self.params)
         return self._launches([kernel], [0])
-
-
-BASELINE_EXECUTORS = {
-    executor.name: executor
-    for executor in (FASerial, FAStreams, FAHFuse, FISerial, FIBatched)
-}
-
-
-def get_baseline_executor(
-    name: str, params: AttentionCostParams | None = None
-) -> AttentionExecutor:
-    """Instantiate a baseline executor by its paper name (e.g. ``"FA_Serial"``)."""
-    if name not in BASELINE_EXECUTORS:
-        raise ValueError(f"unknown executor {name!r}; choose from {sorted(BASELINE_EXECUTORS)}")
-    return BASELINE_EXECUTORS[name](params)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attention.cost_model import AttentionCostParams, batch_flops_and_bytes
+from repro.attention.cost_model import (
+    AttentionCostParams,
+    batch_decode_aggregate,
+    batch_prefill_aggregate,
+)
 from repro.attention.workload import HybridBatch
 from repro.gpu.result import ExecutionResult
 from repro.models.config import Deployment
@@ -56,13 +60,8 @@ def theoretical_minimum_time(
     quarter of the evaluated hybrid batches.
     """
     params = params or AttentionCostParams()
-    flops, dram_bytes = batch_flops_and_bytes(deployment, batch, params)
+    total = batch_prefill_aggregate(deployment, batch, params=params).merge(
+        batch_decode_aggregate(deployment, batch, params=params)
+    )
     spec = deployment.gpu
-    return max(flops / spec.tensor_flops, dram_bytes / spec.hbm_bandwidth)
-
-
-def speedup_table(
-    baseline: AttentionRunResult, results: list[AttentionRunResult]
-) -> dict[str, float]:
-    """Speedup of every strategy relative to ``baseline`` (Figure 11 style)."""
-    return {result.strategy: result.speedup_over(baseline) for result in results}
+    return max(total.total_flops / spec.tensor_flops, total.total_dram_bytes / spec.hbm_bandwidth)

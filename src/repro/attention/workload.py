@@ -11,7 +11,7 @@ them into actual tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -201,20 +201,3 @@ def describe(batch: HybridBatch) -> str:
             f"decode(bs={len(contexts)}, ctx~{sum(contexts) // len(contexts)})"
         )
     return " + ".join(parts)
-
-
-def total_kv_tokens(batch: HybridBatch) -> int:
-    """Total KV-cache tokens touched by the batch (a proxy for attention memory traffic)."""
-    kv = 0
-    for chunk in batch.prefills:
-        kv += chunk.total_context
-    for decode in batch.decodes:
-        kv += decode.context_tokens
-    return kv
-
-
-def validate_batches(batches: Sequence[HybridBatch]) -> None:
-    """Raise if any batch in a sweep is malformed (used by benchmark harnesses)."""
-    for i, batch in enumerate(batches):
-        if batch.total_tokens <= 0:
-            raise ValueError(f"batch {i} has no tokens")

@@ -272,7 +272,6 @@ def topology_from_spec(
     spec: ClusterSpec,
     chunk_size: int = 1024,
     backend: str = "pod",
-    keep_sarathi_chunking: bool = True,
 ):
     """Build a topology object from a :class:`repro.models.config.ClusterSpec`.
 
@@ -288,9 +287,7 @@ def topology_from_spec(
         return ColocatedTopology(
             deployment=representative,
             num_replicas=spec.num_replicas,
-            scheduler_factory=(
-                (lambda: SarathiScheduler(chunk_size=chunk_size)) if keep_sarathi_chunking else None
-            ),
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size),
             replica_specs=replica_specs,
             backend_builder=make_backend,
         )

@@ -6,7 +6,6 @@ from repro.core.fused_numeric import (
     fused_reference,
     pod_fused_attention_numeric,
 )
-from repro.core.naive_fusion import CTA_ORDERINGS, NaiveCTAFusion, static_cta_order
 from repro.core.pod_kernel import (
     PODAttention,
     PODKernelPlan,
@@ -36,9 +35,6 @@ __all__ = [
     "FusedNumericResult",
     "fused_reference",
     "pod_fused_attention_numeric",
-    "CTA_ORDERINGS",
-    "NaiveCTAFusion",
-    "static_cta_order",
     "PODAttention",
     "PODKernelPlan",
     "build_pod_kernel",

@@ -62,7 +62,7 @@ def group_virtual_decode_ctas(
                 dram_bytes=dram_bytes,
                 tag=DECODE,
                 fixed_time=fixed,
-                meta={"virtual_units": len(chunk), "first_unit": dict(chunk[0].meta)},
+                meta={"virtual_units": len(chunk)},
             )
         )
     return grouped

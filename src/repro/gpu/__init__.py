@@ -8,7 +8,7 @@ quantization, and an activity-based energy model.
 
 from repro.gpu.atomics import AtomicCounter, AtomicCounterArray
 from repro.gpu.config import GPUSpec, GPU_PRESETS, a100_sxm_80gb, a6000, get_gpu, h100_sxm_80gb
-from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG, total_dram_bytes, total_flops
+from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
 from repro.gpu.engine import ExecutionEngine, PLACEMENT_POLICIES
 from repro.gpu.kernel import CTABinder, Kernel, KernelLaunch
 from repro.gpu.occupancy import (
@@ -32,8 +32,6 @@ __all__ = [
     "CTAWork",
     "DECODE_TAG",
     "PREFILL_TAG",
-    "total_dram_bytes",
-    "total_flops",
     "ExecutionEngine",
     "PLACEMENT_POLICIES",
     "CTABinder",

@@ -94,13 +94,3 @@ class CTAWork:
             max_mem_fraction=max(self.max_mem_fraction, other.max_mem_fraction),
             meta={"fused_from": (dict(self.meta), dict(other.meta))},
         )
-
-
-def total_flops(ctas: list[CTAWork]) -> float:
-    """Sum of FLOPs over a list of CTAs."""
-    return sum(cta.flops for cta in ctas)
-
-
-def total_dram_bytes(ctas: list[CTAWork]) -> float:
-    """Sum of DRAM bytes over a list of CTAs."""
-    return sum(cta.dram_bytes for cta in ctas)

@@ -476,15 +476,12 @@ class _Execution:
                     ]
                     if not pending:
                         break
+                    # With no CTA alive every SM is empty, and run() rejected any
+                    # launch whose CTA fits no SM, so an eligible launch always
+                    # dispatches on the retry.
                     next_time = min(pending)
-                    if next_time <= self.time + _TIME_EPS and not self._need_dispatch:
-                        self._need_dispatch = True
-                        continue
-                    if next_time <= self.time + _TIME_EPS:
-                        # Eligible but nothing dispatched: should not happen because
-                        # occupancy was validated; guard against infinite loops.
-                        raise RuntimeError("no CTA could be dispatched despite eligible launches")
-                    self.time = next_time
+                    if next_time > self.time + _TIME_EPS:
+                        self.time = next_time
                     self._need_dispatch = True
                     continue
                 previous_time = self.time

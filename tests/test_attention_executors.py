@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attention.executors import (
-    BASELINE_EXECUTORS,
-    FAHFuse,
-    FASerial,
-    FIBatched,
-    get_baseline_executor,
-)
-from repro.attention.metrics import speedup_table, theoretical_minimum_time
+from repro.attention.executors import FAHFuse, FASerial, FAStreams, FIBatched, FISerial
+from repro.attention.metrics import theoretical_minimum_time
 from repro.attention.workload import HybridBatch
 
 
@@ -19,25 +13,20 @@ from repro.attention.workload import HybridBatch
 def baseline_results(llama3_deployment, small_hybrid_batch):
     """Run every baseline once on the small batch (shared across tests for speed)."""
     results = {}
-    for name in BASELINE_EXECUTORS:
-        executor = get_baseline_executor(name)
-        results[name] = executor.run(llama3_deployment, small_hybrid_batch)
+    for executor in (FASerial(), FAStreams(), FAHFuse(), FISerial(), FIBatched()):
+        results[executor.name] = executor.run(llama3_deployment, small_hybrid_batch)
     return results
 
 
 class TestExecutorBasics:
-    def test_registry_contains_paper_baselines(self):
-        assert set(BASELINE_EXECUTORS) == {
+    def test_registry_contains_paper_baselines(self, baseline_results):
+        assert set(baseline_results) == {
             "FA_Serial",
             "FA_Streams",
             "FA_HFuse",
             "FI_Serial",
             "FI_Batched",
         }
-
-    def test_get_baseline_executor_unknown(self):
-        with pytest.raises(ValueError):
-            get_baseline_executor("TRT")
 
     def test_results_have_positive_times(self, baseline_results):
         for name, result in baseline_results.items():
@@ -69,11 +58,9 @@ class TestRelativePerformance:
         assert 0.8 < ratio <= 1.02
 
     def test_speedup_table(self, baseline_results):
-        table = speedup_table(
-            baseline_results["FA_Serial"], list(baseline_results.values())
-        )
+        serial = baseline_results["FA_Serial"]
+        table = {name: result.speedup_over(serial) for name, result in baseline_results.items()}
         assert table["FA_Serial"] == pytest.approx(0.0)
-        assert set(table) == set(baseline_results)
 
     def test_no_strategy_beats_theoretical_minimum(
         self, llama3_deployment, small_hybrid_batch, baseline_results

@@ -13,8 +13,6 @@ from repro.attention.workload import (
     describe,
     hybrid_chunk_sweep,
     table1_configs,
-    total_kv_tokens,
-    validate_batches,
 )
 
 
@@ -73,10 +71,6 @@ class TestHybridBatch:
         text = describe(batch)
         assert "prefill" in text and "decode" in text
 
-    def test_total_kv_tokens(self):
-        batch = HybridBatch.uniform(512, 2048, 2, 1000)
-        assert total_kv_tokens(batch) == 2048 + 2 * 1000
-
 
 class TestChunkedPrefillSequence:
     def test_exact_division(self):
@@ -119,6 +113,3 @@ class TestSweepsAndConfigs:
         assert configs["C0"].decode_batch_size == 80
         assert configs["C1"].num_prefill_tokens == 12 * 1024
         assert configs["C2"].prefills[0].total_context == 16 * 1024
-
-    def test_validate_batches_passes(self):
-        validate_batches(list(table1_configs().values()))

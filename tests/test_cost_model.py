@@ -15,7 +15,6 @@ from repro.attention.cost_model import (
     TileShape,
     batch_decode_aggregate,
     batch_decode_ctas,
-    batch_flops_and_bytes,
     batch_prefill_aggregate,
     batch_prefill_ctas,
     decode_base_cta_count,
@@ -25,8 +24,16 @@ from repro.attention.cost_model import (
     prefill_base_cta_count,
     prefill_cta_works,
 )
+from repro.attention.metrics import theoretical_minimum_time
 from repro.attention.workload import DecodeRequest, HybridBatch, PrefillChunk
 from repro.gpu.cta import DECODE_TAG, PREFILL_TAG
+
+
+def _batch_total(deployment, batch):
+    """Prefill plus decode aggregate of a batch at the default FA tiles."""
+    return batch_prefill_aggregate(deployment, batch).merge(
+        batch_decode_aggregate(deployment, batch)
+    )
 
 
 class TestPrefillCTACounts:
@@ -65,11 +72,14 @@ class TestPrefillCosts:
 
     def test_causal_growth_within_chunk(self, llama3_deployment):
         """Later query tiles of a full prefill see more KV than earlier tiles."""
-        works = prefill_cta_works(llama3_deployment, PrefillChunk(4096, 0))
-        head0 = [w for w in works if w.meta["q_head"] == 0]
-        extents = [w.meta["kv_extent"] for w in head0]
-        assert extents == sorted(extents)
-        assert extents[-1] > extents[0]
+        chunk = PrefillChunk(4096, 0)
+        works = prefill_cta_works(llama3_deployment, chunk)
+        # Head 0 is the first q_tiles × splits CTAs (one split here); a tile's
+        # FLOPs are proportional to the KV extent it reads.
+        head0 = works[: math.ceil(chunk.chunk_tokens / FA_PREFILL_TILE.tile_q)]
+        flops = [w.flops for w in head0]
+        assert flops == sorted(flops)
+        assert flops[-1] > flops[0]
 
     def test_splits_add_memory_traffic(self, llama3_deployment):
         chunk = PrefillChunk(chunk_tokens=512, prior_tokens=8192)
@@ -162,6 +172,28 @@ class TestSplitHeuristics:
         assert default_prefill_splits(llama3_deployment, chunk, FA_PREFILL_TILE, params) == 1
 
 
+class TestCTALayout:
+    def test_builders_expand_one_cta_per_row(self, llama3_deployment):
+        """Prefill: q_heads repeats of the tile sequence, each tile repeated per
+        split.  Decode: each request's CTA repeated kv_heads × splits times."""
+        splits = 3
+        chunk = PrefillChunk(chunk_tokens=300, prior_tokens=1000)
+        prefill = prefill_cta_works(llama3_deployment, chunk, FA_PREFILL_TILE, num_splits=splits)
+        q_tiles = math.ceil(chunk.chunk_tokens / FA_PREFILL_TILE.tile_q)
+        head = prefill[: q_tiles * splits]
+        tiles = head[::splits]
+        assert head == [cta for cta in tiles for _ in range(splits)]
+        assert prefill == head * llama3_deployment.q_heads_per_gpu
+        assert len({cta.flops for cta in tiles}) == q_tiles
+
+        decodes = tuple(DecodeRequest(context) for context in (1000, 5000, 300))
+        decode = decode_cta_works(llama3_deployment, decodes, FA_DECODE_TILE, num_splits=splits)
+        copies = llama3_deployment.kv_heads_per_gpu * splits
+        requests = decode[::copies]
+        assert decode == [cta for cta in requests for _ in range(copies)]
+        assert requests[1].flops > requests[0].flops > requests[2].flops
+
+
 class TestBatchHelpers:
     def test_batch_helpers_empty_sides(self, llama3_deployment):
         prefill_only = HybridBatch.prefill_only(512)
@@ -172,8 +204,8 @@ class TestBatchHelpers:
         assert len(batch_decode_ctas(llama3_deployment, decode_only)) > 0
 
     def test_batch_flops_and_bytes_positive(self, llama3_deployment, small_hybrid_batch):
-        flops, dram = batch_flops_and_bytes(llama3_deployment, small_hybrid_batch)
-        assert flops > 0 and dram > 0
+        total = _batch_total(llama3_deployment, small_hybrid_batch)
+        assert total.total_flops > 0 and total.total_dram_bytes > 0
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -191,9 +223,9 @@ class TestBatchHelpers:
             decode_batch_size=decode_bs,
             decode_context=decode_ctx,
         )
-        flops, dram = batch_flops_and_bytes(llama3_deployment, batch)
-        assert math.isfinite(flops) and flops > 0
-        assert math.isfinite(dram) and dram > 0
+        total = _batch_total(llama3_deployment, batch)
+        assert math.isfinite(total.total_flops) and total.total_flops > 0
+        assert math.isfinite(total.total_dram_bytes) and total.total_dram_bytes > 0
 
 
 class TestCTAAggregates:
@@ -263,6 +295,14 @@ class TestCTAAggregates:
             assert aggregate.total_dram_bytes == pytest.approx(
                 reference.total_dram_bytes, rel=1e-12
             )
+
+    @pytest.mark.parametrize("batch", BATCHES, ids=range(len(BATCHES)))
+    def test_theoretical_minimum_time_sums_the_aggregates(self, llama3_deployment, batch):
+        total = _batch_total(llama3_deployment, batch)
+        spec = llama3_deployment.gpu
+        assert theoretical_minimum_time(llama3_deployment, batch) == max(
+            total.total_flops / spec.tensor_flops, total.total_dram_bytes / spec.hbm_bandwidth
+        )
 
     def test_empty_and_merge(self):
         empty = CTAAggregate.empty()

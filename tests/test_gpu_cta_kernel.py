@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG, total_dram_bytes, total_flops
+from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
 from repro.gpu.kernel import Kernel, KernelLaunch
 
 
@@ -53,11 +53,6 @@ class TestCTAWork:
     def test_merged_with_custom_tag(self):
         merged = CTAWork(flops=1, dram_bytes=1).merged_with(CTAWork(flops=1, dram_bytes=1), tag="x")
         assert merged.tag == "x"
-
-    def test_totals(self):
-        works = [CTAWork(flops=1, dram_bytes=2), CTAWork(flops=3, dram_bytes=4)]
-        assert total_flops(works) == 4
-        assert total_dram_bytes(works) == 6
 
 
 class TestKernel:

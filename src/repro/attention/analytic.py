@@ -1,10 +1,20 @@
 """Closed-form (analytic) attention time estimates.
 
 The event-driven GPU simulator is the ground truth but costs milliseconds per
-batch; the end-to-end serving simulator needs attention times for tens of
-thousands of iterations.  This module provides roofline-style closed forms
-built from the *same* per-CTA cost model, so the two paths agree to within a
-modest tolerance (validated by ``tests/test_analytic_vs_sim.py``).
+batch; the end-to-end serving simulator needs attention times for every
+iteration it serves.  This module provides roofline-style closed forms built
+from the *same* per-CTA cost model, so the two paths agree to within a modest
+tolerance (validated by ``tests/test_analytic_vs_sim.py``).
+
+The arithmetic lives in plain-number helpers: :func:`kernel_time` prices one
+kernel from its CTA count, FLOPs and bytes, and :func:`fused_time` prices
+POD's fused kernel from its prefill and decode aggregates.
+:func:`analytic_attention_times` is the reference: it sums a materialised
+batch's CTA rows and feeds them to the helpers.  The serving backends
+(:mod:`repro.serving.attention_backend`) feed the same helpers from memoized
+prefill aggregates and closed-form decode sums, and
+:func:`repro.verify.oracles.estimate_equivalence` holds every serving step to
+the reference.
 """
 
 from __future__ import annotations
@@ -19,10 +29,12 @@ from repro.attention.cost_model import (
     FA_DECODE_TILE,
     FA_PREFILL_PROFILE,
     FA_PREFILL_TILE,
+    ResourceProfile,
     batch_decode_aggregate,
     batch_prefill_aggregate,
 )
 from repro.attention.workload import HybridBatch
+from repro.gpu.config import GPUSpec
 from repro.gpu.cta import CTAWork
 from repro.gpu.kernel import Kernel
 from repro.gpu.occupancy import max_resident_ctas
@@ -46,146 +58,169 @@ class AnalyticAttentionTimes:
         return self.serial_time / self.fused_time
 
 
-def _kernel_time(
-    deployment: Deployment,
-    aggregate: CTAAggregate,
-    occupancy: int,
-    overlap_efficiency: float = 1.0,
-) -> float:
-    """Roofline time of one kernel given its CTA aggregate and per-SM occupancy."""
-    if not aggregate.count:
-        return 0.0
-    spec = deployment.gpu
-    total_flops = aggregate.total_flops
-    total_bytes = aggregate.total_dram_bytes
-    fixed = aggregate.max_fixed_time
+#: Overlap efficiency of the fused kernel (dispatch ramp-up, tail effects),
+#: calibrated against the event-driven simulator.
+FUSED_OVERLAP_EFFICIENCY = 0.92
 
+
+def kernel_time(
+    spec: GPUSpec,
+    count: int,
+    flops: float,
+    dram_bytes: float,
+    fixed_time: float,
+    occupancy: int,
+) -> float:
+    """Roofline time of one kernel of ``count`` CTAs at ``occupancy`` CTAs per SM."""
+    if not count:
+        return 0.0
     occupancy = max(1, occupancy)
     slots_per_wave = occupancy * spec.num_sms
-    waves = aggregate.count / slots_per_wave
+    waves = count / slots_per_wave
     # SMs actively streaming memory in the steady state bound achievable bandwidth.
-    active_sms = min(spec.num_sms, math.ceil(aggregate.count / occupancy))
+    active_sms = min(spec.num_sms, math.ceil(count / occupancy))
     bandwidth = min(spec.hbm_bandwidth, active_sms * spec.sm_mem_bandwidth)
-    compute_sms = min(spec.num_sms, aggregate.count)
+    compute_sms = min(spec.num_sms, count)
     compute = spec.tensor_flops_per_sm * compute_sms
 
-    ideal = max(total_flops / compute, total_bytes / bandwidth)
+    ideal = max(flops / compute, dram_bytes / bandwidth)
     # Wave quantization: the last, partially filled wave still takes a full
     # wave's time for the dominant resource.
     if waves > 0:
         quantization = math.ceil(waves) / waves
         # Quantization matters most when there are few waves.
         ideal *= min(quantization, 2.0)
-    return ideal / overlap_efficiency + fixed + spec.kernel_launch_overhead
+    return ideal + fixed_time + spec.kernel_launch_overhead
 
 
-def _occupancy_for(deployment: Deployment, threads: int, shared_mem: int, regs: int) -> int:
+def fused_time(
+    spec: GPUSpec,
+    num_prefills: int,
+    prefill_flops: float,
+    prefill_bytes: float,
+    decode_count: int,
+    decode_flops: float,
+    decode_bytes: float,
+    virtual_decode_factor: int,
+    serial_time: float,
+    overlap_efficiency: float = FUSED_OVERLAP_EFFICIENCY,
+) -> float:
+    """Time of POD's fused kernel on a hybrid batch, given its POD-tile aggregates.
+
+    POD's decode tiles shrink to 16 query rows, removing most of the redundant
+    decode compute, and both resources are driven concurrently; the result
+    never exceeds the back-to-back ``serial_time``.
+    """
+    total_flops = prefill_flops + decode_flops
+    total_bytes = prefill_bytes + decode_bytes
+    # Decode units are packed into physical CTAs (virtual decode CTAs), so
+    # the number of SMs concurrently streaming memory — and therefore the
+    # achievable bandwidth — is bounded by the physical decode CTA count.
+    physical_decode_ctas = math.ceil(decode_count / virtual_decode_factor)
+    streaming_sms = min(spec.num_sms, max(1, physical_decode_ctas) + num_prefills)
+    available_bandwidth = min(spec.hbm_bandwidth, streaming_sms * spec.sm_mem_bandwidth)
+    fused = (
+        max(total_flops / spec.tensor_flops, total_bytes / available_bandwidth)
+        / overlap_efficiency
+        + spec.kernel_launch_overhead
+    )
+    # The fused kernel can never beat the better of the two phase-specific
+    # lower bounds on its dominant resource.
+    fused = max(
+        fused,
+        prefill_flops / spec.tensor_flops,
+        decode_bytes / spec.hbm_bandwidth,
+    )
+    return min(fused, serial_time)
+
+
+def _occupancy_for(deployment: Deployment, profile: ResourceProfile) -> int:
     probe = Kernel.from_ctas(
         "probe",
         [CTAWork(flops=1.0, dram_bytes=1.0)],
-        threads_per_cta=threads,
-        shared_mem_per_cta=shared_mem,
-        registers_per_thread=regs,
+        threads_per_cta=profile.threads_per_cta,
+        shared_mem_per_cta=profile.shared_mem_bytes,
+        registers_per_thread=profile.registers_per_thread,
     )
     return max_resident_ctas(deployment.gpu, probe)
 
 
-def _prefill_time(
-    deployment: Deployment, batch: HybridBatch, params: AttentionCostParams | None = None
-) -> float:
-    """Analytic estimate of the FA prefill kernel's time for this batch."""
-    params = params or AttentionCostParams()
-    works = batch_prefill_aggregate(deployment, batch, tile=FA_PREFILL_TILE, params=params)
-    occupancy = _occupancy_for(
-        deployment,
-        FA_PREFILL_PROFILE.threads_per_cta,
-        FA_PREFILL_PROFILE.shared_mem_bytes,
-        FA_PREFILL_PROFILE.registers_per_thread,
+def fa_occupancy(deployment: Deployment) -> tuple[int, int]:
+    """CTAs per SM of the FA prefill and FA decode kernels on ``deployment``'s GPU."""
+    return (
+        _occupancy_for(deployment, FA_PREFILL_PROFILE),
+        _occupancy_for(deployment, FA_DECODE_PROFILE),
     )
-    return _kernel_time(deployment, works, occupancy)
 
 
-def _decode_time(
-    deployment: Deployment, batch: HybridBatch, params: AttentionCostParams | None = None
-) -> float:
-    """Analytic estimate of the FA decode kernel's time for this batch."""
-    params = params or AttentionCostParams()
-    works = batch_decode_aggregate(deployment, batch, tile=FA_DECODE_TILE, params=params)
-    occupancy = _occupancy_for(
-        deployment,
-        FA_DECODE_PROFILE.threads_per_cta,
-        FA_DECODE_PROFILE.shared_mem_bytes,
-        FA_DECODE_PROFILE.registers_per_thread,
+def _phase_time(deployment: Deployment, aggregate: CTAAggregate, occupancy: int) -> float:
+    return kernel_time(
+        deployment.gpu,
+        aggregate.count,
+        aggregate.total_flops,
+        aggregate.total_dram_bytes,
+        aggregate.max_fixed_time,
+        occupancy,
     )
-    return _kernel_time(deployment, works, occupancy)
 
 
 def analytic_attention_times(
     deployment: Deployment,
     batch: HybridBatch,
     params: AttentionCostParams | None = None,
-    fused_overlap_efficiency: float = 0.92,
+    fused_overlap_efficiency: float = FUSED_OVERLAP_EFFICIENCY,
 ) -> AnalyticAttentionTimes:
     """Analytic per-layer attention times for serial (FA) and fused (POD) execution.
 
-    ``fused_overlap_efficiency`` accounts for imperfect overlap in the fused
-    kernel (dispatch ramp-up, tail effects); its default is calibrated against
-    the event-driven simulator.
+    The reference evaluation: it sums the batch's CTA rows (one per prefill
+    query tile and one per decode) and feeds the aggregates to
+    :func:`kernel_time` and :func:`fused_time`.
     """
     params = params or AttentionCostParams()
-    prefill_time = _prefill_time(deployment, batch, params)
-    decode_time = _decode_time(deployment, batch, params)
+    prefill_occupancy, decode_occupancy = fa_occupancy(deployment)
+    prefill_time = _phase_time(
+        deployment,
+        batch_prefill_aggregate(deployment, batch, tile=FA_PREFILL_TILE, params=params),
+        prefill_occupancy,
+    )
+    decode_time = _phase_time(
+        deployment,
+        batch_decode_aggregate(deployment, batch, tile=FA_DECODE_TILE, params=params),
+        decode_occupancy,
+    )
     serial_time = prefill_time + decode_time
 
-    # Fused: POD's decode tiles shrink to 16 query rows, removing most of the
-    # redundant decode compute, and both resources are driven concurrently.
-    from repro.core.tile_config import select_pod_config  # local import to avoid a cycle
+    # Fusion never helps a single-phase batch: it runs the specialized kernel.
+    fused = serial_time
+    if batch.is_hybrid:
+        from repro.core.tile_config import select_pod_config  # local import to avoid a cycle
 
-    config = select_pod_config(deployment, batch)
-    prefill_works = batch_prefill_aggregate(
-        deployment,
-        batch,
-        tile=config.prefill_tile,
-        params=params,
-        max_prefill_ctas=config.max_prefill_ctas(deployment.gpu),
-    )
-    decode_works = batch_decode_aggregate(
-        deployment, batch, tile=config.decode_tile, params=params
-    )
-    if not prefill_works.count and not decode_works.count:
-        fused_time = 0.0
-    else:
-        spec = deployment.gpu
-        total_flops = prefill_works.total_flops + decode_works.total_flops
-        total_bytes = prefill_works.total_dram_bytes + decode_works.total_dram_bytes
-        # Decode units are packed into physical CTAs (virtual decode CTAs), so
-        # the number of SMs concurrently streaming memory — and therefore the
-        # achievable bandwidth — is bounded by the physical decode CTA count.
-        physical_decode_ctas = math.ceil(decode_works.count / config.virtual_decode_factor)
-        streaming_sms = min(spec.num_sms, max(1, physical_decode_ctas) + len(batch.prefills))
-        available_bandwidth = min(spec.hbm_bandwidth, streaming_sms * spec.sm_mem_bandwidth)
-        fused_time = (
-            max(total_flops / spec.tensor_flops, total_bytes / available_bandwidth)
-            / fused_overlap_efficiency
-            + spec.kernel_launch_overhead
+        config = select_pod_config(deployment, batch)
+        prefill_works = batch_prefill_aggregate(
+            deployment,
+            batch,
+            tile=config.prefill_tile,
+            params=params,
+            max_prefill_ctas=config.max_prefill_ctas(deployment.gpu),
         )
-        # The fused kernel can never beat the better of the two phase-specific
-        # lower bounds on its dominant resource.
-        fused_time = max(
-            fused_time,
-            prefill_works.total_flops / spec.tensor_flops,
-            decode_works.total_dram_bytes / spec.hbm_bandwidth,
+        decode_works = batch_decode_aggregate(
+            deployment, batch, tile=config.decode_tile, params=params
         )
-    # Fusion never helps a single-phase batch; fall back to the specialized kernel.
-    if not batch.has_prefill:
-        fused_time = decode_time
-    elif not batch.has_decode:
-        fused_time = prefill_time
-    else:
-        fused_time = min(fused_time, serial_time)
+        fused = fused_time(
+            deployment.gpu,
+            len(batch.prefills),
+            prefill_works.total_flops,
+            prefill_works.total_dram_bytes,
+            decode_works.count,
+            decode_works.total_flops,
+            decode_works.total_dram_bytes,
+            config.virtual_decode_factor,
+            serial_time,
+            fused_overlap_efficiency,
+        )
     return AnalyticAttentionTimes(
         prefill_time=prefill_time,
         decode_time=decode_time,
         serial_time=serial_time,
-        fused_time=fused_time,
+        fused_time=fused,
     )

@@ -31,7 +31,7 @@ from repro.attention.workload import DecodeRequest, HybridBatch, PrefillChunk
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
 from repro.models.config import Deployment
 from repro.utils.units import KB
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_fraction, check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,29 @@ class AttentionCostParams:
     # FlashInfer's decode kernel is slightly better tuned than FA's
     # (paper §5.1: "FI_Serial has better optimized decode kernels").
     fi_decode_bandwidth_bonus: float = 1.04
+
+    def __post_init__(self) -> None:
+        # Every estimate (and every memo entry built from one) is derived from
+        # these constants, so a bad value must fail here, not as a negative or
+        # NaN time deep inside the model.
+        for name in (
+            "prefill_tensor_efficiency",
+            "decode_tensor_efficiency",
+            "hbm_efficiency",
+            "l2_usable_fraction",
+        ):
+            check_fraction(name, check_positive(name, getattr(self, name)))
+        for name in ("partial_accumulator_bytes", "max_kv_splits"):
+            if check_positive(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in (
+            "cold_miss_factor",
+            "flash_decoding_wave_target",
+            "hfuse_overhead_factor",
+            "fi_decode_bandwidth_bonus",
+        ):
+            check_positive(name, getattr(self, name))
+        check_non_negative("cta_fixed_overhead", self.cta_fixed_overhead)
 
     def effective_bytes(self, raw_bytes: float) -> float:
         """Convert nominal bytes into 'effective' bytes at the spec bandwidth."""
@@ -375,13 +398,26 @@ def default_decode_splits(
     params: AttentionCostParams,
 ) -> int:
     """FlashDecoding split heuristic: split the KV dimension until SMs are filled."""
-    base = decode_base_cta_count(deployment, decodes)
+    if not decodes:
+        return 1
+    min_context = min(d.context_tokens for d in decodes)
+    return decode_splits(deployment, len(decodes), min_context, tile, params)
+
+
+def decode_splits(
+    deployment: Deployment,
+    num_decodes: int,
+    min_context: int,
+    tile: TileShape,
+    params: AttentionCostParams,
+) -> int:
+    """:func:`default_decode_splits` from the decode count and shortest context alone."""
+    base = num_decodes * deployment.kv_heads_per_gpu
     if base == 0:
         return 1
     target = deployment.gpu.num_sms * params.flash_decoding_wave_target
     if base >= target:
         return 1
-    min_context = min(d.context_tokens for d in decodes)
     kv_tiles = max(1, min_context // tile.tile_kv)
     return max(1, min(math.ceil(target / base), params.max_kv_splits, kv_tiles))
 
@@ -416,6 +452,39 @@ def _decode_rows(
         kv_bytes = kv_span * head_dim * 2 * dtype
         rows.append((flops, params.effective_bytes(kv_bytes + q_bytes + out_bytes)))
     return rows, deployment.kv_heads_per_gpu * num_splits
+
+
+def decode_aggregate_from_sums(
+    deployment: Deployment,
+    num_decodes: int,
+    context_sum: int,
+    min_context: int,
+    tile: TileShape,
+    params: AttentionCostParams,
+) -> tuple[int, float, float]:
+    """(CTA count, FLOPs, DRAM bytes) of a decode batch from three numbers.
+
+    Every term of :func:`_decode_rows` is affine in the request's context and
+    the split heuristic reads only the decode count and the shortest context,
+    so (count, sum of contexts, minimum context) fixes the sum of the rows
+    exactly; only the rounding of the sum differs.  Serving steps call this
+    instead of materialising one row per decode.
+    """
+    splits = decode_splits(deployment, num_decodes, min_context, tile, params)
+    model = deployment.model
+    head_dim = model.head_dim
+    dtype = model.dtype_bytes
+    group_size = deployment.group_size
+
+    padded_rows = max(tile.tile_q, group_size)
+    q_bytes = group_size * head_dim * dtype
+    out_bytes = group_size * head_dim * (params.partial_accumulator_bytes if splits > 1 else dtype)
+    kv_span = context_sum / splits
+    flops = params.effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
+    kv_bytes = kv_span * head_dim * 2 * dtype
+    dram = params.effective_bytes(kv_bytes + num_decodes * (q_bytes + out_bytes))
+    copies = deployment.kv_heads_per_gpu * splits
+    return num_decodes * copies, flops * copies, dram * copies
 
 
 def decode_cta_works(

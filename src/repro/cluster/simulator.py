@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from repro.cluster.control import FleetState
 from repro.cluster.metrics import ClusterMetrics, compute_cluster_metrics
 from repro.cluster.router import ReplicaLoad, RouterPolicy, get_router
-from repro.serving.attention_backend import share_estimate_caches
 from repro.serving.kv_cache import KVCacheStats
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request, RequestState
@@ -199,8 +198,6 @@ class ClusterSimulator:
                 index = len(self.replicas)
                 self.replicas.append(self.topology.build_replica(index, recorder=self.recorder))
                 fleet.provision(index, now, ready_at)
-            # New backends adopt the fleet's warmed memo.
-            share_estimate_caches(replica.backend for replica in self.replicas)
         for _ in range(-decision):
             # Drain the least-loaded live replica (lowest index on ties).
             victim = min(fleet.live, key=lambda i: (self.replicas[i].load_num_requests, i))

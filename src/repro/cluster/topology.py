@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.models.config import ClusterSpec, Deployment, KVTransferModel, ReplicaSpec
-from repro.serving.attention_backend import (
-    AttentionBackend,
-    PODBackend,
-    get_backend,
-    share_estimate_caches,
-)
+from repro.serving.attention_backend import AttentionBackend, PODBackend, get_backend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
@@ -143,12 +138,7 @@ class ColocatedTopology:
         return (self.backend_builder or PODBackend)(deployment)
 
     def build_replica(self, replica_id: int, recorder=None) -> ReplicaRuntime:
-        """Build one hybrid replica (autoscaler scale-up path).
-
-        The caller is responsible for re-sharing estimate caches across the
-        fleet afterwards (``share_estimate_caches``), so a replica added
-        mid-run adopts the memo the existing fleet already warmed.
-        """
+        """Build one hybrid replica (also the autoscaler's scale-up path)."""
         make_scheduler = self.scheduler_factory or SarathiScheduler
         deployment = self.deployment_for(replica_id)
         return ReplicaRuntime(
@@ -162,13 +152,7 @@ class ColocatedTopology:
         )
 
     def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
-        replicas = [
-            self.build_replica(index, recorder=recorder) for index in range(self.num_replicas)
-        ]
-        # Identical replicas compute identical estimates; one shared memo
-        # keeps a fleet from re-deriving them once per replica.
-        share_estimate_caches(replica.backend for replica in replicas)
-        return replicas
+        return [self.build_replica(index, recorder=recorder) for index in range(self.num_replicas)]
 
     @property
     def entry_indices(self) -> list[int]:
@@ -255,7 +239,6 @@ class DisaggregatedTopology:
             )
             for index in range(self.num_decode)
         )
-        share_estimate_caches(replica.backend for replica in replicas)
         return replicas
 
     @property

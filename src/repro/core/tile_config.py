@@ -105,33 +105,40 @@ POD_CONFIGS = {
 }
 
 
+def chunk_phase_flops(deployment: Deployment, chunk_tokens: int, prior_tokens: int) -> float:
+    """Attention FLOPs of one prefill chunk at its queries' average causal extent."""
+    avg_kv = prior_tokens + chunk_tokens / 2.0
+    return 4.0 * chunk_tokens * avg_kv * deployment.model.head_dim * deployment.q_heads_per_gpu
+
+
+def phase_costs(
+    deployment: Deployment, prefill_flops: float, decode_context_sum: int
+) -> tuple[float, float]:
+    """(prefill compute seconds, decode memory seconds) from a batch's two sums."""
+    model = deployment.model
+    spec = deployment.gpu
+    decode_bytes = (
+        decode_context_sum * model.head_dim * 2 * model.dtype_bytes * deployment.kv_heads_per_gpu
+    )
+    return prefill_flops / spec.tensor_flops, decode_bytes / spec.hbm_bandwidth
+
+
 def estimate_phase_costs(deployment: Deployment, batch: HybridBatch) -> tuple[float, float]:
     """Rough (prefill compute seconds, decode memory seconds) estimate for a batch.
 
     Used only to pick between the 2- and 4-CTAs/SM configurations, mirroring
     the runtime heuristic the paper describes in §4.2.2/§5.4.1.
     """
-    model = deployment.model
-    spec = deployment.gpu
     prefill_flops = 0.0
     for chunk in batch.prefills:
-        # Average causal extent of the chunk's queries.
-        avg_kv = chunk.prior_tokens + chunk.chunk_tokens / 2.0
-        prefill_flops += (
-            4.0 * chunk.chunk_tokens * avg_kv * model.head_dim * deployment.q_heads_per_gpu
-        )
-    decode_bytes = 0.0
-    for decode in batch.decodes:
-        decode_bytes += (
-            decode.context_tokens
-            * model.head_dim
-            * 2
-            * model.dtype_bytes
-            * deployment.kv_heads_per_gpu
-        )
-    prefill_time = prefill_flops / spec.tensor_flops
-    decode_time = decode_bytes / spec.hbm_bandwidth
-    return prefill_time, decode_time
+        prefill_flops += chunk_phase_flops(deployment, chunk.chunk_tokens, chunk.prior_tokens)
+    context_sum = sum(decode.context_tokens for decode in batch.decodes)
+    return phase_costs(deployment, prefill_flops, context_sum)
+
+
+def pod_ctas_per_sm(prefill_time: float, decode_time: float) -> int:
+    """The runtime choice (§4.2.2): 2 CTAs/SM when prefill dominates, else 4."""
+    return 2 if prefill_time >= decode_time else 4
 
 
 def select_pod_config(deployment: Deployment, batch: HybridBatch) -> PODConfig:
@@ -140,7 +147,4 @@ def select_pod_config(deployment: Deployment, batch: HybridBatch) -> PODConfig:
     Prefill-dominant batches use 2 CTAs/SM (larger tiles); otherwise 4 CTAs/SM
     (finer co-scheduling granularity).
     """
-    prefill_time, decode_time = estimate_phase_costs(deployment, batch)
-    if prefill_time >= decode_time:
-        return pod_config_2_ctas_per_sm()
-    return pod_config_4_ctas_per_sm()
+    return POD_CONFIGS[pod_ctas_per_sm(*estimate_phase_costs(deployment, batch))]()

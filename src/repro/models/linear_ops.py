@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.models.config import Deployment
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_fraction, check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,15 @@ class LinearCostParams:
     elementwise_passes: float = 6.0
     allreduce_efficiency: float = 0.75
     kernel_overhead: float = 8e-6
+
+    def __post_init__(self) -> None:
+        for name in ("peak_gemm_efficiency", "hbm_efficiency", "allreduce_efficiency"):
+            check_fraction(name, check_positive(name, getattr(self, name)))
+        ramp = check_positive("gemm_efficiency_ramp_tokens", self.gemm_efficiency_ramp_tokens)
+        if ramp < 1:
+            raise ValueError(f"gemm_efficiency_ramp_tokens must be >= 1, got {ramp!r}")
+        check_positive("elementwise_passes", self.elementwise_passes)
+        check_non_negative("kernel_overhead", self.kernel_overhead)
 
     def gemm_efficiency(self, num_tokens: int) -> float:
         """Achieved fraction of peak tensor throughput for a GEMM over ``num_tokens`` rows."""

@@ -81,6 +81,9 @@ class IterationCostModel:
         self.linear_model = LinearOpCostModel(deployment, linear_params)
         # Per-iteration CPU-side overhead (scheduling, sampling, python glue).
         self.scheduler_overhead = check_non_negative("scheduler_overhead", scheduler_overhead)
+        # Token count -> whole-iteration (pre-projection, post-projection, FFN,
+        # others) times: the linear operators depend on nothing else.
+        self._linear_memo: dict[int, tuple[float, float, float, float]] = {}
 
     def linear_breakdown(self, num_tokens: int) -> LinearBreakdown:
         """Per-layer linear-operator breakdown for ``num_tokens`` batched tokens."""
@@ -102,14 +105,23 @@ class IterationCostModel:
         check_non_negative("prefill_attention_per_layer", prefill_attention_per_layer)
         check_non_negative("decode_attention_per_layer", decode_attention_per_layer)
         layers = self.deployment.model.num_layers
-        linear = self.linear_breakdown(num_tokens)
+        linear = self._linear_memo.get(num_tokens)
+        if linear is None:
+            per_layer = self.linear_breakdown(num_tokens)
+            linear = self._linear_memo[num_tokens] = (
+                per_layer.pre_attention * layers,
+                per_layer.post_attention * layers,
+                per_layer.ffn * layers,
+                per_layer.others * layers + self.scheduler_overhead,
+            )
+        pre_projection, post_projection, ffn, others = linear
         return IterationBreakdown(
-            pre_projection=linear.pre_attention * layers,
+            pre_projection=pre_projection,
             prefill_attention=prefill_attention_per_layer * layers,
             decode_attention=decode_attention_per_layer * layers,
-            post_projection=linear.post_attention * layers,
-            ffn=linear.ffn * layers,
-            others=linear.others * layers + self.scheduler_overhead,
+            post_projection=post_projection,
+            ffn=ffn,
+            others=others,
         )
 
     def iteration_time(

@@ -1,11 +1,16 @@
 """Attention backends used by the serving engine.
 
 The serving engine needs per-layer attention times for every iteration's
-batch.  A backend supplies them from the analytic model: an end-to-end run
-evaluates tens of thousands of iterations, and the differential oracle
-``analytic_vs_simulated`` (:mod:`repro.verify.oracles`) pins that model to the
-event-driven GPU engine.  Backends correspond to the serving systems the paper
-compares:
+batch.  A backend supplies them from the analytic model, exactly and at O(1)
+per step: the decode side follows in closed form from the decode count, the
+sum of their contexts and the shortest context, and each prefill chunk's
+FA-tile and POD-tile aggregates are memoized per backend on
+``(chunk_tokens, prior_tokens)``.  Both feed the plain-number helpers of
+:mod:`repro.attention.analytic` that :func:`analytic_attention_times` uses;
+:meth:`AttentionBackend.reference` runs that row-summing reference on a
+materialised :class:`HybridBatch`, and the oracle
+:func:`repro.verify.oracles.estimate_equivalence` holds every serving step to
+it.  Backends correspond to the serving systems the paper compares:
 
 * ``FASerialBackend``  — Sarathi / vLLM baseline: independently optimized
   FlashAttention prefill and decode kernels run back to back.
@@ -15,13 +20,33 @@ compares:
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.attention.analytic import analytic_attention_times
-from repro.attention.cost_model import AttentionCostParams
-from repro.attention.workload import HybridBatch
+from repro.attention.analytic import (
+    analytic_attention_times,
+    fa_occupancy,
+    fused_time,
+    kernel_time,
+)
+from repro.attention.cost_model import (
+    FA_DECODE_TILE,
+    FA_PREFILL_TILE,
+    AttentionCostParams,
+    CTAAggregate,
+    TileShape,
+    decode_aggregate_from_sums,
+    default_prefill_splits,
+    prefill_cta_aggregate,
+)
+from repro.attention.workload import HybridBatch, PrefillChunk
+from repro.core.tile_config import (
+    POD_CONFIGS,
+    chunk_phase_flops,
+    phase_costs,
+    pod_ctas_per_sm,
+)
 from repro.models.config import Deployment
+from repro.serving.batch import ScheduledBatch
 
 
 @dataclass(frozen=True)
@@ -36,34 +61,21 @@ class AttentionEstimate:
         return self.prefill_time + self.decode_time
 
 
-def _quantized_signature(batch: HybridBatch) -> tuple:
-    """Cache key for attention estimates: batches of near-identical shape share one entry."""
-
-    def bucket(value: int, width: int) -> int:
-        # Zero is reserved for "no work of this kind": a nonzero value is
-        # floored to the first bucket rather than rounded down to 0, so a
-        # hybrid batch with a couple of short-context decodes can never share
-        # a cache entry with a prefill-only batch (whose decode_time is 0).
-        if not value:
-            return 0
-        return max(width, int(round(value / width)) * width)
-
-    prefill_sig = tuple(
-        (bucket(chunk.chunk_tokens, 64), bucket(chunk.prior_tokens, 256))
-        for chunk in batch.prefills
+def _fused_split(prefill_time: float, decode_time: float, fused: float) -> AttentionEstimate:
+    """Attribute a fused kernel's time to the two phases in proportion to their
+    serial estimates, so iteration breakdowns stay meaningful."""
+    prefill_share = prefill_time / max(prefill_time + decode_time, 1e-12)
+    return AttentionEstimate(
+        prefill_time=fused * prefill_share, decode_time=fused * (1.0 - prefill_share)
     )
-    if batch.decodes:
-        mean_ctx = sum(d.context_tokens for d in batch.decodes) / len(batch.decodes)
-        decode_sig = (bucket(len(batch.decodes), 4), bucket(int(mean_ctx), 256))
-    else:
-        decode_sig = (0, 0)
-    return (prefill_sig, decode_sig)
 
 
-class AttentionBackend(ABC):
+class AttentionBackend:
     """Supplies per-layer attention times for scheduled batches."""
 
     name: str = "base"
+    #: Whether hybrid batches run as one fused kernel rather than back to back.
+    fuses: bool = False
 
     def __init__(
         self,
@@ -72,34 +84,106 @@ class AttentionBackend(ABC):
     ) -> None:
         self.deployment = deployment
         self.params = params or AttentionCostParams()
-        self._cache: dict[tuple, AttentionEstimate] = {}
+        self._occupancy = fa_occupancy(deployment)
+        self._pod_configs = {ctas: POD_CONFIGS[ctas]() for ctas in (2, 4)}
+        # (chunk_tokens, prior_tokens) -> (phase FLOPs, FA-tile CTA count,
+        # FLOPs, DRAM bytes); with POD's CTAs per SM appended to the key ->
+        # (FLOPs, DRAM bytes) under that configuration's tile.
+        self._prefill_memo: dict[tuple[int, int], tuple[float, int, float, float]] = {}
+        self._pod_prefill_memo: dict[tuple[int, int, int], tuple[float, float]] = {}
 
-    def estimate(self, batch: HybridBatch) -> AttentionEstimate:
-        """Per-layer attention estimate for ``batch`` (memoised on batch shape)."""
-        key = _quantized_signature(batch)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._estimate_uncached(batch)
-            self._cache[key] = cached
-        return cached
+    def _prefill_aggregate(
+        self, key: tuple[int, int], tile: TileShape, max_ctas: int | None = None
+    ) -> CTAAggregate:
+        chunk = PrefillChunk(chunk_tokens=key[0], prior_tokens=key[1])
+        splits = default_prefill_splits(self.deployment, chunk, tile, self.params, max_ctas)
+        return prefill_cta_aggregate(self.deployment, chunk, tile, splits, self.params)
 
-    @abstractmethod
-    def _estimate_uncached(self, batch: HybridBatch) -> AttentionEstimate: ...
+    def _fa_prefill_entry(self, key: tuple[int, int]) -> tuple[float, int, float, float]:
+        aggregate = self._prefill_aggregate(key, FA_PREFILL_TILE)
+        entry = self._prefill_memo[key] = (
+            chunk_phase_flops(self.deployment, key[0], key[1]),
+            aggregate.count,
+            aggregate.total_flops,
+            aggregate.total_dram_bytes,
+        )
+        return entry
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
+    def _pod_prefill_entry(self, key: tuple[int, int, int]) -> tuple[float, float]:
+        config = self._pod_configs[key[2]]
+        aggregate = self._prefill_aggregate(
+            key[:2], config.prefill_tile, config.max_prefill_ctas(self.deployment.gpu)
+        )
+        entry = self._pod_prefill_memo[key] = (aggregate.total_flops, aggregate.total_dram_bytes)
+        return entry
 
-    def use_shared_cache(self, cache: dict) -> None:
-        """Adopt ``cache`` as this backend's estimate memo.
+    def estimate(self, batch: ScheduledBatch) -> AttentionEstimate:
+        """Per-layer attention estimate for one scheduled batch.
 
-        Estimates are pure functions of the quantized batch signature, so
-        backends that agree on (class, params, deployment) can share
-        one memo; a cluster fleet uses this to stop every replica from
-        re-deriving the same estimates (the dominant sweep cost at scale).
+        Equal, within float rounding of the decode sums, to :meth:`reference`
+        on ``batch.to_hybrid_batch()``.
         """
-        cache.update(self._cache)
-        self._cache = cache
+        deployment, params = self.deployment, self.params
+        spec = deployment.gpu
+        fixed = params.cta_fixed_overhead
+        memo = self._prefill_memo
+        keys = []
+        phase_flops = 0.0
+        prefill_time = 0.0
+        if batch.prefill_items:
+            count, flops, dram = 0, 0.0, 0.0
+            for request, tokens in batch.prefill_items:
+                key = (tokens, request.prefill_done_tokens)
+                entry = memo.get(key) or self._fa_prefill_entry(key)
+                keys.append(key)
+                phase_flops += entry[0]
+                count += entry[1]
+                flops += entry[2]
+                dram += entry[3]
+            prefill_time = kernel_time(spec, count, flops, dram, fixed, self._occupancy[0])
+        decode_time = 0.0
+        decodes = batch.decode_requests
+        if decodes:
+            contexts = [request.context_tokens for request in decodes]
+            num_decodes, context_sum, min_context = len(contexts), sum(contexts), min(contexts)
+            count, flops, dram = decode_aggregate_from_sums(
+                deployment, num_decodes, context_sum, min_context, FA_DECODE_TILE, params
+            )
+            decode_time = kernel_time(spec, count, flops, dram, fixed, self._occupancy[1])
+        if not (self.fuses and keys and decodes):
+            return AttentionEstimate(prefill_time=prefill_time, decode_time=decode_time)
+
+        ctas = pod_ctas_per_sm(*phase_costs(deployment, phase_flops, context_sum))
+        config = self._pod_configs[ctas]
+        pod_memo = self._pod_prefill_memo
+        prefill_flops, prefill_dram = 0.0, 0.0
+        for key in keys:
+            pod_key = (key[0], key[1], ctas)
+            pod_entry = pod_memo.get(pod_key) or self._pod_prefill_entry(pod_key)
+            prefill_flops += pod_entry[0]
+            prefill_dram += pod_entry[1]
+        count, flops, dram = decode_aggregate_from_sums(
+            deployment, num_decodes, context_sum, min_context, config.decode_tile, params
+        )
+        fused = fused_time(
+            spec,
+            len(keys),
+            prefill_flops,
+            prefill_dram,
+            count,
+            flops,
+            dram,
+            config.virtual_decode_factor,
+            prefill_time + decode_time,
+        )
+        return _fused_split(prefill_time, decode_time, fused)
+
+    def reference(self, batch: HybridBatch) -> AttentionEstimate:
+        """The estimate :meth:`estimate` must match, from the row-summing reference."""
+        times = analytic_attention_times(self.deployment, batch, self.params)
+        if not (self.fuses and batch.is_hybrid):
+            return AttentionEstimate(prefill_time=times.prefill_time, decode_time=times.decode_time)
+        return _fused_split(times.prefill_time, times.decode_time, times.fused_time)
 
 
 class FASerialBackend(AttentionBackend):
@@ -107,46 +191,12 @@ class FASerialBackend(AttentionBackend):
 
     name = "FA_Serial"
 
-    def _estimate_uncached(self, batch: HybridBatch) -> AttentionEstimate:
-        times = analytic_attention_times(self.deployment, batch, self.params)
-        return AttentionEstimate(prefill_time=times.prefill_time, decode_time=times.decode_time)
-
 
 class PODBackend(AttentionBackend):
     """POD-Attention fused kernel for hybrid batches, specialized kernels otherwise."""
 
     name = "POD"
-
-    def _estimate_uncached(self, batch: HybridBatch) -> AttentionEstimate:
-        times = analytic_attention_times(self.deployment, batch, self.params)
-        if not batch.is_hybrid:
-            return AttentionEstimate(
-                prefill_time=times.prefill_time, decode_time=times.decode_time
-            )
-        # Attribute the fused time to the two phases in proportion to their
-        # serial estimates so iteration breakdowns stay meaningful.
-        serial = max(times.serial_time, 1e-12)
-        prefill_share = times.prefill_time / serial
-        return AttentionEstimate(
-            prefill_time=times.fused_time * prefill_share,
-            decode_time=times.fused_time * (1.0 - prefill_share),
-        )
-
-
-def share_estimate_caches(backends) -> None:
-    """Point identically-configured backends at one shared estimate memo.
-
-    Grouping key is (class, params, deployment): backends that agree on all
-    three compute identical estimates for identical signatures.  Note the
-    signature is *quantized*, so a bucket is seeded by whichever concrete
-    batch reaches it first — with a shared memo that is fleet-global rather
-    than per-replica order, which can shift estimates within the
-    quantization tolerance versus unshared caches (runs stay deterministic).
-    """
-    caches: dict[tuple, dict] = {}
-    for backend in backends:
-        key = (type(backend), backend.params, backend.deployment)
-        backend.use_shared_cache(caches.setdefault(key, {}))
+    fuses = True
 
 
 BACKENDS = {

@@ -2,7 +2,10 @@
 
 The engine composes the linear-operator roofline model with the attention
 backend's estimate to produce the wall-clock time of one iteration, exactly
-the composition shown in the paper's Figure 3/Figure 4.
+the composition shown in the paper's Figure 3/Figure 4.  A step costs O(1)
+model evaluations: the backend estimates attention from the scheduled batch
+directly (no :class:`~repro.attention.workload.HybridBatch` is built), and
+the iteration model memoizes the linear operators per token count.
 """
 
 from __future__ import annotations
@@ -39,19 +42,18 @@ class InferenceEngine:
         """Estimate the duration of one iteration over ``batch``."""
         if batch.is_empty:
             raise ValueError("cannot execute an empty batch")
-        hybrid = batch.to_hybrid_batch()
-        estimate = self.backend.estimate(hybrid)
+        estimate = self.backend.estimate(batch)
+        num_tokens = batch.total_tokens
         breakdown = self.iteration_model.iteration_breakdown(
-            num_tokens=batch.total_tokens,
-            prefill_attention_per_layer=estimate.prefill_time,
-            decode_attention_per_layer=estimate.decode_time,
+            num_tokens, estimate.prefill_time, estimate.decode_time
         )
         self.total_iterations += 1
-        if batch.is_hybrid:
+        is_hybrid = batch.is_hybrid
+        if is_hybrid:
             self.hybrid_iterations += 1
         return IterationResult(
             duration=breakdown.total,
             breakdown=breakdown,
-            num_tokens=batch.total_tokens,
-            is_hybrid=batch.is_hybrid,
+            num_tokens=num_tokens,
+            is_hybrid=is_hybrid,
         )

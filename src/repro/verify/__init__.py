@@ -9,8 +9,9 @@ paths can land without fear.
 * :mod:`repro.verify.invariants` — causality, token-conservation, KV
   accounting, batch-budget and monotone-clock checks over those logs.
 * :mod:`repro.verify.oracles` — differential oracles between independent
-  layers (single-replica vs cluster, scheduler vs scheduler, analytic cost
-  model vs GPU simulator, GPU engine vs its frozen reference).
+  layers (single-replica vs cluster, scheduler vs scheduler, serving-step
+  attention estimates vs the analytic reference, analytic cost model vs GPU
+  simulator, GPU engine vs its frozen reference).
 * :mod:`repro.verify.reference_engine` — the frozen reference copy of the
   event-driven GPU engine that ``engine_equivalence`` diffs against.
 * :mod:`repro.verify.fuzzer` — hypothesis-driven scenario fuzzing that runs
@@ -64,10 +65,12 @@ from repro.verify.invariants import (
 )
 from repro.verify.oracles import (
     ENGINE_RTOL,
+    ESTIMATE_RTOL,
     REDUCIBLE_ROUTERS,
     SeedBlockAllocator,
     analytic_vs_simulated,
     engine_equivalence,
+    estimate_equivalence,
     kv_allocator_equivalence,
     kv_allocator_operations,
     scheduler_conservation,
@@ -149,11 +152,13 @@ __all__ = [
     "check_kv_drain_balance",
     "check_replica_load_counters",
     "ENGINE_RTOL",
+    "ESTIMATE_RTOL",
     "REDUCIBLE_ROUTERS",
     "ReferenceEngine",
     "SeedBlockAllocator",
     "analytic_vs_simulated",
     "engine_equivalence",
+    "estimate_equivalence",
     "kv_allocator_equivalence",
     "kv_allocator_operations",
     "scheduler_conservation",

@@ -1,6 +1,6 @@
 """Differential oracles: independent implementations checked against each other.
 
-Three cross-layer reductions must hold in this codebase, and each is encoded
+Several cross-layer reductions must hold in this codebase, and each is encoded
 here as an executable oracle returning a list of human-readable discrepancy
 strings (empty = the oracle passes):
 
@@ -10,6 +10,11 @@ strings (empty = the oracle passes):
   drain), so *every* scenario must produce identical per-request timestamps
   and metrics through both, under every router policy (with one replica a
   router has no choice to make).
+* :func:`estimate_equivalence` — every serving step's attention estimate,
+  computed at O(1) from decode sums and memoized prefill aggregates, must
+  equal the backend's phase split of :func:`analytic_attention_times` on the
+  materialised batch (within :data:`ESTIMATE_RTOL`; an absent phase is an
+  exact 0), on every registry scenario, backend and topology.
 * :func:`scheduler_conservation` — schedulers differ in *when* tokens run,
   never in *how many*: on one trace, Sarathi and vLLM must schedule exactly
   the same prefill/decode token totals and finish every request, with their
@@ -42,14 +47,20 @@ from repro.attention.analytic import analytic_attention_times
 from repro.attention.executors import FASerial
 from repro.attention.workload import HybridBatch
 from repro.cluster.simulator import ClusterSimulator
-from repro.cluster.topology import ColocatedTopology
+from repro.cluster.topology import ColocatedTopology, DisaggregatedTopology
 from repro.core.pod_kernel import PODAttention
 from repro.gpu.config import GPUSpec
 from repro.gpu.engine import PLACEMENT_POLICIES, ExecutionEngine
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.result import ExecutionResult
 from repro.models.config import Deployment
-from repro.serving.attention_backend import AttentionBackend, PODBackend, get_backend
+from repro.serving.attention_backend import (
+    AttentionBackend,
+    AttentionEstimate,
+    PODBackend,
+    get_backend,
+)
+from repro.serving.batch import ScheduledBatch
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, KVCacheStats
 from repro.serving.metrics import ServingMetrics, compute_metrics
 from repro.serving.replica import ReplicaRuntime
@@ -181,6 +192,102 @@ def single_replica_equivalence(
     discrepancies.extend(_compare_metrics(label, reference_metrics, cluster.metrics.fleet))
     if cluster.assignments and set(cluster.assignments.values()) != {0}:
         discrepancies.append(f"{label}: 1-replica cluster routed off replica 0")
+    return discrepancies
+
+
+#: How far a serving step's estimate may sit from the reference, relative: the
+#: closed-form decode sums round differently from summing one row per decode.
+ESTIMATE_RTOL = 1e-12
+
+
+class _EstimateCheckingBackend(AttentionBackend):
+    """Serves ``inner``'s estimates and checks each one against ``inner.reference``.
+
+    Every :meth:`estimate` call materialises the step's
+    :class:`~repro.attention.workload.HybridBatch` and compares the two phase
+    times: within :data:`ESTIMATE_RTOL` relative, and exactly 0 for a phase
+    the batch does not have.  Findings collect in ``discrepancies``.
+    """
+
+    def __init__(self, inner: AttentionBackend, label: str) -> None:
+        super().__init__(inner.deployment, inner.params)
+        self.inner = inner
+        self.label = label
+        self.steps_checked = 0
+        self.discrepancies: list[str] = []
+
+    def estimate(self, batch: ScheduledBatch) -> AttentionEstimate:
+        estimate = self.inner.estimate(batch)
+        reference = self.inner.reference(batch.to_hybrid_batch())
+        step = self.steps_checked
+        self.steps_checked += 1
+        for phase, present in (
+            ("prefill_time", bool(batch.prefill_items)),
+            ("decode_time", bool(batch.decode_requests)),
+        ):
+            got, want = getattr(estimate, phase), getattr(reference, phase)
+            if present:
+                exact = abs(got - want) <= ESTIMATE_RTOL * abs(want)
+            else:
+                exact = got == 0.0 and want == 0.0
+            if not exact:
+                self.discrepancies.append(
+                    f"{self.label} step {step} ({batch.describe()}): {phase} "
+                    f"{got!r} vs reference {want!r}"
+                )
+        return estimate
+
+
+def estimate_equivalence(
+    deployment: Deployment,
+    scenario: str,
+    backend: str = "pod",
+    topology: str = "colocated",
+    num_requests: int = 8,
+    seed: int = 0,
+    chunk_size: int = 1024,
+) -> list[str]:
+    """Check every serving step's attention estimate against the reference.
+
+    Serves one registry scenario on two colocated replicas
+    (``topology="colocated"``) or a 1 + 1 disaggregated fleet
+    (``"disaggregated"``) whose backends are wrapped in a checker: each
+    step's :meth:`~repro.serving.attention_backend.AttentionBackend.estimate`
+    must equal the backend's phase split of
+    :func:`analytic_attention_times` on ``batch.to_hybrid_batch()`` within
+    :data:`ESTIMATE_RTOL`, and be exactly 0 for an absent phase.
+    """
+    check_in_choices("topology", topology, ("colocated", "disaggregated"))
+    label = f"{scenario}/{backend}/{topology}"
+    checkers: list[_EstimateCheckingBackend] = []
+
+    def build(replica_deployment: Deployment) -> AttentionBackend:
+        checker = _EstimateCheckingBackend(
+            get_backend(backend, replica_deployment), f"{label} replica {len(checkers)}"
+        )
+        checkers.append(checker)
+        return checker
+
+    fleet: ColocatedTopology | DisaggregatedTopology
+    if topology == "colocated":
+        fleet = ColocatedTopology(
+            deployment,
+            num_replicas=2,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size),
+            backend_builder=build,
+        )
+    else:
+        fleet = DisaggregatedTopology(
+            deployment, num_prefill=1, num_decode=1, chunk_size=chunk_size, backend_builder=build
+        )
+    simulator = ClusterSimulator(fleet, router="least-tokens")
+    simulator.run(build_scenario(scenario, num_requests=num_requests, seed=seed))
+
+    discrepancies = [finding for checker in checkers for finding in checker.discrepancies]
+    checked = sum(checker.steps_checked for checker in checkers)
+    executed = sum(replica.steps_executed for replica in simulator.replicas)
+    if checked != executed or not checked:
+        discrepancies.append(f"{label}: checked {checked} of {executed} steps")
     return discrepancies
 
 

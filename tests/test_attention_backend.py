@@ -1,88 +1,116 @@
-"""Regression tests for the attention-estimate cache.
+"""Tests for the serving backends' exact per-step attention estimates.
 
-Pins the estimator bug fixed alongside the cluster hot-path refactor: the
-quantized cache key used to bucket 1-2 short-context decodes to ``(0, 0)`` —
-the *no-decodes* signature — so a hybrid batch could return a cached
-prefill-only estimate with ``decode_time == 0``.
-
-Plus the fleet-shared estimate memo (``share_estimate_caches``) introduced
-for cluster sweeps.
+A step's estimate comes from closed-form decode sums and per-backend prefill
+memos keyed on ``(chunk_tokens, prior_tokens)``; the oracle
+``estimate_equivalence`` (tests/test_verify_oracles.py) holds every step of
+every registry scenario to the row-summing reference.  This file pins the
+bug the old quantized memo had, and bounds the closed-form work a step may
+do by counting calls, so the bound carries no timing noise.
 """
 
 from __future__ import annotations
 
-import pytest
+from collections import Counter, defaultdict
 
-from repro.attention.workload import DecodeRequest, HybridBatch, PrefillChunk
-from repro.serving.attention_backend import (
-    FASerialBackend,
-    PODBackend,
-    _quantized_signature,
-    share_estimate_caches,
-)
-
-PREFILL_ONLY = HybridBatch.prefill_only(1024)
-#: The collision shape: 1-2 decodes whose context rounds down below every
-#: bucket width used by the signature.
-SMALL_HYBRID = HybridBatch(
-    prefills=(PrefillChunk(chunk_tokens=1024),),
-    decodes=(DecodeRequest(context_tokens=100),),
-)
+from repro.attention import analytic, cost_model
+from repro.cluster import ClusterSimulator, ColocatedTopology
+from repro.models.linear_ops import LinearOpCostModel
+from repro.serving.attention_backend import PODBackend
+from repro.serving.batch import ScheduledBatch
+from repro.serving.engine import InferenceEngine
+from repro.serving.request import Request
+from repro.serving.scheduler_sarathi import SarathiScheduler
 
 
-class TestQuantizedSignature:
-    def test_small_hybrid_does_not_collide_with_prefill_only(self):
-        """The pre-fix key bucketed (1 decode, ctx<128) to (0, 0) == no decodes."""
-        assert _quantized_signature(SMALL_HYBRID) != _quantized_signature(PREFILL_ONLY)
+def _prefill_item(tokens: int) -> tuple[Request, int]:
+    return Request(request_id=0, prefill_tokens=tokens, decode_tokens=8), tokens
 
-    @pytest.mark.parametrize("num_decodes", [1, 2])
-    @pytest.mark.parametrize("context", [1, 64, 127])
-    def test_nonzero_decode_load_never_buckets_to_zero(self, num_decodes, context):
-        decodes = tuple(DecodeRequest(context_tokens=context) for _ in range(num_decodes))
-        batch = HybridBatch(prefills=(PrefillChunk(chunk_tokens=256),), decodes=decodes)
-        _, decode_sig = _quantized_signature(batch)
-        assert decode_sig[0] > 0, "decode count bucketed to 0"
-        assert decode_sig[1] > 0, "decode context bucketed to 0"
 
-    def test_small_prior_tokens_never_bucket_to_zero(self):
-        with_prior = HybridBatch.prefill_only(256, prior_tokens=100)
-        without_prior = HybridBatch.prefill_only(256, prior_tokens=0)
-        assert _quantized_signature(with_prior) != _quantized_signature(without_prior)
+def _decode(context_tokens: int) -> Request:
+    """A decoding request: its prompt plus the first token, emitted by the prefill."""
+    request = Request(request_id=1, prefill_tokens=context_tokens - 1, decode_tokens=8)
+    request.advance_prefill(context_tokens - 1, now=0.0)
+    return request
 
-    def test_near_identical_batches_still_share_a_bucket(self):
-        a = HybridBatch.uniform(1024, 8192, 32, 8000)
-        b = HybridBatch.uniform(1024, 8192, 33, 8010)
-        assert _quantized_signature(a) == _quantized_signature(b)
 
-    def test_cached_hybrid_estimate_has_decode_time(self, llama3_deployment):
-        """The observable bug: a hybrid batch served a cached prefill-only
-        estimate (decode_time == 0) when the prefill-only batch came first."""
+class TestExactEstimates:
+    def test_hybrid_after_prefill_only_has_decode_time(self, llama3_deployment):
+        """The quantized memo once served a hybrid batch with one short decode
+        the cached estimate of a prefill-only batch (``decode_time == 0``)."""
         backend = PODBackend(llama3_deployment)
-        backend.estimate(PREFILL_ONLY)
-        estimate = backend.estimate(SMALL_HYBRID)
-        assert estimate.decode_time > 0.0
-        assert backend.cache_size == 2
+        backend.estimate(ScheduledBatch(prefill_items=[_prefill_item(1024)]))
+        hybrid = ScheduledBatch(prefill_items=[_prefill_item(1024)], decode_requests=[_decode(100)])
+        assert hybrid.to_hybrid_batch().decodes[0].context_tokens == 100
+        assert backend.estimate(hybrid).decode_time > 0.0
 
 
-class TestSharedEstimateCache:
-    def test_identical_backends_share_entries(self, llama3_deployment):
-        first = PODBackend(llama3_deployment)
-        second = PODBackend(llama3_deployment)
-        share_estimate_caches([first, second])
-        estimate = first.estimate(SMALL_HYBRID)
-        assert second.cache_size == 1
-        assert second.estimate(SMALL_HYBRID) is estimate
+class TestClosedFormWork:
+    def test_work_per_step_is_bounded(self, llama3_deployment, monkeypatch):
+        """Counts, per backend, the closed-form work a fleet's steps do.
 
-    def test_differently_configured_backends_do_not_share(self, llama3_deployment):
-        serial = FASerialBackend(llama3_deployment)
-        pod = PODBackend(llama3_deployment)
-        share_estimate_caches([serial, pod])
-        serial.estimate(SMALL_HYBRID)
-        assert pod.cache_size == 0
+        A step reads its decode side from three sums (no per-decode rows),
+        builds each prefill chunk's aggregates once per backend (FA tile plus
+        at most the two POD tiles), probes occupancy only when the backend is
+        built, and evaluates the linear operators once per token count.
+        """
+        calls: Counter = Counter()
+        current: list[object] = [None]
+        pairs: defaultdict[object, set] = defaultdict(set)
+        token_counts: defaultdict[int, set] = defaultdict(set)
+        layer_calls: Counter = Counter()
 
-    def test_existing_entries_survive_sharing(self, llama3_deployment):
-        first = PODBackend(llama3_deployment)
-        warm = first.estimate(SMALL_HYBRID)
-        second = PODBackend(llama3_deployment)
-        share_estimate_caches([first, second])
-        assert second.estimate(SMALL_HYBRID) is warm
+        def counted(name, function):
+            def shim(*args, **kwargs):
+                calls[name, current[0]] += 1
+                return function(*args, **kwargs)
+
+            return shim
+
+        execute = InferenceEngine.execute
+
+        def tracked_execute(engine, batch):
+            current[0] = engine.backend
+            pairs[engine.backend].update(
+                (tokens, request.prefill_done_tokens) for request, tokens in batch.prefill_items
+            )
+            token_counts[id(engine.iteration_model.linear_model)].add(batch.total_tokens)
+            try:
+                return execute(engine, batch)
+            finally:
+                current[0] = None
+
+        layer_breakdown = LinearOpCostModel.layer_breakdown
+
+        def counted_layer_breakdown(model, num_tokens):
+            layer_calls[id(model), num_tokens] += 1
+            return layer_breakdown(model, num_tokens)
+
+        monkeypatch.setattr(InferenceEngine, "execute", tracked_execute)
+        monkeypatch.setattr(LinearOpCostModel, "layer_breakdown", counted_layer_breakdown)
+        for module, name in (
+            (cost_model, "_prefill_rows"),
+            (cost_model, "_decode_rows"),
+            (analytic, "_occupancy_for"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+        topology = ColocatedTopology(
+            llama3_deployment,
+            num_replicas=2,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+            backend_builder=PODBackend,
+        )
+        simulator = ClusterSimulator(topology, router="least-tokens")
+        simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
+
+        backends = [replica.backend for replica in simulator.replicas]
+        assert all(pairs[backend] for backend in backends)
+        assert sum(n for (name, _), n in calls.items() if name == "_decode_rows") == 0
+        for backend in backends:
+            assert 0 < calls["_prefill_rows", backend] <= 3 * len(pairs[backend])
+        occupancy = sum(n for (name, _), n in calls.items() if name == "_occupancy_for")
+        assert occupancy <= 2 * len(backends)
+        assert set(layer_calls.values()) == {1}
+        assert set(layer_calls) == {
+            (model, tokens) for model, counts in token_counts.items() for tokens in counts
+        }

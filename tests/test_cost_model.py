@@ -314,6 +314,28 @@ class TestCTAAggregates:
 
 
 class TestParams:
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("cta_fixed_overhead", -1.0),
+            ("hbm_efficiency", math.nan),
+            ("hbm_efficiency", 0.0),
+            ("prefill_tensor_efficiency", 1.5),
+            ("decode_tensor_efficiency", math.inf),
+            ("l2_usable_fraction", 0.0),
+            ("max_kv_splits", 0),
+            ("partial_accumulator_bytes", 0.5),
+            ("cold_miss_factor", 0.0),
+            ("flash_decoding_wave_target", -1.0),
+            ("hfuse_overhead_factor", math.nan),
+            ("fi_decode_bandwidth_bonus", 0.0),
+        ],
+    )
+    def test_rejects_out_of_range_values(self, field, value):
+        """Each value once produced a negative, NaN or silently clamped estimate."""
+        with pytest.raises(ValueError, match=field):
+            AttentionCostParams(**{field: value})
+
     def test_effective_bytes_inflates(self):
         params = AttentionCostParams(hbm_efficiency=0.8)
         assert params.effective_bytes(80.0) == pytest.approx(100.0)

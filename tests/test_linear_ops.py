@@ -14,6 +14,26 @@ def cost_model(llama3_deployment):
     return LinearOpCostModel(llama3_deployment)
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("gemm_efficiency_ramp_tokens", 0),
+            ("gemm_efficiency_ramp_tokens", 0.5),
+            ("peak_gemm_efficiency", float("nan")),
+            ("peak_gemm_efficiency", 1.2),
+            ("hbm_efficiency", 0.0),
+            ("allreduce_efficiency", -0.5),
+            ("elementwise_passes", 0.0),
+            ("kernel_overhead", -1e-6),
+        ],
+    )
+    def test_rejects_out_of_range_values(self, field, value):
+        """Each value once produced a NaN time or a ZeroDivisionError mid-run."""
+        with pytest.raises(ValueError, match=field):
+            LinearCostParams(**{field: value})
+
+
 class TestGemmEfficiency:
     def test_ramps_with_tokens(self):
         params = LinearCostParams()

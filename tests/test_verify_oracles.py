@@ -5,6 +5,8 @@ the plain single-replica drain loop (``single_replica_reference``) *exactly*
 (per-request timestamps and every metric field) on every scenario in the
 workload registry, under every router policy — with one replica, routing
 must be a no-op — and on offline traces and the vLLM + FA-serial stack.
+Beside it, every serving step's O(1) attention estimate must equal the
+row-summing analytic reference on every scenario, backend and topology.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from repro.verify import (
     REDUCIBLE_ROUTERS,
     analytic_vs_simulated,
+    estimate_equivalence,
     scheduler_conservation,
     single_replica_equivalence,
 )
@@ -64,6 +67,14 @@ class TestSingleReplicaEquivalence:
         """Guards the parametrization: new scenarios are picked up automatically."""
         assert len(SCENARIO_NAMES) >= 7
         assert len(REDUCIBLE_ROUTERS) == 5
+
+
+class TestEstimateEquivalence:
+    @pytest.mark.parametrize("topology", ["colocated", "disaggregated"])
+    @pytest.mark.parametrize("backend", ["pod", "fa_serial"])
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_every_step_matches_the_reference(self, llama3_deployment, scenario, backend, topology):
+        assert estimate_equivalence(llama3_deployment, scenario, backend, topology) == []
 
 
 class TestSchedulerConservation:

@@ -103,7 +103,6 @@ def fused_time(
     decode_bytes: float,
     virtual_decode_factor: int,
     serial_time: float,
-    overlap_efficiency: float = FUSED_OVERLAP_EFFICIENCY,
 ) -> float:
     """Time of POD's fused kernel on a hybrid batch, given its POD-tile aggregates.
 
@@ -121,7 +120,7 @@ def fused_time(
     available_bandwidth = min(spec.hbm_bandwidth, streaming_sms * spec.sm_mem_bandwidth)
     fused = (
         max(total_flops / spec.tensor_flops, total_bytes / available_bandwidth)
-        / overlap_efficiency
+        / FUSED_OVERLAP_EFFICIENCY
         + spec.kernel_launch_overhead
     )
     # The fused kernel can never beat the better of the two phase-specific
@@ -168,7 +167,6 @@ def analytic_attention_times(
     deployment: Deployment,
     batch: HybridBatch,
     params: AttentionCostParams | None = None,
-    fused_overlap_efficiency: float = FUSED_OVERLAP_EFFICIENCY,
 ) -> AnalyticAttentionTimes:
     """Analytic per-layer attention times for serial (FA) and fused (POD) execution.
 
@@ -216,7 +214,6 @@ def analytic_attention_times(
             decode_works.total_dram_bytes,
             config.virtual_decode_factor,
             serial_time,
-            fused_overlap_efficiency,
         )
     return AnalyticAttentionTimes(
         prefill_time=prefill_time,

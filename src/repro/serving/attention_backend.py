@@ -32,8 +32,6 @@ from repro.attention.cost_model import (
     FA_DECODE_TILE,
     FA_PREFILL_TILE,
     AttentionCostParams,
-    CTAAggregate,
-    TileShape,
     decode_aggregate_from_sums,
     default_prefill_splits,
     prefill_cta_aggregate,
@@ -87,34 +85,42 @@ class AttentionBackend:
         self._occupancy = fa_occupancy(deployment)
         self._pod_configs = {ctas: POD_CONFIGS[ctas]() for ctas in (2, 4)}
         # (chunk_tokens, prior_tokens) -> (phase FLOPs, FA-tile CTA count,
-        # FLOPs, DRAM bytes); with POD's CTAs per SM appended to the key ->
-        # (FLOPs, DRAM bytes) under that configuration's tile.
-        self._prefill_memo: dict[tuple[int, int], tuple[float, int, float, float]] = {}
+        # FLOPs, DRAM bytes, KV splits); with POD's CTAs per SM appended to the
+        # key -> (FLOPs, DRAM bytes) under that configuration's tile.
+        self._prefill_memo: dict[tuple[int, int], tuple[float, int, float, float, int]] = {}
         self._pod_prefill_memo: dict[tuple[int, int, int], tuple[float, float]] = {}
 
-    def _prefill_aggregate(
-        self, key: tuple[int, int], tile: TileShape, max_ctas: int | None = None
-    ) -> CTAAggregate:
+    def _fa_prefill_entry(self, key: tuple[int, int]) -> tuple[float, int, float, float, int]:
+        deployment, params = self.deployment, self.params
         chunk = PrefillChunk(chunk_tokens=key[0], prior_tokens=key[1])
-        splits = default_prefill_splits(self.deployment, chunk, tile, self.params, max_ctas)
-        return prefill_cta_aggregate(self.deployment, chunk, tile, splits, self.params)
-
-    def _fa_prefill_entry(self, key: tuple[int, int]) -> tuple[float, int, float, float]:
-        aggregate = self._prefill_aggregate(key, FA_PREFILL_TILE)
+        splits = default_prefill_splits(deployment, chunk, FA_PREFILL_TILE, params)
+        aggregate = prefill_cta_aggregate(deployment, chunk, FA_PREFILL_TILE, splits, params)
         entry = self._prefill_memo[key] = (
-            chunk_phase_flops(self.deployment, key[0], key[1]),
+            chunk_phase_flops(deployment, key[0], key[1]),
             aggregate.count,
             aggregate.total_flops,
             aggregate.total_dram_bytes,
+            splits,
         )
         return entry
 
     def _pod_prefill_entry(self, key: tuple[int, int, int]) -> tuple[float, float]:
+        deployment, params = self.deployment, self.params
         config = self._pod_configs[key[2]]
-        aggregate = self._prefill_aggregate(
-            key[:2], config.prefill_tile, config.max_prefill_ctas(self.deployment.gpu)
+        chunk = PrefillChunk(chunk_tokens=key[0], prior_tokens=key[1])
+        tile = config.prefill_tile
+        splits = default_prefill_splits(
+            deployment, chunk, tile, params, config.max_prefill_ctas(deployment.gpu)
         )
-        entry = self._pod_prefill_memo[key] = (aggregate.total_flops, aggregate.total_dram_bytes)
+        fa_entry = self._prefill_memo[key[:2]]
+        # The 2-CTA configuration keeps FA's tile; unless its wave cap binds,
+        # its aggregate is the FA one already built for this chunk.
+        if tile == FA_PREFILL_TILE and splits == fa_entry[4]:
+            entry = (fa_entry[2], fa_entry[3])
+        else:
+            aggregate = prefill_cta_aggregate(deployment, chunk, tile, splits, params)
+            entry = (aggregate.total_flops, aggregate.total_dram_bytes)
+        self._pod_prefill_memo[key] = entry
         return entry
 
     def estimate(self, batch: ScheduledBatch) -> AttentionEstimate:

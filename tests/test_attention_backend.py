@@ -52,10 +52,14 @@ class TestClosedFormWork:
         builds each prefill chunk's aggregates once per backend (FA tile plus
         at most the two POD tiles), probes occupancy only when the backend is
         built, and evaluates the linear operators once per token count.
+        The run repeats chunks, so a step that rebuilt a chunk it had already
+        built (a lost prefill memo) fails the once-per-key count.
         """
         calls: Counter = Counter()
         current: list[object] = [None]
         pairs: defaultdict[object, set] = defaultdict(set)
+        chunks_seen: Counter = Counter()
+        builds: defaultdict[object, Counter] = defaultdict(Counter)
         token_counts: defaultdict[int, set] = defaultdict(set)
         layer_calls: Counter = Counter()
 
@@ -66,6 +70,12 @@ class TestClosedFormWork:
 
             return shim
 
+        prefill_rows = cost_model._prefill_rows
+
+        def counted_prefill_rows(deployment, chunk, tile, num_splits, params):
+            builds[current[0]][chunk, tile, num_splits] += 1
+            return prefill_rows(deployment, chunk, tile, num_splits, params)
+
         execute = InferenceEngine.execute
 
         def tracked_execute(engine, batch):
@@ -73,6 +83,7 @@ class TestClosedFormWork:
             pairs[engine.backend].update(
                 (tokens, request.prefill_done_tokens) for request, tokens in batch.prefill_items
             )
+            chunks_seen[engine.backend] += len(batch.prefill_items)
             token_counts[id(engine.iteration_model.linear_model)].add(batch.total_tokens)
             try:
                 return execute(engine, batch)
@@ -87,8 +98,8 @@ class TestClosedFormWork:
 
         monkeypatch.setattr(InferenceEngine, "execute", tracked_execute)
         monkeypatch.setattr(LinearOpCostModel, "layer_breakdown", counted_layer_breakdown)
+        monkeypatch.setattr(cost_model, "_prefill_rows", counted_prefill_rows)
         for module, name in (
-            (cost_model, "_prefill_rows"),
             (cost_model, "_decode_rows"),
             (analytic, "_occupancy_for"),
         ):
@@ -107,7 +118,9 @@ class TestClosedFormWork:
         assert all(pairs[backend] for backend in backends)
         assert sum(n for (name, _), n in calls.items() if name == "_decode_rows") == 0
         for backend in backends:
-            assert 0 < calls["_prefill_rows", backend] <= 3 * len(pairs[backend])
+            assert chunks_seen[backend] > len(pairs[backend])
+            assert set(builds[backend].values()) == {1}
+            assert len(builds[backend]) <= 3 * len(pairs[backend])
         occupancy = sum(n for (name, _), n in calls.items() if name == "_occupancy_for")
         assert occupancy <= 2 * len(backends)
         assert set(layer_calls.values()) == {1}

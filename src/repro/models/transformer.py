@@ -11,7 +11,7 @@ Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.models.config import Deployment
 from repro.models.linear_ops import LinearBreakdown, LinearCostParams, LinearOpCostModel
@@ -28,13 +28,12 @@ OPERATION_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class IterationBreakdown:
+class IterationBreakdown(NamedTuple):
     """Wall-clock contribution of each operation to one iteration (seconds).
 
     All values cover the whole iteration (i.e. they are per-layer costs
     multiplied by the layer count, plus any per-iteration overhead folded into
-    ``others``).
+    ``others``).  The fields are declared in :data:`OPERATION_ORDER`.
     """
 
     pre_projection: float
@@ -46,7 +45,8 @@ class IterationBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, op) for op in OPERATION_ORDER)
+        # The fields are declared in OPERATION_ORDER, so this sums them in that order.
+        return sum(self)
 
     @property
     def attention_total(self) -> float:
@@ -116,12 +116,12 @@ class IterationCostModel:
             )
         pre_projection, post_projection, ffn, others = linear
         return IterationBreakdown(
-            pre_projection=pre_projection,
-            prefill_attention=prefill_attention_per_layer * layers,
-            decode_attention=decode_attention_per_layer * layers,
-            post_projection=post_projection,
-            ffn=ffn,
-            others=others,
+            pre_projection,
+            prefill_attention_per_layer * layers,
+            decode_attention_per_layer * layers,
+            post_projection,
+            ffn,
+            others,
         )
 
     def iteration_time(

@@ -127,7 +127,8 @@ class AttentionBackend:
         """Per-layer attention estimate for one scheduled batch.
 
         Equal, within float rounding of the decode sums, to :meth:`reference`
-        on ``batch.to_hybrid_batch()``.
+        on ``batch.to_hybrid_batch()``.  The decode side reads the sums the
+        batch carries (:meth:`ScheduledBatch.context_sums`).
         """
         deployment, params = self.deployment, self.params
         spec = deployment.gpu
@@ -150,8 +151,7 @@ class AttentionBackend:
         decode_time = 0.0
         decodes = batch.decode_requests
         if decodes:
-            contexts = [request.context_tokens for request in decodes]
-            num_decodes, context_sum, min_context = len(contexts), sum(contexts), min(contexts)
+            num_decodes, context_sum, min_context = batch.context_sums()
             count, flops, dram = decode_aggregate_from_sums(
                 deployment, num_decodes, context_sum, min_context, FA_DECODE_TILE, params
             )

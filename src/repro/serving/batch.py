@@ -26,6 +26,9 @@ class ScheduledBatch:
             ``BLOCKED_*`` constants in :mod:`repro.serving.scheduler`), or
             ``None`` when nothing was left waiting.  Diagnostic only — no
             scheduling decision reads it.
+        decode_sums: ``(count, Σ context, min context)`` of the decodes,
+            taken by the first estimate (:meth:`context_sums`); a replica
+            that re-runs the batch advances them.
     """
 
     prefill_items: list[tuple[Request, int]] = field(default_factory=list)
@@ -33,6 +36,20 @@ class ScheduledBatch:
     preempted: list[tuple[Request, int]] = field(default_factory=list)
     prefix_hits: list[tuple[Request, int]] = field(default_factory=list)
     admission_blocked: str | None = None
+    decode_sums: tuple[int, int, int] | None = None
+
+    def context_sums(self) -> tuple[int, int, int]:
+        """``decode_sums``, taken from the decodes' contexts on first use."""
+        if self.decode_sums is None:
+            contexts = [request.context_tokens for request in self.decode_requests]
+            self.decode_sums = (len(contexts), sum(contexts), min(contexts))
+        return self.decode_sums
+
+    def advance_decode_sums(self) -> None:
+        """Carry the decode sums past one step in which every decode ran."""
+        if self.decode_sums is not None:
+            count, context_sum, min_context = self.decode_sums
+            self.decode_sums = (count, context_sum + count, min_context + 1)
 
     @property
     def is_empty(self) -> bool:

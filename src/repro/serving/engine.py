@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.models.config import Deployment
-from repro.models.transformer import IterationBreakdown, IterationCostModel
+from repro.models.transformer import IterationCostModel
 from repro.serving.attention_backend import AttentionBackend
 from repro.serving.batch import ScheduledBatch
 
@@ -23,7 +23,6 @@ class IterationResult:
     """Outcome of executing one iteration."""
 
     duration: float
-    breakdown: IterationBreakdown
     num_tokens: int
     is_hybrid: bool
 
@@ -44,16 +43,11 @@ class InferenceEngine:
             raise ValueError("cannot execute an empty batch")
         estimate = self.backend.estimate(batch)
         num_tokens = batch.total_tokens
-        breakdown = self.iteration_model.iteration_breakdown(
+        duration = self.iteration_model.iteration_breakdown(
             num_tokens, estimate.prefill_time, estimate.decode_time
-        )
+        ).total
         self.total_iterations += 1
         is_hybrid = batch.is_hybrid
         if is_hybrid:
             self.hybrid_iterations += 1
-        return IterationResult(
-            duration=breakdown.total,
-            breakdown=breakdown,
-            num_tokens=num_tokens,
-            is_hybrid=is_hybrid,
-        )
+        return IterationResult(duration, num_tokens, is_hybrid)

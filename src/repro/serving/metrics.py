@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.serving.request import Request
-from repro.utils.stats import percentile
+from repro.utils.stats import percentiles
 
 # Stall thresholds (seconds) used in Tables 5 and 6.
 STALL_THRESHOLDS = (0.2, 0.5)
@@ -118,13 +118,13 @@ def compute_metrics(
             num_offered=len(requests),
             num_rejected=sum(1 for r in requests if r.is_rejected),
         )
-    ttfts = [r.ttft for r in finished]
-    latencies = [r.e2e_latency for r in finished]
-    tbt_samples = [interval for r in finished for interval in r.tbt_samples]
-    if not tbt_samples:
-        tbt_samples = [0.0]
-    stall_200 = sum(1 for r in finished if r.experienced_stall(STALL_THRESHOLDS[0])) / len(finished)
-    stall_500 = sum(1 for r in finished if r.experienced_stall(STALL_THRESHOLDS[1])) / len(finished)
+    ttft_p50, ttft_p99 = percentiles([r.ttft for r in finished], (50, 99))
+    latency_p50, latency_p99 = percentiles([r.e2e_latency for r in finished], (50, 99))
+    tbt_samples = [interval for r in finished for interval in r.token_intervals]
+    tbt_p50, tbt_p99 = percentiles(tbt_samples or [0.0], (50, 99))
+    max_tbts = [r.max_tbt() for r in finished]
+    stall_200 = sum(1 for stall in max_tbts if stall > STALL_THRESHOLDS[0]) / len(finished)
+    stall_500 = sum(1 for stall in max_tbts if stall > STALL_THRESHOLDS[1]) / len(finished)
     throughput = len(finished) / makespan * 60.0 if makespan > 0 else 0.0
     hybrid_fraction = hybrid_iterations / num_iterations if num_iterations else 0.0
     # One definition, shared with compute_memory_pressure: preemption/cache
@@ -143,12 +143,12 @@ def compute_metrics(
         makespan=makespan,
         num_iterations=num_iterations,
         requests_per_minute=throughput,
-        ttft_p50=percentile(ttfts, 50),
-        ttft_p99=percentile(ttfts, 99),
-        tbt_p50=percentile(tbt_samples, 50),
-        tbt_p99=percentile(tbt_samples, 99),
-        latency_p50=percentile(latencies, 50),
-        latency_p99=percentile(latencies, 99),
+        ttft_p50=ttft_p50,
+        ttft_p99=ttft_p99,
+        tbt_p50=tbt_p50,
+        tbt_p99=tbt_p99,
+        latency_p50=latency_p50,
+        latency_p99=latency_p99,
         stall_fraction_200ms=stall_200,
         stall_fraction_500ms=stall_500,
         hybrid_iteration_fraction=hybrid_fraction,

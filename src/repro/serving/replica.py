@@ -26,6 +26,15 @@ tokens / prefill tokens), updated at enqueue, chunk execution and release, so
 cluster routers read O(1) load snapshots instead of rescanning every
 outstanding request per routing decision (``scan_load`` keeps the reference
 scan for verification).
+
+Steady decode steps skip the scheduler.  When the last step's batch decoded
+every running request and nothing else (no prefill item, preemption, prefix
+hit or blocked admission) and released nothing, under a full-reservation
+scheduler, a step that finds nothing waiting re-runs that batch instead of
+calling ``Scheduler.schedule``, which by contract would return the same one.
+Its carried decode sums advance by one token per decode per re-run.  Only
+:meth:`ReplicaRuntime.steady_batch` decides; the oracles' reference runtime
+overrides it to reschedule every step.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from repro.models.config import Deployment
 if TYPE_CHECKING:  # avoid a runtime serving -> verify import cycle
     from repro.verify.events import EventSink
 from repro.serving.attention_backend import AttentionBackend, FASerialBackend
+from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine, IterationResult
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.request import Request, RequestState
@@ -46,6 +56,9 @@ from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.utils.validation import check_in_choices
 
 RELEASE_MODES = ("finish", "first_token")
+
+_DECODING = RequestState.DECODING
+_FINISHED = RequestState.FINISHED
 
 #: A replica that executes this many iterations without draining is taken to
 #: be livelocked (e.g. a scheduler that never finishes a request).
@@ -108,11 +121,9 @@ class ReplicaRuntime:
             # KV events are emitted at the replica's clock via this closure;
             # the manager itself stays clock- and replica-agnostic.
             self.kv_cache.observer = self._on_kv_event
-        self._release_states = (
-            {RequestState.FINISHED}
-            if release_on == "finish"
-            else {RequestState.FINISHED, RequestState.DECODING}
-        )
+        self._release_decoding = release_on == "first_token"
+        # The last executed batch, unless that step released a request.
+        self._last_batch: ScheduledBatch | None = None
 
         # Pending requests as (ready_time, seq, request), sorted from _cursor on.
         self._pending: list[tuple[float, int, Request]] = []
@@ -260,6 +271,23 @@ class ReplicaRuntime:
 
     # ------------------------------------------------------------ stepping
 
+    def steady_batch(self) -> ScheduledBatch | None:
+        """The last batch when this step re-runs it (the rule is in the module
+        docstring), else ``None``.  Override to reschedule every step."""
+        batch = self._last_batch
+        if (
+            batch is None
+            or self.waiting
+            or self.scheduler.preemption
+            or batch.prefill_items
+            or batch.preempted
+            or batch.prefix_hits
+            or batch.admission_blocked is not None
+            or len(batch.decode_requests) != len(self.running)
+        ):
+            return None
+        return batch
+
     def step(self) -> StepOutcome:
         """Execute the next iteration (advancing the local clock past any idle
         gap first) and return the requests it released.
@@ -284,7 +312,13 @@ class ReplicaRuntime:
                 if self.recorder is not None
                 else None
             )
-            batch = self.scheduler.schedule(self.waiting, self.running, self.kv_cache, self.clock)
+            batch = self.steady_batch()
+            if batch is None:
+                batch = self.scheduler.schedule(
+                    self.waiting, self.running, self.kv_cache, self.clock
+                )
+            else:
+                batch.advance_decode_sums()
             # Preemptions put recompute debt back on the clock (remaining
             # prefill grows); prefix-cache hits retire prompt tokens without
             # executing them.  Both must flow through the load counters.
@@ -324,11 +358,23 @@ class ReplicaRuntime:
                 self.load_total_tokens -= chunk + (
                     decode_before - request.remaining_decode_tokens
                 )
+            # A request is released when its state changed this step (or,
+            # releasing at first token, whenever it decodes): scan only after
+            # a prefill ran or a decode left DECODING.
+            release_decoding = self._release_decoding
+            scan = release_decoding or bool(batch.prefill_items)
             for request in batch.decode_requests:
                 request.advance_decode(self.clock)
-                self.load_total_tokens -= 1
-
-            released = [r for r in self.running if r.state in self._release_states]
+                scan = scan or request.state is not _DECODING
+            self.load_total_tokens -= len(batch.decode_requests)
+            released: list[Request] = []
+            if scan:
+                released = [
+                    r
+                    for r in self.running
+                    if r.state is _FINISHED or (release_decoding and r.state is _DECODING)
+                ]
+            self._last_batch = None if released else batch
             if released:
                 released_ids = {r.request_id for r in released}
                 for request in released:

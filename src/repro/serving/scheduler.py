@@ -55,7 +55,15 @@ class SchedulerLimits:
 
 
 class Scheduler(ABC):
-    """Base scheduler: owns admission control against the KV cache."""
+    """Base scheduler: owns admission control against the KV cache.
+
+    **Re-run contract.**  When nothing waits, ``preemption`` is false and the
+    previous batch only decoded every request in ``running`` (all still
+    decoding), ``schedule`` must return that same decode-only batch, change
+    no state and read nothing else (``now`` included):
+    :class:`~repro.serving.replica.ReplicaRuntime` then re-runs the previous
+    batch without calling it (``ReplicaRuntime.steady_batch``).
+    """
 
     name: str = "base"
 

@@ -28,26 +28,35 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile (pct in [0, 100]).
+def percentiles(values: Sequence[float], pcts: Sequence[float]) -> list[float]:
+    """Linear-interpolation percentiles (each pct in [0, 100]), sorting once.
 
     Matches ``numpy.percentile`` with the default ``linear`` interpolation so
     that latency percentiles reported by the serving simulator are standard.
     """
     if not values:
         raise ValueError("percentile() of an empty sequence")
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"pct must be within [0, 100], got {pct}")
+    for pct in pcts:
+        if not 0.0 <= pct <= 100.0:
+            raise ValueError(f"pct must be within [0, 100], got {pct}")
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    last = len(ordered) - 1
+    results = []
+    for pct in pcts:
+        rank = (pct / 100.0) * last
+        low = math.floor(rank)
+        high = math.ceil(rank)
+        if low == high:
+            results.append(ordered[low])
+        else:
+            frac = rank - low
+            results.append(ordered[low] * (1.0 - frac) + ordered[high] * frac)
+    return results
+
+
+def percentile(values: Sequence[float], pct: float) -> float:
+    """One linear-interpolation percentile (pct in [0, 100]); see :func:`percentiles`."""
+    return percentiles(values, (pct,))[0]
 
 
 def median(values: Sequence[float]) -> float:
@@ -84,12 +93,13 @@ def summarize(values: Iterable[float]) -> Summary:
     samples = list(values)
     if not samples:
         raise ValueError("summarize() of an empty iterable")
+    p50, p90, p99 = percentiles(samples, (50, 90, 99))
     return Summary(
         count=len(samples),
         mean=mean(samples),
         minimum=min(samples),
-        p50=percentile(samples, 50),
-        p90=percentile(samples, 90),
-        p99=percentile(samples, 99),
+        p50=p50,
+        p90=p90,
+        p99=p99,
         maximum=max(samples),
     )

@@ -5,11 +5,11 @@ here as an executable oracle returning a list of human-readable discrepancy
 strings (empty = the oracle passes):
 
 * :func:`single_replica_equivalence` — a 1-replica ``ClusterSimulator`` is
-  the same machine as :func:`single_replica_reference` (one
-  ``ReplicaRuntime`` with the whole trace enqueued up front, stepped to
+  the same machine as :func:`single_replica_reference` (one runtime that
+  reschedules every step, the whole trace enqueued up front, stepped to
   drain), so *every* scenario must produce identical per-request timestamps
-  and metrics through both, under every router policy (with one replica a
-  router has no choice to make).
+  and metrics through both, under every router policy (one replica leaves a
+  router no choice).
 * :func:`estimate_equivalence` — every serving step's attention estimate,
   computed at O(1) from decode sums and memoized prefill aggregates, must
   equal the backend's phase split of :func:`analytic_attention_times` on the
@@ -119,6 +119,13 @@ def _compare_metrics(label: str, reference: ServingMetrics, candidate: ServingMe
     return discrepancies
 
 
+class ReschedulingRuntime(ReplicaRuntime):
+    """Calls its scheduler every step: the reference for steady-batch re-runs."""
+
+    def steady_batch(self) -> None:
+        return None
+
+
 def single_replica_reference(
     deployment: Deployment,
     requests: Sequence[Request],
@@ -126,16 +133,16 @@ def single_replica_reference(
     backend: AttentionBackend,
     kv_config: KVCacheConfig | None = None,
 ) -> tuple[list[Request], ServingMetrics, KVCacheStats]:
-    """Serve ``requests`` on one ``ReplicaRuntime`` with the plain drain loop.
+    """Serve ``requests`` on one rescheduling runtime with the plain drain loop.
 
     The reference side of the single-replica oracles: fresh copies of every
-    request are enqueued up front and
-    :meth:`~repro.serving.replica.ReplicaRuntime.run_to_completion` steps the
-    runtime until it drains.  Returns the served copies, their metrics and
-    the KV-cache counters.
+    request are enqueued up front on a :class:`ReschedulingRuntime`, and
+    :meth:`~repro.serving.replica.ReplicaRuntime.run_to_completion` steps it
+    until it drains.  Returns the served copies, their metrics and the
+    KV-cache counters.
     """
     served = [request.fresh_copy() for request in requests]
-    runtime = ReplicaRuntime(deployment, scheduler=scheduler, backend=backend, kv_config=kv_config)
+    runtime = ReschedulingRuntime(deployment, scheduler, backend, kv_config)
     for request in served:
         runtime.enqueue(request)
     runtime.run_to_completion()

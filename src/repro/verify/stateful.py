@@ -68,7 +68,7 @@ from repro.verify.invariants import (
     check_kv_drain_balance,
     check_replica_load_counters,
 )
-from repro.verify.oracles import single_replica_reference
+from repro.verify.oracles import ReschedulingRuntime, single_replica_reference
 
 
 def _require(violations: Sequence[Violation]) -> None:
@@ -549,9 +549,10 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
     (exactly the ``ClusterSimulator`` loop invariants); the machine chooses
     *when* to route and how many steps run between arrivals.  With one
     replica the teardown additionally replays the accumulated trace through
-    :func:`~repro.verify.oracles.single_replica_reference` and requires
-    identical per-request timings and KV counters — the differential oracle
-    that pins the incremental mid-run path against the batch path.
+    :func:`~repro.verify.oracles.single_replica_reference` (rescheduling
+    every step) and requires identical per-request timings and KV counters —
+    the differential oracle that pins the incremental mid-run path against
+    the batch path.
 
     The control-plane rules (``scale_up``/``scale_down``/``shed_request``)
     drive the elastic fleet operations through the simulator's own
@@ -1004,31 +1005,39 @@ def _replay_kv(entry: dict[str, Any]) -> None:
 
 
 def _replay_scheduler(entry: dict[str, Any]) -> None:
-    """Harness ``scheduler``: enqueue/step ops through ``ReplicaRuntime``."""
+    """Harness ``scheduler``: enqueue/step ops through ``ReplicaRuntime``.
+
+    A :class:`~repro.verify.oracles.ReschedulingRuntime` replays the ops in
+    lockstep, and the two event logs must be identical.
+    """
     config = entry["config"]
     recorder = EventRecorder(strict_payloads=True)
-    runtime = ReplicaRuntime(
-        _DEPLOYMENT,
-        scheduler=_build_scheduler(
+    reference_recorder = EventRecorder(strict_payloads=True)
+
+    def build(runtime_class: type[ReplicaRuntime], sink: EventRecorder) -> ReplicaRuntime:
+        scheduler = _build_scheduler(
             config.get("scheduler", "sarathi"),
             config.get("chunk_size", 64),
             config.get("preemption", True),
-        ),
-        kv_config=KVCacheConfig(
+        )
+        kv_config = KVCacheConfig(
             capacity_tokens=config["capacity_tokens"],
             block_size=config.get("block_size", _BLOCK_SIZE),
             enable_prefix_caching=config.get("prefix_caching", False),
-        ),
-        recorder=recorder,
-    )
+        )
+        return runtime_class(_DEPLOYMENT, scheduler, kv_config=kv_config, recorder=sink)
+
+    runtime = build(ReplicaRuntime, recorder)
+    reference = build(ReschedulingRuntime, reference_recorder)
     for op in entry["ops"]:
         name = op["op"]
         if name == "enqueue":
-            request = _request_from_spec(op)
-            runtime.enqueue(request, ready_time=op.get("ready"))
+            for replica in (runtime, reference):
+                replica.enqueue(_request_from_spec(op), ready_time=op.get("ready"))
         elif name == "step":
             for _ in range(op.get("times", 1)):
                 runtime.step()
+                reference.step()
         elif name == "assert_waiting_order":
             actual = [request.request_id for request in runtime.waiting]
             assert actual == op["ids"], (
@@ -1059,14 +1068,18 @@ def _replay_scheduler(entry: dict[str, Any]) -> None:
         else:
             raise ValueError(f"stale corpus entry: unknown scheduler op {name!r}")
     if entry.get("drain", True):
-        while runtime.next_ready_time() is not None:
-            if not runtime.step().executed:
-                break
+        for replica in (runtime, reference):
+            while replica.next_ready_time() is not None:
+                if not replica.step().executed:
+                    break
         _require(check_event_log(recorder, expect_drained=True))
         _require(check_kv_drain_balance([runtime]))
     else:
         _require(check_event_log(recorder, expect_drained=False))
     _require(check_replica_load_counters([runtime]))
+    assert recorder.events == reference_recorder.events, (
+        "re-running steady decode batches diverged from rescheduling every step"
+    )
 
 
 def _replay_sampler(entry: dict[str, Any]) -> None:

@@ -3,6 +3,8 @@ scaling, and prefill/decode disaggregation."""
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
 import pytest
 
 from repro.cluster import (
@@ -13,7 +15,9 @@ from repro.cluster import (
     topology_from_spec,
 )
 from repro.models.config import ClusterSpec
-from repro.serving.attention_backend import FASerialBackend, PODBackend
+from repro.serving.attention_backend import AttentionBackend, FASerialBackend, PODBackend
+from repro.serving.batch import ScheduledBatch
+from repro.serving.engine import InferenceEngine
 from repro.serving.request import Request, RequestState
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler_sarathi import SarathiScheduler
@@ -99,6 +103,103 @@ class TestReadyHeap:
         steps = simulator.replicas[0].steps_executed
         assert steps > 1000
         assert calls <= 3 * steps
+
+
+class TestSteadyDecodeBatches:
+    """A replica reschedules only on the steps that cannot re-run its last
+    batch, and estimates every step once; counts carry no timing noise."""
+
+    @staticmethod
+    def _observe(monkeypatch, simulator):
+        """Serve arxiv-summarization (16 requests) and return, per replica,
+        one record per executed step: schedule calls, estimate calls, the
+        waiting queue left by the last arrival admission, whether the batch
+        had a prefill item, its preemptions and the step's releases."""
+        calls: Counter = Counter()
+        waiting: dict[object, int] = {}
+        executed: list[ScheduledBatch] = []
+        steps: defaultdict[object, list] = defaultdict(list)
+
+        def counted(name, function):
+            def shim(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return shim
+
+        admit_arrivals = ReplicaRuntime._admit_arrivals
+
+        def observed_admit(replica):
+            admit_arrivals(replica)
+            waiting[replica] = len(replica.waiting)
+
+        execute = InferenceEngine.execute
+
+        def observed_execute(engine, batch):
+            executed.append(batch)
+            return execute(engine, batch)
+
+        step = ReplicaRuntime.step
+
+        def observed_step(replica):
+            before = calls.copy()
+            outcome = step(replica)
+            if outcome.executed:
+                batch = executed[-1]
+                steps[replica].append(
+                    (
+                        calls["schedule"] - before["schedule"],
+                        calls["estimate"] - before["estimate"],
+                        waiting[replica],
+                        bool(batch.prefill_items),
+                        len(batch.preempted),
+                        len(outcome.released),
+                    )
+                )
+            return outcome
+
+        monkeypatch.setattr(
+            SarathiScheduler, "schedule", counted("schedule", SarathiScheduler.schedule)
+        )
+        monkeypatch.setattr(
+            AttentionBackend, "estimate", counted("estimate", AttentionBackend.estimate)
+        )
+        monkeypatch.setattr(ReplicaRuntime, "_admit_arrivals", observed_admit)
+        monkeypatch.setattr(InferenceEngine, "execute", observed_execute)
+        monkeypatch.setattr(ReplicaRuntime, "step", observed_step)
+        simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
+        return [steps[replica] for replica in simulator.replicas]
+
+    def test_reschedules_only_steps_that_cannot_rerun(self, llama3_deployment, monkeypatch):
+        topology = ColocatedTopology(
+            llama3_deployment,
+            num_replicas=2,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+            backend_builder=PODBackend,
+        )
+        per_replica = self._observe(monkeypatch, ClusterSimulator(topology, router="least-tokens"))
+        reruns = 0
+        for steps in per_replica:
+            assert steps
+            previous_steady = False  # the first step has no batch to re-run
+            for scheduled, estimated, waiting, prefill, preempted, released in steps:
+                can_rerun = previous_steady and not waiting
+                assert scheduled == (0 if can_rerun else 1)
+                assert estimated == 1
+                reruns += can_rerun
+                previous_steady = not (prefill or preempted or released)
+        assert reruns > sum(len(steps) for steps in per_replica) // 2
+
+    def test_preemption_mode_schedules_every_step(self, llama3_deployment, monkeypatch):
+        topology = ColocatedTopology(
+            llama3_deployment,
+            num_replicas=1,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024, preemption=True),
+            backend_builder=PODBackend,
+        )
+        (steps,) = self._observe(monkeypatch, ClusterSimulator(topology))
+        assert len(steps) > 100
+        assert all(scheduled == 1 and estimated == 1 for scheduled, estimated, *_ in steps)
 
 
 class TestColocatedCluster:

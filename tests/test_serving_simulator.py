@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.serving.attention_backend import FASerialBackend, PODBackend, get_backend
 from repro.serving.batch import ScheduledBatch
+from repro.serving.engine import IterationResult
 from repro.serving.metrics import compute_metrics
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
@@ -38,6 +41,14 @@ class TestScheduledBatch:
         request = Request(request_id=3, prefill_tokens=100, decode_tokens=10)
         batch = ScheduledBatch(prefill_items=[(request, 100)])
         assert "r3" in batch.describe()
+
+
+def test_iteration_result_carries_only_what_the_runtime_reads():
+    assert [spec.name for spec in fields(IterationResult)] == [
+        "duration",
+        "num_tokens",
+        "is_hybrid",
+    ]
 
 
 class TestBackends:

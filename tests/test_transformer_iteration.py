@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.models.transformer import IterationCostModel, OPERATION_ORDER
+from repro.models.transformer import IterationBreakdown, IterationCostModel, OPERATION_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +71,21 @@ class TestIterationBreakdown:
         as_dict = breakdown.as_dict()
         assert set(as_dict) == set(OPERATION_ORDER)
         assert sum(as_dict.values()) == pytest.approx(breakdown.total)
+
+
+NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+class TestBreakdownRecord:
+    @given(st.tuples(*[NON_NEGATIVE] * len(OPERATION_ORDER)))
+    def test_total_is_the_sum_over_operation_order(self, values):
+        breakdown = IterationBreakdown(*values)
+        expected = sum(getattr(breakdown, op) for op in OPERATION_ORDER)
+        assert breakdown.total.hex() == expected.hex()
+
+    def test_fields_follow_operation_order_and_are_immutable(self):
+        breakdown = IterationBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert IterationBreakdown._fields == OPERATION_ORDER
+        assert breakdown.as_dict() == dict(zip(OPERATION_ORDER, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
+        with pytest.raises(AttributeError):
+            breakdown.ffn = 0.0

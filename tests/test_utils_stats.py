@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import Summary, geometric_mean, mean, median, percentile, summarize
+from repro.utils.stats import (
+    Summary,
+    geometric_mean,
+    mean,
+    median,
+    percentile,
+    percentiles,
+    summarize,
+)
 
 
 class TestMean:
@@ -75,6 +83,37 @@ class TestPercentile:
     )
     def test_monotone_in_pct(self, values):
         assert percentile(values, 25) <= percentile(values, 75) + 1e-12
+
+
+class TestPercentiles:
+    @given(
+        st.lists(
+            st.floats(min_value=0, max_value=1e12, allow_nan=False, allow_subnormal=False),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6),
+    )
+    def test_matches_numpy_linear(self, values, pcts):
+        """Non-negative samples, as latencies are: numpy's default method
+        within 1e-12 relative."""
+        got = percentiles(values, pcts)
+        want = np.percentile(values, pcts)
+        assert len(got) == len(pcts)
+        for value, expected in zip(got, want):
+            assert math.isclose(value, float(expected), rel_tol=1e-12)
+
+    def test_percentile_is_the_single_case(self):
+        data = [0.3, 0.1, 0.7, 0.2]
+        assert percentiles(data, (10, 50, 99)) == [percentile(data, p) for p in (10, 50, 99)]
+
+    def test_invalid_pct_rejected(self):
+        with pytest.raises(ValueError):
+            percentiles([1.0, 2.0], (50, 101))
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            percentiles([], (50,))
 
 
 class TestMedian:

@@ -8,6 +8,8 @@ reports the runtime of every concurrent-execution method plus the optimal
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from conftest import run_once
 
 from repro.fusion.methods import FUSION_METHODS, oracle_time, run_all_methods
@@ -24,7 +26,7 @@ def test_figure7(benchmark, a100, report):
     def run() -> None:
         base = calibrated_config(a100)
         for iterations in COMPUTE_ITERATIONS:
-            config = base.with_compute_iterations(iterations)
+            config = replace(base, compute_iterations=iterations)
             results = run_all_methods(a100, config)
             row = {"compute_iterations": iterations}
             for method in FUSION_METHODS:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from repro.attention.cost_model import (
-    AttentionCostParams,
     CTAAggregate,
     FA_DECODE_PROFILE,
     FA_DECODE_TILE,
@@ -163,27 +162,22 @@ def _phase_time(deployment: Deployment, aggregate: CTAAggregate, occupancy: int)
     )
 
 
-def analytic_attention_times(
-    deployment: Deployment,
-    batch: HybridBatch,
-    params: AttentionCostParams | None = None,
-) -> AnalyticAttentionTimes:
+def analytic_attention_times(deployment: Deployment, batch: HybridBatch) -> AnalyticAttentionTimes:
     """Analytic per-layer attention times for serial (FA) and fused (POD) execution.
 
     The reference evaluation: it sums the batch's CTA rows (one per prefill
     query tile and one per decode) and feeds the aggregates to
     :func:`kernel_time` and :func:`fused_time`.
     """
-    params = params or AttentionCostParams()
     prefill_occupancy, decode_occupancy = fa_occupancy(deployment)
     prefill_time = _phase_time(
         deployment,
-        batch_prefill_aggregate(deployment, batch, tile=FA_PREFILL_TILE, params=params),
+        batch_prefill_aggregate(deployment, batch, tile=FA_PREFILL_TILE),
         prefill_occupancy,
     )
     decode_time = _phase_time(
         deployment,
-        batch_decode_aggregate(deployment, batch, tile=FA_DECODE_TILE, params=params),
+        batch_decode_aggregate(deployment, batch, tile=FA_DECODE_TILE),
         decode_occupancy,
     )
     serial_time = prefill_time + decode_time
@@ -198,12 +192,9 @@ def analytic_attention_times(
             deployment,
             batch,
             tile=config.prefill_tile,
-            params=params,
             max_prefill_ctas=config.max_prefill_ctas(deployment.gpu),
         )
-        decode_works = batch_decode_aggregate(
-            deployment, batch, tile=config.decode_tile, params=params
-        )
+        decode_works = batch_decode_aggregate(deployment, batch, tile=config.decode_tile)
         fused = fused_time(
             deployment.gpu,
             len(batch.prefills),

@@ -31,7 +31,7 @@ from repro.attention.workload import DecodeRequest, HybridBatch, PrefillChunk
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
 from repro.models.config import Deployment
 from repro.utils.units import KB
-from repro.utils.validation import check_fraction, check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -91,71 +91,50 @@ FI_DECODE_TILE = TileShape(tile_q=16, tile_kv=64)
 MIN_DECODE_TILE_Q = 16  # minimum QSL tile CUTLASS supports on A100 tensor ops
 
 
-@dataclass(frozen=True)
-class AttentionCostParams:
-    """Tunable constants of the attention cost model (documented defaults)."""
+# Calibration constants (A100).  Each assumption lives here and nowhere else,
+# so the engine's kernels, the analytic reference and the serving backends
+# cannot disagree on it.
+# Achieved fraction of peak tensor throughput for large prefill tiles.
+PREFILL_TENSOR_EFFICIENCY = 0.75
+# Padded decode GEMMs run close to peak on the padded shape.
+DECODE_TENSOR_EFFICIENCY = 0.95
+# Achieved fraction of the HBM bandwidth spec.
+HBM_EFFICIENCY = 0.90
+# Fraction of L2 usable for KV reuse, and the cold/conflict miss factor.
+L2_USABLE_FRACTION = 0.80
+COLD_MISS_FACTOR = 1.25
+# Fixed per-CTA latency (scheduling, prologue/epilogue, softmax rescale).
+CTA_FIXED_OVERHEAD = 2.0e-6
+# FlashDecoding reduction: partial outputs are written/read in fp32.
+PARTIAL_ACCUMULATOR_BYTES = 4
+# Split heuristic targets (in units of device waves of CTAs).
+FLASH_DECODING_WAVE_TARGET = 1.0
+MAX_KV_SPLITS = 64
+# HFuse (warp-parallel fusion) pays for register spills and cross-half
+# barrier interference inside the fused CTA (paper §3.1).
+HFUSE_OVERHEAD_FACTOR = 1.15
+# FlashInfer's decode kernel is slightly better tuned than FA's
+# (paper §5.1: "FI_Serial has better optimized decode kernels").
+FI_DECODE_BANDWIDTH_BONUS = 1.04
 
-    # Achieved fraction of peak tensor throughput for large prefill tiles.
-    prefill_tensor_efficiency: float = 0.75
-    # Padded decode GEMMs run close to peak on the padded shape.
-    decode_tensor_efficiency: float = 0.95
-    # Achieved fraction of the HBM bandwidth spec.
-    hbm_efficiency: float = 0.90
-    # Fraction of L2 usable for KV reuse, and the cold/conflict miss factor.
-    l2_usable_fraction: float = 0.80
-    cold_miss_factor: float = 1.25
-    # Fixed per-CTA latency (scheduling, prologue/epilogue, softmax rescale).
-    cta_fixed_overhead: float = 2.0e-6
-    # FlashDecoding reduction: partial outputs are written/read in fp32.
-    partial_accumulator_bytes: int = 4
-    # Split heuristic targets (in units of device waves of CTAs).
-    flash_decoding_wave_target: float = 1.0
-    max_kv_splits: int = 64
-    # HFuse (warp-parallel fusion) pays for register spills and cross-half
-    # barrier interference inside the fused CTA (paper §3.1).
-    hfuse_overhead_factor: float = 1.15
-    # FlashInfer's decode kernel is slightly better tuned than FA's
-    # (paper §5.1: "FI_Serial has better optimized decode kernels").
-    fi_decode_bandwidth_bonus: float = 1.04
 
-    def __post_init__(self) -> None:
-        # Every estimate (and every memo entry built from one) is derived from
-        # these constants, so a bad value must fail here, not as a negative or
-        # NaN time deep inside the model.
-        for name in (
-            "prefill_tensor_efficiency",
-            "decode_tensor_efficiency",
-            "hbm_efficiency",
-            "l2_usable_fraction",
-        ):
-            check_fraction(name, check_positive(name, getattr(self, name)))
-        for name in ("partial_accumulator_bytes", "max_kv_splits"):
-            if check_positive(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name in (
-            "cold_miss_factor",
-            "flash_decoding_wave_target",
-            "hfuse_overhead_factor",
-            "fi_decode_bandwidth_bonus",
-        ):
-            check_positive(name, getattr(self, name))
-        check_non_negative("cta_fixed_overhead", self.cta_fixed_overhead)
+def effective_bytes(raw_bytes: float) -> float:
+    """Convert nominal bytes into 'effective' bytes at the spec bandwidth."""
+    return raw_bytes / HBM_EFFICIENCY
 
-    def effective_bytes(self, raw_bytes: float) -> float:
-        """Convert nominal bytes into 'effective' bytes at the spec bandwidth."""
-        return raw_bytes / self.hbm_efficiency
 
-    def effective_prefill_flops(self, raw_flops: float, tile_q: int) -> float:
-        """Convert raw FLOPs into effective FLOPs at the spec peak for prefill tiles."""
-        efficiency = self.prefill_tensor_efficiency
-        if tile_q < 128:
-            # Smaller tiles lose some tensor-core efficiency (more epilogues,
-            # less register-level reuse).
-            efficiency *= 0.9
-        return raw_flops / efficiency
+def effective_prefill_flops(raw_flops: float, tile_q: int) -> float:
+    """Convert raw FLOPs into effective FLOPs at the spec peak for prefill tiles."""
+    efficiency = PREFILL_TENSOR_EFFICIENCY
+    if tile_q < 128:
+        # Smaller tiles lose some tensor-core efficiency (more epilogues,
+        # less register-level reuse).
+        efficiency *= 0.9
+    return raw_flops / efficiency
 
-    def effective_decode_flops(self, raw_flops: float) -> float:
-        return raw_flops / self.decode_tensor_efficiency
+
+def effective_decode_flops(raw_flops: float) -> float:
+    return raw_flops / DECODE_TENSOR_EFFICIENCY
 
 
 def _round_up(value: int, multiple: int) -> int:
@@ -209,22 +188,22 @@ class CTAAggregate:
         )
 
 
-def _ctas(rows: list[_Row], tag: str, params: AttentionCostParams) -> list[CTAWork]:
+def _ctas(rows: list[_Row], tag: str) -> list[CTAWork]:
     """One :class:`CTAWork` per row; the builders repeat it for every copy."""
     return [
-        CTAWork(flops=flops, dram_bytes=dram, tag=tag, fixed_time=params.cta_fixed_overhead)
+        CTAWork(flops=flops, dram_bytes=dram, tag=tag, fixed_time=CTA_FIXED_OVERHEAD)
         for flops, dram in rows
     ]
 
 
-def _aggregate(rows: list[_Row], copies: int, params: AttentionCostParams) -> CTAAggregate:
+def _aggregate(rows: list[_Row], copies: int) -> CTAAggregate:
     """Sum the rows, each counted ``copies`` times, in row order."""
     count = len(rows) * copies
     return CTAAggregate(
         count=count,
         total_flops=sum((flops * copies for flops, _ in rows), 0.0),
         total_dram_bytes=sum((dram * copies for _, dram in rows), 0.0),
-        max_fixed_time=params.cta_fixed_overhead if count else 0.0,
+        max_fixed_time=CTA_FIXED_OVERHEAD if count else 0.0,
     )
 
 
@@ -243,7 +222,6 @@ def default_prefill_splits(
     deployment: Deployment,
     chunk: PrefillChunk,
     tile: TileShape,
-    params: AttentionCostParams,
     max_ctas: int | None = None,
 ) -> int:
     """FlashAttention's FlashDecoding-style split heuristic for chunked prefills.
@@ -254,13 +232,13 @@ def default_prefill_splits(
     it at two full waves.
     """
     base = prefill_base_cta_count(deployment, chunk, tile)
-    target = deployment.gpu.num_sms * params.flash_decoding_wave_target
+    target = deployment.gpu.num_sms * FLASH_DECODING_WAVE_TARGET
     if base >= target:
         splits = 1
     else:
         splits = math.ceil(target / base)
     kv_tiles = max(1, chunk.total_context // tile.tile_kv)
-    splits = max(1, min(splits, params.max_kv_splits, kv_tiles))
+    splits = max(1, min(splits, MAX_KV_SPLITS, kv_tiles))
     if max_ctas is not None and base * splits > max_ctas:
         splits = max(1, max_ctas // base)
     return splits
@@ -271,7 +249,6 @@ def _prefill_dram_kv_cap(
     chunk: PrefillChunk,
     q_tiles: int,
     num_splits: int,
-    params: AttentionCostParams,
 ) -> float:
     """L2 reuse model: the most KV bytes a chunk's CTAs pull from DRAM.
 
@@ -284,13 +261,13 @@ def _prefill_dram_kv_cap(
         chunk.total_context * model.head_dim * 2 * model.dtype_bytes
         * deployment.kv_heads_per_gpu
     )
-    l2_capacity = params.l2_usable_fraction * deployment.gpu.l2_bytes
+    l2_capacity = L2_USABLE_FRACTION * deployment.gpu.l2_bytes
     if unique_kv_bytes <= l2_capacity:
-        return unique_kv_bytes * params.cold_miss_factor
+        return unique_kv_bytes * COLD_MISS_FACTOR
     readers_per_kv_head = q_tiles * deployment.group_size * num_splits
     return unique_kv_bytes * min(
         float(readers_per_kv_head),
-        params.cold_miss_factor * unique_kv_bytes / l2_capacity,
+        COLD_MISS_FACTOR * unique_kv_bytes / l2_capacity,
     )
 
 
@@ -308,7 +285,6 @@ def _prefill_rows(
     chunk: PrefillChunk,
     tile: TileShape,
     num_splits: int,
-    params: AttentionCostParams,
 ) -> tuple[list[_Row], int]:
     """One row per query tile of a chunk, and its copies (``q_heads × splits``).
 
@@ -325,10 +301,10 @@ def _prefill_rows(
     q_rows = tile.tile_q  # kernels pad the last tile to full tile length
     split = num_splits > 1
     q_bytes = q_rows * head_dim * dtype
-    out_bytes = q_rows * head_dim * (params.partial_accumulator_bytes if split else dtype)
+    out_bytes = q_rows * head_dim * (PARTIAL_ACCUMULATOR_BYTES if split else dtype)
     # Partial outputs are re-read by the reduction pass.
-    extra_split_bytes = q_rows * head_dim * params.partial_accumulator_bytes if split else 0.0
-    base_dram = params.effective_bytes(q_bytes + out_bytes + extra_split_bytes)
+    extra_split_bytes = q_rows * head_dim * PARTIAL_ACCUMULATOR_BYTES if split else 0.0
+    base_dram = effective_bytes(q_bytes + out_bytes + extra_split_bytes)
 
     tiles: list[_Row] = []  # (effective FLOPs, nominal KV bytes) of each query tile
     nominal_total = 0.0
@@ -336,14 +312,14 @@ def _prefill_rows(
         kv_span = _prefill_tile_kv_extent(chunk, tile, q_tile_idx) / num_splits
         raw_flops = 4.0 * q_rows * kv_span * head_dim
         kv_bytes = kv_span * head_dim * 2 * dtype
-        tiles.append((params.effective_prefill_flops(raw_flops, tile.tile_q), kv_bytes))
+        tiles.append((effective_prefill_flops(raw_flops, tile.tile_q), kv_bytes))
         nominal_total += kv_bytes * copies
 
     # Distribute the modelled DRAM KV traffic across CTAs in proportion to
     # their nominal reads.
-    kv_cap = _prefill_dram_kv_cap(deployment, chunk, q_tiles, num_splits, params)
+    kv_cap = _prefill_dram_kv_cap(deployment, chunk, q_tiles, num_splits)
     scale = min(nominal_total, kv_cap) / nominal_total
-    rows = [(flops, base_dram + params.effective_bytes(kv * scale)) for flops, kv in tiles]
+    rows = [(flops, base_dram + effective_bytes(kv * scale)) for flops, kv in tiles]
     return rows, copies
 
 
@@ -352,7 +328,6 @@ def prefill_cta_works(
     chunk: PrefillChunk,
     tile: TileShape = FA_PREFILL_TILE,
     num_splits: int = 1,
-    params: AttentionCostParams | None = None,
     tag: str = PREFILL_TAG,
 ) -> list[CTAWork]:
     """Per-CTA work of one prefill chunk's attention.
@@ -361,10 +336,9 @@ def prefill_cta_works(
     matching how FlashAttention-2 parallelises chunked prefill: ``q_heads``
     repeats of the query-tile sequence, each tile repeated ``num_splits`` times.
     """
-    params = params or AttentionCostParams()
     num_splits = max(1, num_splits)
-    rows, _ = _prefill_rows(deployment, chunk, tile, num_splits, params)
-    head = [cta for cta in _ctas(rows, tag, params) for _ in range(num_splits)]
+    rows, _ = _prefill_rows(deployment, chunk, tile, num_splits)
+    head = [cta for cta in _ctas(rows, tag) for _ in range(num_splits)]
     return head * deployment.q_heads_per_gpu
 
 
@@ -373,12 +347,10 @@ def prefill_cta_aggregate(
     chunk: PrefillChunk,
     tile: TileShape = FA_PREFILL_TILE,
     num_splits: int = 1,
-    params: AttentionCostParams | None = None,
 ) -> CTAAggregate:
     """Reduction of :func:`prefill_cta_works`, summed over its rows."""
-    params = params or AttentionCostParams()
-    rows, copies = _prefill_rows(deployment, chunk, tile, max(1, num_splits), params)
-    return _aggregate(rows, copies, params)
+    rows, copies = _prefill_rows(deployment, chunk, tile, max(1, num_splits))
+    return _aggregate(rows, copies)
 
 
 # --------------------------------------------------------------------------
@@ -395,13 +367,12 @@ def default_decode_splits(
     deployment: Deployment,
     decodes: tuple[DecodeRequest, ...],
     tile: TileShape,
-    params: AttentionCostParams,
 ) -> int:
     """FlashDecoding split heuristic: split the KV dimension until SMs are filled."""
     if not decodes:
         return 1
     min_context = min(d.context_tokens for d in decodes)
-    return decode_splits(deployment, len(decodes), min_context, tile, params)
+    return decode_splits(deployment, len(decodes), min_context, tile)
 
 
 def decode_splits(
@@ -409,17 +380,16 @@ def decode_splits(
     num_decodes: int,
     min_context: int,
     tile: TileShape,
-    params: AttentionCostParams,
 ) -> int:
     """:func:`default_decode_splits` from the decode count and shortest context alone."""
     base = num_decodes * deployment.kv_heads_per_gpu
     if base == 0:
         return 1
-    target = deployment.gpu.num_sms * params.flash_decoding_wave_target
+    target = deployment.gpu.num_sms * FLASH_DECODING_WAVE_TARGET
     if base >= target:
         return 1
     kv_tiles = max(1, min_context // tile.tile_kv)
-    return max(1, min(math.ceil(target / base), params.max_kv_splits, kv_tiles))
+    return max(1, min(math.ceil(target / base), MAX_KV_SPLITS, kv_tiles))
 
 
 def _decode_rows(
@@ -427,7 +397,6 @@ def _decode_rows(
     decodes: tuple[DecodeRequest, ...],
     tile: TileShape,
     num_splits: int,
-    params: AttentionCostParams,
 ) -> tuple[list[_Row], int]:
     """One row per decode request, and its copies (``kv_heads × splits``).
 
@@ -442,15 +411,13 @@ def _decode_rows(
 
     padded_rows = max(tile.tile_q, group_size)
     q_bytes = group_size * head_dim * dtype
-    out_bytes = group_size * head_dim * (
-        params.partial_accumulator_bytes if num_splits > 1 else dtype
-    )
+    out_bytes = group_size * head_dim * (PARTIAL_ACCUMULATOR_BYTES if num_splits > 1 else dtype)
     rows: list[_Row] = []
     for request in decodes:
         kv_span = request.context_tokens / num_splits
-        flops = params.effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
+        flops = effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
         kv_bytes = kv_span * head_dim * 2 * dtype
-        rows.append((flops, params.effective_bytes(kv_bytes + q_bytes + out_bytes)))
+        rows.append((flops, effective_bytes(kv_bytes + q_bytes + out_bytes)))
     return rows, deployment.kv_heads_per_gpu * num_splits
 
 
@@ -460,7 +427,6 @@ def decode_aggregate_from_sums(
     context_sum: int,
     min_context: int,
     tile: TileShape,
-    params: AttentionCostParams,
 ) -> tuple[int, float, float]:
     """(CTA count, FLOPs, DRAM bytes) of a decode batch from three numbers.
 
@@ -470,7 +436,7 @@ def decode_aggregate_from_sums(
     exactly; only the rounding of the sum differs.  Serving steps call this
     instead of materialising one row per decode.
     """
-    splits = decode_splits(deployment, num_decodes, min_context, tile, params)
+    splits = decode_splits(deployment, num_decodes, min_context, tile)
     model = deployment.model
     head_dim = model.head_dim
     dtype = model.dtype_bytes
@@ -478,11 +444,11 @@ def decode_aggregate_from_sums(
 
     padded_rows = max(tile.tile_q, group_size)
     q_bytes = group_size * head_dim * dtype
-    out_bytes = group_size * head_dim * (params.partial_accumulator_bytes if splits > 1 else dtype)
+    out_bytes = group_size * head_dim * (PARTIAL_ACCUMULATOR_BYTES if splits > 1 else dtype)
     kv_span = context_sum / splits
-    flops = params.effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
+    flops = effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
     kv_bytes = kv_span * head_dim * 2 * dtype
-    dram = params.effective_bytes(kv_bytes + num_decodes * (q_bytes + out_bytes))
+    dram = effective_bytes(kv_bytes + num_decodes * (q_bytes + out_bytes))
     copies = deployment.kv_heads_per_gpu * splits
     return num_decodes * copies, flops * copies, dram * copies
 
@@ -492,7 +458,6 @@ def decode_cta_works(
     decodes: tuple[DecodeRequest, ...],
     tile: TileShape = FA_DECODE_TILE,
     num_splits: int = 1,
-    params: AttentionCostParams | None = None,
     tag: str = DECODE_TAG,
 ) -> list[CTAWork]:
     """Per-CTA work of a decode batch's attention.
@@ -500,9 +465,8 @@ def decode_cta_works(
     CTAs are laid out as ``(request, kv_head, kv_split)``: each request's CTA
     repeated ``kv_heads × num_splits`` times.
     """
-    params = params or AttentionCostParams()
-    rows, copies = _decode_rows(deployment, decodes, tile, max(1, num_splits), params)
-    return [cta for cta in _ctas(rows, tag, params) for _ in range(copies)]
+    rows, copies = _decode_rows(deployment, decodes, tile, max(1, num_splits))
+    return [cta for cta in _ctas(rows, tag) for _ in range(copies)]
 
 
 def decode_cta_aggregate(
@@ -510,12 +474,10 @@ def decode_cta_aggregate(
     decodes: tuple[DecodeRequest, ...],
     tile: TileShape = FA_DECODE_TILE,
     num_splits: int = 1,
-    params: AttentionCostParams | None = None,
 ) -> CTAAggregate:
     """Reduction of :func:`decode_cta_works`, summed over its rows."""
-    params = params or AttentionCostParams()
-    rows, copies = _decode_rows(deployment, decodes, tile, max(1, num_splits), params)
-    return _aggregate(rows, copies, params)
+    rows, copies = _decode_rows(deployment, decodes, tile, max(1, num_splits))
+    return _aggregate(rows, copies)
 
 
 # --------------------------------------------------------------------------
@@ -527,14 +489,13 @@ def _chunk_splits(
     deployment: Deployment,
     batch: HybridBatch,
     tile: TileShape,
-    params: AttentionCostParams,
     num_splits: int | None,
     max_prefill_ctas: int | None,
 ) -> Iterator[tuple[PrefillChunk, int]]:
     """Each prefill chunk with its KV splits: ``num_splits``, else the heuristic."""
     for chunk in batch.prefills:
         if num_splits is None:
-            yield chunk, default_prefill_splits(deployment, chunk, tile, params, max_prefill_ctas)
+            yield chunk, default_prefill_splits(deployment, chunk, tile, max_prefill_ctas)
         else:
             yield chunk, num_splits
 
@@ -543,18 +504,14 @@ def batch_prefill_ctas(
     deployment: Deployment,
     batch: HybridBatch,
     tile: TileShape = FA_PREFILL_TILE,
-    params: AttentionCostParams | None = None,
     num_splits: int | None = None,
     max_prefill_ctas: int | None = None,
 ) -> list[CTAWork]:
     """All prefill CTAs of a hybrid batch (empty list when it has no prefill)."""
-    params = params or AttentionCostParams()
     return [
         cta
-        for chunk, splits in _chunk_splits(
-            deployment, batch, tile, params, num_splits, max_prefill_ctas
-        )
-        for cta in prefill_cta_works(deployment, chunk, tile, splits, params)
+        for chunk, splits in _chunk_splits(deployment, batch, tile, num_splits, max_prefill_ctas)
+        for cta in prefill_cta_works(deployment, chunk, tile, splits)
     ]
 
 
@@ -562,17 +519,13 @@ def batch_prefill_aggregate(
     deployment: Deployment,
     batch: HybridBatch,
     tile: TileShape = FA_PREFILL_TILE,
-    params: AttentionCostParams | None = None,
     num_splits: int | None = None,
     max_prefill_ctas: int | None = None,
 ) -> CTAAggregate:
     """Aggregate of every prefill CTA in a batch (see :func:`batch_prefill_ctas`)."""
-    params = params or AttentionCostParams()
     aggregate = CTAAggregate.empty()
-    for chunk, splits in _chunk_splits(
-        deployment, batch, tile, params, num_splits, max_prefill_ctas
-    ):
-        aggregate = aggregate.merge(prefill_cta_aggregate(deployment, chunk, tile, splits, params))
+    for chunk, splits in _chunk_splits(deployment, batch, tile, num_splits, max_prefill_ctas):
+        aggregate = aggregate.merge(prefill_cta_aggregate(deployment, chunk, tile, splits))
     return aggregate
 
 
@@ -580,25 +533,21 @@ def batch_decode_ctas(
     deployment: Deployment,
     batch: HybridBatch,
     tile: TileShape = FA_DECODE_TILE,
-    params: AttentionCostParams | None = None,
     num_splits: int | None = None,
 ) -> list[CTAWork]:
     """All decode CTAs of a hybrid batch (empty list when it has no decodes)."""
-    params = params or AttentionCostParams()
     if num_splits is None:
-        num_splits = default_decode_splits(deployment, batch.decodes, tile, params)
-    return decode_cta_works(deployment, batch.decodes, tile, num_splits, params)
+        num_splits = default_decode_splits(deployment, batch.decodes, tile)
+    return decode_cta_works(deployment, batch.decodes, tile, num_splits)
 
 
 def batch_decode_aggregate(
     deployment: Deployment,
     batch: HybridBatch,
     tile: TileShape = FA_DECODE_TILE,
-    params: AttentionCostParams | None = None,
     num_splits: int | None = None,
 ) -> CTAAggregate:
     """Aggregate of every decode CTA in a batch (see :func:`batch_decode_ctas`)."""
-    params = params or AttentionCostParams()
     if num_splits is None:
-        num_splits = default_decode_splits(deployment, batch.decodes, tile, params)
-    return decode_cta_aggregate(deployment, batch.decodes, tile, num_splits, params)
+        num_splits = default_decode_splits(deployment, batch.decodes, tile)
+    return decode_cta_aggregate(deployment, batch.decodes, tile, num_splits)

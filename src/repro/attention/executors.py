@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.attention.cost_model import AttentionCostParams
 from repro.attention.kernels import (
     fa_decode_kernel,
     fa_prefill_kernel,
@@ -39,9 +38,6 @@ class AttentionExecutor(ABC):
     """Base class for attention execution strategies."""
 
     name: str = "base"
-
-    def __init__(self, params: AttentionCostParams | None = None) -> None:
-        self.params = params or AttentionCostParams()
 
     @abstractmethod
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
@@ -98,8 +94,8 @@ class FASerial(AttentionExecutor):
     name = "FA_Serial"
 
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
-        prefill = fa_prefill_kernel(deployment, batch, self.params)
-        decode = fa_decode_kernel(deployment, batch, self.params)
+        prefill = fa_prefill_kernel(deployment, batch)
+        decode = fa_decode_kernel(deployment, batch)
         return self._launches([prefill, decode], [0, 0])
 
 
@@ -109,8 +105,8 @@ class FAStreams(AttentionExecutor):
     name = "FA_Streams"
 
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
-        prefill = fa_prefill_kernel(deployment, batch, self.params)
-        decode = fa_decode_kernel(deployment, batch, self.params)
+        prefill = fa_prefill_kernel(deployment, batch)
+        decode = fa_decode_kernel(deployment, batch)
         return self._launches([prefill, decode], [0, 1])
 
 
@@ -120,7 +116,7 @@ class FAHFuse(AttentionExecutor):
     name = "FA_HFuse"
 
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
-        kernel = hfuse_kernel(deployment, batch, self.params)
+        kernel = hfuse_kernel(deployment, batch)
         return self._launches([kernel], [0])
 
 
@@ -130,8 +126,8 @@ class FISerial(AttentionExecutor):
     name = "FI_Serial"
 
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
-        prefill = fi_prefill_kernel(deployment, batch, self.params)
-        decode = fi_decode_kernel(deployment, batch, self.params)
+        prefill = fi_prefill_kernel(deployment, batch)
+        decode = fi_decode_kernel(deployment, batch)
         return self._launches([prefill, decode], [0, 0])
 
 
@@ -141,5 +137,5 @@ class FIBatched(AttentionExecutor):
     name = "FI_Batched"
 
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
-        kernel = fi_batched_kernel(deployment, batch, self.params)
+        kernel = fi_batched_kernel(deployment, batch)
         return self._launches([kernel], [0])

@@ -11,15 +11,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.attention.cost_model import (
-    AttentionCostParams,
     FA_DECODE_PROFILE,
     FA_DECODE_TILE,
     FA_PREFILL_PROFILE,
     FA_PREFILL_TILE,
+    FI_DECODE_BANDWIDTH_BONUS,
     FI_DECODE_PROFILE,
     FI_DECODE_TILE,
     FI_PREFILL_PROFILE,
     FI_PREFILL_TILE,
+    HFUSE_OVERHEAD_FACTOR,
     ResourceProfile,
     TileShape,
     batch_decode_ctas,
@@ -52,28 +53,26 @@ def _kernel_from_works(
 def fa_prefill_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     tile: TileShape = FA_PREFILL_TILE,
     num_splits: int | None = None,
     profile: ResourceProfile = FA_PREFILL_PROFILE,
     name: str = "FA_prefill",
 ) -> Kernel | None:
     """FlashAttention-2 prefill kernel for the batch's prefill chunk(s)."""
-    works = batch_prefill_ctas(deployment, batch, tile=tile, params=params, num_splits=num_splits)
+    works = batch_prefill_ctas(deployment, batch, tile=tile, num_splits=num_splits)
     return _kernel_from_works(name, works, profile, meta={"tile": (tile.tile_q, tile.tile_kv)})
 
 
 def fa_decode_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     tile: TileShape = FA_DECODE_TILE,
     num_splits: int | None = None,
     profile: ResourceProfile = FA_DECODE_PROFILE,
     name: str = "FA_decode",
 ) -> Kernel | None:
     """FlashAttention decode kernel (FlashDecoding KV splits, padded query tile)."""
-    works = batch_decode_ctas(deployment, batch, tile=tile, params=params, num_splits=num_splits)
+    works = batch_decode_ctas(deployment, batch, tile=tile, num_splits=num_splits)
     return _kernel_from_works(name, works, profile, meta={"tile": (tile.tile_q, tile.tile_kv)})
 
 
@@ -83,24 +82,17 @@ def fa_decode_kernel(
 def fi_prefill_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     name: str = "FI_prefill",
 ) -> Kernel | None:
     """FlashInfer prefill kernel (same tiling family as FA prefill)."""
     return fa_prefill_kernel(
-        deployment,
-        batch,
-        params=params,
-        tile=FI_PREFILL_TILE,
-        profile=FI_PREFILL_PROFILE,
-        name=name,
+        deployment, batch, tile=FI_PREFILL_TILE, profile=FI_PREFILL_PROFILE, name=name
     )
 
 
 def fi_decode_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     name: str = "FI_decode",
 ) -> Kernel | None:
     """FlashInfer decode kernel: smaller query tile, less redundant compute than FA.
@@ -108,11 +100,10 @@ def fi_decode_kernel(
     FlashInfer's decode kernel is modestly better tuned than FlashAttention's
     (§5.1), modelled as a small effective-bandwidth bonus on its memory traffic.
     """
-    params = params or AttentionCostParams()
-    works = batch_decode_ctas(deployment, batch, tile=FI_DECODE_TILE, params=params)
-    bonus = params.fi_decode_bandwidth_bonus
-    if bonus != 1.0:
-        works = [replace(work, dram_bytes=work.dram_bytes / bonus) for work in works]
+    works = [
+        replace(work, dram_bytes=work.dram_bytes / FI_DECODE_BANDWIDTH_BONUS)
+        for work in batch_decode_ctas(deployment, batch, tile=FI_DECODE_TILE)
+    ]
     return _kernel_from_works(
         name,
         works,
@@ -124,7 +115,6 @@ def fi_decode_kernel(
 def fi_batched_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     name: str = "FI_batched",
 ) -> Kernel | None:
     """FlashInfer 'batched' mode: prefill *and* decode run through the prefill kernel.
@@ -134,8 +124,7 @@ def fi_batched_kernel(
     redundant compute that interferes with the co-running prefill at long
     context lengths.
     """
-    params = params or AttentionCostParams()
-    prefill_works = batch_prefill_ctas(deployment, batch, tile=FI_PREFILL_TILE, params=params)
+    prefill_works = batch_prefill_ctas(deployment, batch, tile=FI_PREFILL_TILE)
     # The prefill kernel neither shrinks its query tile nor KV-splits the
     # decode requests, so decodes inherit the 128-row tile's redundant compute
     # and one CTA per (request, KV head).
@@ -143,7 +132,6 @@ def fi_batched_kernel(
         deployment,
         batch,
         tile=TileShape(tile_q=FI_PREFILL_TILE.tile_q, tile_kv=FI_PREFILL_TILE.tile_kv),
-        params=params,
         num_splits=1,
     )
     works = prefill_works + decode_works
@@ -156,7 +144,6 @@ def fi_batched_kernel(
 def hfuse_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     name: str = "FA_HFuse",
 ) -> Kernel | None:
     """Warp-parallel (horizontally fused) FA prefill+decode kernel.
@@ -167,9 +154,8 @@ def hfuse_kernel(
     occupies its SM slot until both halves finish.  That is the straggler
     problem of paper §3.1.
     """
-    params = params or AttentionCostParams()
-    prefill_works = batch_prefill_ctas(deployment, batch, tile=FA_PREFILL_TILE, params=params)
-    decode_works = batch_decode_ctas(deployment, batch, tile=FA_DECODE_TILE, params=params)
+    prefill_works = batch_prefill_ctas(deployment, batch, tile=FA_PREFILL_TILE)
+    decode_works = batch_decode_ctas(deployment, batch, tile=FA_DECODE_TILE)
     if not prefill_works and not decode_works:
         return None
     if not prefill_works or not decode_works:
@@ -179,7 +165,6 @@ def hfuse_kernel(
         return _kernel_from_works(name, works, profile)
 
     fused: list[CTAWork] = []
-    overhead = params.hfuse_overhead_factor
     num_fused = max(len(prefill_works), len(decode_works))
     for i in range(num_fused):
         parts: list[CTAWork] = []
@@ -190,7 +175,8 @@ def hfuse_kernel(
         if len(parts) == 2:
             # Fused CTAs pay for register spills and cross-half barrier
             # interference on top of the straggler effect the engine models.
-            fused.append(parts[0].merged_with(parts[1], tag="prefill+decode").scaled(overhead))
+            merged = parts[0].merged_with(parts[1], tag="prefill+decode")
+            fused.append(merged.scaled(HFUSE_OVERHEAD_FACTOR))
         else:
             fused.append(parts[0])
 

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attention.cost_model import (
-    AttentionCostParams,
-    batch_decode_aggregate,
-    batch_prefill_aggregate,
-)
+from repro.attention.cost_model import batch_decode_aggregate, batch_prefill_aggregate
 from repro.attention.workload import HybridBatch
 from repro.gpu.result import ExecutionResult
 from repro.models.config import Deployment
@@ -49,19 +45,14 @@ class AttentionRunResult:
         }
 
 
-def theoretical_minimum_time(
-    deployment: Deployment,
-    batch: HybridBatch,
-    params: AttentionCostParams | None = None,
-) -> float:
+def theoretical_minimum_time(deployment: Deployment, batch: HybridBatch) -> float:
     """Lower bound on attention time: both resources perfectly overlapped.
 
     The paper reports that POD-Attention reaches within 10% of this bound for a
     quarter of the evaluated hybrid batches.
     """
-    params = params or AttentionCostParams()
-    total = batch_prefill_aggregate(deployment, batch, params=params).merge(
-        batch_decode_aggregate(deployment, batch, params=params)
+    total = batch_prefill_aggregate(deployment, batch).merge(
+        batch_decode_aggregate(deployment, batch)
     )
     spec = deployment.gpu
     return max(total.total_flops / spec.tensor_flops, total.total_dram_bytes / spec.hbm_bandwidth)

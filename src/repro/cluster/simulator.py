@@ -75,9 +75,9 @@ class ClusterSimulator:
 
     Args:
         topology: A ``ColocatedTopology`` or ``DisaggregatedTopology``.
-        router: Policy (name or instance) for external arrivals.
-        decode_router: Policy for prefill→decode handoffs in disaggregated
-            topologies; defaults to a fresh instance of the same policy.
+        router: Policy (name or instance) for external arrivals; prefill→decode
+            handoffs in disaggregated topologies use a fresh instance of the
+            same policy (``decode_router``).
         recorder: Optional shared :class:`repro.verify.events.EventRecorder`;
             every replica emits its events onto it (tagged by ``replica_id``)
             and the cluster adds routing / KV-transfer events.  ``None``
@@ -96,7 +96,6 @@ class ClusterSimulator:
         self,
         topology,
         router: str | RouterPolicy = "round-robin",
-        decode_router: str | RouterPolicy | None = None,
         recorder=None,
         control=None,
     ) -> None:
@@ -115,14 +114,9 @@ class ClusterSimulator:
         self.recorder = recorder
         self.replicas = topology.build_replicas(recorder=recorder)
         self.router = get_router(router) if isinstance(router, str) else router
-        if decode_router is None:
-            # Fresh instance of the same policy class, so custom (unregistered)
-            # router implementations work and routing state is not shared.
-            self.decode_router = type(self.router)()
-        else:
-            self.decode_router = (
-                get_router(decode_router) if isinstance(decode_router, str) else decode_router
-            )
+        # Fresh instance of the same policy class, so custom (unregistered)
+        # router implementations work and routing state is not shared.
+        self.decode_router = type(self.router)()
         self._prefill_ids = (
             set(topology.entry_indices) if topology.kind == "disaggregated" else set()
         )
@@ -144,17 +138,13 @@ class ClusterSimulator:
         cached = self._economics.get(index)
         if cached is not None:
             return cached
-        spec_for = getattr(self.topology, "spec_for", None)
-        cost = 0.0
-        perf = 1.0
-        if spec_for is not None:
-            spec = spec_for(index)
-            deployment = spec.deployment
-            perf = deployment.gpu.tensor_flops * deployment.tensor_parallel / 1e15
-            try:
-                cost = spec.cost_per_hour
-            except ValueError:
-                cost = 0.0  # no rate known for this GPU: treat as unpriced
+        spec = self.topology.spec_for(index)
+        deployment = spec.deployment
+        perf = deployment.gpu.tensor_flops * deployment.tensor_parallel / 1e15
+        try:
+            cost = spec.cost_per_hour
+        except ValueError:
+            cost = 0.0  # no rate known for this GPU: treat as unpriced
         self._economics[index] = (cost, perf)
         return cost, perf
 

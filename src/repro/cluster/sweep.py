@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.topology import topology_from_spec
-from repro.models.config import ClusterSpec, KVTransferModel, paper_deployment
+from repro.models.config import ClusterSpec, paper_deployment
 from repro.serving.request import Request
 from repro.utils.validation import check_positive
 from repro.workloads.scenario import build_scenario
@@ -43,10 +43,6 @@ class ClusterSweepPoint:
     qps_per_replica: float = 0.85
     requests_per_replica: int = 24
     chunk_size: int = 1024
-    prefill_replicas: int = 0  # disaggregated only; 0 = auto split
-    kv_link_bandwidth: float | None = None  # None = KVTransferModel default
-    kv_link_latency: float | None = None  # None = KVTransferModel default
-    backend: str = "pod"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -81,19 +77,10 @@ def run_sweep_point(point: ClusterSweepPoint) -> dict[str, Any]:
     """Simulate one grid point and return a flat result row."""
     deployment = paper_deployment(point.model)
     requests = build_point_trace(point)
-    transfer_kwargs = {}
-    if point.kv_link_bandwidth is not None:
-        transfer_kwargs["bandwidth"] = point.kv_link_bandwidth
-    if point.kv_link_latency is not None:
-        transfer_kwargs["latency"] = point.kv_link_latency
     spec = ClusterSpec(
-        deployment=deployment,
-        num_replicas=point.num_replicas,
-        topology=point.topology,
-        prefill_replicas=point.prefill_replicas,
-        transfer=KVTransferModel(**transfer_kwargs),
+        deployment=deployment, num_replicas=point.num_replicas, topology=point.topology
     )
-    topology = topology_from_spec(spec, chunk_size=point.chunk_size, backend=point.backend)
+    topology = topology_from_spec(spec, chunk_size=point.chunk_size)
     result = ClusterSimulator(topology, router=point.router).run(requests)
     row: dict[str, Any] = {
         "model": point.model,
@@ -110,30 +97,18 @@ def run_cluster_sweep(
     points: Sequence[ClusterSweepPoint],
     max_workers: int | None = None,
     parallel: bool = True,
-    host_profiler=None,
 ) -> list[dict[str, Any]]:
     """Run every grid point, fanning across processes when ``parallel``.
 
     Results come back in input order regardless of completion order.  Serial
     execution is used automatically for trivial grids or ``max_workers=1``.
-
-    ``host_profiler`` (a :class:`repro.obs.profiling.HostProfiler`) is
-    started/stopped around the whole sweep when given, so benchmark harnesses
-    can record the sweep's wall/CPU/peak-RSS cost; worker-process RSS is
-    outside ``RUSAGE_SELF``, so parallel sweeps report the parent only.
     """
     points = list(points)
     if not points:
         return []
-    if host_profiler is not None:
-        host_profiler.start()
-    try:
-        if not parallel or max_workers == 1 or len(points) == 1:
-            return [run_sweep_point(point) for point in points]
-        if max_workers is None:
-            max_workers = min(len(points), os.cpu_count() or 2)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_sweep_point, points))
-    finally:
-        if host_profiler is not None:
-            host_profiler.stop()
+    if not parallel or max_workers == 1 or len(points) == 1:
+        return [run_sweep_point(point) for point in points]
+    if max_workers is None:
+        max_workers = min(len(points), os.cpu_count() or 2)
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(run_sweep_point, points))

@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attention.cost_model import (
-    AttentionCostParams,
-    batch_decode_ctas,
-    batch_prefill_ctas,
-)
+from repro.attention.cost_model import batch_decode_ctas, batch_prefill_ctas
 from repro.attention.executors import AttentionExecutor
 from repro.attention.kernels import fa_decode_kernel, fa_prefill_kernel
 from repro.attention.metrics import AttentionRunResult
@@ -86,7 +82,6 @@ class PODKernelPlan:
 def build_pod_kernel(
     deployment: Deployment,
     batch: HybridBatch,
-    params: AttentionCostParams | None = None,
     config: PODConfig | None = None,
     policy: SchedulingPolicy | None = None,
     limit_prefill_splits: bool = True,
@@ -99,15 +94,14 @@ def build_pod_kernel(
     """
     if not batch.is_hybrid:
         raise ValueError("POD-Attention fuses prefill and decode; batch is not hybrid")
-    params = params or AttentionCostParams()
     config = config or select_pod_config(deployment, batch)
     policy = policy or ProportionalPolicy()
 
     max_prefill = config.max_prefill_ctas(deployment.gpu) if limit_prefill_splits else None
     prefill_works = batch_prefill_ctas(
-        deployment, batch, tile=config.prefill_tile, params=params, max_prefill_ctas=max_prefill
+        deployment, batch, tile=config.prefill_tile, max_prefill_ctas=max_prefill
     )
-    decode_units = batch_decode_ctas(deployment, batch, tile=config.decode_tile, params=params)
+    decode_units = batch_decode_ctas(deployment, batch, tile=config.decode_tile)
     decode_works = group_virtual_decode_ctas(decode_units, config.virtual_decode_factor)
 
     scheduler = SMAwareScheduler(
@@ -153,12 +147,10 @@ class PODAttention(AttentionExecutor):
 
     def __init__(
         self,
-        params: AttentionCostParams | None = None,
         config: PODConfig | None = None,
         policy: SchedulingPolicy | None = None,
         limit_prefill_splits: bool = True,
     ) -> None:
-        super().__init__(params)
         self.config = config
         self.policy = policy
         self.limit_prefill_splits = limit_prefill_splits
@@ -167,16 +159,15 @@ class PODAttention(AttentionExecutor):
     def build_launches(self, deployment: Deployment, batch: HybridBatch) -> list[KernelLaunch]:
         if not batch.is_hybrid:
             kernel = (
-                fa_prefill_kernel(deployment, batch, self.params)
+                fa_prefill_kernel(deployment, batch)
                 if batch.has_prefill
-                else fa_decode_kernel(deployment, batch, self.params)
+                else fa_decode_kernel(deployment, batch)
             )
             self.last_plan = None
             return [KernelLaunch(kernel=kernel, stream=0)] if kernel else []
         plan = build_pod_kernel(
             deployment,
             batch,
-            params=self.params,
             config=self.config,
             policy=self.policy,
             limit_prefill_splits=self.limit_prefill_splits,

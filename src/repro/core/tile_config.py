@@ -28,6 +28,9 @@ from repro.models.config import Deployment
 from repro.utils.units import KB
 from repro.utils.validation import check_in_choices, check_positive
 
+#: Limited splits (§4.2.4): prefill KV splits stop at this many full waves of CTAs.
+PREFILL_SPLIT_WAVE_LIMIT = 2.0
+
 
 @dataclass(frozen=True)
 class PODConfig:
@@ -38,12 +41,10 @@ class PODConfig:
     decode_tile: TileShape
     profile: ResourceProfile
     virtual_decode_factor: int = 4
-    prefill_split_wave_limit: float = 2.0
 
     def __post_init__(self) -> None:
         check_in_choices("ctas_per_sm", self.ctas_per_sm, (2, 4, 8))
         check_positive("virtual_decode_factor", self.virtual_decode_factor)
-        check_positive("prefill_split_wave_limit", self.prefill_split_wave_limit)
         if self.decode_tile.tile_q < MIN_DECODE_TILE_Q:
             raise ValueError(
                 f"decode tile_q must be >= {MIN_DECODE_TILE_Q} (CUTLASS minimum), "
@@ -52,7 +53,7 @@ class PODConfig:
 
     def max_prefill_ctas(self, spec: GPUSpec) -> int:
         """Limit on prefill CTAs implied by the limited-splits optimization (§4.2.4)."""
-        return int(self.prefill_split_wave_limit * spec.num_sms)
+        return int(PREFILL_SPLIT_WAVE_LIMIT * spec.num_sms)
 
     @property
     def name(self) -> str:

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 from repro.core.scheduling_policy import ProportionalPolicy, SchedulingPolicy
 from repro.core.sm_aware import PREFILL, SMAwareScheduler
 from repro.fusion.microbench import (
+    CTAS_PER_KERNEL,
+    REGISTERS_PER_THREAD,
+    SHARED_MEM_PER_CTA,
+    THREADS_PER_CTA,
     MicrobenchConfig,
     compute_ctas,
     compute_kernel,
@@ -42,6 +46,10 @@ FUSION_METHODS = (
     "intra_thread",
     "sm_aware",
 )
+
+#: Fraction of the shorter operation that intra-thread fusion cannot hide
+#: behind its CTA-level barriers (paper §3.1).
+BARRIER_SERIAL_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,9 @@ def _fused_kernel_static(config: MicrobenchConfig, ordering: str) -> Kernel:
     return Kernel.from_ctas(
         f"fused_{ordering}",
         ctas,
-        threads_per_cta=config.threads_per_cta,
-        shared_mem_per_cta=config.shared_mem_per_cta,
-        registers_per_thread=config.registers_per_thread,
+        threads_per_cta=THREADS_PER_CTA,
+        shared_mem_per_cta=SHARED_MEM_PER_CTA,
+        registers_per_thread=REGISTERS_PER_THREAD,
     )
 
 
@@ -119,25 +127,21 @@ def run_warp_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResul
     kernel = Kernel.from_ctas(
         "fused_warp",
         fused,
-        threads_per_cta=config.threads_per_cta * 2,
-        shared_mem_per_cta=config.shared_mem_per_cta * 2,
-        registers_per_thread=config.registers_per_thread,
+        threads_per_cta=THREADS_PER_CTA * 2,
+        shared_mem_per_cta=SHARED_MEM_PER_CTA * 2,
+        registers_per_thread=REGISTERS_PER_THREAD,
     )
     return _summarize("warp_parallel", _engine(spec).run_kernel(kernel))
 
 
-def run_intra_thread(
-    spec: GPUSpec, config: MicrobenchConfig, barrier_serial_fraction: float = 0.75
-) -> FusionRunResult:
+def run_intra_thread(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
     """Intra-thread fusion: instructions interleave but barriers serialise a fraction.
 
     Each thread alternates between the two operations, but the CTA-level sync
     barrier after every pass prevents instructions on opposite sides of a
-    barrier from overlapping (paper §3.1).  ``barrier_serial_fraction`` is the
-    fraction of the shorter operation that cannot be hidden.
+    barrier from overlapping (paper §3.1): :data:`BARRIER_SERIAL_FRACTION` of
+    the shorter operation cannot be hidden.
     """
-    if not 0.0 <= barrier_serial_fraction <= 1.0:
-        raise ValueError("barrier_serial_fraction must lie in [0, 1]")
     compute = compute_ctas(config)
     memory = memory_ctas(config)
     compute_time, memory_time = ideal_times(spec, config)
@@ -145,8 +149,8 @@ def run_intra_thread(
     # waits at a barrier for its memory (or compute) segment, the other
     # resource sits idle.  Model this by adding the serialised time as extra
     # demand on the *dominant* resource, which is what determines the runtime.
-    serialized_time = barrier_serial_fraction * min(compute_time, memory_time)
-    n = config.ctas_per_kernel
+    serialized_time = BARRIER_SERIAL_FRACTION * min(compute_time, memory_time)
+    n = CTAS_PER_KERNEL
     if compute_time >= memory_time:
         extra_flops = serialized_time * spec.cuda_core_flops / n
         extra_bytes = 0.0
@@ -168,9 +172,9 @@ def run_intra_thread(
     kernel = Kernel.from_ctas(
         "fused_intra_thread",
         fused,
-        threads_per_cta=config.threads_per_cta,
-        shared_mem_per_cta=config.shared_mem_per_cta * 2,
-        registers_per_thread=config.registers_per_thread,
+        threads_per_cta=THREADS_PER_CTA,
+        shared_mem_per_cta=SHARED_MEM_PER_CTA * 2,
+        registers_per_thread=REGISTERS_PER_THREAD,
     )
     return _summarize("intra_thread", _engine(spec).run_kernel(kernel))
 
@@ -200,9 +204,9 @@ def run_sm_aware(
         "fused_sm_aware",
         num_ctas=len(compute) + len(memory),
         binder=binder,
-        threads_per_cta=config.threads_per_cta,
-        shared_mem_per_cta=config.shared_mem_per_cta,
-        registers_per_thread=config.registers_per_thread,
+        threads_per_cta=THREADS_PER_CTA,
+        shared_mem_per_cta=SHARED_MEM_PER_CTA,
+        registers_per_thread=REGISTERS_PER_THREAD,
     )
     return _summarize("sm_aware", _engine(spec).run_kernel(kernel))
 

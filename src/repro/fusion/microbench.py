@@ -22,92 +22,73 @@ COMPUTE_TAG = "compute"
 MEMORY_TAG = "memory"
 
 
+# Fixed shape of the micro-benchmark: 2^24 fp32 elements per kernel, spread
+# over 864 small CTAs (eight per A100 SM).
+ELEMENTS = 1 << 24
+ELEMENT_BYTES = 4
+MEMORY_PASSES = 8
+ARRAYS_PER_MEMORY_PASS = 4  # three reads plus one write
+CTAS_PER_KERNEL = 864
+THREADS_PER_CTA = 256
+SHARED_MEM_PER_CTA = 8 * KB
+REGISTERS_PER_THREAD = 32
+BARRIER_OVERHEAD = 2.0e-8
+#: Compute iterations at which the calibrated kernels take equal time (Figure 7).
+EQUAL_AT_ITERATIONS = 100
+
+
 @dataclass(frozen=True)
 class MicrobenchConfig:
-    """Configuration of the fusion micro-benchmark.
+    """The two knobs of the fusion micro-benchmark that Figure 7 varies.
 
     Defaults are calibrated so that at ``compute_iterations = 100`` the two
     kernels take (approximately) equal time when executed serially — matching
     the crossover the paper places at 100 iterations in Figure 7.
     """
 
-    elements: int = 1 << 24
-    element_bytes: int = 4
     compute_iterations: int = 100
     flops_per_iteration: int = 12
-    memory_passes: int = 8
-    arrays_per_memory_pass: int = 4  # three reads plus one write
-    ctas_per_kernel: int = 864
-    threads_per_cta: int = 256
-    shared_mem_per_cta: int = 8 * KB
-    registers_per_thread: int = 32
-    barrier_overhead: float = 2.0e-8
 
     def __post_init__(self) -> None:
-        check_positive("elements", self.elements)
         check_positive("compute_iterations", self.compute_iterations)
-        check_positive("memory_passes", self.memory_passes)
-        check_positive("ctas_per_kernel", self.ctas_per_kernel)
 
     # ------------------------------------------------------------ totals
 
     @property
     def compute_flops_total(self) -> float:
         """A short arithmetic loop body per element per compute iteration."""
-        return float(self.elements) * self.compute_iterations * self.flops_per_iteration
+        return float(ELEMENTS) * self.compute_iterations * self.flops_per_iteration
 
     @property
     def compute_bytes_total(self) -> float:
         """The compute kernel streams its array in and out once."""
-        return 2.0 * self.elements * self.element_bytes
+        return 2.0 * ELEMENTS * ELEMENT_BYTES
 
     @property
     def memory_bytes_total(self) -> float:
         """Three source arrays read and one destination written per pass."""
-        return (
-            float(self.elements)
-            * self.element_bytes
-            * self.arrays_per_memory_pass
-            * self.memory_passes
-        )
+        return float(ELEMENTS) * ELEMENT_BYTES * ARRAYS_PER_MEMORY_PASS * MEMORY_PASSES
 
     @property
     def memory_flops_total(self) -> float:
         """Two adds per element per pass — negligible but nonzero."""
-        return 2.0 * self.elements * self.memory_passes
-
-    def with_compute_iterations(self, iterations: int) -> "MicrobenchConfig":
-        """Copy of the config with a different compute-iteration count (Figure 7 x-axis)."""
-        return MicrobenchConfig(
-            elements=self.elements,
-            element_bytes=self.element_bytes,
-            compute_iterations=iterations,
-            flops_per_iteration=self.flops_per_iteration,
-            memory_passes=self.memory_passes,
-            arrays_per_memory_pass=self.arrays_per_memory_pass,
-            ctas_per_kernel=self.ctas_per_kernel,
-            threads_per_cta=self.threads_per_cta,
-            shared_mem_per_cta=self.shared_mem_per_cta,
-            registers_per_thread=self.registers_per_thread,
-            barrier_overhead=self.barrier_overhead,
-        )
+        return 2.0 * ELEMENTS * MEMORY_PASSES
 
 
-def calibrated_config(spec: GPUSpec, equal_at_iterations: int = 100) -> MicrobenchConfig:
-    """Build a config whose serial compute and memory kernel times match at the given point.
+def calibrated_config(spec: GPUSpec) -> MicrobenchConfig:
+    """Build a config whose serial compute and memory kernel times match at the crossover.
 
     The compute loop body (FLOPs per iteration) is chosen so that the
     compute-bound kernel's ideal time equals the memory-bound kernel's ideal
-    time at ``compute_iterations == equal_at_iterations`` — the crossover the
+    time at ``compute_iterations == EQUAL_AT_ITERATIONS`` — the crossover the
     paper places at 100 iterations in Figure 7.
     """
-    base = MicrobenchConfig(compute_iterations=equal_at_iterations)
-    memory_time = base.memory_bytes_total / spec.hbm_bandwidth
+    memory_time = MicrobenchConfig().memory_bytes_total / spec.hbm_bandwidth
     flops_per_iteration = max(
-        1, round(memory_time * spec.cuda_core_flops / (base.elements * equal_at_iterations))
+        1, round(memory_time * spec.cuda_core_flops / (ELEMENTS * EQUAL_AT_ITERATIONS))
     )
     return MicrobenchConfig(
-        compute_iterations=equal_at_iterations, flops_per_iteration=flops_per_iteration
+        compute_iterations=EQUAL_AT_ITERATIONS, flops_per_iteration=flops_per_iteration
     )
 
 
@@ -116,7 +97,7 @@ def calibrated_config(spec: GPUSpec, equal_at_iterations: int = 100) -> Microben
 
 def compute_ctas(config: MicrobenchConfig) -> list[CTAWork]:
     """CTA workloads of the compute-bound kernel."""
-    n = config.ctas_per_kernel
+    n = CTAS_PER_KERNEL
     flops = config.compute_flops_total / n
     dram_bytes = config.compute_bytes_total / n
     return [
@@ -124,7 +105,7 @@ def compute_ctas(config: MicrobenchConfig) -> list[CTAWork]:
             flops=flops,
             dram_bytes=dram_bytes,
             tag=COMPUTE_TAG,
-            fixed_time=config.barrier_overhead * config.compute_iterations,
+            fixed_time=BARRIER_OVERHEAD * config.compute_iterations,
             meta={"pipe": "cuda"},
         )
         for _ in range(n)
@@ -133,7 +114,7 @@ def compute_ctas(config: MicrobenchConfig) -> list[CTAWork]:
 
 def memory_ctas(config: MicrobenchConfig) -> list[CTAWork]:
     """CTA workloads of the memory-bound kernel."""
-    n = config.ctas_per_kernel
+    n = CTAS_PER_KERNEL
     flops = config.memory_flops_total / n
     dram_bytes = config.memory_bytes_total / n
     return [
@@ -141,7 +122,7 @@ def memory_ctas(config: MicrobenchConfig) -> list[CTAWork]:
             flops=flops,
             dram_bytes=dram_bytes,
             tag=MEMORY_TAG,
-            fixed_time=config.barrier_overhead * config.memory_passes,
+            fixed_time=BARRIER_OVERHEAD * MEMORY_PASSES,
             meta={"pipe": "cuda"},
         )
         for _ in range(n)
@@ -153,9 +134,9 @@ def compute_kernel(config: MicrobenchConfig, name: str = "compute_bound") -> Ker
     return Kernel.from_ctas(
         name,
         compute_ctas(config),
-        threads_per_cta=config.threads_per_cta,
-        shared_mem_per_cta=config.shared_mem_per_cta,
-        registers_per_thread=config.registers_per_thread,
+        threads_per_cta=THREADS_PER_CTA,
+        shared_mem_per_cta=SHARED_MEM_PER_CTA,
+        registers_per_thread=REGISTERS_PER_THREAD,
     )
 
 
@@ -164,9 +145,9 @@ def memory_kernel(config: MicrobenchConfig, name: str = "memory_bound") -> Kerne
     return Kernel.from_ctas(
         name,
         memory_ctas(config),
-        threads_per_cta=config.threads_per_cta,
-        shared_mem_per_cta=config.shared_mem_per_cta,
-        registers_per_thread=config.registers_per_thread,
+        threads_per_cta=THREADS_PER_CTA,
+        shared_mem_per_cta=SHARED_MEM_PER_CTA,
+        registers_per_thread=REGISTERS_PER_THREAD,
     )
 
 

@@ -13,7 +13,7 @@ from repro.models.config import (
     paper_deployment,
     yi_6b,
 )
-from repro.models.linear_ops import LinearBreakdown, LinearCostParams, LinearOpCostModel
+from repro.models.linear_ops import LinearBreakdown, LinearOpCostModel
 from repro.models.transformer import (
     IterationBreakdown,
     IterationCostModel,
@@ -33,7 +33,6 @@ __all__ = [
     "paper_deployment",
     "yi_6b",
     "LinearBreakdown",
-    "LinearCostParams",
     "LinearOpCostModel",
     "IterationBreakdown",
     "IterationCostModel",

@@ -20,37 +20,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.models.config import Deployment
-from repro.utils.validation import check_fraction, check_non_negative, check_positive
+from repro.utils.validation import check_non_negative
 
 
-@dataclass(frozen=True)
-class LinearCostParams:
-    """Tunable constants of the linear-operator roofline model."""
+# Calibration constants of the linear-operator roofline (A100 defaults).
+PEAK_GEMM_EFFICIENCY = 0.80
+GEMM_EFFICIENCY_RAMP_TOKENS = 256
+HBM_EFFICIENCY = 0.88
+ELEMENTWISE_PASSES = 6.0
+ALLREDUCE_EFFICIENCY = 0.75
+KERNEL_OVERHEAD = 8e-6
 
-    peak_gemm_efficiency: float = 0.80
-    gemm_efficiency_ramp_tokens: int = 256
-    hbm_efficiency: float = 0.88
-    elementwise_passes: float = 6.0
-    allreduce_efficiency: float = 0.75
-    kernel_overhead: float = 8e-6
 
-    def __post_init__(self) -> None:
-        for name in ("peak_gemm_efficiency", "hbm_efficiency", "allreduce_efficiency"):
-            check_fraction(name, check_positive(name, getattr(self, name)))
-        ramp = check_positive("gemm_efficiency_ramp_tokens", self.gemm_efficiency_ramp_tokens)
-        if ramp < 1:
-            raise ValueError(f"gemm_efficiency_ramp_tokens must be >= 1, got {ramp!r}")
-        check_positive("elementwise_passes", self.elementwise_passes)
-        check_non_negative("kernel_overhead", self.kernel_overhead)
-
-    def gemm_efficiency(self, num_tokens: int) -> float:
-        """Achieved fraction of peak tensor throughput for a GEMM over ``num_tokens`` rows."""
-        if num_tokens <= 0:
-            return self.peak_gemm_efficiency
-        ramp = min(1.0, num_tokens / self.gemm_efficiency_ramp_tokens)
-        # Even a single-token GEMM achieves some fraction of peak through weight reuse
-        # across the hidden dimension; the ramp mainly reflects tensor-core tiling.
-        return self.peak_gemm_efficiency * max(0.15, ramp)
+def gemm_efficiency(num_tokens: int) -> float:
+    """Achieved fraction of peak tensor throughput for a GEMM over ``num_tokens`` rows."""
+    if num_tokens <= 0:
+        return PEAK_GEMM_EFFICIENCY
+    ramp = min(1.0, num_tokens / GEMM_EFFICIENCY_RAMP_TOKENS)
+    # Even a single-token GEMM achieves some fraction of peak through weight reuse
+    # across the hidden dimension; the ramp mainly reflects tensor-core tiling.
+    return PEAK_GEMM_EFFICIENCY * max(0.15, ramp)
 
 
 @dataclass(frozen=True)
@@ -78,9 +67,8 @@ class LinearBreakdown:
 class LinearOpCostModel:
     """Cost model for the non-attention operators of one transformer layer."""
 
-    def __init__(self, deployment: Deployment, params: LinearCostParams | None = None) -> None:
+    def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
-        self.params = params or LinearCostParams()
 
     # ------------------------------------------------------------------ core
 
@@ -96,11 +84,9 @@ class LinearOpCostModel:
         activation_bytes = (
             num_tokens * self.deployment.model.hidden_size * model.dtype_bytes * 2
         )
-        compute_time = flops / (spec.tensor_flops * self.params.gemm_efficiency(num_tokens))
-        memory_time = (weight_bytes + activation_bytes) / (
-            spec.hbm_bandwidth * self.params.hbm_efficiency
-        )
-        return max(compute_time, memory_time) + self.params.kernel_overhead
+        compute_time = flops / (spec.tensor_flops * gemm_efficiency(num_tokens))
+        memory_time = (weight_bytes + activation_bytes) / (spec.hbm_bandwidth * HBM_EFFICIENCY)
+        return max(compute_time, memory_time) + KERNEL_OVERHEAD
 
     # ------------------------------------------------------------- operators
 
@@ -130,9 +116,9 @@ class LinearOpCostModel:
         model = self.deployment.model
         spec = self.deployment.gpu
         elementwise_bytes = (
-            self.params.elementwise_passes * num_tokens * model.hidden_size * model.dtype_bytes
+            ELEMENTWISE_PASSES * num_tokens * model.hidden_size * model.dtype_bytes
         )
-        elementwise_time = elementwise_bytes / (spec.hbm_bandwidth * self.params.hbm_efficiency)
+        elementwise_time = elementwise_bytes / (spec.hbm_bandwidth * HBM_EFFICIENCY)
         allreduce_time = 0.0
         if self.deployment.tensor_parallel > 1:
             # Two all-reduces per layer (after attention and after the FFN).
@@ -143,9 +129,9 @@ class LinearOpCostModel:
                 2.0
                 * payload
                 * ring_factor
-                / (self.deployment.interconnect_bandwidth * self.params.allreduce_efficiency)
+                / (self.deployment.interconnect_bandwidth * ALLREDUCE_EFFICIENCY)
             )
-        return elementwise_time + allreduce_time + self.params.kernel_overhead
+        return elementwise_time + allreduce_time + KERNEL_OVERHEAD
 
     # ------------------------------------------------------------- breakdown
 

@@ -14,8 +14,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.models.config import Deployment
-from repro.models.linear_ops import LinearBreakdown, LinearCostParams, LinearOpCostModel
+from repro.models.linear_ops import LinearBreakdown, LinearOpCostModel
 from repro.utils.validation import check_non_negative
+
+#: Per-iteration CPU-side overhead (scheduling, sampling, python glue), seconds.
+SCHEDULER_OVERHEAD = 1.5e-3
 
 # Order in which the paper reports the Figure 4 breakdown.
 OPERATION_ORDER = (
@@ -71,16 +74,9 @@ class IterationCostModel:
     this class only owns the linear-operator side and the composition rules.
     """
 
-    def __init__(
-        self,
-        deployment: Deployment,
-        linear_params: LinearCostParams | None = None,
-        scheduler_overhead: float = 1.5e-3,
-    ) -> None:
+    def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
-        self.linear_model = LinearOpCostModel(deployment, linear_params)
-        # Per-iteration CPU-side overhead (scheduling, sampling, python glue).
-        self.scheduler_overhead = check_non_negative("scheduler_overhead", scheduler_overhead)
+        self.linear_model = LinearOpCostModel(deployment)
         # Token count -> whole-iteration (pre-projection, post-projection, FFN,
         # others) times: the linear operators depend on nothing else.
         self._linear_memo: dict[int, tuple[float, float, float, float]] = {}
@@ -112,7 +108,7 @@ class IterationCostModel:
                 per_layer.pre_attention * layers,
                 per_layer.post_attention * layers,
                 per_layer.ffn * layers,
-                per_layer.others * layers + self.scheduler_overhead,
+                per_layer.others * layers + SCHEDULER_OVERHEAD,
             )
         pre_projection, post_projection, ffn, others = linear
         return IterationBreakdown(

@@ -29,9 +29,9 @@ from repro.attention.analytic import (
     kernel_time,
 )
 from repro.attention.cost_model import (
+    CTA_FIXED_OVERHEAD,
     FA_DECODE_TILE,
     FA_PREFILL_TILE,
-    AttentionCostParams,
     decode_aggregate_from_sums,
     default_prefill_splits,
     prefill_cta_aggregate,
@@ -75,13 +75,8 @@ class AttentionBackend:
     #: Whether hybrid batches run as one fused kernel rather than back to back.
     fuses: bool = False
 
-    def __init__(
-        self,
-        deployment: Deployment,
-        params: AttentionCostParams | None = None,
-    ) -> None:
+    def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
-        self.params = params or AttentionCostParams()
         self._occupancy = fa_occupancy(deployment)
         self._pod_configs = {ctas: POD_CONFIGS[ctas]() for ctas in (2, 4)}
         # (chunk_tokens, prior_tokens) -> (phase FLOPs, FA-tile CTA count,
@@ -91,10 +86,10 @@ class AttentionBackend:
         self._pod_prefill_memo: dict[tuple[int, int, int], tuple[float, float]] = {}
 
     def _fa_prefill_entry(self, key: tuple[int, int]) -> tuple[float, int, float, float, int]:
-        deployment, params = self.deployment, self.params
+        deployment = self.deployment
         chunk = PrefillChunk(chunk_tokens=key[0], prior_tokens=key[1])
-        splits = default_prefill_splits(deployment, chunk, FA_PREFILL_TILE, params)
-        aggregate = prefill_cta_aggregate(deployment, chunk, FA_PREFILL_TILE, splits, params)
+        splits = default_prefill_splits(deployment, chunk, FA_PREFILL_TILE)
+        aggregate = prefill_cta_aggregate(deployment, chunk, FA_PREFILL_TILE, splits)
         entry = self._prefill_memo[key] = (
             chunk_phase_flops(deployment, key[0], key[1]),
             aggregate.count,
@@ -105,12 +100,12 @@ class AttentionBackend:
         return entry
 
     def _pod_prefill_entry(self, key: tuple[int, int, int]) -> tuple[float, float]:
-        deployment, params = self.deployment, self.params
+        deployment = self.deployment
         config = self._pod_configs[key[2]]
         chunk = PrefillChunk(chunk_tokens=key[0], prior_tokens=key[1])
         tile = config.prefill_tile
         splits = default_prefill_splits(
-            deployment, chunk, tile, params, config.max_prefill_ctas(deployment.gpu)
+            deployment, chunk, tile, config.max_prefill_ctas(deployment.gpu)
         )
         fa_entry = self._prefill_memo[key[:2]]
         # The 2-CTA configuration keeps FA's tile; unless its wave cap binds,
@@ -118,7 +113,7 @@ class AttentionBackend:
         if tile == FA_PREFILL_TILE and splits == fa_entry[4]:
             entry = (fa_entry[2], fa_entry[3])
         else:
-            aggregate = prefill_cta_aggregate(deployment, chunk, tile, splits, params)
+            aggregate = prefill_cta_aggregate(deployment, chunk, tile, splits)
             entry = (aggregate.total_flops, aggregate.total_dram_bytes)
         self._pod_prefill_memo[key] = entry
         return entry
@@ -130,9 +125,9 @@ class AttentionBackend:
         on ``batch.to_hybrid_batch()``.  The decode side reads the sums the
         batch carries (:meth:`ScheduledBatch.context_sums`).
         """
-        deployment, params = self.deployment, self.params
+        deployment = self.deployment
         spec = deployment.gpu
-        fixed = params.cta_fixed_overhead
+        fixed = CTA_FIXED_OVERHEAD
         memo = self._prefill_memo
         keys = []
         phase_flops = 0.0
@@ -153,7 +148,7 @@ class AttentionBackend:
         if decodes:
             num_decodes, context_sum, min_context = batch.context_sums()
             count, flops, dram = decode_aggregate_from_sums(
-                deployment, num_decodes, context_sum, min_context, FA_DECODE_TILE, params
+                deployment, num_decodes, context_sum, min_context, FA_DECODE_TILE
             )
             decode_time = kernel_time(spec, count, flops, dram, fixed, self._occupancy[1])
         if not (self.fuses and keys and decodes):
@@ -169,7 +164,7 @@ class AttentionBackend:
             prefill_flops += pod_entry[0]
             prefill_dram += pod_entry[1]
         count, flops, dram = decode_aggregate_from_sums(
-            deployment, num_decodes, context_sum, min_context, config.decode_tile, params
+            deployment, num_decodes, context_sum, min_context, config.decode_tile
         )
         fused = fused_time(
             spec,
@@ -186,7 +181,7 @@ class AttentionBackend:
 
     def reference(self, batch: HybridBatch) -> AttentionEstimate:
         """The estimate :meth:`estimate` must match, from the row-summing reference."""
-        times = analytic_attention_times(self.deployment, batch, self.params)
+        times = analytic_attention_times(self.deployment, batch)
         if not (self.fuses and batch.is_hybrid):
             return AttentionEstimate(prefill_time=times.prefill_time, decode_time=times.decode_time)
         return _fused_split(times.prefill_time, times.decode_time, times.fused_time)
@@ -211,13 +206,9 @@ BACKENDS = {
 }
 
 
-def get_backend(
-    name: str,
-    deployment: Deployment,
-    params: AttentionCostParams | None = None,
-) -> AttentionBackend:
+def get_backend(name: str, deployment: Deployment) -> AttentionBackend:
     """Instantiate a backend by short name (``"fa_serial"`` or ``"pod"``)."""
     key = name.lower()
     if key not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
-    return BACKENDS[key](deployment, params)
+    return BACKENDS[key](deployment)

@@ -217,7 +217,7 @@ class _EstimateCheckingBackend(AttentionBackend):
     """
 
     def __init__(self, inner: AttentionBackend, label: str) -> None:
-        super().__init__(inner.deployment, inner.params)
+        super().__init__(inner.deployment)
         self.inner = inner
         self.label = label
         self.steps_checked = 0

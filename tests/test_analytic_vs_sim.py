@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attention.analytic import analytic_attention_times
+from repro.attention.analytic import FUSED_OVERLAP_EFFICIENCY, analytic_attention_times
 from repro.attention.executors import FASerial
 from repro.attention.workload import HybridBatch
 from repro.core.pod_kernel import PODAttention
@@ -44,6 +44,10 @@ class TestAnalyticAgainstSimulator:
         times = analytic_attention_times(llama3_deployment, batch)
         assert times.fused_time <= times.serial_time
         assert times.speedup >= 1.0
+
+    def test_fused_overlap_efficiency_is_a_fraction(self):
+        """The fused estimate divides its roofline time by it; above 1 it beats the roofline."""
+        assert 0.0 < FUSED_OVERLAP_EFFICIENCY <= 1.0
 
     def test_prefill_only_batch(self, llama3_deployment):
         times = analytic_attention_times(llama3_deployment, HybridBatch.prefill_only(1024, 8192))

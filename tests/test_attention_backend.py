@@ -72,9 +72,9 @@ class TestClosedFormWork:
 
         prefill_rows = cost_model._prefill_rows
 
-        def counted_prefill_rows(deployment, chunk, tile, num_splits, params):
+        def counted_prefill_rows(deployment, chunk, tile, num_splits):
             builds[current[0]][chunk, tile, num_splits] += 1
-            return prefill_rows(deployment, chunk, tile, num_splits, params)
+            return prefill_rows(deployment, chunk, tile, num_splits)
 
         execute = InferenceEngine.execute
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attention import cost_model
 from repro.attention.cost_model import (
-    AttentionCostParams,
     CTAAggregate,
     FA_DECODE_TILE,
     FA_PREFILL_TILE,
@@ -19,13 +20,17 @@ from repro.attention.cost_model import (
     batch_prefill_ctas,
     decode_base_cta_count,
     decode_cta_works,
+    decode_splits,
     default_decode_splits,
     default_prefill_splits,
+    effective_bytes,
+    effective_prefill_flops,
     prefill_base_cta_count,
     prefill_cta_works,
 )
 from repro.attention.metrics import theoretical_minimum_time
 from repro.attention.workload import DecodeRequest, HybridBatch, PrefillChunk
+from repro.gpu.config import a100_sxm_80gb
 from repro.gpu.cta import DECODE_TAG, PREFILL_TAG
 
 
@@ -100,6 +105,14 @@ class TestPrefillCosts:
         mha_bytes = sum(w.dram_bytes for w in prefill_cta_works(llama2, chunk))
         assert mha_bytes > 2 * gqa_bytes
 
+    def test_kv_past_usable_l2_is_reread(self, llama3_deployment):
+        """80% of the A100's 40 MiB L2 holds KV.  A 32K-token context on 4 KV
+        heads (2 KiB per token) is twice that, so each of its 64 MiB is read
+        from DRAM 1.25 (cold misses) x 2 (overflow) times."""
+        chunk = PrefillChunk(chunk_tokens=512, prior_tokens=32256)
+        cap = cost_model._prefill_dram_kv_cap(llama3_deployment, chunk, q_tiles=4, num_splits=1)
+        assert cap == pytest.approx(64 * 2**20 * 1.25 * 2, rel=1e-12)
+
 
 class TestDecodeCosts:
     def test_decode_is_memory_dominated(self, llama3_deployment):
@@ -146,30 +159,30 @@ class TestDecodeCosts:
 class TestSplitHeuristics:
     def test_no_split_for_large_batches(self, llama3_deployment):
         decodes = tuple(DecodeRequest(8192) for _ in range(64))
-        params = AttentionCostParams()
-        assert default_decode_splits(llama3_deployment, decodes, FA_DECODE_TILE, params) == 1
+        assert default_decode_splits(llama3_deployment, decodes, FA_DECODE_TILE) == 1
 
     def test_splits_for_small_batches(self, llama3_deployment):
         decodes = tuple(DecodeRequest(8192) for _ in range(4))
-        params = AttentionCostParams()
-        splits = default_decode_splits(llama3_deployment, decodes, FA_DECODE_TILE, params)
+        splits = default_decode_splits(llama3_deployment, decodes, FA_DECODE_TILE)
         assert splits > 1
+
+    def test_decode_splits_stop_at_the_cap(self, llama3_deployment):
+        """The presets (84-132 SMs, at least 4 KV heads per GPU) ask for at most
+        33 splits; a 1,024-SM GPU asks one long decode for 256 and gets the cap."""
+        wide = replace(llama3_deployment, gpu=replace(a100_sxm_80gb(), num_sms=1024))
+        assert decode_splits(wide, 1, 16384, FA_DECODE_TILE) == 64
 
     def test_prefill_split_cap(self, llama3_deployment):
         chunk = PrefillChunk(chunk_tokens=512, prior_tokens=15872)
-        params = AttentionCostParams()
-        uncapped = default_prefill_splits(llama3_deployment, chunk, FA_PREFILL_TILE, params)
-        capped = default_prefill_splits(
-            llama3_deployment, chunk, FA_PREFILL_TILE, params, max_ctas=2 * 108
-        )
+        uncapped = default_prefill_splits(llama3_deployment, chunk, FA_PREFILL_TILE)
+        capped = default_prefill_splits(llama3_deployment, chunk, FA_PREFILL_TILE, max_ctas=2 * 108)
         base = prefill_base_cta_count(llama3_deployment, chunk, FA_PREFILL_TILE)
         assert base * capped <= 2 * 108
         assert capped <= uncapped
 
     def test_no_prefill_split_for_long_chunks(self, llama3_deployment):
         chunk = PrefillChunk(chunk_tokens=8192, prior_tokens=0)
-        params = AttentionCostParams()
-        assert default_prefill_splits(llama3_deployment, chunk, FA_PREFILL_TILE, params) == 1
+        assert default_prefill_splits(llama3_deployment, chunk, FA_PREFILL_TILE) == 1
 
 
 class TestCTALayout:
@@ -313,35 +326,50 @@ class TestCTAAggregates:
         assert merged.count == 2 and merged.max_fixed_time == 0.5
 
 
-class TestParams:
+class TestCalibrationConstants:
+    """Each constant stays in the range its params field once enforced at
+    construction: outside it an estimate turns negative, NaN or silently
+    clamped."""
+
     @pytest.mark.parametrize(
-        ("field", "value"),
+        "name",
         [
-            ("cta_fixed_overhead", -1.0),
-            ("hbm_efficiency", math.nan),
-            ("hbm_efficiency", 0.0),
-            ("prefill_tensor_efficiency", 1.5),
-            ("decode_tensor_efficiency", math.inf),
-            ("l2_usable_fraction", 0.0),
-            ("max_kv_splits", 0),
-            ("partial_accumulator_bytes", 0.5),
-            ("cold_miss_factor", 0.0),
-            ("flash_decoding_wave_target", -1.0),
-            ("hfuse_overhead_factor", math.nan),
-            ("fi_decode_bandwidth_bonus", 0.0),
+            "PREFILL_TENSOR_EFFICIENCY",
+            "DECODE_TENSOR_EFFICIENCY",
+            "HBM_EFFICIENCY",
+            "L2_USABLE_FRACTION",
         ],
     )
-    def test_rejects_out_of_range_values(self, field, value):
-        """Each value once produced a negative, NaN or silently clamped estimate."""
-        with pytest.raises(ValueError, match=field):
-            AttentionCostParams(**{field: value})
+    def test_fraction(self, name):
+        assert 0.0 < getattr(cost_model, name) <= 1.0
 
+    @pytest.mark.parametrize("name", ["PARTIAL_ACCUMULATOR_BYTES", "MAX_KV_SPLITS"])
+    def test_count(self, name):
+        value = getattr(cost_model, name)
+        assert isinstance(value, int) and value >= 1
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "COLD_MISS_FACTOR",
+            "FLASH_DECODING_WAVE_TARGET",
+            "HFUSE_OVERHEAD_FACTOR",
+            "FI_DECODE_BANDWIDTH_BONUS",
+        ],
+    )
+    def test_positive(self, name):
+        assert 0.0 < getattr(cost_model, name) < math.inf
+
+    def test_cta_fixed_overhead_non_negative(self):
+        assert 0.0 <= cost_model.CTA_FIXED_OVERHEAD < math.inf
+
+
+class TestEffectiveCosts:
     def test_effective_bytes_inflates(self):
-        params = AttentionCostParams(hbm_efficiency=0.8)
-        assert params.effective_bytes(80.0) == pytest.approx(100.0)
+        """Attention traffic moves at 90% of the HBM bandwidth spec."""
+        assert effective_bytes(90.0) == pytest.approx(100.0)
 
     def test_small_prefill_tiles_less_efficient(self):
-        params = AttentionCostParams()
-        assert params.effective_prefill_flops(100.0, tile_q=64) > params.effective_prefill_flops(
+        assert effective_prefill_flops(100.0, tile_q=64) > effective_prefill_flops(
             100.0, tile_q=128
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.fusion.methods import (
@@ -14,6 +16,7 @@ from repro.fusion.methods import (
     run_streams,
 )
 from repro.fusion.microbench import (
+    CTAS_PER_KERNEL,
     MicrobenchConfig,
     calibrated_config,
     compute_ctas,
@@ -36,19 +39,19 @@ class TestMicrobenchConfig:
         assert compute_time == pytest.approx(memory_time, rel=0.15)
 
     def test_compute_iterations_scale_compute_only(self, config):
-        heavier = config.with_compute_iterations(config.compute_iterations * 2)
+        heavier = replace(config, compute_iterations=config.compute_iterations * 2)
         assert heavier.compute_flops_total == pytest.approx(2 * config.compute_flops_total)
         assert heavier.memory_bytes_total == pytest.approx(config.memory_bytes_total)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MicrobenchConfig(elements=0)
+            MicrobenchConfig(compute_iterations=0)
 
     def test_cta_builders(self, config):
-        assert len(compute_ctas(config)) == config.ctas_per_kernel
-        assert len(memory_ctas(config)) == config.ctas_per_kernel
-        assert compute_kernel(config).num_ctas == config.ctas_per_kernel
-        assert memory_kernel(config).num_ctas == config.ctas_per_kernel
+        assert len(compute_ctas(config)) == CTAS_PER_KERNEL
+        assert len(memory_ctas(config)) == CTAS_PER_KERNEL
+        assert compute_kernel(config).num_ctas == CTAS_PER_KERNEL
+        assert memory_kernel(config).num_ctas == CTAS_PER_KERNEL
 
     def test_kernel_work_profiles(self, a100, config):
         """The compute kernel is compute-bound and the memory kernel memory-bound."""
@@ -107,7 +110,7 @@ class TestMethods:
     def test_memory_heavy_regime(self, a100):
         """Left of the crossover (few compute iterations) memory dominates; overlap
         hides the compute almost entirely."""
-        config = calibrated_config(a100).with_compute_iterations(30)
+        config = replace(calibrated_config(a100), compute_iterations=30)
         serial = run_serial(a100, config).total_time
         fused = run_sm_aware(a100, config).total_time
         _, memory_time = ideal_times(a100, config)
@@ -115,7 +118,7 @@ class TestMethods:
         assert fused < serial
 
     def test_compute_heavy_regime(self, a100):
-        config = calibrated_config(a100).with_compute_iterations(200)
+        config = replace(calibrated_config(a100), compute_iterations=200)
         compute_time, _ = ideal_times(a100, config)
         fused = run_sm_aware(a100, config).total_time
         assert fused == pytest.approx(compute_time, rel=0.35)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models.linear_ops import LinearCostParams, LinearOpCostModel
+from repro.models import linear_ops
+from repro.models.linear_ops import PEAK_GEMM_EFFICIENCY, LinearOpCostModel, gemm_efficiency
 from repro.models.config import paper_deployment
 
 
@@ -14,34 +17,33 @@ def cost_model(llama3_deployment):
     return LinearOpCostModel(llama3_deployment)
 
 
-class TestParams:
+class TestCalibrationConstants:
+    """Each constant stays in the range its params field once enforced at
+    construction: outside it a time turns NaN or a division fails mid-run."""
+
     @pytest.mark.parametrize(
-        ("field", "value"),
-        [
-            ("gemm_efficiency_ramp_tokens", 0),
-            ("gemm_efficiency_ramp_tokens", 0.5),
-            ("peak_gemm_efficiency", float("nan")),
-            ("peak_gemm_efficiency", 1.2),
-            ("hbm_efficiency", 0.0),
-            ("allreduce_efficiency", -0.5),
-            ("elementwise_passes", 0.0),
-            ("kernel_overhead", -1e-6),
-        ],
+        "name", ["PEAK_GEMM_EFFICIENCY", "HBM_EFFICIENCY", "ALLREDUCE_EFFICIENCY"]
     )
-    def test_rejects_out_of_range_values(self, field, value):
-        """Each value once produced a NaN time or a ZeroDivisionError mid-run."""
-        with pytest.raises(ValueError, match=field):
-            LinearCostParams(**{field: value})
+    def test_fraction(self, name):
+        assert 0.0 < getattr(linear_ops, name) <= 1.0
+
+    def test_ramp_tokens_is_a_count(self):
+        ramp = linear_ops.GEMM_EFFICIENCY_RAMP_TOKENS
+        assert isinstance(ramp, int) and ramp >= 1
+
+    def test_elementwise_passes_positive(self):
+        assert 0.0 < linear_ops.ELEMENTWISE_PASSES < math.inf
+
+    def test_kernel_overhead_non_negative(self):
+        assert 0.0 <= linear_ops.KERNEL_OVERHEAD < math.inf
 
 
 class TestGemmEfficiency:
     def test_ramps_with_tokens(self):
-        params = LinearCostParams()
-        assert params.gemm_efficiency(1) < params.gemm_efficiency(64) < params.gemm_efficiency(512)
+        assert gemm_efficiency(1) < gemm_efficiency(64) < gemm_efficiency(512)
 
     def test_caps_at_peak(self):
-        params = LinearCostParams()
-        assert params.gemm_efficiency(10_000) == pytest.approx(params.peak_gemm_efficiency)
+        assert gemm_efficiency(10_000) == pytest.approx(PEAK_GEMM_EFFICIENCY)
 
 
 class TestOperatorCosts:

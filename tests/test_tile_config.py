@@ -10,6 +10,7 @@ from repro.attention.cost_model import TileShape
 from repro.attention.workload import HybridBatch
 from repro.core.tile_config import (
     POD_CONFIGS,
+    PREFILL_SPLIT_WAVE_LIMIT,
     estimate_phase_costs,
     pod_config_2_ctas_per_sm,
     pod_config_4_ctas_per_sm,
@@ -58,6 +59,9 @@ class TestConfigs:
     def test_max_prefill_ctas_limit(self, a100):
         config = pod_config_2_ctas_per_sm()
         assert config.max_prefill_ctas(a100) == 2 * a100.num_sms
+
+    def test_prefill_split_wave_limit_positive(self):
+        assert 0.0 < PREFILL_SPLIT_WAVE_LIMIT < float("inf")
 
     def test_rejects_invalid_ctas_per_sm(self):
         config = pod_config_2_ctas_per_sm()

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.models.transformer import IterationBreakdown, IterationCostModel, OPERATION_ORDER
+from repro.models.transformer import (
+    OPERATION_ORDER,
+    SCHEDULER_OVERHEAD,
+    IterationBreakdown,
+    IterationCostModel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +62,14 @@ class TestIterationBreakdown:
         breakdown = iteration_model.iteration_breakdown(512, 1e-4, 1e-4)
         assert total == pytest.approx(breakdown.total)
 
-    def test_scheduler_overhead_included(self, llama3_deployment):
-        fast = IterationCostModel(llama3_deployment, scheduler_overhead=0.0)
-        slow = IterationCostModel(llama3_deployment, scheduler_overhead=5e-3)
-        assert slow.iteration_time(128) == pytest.approx(fast.iteration_time(128) + 5e-3)
+    def test_scheduler_overhead_included(self, iteration_model, llama3_deployment):
+        others = iteration_model.linear_breakdown(128).others
+        layers = llama3_deployment.model.num_layers
+        breakdown = iteration_model.iteration_breakdown(128, 0.0, 0.0)
+        assert breakdown.others == others * layers + SCHEDULER_OVERHEAD
+
+    def test_scheduler_overhead_non_negative(self):
+        assert 0.0 <= SCHEDULER_OVERHEAD < float("inf")
 
     def test_negative_attention_rejected(self, iteration_model):
         with pytest.raises(ValueError):

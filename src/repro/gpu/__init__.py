@@ -9,7 +9,7 @@ quantization, and an activity-based energy model.
 from repro.gpu.atomics import AtomicCounter, AtomicCounterArray
 from repro.gpu.config import GPUSpec, GPU_PRESETS, a100_sxm_80gb, a6000, get_gpu, h100_sxm_80gb
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
-from repro.gpu.engine import ExecutionEngine, PLACEMENT_POLICIES
+from repro.gpu.engine import ExecutionEngine
 from repro.gpu.kernel import CTABinder, Kernel, KernelLaunch
 from repro.gpu.occupancy import (
     OccupancyReport,
@@ -33,7 +33,6 @@ __all__ = [
     "DECODE_TAG",
     "PREFILL_TAG",
     "ExecutionEngine",
-    "PLACEMENT_POLICIES",
     "CTABinder",
     "Kernel",
     "KernelLaunch",

@@ -53,8 +53,6 @@ _MAX_EVENTS = 500_000
 #: they are this few; a longer log is cheaper to replace by a full search.
 _MAX_RETEST = 16
 
-PLACEMENT_POLICIES = ("breadth_first", "lowest_index", "round_robin")
-
 #: The ``tag_flops`` / ``tag_bytes`` entries, by booking index: prefill and
 #: decode CTAs are booked apart, every other tag (fused, empty or custom) as
 #: ``"untagged"``.
@@ -93,28 +91,18 @@ class _LaunchState:
 class ExecutionEngine:
     """Executes kernel launches on a simulated GPU and reports timing/utilization.
 
+    The hardware CTA scheduler has one placement policy, breadth-first: the
+    next CTA goes to the SM with the fewest resident CTAs among those it fits
+    on, the lowest SM index breaking ties.
+
     Args:
         spec: The GPU to simulate.
-        placement: How the hardware CTA scheduler picks an SM for the next CTA.
-            ``breadth_first`` (default) spreads CTAs across SMs, ``lowest_index``
-            packs them onto low-numbered SMs, ``round_robin`` cycles (starting
-            from SM 0 on every run).
         record_ctas: Whether to keep a per-CTA trace in the result (useful for
             tests and co-location analysis; adds memory overhead).
     """
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        placement: str = "breadth_first",
-        record_ctas: bool = True,
-    ) -> None:
-        if placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"placement must be one of {PLACEMENT_POLICIES}, got {placement!r}"
-            )
+    def __init__(self, spec: GPUSpec, record_ctas: bool = True) -> None:
         self.spec = spec
-        self.placement = placement
         self.record_ctas = record_ctas
 
     # ------------------------------------------------------------------ API
@@ -143,7 +131,6 @@ class _Execution:
     def __init__(self, engine: ExecutionEngine, launches: list[KernelLaunch]) -> None:
         spec = engine.spec
         self.spec = spec
-        self.placement = engine.placement
         self.record_ctas = engine.record_ctas
         self.launches = [
             _LaunchState(
@@ -184,7 +171,6 @@ class _Execution:
         # released since then can fit that footprint.
         self.released: list[int] = []
         self.failed_at: dict[tuple[int, int, int], int] = {}
-        self.rr_pointer = 0
 
         # Alive CTAs, one column each, in dispatch order.  Rows of ``state``:
         # 0-2 remaining FLOPs, bytes and fixed time; 3-4 the compute and memory
@@ -221,30 +207,18 @@ class _Execution:
     # ------------------------------------------------------------- dispatch
 
     def _pick_sm(self, footprint: tuple[int, int, int]) -> int:
-        """The SM the placement policy gives the next CTA of ``footprint``, or -1."""
+        """The breadth-first SM for the next CTA of ``footprint``, or -1."""
         threads, shared_mem, registers = footprint
         spec = self.spec
         resident = self.resident
-        num_sms = self.num_sms
-        pointer = self.rr_pointer
         released = self.released
         failed_at = self.failed_at.get(footprint)
         order: Iterable[int]
         if failed_at is not None and len(released) - failed_at <= _MAX_RETEST:
             # Only SMs released since this footprint last fit nowhere can fit it.
-            retest = released[failed_at:]
-            if self.placement == "breadth_first":
-                order = sorted(retest, key=lambda sm: (resident[sm], sm))
-            elif self.placement == "lowest_index":
-                order = sorted(retest)
-            else:
-                order = sorted(retest, key=lambda sm: (sm - pointer) % num_sms)
-        elif self.placement == "breadth_first":
-            order = itertools.chain.from_iterable(self.buckets[: spec.max_ctas_per_sm])
-        elif self.placement == "lowest_index":
-            order = range(num_sms)
+            order = sorted(released[failed_at:], key=lambda sm: (resident[sm], sm))
         else:
-            order = ((pointer + offset) % num_sms for offset in range(num_sms))
+            order = itertools.chain.from_iterable(self.buckets[: spec.max_ctas_per_sm])
         for sm in order:
             if (
                 resident[sm] < spec.max_ctas_per_sm
@@ -256,8 +230,6 @@ class _Execution:
         else:
             self.failed_at[footprint] = len(released)
             return -1
-        if self.placement == "round_robin":
-            self.rr_pointer = (sm + 1) % num_sms
         return sm
 
     def _dispatch_ready_ctas(self) -> bool:
@@ -326,9 +298,8 @@ class _Execution:
         threads, shared_mem, registers = footprint
         count = self.resident[sm]
         self.resident[sm] = count + 1
-        if self.placement == "breadth_first":
-            self.buckets[count].remove(sm)
-            bisect.insort(self.buckets[count + 1], sm)
+        self.buckets[count].remove(sm)
+        bisect.insort(self.buckets[count + 1], sm)
         if count == 0:
             self.occupied_sms += 1
         self.threads[sm] += threads
@@ -347,9 +318,8 @@ class _Execution:
         threads, shared_mem, registers = footprint
         count = self.resident[sm] - 1
         self.resident[sm] = count
-        if self.placement == "breadth_first":
-            self.buckets[count + 1].remove(sm)
-            bisect.insort(self.buckets[count], sm)
+        self.buckets[count + 1].remove(sm)
+        bisect.insort(self.buckets[count], sm)
         if count == 0:
             self.occupied_sms -= 1
         self.threads[sm] -= threads

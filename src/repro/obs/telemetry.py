@@ -70,12 +70,8 @@ class Telemetry(EventSink):
     ) -> None:
         # Tracer first: the registry's latency observations read the track
         # state (arrival / first-token times) the tracer just updated.
-        self.tracer.emit(  # repro-lint: disable=event-schema -- fan-out relay; originating sites are checked
-            kind, time, replica_id=replica_id, request_id=request_id, **data
-        )
-        self.sampler.emit(  # repro-lint: disable=event-schema -- fan-out relay; originating sites are checked
-            kind, time, replica_id=replica_id, request_id=request_id, **data
-        )
+        self.tracer.emit(kind, time, replica_id=replica_id, request_id=request_id, **data)
+        self.sampler.emit(kind, time, replica_id=replica_id, request_id=request_id, **data)
 
         registry = self.registry
         replica = {"replica": replica_id}

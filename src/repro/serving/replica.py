@@ -151,7 +151,7 @@ class ReplicaRuntime:
         splits, cache-hit token counts) emitted by ``kv_shared_alloc`` and
         caching-mode ``kv_free`` events.
         """
-        self.recorder.emit(  # repro-lint: disable=event-schema -- kv_* observer trampoline; KVCacheManager picks the kind
+        self.recorder.emit(
             kind,
             time=self.clock,
             replica_id=self.replica_id,

@@ -114,13 +114,9 @@ GLOBAL_CLOCK_KINDS = frozenset(
 #: Declared payload schema per event kind: the complete set of keys an
 #: emission of that kind may carry.  Emitters may send any *subset* (optional
 #: fields such as ``tenant`` or the flat-mode KV payloads simply stay absent)
-#: but never a key outside the schema.  The table is enforced twice so the
-#: declaration and the stream can never drift apart:
-#:
-#: * statically — the ``event-schema`` rule in :mod:`repro.analysis` checks
-#:   every literal-kind ``emit(...)``/``Event(...)`` call site against it;
-#: * dynamically — ``EventRecorder(strict_payloads=True)`` validates each
-#:   emission at runtime (enabled across the verify/stateful test suites).
+#: but never a key outside the schema.  Every :class:`EventRecorder` checks
+#: each emission against this table, so the declaration and the recorded
+#: stream cannot drift apart on any run that records events.
 EVENT_SCHEMAS: dict[str, frozenset[str]] = {
     ENQUEUED: frozenset({"arrival_time", "prefill_tokens", "decode_tokens", "tenant"}),
     ARRIVAL: frozenset({"ready"}),
@@ -201,10 +197,9 @@ def validate_event_payload(
 ) -> None:
     """Raise ``ValueError`` unless ``kind`` is declared and ``data`` ⊆ schema.
 
-    This is the runtime half of the event-schema contract; the static half
-    lives in ``repro.analysis`` (the ``event-schema`` rule).  Payload keys are
-    allowed to be a *subset* of the declared schema — optional fields stay
-    absent rather than null.
+    :meth:`EventRecorder.emit` calls this on every emission: one dict lookup
+    and one set difference.  Payload keys are allowed to be a *subset* of the
+    declared schema — optional fields stay absent rather than null.
     """
     schema = EVENT_SCHEMAS.get(kind)
     if schema is None:
@@ -295,9 +290,7 @@ class TeeSink(EventSink):
         **data: Any,
     ) -> None:
         for sink in self.sinks:
-            sink.emit(  # repro-lint: disable=event-schema -- fan-out relay; originating sites are checked
-                kind, time, replica_id=replica_id, request_id=request_id, **data
-            )
+            sink.emit(kind, time, replica_id=replica_id, request_id=request_id, **data)
 
     def clear(self) -> None:
         for sink in self.sinks:
@@ -328,18 +321,16 @@ class EventRecorder(EventSink):
     One recorder can be shared by every replica of a cluster (events carry
     ``replica_id``); re-use across runs is allowed after :meth:`clear`.
 
-    ``strict_payloads=True`` validates every emission against
-    :data:`EVENT_SCHEMAS` (unknown kind or undeclared payload key raises
-    ``ValueError``).  It is off by default to keep the hot path a single list
-    append; the verify/stateful test suites turn it on so the declared table
-    and the dynamic stream cannot drift apart.
+    Every emission is validated against :data:`EVENT_SCHEMAS` before it is
+    recorded: an unknown kind or an undeclared payload key raises
+    ``ValueError`` at the emitting call site.  Every test that records a run
+    therefore checks the event-schema contract on the code that ran.
     """
 
-    __slots__ = ("events", "strict_payloads")
+    __slots__ = ("events",)
 
-    def __init__(self, strict_payloads: bool = False) -> None:
+    def __init__(self) -> None:
         self.events: list[Event] = []
-        self.strict_payloads = strict_payloads
 
     def emit(
         self,
@@ -349,12 +340,9 @@ class EventRecorder(EventSink):
         request_id: int = -1,
         **data: Any,
     ) -> None:
-        """Record one event (hot path: a single list append)."""
-        if self.strict_payloads:
-            validate_event_payload(kind, data)
-        self.events.append(
-            Event(kind, time, replica_id, request_id, data)  # repro-lint: disable=event-schema -- sink interior; strict_payloads validates at runtime
-        )
+        """Validate one event against its schema, then record it."""
+        validate_event_payload(kind, data)
+        self.events.append(Event(kind, time, replica_id, request_id, data))
 
     # ------------------------------------------------------------- queries
 

@@ -162,7 +162,7 @@ def run_fuzz_case(
         factor = 1.0 + (factor - 1.0) / 12.0
     largest = max(request.total_tokens for request in requests)
     capacity = math.ceil(largest * factor / block_size) * block_size
-    recorder = EventRecorder(strict_payloads=True)
+    recorder = EventRecorder()
     topology = ColocatedTopology(
         deployment,
         num_replicas=1,

@@ -31,8 +31,8 @@ strings (empty = the oracle passes):
 * :func:`engine_equivalence` — the event-driven GPU engine
   (:class:`~repro.gpu.engine.ExecutionEngine`) must reproduce the frozen
   :class:`~repro.verify.reference_engine.ReferenceEngine` exactly: the same
-  event times, placements and CTA records under every placement policy, with
-  FLOP, byte, energy and utilization totals within :data:`ENGINE_RTOL`.
+  event times, placements and CTA records, with FLOP, byte, energy and
+  utilization totals within :data:`ENGINE_RTOL`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.topology import ColocatedTopology, DisaggregatedTopology
 from repro.core.pod_kernel import PODAttention
 from repro.gpu.config import GPUSpec
-from repro.gpu.engine import PLACEMENT_POLICIES, ExecutionEngine
+from repro.gpu.engine import ExecutionEngine
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.result import ExecutionResult
 from repro.models.config import Deployment
@@ -318,7 +318,7 @@ def scheduler_conservation(
         ("Sarathi", SarathiScheduler(chunk_size=chunk_size)),
         ("vLLM", VLLMScheduler()),
     ):
-        recorder = EventRecorder(strict_payloads=True)
+        recorder = EventRecorder()
         topology = ColocatedTopology(
             deployment,
             num_replicas=1,
@@ -508,14 +508,12 @@ def _execute(
         return f"{type(error).__name__}: {error}"
 
 
-def _compare_executions(
-    label: str, reference: ExecutionResult, candidate: ExecutionResult
-) -> list[str]:
+def _compare_executions(reference: ExecutionResult, candidate: ExecutionResult) -> list[str]:
     discrepancies: list[str] = []
     for name in ("total_time", "colocation_fraction", "avg_resident_ctas"):
         ref, got = getattr(reference, name), getattr(candidate, name)
         if ref != got:
-            discrepancies.append(f"{label}: {name} differs ({ref!r} vs {got!r})")
+            discrepancies.append(f"{name} differs ({ref!r} vs {got!r})")
     for name in (
         "flops_executed",
         "bytes_moved",
@@ -525,30 +523,26 @@ def _compare_executions(
     ):
         ref, got = getattr(reference, name), getattr(candidate, name)
         if not math.isclose(ref, got, rel_tol=ENGINE_RTOL):
-            discrepancies.append(f"{label}: {name} beyond {ENGINE_RTOL} ({ref!r} vs {got!r})")
+            discrepancies.append(f"{name} beyond {ENGINE_RTOL} ({ref!r} vs {got!r})")
     for name in ("tag_flops", "tag_bytes"):
         ref_tags, got_tags = getattr(reference, name), getattr(candidate, name)
         if sorted(ref_tags) != sorted(got_tags):
-            discrepancies.append(f"{label}: {name} tags {sorted(ref_tags)} vs {sorted(got_tags)}")
+            discrepancies.append(f"{name} tags {sorted(ref_tags)} vs {sorted(got_tags)}")
             continue
         for tag in sorted(ref_tags):
             if not math.isclose(ref_tags[tag], got_tags[tag], rel_tol=ENGINE_RTOL):
                 discrepancies.append(
-                    f"{label}: {name}[{tag!r}] beyond {ENGINE_RTOL} "
+                    f"{name}[{tag!r}] beyond {ENGINE_RTOL} "
                     f"({ref_tags[tag]!r} vs {got_tags[tag]!r})"
                 )
     if reference.kernels != candidate.kernels:
-        discrepancies.append(
-            f"{label}: kernel timings differ ({reference.kernels} vs {candidate.kernels})"
-        )
+        discrepancies.append(f"kernel timings differ ({reference.kernels} vs {candidate.kernels})")
     ref_records, got_records = reference.cta_records, candidate.cta_records
     if len(ref_records) != len(got_records):
-        discrepancies.append(f"{label}: {len(ref_records)} vs {len(got_records)} CTA records")
+        discrepancies.append(f"{len(ref_records)} vs {len(got_records)} CTA records")
     for index, (ref_record, got_record) in enumerate(zip(ref_records, got_records)):
         if ref_record != got_record:
-            discrepancies.append(
-                f"{label}: CTA record {index} differs ({ref_record} vs {got_record})"
-            )
+            discrepancies.append(f"CTA record {index} differs ({ref_record} vs {got_record})")
             break
     return discrepancies
 
@@ -556,14 +550,13 @@ def _compare_executions(
 def engine_equivalence(
     spec: GPUSpec,
     launch_factory: Callable[[], Sequence[KernelLaunch]],
-    placements: Sequence[str] = PLACEMENT_POLICIES,
 ) -> list[str]:
     """Diff ``ExecutionEngine`` against the frozen ``ReferenceEngine`` on one launch set.
 
     ``launch_factory`` builds the launches afresh for every run: a binder
     kernel (POD-Attention's ``SMAwareScheduler``) advances its counters on
-    each dispatch, so two engines cannot share one set of launches.  Under
-    each placement both engines run with per-CTA records and must agree:
+    each dispatch, so two engines cannot share one set of launches.  Both
+    engines run with per-CTA records and must agree:
 
     * exactly on ``total_time``, every kernel's start and end, every CTA
       record in order (kernel, dispatch index, SM, tag, start, end, FLOPs,
@@ -573,22 +566,15 @@ def engine_equivalence(
     * on the error, when a run raises (empty launch lists, kernels that
       cannot fit, stalls).
     """
-    discrepancies: list[str] = []
-    for placement in placements:
-        reference = _execute(ReferenceEngine(spec, placement).run, launch_factory)
-        candidate = _execute(
-            ExecutionEngine(spec, placement=placement, record_ctas=True).run, launch_factory
-        )
-        if isinstance(reference, str) or isinstance(candidate, str):
-            if reference != candidate:
-                ref_outcome = reference if isinstance(reference, str) else "a result"
-                got_outcome = candidate if isinstance(candidate, str) else "a result"
-                discrepancies.append(
-                    f"{placement}: reference gave {ref_outcome}, engine gave {got_outcome}"
-                )
-            continue
-        discrepancies.extend(_compare_executions(placement, reference, candidate))
-    return discrepancies
+    reference = _execute(ReferenceEngine(spec).run, launch_factory)
+    candidate = _execute(ExecutionEngine(spec, record_ctas=True).run, launch_factory)
+    if isinstance(reference, str) or isinstance(candidate, str):
+        if reference == candidate:
+            return []
+        ref_outcome = reference if isinstance(reference, str) else "a result"
+        got_outcome = candidate if isinstance(candidate, str) else "a result"
+        return [f"reference gave {ref_outcome}, engine gave {got_outcome}"]
+    return _compare_executions(reference, candidate)
 
 
 #: Hybrid batches spanning memory-bound to compute-bound regimes.

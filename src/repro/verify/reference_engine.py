@@ -9,11 +9,6 @@ deliberately a *duplicate*, not an import (like
 semantics independently of ``repro.gpu.engine``, so
 :func:`~repro.verify.oracles.engine_equivalence` catches any drift in the
 fast engine instead of inheriting it.
-
-One behaviour differs from that historical engine: the round-robin placement
-pointer belongs to the run, not the engine, so a reused
-``placement="round_robin"`` engine places identical runs identically.  The
-fast engine has the same fix.
 """
 
 from __future__ import annotations
@@ -31,8 +26,6 @@ from repro.gpu.result import CTARecord, ExecutionResult, KernelResult
 
 _EPS = 1e-15
 _TIME_EPS = 1e-12
-
-PLACEMENTS = ("breadth_first", "lowest_index", "round_robin")
 
 
 @dataclass
@@ -101,11 +94,8 @@ class ReferenceEngine:
     Always records per-CTA traces (the oracle compares them).
     """
 
-    def __init__(self, spec: GPUSpec, placement: str = "breadth_first") -> None:
-        if placement not in PLACEMENTS:
-            raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+    def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
-        self.placement = placement
 
     def run(self, launches: Sequence[KernelLaunch]) -> ExecutionResult:
         """Execute ``launches`` and return the simulated :class:`ExecutionResult`."""
@@ -117,20 +107,18 @@ class ReferenceEngine:
                     f"kernel {launch.kernel.name!r} cannot fit a single CTA on an SM of "
                     f"{self.spec.name}"
                 )
-        return _Execution(self.spec, self.placement, list(launches)).run()
+        return _Execution(self.spec, list(launches)).run()
 
 
 class _Execution:
     """One simulation run over dispatch-slot-indexed state arrays."""
 
-    def __init__(self, spec: GPUSpec, placement: str, launches: list[KernelLaunch]) -> None:
+    def __init__(self, spec: GPUSpec, launches: list[KernelLaunch]) -> None:
         self.spec = spec
-        self.placement = placement
         self.launches = [_LaunchState(launch=launch, index=i) for i, launch in enumerate(launches)]
         self.sms = [_SMState(index=i) for i in range(spec.num_sms)]
         self.time = 0.0
         self.records: list[CTARecord] = []
-        self.rr_pointer = 0
 
         capacity = sum(state.kernel.num_ctas for state in self.launches)
         self.rem_flops = np.zeros(capacity)
@@ -185,17 +173,7 @@ class _Execution:
         candidates = [sm for sm in self.sms if sm.can_host(kernel, self.spec)]
         if not candidates:
             return None
-        if self.placement == "breadth_first":
-            return min(candidates, key=lambda sm: (sm.resident_count, sm.index))
-        if self.placement == "lowest_index":
-            return min(candidates, key=lambda sm: sm.index)
-        n = self.spec.num_sms
-        for offset in range(n):
-            sm = self.sms[(self.rr_pointer + offset) % n]
-            if sm.can_host(kernel, self.spec):
-                self.rr_pointer = (sm.index + 1) % n
-                return sm
-        return None
+        return min(candidates, key=lambda sm: (sm.resident_count, sm.index))
 
     def _dispatch_one(self, state: _LaunchState, sm: _SMState) -> None:
         work = state.kernel.work_for(state.dispatched, sm.index)

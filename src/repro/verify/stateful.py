@@ -458,7 +458,7 @@ class SchedulerReplicaMachine(RuleBasedStateMachine):
         capacity_blocks: int,
         release_on: str,
     ) -> None:
-        self.recorder = EventRecorder(strict_payloads=True)
+        self.recorder = EventRecorder()
         self.capacity_tokens = capacity_blocks * _BLOCK_SIZE
         self.release_on = release_on
         self.runtime = ReplicaRuntime(
@@ -589,7 +589,7 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
         capacity_blocks: int,
         rate_pool: tuple[float, ...],
     ) -> None:
-        self.recorder = EventRecorder(strict_payloads=True)
+        self.recorder = EventRecorder()
         self.scheduler_config = (kind, chunk_size, preemption)
         self.kv_config = KVCacheConfig(
             capacity_tokens=capacity_blocks * _BLOCK_SIZE,
@@ -1011,8 +1011,8 @@ def _replay_scheduler(entry: dict[str, Any]) -> None:
     lockstep, and the two event logs must be identical.
     """
     config = entry["config"]
-    recorder = EventRecorder(strict_payloads=True)
-    reference_recorder = EventRecorder(strict_payloads=True)
+    recorder = EventRecorder()
+    reference_recorder = EventRecorder()
 
     def build(runtime_class: type[ReplicaRuntime], sink: EventRecorder) -> ReplicaRuntime:
         scheduler = _build_scheduler(
@@ -1096,7 +1096,7 @@ def _replay_sampler(entry: dict[str, Any]) -> None:
     clock = {"now": 0.0}
 
     def observe(kind: str, rid: int, blocks: int, **extra: Any) -> None:
-        sampler.emit(  # repro-lint: disable=event-schema -- kv_* observer trampoline; KVCacheManager picks the kind
+        sampler.emit(
             kind,
             time=clock["now"],
             replica_id=0,

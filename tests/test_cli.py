@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 
-SUBCOMMANDS = ("run", "sweep", "plan", "report", "diff", "lint")
+SUBCOMMANDS = ("run", "sweep", "plan", "report", "diff")
 
 
 def subparser(name):
@@ -75,13 +75,6 @@ class TestHelpSurface:
                 {
                     "--baseline", "--current", "--pattern", "--rtol", "--atol",
                     "--list", "--markdown-summary", "--format", "--out",
-                },
-            ),
-            (
-                "lint",
-                {
-                    "--format", "--rules", "--baseline", "--write-baseline", "--root",
-                    "--list-rules",
                 },
             ),
         ],

@@ -326,7 +326,7 @@ class _StubReplica:
 
 class TestFleetState:
     def test_cold_start_warms_then_promotes(self):
-        recorder = EventRecorder(strict_payloads=True)
+        recorder = EventRecorder()
         fleet = FleetState(range(2), recorder)
         fleet.provision(2, now=1.0, ready_at=3.0)
         assert fleet.live == {0, 1} and fleet.warming == {2: 3.0}
@@ -344,7 +344,7 @@ class TestFleetState:
         assert fleet.live == {0, 1} and not fleet.warming
 
     def test_idle_replica_retires_on_the_spot(self):
-        recorder = EventRecorder(strict_payloads=True)
+        recorder = EventRecorder()
         fleet = FleetState(range(2), recorder)
         fleet.drain(1, now=4.0, replica=_StubReplica(clock=5.0))
         assert fleet.live == {0} and not fleet.draining
@@ -352,7 +352,7 @@ class TestFleetState:
         assert [e.kind for e in recorder.events] == ["drain_started", "scaled_down"]
 
     def test_busy_replica_retires_when_its_drain_completes(self):
-        recorder = EventRecorder(strict_payloads=True)
+        recorder = EventRecorder()
         fleet = FleetState(range(2), recorder)
         replica = _StubReplica(clock=4.0, is_drained=False)
         fleet.drain(1, now=4.0, replica=replica)

@@ -389,14 +389,20 @@ class TestClusterValidation:
         assert second.assignments == first.assignments
 
     def test_run_does_not_mutate_caller_requests(self, llama3_deployment):
-        """run() simulates fresh copies; the caller's objects stay QUEUED."""
-        requests = tab06_trace(16)
+        """run() simulates fresh copies; the caller's list and objects stay as given.
+
+        The trace is out of arrival order, so sorting the caller's list in
+        place (instead of a copy) reorders it and fails the identity check.
+        """
+        requests = tab06_trace(16)[::-1]
+        identities = [id(r) for r in requests]
         topology = ColocatedTopology(
             llama3_deployment,
             num_replicas=2,
             scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
         )
         result = ClusterSimulator(topology, router="least-tokens").run(requests)
+        assert [id(r) for r in requests] == identities
         assert all(r.state == RequestState.QUEUED for r in requests)
         assert all(r.first_token_time is None for r in requests)
         assert all(r.is_finished for r in result.requests)

@@ -4,16 +4,14 @@
 (few SMs, low CTA limits, a tight HBM pool, so picks often find no SM) and 1-4
 launches on 1-3 streams, static and binder kernels, prefill / decode / fused /
 empty tags, tensor- and CUDA-pipe CTAs, fixed latencies and compute / memory
-caps below 1.  Every case runs through ``engine_equivalence`` under all three
-placements and through ``check_execution``.  Figure 11's 24-point sample x six
-executors are fixed cases on the A100: one placement per case here, all three
-under the nightly hypothesis profile.
+caps below 1.  Every case runs through ``engine_equivalence`` and through
+``check_execution``.  Figure 11's 24-point sample x six executors are fixed
+cases on the A100.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Callable
 
 import pytest
@@ -25,7 +23,7 @@ from repro.bench.sweeps import figure11_sweep
 from repro.core.pod_kernel import PODAttention
 from repro.gpu.config import GPUSpec, a100_sxm_80gb
 from repro.gpu.cta import DECODE_TAG, PREFILL_TAG, CTAWork
-from repro.gpu.engine import PLACEMENT_POLICIES, ExecutionEngine
+from repro.gpu.engine import ExecutionEngine
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.models.config import paper_deployment
 from repro.utils.units import KB
@@ -145,14 +143,11 @@ def launch_sets(draw: st.DrawFn) -> LaunchSet:
     return LaunchSet(gpu=gpu, plans=plans)
 
 
-def assert_matches_reference(
-    gpu: GPUSpec, build: Callable[[], list[KernelLaunch]], placements: tuple[str, ...]
-) -> None:
-    assert engine_equivalence(gpu, build, placements=placements) == []
-    for placement in placements:
-        launches = build()
-        result = ExecutionEngine(gpu, placement=placement).run(launches)
-        assert check_execution(launches, result, gpu) == []
+def assert_matches_reference(gpu: GPUSpec, build: Callable[[], list[KernelLaunch]]) -> None:
+    assert engine_equivalence(gpu, build) == []
+    launches = build()
+    result = ExecutionEngine(gpu).run(launches)
+    assert check_execution(launches, result, gpu) == []
 
 
 # ------------------------------------------------------------------- tests
@@ -160,37 +155,28 @@ def assert_matches_reference(
 
 @given(case=launch_sets())
 def test_generated_launch_sets_match_reference(case: LaunchSet) -> None:
-    assert_matches_reference(case.gpu, case.build, PLACEMENT_POLICIES)
+    assert_matches_reference(case.gpu, case.build)
 
 
 EXECUTORS = (FASerial, FAStreams, FAHFuse, FISerial, FIBatched, PODAttention)
-NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
-
-
-def _placements(case: int) -> tuple[str, ...]:
-    """Every placement at night; otherwise one per case, in rotation."""
-    return PLACEMENT_POLICIES if NIGHTLY else (PLACEMENT_POLICIES[case % 3],)
-
 
 FIG11_CASES = [
-    (point, executor, _placements(i + j))
-    for i, point in enumerate(figure11_sweep(max_points=24, seed=0))
-    for j, executor in enumerate(EXECUTORS)
+    (point, executor)
+    for point in figure11_sweep(max_points=24, seed=0)
+    for executor in EXECUTORS
 ]
 
 FIG11_IDS = [
     f"{point.context_length}-{point.chunk_size}-{point.decode_batch_size}-{executor.name}"
-    for point, executor, _ in FIG11_CASES
+    for point, executor in FIG11_CASES
 ]
 
 
-@pytest.mark.parametrize("point,executor,placements", FIG11_CASES, ids=FIG11_IDS)
-def test_fig11_sample_matches_reference(point, executor, placements) -> None:
+@pytest.mark.parametrize("point,executor", FIG11_CASES, ids=FIG11_IDS)
+def test_fig11_sample_matches_reference(point, executor) -> None:
     deployment = paper_deployment("llama-3-8b")
     batch = point.to_batch()
-    assert_matches_reference(
-        deployment.gpu, lambda: executor().build_launches(deployment, batch), placements
-    )
+    assert_matches_reference(deployment.gpu, lambda: executor().build_launches(deployment, batch))
 
 
 class TestErrorsMatchReference:
@@ -244,7 +230,7 @@ class TestSeededBugs:
 
     def test_the_clean_case_passes(self) -> None:
         gpu, build = _streams_case()
-        assert_matches_reference(gpu, build, PLACEMENT_POLICIES)
+        assert_matches_reference(gpu, build)
 
     def test_unlogged_release_breaks_equivalence(self, monkeypatch) -> None:
         # A retry then re-tests only SMs released before its footprint's last
@@ -259,14 +245,14 @@ class TestSeededBugs:
         # The starved launch then spins until the event limit; keep that short.
         monkeypatch.setattr(engine_module, "_MAX_EVENTS", 10_000)
         gpu, build = _streams_case()
-        assert engine_equivalence(gpu, build, placements=("breadth_first",))
+        assert engine_equivalence(gpu, build)
 
     def test_early_launch_breaks_equivalence_and_stream_order(self, monkeypatch) -> None:
         # A 10 us launch horizon dispatches every launch before its 4 us
         # launch-overhead gap has passed.
         monkeypatch.setattr(engine_module, "_TIME_EPS", 1e-5)
         gpu, build = _streams_case()
-        assert engine_equivalence(gpu, build, placements=("breadth_first",))
+        assert engine_equivalence(gpu, build)
         result = ExecutionEngine(gpu).run(build())
         violations = check_execution(build(), result, gpu)
         assert {violation.invariant for violation in violations} == {"stream-order"}
@@ -302,7 +288,7 @@ class TestSeededBugs:
             tag_flops={},
             cta_records=list(reversed(reference.cta_records)),
         )
-        found = "\n".join(_compare_executions("probe", reference, candidate))
+        found = "\n".join(_compare_executions(reference, candidate))
         assert "total_time differs" in found
         assert "bytes_moved beyond 1e-12" in found
         assert "tag_flops tags" in found

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
-from repro.gpu.engine import PLACEMENT_POLICIES, ExecutionEngine
+from repro.gpu.engine import ExecutionEngine
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.utils.units import KB
 from repro.verify.invariants import check_execution
@@ -224,33 +224,6 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             engine.run_kernel(huge)
 
-    def test_unknown_placement_rejected(self, a100):
-        with pytest.raises(ValueError):
-            ExecutionEngine(a100, placement="random")
-
-    @pytest.mark.parametrize("placement", ["breadth_first", "lowest_index", "round_robin"])
-    def test_placement_policies_run(self, a100, placement):
-        engine = ExecutionEngine(a100, placement=placement)
-        ctas = [CTAWork(flops=1e8, dram_bytes=1e4)] * 20
-        result = engine.run_kernel(_kernel(ctas))
-        assert result.total_time > 0
-
-    def test_lowest_index_packs_low_sms(self, a100):
-        engine = ExecutionEngine(a100, placement="lowest_index")
-        ctas = [CTAWork(flops=1e8, dram_bytes=0.0)] * 4
-        result = engine.run_kernel(_kernel(ctas, smem=8 * KB, regs=32))
-        assert {record.sm_id for record in result.cta_records} == {0}
-
-    def test_round_robin_restarts_on_every_run(self, a100):
-        # The placement pointer belongs to the run: a reused engine places an
-        # identical second run identically, starting again at SM 0.
-        engine = ExecutionEngine(a100, placement="round_robin")
-        kernel = _kernel([CTAWork(flops=1e8, dram_bytes=1e4)] * 50)
-        first = engine.run_kernel(kernel)
-        second = engine.run_kernel(kernel)
-        assert min(record.sm_id for record in first.cta_records) == 0
-        assert second.cta_records == first.cta_records
-
 
 class TestExecutionInvariants:
     """``check_execution`` holds on runs that stress capacity, streams and tags."""
@@ -266,10 +239,9 @@ class TestExecutionInvariants:
             KernelLaunch(_kernel([fused, cuda] * 120, threads=128, name="fused"), 0),
         ]
 
-    @pytest.mark.parametrize("placement", PLACEMENT_POLICIES)
-    def test_mixed_streams_hold_every_invariant(self, a100, placement):
+    def test_mixed_streams_hold_every_invariant(self, a100):
         launches = self._launches(a100)
-        result = ExecutionEngine(a100, placement=placement).run(launches)
+        result = ExecutionEngine(a100).run(launches)
         assert check_execution(launches, result, a100) == []
         assert result.total_ctas == 300 + 250 + 240
 

@@ -14,6 +14,7 @@ from repro.verify import (
     CHUNK_EXECUTED,
     COMPLETED,
     ENQUEUED,
+    EVENT_SCHEMAS,
     Event,
     EventRecorder,
     KV_ALLOC,
@@ -24,6 +25,7 @@ from repro.verify import (
     TRANSFER_START,
     merge_events,
 )
+from repro.verify.events import KV_DOUBLE_FREE
 from repro.workloads import build_scenario
 
 
@@ -160,6 +162,17 @@ class TestKVCacheObserver:
         manager.free(42)
         assert seen == [("kv_double_free", 42, 0)]
         assert manager.stats.double_free_count == 1
+
+    def test_replica_records_double_free_within_its_schema(self, llama3_deployment):
+        # The recorder validates the payload the replica stamps on the event.
+        recorder = EventRecorder()
+        runtime = ReplicaRuntime(
+            llama3_deployment, kv_config=KVCacheConfig(capacity_tokens=1024), recorder=recorder
+        )
+        runtime.kv_cache.free(42)
+        (event,) = recorder.events
+        assert (event.kind, event.request_id, event.data["blocks"]) == (KV_DOUBLE_FREE, 42, 0)
+        assert set(event.data) <= EVENT_SCHEMAS[KV_DOUBLE_FREE]
 
 
 class TestRecorderHoldsLatestRun:

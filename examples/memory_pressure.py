@@ -2,7 +2,7 @@
 
 Serves the ``shared-prefix-chat`` scenario (chat behind 4 hot system prompts)
 at a deliberately constrained KV capacity through four engine configurations
-— the flat allocator, preemption only, prefix caching only, and both — and
+— neither mechanism, preemption only, prefix caching only, and both — and
 prints the TTFT / throughput / cache-reuse comparison, then the 4-replica
 prefix-affinity routing effect.
 
@@ -15,7 +15,6 @@ import sys
 
 from repro.bench.pressure_rows import fig19_cluster_row, memory_pressure_simulator
 from repro.models.config import paper_deployment
-from repro.serving.metrics import compute_memory_pressure
 
 SCENARIO = "shared-prefix-chat"
 NUM_REQUESTS = 48
@@ -32,7 +31,6 @@ def main() -> None:
     for prefix_caching, preemption in ((False, False), (False, True), (True, False), (True, True)):
         simulator = memory_pressure_simulator(deployment, capacity, prefix_caching, preemption)
         result = simulator.run_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED)
-        pressure = compute_memory_pressure(result.requests, result.kv_stats)
         metrics = result.metrics.fleet
         label = (
             f"caching={'on' if prefix_caching else 'off'} "
@@ -41,7 +39,7 @@ def main() -> None:
         print(
             f"{label:24s} {metrics.requests_per_minute:8.1f} "
             f"{metrics.ttft_p50:9.3f} {metrics.ttft_p99:9.3f} "
-            f"{pressure.prefix_hit_rate:9.2f} {pressure.num_preemptions:9d}"
+            f"{result.kv_stats.hit_rate:9.2f} {metrics.num_preemptions:9d}"
         )
 
     print("\n4-replica cluster, prefix caching on — router vs fleet hit rate:")

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.simulator import ClusterResult, ClusterSimulator
 from repro.cluster.topology import ColocatedTopology
 from repro.models.config import Deployment
 from repro.serving.attention_backend import PODBackend
 from repro.serving.kv_cache import KVCacheConfig
-from repro.serving.metrics import compute_memory_pressure
 from repro.serving.scheduler_sarathi import SarathiScheduler
 
 #: The sweep's fixed parameters.
@@ -45,6 +44,18 @@ FIG19_CLUSTER_ROUTERS = ("round-robin", "least-tokens", "prefix-affinity")
 
 def _flag(value: bool) -> str:
     return "on" if value else "off"
+
+
+def _pressure_columns(result: ClusterResult) -> dict[str, Any]:
+    """Cache-reuse and preemption columns of one run, in artifact order."""
+    stats, fleet = result.kv_stats, result.metrics.fleet
+    return {
+        "prefix_hit_rate": round(stats.hit_rate, 4),
+        "prefix_tokens_reused": stats.prefix_tokens_reused,
+        "kv_evictions": stats.evictions,
+        "preemptions": fleet.num_preemptions,
+        "preempted_pct": round(fleet.preempted_request_fraction * 100, 2),
+    }
 
 
 def memory_pressure_simulator(
@@ -84,7 +95,6 @@ def fig19_single_row(
         deployment, capacity_tokens, prefix_caching, preemption
     )
     result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
-    pressure = compute_memory_pressure(result.requests, result.kv_stats)
     row: dict[str, Any] = {
         "scenario": scenario,
         "mode": "single",
@@ -94,7 +104,7 @@ def fig19_single_row(
         "router": "-",
     }
     row.update(result.metrics.fleet.as_row())
-    row.update(pressure.as_row())
+    row.update(_pressure_columns(result))
     return row
 
 
@@ -121,7 +131,6 @@ def fig19_cluster_row(
     result = ClusterSimulator(topology, router=router).run_scenario(
         scenario, num_requests=num_requests, seed=seed, qps=qps
     )
-    pressure = compute_memory_pressure(result.requests, result.kv_stats)
     row: dict[str, Any] = {
         "scenario": scenario,
         "mode": f"cluster-x{num_replicas}",
@@ -131,5 +140,5 @@ def fig19_cluster_row(
         "router": router,
     }
     row.update(result.metrics.fleet.as_row())
-    row.update(pressure.as_row())
+    row.update(_pressure_columns(result))
     return row

@@ -18,9 +18,7 @@ from repro.serving.kv_cache import (
 )
 from repro.serving.metrics import (
     STALL_THRESHOLDS,
-    MemoryPressureStats,
     ServingMetrics,
-    compute_memory_pressure,
     compute_metrics,
     compute_tenant_metrics,
     finished_slo_attainment,
@@ -49,8 +47,6 @@ __all__ = [
     "prefix_block_hashes",
     "STALL_THRESHOLDS",
     "ServingMetrics",
-    "MemoryPressureStats",
-    "compute_memory_pressure",
     "compute_metrics",
     "compute_tenant_metrics",
     "finished_slo_attainment",

@@ -6,26 +6,27 @@ the scheduler's admission decisions to memory.  We model a block allocator
 with a configurable block size (vLLM uses 16 tokens per block) over the token
 capacity implied by the deployment's free GPU memory.
 
-Two allocation modes coexist:
+Every admission resolves the request's shared-prefix chain against the
+block cache.  Requests tagged with a ``prefix_id`` share the blocks covering
+their common prompt prefix.  Block identity is a vLLM-style hash chain (each
+block hash commits to every token block before it), shared blocks are
+reference-counted, and blocks whose last reference drops land on an LRU free
+list where they stay reusable until the allocator evicts them for fresh
+capacity.  A contiguous run of leading prefix-block hits lets the scheduler
+skip recomputing those prompt tokens (always leaving at least one token to
+compute, as vLLM does).
 
-* **Flat** (``enable_prefix_caching=False``, the default) — every block is
-  private to one request.  This is byte-for-byte the original allocator; the
-  differential oracle in ``repro.verify.oracles`` pins that equivalence.
-* **Prefix-cached** (``enable_prefix_caching=True``) — requests tagged with a
-  ``prefix_id`` share the blocks covering their common prompt prefix.  Block
-  identity is a vLLM-style hash chain (each block hash commits to every token
-  block before it), shared blocks are reference-counted, and blocks whose
-  last reference drops land on an LRU free list where they stay reusable
-  until the allocator evicts them for fresh capacity.  A contiguous run of
-  leading prefix-block hits lets the scheduler skip recomputing those prompt
-  tokens (always leaving at least one token to compute, as vLLM does).
+Prefix caching is opt-in (``enable_prefix_caching=True``).  With it off,
+every chain is empty: each block is private to one request, no block is
+shared, cached or evicted, and the differential oracle in
+``repro.verify.oracles`` pins the allocator to the original block allocator.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 
 from repro.models.config import Deployment
@@ -84,9 +85,9 @@ class KVCacheConfig:
 class KVCacheStats:
     """Counters accumulated by one :class:`KVCacheManager` over its lifetime.
 
-    ``double_free_count`` counts non-strict frees of ids holding no blocks —
-    the drain-balance invariant (``repro.verify.invariants``) asserts it is
-    zero, so silent double-frees can no longer hide behind the no-op path.
+    ``double_free_count`` counts frees of ids holding no blocks — the
+    drain-balance invariant (``repro.verify.invariants``) asserts it is zero,
+    so silent double-frees can no longer hide behind the no-op path.
     """
 
     prefix_block_hits: int = 0
@@ -164,15 +165,8 @@ def prefix_block_hashes(prefix_id: str, num_blocks: int) -> list[int]:
     return chain
 
 
-@dataclass
-class _SharedHold:
-    """Shared-prefix blocks one request holds (chain hashes, in chain order)."""
-
-    hashes: list[int] = field(default_factory=list)
-
-
 class KVCacheManager:
-    """Block-granular KV-cache allocator with optional prefix sharing.
+    """Block-granular KV-cache allocator with prefix sharing.
 
     Allocation is tracked per request id; allocating more tokens for an
     existing request extends its block list (the paged-attention model).
@@ -188,14 +182,12 @@ class KVCacheManager:
     def __init__(self, config: KVCacheConfig) -> None:
         self.config = config
         self._allocated_blocks: dict[int, int] = {}
-        self._allocated_tokens: dict[int, int] = {}
         self.observer = None
         self.stats = KVCacheStats()
-        # Prefix-caching state (unused in flat mode).
-        self._private_blocks: dict[int, int] = {}
         self._private_total = 0
         self._shared_refcount: dict[int, int] = {}
-        self._shared_holds: dict[int, _SharedHold] = {}
+        # Chain hashes each request holds, in chain order (absent when empty).
+        self._shared_holds: dict[int, list[int]] = {}
         self._lru: OrderedDict[int, None] = OrderedDict()
         self._chain_cache: dict[str, list[int]] = {}
 
@@ -208,9 +200,7 @@ class KVCacheManager:
     @property
     def used_blocks(self) -> int:
         """Blocks pinned by live requests (shared blocks counted once)."""
-        if self.config.enable_prefix_caching:
-            return self._private_total + len(self._shared_refcount)
-        return sum(self._allocated_blocks.values())
+        return self._private_total + len(self._shared_refcount)
 
     @property
     def cached_blocks(self) -> int:
@@ -221,16 +211,6 @@ class KVCacheManager:
     def free_blocks(self) -> int:
         """Blocks allocatable right now (LRU-cached blocks are evictable)."""
         return self.total_blocks - self.used_blocks
-
-    @property
-    def used_tokens(self) -> int:
-        return sum(self._allocated_tokens.values())
-
-    @property
-    def utilization(self) -> float:
-        if self.total_blocks == 0:
-            return 0.0
-        return self.used_blocks / self.total_blocks
 
     def blocks_needed(self, request_id: int, new_total_tokens: int) -> int:
         """Additional blocks needed to grow a request to ``new_total_tokens``."""
@@ -256,9 +236,13 @@ class KVCacheManager:
         return chain[:num_blocks]
 
     def _request_chain(self, request) -> list[int]:
-        """Shared-prefix block hashes an admission of ``request`` would hold."""
+        """Shared-prefix block hashes an admission of ``request`` would hold.
+
+        Empty for untagged requests and whenever prefix caching is off, so
+        every block of such an admission is private.
+        """
         prefix_id = getattr(request, "prefix_id", None)
-        if prefix_id is None:
+        if prefix_id is None or not self.config.enable_prefix_caching:
             return []
         prefix_tokens = min(request.prefix_tokens, request.prefill_tokens)
         num_blocks = prefix_tokens // self.config.block_size
@@ -271,10 +255,8 @@ class KVCacheManager:
 
         Hits are the *contiguous leading* chain blocks currently resident
         (referenced or on the LRU); reused tokens are capped so at least one
-        prompt token is always recomputed.  Always ``(0, 0)`` in flat mode.
+        prompt token is always recomputed.
         """
-        if not self.config.enable_prefix_caching:
-            return 0, 0
         hits = 0
         for block_hash in self._request_chain(request):
             if block_hash in self._shared_refcount or block_hash in self._lru:
@@ -286,118 +268,90 @@ class KVCacheManager:
 
     # --------------------------------------------------------- admission
 
-    def admission_blocks_needed(self, request, reserve_tokens: int) -> int:
-        """Allocatable blocks admitting ``request`` would consume.
+    def can_admit_request(self, request, reserve_tokens: int) -> bool:
+        """Whether an admission reserving ``reserve_tokens`` fits right now.
 
         Chain blocks already *referenced* by another request are free riders;
         blocks revived off the LRU count in full — they pin a block that was
         evictable a moment ago — as do misses and the private remainder.
         """
-        if not self.config.enable_prefix_caching:
-            return self.blocks_needed(request.request_id, reserve_tokens)
         target_blocks = math.ceil(reserve_tokens / self.config.block_size)
-        fresh = 0
         chain = self._request_chain(request)[:target_blocks]
-        for block_hash in chain:
-            if block_hash not in self._shared_refcount:
-                fresh += 1
-        return fresh + max(0, target_blocks - len(chain))
-
-    def can_admit_request(self, request, reserve_tokens: int) -> bool:
-        """Whether an admission reserving ``reserve_tokens`` fits right now."""
-        return self.admission_blocks_needed(request, reserve_tokens) <= self.free_blocks
+        riders = sum(1 for block_hash in chain if block_hash in self._shared_refcount)
+        return target_blocks - riders <= self.free_blocks
 
     def admit_request(self, request, reserve_tokens: int) -> int:
         """Allocate ``reserve_tokens`` for an admission; return reused tokens.
 
-        In flat mode this is exactly :meth:`allocate` and returns 0.  With
-        prefix caching the request's shared-prefix chain is resolved against
-        the block cache (hits increment refcounts or revive LRU entries,
-        misses consume fresh blocks) and the remaining reservation is private;
-        the returned token count is how much prompt compute the scheduler may
-        skip.
+        The request's shared-prefix chain is resolved against the block cache
+        (hits increment refcounts or revive LRU entries, misses consume fresh
+        blocks) and the remaining reservation is private; the returned token
+        count is how much prompt compute the scheduler may skip.  An empty
+        chain makes the whole reservation private and returns 0.
         """
         check_positive("reserve_tokens", reserve_tokens)
         request_id = request.request_id
         if request_id in self._allocated_blocks:
-            # Both modes reject re-admission of a live id: in flat mode
-            # allocate() would silently *grow* the existing allocation, which
-            # turns a scheduler double-admit bug into quiet memory creep
-            # (found by the stateful machine in repro.verify.stateful).
+            # Re-admitting a live id must not silently *grow* its allocation:
+            # that would turn a scheduler double-admit bug into quiet memory
+            # creep (found by the stateful machine in repro.verify.stateful).
             raise ValueError(
                 f"request {request_id} already holds blocks; grow with allocate()"
             )
-        if not self.config.enable_prefix_caching:
-            self.allocate(request_id, reserve_tokens)
-            return 0
-        # One chain walk serves both the capacity check and the allocation
-        # below (can_admit already walked it once; avoid a third pass here).
         target_blocks = math.ceil(reserve_tokens / self.config.block_size)
         chain = self._request_chain(request)[:target_blocks]
-        fresh_needed = sum(
-            1 for block_hash in chain if block_hash not in self._shared_refcount
-        ) + (target_blocks - len(chain))
+        refcount = self._shared_refcount
+        fresh_needed = target_blocks - sum(
+            1 for block_hash in chain if block_hash in refcount
+        )
         if fresh_needed > self.free_blocks:
             raise MemoryError(
                 f"KV cache exhausted: request {request_id} needs {fresh_needed} fresh "
                 f"blocks, only {self.free_blocks} free"
             )
-        hold = _SharedHold()
-        evictions_before = self.stats.evictions
-        ref_hits = revived = shared_new = 0
+        ref_hits = revived = 0
         leading = True
         leading_hits = 0
-        # Pass 1 — pin every resident chain block (refcount bump or LRU
-        # revival) before anything is evicted, so this admission's own fresh
-        # consumption can never evict a block its chain is about to reuse.
+        # Pin every resident chain block (refcount bump or LRU revival) before
+        # anything is evicted, so this admission's own fresh blocks can never
+        # evict a block its chain is about to reuse.
         misses: list[int] = []
         for block_hash in chain:
-            if block_hash in self._shared_refcount:
-                self._shared_refcount[block_hash] += 1
+            if block_hash in refcount:
+                refcount[block_hash] += 1
                 ref_hits += 1
                 leading_hits += 1 if leading else 0
             elif block_hash in self._lru:
                 del self._lru[block_hash]
-                self._shared_refcount[block_hash] = 1
+                refcount[block_hash] = 1
                 revived += 1
                 leading_hits += 1 if leading else 0
             else:
                 leading = False
                 misses.append(block_hash)
-            hold.hashes.append(block_hash)
-        # Pass 2 — consume fresh physical blocks for the misses.
-        for block_hash in misses:
-            self._consume_physical()
-            self._shared_refcount[block_hash] = 1
-            shared_new += 1
         private = target_blocks - len(chain)
-        for _ in range(private):
-            # _private_total advances per block so the eviction check inside
-            # _consume_physical always sees true physical occupancy.
-            self._consume_physical()
-            self._private_total += 1
-        evictions = self.stats.evictions - evictions_before
-        self._private_blocks[request_id] = private
-        self._shared_holds[request_id] = hold
-        self._allocated_blocks[request_id] = private + len(hold.hashes)
-        self._allocated_tokens[request_id] = max(
-            self._allocated_tokens.get(request_id, 0), reserve_tokens
-        )
+        evictions = self._make_room(len(misses) + private)
+        for block_hash in misses:
+            refcount[block_hash] = 1
+        self._private_total += private
+        if chain:
+            self._shared_holds[request_id] = chain
+        self._allocated_blocks[request_id] = target_blocks
         cached_tokens = min(
             leading_hits * self.config.block_size, request.prefill_tokens - 1
         )
         cached_tokens = max(0, cached_tokens)
         self.stats.prefix_block_hits += ref_hits + revived
-        self.stats.prefix_block_misses += shared_new
+        self.stats.prefix_block_misses += len(misses)
         self.stats.prefix_tokens_reused += cached_tokens
         self.stats.shared_admissions += 1
         if self.observer is not None:
             self.observer(
                 "kv_shared_alloc",
                 request_id,
-                private + shared_new + revived,
+                private + len(misses) + revived,
                 private_blocks=private,
-                shared_new=shared_new,
+                shared_new=len(misses),
                 shared_revived=revived,
                 shared_ref_hits=ref_hits,
                 evictions=evictions,
@@ -405,16 +359,19 @@ class KVCacheManager:
             )
         return cached_tokens
 
-    def _consume_physical(self) -> None:
-        """Take one physical block from the pool, evicting the LRU if needed."""
-        in_use = self.used_blocks + len(self._lru)
-        if in_use >= self.total_blocks:
-            if not self._lru:
-                raise MemoryError("KV cache exhausted with nothing evictable")
-            # The evicted block's contents are gone for good; a future chain
-            # lookup for this hash will miss.
+    def _make_room(self, blocks: int) -> int:
+        """Evict LRU heads, oldest first, so ``blocks`` fresh blocks fit.
+
+        Callers have checked ``blocks <= free_blocks``, so the LRU always
+        holds enough blocks.  Returns the number evicted; an evicted block's
+        contents are gone for good, and a later chain lookup of its hash
+        misses.
+        """
+        evictions = max(0, self.used_blocks + len(self._lru) + blocks - self.total_blocks)
+        for _ in range(evictions):
             self._lru.popitem(last=False)
-            self.stats.evictions += 1
+        self.stats.evictions += evictions
+        return evictions
 
     # ---------------------------------------------------------- mutation
 
@@ -431,63 +388,35 @@ class KVCacheManager:
                 f"KV cache exhausted: request {request_id} needs {needed} blocks, "
                 f"only {self.free_blocks} free"
             )
-        evictions_before = self.stats.evictions
-        if self.config.enable_prefix_caching:
-            for _ in range(needed):
-                self._consume_physical()
-                self._private_total += 1
-            self._private_blocks[request_id] = self._private_blocks.get(request_id, 0) + needed
-            self._shared_holds.setdefault(request_id, _SharedHold())
+        evictions = self._make_room(needed)
+        self._private_total += needed
         self._allocated_blocks[request_id] = self._allocated_blocks.get(request_id, 0) + needed
-        self._allocated_tokens[request_id] = max(
-            self._allocated_tokens.get(request_id, 0), new_total_tokens
-        )
         if self.observer is not None:
-            if self.config.enable_prefix_caching:
-                self.observer(
-                    "kv_alloc",
-                    request_id,
-                    needed,
-                    evictions=self.stats.evictions - evictions_before,
-                )
-            else:
-                # Flat mode keeps the original payload byte-for-byte.
-                self.observer("kv_alloc", request_id, needed)
+            self.observer("kv_alloc", request_id, needed, evictions=evictions)
 
-    def free(self, request_id: int, strict: bool = False) -> None:
+    def free(self, request_id: int) -> None:
         """Release every block held by ``request_id``.
 
-        Freeing an id with no allocation is a no-op by default (the release
-        path may free ids it never managed to admit) but is *counted* in
-        ``stats.double_free_count``; ``strict=True`` raises ``KeyError``
-        instead, for callers that want double-frees or frees of
-        never-allocated ids surfaced as errors rather than absorbed.
-
-        With prefix caching, private blocks return to the pool immediately
-        while shared blocks only become evictable (LRU) once their last
-        reference is released — the free-after-last-release rule the
-        event-log invariant checks.
+        Private blocks return to the pool immediately, while shared blocks
+        only become evictable (LRU) once their last reference is released —
+        the free-after-last-release rule the event-log invariant checks.
+        Freeing an id with no allocation is a no-op (the release path may
+        free ids it never managed to admit) but is *counted* in
+        ``stats.double_free_count``.
         """
         blocks = self._allocated_blocks.pop(request_id, None)
-        self._allocated_tokens.pop(request_id, None)
         if blocks is None:
-            if strict:
-                raise KeyError(f"request {request_id} holds no KV-cache blocks")
             self.stats.double_free_count += 1
             if self.observer is not None:
                 # Absorbed double-frees must still reach the telemetry layer,
                 # or the sampler reconciliation cannot cover the counter.
                 self.observer("kv_double_free", request_id, 0)
             return
-        if not self.config.enable_prefix_caching:
-            if self.observer is not None:
-                self.observer("kv_free", request_id, blocks)
-            return
-        private = self._private_blocks.pop(request_id, 0)
+        hold = self._shared_holds.pop(request_id, ())
+        private = blocks - len(hold)
         self._private_total -= private
-        hold = self._shared_holds.pop(request_id, _SharedHold())
         to_cache = 0
-        for block_hash in hold.hashes:
+        for block_hash in hold:
             refcount = self._shared_refcount[block_hash] - 1
             if refcount == 0:
                 del self._shared_refcount[block_hash]
@@ -501,24 +430,9 @@ class KVCacheManager:
                 request_id,
                 blocks,
                 private_blocks=private,
-                shared_released=len(hold.hashes),
+                shared_released=len(hold),
                 to_cache=to_cache,
             )
 
-    def tokens_of(self, request_id: int) -> int:
-        """Tokens currently allocated to ``request_id``."""
-        return self._allocated_tokens.get(request_id, 0)
-
     def holds(self, request_id: int) -> bool:
         return request_id in self._allocated_blocks
-
-    def reset(self) -> None:
-        """Release all allocations (cached prefix blocks and stats included)."""
-        self._allocated_blocks.clear()
-        self._allocated_tokens.clear()
-        self._private_blocks.clear()
-        self._private_total = 0
-        self._shared_refcount.clear()
-        self._shared_holds.clear()
-        self._lru.clear()
-        self.stats = KVCacheStats()

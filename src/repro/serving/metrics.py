@@ -127,9 +127,9 @@ def compute_metrics(
     stall_500 = sum(1 for stall in max_tbts if stall > STALL_THRESHOLDS[1]) / len(finished)
     throughput = len(finished) / makespan * 60.0 if makespan > 0 else 0.0
     hybrid_fraction = hybrid_iterations / num_iterations if num_iterations else 0.0
-    # One definition, shared with compute_memory_pressure: preemption/cache
-    # counters aggregate over *all* requests handed in (== finished on every
-    # drained run), not just the finished subset the latency stats use.
+    # Preemption/cache counters aggregate over *all* requests handed in
+    # (== finished on every drained run), not just the finished subset the
+    # latency stats use.
     num_preemptions = sum(r.preemption_count for r in requests)
     preempted_fraction = sum(1 for r in requests if r.preemption_count) / len(requests)
     cached_tokens = sum(r.cached_prefix_tokens_total for r in requests)
@@ -152,64 +152,6 @@ def compute_metrics(
         stall_fraction_200ms=stall_200,
         stall_fraction_500ms=stall_500,
         hybrid_iteration_fraction=hybrid_fraction,
-    )
-
-
-# ------------------------------------------------------- memory pressure
-
-
-@dataclass(frozen=True)
-class MemoryPressureStats:
-    """One run's KV memory-pressure summary: cache reuse and preemption cost.
-
-    Combines the :class:`~repro.serving.kv_cache.KVCacheStats` counters of
-    the allocator with the request-level preemption record; built by
-    :func:`compute_memory_pressure` and surfaced on
-    ``ClusterResult.kv_stats`` / the fig19 benchmark rows.
-    """
-
-    prefix_block_hits: int
-    prefix_block_misses: int
-    prefix_hit_rate: float
-    prefix_tokens_reused: int
-    kv_evictions: int
-    kv_double_frees: int
-    num_preemptions: int
-    preempted_request_fraction: float
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "prefix_hit_rate": round(self.prefix_hit_rate, 4),
-            "prefix_tokens_reused": self.prefix_tokens_reused,
-            "kv_evictions": self.kv_evictions,
-            "preemptions": self.num_preemptions,
-            "preempted_pct": round(self.preempted_request_fraction * 100, 2),
-        }
-
-
-def compute_memory_pressure(
-    requests: Sequence[Request],
-    kv_stats,
-) -> MemoryPressureStats:
-    """Fuse allocator counters with per-request preemption records.
-
-    ``kv_stats`` is the manager's :class:`~repro.serving.kv_cache.KVCacheStats`
-    (or any object with the same counter attributes, e.g. a cluster-wide
-    merge).
-    """
-    if not requests:
-        raise ValueError("compute_memory_pressure() requires at least one request")
-    preemptions = sum(r.preemption_count for r in requests)
-    preempted_fraction = sum(1 for r in requests if r.preemption_count) / len(requests)
-    return MemoryPressureStats(
-        prefix_block_hits=kv_stats.prefix_block_hits,
-        prefix_block_misses=kv_stats.prefix_block_misses,
-        prefix_hit_rate=kv_stats.hit_rate,
-        prefix_tokens_reused=kv_stats.prefix_tokens_reused,
-        kv_evictions=kv_stats.evictions,
-        kv_double_frees=kv_stats.double_free_count,
-        num_preemptions=preemptions,
-        preempted_request_fraction=preempted_fraction,
     )
 
 

@@ -147,9 +147,10 @@ class ReplicaRuntime:
     def _on_kv_event(self, kind: str, request_id: int, blocks: int, **extra) -> None:
         """KVCacheManager observer: stamp KV mutations with clock and usage.
 
-        ``extra`` carries the prefix-caching payload (shared/private block
-        splits, cache-hit token counts) emitted by ``kv_shared_alloc`` and
-        caching-mode ``kv_free`` events.
+        ``extra`` carries the rest of the manager's payload: the private and
+        shared block split and cache-hit tokens of ``kv_shared_alloc``, the
+        evictions of ``kv_alloc`` and the release split of ``kv_free``
+        (``kv_double_free`` carries none).
         """
         self.recorder.emit(
             kind,

@@ -64,7 +64,7 @@ class VLLMScheduler(Scheduler):
                     break
                 # Budget the tokens that will actually execute: a prefix-cache
                 # hit shrinks the prompt's compute (lookup is non-mutating and
-                # returns 0 with caching off, keeping the flat path identical).
+                # returns 0 with caching off).
                 prompt = request.prefill_tokens - kv_cache.lookup_prefix(request)[1]
                 if admitted and prompt > budget:
                     blocked = BLOCKED_BUDGET

@@ -113,10 +113,10 @@ GLOBAL_CLOCK_KINDS = frozenset(
 
 #: Declared payload schema per event kind: the complete set of keys an
 #: emission of that kind may carry.  Emitters may send any *subset* (optional
-#: fields such as ``tenant`` or the flat-mode KV payloads simply stay absent)
-#: but never a key outside the schema.  Every :class:`EventRecorder` checks
-#: each emission against this table, so the declaration and the recorded
-#: stream cannot drift apart on any run that records events.
+#: fields such as ``tenant`` simply stay absent) but never a key outside the
+#: schema.  Every :class:`EventRecorder` checks each emission against this
+#: table, so the declaration and the recorded stream cannot drift apart on
+#: any run that records events.
 EVENT_SCHEMAS: dict[str, frozenset[str]] = {
     ENQUEUED: frozenset({"arrival_time", "prefill_tokens", "decode_tokens", "tenant"}),
     ARRIVAL: frozenset({"ready"}),

@@ -14,13 +14,13 @@ rules any correct serving/cluster simulation must satisfy:
   are never replayed).
 * **KV-cache accounting** — replayed alloc/free deltas match the manager's
   reported usage, usage never exceeds capacity or goes negative, frees only
-  follow allocations, and a drained run leaves no blocks allocated.  With
-  prefix caching: every shared-block reference acquired at admission is
-  released exactly once (*ref-count conservation*), a block reaches the
-  evictable LRU only when its last reference is released
-  (*free-after-last-release*; checked in aggregate as ``referenced blocks <=
-  outstanding references``), and the replayed referenced/cached block counts
-  match the manager's reports event by event.
+  follow allocations, and a drained run leaves no blocks allocated.  Every
+  shared-block reference acquired at admission is released exactly once
+  (*ref-count conservation*), a block reaches the evictable LRU only when its
+  last reference is released (*free-after-last-release*; checked in
+  aggregate as ``referenced blocks <= outstanding references``), and the
+  replayed referenced/cached block counts match the manager's reports event
+  by event.
 * **Batch budget compliance** — chunked schedulers never exceed their token
   budget, prefill-prioritising schedulers never form hybrid batches beyond
   their declared limits, decode pools never schedule prefill work, and no
@@ -319,9 +319,9 @@ def check_event_log(
             blocks = event.data["blocks"]
             key = (replica, event.request_id)
             if event.kind == KV_ALLOC:
-                # Flat-mode allocation or caching-mode private growth.
+                # Private growth of a live request (or a decode-pool admission).
                 used += blocks
-                cached -= event.data.get("evictions", 0)
+                cached -= event.data["evictions"]
                 kv_private[key] = kv_private.get(key, 0) + blocks
             elif event.kind == KV_SHARED_ALLOC:
                 private = event.data["private_blocks"]
@@ -341,59 +341,49 @@ def check_event_log(
                 assert track is not None  # shared allocs carry a request id
                 track.cached_tokens += event.data["cached_tokens"]
             else:  # KV_FREE
-                private_held = kv_private.pop(key, None)
+                # Private blocks return to the pool, shared references are
+                # dropped, and blocks whose last reference this was move to
+                # the evictable LRU.
+                held = kv_private.pop(key, None)
                 refs_held = kv_refs.pop(key, 0)
-                if private_held is None and refs_held == 0:
+                if held is None and refs_held == 0:
                     flag("kv-accounting", "free of a request holding no blocks", event)
-                    private_held = 0
-                elif private_held is None:
-                    private_held = 0
-                if "private_blocks" in event.data:
-                    # Prefix-caching free: private blocks return to the pool,
-                    # shared references are dropped, and blocks whose last
-                    # reference this was move to the evictable LRU.
-                    private = event.data["private_blocks"]
-                    released = event.data["shared_released"]
-                    to_cache = event.data["to_cache"]
-                    if private != private_held:
-                        flag(
-                            "kv-accounting",
-                            f"freed {private} private blocks but request held "
-                            f"{private_held}",
-                            event,
-                        )
-                    if released != refs_held:
-                        flag(
-                            "ref-count-conservation",
-                            f"released {released} shared references but request "
-                            f"acquired {refs_held}",
-                            event,
-                        )
-                    if to_cache > released:
-                        flag(
-                            "free-after-last-release",
-                            f"{to_cache} blocks reached the LRU from only "
-                            f"{released} released references",
-                            event,
-                        )
-                    used -= private_held + to_cache
-                    cached += to_cache
-                    kv_ref_total[replica] = kv_ref_total.get(replica, 0) - released
-                    kv_shared_used[replica] = kv_shared_used.get(replica, 0) - to_cache
-                else:
-                    if refs_held:
-                        flag(
-                            "ref-count-conservation",
-                            f"flat free while holding {refs_held} shared references",
-                            event,
-                        )
-                    if blocks != private_held:
-                        flag(
-                            "kv-accounting",
-                            f"freed {blocks} blocks but request held {private_held}",
-                            event,
-                        )
-                    used -= private_held
+                private_held = held or 0
+                private = event.data["private_blocks"]
+                released = event.data["shared_released"]
+                to_cache = event.data["to_cache"]
+                if private != private_held:
+                    flag(
+                        "kv-accounting",
+                        f"freed {private} private blocks but request held "
+                        f"{private_held}",
+                        event,
+                    )
+                if blocks != private + released:
+                    flag(
+                        "kv-accounting",
+                        f"freed {blocks} blocks but the payload splits them into "
+                        f"{private} private and {released} shared",
+                        event,
+                    )
+                if released != refs_held:
+                    flag(
+                        "ref-count-conservation",
+                        f"released {released} shared references but request "
+                        f"acquired {refs_held}",
+                        event,
+                    )
+                if to_cache > released:
+                    flag(
+                        "free-after-last-release",
+                        f"{to_cache} blocks reached the LRU from only "
+                        f"{released} released references",
+                        event,
+                    )
+                used -= private_held + to_cache
+                cached += to_cache
+                kv_ref_total[replica] = kv_ref_total.get(replica, 0) - released
+                kv_shared_used[replica] = kv_shared_used.get(replica, 0) - to_cache
             kv_used[replica] = used
             kv_cached[replica] = cached
             if used != event.data["used_blocks"]:
@@ -696,8 +686,7 @@ def check_kv_drain_balance(managers: Iterable[Any]) -> list[Violation]:
     """Post-drain balance of one or more KV-cache managers.
 
     A drained run must leave every manager with zero pinned blocks, and —
-    the double-free rule — the non-strict ``free()`` no-op path must never
-    have fired: ``stats.double_free_count`` is asserted zero, so silent
+    the double-free rule — the ``free()`` no-op path must never have fired: ``stats.double_free_count`` is asserted zero, so silent
     double-frees (previously absorbed without trace) fail verification.
     Accepts managers or anything carrying one as ``.kv_cache`` (e.g.
     :class:`repro.serving.replica.ReplicaRuntime`).
@@ -719,7 +708,7 @@ def check_kv_drain_balance(managers: Iterable[Any]) -> list[Violation]:
                 Violation(
                     "kv-drain-balance",
                     f"{manager.stats.double_free_count} double-free(s) absorbed "
-                    f"by the non-strict free path",
+                    f"by the free path",
                     replica_id=replica_id,
                 )
             )

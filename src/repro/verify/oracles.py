@@ -23,11 +23,12 @@ strings (empty = the oracle passes):
   stay within its declared tolerance of the event-driven GPU simulator
   (the "validate the fast path against ground truth" discipline).
 * :func:`kv_allocator_equivalence` — with prefix caching disabled, the
-  extended :class:`~repro.serving.kv_cache.KVCacheManager` must behave
-  byte-for-byte like the original flat block allocator (a frozen copy of
-  which lives here as :class:`SeedBlockAllocator`): identical observable
-  state, identical observer emissions and identical exceptions on any
-  operation sequence.  The prefix-caching subsystem is strictly opt-in.
+  :class:`~repro.serving.kv_cache.KVCacheManager` must behave like the
+  original block allocator (a frozen copy of which lives here as
+  :class:`SeedBlockAllocator`): identical observable state, identical
+  observer kinds, ids and block counts, and identical exceptions on any
+  sequence of admissions, growths and frees.  The prefix-caching subsystem
+  is strictly opt-in.
 * :func:`engine_equivalence` — the event-driven GPU engine
   (:class:`~repro.gpu.engine.ExecutionEngine`) must reproduce the frozen
   :class:`~repro.verify.reference_engine.ReferenceEngine` exactly: the same
@@ -354,15 +355,15 @@ class SeedBlockAllocator:
 
     This is deliberately a *duplicate*, not an import: it pins the seed
     semantics independently of ``repro.serving.kv_cache``, so any behavioural
-    drift in the flat path of the extended manager is caught by
-    :func:`kv_allocator_equivalence` rather than silently inherited.
+    drift of the manager with prefix caching off — in admissions and in
+    growth — is caught by :func:`kv_allocator_equivalence` rather than
+    silently inherited.  The seed admitted a request by allocating it.
     """
 
     def __init__(self, num_blocks: int, block_size: int) -> None:
         self.num_blocks = num_blocks
         self.block_size = block_size
         self._blocks: dict[int, int] = {}
-        self._tokens: dict[int, int] = {}
         self.emissions: list[tuple[str, int, int]] = []
 
     @property
@@ -382,18 +383,16 @@ class SeedBlockAllocator:
         if needed > self.free_blocks:
             raise MemoryError("exhausted")
         self._blocks[request_id] = self._blocks.get(request_id, 0) + needed
-        self._tokens[request_id] = max(self._tokens.get(request_id, 0), new_total_tokens)
         self.emissions.append(("kv_alloc", request_id, needed))
 
     def free(self, request_id: int) -> None:
         blocks = self._blocks.pop(request_id, None)
-        self._tokens.pop(request_id, None)
         if blocks is None:
             return
         self.emissions.append(("kv_free", request_id, blocks))
 
-    def tokens_of(self, request_id: int) -> int:
-        return self._tokens.get(request_id, 0)
+    def blocks_of(self, request_id: int) -> int:
+        return self._blocks.get(request_id, 0)
 
     def holds(self, request_id: int) -> bool:
         return request_id in self._blocks
@@ -404,16 +403,18 @@ def kv_allocator_operations(
 ) -> list[tuple[str, int, int]]:
     """A seeded ``(op, request_id, tokens)`` sequence for the allocator oracle.
 
-    Mixes creations, growths, frees and double-frees at token sizes chosen to
-    exercise partial blocks, exact fits and exhaustion.
+    Mixes admissions (of fresh and of live ids), growths, frees and
+    double-frees at token sizes chosen to exercise partial blocks, exact fits
+    and exhaustion.
     """
     rng = np.random.default_rng(seed)
     operations: list[tuple[str, int, int]] = []
     for _ in range(num_operations):
         request_id = int(rng.integers(0, num_requests))
-        if rng.random() < 0.65:
+        draw = rng.random()
+        if draw < 0.65:
             tokens = int(rng.integers(1, 600))
-            operations.append(("allocate", request_id, tokens))
+            operations.append(("admit" if draw < 0.3 else "allocate", request_id, tokens))
         else:
             operations.append(("free", request_id, 0))
     return operations
@@ -426,31 +427,52 @@ def kv_allocator_equivalence(
 ) -> list[str]:
     """Replay one operation sequence against both allocators and diff them.
 
-    The candidate is the extended manager with ``enable_prefix_caching=False``
-    (the default — exactly what every pre-existing simulation constructs);
-    the reference is the frozen seed allocator.  Every observable — usage,
-    holdings, per-request tokens, observer emissions, raise/no-raise — must
-    match after every operation.
+    The candidate is the manager with ``enable_prefix_caching=False`` (the
+    default — what every simulation without prefix caching constructs); the
+    reference is the frozen seed allocator.  ``admit`` of a fresh id runs
+    ``admit_request`` against the seed's ``allocate`` (its
+    ``kv_shared_alloc`` emission compares as the seed's ``kv_alloc``);
+    ``admit`` of a live id must raise ``ValueError`` and change nothing.
+    Usage, holdings, observer emissions and raise/no-raise must match after
+    every operation.
     """
     reference = SeedBlockAllocator(capacity_tokens // block_size, block_size)
     candidate = KVCacheManager(
         KVCacheConfig(capacity_tokens=capacity_tokens, block_size=block_size)
     )
     emissions: list[tuple[str, int, int]] = []
-    candidate.observer = lambda kind, request_id, blocks, **extra: emissions.append(
-        (kind, request_id, blocks)
-    )
+
+    def observe(kind: str, request_id: int, blocks: int, **extra: int) -> None:
+        emissions.append(
+            ("kv_alloc" if kind == "kv_shared_alloc" else kind, request_id, blocks)
+        )
+
+    def admit(request_id: int, tokens: int) -> None:
+        request = Request(request_id=request_id, prefill_tokens=tokens, decode_tokens=1)
+        candidate.admit_request(request, tokens)
+
+    candidate.observer = observe
     discrepancies: list[str] = []
     for index, (op, request_id, tokens) in enumerate(operations):
         label = f"op {index} ({op} r{request_id} t{tokens})"
-        if op == "allocate":
+        if op == "admit" and reference.holds(request_id):
+            try:
+                admit(request_id, tokens)
+            except ValueError:
+                pass
+            else:
+                discrepancies.append(f"{label}: re-admission of a live id accepted")
+        elif op in ("admit", "allocate"):
             ref_raised = cand_raised = False
             try:
                 reference.allocate(request_id, tokens)
             except MemoryError:
                 ref_raised = True
             try:
-                candidate.allocate(request_id, tokens)
+                if op == "admit":
+                    admit(request_id, tokens)
+                else:
+                    candidate.allocate(request_id, tokens)
             except MemoryError:
                 cand_raised = True
             if ref_raised != cand_raised:
@@ -475,11 +497,11 @@ def kv_allocator_equivalence(
             )
         if candidate.holds(request_id) != reference.holds(request_id):
             discrepancies.append(f"{label}: holds() diverges")
-        if candidate.tokens_of(request_id) != reference.tokens_of(request_id):
-            discrepancies.append(f"{label}: tokens_of() diverges")
+        if candidate.blocks_of(request_id) != reference.blocks_of(request_id):
+            discrepancies.append(f"{label}: blocks_of() diverges")
     # kv_double_free is a diagnostic emission added after the seed (the seed
     # allocator absorbed no-op frees silently); the block-accounting stream
-    # must still match the seed byte-for-byte.
+    # must still match the seed's kinds, ids and block counts.
     emissions = [e for e in emissions if e[0] != "kv_double_free"]
     if emissions != reference.emissions:
         discrepancies.append(

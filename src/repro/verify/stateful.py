@@ -107,7 +107,7 @@ class ReferenceAllocator:
     linear walk, and the prefix chain is re-derived from scratch on each
     admission.  The machine asserts the real allocator's observable state
     (usage, refcounts, LRU order, per-request holdings) matches this model
-    after every rule, in both flat and prefix-caching modes.
+    after every rule, with prefix caching on and off.
     """
 
     def __init__(self, num_blocks: int, block_size: int, caching: bool) -> None:
@@ -170,8 +170,8 @@ class ReferenceAllocator:
             self._consume()
             self.refcount[block_hash] = 1
         for _ in range(target - len(chain)):
-            # Occupancy must advance per block (the real allocator's eviction
-            # check sees true physical usage mid-admission).
+            # One block at a time, so the real allocator's closed-form
+            # eviction count is checked against a per-block walk.
             self._consume()
             self.private[rid] = self.private.get(rid, 0) + 1
         self.private.setdefault(rid, 0)
@@ -216,13 +216,12 @@ def compare_allocator_to_model(
         )
     if manager.used_blocks + manager.cached_blocks > manager.total_blocks:
         problems.append("used + cached exceeds capacity")
-    if manager.config.enable_prefix_caching:
-        if dict(manager._shared_refcount) != model.refcount:
-            problems.append(
-                f"refcounts {dict(manager._shared_refcount)} != model {model.refcount}"
-            )
-        if list(manager._lru) != model.lru:
-            problems.append(f"LRU order {list(manager._lru)} != model {model.lru}")
+    if dict(manager._shared_refcount) != model.refcount:
+        problems.append(
+            f"refcounts {dict(manager._shared_refcount)} != model {model.refcount}"
+        )
+    if list(manager._lru) != model.lru:
+        problems.append(f"LRU order {list(manager._lru)} != model {model.lru}")
     for rid in model.private:
         expected = model.private[rid] + len(model.holds.get(rid, []))
         if manager.blocks_of(rid) != expected:
@@ -245,7 +244,7 @@ def compare_allocator_to_model(
 class KVCacheMachine(RuleBasedStateMachine):
     """Raw admit/grow/free/preempt interleavings on :class:`KVCacheManager`.
 
-    Exercises both allocation modes; the preempt/readmit pair models exactly
+    Runs with prefix caching on and off; the preempt/readmit pair models exactly
     what the scheduler's recompute preemption does (free the blocks, reset
     the request, admit it again with the chain re-resolved).
     """
@@ -377,7 +376,7 @@ class KVCacheMachine(RuleBasedStateMachine):
 
     @rule()
     def free_unknown_id(self) -> None:
-        """Non-strict frees of never-admitted ids are absorbed but counted."""
+        """Frees of never-admitted ids are absorbed but counted."""
         rid = 1_000_000 + self.next_id
         self.next_id += 1
         self.manager.free(rid)
@@ -386,7 +385,7 @@ class KVCacheMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.live)
     @rule(data=st.data())
     def double_admit_rejected(self, data: st.DataObject) -> None:
-        """Admitting a live id must raise in both modes (never silently grow)."""
+        """Admitting a live id must raise (never silently grow)."""
         rid = data.draw(st.sampled_from(sorted(self.live)), label="rid")
         request, tokens = self.live[rid]
         used_before = self.manager.used_blocks

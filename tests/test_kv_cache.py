@@ -33,8 +33,8 @@ class TestAllocation:
     def test_allocate_and_free(self):
         manager = _manager()
         manager.allocate(request_id=1, new_total_tokens=100)
-        assert manager.tokens_of(1) == 100
-        assert manager.used_blocks == 7  # ceil(100/16)
+        assert manager.blocks_of(1) == 7  # ceil(100/16)
+        assert manager.used_blocks == 7
         manager.free(1)
         assert manager.used_blocks == 0
         assert not manager.holds(1)
@@ -44,7 +44,7 @@ class TestAllocation:
         manager.allocate(1, 16)
         manager.allocate(1, 48)
         assert manager.used_blocks == 3
-        assert manager.tokens_of(1) == 48
+        assert manager.blocks_of(1) == 3
 
     def test_regrow_within_block_is_free(self):
         manager = _manager()
@@ -67,15 +67,9 @@ class TestAllocation:
 
     def test_utilization(self):
         manager = _manager(capacity_tokens=160)
-        assert manager.utilization == 0.0
-        manager.allocate(1, 80)
-        assert manager.utilization == pytest.approx(0.5)
-
-    def test_reset(self):
-        manager = _manager()
-        manager.allocate(1, 100)
-        manager.reset()
         assert manager.used_blocks == 0
+        manager.allocate(1, 80)
+        assert manager.used_blocks == manager.total_blocks // 2
 
 
 class TestEdgeCases:
@@ -96,7 +90,7 @@ class TestEdgeCases:
         manager = _manager(capacity_tokens=64, block_size=16)
         manager.allocate(1, 64)
         assert manager.free_blocks == 0
-        assert manager.utilization == 1.0
+        assert manager.used_blocks == manager.total_blocks
         # Growing within the existing blocks is free; past them is refused.
         assert manager.can_allocate(1, 64)
         assert not manager.can_allocate(1, 65)
@@ -112,18 +106,6 @@ class TestEdgeCases:
         with pytest.raises(MemoryError):
             manager.allocate(9, 1)
 
-    def test_strict_free_of_unallocated_raises(self):
-        manager = _manager()
-        with pytest.raises(KeyError):
-            manager.free(42, strict=True)
-
-    def test_strict_double_free_raises(self):
-        manager = _manager()
-        manager.allocate(1, 16)
-        manager.free(1, strict=True)
-        with pytest.raises(KeyError):
-            manager.free(1, strict=True)
-
     def test_non_strict_free_stays_a_noop(self):
         manager = _manager()
         manager.free(42)
@@ -135,7 +117,7 @@ class TestEdgeCases:
         with pytest.raises(MemoryError):
             manager.allocate(2, 64)
         assert manager.used_blocks == 2
-        assert manager.tokens_of(2) == 0
+        assert manager.blocks_of(2) == 0
         assert not manager.holds(2)
 
 
@@ -153,7 +135,7 @@ class TestInvariants:
         manager = _manager(capacity_tokens=2048)
         active: set[int] = set()
         for request_id, tokens in operations:
-            target = manager.tokens_of(request_id) + tokens
+            target = manager.blocks_of(request_id) * 16 + tokens
             if manager.can_allocate(request_id, target):
                 manager.allocate(request_id, target)
                 active.add(request_id)

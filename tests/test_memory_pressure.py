@@ -9,6 +9,7 @@ end-to-end runs through the full invariant checker.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
-from repro.verify.events import EventRecorder, KV_SHARED_ALLOC, PREEMPTED
+from repro.verify.events import KV_ALLOC, KV_FREE, KV_SHARED_ALLOC, PREEMPTED, EventRecorder
 from repro.verify.invariants import (
     check_event_log,
     check_kv_drain_balance,
@@ -205,16 +206,17 @@ class TestDoubleFreeCounter:
 
 
 class TestSeedAllocatorOracle:
-    def test_seeded_operation_sequences(self):
-        for seed in range(8):
-            operations = kv_allocator_operations(seed)
-            assert kv_allocator_equivalence(operations) == []
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_operation_sequences(self, seed):
+        operations = kv_allocator_operations(seed)
+        assert {op for op, _, _ in operations} == {"admit", "allocate", "free"}
+        assert kv_allocator_equivalence(operations) == []
 
     @settings(max_examples=30, deadline=None)
     @given(
         operations=st.lists(
             st.tuples(
-                st.sampled_from(("allocate", "free")),
+                st.sampled_from(("admit", "allocate", "free")),
                 st.integers(min_value=0, max_value=6),
                 st.integers(min_value=1, max_value=400),
             ),
@@ -329,17 +331,92 @@ class TestCachingWithPreemptionEndToEnd:
         assert shared and any(e.data["cached_tokens"] > 0 for e in shared)
         assert result.kv_stats.hit_rate > 0.0
 
-    def test_caching_off_run_is_flat(self, single_replica):
-        """Default-config event streams never contain the new event kinds."""
+    def test_caching_off_run_shares_nothing(self, single_replica):
+        """Tagged requests with caching off: every block private, none cached."""
         recorder = EventRecorder()
         simulator = single_replica(
             paper_deployment("llama-3-8b"),
-            scheduler=SarathiScheduler(chunk_size=512),
+            scheduler=SarathiScheduler(chunk_size=512, preemption=True),
+            kv_config=KVCacheConfig(capacity_tokens=8192, block_size=16),
             recorder=recorder,
         )
-        simulator.run_scenario("shared-prefix-chat", num_requests=12, seed=3)
-        assert recorder.of_kind(KV_SHARED_ALLOC) == []
-        assert recorder.of_kind(PREEMPTED) == []
+        result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=3)
+        assert all(r.prefix_id is not None for r in result.requests)
+        assert check_event_log(recorder) == []
+        admissions = recorder.of_kind(KV_SHARED_ALLOC)
+        growths = recorder.of_kind(KV_ALLOC)
+        assert len(admissions) >= len(result.requests) and growths
+        for event in admissions:
+            shared = ("shared_new", "shared_revived", "shared_ref_hits", "cached_tokens")
+            assert [event.data[key] for key in shared] == [0, 0, 0, 0]
+            assert event.data["evictions"] == 0
+            assert event.data["private_blocks"] == event.data["blocks"]
+        assert all(event.data["evictions"] == 0 for event in growths)
+        for event in recorder.of_kind(KV_FREE):
+            assert (event.data["shared_released"], event.data["to_cache"]) == (0, 0)
+        kv_events = admissions + growths + recorder.of_kind(KV_FREE)
+        assert all(event.data["cached_blocks"] == 0 for event in kv_events)
+        assert result.kv_stats.prefix_lookups == 0
+
+
+class TestCachingOffIsTheCacheWithoutChains:
+    """Caching off on tagged requests == caching on with the tags removed."""
+
+    @staticmethod
+    def _operations(seed, count=160):
+        rng = np.random.default_rng(seed)
+        operations = []
+        for _ in range(count):
+            request_id = int(rng.integers(0, 8))
+            op = ("admit", "admit", "grow", "free")[int(rng.integers(0, 4))]
+            prefill = int(rng.integers(1, 200))
+            prefix_tokens = int(rng.integers(0, prefill + 1))
+            prefix_id = ("a", "b")[int(rng.integers(0, 2))]
+            operations.append((op, request_id, prefill, prefix_id, prefix_tokens))
+        return operations
+
+    @staticmethod
+    def _state(manager, request_ids):
+        return (
+            manager.used_blocks,
+            manager.cached_blocks,
+            manager.free_blocks,
+            [(manager.holds(rid), manager.blocks_of(rid)) for rid in request_ids],
+            dict(manager._shared_refcount),
+            list(manager._lru),
+            manager.stats.counter_totals(),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tagged_off_matches_untagged_on(self, seed):
+        off = KVCacheManager(KVCacheConfig(capacity_tokens=512, block_size=16))
+        on = caching_manager(capacity_tokens=512)
+        emitted = {"off": [], "on": []}
+        off.observer = lambda *args, **extra: emitted["off"].append((args, extra))
+        on.observer = lambda *args, **extra: emitted["on"].append((args, extra))
+        for index, (op, rid, prefill, prefix_id, prefix_tokens) in enumerate(
+            self._operations(seed)
+        ):
+            tagged = prefixed(rid, prefill, prefix_id=prefix_id, prefix_tokens=prefix_tokens)
+            untagged = prefixed(rid, prefill, prefix_id=None, prefix_tokens=0)
+            outcomes = []
+            for manager, request in ((off, tagged), (on, untagged)):
+                try:
+                    if op == "admit":
+                        outcome = manager.admit_request(request, prefill + 16)
+                    elif op == "grow":
+                        outcome = manager.allocate(rid, manager.blocks_of(rid) * 16 + prefill)
+                    else:
+                        outcome = manager.free(rid)
+                except (MemoryError, ValueError) as error:
+                    outcome = type(error).__name__
+                outcomes.append(outcome)
+            label = f"op {index}: {op} r{rid}"
+            assert outcomes[0] == outcomes[1], label
+            assert off.lookup_prefix(tagged) == on.lookup_prefix(untagged), label
+            assert self._state(off, range(8)) == self._state(on, range(8)), label
+            assert emitted["off"] == emitted["on"], label
+        assert any(args[0] == "kv_shared_alloc" for args, _ in emitted["off"])
 
 
 class TestSharedPrefixWorkloads:

@@ -80,7 +80,6 @@ def test_kv_blocks_freed_when_replica_drains(specs, scheduler_cls):
     drain(runtime, requests)
     assert all(request.is_finished for request in requests)
     assert runtime.kv_cache.used_blocks == 0
-    assert runtime.kv_cache.used_tokens == 0
     assert not any(runtime.kv_cache.holds(r.request_id) for r in requests)
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import ClusterSimulator, ColocatedTopology, DisaggregatedTopology
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
+from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.verify import (
     ARRIVAL,
@@ -19,6 +20,7 @@ from repro.verify import (
     EventRecorder,
     KV_ALLOC,
     KV_FREE,
+    KV_SHARED_ALLOC,
     ROUTED,
     STEP,
     TRANSFER_DELIVERED,
@@ -93,8 +95,11 @@ class TestSingleReplicaEmission:
         recorder, result = recorded
         n = result.metrics.fleet.num_requests
         summary = recorder.summary()
-        for kind in (ENQUEUED, ARRIVAL, "admitted", KV_ALLOC, KV_FREE, "released", COMPLETED):
+        lifecycle = (ENQUEUED, ARRIVAL, "admitted", KV_SHARED_ALLOC, KV_FREE, "released")
+        for kind in lifecycle + (COMPLETED,):
             assert summary[kind] == n, kind
+        # Full-reservation admissions never grow.
+        assert summary.get(KV_ALLOC, 0) == 0
 
     def test_one_batch_and_step_per_iteration(self, recorded):
         recorder, result = recorded
@@ -128,7 +133,9 @@ class TestSingleReplicaEmission:
 
     def test_kv_events_balance(self, recorded):
         recorder, _ = recorded
-        allocated = sum(e.data["blocks"] for e in recorder.of_kind(KV_ALLOC))
+        allocated = sum(
+            e.data["blocks"] for e in recorder.of_kind(KV_ALLOC) + recorder.of_kind(KV_SHARED_ALLOC)
+        )
         freed = sum(e.data["blocks"] for e in recorder.of_kind(KV_FREE))
         assert allocated == freed > 0
         assert recorder.of_kind(KV_FREE)[-1].data["used_blocks"] == 0
@@ -145,12 +152,29 @@ class TestKVCacheObserver:
     def test_observer_sees_alloc_and_free(self):
         seen = []
         manager = KVCacheManager(KVCacheConfig(capacity_tokens=1024, block_size=16))
-        manager.observer = lambda kind, request_id, blocks: seen.append(
-            (kind, request_id, blocks)
+        manager.observer = lambda kind, request_id, blocks, **extra: seen.append(
+            (kind, request_id, blocks, extra)
         )
         manager.allocate(1, 100)  # 7 blocks
         manager.free(1)
-        assert seen == [("kv_alloc", 1, 7), ("kv_free", 1, 7)]
+        manager.admit_request(Request(request_id=2, prefill_tokens=40, decode_tokens=1), 40)
+        assert seen == [
+            ("kv_alloc", 1, 7, {"evictions": 0}),
+            ("kv_free", 1, 7, {"private_blocks": 7, "shared_released": 0, "to_cache": 0}),
+            (
+                "kv_shared_alloc",
+                2,
+                3,
+                {
+                    "private_blocks": 3,
+                    "shared_new": 0,
+                    "shared_revived": 0,
+                    "shared_ref_hits": 0,
+                    "evictions": 0,
+                    "cached_tokens": 0,
+                },
+            ),
+        ]
 
     def test_noop_free_emits_double_free_diagnostic(self):
         # An absorbed free of an id holding no blocks moves no blocks but is

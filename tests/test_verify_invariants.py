@@ -85,6 +85,27 @@ class TestCleanRunsPass:
 # --------------------------------------------------------- corrupted streams
 
 
+#: The rest of an admission's and a free's KV payload: one private block on a
+#: four-block cache, nothing shared, cached or evicted.
+ADMIT_SPLIT = {
+    "cached_blocks": 0,
+    "total_blocks": 4,
+    "private_blocks": 1,
+    "shared_new": 0,
+    "shared_revived": 0,
+    "shared_ref_hits": 0,
+    "evictions": 0,
+    "cached_tokens": 0,
+}
+FREE_SPLIT = {
+    "cached_blocks": 0,
+    "total_blocks": 4,
+    "private_blocks": 1,
+    "shared_released": 0,
+    "to_cache": 0,
+}
+
+
 def minimal_good_stream() -> list[Event]:
     """A tiny hand-built stream that satisfies every invariant.
 
@@ -96,7 +117,7 @@ def minimal_good_stream() -> list[Event]:
             "enqueued", 0.0, 0, 1, {"arrival_time": 0.0, "prefill_tokens": 8, "decode_tokens": 2}
         ),
         Event("arrival", 0.0, 0, 1, {"ready": 0.0}),
-        Event("kv_alloc", 0.0, 0, 1, {"blocks": 1, "used_blocks": 1, "total_blocks": 4}),
+        Event("kv_shared_alloc", 0.0, 0, 1, {"blocks": 1, "used_blocks": 1, **ADMIT_SPLIT}),
         Event("admitted", 0.0, 0, 1, {}),
         Event(
             "batch_formed",
@@ -134,7 +155,7 @@ def minimal_good_stream() -> list[Event]:
         ),
         Event("step", 1.0, 0, -1, {"duration": 1.0, "num_tokens": 1}),
         Event("chunk_executed", 2.0, 0, 1, {"phase": "decode", "tokens": 1}),
-        Event("kv_free", 2.0, 0, 1, {"blocks": 1, "used_blocks": 0, "total_blocks": 4}),
+        Event("kv_free", 2.0, 0, 1, {"blocks": 1, "used_blocks": 0, **FREE_SPLIT}),
         Event("released", 2.0, 0, 1, {"state": "finished"}),
         Event("completed", 2.0, 0, 1, {}),
     ]
@@ -217,24 +238,32 @@ class TestCompletionViolations:
 class TestKVAccountingViolations:
     def test_usage_exceeds_capacity(self):
         events = minimal_good_stream()
-        events[2] = replace(events[2], data={"blocks": 9, "used_blocks": 9, "total_blocks": 4})
-        events[10] = replace(events[10], data={"blocks": 9, "used_blocks": 0, "total_blocks": 4})
+        events[2] = replace(
+            events[2], data=dict(events[2].data, blocks=9, used_blocks=9, private_blocks=9)
+        )
+        events[10] = replace(events[10], data=dict(events[10].data, blocks=9, private_blocks=9))
         found = violations_of(events, "kv-accounting")
         assert any("exceeds capacity" in v.message for v in found)
 
     def test_reported_usage_mismatch(self):
         events = minimal_good_stream()
-        events[2] = replace(events[2], data={"blocks": 1, "used_blocks": 3, "total_blocks": 4})
+        events[2] = replace(events[2], data=dict(events[2].data, used_blocks=3))
         found = violations_of(events, "kv-accounting")
         assert any("replayed usage" in v.message for v in found)
 
     def test_free_without_alloc(self):
         events = minimal_good_stream()
         events.insert(
-            2, Event("kv_free", 0.0, 0, 99, {"blocks": 1, "used_blocks": -1, "total_blocks": 4})
+            2, Event("kv_free", 0.0, 0, 99, {"blocks": 1, "used_blocks": -1, **FREE_SPLIT})
         )
         found = violations_of(events, "kv-accounting")
         assert any("no blocks" in v.message for v in found)
+
+    def test_freed_blocks_disagree_with_their_split(self):
+        events = minimal_good_stream()
+        events[10] = replace(events[10], data=dict(events[10].data, blocks=2))
+        found = violations_of(events, "kv-accounting")
+        assert any("splits them into 1 private and 0 shared" in v.message for v in found)
 
     def test_leaked_blocks_after_drain(self):
         events = [e for e in minimal_good_stream() if e.kind != "kv_free"]

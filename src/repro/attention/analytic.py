@@ -7,8 +7,10 @@ from the *same* per-CTA cost model, so the two paths agree to within a modest
 tolerance (validated by ``tests/test_analytic_vs_sim.py``).
 
 The arithmetic lives in plain-number helpers: :func:`kernel_time` prices one
-kernel from its CTA count, FLOPs and bytes, and :func:`fused_time` prices
-POD's fused kernel from its prefill and decode aggregates.
+kernel from its CTA count, FLOPs and bytes (split into the part the CTA
+count fixes, :func:`kernel_shape`, and :func:`priced_kernel_time`), and
+:func:`fused_time` prices POD's fused kernel from its prefill and decode
+aggregates.
 :func:`analytic_attention_times` is the reference: it sums a materialised
 batch's CTA rows and feeds them to the helpers.  The serving backends
 (:mod:`repro.serving.attention_backend`) feed the same helpers from memoized
@@ -62,6 +64,39 @@ class AnalyticAttentionTimes:
 FUSED_OVERLAP_EFFICIENCY = 0.92
 
 
+def kernel_shape(spec: GPUSpec, count: int, occupancy: int) -> tuple[float, float, float, float]:
+    """The part of :func:`kernel_time` that a kernel's CTA count and occupancy fix.
+
+    Returns (compute, bandwidth, wave factor, launch overhead):
+    :func:`priced_kernel_time` turns it into a time for any FLOP and byte
+    totals, so a caller pricing many kernels of one shape builds it once.
+    """
+    occupancy = max(1, occupancy)
+    slots_per_wave = occupancy * spec.num_sms
+    waves = count / slots_per_wave
+    # SMs actively streaming memory in the steady state bound achievable bandwidth.
+    active_sms = min(spec.num_sms, math.ceil(count / occupancy))
+    bandwidth = min(spec.hbm_bandwidth, active_sms * spec.sm_mem_bandwidth)
+    compute_sms = min(spec.num_sms, count)
+    compute = spec.tensor_flops_per_sm * compute_sms
+    # Wave quantization: the last, partially filled wave still takes a full
+    # wave's time for the dominant resource.  It matters most when there are
+    # few waves.
+    factor = min(math.ceil(waves) / waves, 2.0) if waves > 0 else 1.0
+    return compute, bandwidth, factor, spec.kernel_launch_overhead
+
+
+def priced_kernel_time(
+    shape: tuple[float, float, float, float],
+    flops: float,
+    dram_bytes: float,
+    fixed_time: float,
+) -> float:
+    """Roofline time of a kernel of ``shape`` (see :func:`kernel_shape`)."""
+    compute, bandwidth, factor, launch_overhead = shape
+    return max(flops / compute, dram_bytes / bandwidth) * factor + fixed_time + launch_overhead
+
+
 def kernel_time(
     spec: GPUSpec,
     count: int,
@@ -73,23 +108,7 @@ def kernel_time(
     """Roofline time of one kernel of ``count`` CTAs at ``occupancy`` CTAs per SM."""
     if not count:
         return 0.0
-    occupancy = max(1, occupancy)
-    slots_per_wave = occupancy * spec.num_sms
-    waves = count / slots_per_wave
-    # SMs actively streaming memory in the steady state bound achievable bandwidth.
-    active_sms = min(spec.num_sms, math.ceil(count / occupancy))
-    bandwidth = min(spec.hbm_bandwidth, active_sms * spec.sm_mem_bandwidth)
-    compute_sms = min(spec.num_sms, count)
-    compute = spec.tensor_flops_per_sm * compute_sms
-
-    ideal = max(flops / compute, dram_bytes / bandwidth)
-    # Wave quantization: the last, partially filled wave still takes a full
-    # wave's time for the dominant resource.
-    if waves > 0:
-        quantization = math.ceil(waves) / waves
-        # Quantization matters most when there are few waves.
-        ideal *= min(quantization, 2.0)
-    return ideal + fixed_time + spec.kernel_launch_overhead
+    return priced_kernel_time(kernel_shape(spec, count, occupancy), flops, dram_bytes, fixed_time)
 
 
 def fused_time(

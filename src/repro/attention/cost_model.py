@@ -421,6 +421,52 @@ def _decode_rows(
     return rows, deployment.kv_heads_per_gpu * num_splits
 
 
+def decode_shape(
+    deployment: Deployment,
+    num_decodes: int,
+    num_splits: int,
+    tile: TileShape,
+) -> tuple[int, int, float, int, int, int, int]:
+    """The part of :func:`decode_aggregate_from_sums` that the decode count
+    and KV splits fix.
+
+    Returns (CTA count, splits, 4 × padded query rows, head dim, dtype
+    bytes, query and output bytes of every decode, copies per decode);
+    :func:`decode_context_totals` adds the sum of the contexts.
+    """
+    model = deployment.model
+    head_dim = model.head_dim
+    group_size = deployment.group_size
+
+    padded_rows = max(tile.tile_q, group_size)
+    q_bytes = group_size * head_dim * model.dtype_bytes
+    out_bytes = group_size * head_dim * (
+        PARTIAL_ACCUMULATOR_BYTES if num_splits > 1 else model.dtype_bytes
+    )
+    copies = deployment.kv_heads_per_gpu * num_splits
+    return (
+        num_decodes * copies,
+        num_splits,
+        4.0 * padded_rows,
+        head_dim,
+        model.dtype_bytes,
+        num_decodes * (q_bytes + out_bytes),
+        copies,
+    )
+
+
+def decode_context_totals(
+    shape: tuple[int, int, float, int, int, int, int], context_sum: int
+) -> tuple[float, float]:
+    """(FLOPs, DRAM bytes) of a decode batch of ``shape`` (see
+    :func:`decode_shape`) whose contexts sum to ``context_sum``."""
+    _, splits, row_flops, head_dim, dtype, fixed_bytes, copies = shape
+    kv_span = context_sum / splits
+    flops = effective_decode_flops(row_flops * kv_span * head_dim)
+    dram = effective_bytes(kv_span * head_dim * 2 * dtype + fixed_bytes)
+    return flops * copies, dram * copies
+
+
 def decode_aggregate_from_sums(
     deployment: Deployment,
     num_decodes: int,
@@ -437,20 +483,9 @@ def decode_aggregate_from_sums(
     instead of materialising one row per decode.
     """
     splits = decode_splits(deployment, num_decodes, min_context, tile)
-    model = deployment.model
-    head_dim = model.head_dim
-    dtype = model.dtype_bytes
-    group_size = deployment.group_size
-
-    padded_rows = max(tile.tile_q, group_size)
-    q_bytes = group_size * head_dim * dtype
-    out_bytes = group_size * head_dim * (PARTIAL_ACCUMULATOR_BYTES if splits > 1 else dtype)
-    kv_span = context_sum / splits
-    flops = effective_decode_flops(4.0 * padded_rows * kv_span * head_dim)
-    kv_bytes = kv_span * head_dim * 2 * dtype
-    dram = effective_bytes(kv_bytes + num_decodes * (q_bytes + out_bytes))
-    copies = deployment.kv_heads_per_gpu * splits
-    return num_decodes * copies, flops * copies, dram * copies
+    shape = decode_shape(deployment, num_decodes, splits, tile)
+    flops, dram = decode_context_totals(shape, context_sum)
+    return shape[0], flops, dram
 
 
 def decode_cta_works(

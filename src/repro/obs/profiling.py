@@ -9,7 +9,10 @@ macOS), not psutil.
 
 Peak RSS is a per-process high-water mark, so concurrent profilers observe
 the same peak; ``rss_delta_mb`` (peak minus the value at ``start``) is the
-section-attributable figure.
+section-attributable figure.  ``children_cpu_s`` is the user + system CPU
+time of child processes that ended and were waited for during the section
+(``RUSAGE_CHILDREN``): a process-pool sweep's workers, which ``cpu_s`` does
+not see.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ import platform
 import resource
 import time
 from typing import Any
+
+
+def children_cpu_seconds() -> float:
+    """User + system CPU time of every ended, waited-for child process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def peak_rss_mb() -> float:
@@ -42,15 +51,18 @@ class HostProfiler:
         self.name = name
         self.wall_s = 0.0
         self.cpu_s = 0.0
+        self.children_cpu_s = 0.0
         self.peak_rss_mb = 0.0
         self.rss_delta_mb = 0.0
         self._wall_start: float | None = None
         self._cpu_start = 0.0
+        self._children_cpu_start = 0.0
         self._rss_start = 0.0
 
     def start(self) -> "HostProfiler":
         self._wall_start = time.perf_counter()
         self._cpu_start = time.process_time()
+        self._children_cpu_start = children_cpu_seconds()
         self._rss_start = peak_rss_mb()
         return self
 
@@ -59,6 +71,7 @@ class HostProfiler:
             raise RuntimeError(f"HostProfiler {self.name!r} stopped before start")
         self.wall_s = time.perf_counter() - self._wall_start
         self.cpu_s = time.process_time() - self._cpu_start
+        self.children_cpu_s = children_cpu_seconds() - self._children_cpu_start
         self.peak_rss_mb = peak_rss_mb()
         self.rss_delta_mb = max(self.peak_rss_mb - self._rss_start, 0.0)
         self._wall_start = None
@@ -76,6 +89,7 @@ class HostProfiler:
             "name": self.name,
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
+            "children_cpu_s": round(self.children_cpu_s, 6),
             "peak_rss_mb": round(self.peak_rss_mb, 3),
             "rss_delta_mb": round(self.rss_delta_mb, 3),
         }

@@ -6,7 +6,10 @@ per step: the decode side follows in closed form from the decode count, the
 sum of their contexts and the shortest context, and each prefill chunk's
 FA-tile and POD-tile aggregates are memoized per backend on
 ``(chunk_tokens, prior_tokens)``.  Both feed the plain-number helpers of
-:mod:`repro.attention.analytic` that :func:`analytic_attention_times` uses;
+:mod:`repro.attention.analytic` that :func:`analytic_attention_times` uses.
+The decode kernel's shape, fixed by the decode count and KV splits, is
+memoized too, so :meth:`AttentionBackend.rerun_decode_times` prices each
+re-run of a steady decode batch from its context sum alone.
 :meth:`AttentionBackend.reference` runs that row-summing reference on a
 materialised :class:`HybridBatch`, and the oracle
 :func:`repro.verify.oracles.estimate_equivalence` holds every serving step to
@@ -21,18 +24,24 @@ it.  Backends correspond to the serving systems the paper compares:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.attention.analytic import (
     analytic_attention_times,
     fa_occupancy,
     fused_time,
+    kernel_shape,
     kernel_time,
+    priced_kernel_time,
 )
 from repro.attention.cost_model import (
     CTA_FIXED_OVERHEAD,
     FA_DECODE_TILE,
     FA_PREFILL_TILE,
     decode_aggregate_from_sums,
+    decode_context_totals,
+    decode_shape,
+    decode_splits,
     default_prefill_splits,
     prefill_cta_aggregate,
 )
@@ -84,6 +93,9 @@ class AttentionBackend:
         # key -> (FLOPs, DRAM bytes) under that configuration's tile.
         self._prefill_memo: dict[tuple[int, int], tuple[float, int, float, float, int]] = {}
         self._pod_prefill_memo: dict[tuple[int, int, int], tuple[float, float]] = {}
+        # (decode count, KV splits) -> the FA decode kernel's decode_shape and
+        # kernel_shape.
+        self._decode_memo: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     def _fa_prefill_entry(self, key: tuple[int, int]) -> tuple[float, int, float, float, int]:
         deployment = self.deployment
@@ -118,6 +130,41 @@ class AttentionBackend:
         self._pod_prefill_memo[key] = entry
         return entry
 
+    def _fa_decode_shapes(self, num_decodes: int, min_context: int) -> tuple[tuple, tuple]:
+        """The FA decode kernel's decode and kernel shapes; the shortest
+        context only picks the KV splits."""
+        splits = decode_splits(self.deployment, num_decodes, min_context, FA_DECODE_TILE)
+        key = (num_decodes, splits)
+        entry = self._decode_memo.get(key)
+        if entry is None:
+            shape = decode_shape(self.deployment, num_decodes, splits, FA_DECODE_TILE)
+            entry = self._decode_memo[key] = (
+                shape,
+                kernel_shape(self.deployment.gpu, shape[0], self._occupancy[1]),
+            )
+        return entry
+
+    def rerun_decode_times(self, batch: ScheduledBatch) -> Iterator[float]:
+        """Decode attention times of successive re-runs of a decode-only batch.
+
+        The j-th time yielded is what :meth:`estimate` gives after
+        :meth:`ScheduledBatch.advance_decode_sums` has run j times, bit for
+        bit; the batch itself is left alone.  The splits read the shortest
+        context only through ``min_context // tile_kv``, so the shapes are
+        looked up again only when that quotient changes.
+        """
+        num_decodes, context_sum, min_context = batch.context_sums()
+        tile_kv = FA_DECODE_TILE.tile_kv
+        quotient = -1
+        while True:
+            context_sum += num_decodes
+            min_context += 1
+            if min_context // tile_kv != quotient:
+                quotient = min_context // tile_kv
+                shape, kernel = self._fa_decode_shapes(num_decodes, min_context)
+            flops, dram = decode_context_totals(shape, context_sum)
+            yield priced_kernel_time(kernel, flops, dram, CTA_FIXED_OVERHEAD)
+
     def estimate(self, batch: ScheduledBatch) -> AttentionEstimate:
         """Per-layer attention estimate for one scheduled batch.
 
@@ -147,10 +194,9 @@ class AttentionBackend:
         decodes = batch.decode_requests
         if decodes:
             num_decodes, context_sum, min_context = batch.context_sums()
-            count, flops, dram = decode_aggregate_from_sums(
-                deployment, num_decodes, context_sum, min_context, FA_DECODE_TILE
-            )
-            decode_time = kernel_time(spec, count, flops, dram, fixed, self._occupancy[1])
+            shape, kernel = self._fa_decode_shapes(num_decodes, min_context)
+            flops, dram = decode_context_totals(shape, context_sum)
+            decode_time = priced_kernel_time(kernel, flops, dram, fixed)
         if not (self.fuses and keys and decodes):
             return AttentionEstimate(prefill_time=prefill_time, decode_time=decode_time)
 

@@ -2,11 +2,13 @@
 
 ``ReplicaRuntime`` is the event-level serving core: one replica's
 pending/waiting/running queues, KV cache, engine and local clock, advanced one
-iteration at a time via :meth:`step`.  ``repro.cluster.ClusterSimulator``
-interleaves one or more runtimes event-by-event under one global clock, which
-is why the stepping API is explicit rather than buried in a ``run()`` loop;
-:meth:`ReplicaRuntime.run_to_completion` is the plain single-replica loop the
-differential oracle in ``repro.verify.oracles`` replays against it.
+iteration at a time via :meth:`step`, or via :meth:`advance`, which also
+leaps through a steady decode run up to a given time.
+``repro.cluster.ClusterSimulator`` interleaves one or more runtimes under one
+global clock, which is why the stepping API is explicit rather than buried in
+a ``run()`` loop; :meth:`ReplicaRuntime.run_to_completion` is the plain
+single-replica loop the differential oracle in ``repro.verify.oracles``
+replays against it.
 
 Two details matter for cluster use:
 
@@ -35,10 +37,23 @@ calling ``Scheduler.schedule``, which by contract would return the same one.
 Its carried decode sums advance by one token per decode per re-run.  Only
 :meth:`ReplicaRuntime.steady_batch` decides; the oracles' reference runtime
 overrides it to reschedule every step.
+
+Steady runs leap.  Within a steady run nothing changes but the clock and the
+decodes' progress, and each re-run's duration depends only on its index, so
+:meth:`ReplicaRuntime.advance` runs in one call every re-run that starts
+before a given time (the cluster's next delivery) and before the next
+pending request is ready, stopping before the step in which the first decode
+finishes.  The engine prices each re-run from the same helpers as a step
+(:meth:`InferenceEngine.rerun_durations`); the clock and busy time take the
+same float additions per re-run, and the requests and counters are committed
+once at the end.  A leap's results, counters and recorded events equal those
+of the same steps run one :meth:`ReplicaRuntime.step` at a time, which
+:func:`repro.verify.oracles.leap_equivalence` checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -71,7 +86,8 @@ _COMPACT_THRESHOLD = 1024
 
 @dataclass
 class StepOutcome:
-    """What one :meth:`ReplicaRuntime.step` call did."""
+    """What one :meth:`ReplicaRuntime.step` or :meth:`ReplicaRuntime.advance`
+    call did (``result`` is the last iteration it ran)."""
 
     released: list[Request] = field(default_factory=list)
     result: IterationResult | None = None
@@ -406,6 +422,79 @@ class ReplicaRuntime:
                             )
             return StepOutcome(released=released, result=result)
 
+    def advance(self, until: float = math.inf) -> StepOutcome:
+        """Run the next step, then every re-run step that starts before ``until``.
+
+        After arrival admission, a steady batch (:meth:`steady_batch`) leaps:
+        its re-runs are run in bulk while each starts strictly before both
+        ``until`` and the next pending ready time, stopping before the step in
+        which its first decode finishes and at ``MAX_ITERATIONS``.  Otherwise
+        one :meth:`step` runs, and a leap follows when it released nothing.
+        The outcome is that of the step, or of the last leaped step when the
+        call only leaped.  Clocks, counters, requests and recorded events
+        end exactly as if each step had run through :meth:`step`.
+        """
+        self._admit_arrivals()
+        batch = self.steady_batch()
+        if batch is not None:
+            result = self._leap(batch, until)
+            if result is not None:
+                return StepOutcome(result=result)
+        outcome = self.step()
+        if outcome.executed and not outcome.released:
+            batch = self.steady_batch()
+            if batch is not None:
+                self._leap(batch, until)
+        return outcome
+
+    def _leap(self, batch: ScheduledBatch, until: float) -> IterationResult | None:
+        """Re-run the steady ``batch`` over every step :meth:`advance` allows.
+
+        Each step is priced by :meth:`InferenceEngine.rerun_durations` and
+        advances the clock and busy time by the same float additions as
+        :meth:`step`.  The requests are committed once, after the last step:
+        each decode's last token landed at the leap's start, so one list of
+        clock differences extends every decode's ``token_intervals``.
+        Returns the last step's result, or ``None`` when no step may leap.
+        """
+        decodes = batch.decode_requests
+        steps = min(
+            min(request.remaining_decode_tokens for request in decodes) - 1,
+            MAX_ITERATIONS - self.steps_executed,
+        )
+        self._ensure_sorted()
+        if self._cursor < len(self._pending):
+            until = min(until, self._pending[self._cursor][0])
+        clock = self.clock
+        if steps <= 0 or not clock < until:
+            return None
+        busy_time = self.busy_time
+        num_tokens = len(decodes)
+        recorder = self.recorder
+        intervals: list[float] = []
+        for duration in self.engine.rerun_durations(batch):
+            start = clock
+            clock += duration
+            busy_time += duration
+            intervals.append(clock - start)
+            if recorder is not None:
+                self._record_batch(batch, start, clock, duration, num_tokens)
+            if len(intervals) == steps or not clock < until:
+                break
+        leaped = len(intervals)
+        self.clock = clock
+        self.busy_time = busy_time
+        self.steps_executed += leaped
+        self.engine.total_iterations += leaped
+        self.load_total_tokens -= num_tokens * leaped
+        count, context_sum, min_context = batch.context_sums()
+        batch.decode_sums = (count, context_sum + count * leaped, min_context + leaped)
+        for request in decodes:
+            request.token_intervals.extend(intervals)
+            request.last_token_time = clock
+            request.decode_done_tokens += leaped
+        return IterationResult(duration, num_tokens, False)
+
     def _record_iteration(self, batch, running_ids_before: set[int], start: float, result) -> None:
         """Emit the preempted / admitted / batch_formed / step / chunk events
         of one iteration."""
@@ -431,6 +520,13 @@ class ReplicaRuntime:
                 replica_id=self.replica_id,
                 request_id=request.request_id,
             )
+        self._record_batch(batch, start, self.clock, result.duration, result.num_tokens)
+
+    def _record_batch(
+        self, batch: ScheduledBatch, start: float, end: float, duration: float, num_tokens: int
+    ) -> None:
+        """Emit the batch_formed / step / chunk events of one iteration."""
+        recorder = self.recorder
         recorder.emit(
             "batch_formed",
             time=start,
@@ -449,14 +545,13 @@ class ReplicaRuntime:
             "step",
             time=start,
             replica_id=self.replica_id,
-            duration=result.duration,
-            num_tokens=result.num_tokens,
+            duration=duration,
+            num_tokens=num_tokens,
             num_waiting=len(self.waiting),
             num_running=len(self.running),
             kv_used_blocks=self.kv_cache.used_blocks,
             kv_total_blocks=self.kv_cache.total_blocks,
         )
-        end = self.clock
         for request, chunk in batch.prefill_items:
             recorder.emit(
                 "chunk_executed",
@@ -477,7 +572,7 @@ class ReplicaRuntime:
             )
 
     def run_to_completion(self) -> None:
-        """Step until drained: the plain single-replica loop."""
+        """Advance until drained: the plain single-replica loop."""
         while self.next_ready_time() is not None:
-            if not self.step().executed:
+            if not self.advance().executed:
                 break

@@ -10,11 +10,19 @@ strings (empty = the oracle passes):
   drain), so *every* scenario must produce identical per-request timestamps
   and metrics through both, under every router policy (one replica leaves a
   router no choice).
+* :func:`leap_equivalence` — a fleet whose replicas leap through steady
+  decode runs (:meth:`~repro.serving.replica.ReplicaRuntime.advance`) must
+  end bit for bit where the same fleet of :class:`ReschedulingRuntime`
+  replicas, stepped one iteration at a time, ends: per-request times and
+  token intervals, per-replica clocks and counters, KV counters, metric
+  rows and, when both record, the event log — colocated, under the control
+  plane and disaggregated.
 * :func:`estimate_equivalence` — every serving step's attention estimate,
   computed at O(1) from decode sums and memoized prefill aggregates, must
   equal the backend's phase split of :func:`analytic_attention_times` on the
   materialised batch (within :data:`ESTIMATE_RTOL`; an absent phase is an
-  exact 0), on every registry scenario, backend and topology.
+  exact 0), on every registry scenario, backend and topology; leaped
+  re-runs are checked on contexts recomputed from their requests.
 * :func:`scheduler_conservation` — schedulers differ in *when* tokens run,
   never in *how many*: on one trace, Sarathi and vLLM must schedule exactly
   the same prefill/decode token totals and finish every request, with their
@@ -40,14 +48,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.attention.analytic import analytic_attention_times
 from repro.attention.executors import FASerial
-from repro.attention.workload import HybridBatch
-from repro.cluster.simulator import ClusterSimulator
+from repro.attention.workload import DecodeRequest, HybridBatch
+from repro.cluster.control import AdmissionPolicy, AutoscalerPolicy, ControlPlane
+from repro.cluster.simulator import ClusterResult, ClusterSimulator
 from repro.cluster.topology import ColocatedTopology, DisaggregatedTopology
 from repro.core.pod_kernel import PODAttention
 from repro.gpu.config import GPUSpec
@@ -139,8 +148,8 @@ def single_replica_reference(
     The reference side of the single-replica oracles: fresh copies of every
     request are enqueued up front on a :class:`ReschedulingRuntime`, and
     :meth:`~repro.serving.replica.ReplicaRuntime.run_to_completion` steps it
-    until it drains.  Returns the served copies, their metrics and the
-    KV-cache counters.
+    until it drains (it never leaps, so one step per call).  Returns the
+    served copies, their metrics and the KV-cache counters.
     """
     served = [request.fresh_copy() for request in requests]
     runtime = ReschedulingRuntime(deployment, scheduler, backend, kv_config)
@@ -214,7 +223,11 @@ class _EstimateCheckingBackend(AttentionBackend):
     Every :meth:`estimate` call materialises the step's
     :class:`~repro.attention.workload.HybridBatch` and compares the two phase
     times: within :data:`ESTIMATE_RTOL` relative, and exactly 0 for a phase
-    the batch does not have.  Findings collect in ``discrepancies``.
+    the batch does not have.  Every re-run a replica leaps through
+    (:meth:`rerun_decode_times`) is checked the same way, on contexts
+    recomputed from the requests: a leap commits its requests after its
+    last step, so the j-th re-run's contexts are theirs plus j.  Findings
+    collect in ``discrepancies``.
     """
 
     def __init__(self, inner: AttentionBackend, label: str) -> None:
@@ -224,9 +237,9 @@ class _EstimateCheckingBackend(AttentionBackend):
         self.steps_checked = 0
         self.discrepancies: list[str] = []
 
-    def estimate(self, batch: ScheduledBatch) -> AttentionEstimate:
-        estimate = self.inner.estimate(batch)
-        reference = self.inner.reference(batch.to_hybrid_batch())
+    def _check(
+        self, batch: ScheduledBatch, estimate: AttentionEstimate, reference: AttentionEstimate
+    ) -> None:
         step = self.steps_checked
         self.steps_checked += 1
         for phase, present in (
@@ -243,7 +256,22 @@ class _EstimateCheckingBackend(AttentionBackend):
                     f"{self.label} step {step} ({batch.describe()}): {phase} "
                     f"{got!r} vs reference {want!r}"
                 )
+
+    def estimate(self, batch: ScheduledBatch) -> AttentionEstimate:
+        estimate = self.inner.estimate(batch)
+        self._check(batch, estimate, self.inner.reference(batch.to_hybrid_batch()))
         return estimate
+
+    def rerun_decode_times(self, batch: ScheduledBatch) -> Iterator[float]:
+        decodes = batch.decode_requests
+        for offset, decode_time in enumerate(self.inner.rerun_decode_times(batch)):
+            contexts = tuple(
+                DecodeRequest(context_tokens=max(1, request.context_tokens + offset))
+                for request in decodes
+            )
+            reference = self.inner.reference(HybridBatch(decodes=contexts))
+            self._check(batch, AttentionEstimate(0.0, decode_time), reference)
+            yield decode_time
 
 
 def estimate_equivalence(
@@ -263,7 +291,10 @@ def estimate_equivalence(
     step's :meth:`~repro.serving.attention_backend.AttentionBackend.estimate`
     must equal the backend's phase split of
     :func:`analytic_attention_times` on ``batch.to_hybrid_batch()`` within
-    :data:`ESTIMATE_RTOL`, and be exactly 0 for an absent phase.
+    :data:`ESTIMATE_RTOL`, and be exactly 0 for an absent phase.  Each
+    re-run a replica leaps through is checked the same way, on its
+    requests' contexts, so the number of checks must equal the number of
+    executed steps.
     """
     check_in_choices("topology", topology, ("colocated", "disaggregated"))
     label = f"{scenario}/{backend}/{topology}"
@@ -296,6 +327,155 @@ def estimate_equivalence(
     executed = sum(replica.steps_executed for replica in simulator.replicas)
     if checked != executed or not checked:
         discrepancies.append(f"{label}: checked {checked} of {executed} steps")
+    return discrepancies
+
+
+class _ReschedulingFleet:
+    """``topology`` with every replica it builds a :class:`ReschedulingRuntime`.
+
+    The reference side of :func:`leap_equivalence`: it delegates everything
+    else to ``topology``, the autoscaler's scale-up path included.
+    """
+
+    def __init__(self, topology: ColocatedTopology | DisaggregatedTopology) -> None:
+        self.topology = topology
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.topology, name)
+
+    @staticmethod
+    def _rescheduling(replica: ReplicaRuntime) -> ReplicaRuntime:
+        replica.__class__ = ReschedulingRuntime
+        return replica
+
+    def build_replica(self, replica_id: int, recorder: Any = None) -> ReplicaRuntime:
+        return self._rescheduling(self.topology.build_replica(replica_id, recorder=recorder))
+
+    def build_replicas(self, recorder: Any = None) -> list[ReplicaRuntime]:
+        return [self._rescheduling(r) for r in self.topology.build_replicas(recorder=recorder)]
+
+
+#: Fleets :func:`leap_equivalence` runs.
+_LEAP_FLEETS = ("colocated", "control", "disaggregated")
+
+def _replica_state(replica: ReplicaRuntime) -> dict[str, float]:
+    """The per-replica state a leap must leave exactly as stepping does."""
+    return {
+        "clock": replica.clock,
+        "busy_time": replica.busy_time,
+        "steps_executed": replica.steps_executed,
+        "total_iterations": replica.engine.total_iterations,
+        "hybrid_iterations": replica.engine.hybrid_iterations,
+        "load_num_requests": replica.load_num_requests,
+        "load_total_tokens": replica.load_total_tokens,
+        "load_prefill_tokens": replica.load_prefill_tokens,
+    }
+
+
+def leap_equivalence(
+    deployment: Deployment,
+    scenario: str,
+    fleet: str = "colocated",
+    num_replicas: int = 2,
+    num_requests: int = 24,
+    seed: int = 0,
+    qps: float | None = None,
+    record: bool = False,
+    chunk_size: int = 1024,
+) -> list[str]:
+    """Diff a fleet that leaps through steady decode runs against the same
+    fleet of :class:`ReschedulingRuntime` replicas, which steps every one.
+
+    ``fleet`` is ``"colocated"`` (``num_replicas`` Sarathi+POD replicas),
+    ``"control"`` (the same, with an autoscaler that may double the fleet
+    and tiered admission control) or ``"disaggregated"`` (``num_replicas``
+    prefill and as many decode replicas).  Both runs serve one registry
+    trace under the least-tokens router and must agree bit for bit on every
+    request's state, times and ``token_intervals``, on the routing, on each
+    replica's clock, busy time, steps, iteration counts and load counters,
+    on the KV counters and on the metric rows.  With ``record`` both runs
+    record, and their event logs must be identical event for event.
+    """
+    check_in_choices("fleet", fleet, _LEAP_FLEETS)
+    label = f"{scenario}/{fleet}x{num_replicas}{'/recorded' if record else ''}"
+    trace = build_scenario(scenario, num_requests=num_requests, seed=seed, qps=qps)
+
+    def run(reference: bool) -> tuple[ClusterSimulator, ClusterResult, EventRecorder | None]:
+        topology: ColocatedTopology | DisaggregatedTopology
+        if fleet == "disaggregated":
+            topology = DisaggregatedTopology(
+                deployment,
+                num_prefill=num_replicas,
+                num_decode=num_replicas,
+                chunk_size=chunk_size,
+                backend_builder=PODBackend,
+            )
+        else:
+            topology = ColocatedTopology(
+                deployment,
+                num_replicas=num_replicas,
+                scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size),
+                backend_builder=PODBackend,
+            )
+        control = None
+        if fleet == "control":
+            control = ControlPlane(
+                autoscaler=AutoscalerPolicy(
+                    min_replicas=num_replicas,
+                    max_replicas=2 * num_replicas,
+                    scale_up_queue_depth=2.0,
+                    scale_down_queue_depth=1.5,
+                    cold_start_s=1.0,
+                    cooldown_s=2.0,
+                ),
+                admission=AdmissionPolicy(max_queue_per_replica=6),
+            )
+        recorder = EventRecorder() if record else None
+        simulator = ClusterSimulator(
+            _ReschedulingFleet(topology) if reference else topology,
+            router="least-tokens",
+            recorder=recorder,
+            control=control,
+        )
+        return simulator, simulator.run(trace), recorder
+
+    reference, expected, expected_log = run(reference=True)
+    candidate, got, got_log = run(reference=False)
+
+    discrepancies = _compare_requests(label, expected.requests, got.requests)
+    states = {r.request_id: (r.state, r.reject_time) for r in got.requests}
+    for request in expected.requests:
+        if states.get(request.request_id) != (request.state, request.reject_time):
+            discrepancies.append(f"{label}: request {request.request_id} state differs")
+    for name in ("assignments", "decode_assignments"):
+        if getattr(expected, name) != getattr(got, name):
+            discrepancies.append(f"{label}: {name} differ")
+    if len(reference.replicas) != len(candidate.replicas):
+        discrepancies.append(
+            f"{label}: {len(reference.replicas)} vs {len(candidate.replicas)} replicas"
+        )
+    for ref_replica, replica in zip(reference.replicas, candidate.replicas):
+        want, have = _replica_state(ref_replica), _replica_state(replica)
+        for name in want:
+            if want[name] != have[name]:
+                discrepancies.append(
+                    f"{label}: replica {replica.replica_id} {name} differs "
+                    f"({want[name]!r} vs {have[name]!r})"
+                )
+    if expected.kv_stats != got.kv_stats:
+        discrepancies.append(f"{label}: KV stats differ")
+    for name in ("as_row", "control_row"):
+        if getattr(expected.metrics, name)() != getattr(got.metrics, name)():
+            discrepancies.append(f"{label}: metrics {name}() differs")
+    discrepancies.extend(_compare_metrics(label, expected.metrics.fleet, got.metrics.fleet))
+    if expected_log is not None and got_log is not None:
+        want_events, have_events = expected_log.events, got_log.events
+        for index, (want_event, have_event) in enumerate(zip(want_events, have_events)):
+            if want_event != have_event:
+                discrepancies.append(f"{label}: event {index}: {want_event} vs {have_event}")
+                break
+        if len(want_events) != len(have_events):
+            discrepancies.append(f"{label}: {len(want_events)} vs {len(have_events)} events")
     return discrepancies
 
 

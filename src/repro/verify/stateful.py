@@ -15,8 +15,9 @@ Three machines:
   pure-python model with explicit block identity.  Every rule cross-checks
   usage, refcounts, LRU order and per-request holdings.
 * :class:`SchedulerReplicaMachine` — either scheduler driven through
-  ``ReplicaRuntime`` one enqueue/step at a time, with the event-log invariant
-  checker as the oracle after every rule and drain-balance checks at teardown.
+  ``ReplicaRuntime`` one enqueue/step/advance at a time, with the event-log
+  invariant checker and a rescheduling twin stepped in lockstep as the
+  oracles after every rule and drain-balance checks at teardown.
 * :class:`ClusterInterleavingMachine` — a small fleet driven with the cluster
   event-loop discipline (arrivals globally monotone, earliest replica steps
   first); single-replica fleets are additionally pinned against
@@ -374,6 +375,21 @@ class KVCacheMachine(RuleBasedStateMachine):
         request, tokens = self.preempted.pop(rid)
         self._admit_both(request, tokens)
 
+    @precondition(lambda self: self.manager.cached_blocks >= 2)
+    @rule()
+    def admit_evicting_one(self) -> None:
+        """An untagged admission one block larger than the never-used space
+        evicts exactly one cached block: the least recently released."""
+        manager = self.manager
+        blocks = manager.total_blocks - manager.used_blocks - manager.cached_blocks + 1
+        request = Request(
+            request_id=self.next_id, prefill_tokens=blocks * _BLOCK_SIZE, decode_tokens=4
+        )
+        self.next_id += 1
+        evictions = manager.stats.evictions
+        self._admit_both(request, blocks * _BLOCK_SIZE)
+        assert manager.stats.evictions == evictions + 1, "expected exactly one eviction"
+
     @rule()
     def free_unknown_id(self) -> None:
         """Frees of never-admitted ids are absorbed but counted."""
@@ -432,12 +448,17 @@ def _build_scheduler(kind: str, chunk_size: int, preemption: bool) -> Any:
 
 
 class SchedulerReplicaMachine(RuleBasedStateMachine):
-    """Enqueue/step interleavings on one replica, checked after every rule.
+    """Enqueue/step/advance interleavings on one replica, checked after every rule.
 
-    The PR 3 invariant checker replays the full event log after each
-    operation (causality, token conservation, KV accounting, refcount
-    conservation, batch budgets, monotone clocks); teardown drains the
-    replica and adds the drain-balance postconditions.
+    The invariant checker replays the full event log after each operation
+    (causality, token conservation, KV accounting, refcount conservation,
+    batch budgets, monotone clocks).  A
+    :class:`~repro.verify.oracles.ReschedulingRuntime` twin takes the same
+    enqueues and one :meth:`~ReplicaRuntime.step` per step the runtime ran,
+    so ``advance`` (which may leap through a steady decode run up to a drawn
+    horizon) must leave an event log identical to the twin's.  Teardown
+    drains the runtime through ``run_to_completion`` and adds the
+    drain-balance postconditions.
     """
 
     @initialize(
@@ -458,19 +479,26 @@ class SchedulerReplicaMachine(RuleBasedStateMachine):
         release_on: str,
     ) -> None:
         self.recorder = EventRecorder()
+        self.reference_recorder = EventRecorder()
         self.capacity_tokens = capacity_blocks * _BLOCK_SIZE
         self.release_on = release_on
-        self.runtime = ReplicaRuntime(
-            _DEPLOYMENT,
-            scheduler=_build_scheduler(kind, chunk_size, preemption),
-            kv_config=KVCacheConfig(
-                capacity_tokens=self.capacity_tokens,
-                block_size=_BLOCK_SIZE,
-                enable_prefix_caching=caching,
-            ),
-            recorder=self.recorder,
-            release_on=release_on,
+        kv_config = KVCacheConfig(
+            capacity_tokens=self.capacity_tokens,
+            block_size=_BLOCK_SIZE,
+            enable_prefix_caching=caching,
         )
+
+        def build(runtime_class: type[ReplicaRuntime], recorder: EventRecorder) -> ReplicaRuntime:
+            return runtime_class(
+                _DEPLOYMENT,
+                scheduler=_build_scheduler(kind, chunk_size, preemption),
+                kv_config=kv_config,
+                recorder=recorder,
+                release_on=release_on,
+            )
+
+        self.runtime = build(ReplicaRuntime, self.recorder)
+        self.reference = build(ReschedulingRuntime, self.reference_recorder)
         self.next_id = 0
         self.last_arrival = 0.0
 
@@ -511,29 +539,54 @@ class SchedulerReplicaMachine(RuleBasedStateMachine):
         delay = data.draw(
             st.floats(min_value=0.0, max_value=0.5, allow_nan=False), label="delay"
         )
-        self.runtime.enqueue(request, ready_time=round(arrival + delay, 6))
+        ready = round(arrival + delay, 6)
+        self.runtime.enqueue(request, ready_time=ready)
+        self.reference.enqueue(request.fresh_copy(), ready_time=ready)
+
+    def _catch_up_reference(self) -> None:
+        """Step the twin once per step the runtime has run beyond it (a twin
+        that drains first stops; the event-log comparison reports it)."""
+        while self.reference.steps_executed < self.runtime.steps_executed:
+            if not self.reference.step().executed:
+                break
 
     @precondition(lambda self: self.runtime.next_ready_time() is not None)
     @rule()
     def step(self) -> None:
         self.runtime.step()
+        self._catch_up_reference()
+
+    @precondition(lambda self: self.runtime.next_ready_time() is not None)
+    @rule(
+        horizon=st.one_of(
+            st.floats(min_value=0.0, max_value=0.5, allow_nan=False), st.just(math.inf)
+        )
+    )
+    def advance(self, horizon: float) -> None:
+        self.runtime.advance(self.runtime.clock + horizon)
+        self._catch_up_reference()
 
     @invariant()
     def event_log_holds(self) -> None:
         _require(check_event_log(self.recorder, expect_drained=False))
         _require(check_replica_load_counters([self.runtime]))
+        assert self.recorder.events == self.reference_recorder.events, (
+            "advancing diverged from rescheduling every step"
+        )
 
     def teardown(self) -> None:
         if not hasattr(self, "runtime"):  # initialize never ran (shrunk away)
             return
-        while self.runtime.next_ready_time() is not None:
-            if not self.runtime.step().executed:
-                break
+        self.runtime.run_to_completion()
+        self._catch_up_reference()
         drained = self.release_on == "finish"
         _require(check_event_log(self.recorder, expect_drained=drained))
         _require(check_replica_load_counters([self.runtime]))
         if drained:
             _require(check_kv_drain_balance([self.runtime]))
+        assert self.recorder.events == self.reference_recorder.events, (
+            "draining diverged from rescheduling every step"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -1007,7 +1060,9 @@ def _replay_scheduler(entry: dict[str, Any]) -> None:
     """Harness ``scheduler``: enqueue/step ops through ``ReplicaRuntime``.
 
     A :class:`~repro.verify.oracles.ReschedulingRuntime` replays the ops in
-    lockstep, and the two event logs must be identical.
+    lockstep.  The drain runs the runtime through ``run_to_completion``
+    (which leaps through steady decode runs) and the reference one
+    ``step()`` at a time, and the two event logs must be identical.
     """
     config = entry["config"]
     recorder = EventRecorder()
@@ -1067,10 +1122,10 @@ def _replay_scheduler(entry: dict[str, Any]) -> None:
         else:
             raise ValueError(f"stale corpus entry: unknown scheduler op {name!r}")
     if entry.get("drain", True):
-        for replica in (runtime, reference):
-            while replica.next_ready_time() is not None:
-                if not replica.step().executed:
-                    break
+        runtime.run_to_completion()
+        while reference.next_ready_time() is not None:
+            if not reference.step().executed:
+                break
         _require(check_event_log(recorder, expect_drained=True))
         _require(check_kv_drain_balance([runtime]))
     else:

@@ -7,6 +7,11 @@ in the workflow); ``nightly`` raises the example count to 200 for the
 scheduled fuzzing job (``HYPOTHESIS_PROFILE=nightly``) and prints reproduction
 blobs so failing scenario seeds can be replayed from the CI artifacts.  Tests
 that pin ``max_examples`` explicitly keep their own setting.
+
+``dev`` and ``ci`` do not shrink: a failing stateful machine can shrink for
+many minutes, which would turn a red tier-1 run into a hang.  They report
+the failing example as found; ``nightly`` shrinks it to a minimal one (see
+the corpus workflow in ``docs/testing.md``).
 """
 
 from __future__ import annotations
@@ -14,16 +19,20 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
+
+#: Every phase but shrinking (tier-1 fails fast; nightly shrinks).
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 settings.register_profile(
     "ci",
     max_examples=10,
     deadline=None,
     derandomize=True,
+    phases=_NO_SHRINK,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.register_profile("dev", max_examples=25, deadline=None)
+settings.register_profile("dev", max_examples=25, deadline=None, phases=_NO_SHRINK)
 settings.register_profile(
     "nightly",
     max_examples=200,

@@ -15,7 +15,7 @@ from repro.cluster import (
     topology_from_spec,
 )
 from repro.models.config import ClusterSpec
-from repro.serving.attention_backend import AttentionBackend, FASerialBackend, PODBackend
+from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import Request, RequestState
@@ -107,14 +107,17 @@ class TestReadyHeap:
 
 class TestSteadyDecodeBatches:
     """A replica reschedules only on the steps that cannot re-run its last
-    batch, and estimates every step once; counts carry no timing noise."""
+    batch, and runs the engine only on the steps it schedules and on the
+    re-runs that release a request: every other re-run leaps.  Counts carry
+    no timing noise."""
 
     @staticmethod
     def _observe(monkeypatch, simulator):
-        """Serve arxiv-summarization (16 requests) and return, per replica,
-        one record per executed step: schedule calls, estimate calls, the
-        waiting queue left by the last arrival admission, whether the batch
-        had a prefill item, its preemptions and the step's releases."""
+        """Serve arxiv-summarization (16 requests) and return the call counts
+        and, per replica, one record per ``step()`` call: schedule calls,
+        execute calls, the waiting queue left by the last arrival admission,
+        whether the batch had a prefill item, its preemptions and the step's
+        releases."""
         calls: Counter = Counter()
         waiting: dict[object, int] = {}
         executed: list[ScheduledBatch] = []
@@ -136,6 +139,7 @@ class TestSteadyDecodeBatches:
         execute = InferenceEngine.execute
 
         def observed_execute(engine, batch):
+            calls["execute"] += 1
             executed.append(batch)
             return execute(engine, batch)
 
@@ -149,7 +153,7 @@ class TestSteadyDecodeBatches:
                 steps[replica].append(
                     (
                         calls["schedule"] - before["schedule"],
-                        calls["estimate"] - before["estimate"],
+                        calls["execute"] - before["execute"],
                         waiting[replica],
                         bool(batch.prefill_items),
                         len(batch.preempted),
@@ -161,34 +165,35 @@ class TestSteadyDecodeBatches:
         monkeypatch.setattr(
             SarathiScheduler, "schedule", counted("schedule", SarathiScheduler.schedule)
         )
-        monkeypatch.setattr(
-            AttentionBackend, "estimate", counted("estimate", AttentionBackend.estimate)
-        )
         monkeypatch.setattr(ReplicaRuntime, "_admit_arrivals", observed_admit)
         monkeypatch.setattr(InferenceEngine, "execute", observed_execute)
         monkeypatch.setattr(ReplicaRuntime, "step", observed_step)
         simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
-        return [steps[replica] for replica in simulator.replicas]
+        return calls, [steps[replica] for replica in simulator.replicas]
 
-    def test_reschedules_only_steps_that_cannot_rerun(self, llama3_deployment, monkeypatch):
+    def test_executes_only_scheduled_and_releasing_steps(self, llama3_deployment, monkeypatch):
         topology = ColocatedTopology(
             llama3_deployment,
             num_replicas=2,
             scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
             backend_builder=PODBackend,
         )
-        per_replica = self._observe(monkeypatch, ClusterSimulator(topology, router="least-tokens"))
-        reruns = 0
+        simulator = ClusterSimulator(topology, router="least-tokens")
+        calls, per_replica = self._observe(monkeypatch, simulator)
+        releasing_reruns = 0
         for steps in per_replica:
             assert steps
             previous_steady = False  # the first step has no batch to re-run
-            for scheduled, estimated, waiting, prefill, preempted, released in steps:
+            for scheduled, executed, waiting, prefill, preempted, released in steps:
                 can_rerun = previous_steady and not waiting
                 assert scheduled == (0 if can_rerun else 1)
-                assert estimated == 1
-                reruns += can_rerun
+                assert executed == 1
+                releasing_reruns += can_rerun and released > 0
                 previous_steady = not (prefill or preempted or released)
-        assert reruns > sum(len(steps) for steps in per_replica) // 2
+        assert releasing_reruns > 0
+        assert calls["execute"] == calls["schedule"] + releasing_reruns
+        executed_steps = sum(replica.steps_executed for replica in simulator.replicas)
+        assert executed_steps > 10 * calls["execute"]
 
     def test_preemption_mode_schedules_every_step(self, llama3_deployment, monkeypatch):
         topology = ColocatedTopology(
@@ -197,9 +202,11 @@ class TestSteadyDecodeBatches:
             scheduler_factory=lambda: SarathiScheduler(chunk_size=1024, preemption=True),
             backend_builder=PODBackend,
         )
-        (steps,) = self._observe(monkeypatch, ClusterSimulator(topology))
+        simulator = ClusterSimulator(topology)
+        _, (steps,) = self._observe(monkeypatch, simulator)
         assert len(steps) > 100
-        assert all(scheduled == 1 and estimated == 1 for scheduled, estimated, *_ in steps)
+        assert len(steps) == simulator.replicas[0].steps_executed
+        assert all(scheduled == 1 and executed == 1 for scheduled, executed, *_ in steps)
 
 
 class TestColocatedCluster:

@@ -13,6 +13,9 @@ Three contracts:
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.pressure_rows import memory_pressure_simulator
@@ -77,7 +80,23 @@ class TestHostProfiler:
         assert stats["name"] == "work"
         assert stats["wall_s"] >= 0 and stats["cpu_s"] >= 0
         assert stats["peak_rss_mb"] > 1.0  # a python process is > 1 MB
-        assert set(stats) == {"name", "wall_s", "cpu_s", "peak_rss_mb", "rss_delta_mb"}
+        assert set(stats) == {
+            "name",
+            "wall_s",
+            "cpu_s",
+            "children_cpu_s",
+            "peak_rss_mb",
+            "rss_delta_mb",
+        }
+
+    def test_counts_child_process_cpu(self):
+        """A CPU-bound child shows in ``children_cpu_s``, not in ``cpu_s``."""
+        burn = "import time\nwhile time.process_time() < 0.3:\n    pass\n"
+        with HostProfiler("child") as profiler:
+            subprocess.run([sys.executable, "-c", burn], check=True)
+        assert profiler.children_cpu_s >= 0.25
+        assert profiler.cpu_s < profiler.children_cpu_s
+        assert profiler.as_dict()["children_cpu_s"] == round(profiler.children_cpu_s, 6)
 
     def test_explicit_start_stop(self):
         profiler = HostProfiler("x")

@@ -10,6 +10,8 @@ from repro.serving.attention_backend import FASerialBackend, PODBackend, get_bac
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import IterationResult
 from repro.serving.metrics import compute_metrics
+from repro.serving import replica as replica_module
+from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
@@ -169,6 +171,17 @@ class TestSimulatorValidation:
         assert sum(event.data["num_tokens"] for event in steps) == sum(
             r.prefill_tokens + r.decode_tokens - 1 for r in requests
         )
+
+
+    def test_iteration_cap_stops_a_leap(self, llama3_deployment, monkeypatch):
+        """A steady decode run leaps no further than ``MAX_ITERATIONS``; the
+        step after it raises, as stepping one iteration at a time does."""
+        monkeypatch.setattr(replica_module, "MAX_ITERATIONS", 50)
+        runtime = ReplicaRuntime(llama3_deployment, SarathiScheduler(chunk_size=1024))
+        runtime.enqueue(Request(request_id=0, prefill_tokens=512, decode_tokens=200))
+        with pytest.raises(RuntimeError, match="exceeded 50 iterations"):
+            runtime.run_to_completion()
+        assert runtime.steps_executed == 50
 
 
 class TestServingMetrics:

@@ -6,7 +6,9 @@ the plain single-replica drain loop (``single_replica_reference``) *exactly*
 workload registry, under every router policy — with one replica, routing
 must be a no-op — and on offline traces and the vLLM + FA-serial stack.
 Beside it, every serving step's O(1) attention estimate must equal the
-row-summing analytic reference on every scenario, backend and topology.
+row-summing analytic reference on every scenario, backend and topology, and
+a fleet that leaps through steady decode runs must end exactly where the
+same fleet stepping one iteration at a time ends.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from repro.verify import (
     scheduler_conservation,
     single_replica_equivalence,
 )
+from repro.serving.attention_backend import AttentionBackend
+from repro.serving.batch import ScheduledBatch
+from repro.verify.oracles import leap_equivalence
 from repro.workloads import SCENARIOS
 
 SCENARIO_NAMES = tuple(SCENARIOS)
@@ -75,6 +80,54 @@ class TestEstimateEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_every_step_matches_the_reference(self, llama3_deployment, scenario, backend, topology):
         assert estimate_equivalence(llama3_deployment, scenario, backend, topology) == []
+
+
+class TestLeapEquivalence:
+    """Leaped fleets against the same fleets of rescheduling runtimes."""
+
+    @pytest.mark.parametrize(
+        ("scenario", "fleet", "replicas", "requests", "record"),
+        [
+            ("arxiv-summarization", "colocated", 2, 24, False),
+            ("arxiv-summarization", "colocated", 2, 24, True),
+            ("enterprise-internal", "colocated", 4, 32, True),
+            ("surge-multi-tenant", "control", 2, 96, False),
+            ("surge-multi-tenant", "control", 2, 96, True),
+            ("arxiv-summarization", "disaggregated", 2, 24, False),
+            ("enterprise-internal", "disaggregated", 1, 24, True),
+        ],
+    )
+    def test_leaped_fleet_matches_stepped_fleet(
+        self, llama3_deployment, scenario, fleet, replicas, requests, record
+    ):
+        assert (
+            leap_equivalence(
+                llama3_deployment,
+                scenario,
+                fleet,
+                num_replicas=replicas,
+                num_requests=requests,
+                record=record,
+            )
+            == []
+        )
+
+    def test_reports_a_leap_priced_one_step_behind(self, llama3_deployment, monkeypatch):
+        """Pricing re-run j with the decode sums advanced j - 1 times must be
+        caught by both the leap oracle and ``estimate_equivalence``."""
+        rerun_decode_times = AttentionBackend.rerun_decode_times
+
+        def one_step_behind(backend, batch):
+            count, context_sum, min_context = batch.context_sums()
+            behind = ScheduledBatch(
+                decode_requests=batch.decode_requests,
+                decode_sums=(count, context_sum - count, min_context - 1),
+            )
+            return rerun_decode_times(backend, behind)
+
+        monkeypatch.setattr(AttentionBackend, "rerun_decode_times", one_step_behind)
+        assert leap_equivalence(llama3_deployment, "arxiv-summarization", num_requests=16)
+        assert estimate_equivalence(llama3_deployment, "arxiv-summarization")
 
 
 class TestSchedulerConservation:

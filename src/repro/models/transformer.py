@@ -85,21 +85,6 @@ class IterationCostModel:
         """Per-layer linear-operator breakdown for ``num_tokens`` batched tokens."""
         return self.linear_model.layer_breakdown(num_tokens)
 
-    def linear_times(self, num_tokens: int) -> tuple[float, float, float, float]:
-        """Whole-iteration (pre-projection, post-projection, FFN, others) times
-        for ``num_tokens`` batched tokens, memoized per token count."""
-        linear = self._linear_memo.get(num_tokens)
-        if linear is None:
-            layers = self.deployment.model.num_layers
-            per_layer = self.linear_breakdown(num_tokens)
-            linear = self._linear_memo[num_tokens] = (
-                per_layer.pre_attention * layers,
-                per_layer.post_attention * layers,
-                per_layer.ffn * layers,
-                per_layer.others * layers + SCHEDULER_OVERHEAD,
-            )
-        return linear
-
     def iteration_breakdown(
         self,
         num_tokens: int,
@@ -116,7 +101,16 @@ class IterationCostModel:
         check_non_negative("prefill_attention_per_layer", prefill_attention_per_layer)
         check_non_negative("decode_attention_per_layer", decode_attention_per_layer)
         layers = self.deployment.model.num_layers
-        pre_projection, post_projection, ffn, others = self.linear_times(num_tokens)
+        linear = self._linear_memo.get(num_tokens)
+        if linear is None:
+            per_layer = self.linear_breakdown(num_tokens)
+            linear = self._linear_memo[num_tokens] = (
+                per_layer.pre_attention * layers,
+                per_layer.post_attention * layers,
+                per_layer.ffn * layers,
+                per_layer.others * layers + SCHEDULER_OVERHEAD,
+            )
+        pre_projection, post_projection, ffn, others = linear
         return IterationBreakdown(
             pre_projection,
             prefill_attention_per_layer * layers,

@@ -23,7 +23,7 @@ import time
 from typing import Any
 
 
-def children_cpu_seconds() -> float:
+def _children_cpu_seconds() -> float:
     """User + system CPU time of every ended, waited-for child process so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
@@ -62,7 +62,7 @@ class HostProfiler:
     def start(self) -> "HostProfiler":
         self._wall_start = time.perf_counter()
         self._cpu_start = time.process_time()
-        self._children_cpu_start = children_cpu_seconds()
+        self._children_cpu_start = _children_cpu_seconds()
         self._rss_start = peak_rss_mb()
         return self
 
@@ -71,7 +71,7 @@ class HostProfiler:
             raise RuntimeError(f"HostProfiler {self.name!r} stopped before start")
         self.wall_s = time.perf_counter() - self._wall_start
         self.cpu_s = time.process_time() - self._cpu_start
-        self.children_cpu_s = children_cpu_seconds() - self._children_cpu_start
+        self.children_cpu_s = _children_cpu_seconds() - self._children_cpu_start
         self.peak_rss_mb = peak_rss_mb()
         self.rss_delta_mb = max(self.peak_rss_mb - self._rss_start, 0.0)
         self._wall_start = None

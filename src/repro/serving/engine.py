@@ -7,7 +7,7 @@ model evaluations: the backend estimates attention from the scheduled batch
 directly (no :class:`~repro.attention.workload.HybridBatch` is built), and
 the iteration model memoizes the linear operators per token count.
 :meth:`InferenceEngine.rerun_durations` prices a steady decode batch's
-re-runs from the same pieces, without building a breakdown per step.
+re-runs through the same breakdown, without a backend estimate per step.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.models.config import Deployment
 from repro.models.transformer import IterationCostModel
 from repro.serving.attention_backend import AttentionBackend
 from repro.serving.batch import ScheduledBatch
-from repro.utils.validation import check_non_negative
 
 
 @dataclass(frozen=True)
@@ -60,22 +59,10 @@ class InferenceEngine:
         """Durations of successive re-runs of a decode-only ``batch``.
 
         Each equals, bit for bit, what :meth:`execute` returns for that
-        re-run: the same six-term breakdown, summed by ``sum()`` (compensated
-        from Python 3.12 on).  Counting the iterations is the caller's job.
+        re-run: the same breakdown of the backend's re-run decode time.
+        Counting the iterations is the caller's job.
         """
-        layers = self.deployment.model.num_layers
-        pre_projection, post_projection, ffn, others = self.iteration_model.linear_times(
-            batch.total_tokens
-        )
+        num_tokens = batch.total_tokens
+        breakdown = self.iteration_model.iteration_breakdown
         for decode_time in self.backend.rerun_decode_times(batch):
-            check_non_negative("decode_attention_per_layer", decode_time)
-            yield sum(
-                (
-                    pre_projection,
-                    0.0,  # a decode-only batch has no prefill attention
-                    decode_time * layers,
-                    post_projection,
-                    ffn,
-                    others,
-                )
-            )
+            yield breakdown(num_tokens, 0.0, decode_time).total

@@ -358,6 +358,7 @@ class _ReschedulingFleet:
 #: Fleets :func:`leap_equivalence` runs.
 _LEAP_FLEETS = ("colocated", "control", "disaggregated")
 
+
 def _replica_state(replica: ReplicaRuntime) -> dict[str, float]:
     """The per-replica state a leap must leave exactly as stepping does."""
     return {
@@ -378,10 +379,7 @@ def leap_equivalence(
     fleet: str = "colocated",
     num_replicas: int = 2,
     num_requests: int = 24,
-    seed: int = 0,
-    qps: float | None = None,
     record: bool = False,
-    chunk_size: int = 1024,
 ) -> list[str]:
     """Diff a fleet that leaps through steady decode runs against the same
     fleet of :class:`ReschedulingRuntime` replicas, which steps every one.
@@ -398,25 +396,16 @@ def leap_equivalence(
     """
     check_in_choices("fleet", fleet, _LEAP_FLEETS)
     label = f"{scenario}/{fleet}x{num_replicas}{'/recorded' if record else ''}"
-    trace = build_scenario(scenario, num_requests=num_requests, seed=seed, qps=qps)
+    trace = build_scenario(scenario, num_requests=num_requests, seed=0)
 
     def run(reference: bool) -> tuple[ClusterSimulator, ClusterResult, EventRecorder | None]:
         topology: ColocatedTopology | DisaggregatedTopology
         if fleet == "disaggregated":
             topology = DisaggregatedTopology(
-                deployment,
-                num_prefill=num_replicas,
-                num_decode=num_replicas,
-                chunk_size=chunk_size,
-                backend_builder=PODBackend,
+                deployment, num_prefill=num_replicas, num_decode=num_replicas
             )
         else:
-            topology = ColocatedTopology(
-                deployment,
-                num_replicas=num_replicas,
-                scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size),
-                backend_builder=PODBackend,
-            )
+            topology = ColocatedTopology(deployment, num_replicas=num_replicas)
         control = None
         if fleet == "control":
             control = ControlPlane(

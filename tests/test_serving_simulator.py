@@ -172,7 +172,6 @@ class TestSimulatorValidation:
             r.prefill_tokens + r.decode_tokens - 1 for r in requests
         )
 
-
     def test_iteration_cap_stops_a_leap(self, llama3_deployment, monkeypatch):
         """A steady decode run leaps no further than ``MAX_ITERATIONS``; the
         step after it raises, as stepping one iteration at a time does."""

@@ -24,8 +24,9 @@ class ScheduledBatch:
         admission_blocked: Why the scheduler stopped admitting from the
             waiting queue while forming this batch (one of the
             ``BLOCKED_*`` constants in :mod:`repro.serving.scheduler`), or
-            ``None`` when nothing was left waiting.  Diagnostic only — no
-            scheduling decision reads it.
+            ``None`` when nothing was left waiting.  A replica re-runs a
+            steady decode batch past a waiting queue only when it is set
+            (``ReplicaRuntime.steady_batch``).
         decode_sums: ``(count, Σ context, min context)`` of the decodes,
             taken by the first estimate (:meth:`context_sums`); a replica
             that re-runs the batch advances them.

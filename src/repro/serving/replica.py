@@ -30,24 +30,33 @@ outstanding request per routing decision (``scan_load`` keeps the reference
 scan for verification).
 
 Steady decode steps skip the scheduler.  When the last step's batch decoded
-every running request and nothing else (no prefill item, preemption, prefix
-hit or blocked admission) and released nothing, under a full-reservation
-scheduler, a step that finds nothing waiting re-runs that batch instead of
-calling ``Scheduler.schedule``, which by contract would return the same one.
-Its carried decode sums advance by one token per decode per re-run.  Only
+every running request and nothing else (no prefill item, so no admission,
+and no preemption) and released nothing, the next step re-runs that batch
+instead of calling ``Scheduler.schedule``, which by contract would return
+the same one, unless requests wait and the batch recorded no reason why
+admission blocked.  A refused queue head stays refused until a release, a
+preemption or an admission: decode growth only lowers ``free_blocks``, and
+the LRU evictions it causes change no admission's free riders.  Under
+preemption a re-run first grows the decodes that cross a block boundary,
+with the allocations ``Scheduler.prepare_decodes`` makes, and calls the
+scheduler (which then preempts) when the cache lacks the blocks.  A re-run
+advances the batch's carried decode sums by one token per decode.  Only
 :meth:`ReplicaRuntime.steady_batch` decides; the oracles' reference runtime
 overrides it to reschedule every step.
 
-Steady runs leap.  Within a steady run nothing changes but the clock and the
-decodes' progress, and each re-run's duration depends only on its index, so
-:meth:`ReplicaRuntime.advance` runs in one call every re-run that starts
-before a given time (the cluster's next delivery) and before the next
-pending request is ready, stopping before the step in which the first decode
-finishes.  The engine prices each re-run from the same helpers as a step
-(:meth:`InferenceEngine.rerun_durations`); the clock and busy time take the
-same float additions per re-run, and the requests and counters are committed
-once at the end.  A leap's results, counters and recorded events equal those
-of the same steps run one :meth:`ReplicaRuntime.step` at a time, which
+Steady runs leap.  Within a steady run nothing changes but the clock, the
+decodes' progress and their KV growth, and each re-run's duration depends
+only on its index, so :meth:`ReplicaRuntime.advance` runs in one call every
+re-run that starts before a given time (the cluster's next delivery) and
+before the next pending request is ready, stopping before the step in which
+the first decode finishes or whose growth the cache cannot supply.  A
+per-decode index of block-boundary crossings makes a leaped step cost its
+crossings, not its decodes.  The engine prices each re-run from the same
+helpers as a step (:meth:`InferenceEngine.rerun_durations`); the clock and
+busy time take the same float additions per re-run, and the requests and
+counters are committed once at the end.  A leap's results, counters and
+recorded events equal those of the same steps run one
+:meth:`ReplicaRuntime.step` at a time, which
 :func:`repro.verify.oracles.leap_equivalence` checks.
 """
 
@@ -289,21 +298,35 @@ class ReplicaRuntime:
     # ------------------------------------------------------------ stepping
 
     def steady_batch(self) -> ScheduledBatch | None:
-        """The last batch when this step re-runs it (the rule is in the module
-        docstring), else ``None``.  Override to reschedule every step."""
+        """The last batch when this step may re-run it (the rule is in the
+        module docstring), else ``None``.  Override to reschedule every step."""
         batch = self._last_batch
         if (
             batch is None
-            or self.waiting
-            or self.scheduler.preemption
             or batch.prefill_items
             or batch.preempted
-            or batch.prefix_hits
-            or batch.admission_blocked is not None
             or len(batch.decode_requests) != len(self.running)
+            or (self.waiting and batch.admission_blocked is None)
         ):
             return None
         return batch
+
+    def _grow(self, decodes: list[Request], ahead: int = 0) -> bool:
+        """Grow each of ``decodes``, in order, by its next token's KV with the
+        calls ``Scheduler.prepare_decodes`` makes; ``ahead`` counts re-runs not
+        yet committed to the requests.  Returns False, growing nothing, when
+        the cache lacks the blocks.  Full reservation grows nothing."""
+        if not self.scheduler.preemption:
+            return True
+        kv_cache = self.kv_cache
+        targets = [(r.request_id, r.context_tokens + ahead + 1) for r in decodes]
+        needs = [kv_cache.blocks_needed(request_id, target) for request_id, target in targets]
+        if sum(needs) > kv_cache.free_blocks:
+            return False
+        for (request_id, target), needed in zip(targets, needs):
+            if needed:
+                kv_cache.allocate(request_id, target)
+        return True
 
     def step(self) -> StepOutcome:
         """Execute the next iteration (advancing the local clock past any idle
@@ -330,12 +353,12 @@ class ReplicaRuntime:
                 else None
             )
             batch = self.steady_batch()
-            if batch is None:
+            if batch is not None and self._grow(batch.decode_requests):
+                batch.advance_decode_sums()
+            else:
                 batch = self.scheduler.schedule(
                     self.waiting, self.running, self.kv_cache, self.clock
                 )
-            else:
-                batch.advance_decode_sums()
             # Preemptions put recompute debt back on the clock (remaining
             # prefill grows); prefix-cache hits retire prompt tokens without
             # executing them.  Both must flow through the load counters.
@@ -428,8 +451,9 @@ class ReplicaRuntime:
         After arrival admission, a steady batch (:meth:`steady_batch`) leaps:
         its re-runs are run in bulk while each starts strictly before both
         ``until`` and the next pending ready time, stopping before the step in
-        which its first decode finishes and at ``MAX_ITERATIONS``.  Otherwise
-        one :meth:`step` runs, and a leap follows when it released nothing.
+        which its first decode finishes, before a step whose KV growth the
+        cache cannot supply, and at ``MAX_ITERATIONS``.  Otherwise one
+        :meth:`step` runs, and a leap follows when it released nothing.
         The outcome is that of the step, or of the last leaped step when the
         call only leaped.  Clocks, counters, requests and recorded events
         end exactly as if each step had run through :meth:`step`.
@@ -447,15 +471,33 @@ class ReplicaRuntime:
                 self._leap(batch, until)
         return outcome
 
+    def _crossings(self, decodes: list[Request]) -> list[list[tuple[int, Request]]]:
+        """The decodes, in batch order, bucketed by re-run index modulo the
+        block size.  A decode holds the blocks of its context, so it first
+        crosses a block boundary at re-run ``first`` = held tokens − context
+        (≥ 0), then every ``block_size`` re-runs; re-run j grows the decodes
+        of bucket ``j % block_size`` whose ``first <= j``."""
+        kv_cache = self.kv_cache
+        block_size = kv_cache.config.block_size
+        due: list[list[tuple[int, Request]]] = [[] for _ in range(block_size)]
+        for request in decodes:
+            first = kv_cache.blocks_of(request.request_id) * block_size - request.context_tokens
+            due[first % block_size].append((first, request))
+        return due
+
     def _leap(self, batch: ScheduledBatch, until: float) -> IterationResult | None:
         """Re-run the steady ``batch`` over every step :meth:`advance` allows.
 
-        Each step is priced by :meth:`InferenceEngine.rerun_durations` and
-        advances the clock and busy time by the same float additions as
-        :meth:`step`.  The requests are committed once, after the last step:
-        each decode's last token landed at the leap's start, so one list of
-        clock differences extends every decode's ``token_intervals``.
-        Returns the last step's result, or ``None`` when no step may leap.
+        Each step first grows the decodes crossing a block boundary
+        (:meth:`_crossings`, :meth:`_grow`) at its start clock, and the leap
+        ends before a step whose growth does not fit, so no step is priced
+        that does not run.  Each step is priced by
+        :meth:`InferenceEngine.rerun_durations` and advances the clock and
+        busy time by the same float additions as :meth:`step`.  The requests
+        are committed once, after the last step: each decode's last token
+        landed at the leap's start, so one list of clock differences extends
+        every decode's ``token_intervals``.  Returns the last step's result,
+        or ``None`` when no step may leap.
         """
         decodes = batch.decode_requests
         steps = min(
@@ -468,11 +510,22 @@ class ReplicaRuntime:
         clock = self.clock
         if steps <= 0 or not clock < until:
             return None
+        due = self._crossings(decodes) if self.scheduler.preemption else None
+        block_size = self.kv_cache.config.block_size
         busy_time = self.busy_time
         num_tokens = len(decodes)
         recorder = self.recorder
         intervals: list[float] = []
-        for duration in self.engine.rerun_durations(batch):
+        durations = self.engine.rerun_durations(batch)
+        while True:
+            leaped = len(intervals)
+            if due is not None:
+                crossing = [r for first, r in due[leaped % block_size] if first <= leaped]
+                if crossing:
+                    self.clock = clock  # the growth's KV events carry the step's start
+                    if not self._grow(crossing, leaped):
+                        break
+            duration = next(durations)
             start = clock
             clock += duration
             busy_time += duration
@@ -482,6 +535,8 @@ class ReplicaRuntime:
             if len(intervals) == steps or not clock < until:
                 break
         leaped = len(intervals)
+        if not leaped:
+            return None
         self.clock = clock
         self.busy_time = busy_time
         self.steps_executed += leaped

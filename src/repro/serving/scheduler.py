@@ -33,8 +33,10 @@ from repro.utils.validation import check_positive
 
 
 #: ``ScheduledBatch.admission_blocked`` reasons — why a scheduler stopped
-#: admitting with requests still waiting.  Purely diagnostic (the telemetry
-#: layer's queue-stall attribution); no scheduling decision reads them.
+#: admitting with requests still waiting.  The telemetry layer attributes
+#: queue stalls by them, and a replica re-runs a steady decode batch past a
+#: waiting queue only when its batch recorded one (the re-run contract in
+#: :class:`Scheduler`).
 BLOCKED_KV = "kv"
 BLOCKED_BUDGET = "budget"
 BLOCKED_BATCH_SIZE = "batch_size"
@@ -57,12 +59,20 @@ class SchedulerLimits:
 class Scheduler(ABC):
     """Base scheduler: owns admission control against the KV cache.
 
-    **Re-run contract.**  When nothing waits, ``preemption`` is false and the
-    previous batch only decoded every request in ``running`` (all still
-    decoding), ``schedule`` must return that same decode-only batch, change
-    no state and read nothing else (``now`` included):
-    :class:`~repro.serving.replica.ReplicaRuntime` then re-runs the previous
-    batch without calling it (``ReplicaRuntime.steady_batch``).
+    **Re-run contract.**  Suppose the previous batch only decoded every
+    request in ``running`` (all still decoding), so it admitted and
+    preempted nothing, nothing was released since, and either nothing waits
+    or that batch recorded why admission blocked.  Then the queue head is
+    still refused for the same reason: decode growth only lowers
+    ``free_blocks``, and its LRU evictions change no admission's riders.
+    ``schedule`` must then grow each decode's KV by one token as
+    :meth:`prepare_decodes` does and return that same decode-only batch,
+    with the same ``admission_blocked``, changing no other state and reading
+    nothing else (``now`` included), unless that growth exceeds
+    ``free_blocks``, in which case it preempts.
+    :class:`~repro.serving.replica.ReplicaRuntime` re-runs the previous
+    batch without calling it (``ReplicaRuntime.steady_batch``) and makes
+    the same growth itself, calling it only when the growth does not fit.
     """
 
     name: str = "base"

@@ -16,7 +16,7 @@ strings (empty = the oracle passes):
   replicas, stepped one iteration at a time, ends: per-request times and
   token intervals, per-replica clocks and counters, KV counters, metric
   rows and, when both record, the event log — colocated, under the control
-  plane and disaggregated.
+  plane, disaggregated and under KV pressure with preemption.
 * :func:`estimate_equivalence` — every serving step's attention estimate,
   computed at O(1) from decode sums and memoized prefill aggregates, must
   equal the backend's phase split of :func:`analytic_attention_times` on the
@@ -46,6 +46,7 @@ strings (empty = the oracle passes):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import fields
 from typing import Any, Callable, Iterator, Sequence
@@ -356,7 +357,12 @@ class _ReschedulingFleet:
 
 
 #: Fleets :func:`leap_equivalence` runs.
-_LEAP_FLEETS = ("colocated", "control", "disaggregated")
+_LEAP_FLEETS = ("colocated", "control", "disaggregated", "kv-pressure")
+
+#: The KV cache and arrival rate of each ``"kv-pressure"`` replica:
+#: perfbench's chat-kv-pressure replica, which preempts and blocks admission.
+_KV_PRESSURE_CACHE = KVCacheConfig(capacity_tokens=16384, enable_prefix_caching=True)
+_KV_PRESSURE_QPS = 12.0
 
 
 def _replica_state(replica: ReplicaRuntime) -> dict[str, float]:
@@ -386,9 +392,12 @@ def leap_equivalence(
 
     ``fleet`` is ``"colocated"`` (``num_replicas`` Sarathi+POD replicas),
     ``"control"`` (the same, with an autoscaler that may double the fleet
-    and tiered admission control) or ``"disaggregated"`` (``num_replicas``
-    prefill and as many decode replicas).  Both runs serve one registry
-    trace under the least-tokens router and must agree bit for bit on every
+    and tiered admission control), ``"disaggregated"`` (``num_replicas``
+    prefill and as many decode replicas) or ``"kv-pressure"``
+    (``num_replicas`` POD replicas alternating Sarathi and vLLM, both with
+    preemption, each into a 16K-token KV cache with prefix caching on, and
+    the trace at 12 QPS per replica).  Both runs serve one registry trace
+    under the least-tokens router and must agree bit for bit on every
     request's state, times and ``token_intervals``, on the routing, on each
     replica's clock, busy time, steps, iteration counts and load counters,
     on the KV counters and on the metric rows.  With ``record`` both runs
@@ -396,13 +405,22 @@ def leap_equivalence(
     """
     check_in_choices("fleet", fleet, _LEAP_FLEETS)
     label = f"{scenario}/{fleet}x{num_replicas}{'/recorded' if record else ''}"
-    trace = build_scenario(scenario, num_requests=num_requests, seed=0)
+    qps = _KV_PRESSURE_QPS * num_replicas if fleet == "kv-pressure" else None
+    trace = build_scenario(scenario, num_requests=num_requests, seed=0, qps=qps)
 
     def run(reference: bool) -> tuple[ClusterSimulator, ClusterResult, EventRecorder | None]:
         topology: ColocatedTopology | DisaggregatedTopology
         if fleet == "disaggregated":
             topology = DisaggregatedTopology(
                 deployment, num_prefill=num_replicas, num_decode=num_replicas
+            )
+        elif fleet == "kv-pressure":
+            schedulers = itertools.cycle((SarathiScheduler, VLLMScheduler))
+            topology = ColocatedTopology(
+                deployment,
+                num_replicas=num_replicas,
+                scheduler_factory=lambda: next(schedulers)(preemption=True),
+                kv_config=_KV_PRESSURE_CACHE,
             )
         else:
             topology = ColocatedTopology(deployment, num_replicas=num_replicas)

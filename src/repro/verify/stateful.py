@@ -1057,12 +1057,13 @@ def _replay_kv(entry: dict[str, Any]) -> None:
 
 
 def _replay_scheduler(entry: dict[str, Any]) -> None:
-    """Harness ``scheduler``: enqueue/step ops through ``ReplicaRuntime``.
+    """Harness ``scheduler``: enqueue/step/advance ops through ``ReplicaRuntime``.
 
     A :class:`~repro.verify.oracles.ReschedulingRuntime` replays the ops in
-    lockstep.  The drain runs the runtime through ``run_to_completion``
-    (which leaps through steady decode runs) and the reference one
-    ``step()`` at a time, and the two event logs must be identical.
+    lockstep: one ``step()`` per step the runtime ran, so an ``advance``
+    (which leaps through a steady decode run) is matched step for step.  The
+    drain runs the runtime through ``run_to_completion`` and the reference
+    one ``step()`` at a time, and the two event logs must be identical.
     """
     config = entry["config"]
     recorder = EventRecorder()
@@ -1092,6 +1093,14 @@ def _replay_scheduler(entry: dict[str, Any]) -> None:
             for _ in range(op.get("times", 1)):
                 runtime.step()
                 reference.step()
+        elif name == "advance":
+            runtime.advance()
+            while reference.steps_executed < runtime.steps_executed:
+                reference.step()
+        elif name == "assert_steps":
+            assert runtime.steps_executed == op["count"], (
+                f"{runtime.steps_executed} steps executed, entry expects {op['count']}"
+            )
         elif name == "assert_waiting_order":
             actual = [request.request_id for request in runtime.waiting]
             assert actual == op["ids"], (

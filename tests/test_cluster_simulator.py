@@ -15,9 +15,11 @@ from repro.cluster import (
     topology_from_spec,
 )
 from repro.models.config import ClusterSpec
+from repro.models.transformer import IterationCostModel
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
+from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.request import Request, RequestState
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler_sarathi import SarathiScheduler
@@ -105,19 +107,51 @@ class TestReadyHeap:
         assert calls <= 3 * steps
 
 
+def _colocated_fleet(deployment) -> ClusterSimulator:
+    """2 POD replicas (Sarathi, full reservation) behind least-tokens."""
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=2,
+        scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+        backend_builder=PODBackend,
+    )
+    return ClusterSimulator(topology, router="least-tokens")
+
+
+def _kv_pressure_fleet(deployment) -> ClusterSimulator:
+    """1 Sarathi replica with preemption into a 16K-token prefix cache."""
+    topology = ColocatedTopology(
+        deployment,
+        num_replicas=1,
+        scheduler_factory=lambda: SarathiScheduler(chunk_size=1024, preemption=True),
+        kv_config=KVCacheConfig(capacity_tokens=16384, enable_prefix_caching=True),
+    )
+    return ClusterSimulator(topology)
+
+
 class TestSteadyDecodeBatches:
     """A replica reschedules only on the steps that cannot re-run its last
-    batch, and runs the engine only on the steps it schedules and on the
-    re-runs that release a request: every other re-run leaps.  Counts carry
-    no timing noise."""
+    batch, or whose KV growth does not fit, and runs the engine only on the
+    steps it schedules and on the re-runs that release a request: every
+    other re-run leaps.  Every executed step is priced exactly once.  Counts
+    carry no timing noise."""
 
-    @staticmethod
-    def _observe(monkeypatch, simulator):
-        """Serve arxiv-summarization (16 requests) and return the call counts
-        and, per replica, one record per ``step()`` call: schedule calls,
-        execute calls, the waiting queue left by the last arrival admission,
-        whether the batch had a prefill item, its preemptions and the step's
-        releases."""
+    #: (fleet, scenario, requests, qps) of the two fleets observed.
+    FLEETS = {
+        "colocated": (_colocated_fleet, "arxiv-summarization", 16, None),
+        "kv-pressure": (_kv_pressure_fleet, "shared-prefix-chat", 96, 12.0),
+    }
+
+    @classmethod
+    def _observe(cls, monkeypatch, deployment, fleet):
+        """Serve ``fleet``'s scenario and return the simulator, the call
+        counts and, per replica, one record per executed ``step()`` call:
+        schedule calls, execute calls, the waiting queue left by the last
+        arrival admission, whether the batch had a prefill item, its
+        preemptions, whether it recorded why admission blocked, and the
+        step's releases."""
+        build, scenario, num_requests, qps = cls.FLEETS[fleet]
+        simulator = build(deployment)
         calls: Counter = Counter()
         waiting: dict[object, int] = {}
         executed: list[ScheduledBatch] = []
@@ -157,6 +191,7 @@ class TestSteadyDecodeBatches:
                         waiting[replica],
                         bool(batch.prefill_items),
                         len(batch.preempted),
+                        batch.admission_blocked is not None,
                         len(outcome.released),
                     )
                 )
@@ -165,49 +200,69 @@ class TestSteadyDecodeBatches:
         monkeypatch.setattr(
             SarathiScheduler, "schedule", counted("schedule", SarathiScheduler.schedule)
         )
+        monkeypatch.setattr(
+            IterationCostModel,
+            "iteration_breakdown",
+            counted("priced", IterationCostModel.iteration_breakdown),
+        )
         monkeypatch.setattr(ReplicaRuntime, "_admit_arrivals", observed_admit)
         monkeypatch.setattr(InferenceEngine, "execute", observed_execute)
         monkeypatch.setattr(ReplicaRuntime, "step", observed_step)
-        simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
-        return calls, [steps[replica] for replica in simulator.replicas]
+        simulator.run_scenario(scenario, num_requests=num_requests, seed=0, qps=qps)
+        return simulator, calls, [steps[replica] for replica in simulator.replicas]
+
+    @staticmethod
+    def _walk(steps):
+        """Yield each step record with whether the rule lets it re-run: the
+        step before it decoded only, preempted and released nothing, and
+        either nothing waits now or that step recorded why admission
+        blocked.  Leaped re-runs between two ``step()`` calls repeat the
+        earlier call's batch, so they change neither condition."""
+        previous_steady = previous_blocked = False  # the first step re-runs nothing
+        for record in steps:
+            waiting, prefill, preempted, blocked, released = record[2:]
+            yield record, previous_steady and (not waiting or previous_blocked)
+            previous_steady = not (prefill or preempted or released)
+            previous_blocked = blocked
+
+    @pytest.mark.parametrize("fleet", ["colocated", "kv-pressure"])
+    def test_prices_each_executed_step_once(self, llama3_deployment, monkeypatch, fleet):
+        simulator, calls, per_replica = self._observe(monkeypatch, llama3_deployment, fleet)
+        executed_steps = sum(replica.steps_executed for replica in simulator.replicas)
+        assert calls["priced"] == executed_steps
+        assert calls["execute"] == sum(map(len, per_replica))
+        assert executed_steps > 2 * calls["execute"]
 
     def test_executes_only_scheduled_and_releasing_steps(self, llama3_deployment, monkeypatch):
-        topology = ColocatedTopology(
-            llama3_deployment,
-            num_replicas=2,
-            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
-            backend_builder=PODBackend,
-        )
-        simulator = ClusterSimulator(topology, router="least-tokens")
-        calls, per_replica = self._observe(monkeypatch, simulator)
+        simulator, calls, per_replica = self._observe(monkeypatch, llama3_deployment, "colocated")
         releasing_reruns = 0
         for steps in per_replica:
             assert steps
-            previous_steady = False  # the first step has no batch to re-run
-            for scheduled, executed, waiting, prefill, preempted, released in steps:
-                can_rerun = previous_steady and not waiting
+            for record, can_rerun in self._walk(steps):
+                scheduled, executed, *_, released = record
                 assert scheduled == (0 if can_rerun else 1)
                 assert executed == 1
                 releasing_reruns += can_rerun and released > 0
-                previous_steady = not (prefill or preempted or released)
         assert releasing_reruns > 0
         assert calls["execute"] == calls["schedule"] + releasing_reruns
         executed_steps = sum(replica.steps_executed for replica in simulator.replicas)
         assert executed_steps > 10 * calls["execute"]
 
-    def test_preemption_mode_schedules_every_step(self, llama3_deployment, monkeypatch):
-        topology = ColocatedTopology(
-            llama3_deployment,
-            num_replicas=1,
-            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024, preemption=True),
-            backend_builder=PODBackend,
-        )
-        simulator = ClusterSimulator(topology)
-        _, (steps,) = self._observe(monkeypatch, simulator)
-        assert len(steps) > 100
-        assert len(steps) == simulator.replicas[0].steps_executed
-        assert all(scheduled == 1 and executed == 1 for scheduled, executed, *_ in steps)
-
+    def test_preemption_schedules_only_steps_that_cannot_rerun(
+        self, llama3_deployment, monkeypatch
+    ):
+        """Under preemption a step that may re-run still schedules when its
+        decodes' growth does not fit, and the scheduler then preempts."""
+        simulator, calls, (steps,) = self._observe(monkeypatch, llama3_deployment, "kv-pressure")
+        shapes: Counter = Counter()
+        for record, can_rerun in self._walk(steps):
+            scheduled, executed, waiting, _, preempted, *_ = record
+            assert executed == 1
+            assert scheduled == (1 if not can_rerun or preempted else 0)
+            shapes[can_rerun, bool(waiting), scheduled] += 1
+        assert shapes[True, True, 0] > 0  # re-runs past a refused queue head
+        assert shapes[True, True, 1] + shapes[True, False, 1] > 0  # growth fell back
+        assert 3 * calls["schedule"] < simulator.replicas[0].steps_executed
 
 class TestColocatedCluster:
     @pytest.fixture(scope="class")

@@ -95,6 +95,9 @@ class TestLeapEquivalence:
             ("surge-multi-tenant", "control", 2, 96, True),
             ("arxiv-summarization", "disaggregated", 2, 24, False),
             ("enterprise-internal", "disaggregated", 1, 24, True),
+            # 27 preemptions, and leaps that stop where growth does not fit.
+            ("shared-prefix-chat", "kv-pressure", 2, 96, False),
+            ("shared-prefix-chat", "kv-pressure", 2, 96, True),
         ],
     )
     def test_leaped_fleet_matches_stepped_fleet(

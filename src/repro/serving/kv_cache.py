@@ -28,6 +28,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import blake2b
+from typing import Iterable
 
 from repro.models.config import Deployment
 from repro.utils.validation import check_positive
@@ -184,18 +185,22 @@ class KVCacheManager:
         self._allocated_blocks: dict[int, int] = {}
         self.observer = None
         self.stats = KVCacheStats()
+        self._total_blocks = config.num_blocks
         self._private_total = 0
         self._shared_refcount: dict[int, int] = {}
         # Chain hashes each request holds, in chain order (absent when empty).
         self._shared_holds: dict[int, list[int]] = {}
         self._lru: OrderedDict[int, None] = OrderedDict()
         self._chain_cache: dict[str, list[int]] = {}
+        # (prefix id, chain blocks) -> how many of those blocks are in
+        # _shared_refcount; cleared whenever a block enters or leaves it.
+        self._riders: dict[tuple[str, int], int] = {}
 
     # ----------------------------------------------------------- capacity
 
     @property
     def total_blocks(self) -> int:
-        return self.config.num_blocks
+        return self._total_blocks
 
     @property
     def used_blocks(self) -> int:
@@ -210,7 +215,7 @@ class KVCacheManager:
     @property
     def free_blocks(self) -> int:
         """Blocks allocatable right now (LRU-cached blocks are evictable)."""
-        return self.total_blocks - self.used_blocks
+        return self._total_blocks - self._private_total - len(self._shared_refcount)
 
     def blocks_needed(self, request_id: int, new_total_tokens: int) -> int:
         """Additional blocks needed to grow a request to ``new_total_tokens``."""
@@ -235,20 +240,18 @@ class KVCacheManager:
             self._chain_cache[prefix_id] = chain
         return chain[:num_blocks]
 
-    def _request_chain(self, request) -> list[int]:
-        """Shared-prefix block hashes an admission of ``request`` would hold.
+    def _chain_blocks(self, request) -> int:
+        """Length of ``request``'s shared-prefix chain: 0 for untagged
+        requests and whenever prefix caching is off, so every block of such
+        an admission is private."""
+        if getattr(request, "prefix_id", None) is None or not self.config.enable_prefix_caching:
+            return 0
+        return min(request.prefix_tokens, request.prefill_tokens) // self.config.block_size
 
-        Empty for untagged requests and whenever prefix caching is off, so
-        every block of such an admission is private.
-        """
-        prefix_id = getattr(request, "prefix_id", None)
-        if prefix_id is None or not self.config.enable_prefix_caching:
-            return []
-        prefix_tokens = min(request.prefix_tokens, request.prefill_tokens)
-        num_blocks = prefix_tokens // self.config.block_size
-        if num_blocks <= 0:
-            return []
-        return self._chain_for(prefix_id, num_blocks)
+    def _request_chain(self, request) -> list[int]:
+        """Shared-prefix block hashes an admission of ``request`` would hold."""
+        num_blocks = self._chain_blocks(request)
+        return self._chain_for(request.prefix_id, num_blocks) if num_blocks > 0 else []
 
     def lookup_prefix(self, request) -> tuple[int, int]:
         """(hit_blocks, cached_tokens) an admission would reuse, without mutating.
@@ -274,10 +277,22 @@ class KVCacheManager:
         Chain blocks already *referenced* by another request are free riders;
         blocks revived off the LRU count in full — they pin a block that was
         evictable a moment ago — as do misses and the private remainder.
+        The rider count of a chain is memoized until a block enters or
+        leaves the referenced set (an admission's misses and revivals, a
+        free's last releases), so a queue head refused again and again
+        walks its chain once per such change.
         """
         target_blocks = math.ceil(reserve_tokens / self.config.block_size)
-        chain = self._request_chain(request)[:target_blocks]
-        riders = sum(1 for block_hash in chain if block_hash in self._shared_refcount)
+        chain_blocks = min(self._chain_blocks(request), target_blocks)
+        riders = 0
+        if chain_blocks > 0:
+            key = (request.prefix_id, chain_blocks)
+            riders = self._riders.get(key, -1)
+            if riders < 0:
+                refcount = self._shared_refcount
+                chain = self._chain_for(request.prefix_id, chain_blocks)
+                riders = sum(1 for block_hash in chain if block_hash in refcount)
+                self._riders[key] = riders
         return target_blocks - riders <= self.free_blocks
 
     def admit_request(self, request, reserve_tokens: int) -> int:
@@ -333,6 +348,8 @@ class KVCacheManager:
         evictions = self._make_room(len(misses) + private)
         for block_hash in misses:
             refcount[block_hash] = 1
+        if misses or revived:
+            self._riders.clear()
         self._private_total += private
         if chain:
             self._shared_holds[request_id] = chain
@@ -367,7 +384,7 @@ class KVCacheManager:
         contents are gone for good, and a later chain lookup of its hash
         misses.
         """
-        evictions = max(0, self.used_blocks + len(self._lru) + blocks - self.total_blocks)
+        evictions = max(0, self.used_blocks + len(self._lru) + blocks - self._total_blocks)
         for _ in range(evictions):
             self._lru.popitem(last=False)
         self.stats.evictions += evictions
@@ -393,6 +410,31 @@ class KVCacheManager:
         self._allocated_blocks[request_id] = self._allocated_blocks.get(request_id, 0) + needed
         if self.observer is not None:
             self.observer("kv_alloc", request_id, needed, evictions=evictions)
+
+    def grow_all(self, requests: Iterable, ahead: int = 0) -> bool:
+        """Grow each of ``requests`` to hold its next token when all of them fit.
+
+        A request's next token is its ``context_tokens + ahead + 1``-th.  When
+        the blocks every request needs for it add up to at most
+        ``free_blocks``, each request that needs any is grown by one
+        :meth:`allocate` call, in the order given, and this returns True;
+        otherwise nothing is grown and this returns False.
+        """
+        block_size = self.config.block_size
+        held = self._allocated_blocks
+        growing: list[tuple[int, int]] = []
+        needed = 0
+        for request in requests:
+            target = request.context_tokens + ahead + 1
+            blocks = -(-target // block_size) - held.get(request.request_id, 0)
+            if blocks > 0:
+                needed += blocks
+                growing.append((request.request_id, target))
+        if needed > self.free_blocks:
+            return False
+        for request_id, target in growing:
+            self.allocate(request_id, target)
+        return True
 
     def free(self, request_id: int) -> None:
         """Release every block held by ``request_id``.
@@ -424,6 +466,8 @@ class KVCacheManager:
                 to_cache += 1
             else:
                 self._shared_refcount[block_hash] = refcount
+        if to_cache:
+            self._riders.clear()
         if self.observer is not None:
             self.observer(
                 "kv_free",

@@ -37,10 +37,11 @@ the same one, unless requests wait and the batch recorded no reason why
 admission blocked.  A refused queue head stays refused until a release, a
 preemption or an admission: decode growth only lowers ``free_blocks``, and
 the LRU evictions it causes change no admission's free riders.  Under
-preemption a re-run first grows the decodes that cross a block boundary,
-with the allocations ``Scheduler.prepare_decodes`` makes, and calls the
-scheduler (which then preempts) when the cache lacks the blocks.  A re-run
-advances the batch's carried decode sums by one token per decode.  Only
+preemption a re-run first grows its decodes with the growth pass of
+``Scheduler.prepare_decodes`` (``KVCacheManager.grow_all``: only the
+decodes that cross a block boundary allocate), and calls the scheduler
+(which then preempts) when the cache lacks the blocks.  A re-run advances
+the batch's carried decode sums by one token per decode.  Only
 :meth:`ReplicaRuntime.steady_batch` decides; the oracles' reference runtime
 overrides it to reschedule every step.
 
@@ -49,9 +50,11 @@ decodes' progress and their KV growth, and each re-run's duration depends
 only on its index, so :meth:`ReplicaRuntime.advance` runs in one call every
 re-run that starts before a given time (the cluster's next delivery) and
 before the next pending request is ready, stopping before the step in which
-the first decode finishes or whose growth the cache cannot supply.  A
-per-decode index of block-boundary crossings makes a leaped step cost its
-crossings, not its decodes.  The engine prices each re-run from the same
+the first decode finishes or whose growth the cache cannot supply.  A leap
+stopped by that growth hands its refusal to the next :meth:`step`, which
+then calls the scheduler without checking the growth again.  A per-decode
+index of block-boundary crossings makes a leaped step cost its crossings,
+not its decodes.  The engine prices each re-run from the same
 helpers as a step (:meth:`InferenceEngine.rerun_durations`); the clock and
 busy time take the same float additions per re-run, and the requests and
 counters are committed once at the end.  A leap's results, counters and
@@ -149,6 +152,10 @@ class ReplicaRuntime:
         self._release_decoding = release_on == "first_token"
         # The last executed batch, unless that step released a request.
         self._last_batch: ScheduledBatch | None = None
+        # Set by a leap that stopped because the next re-run's growth does
+        # not fit; the next step() then calls the scheduler without checking
+        # that growth again.
+        self._growth_refused = False
 
         # Pending requests as (ready_time, seq, request), sorted from _cursor on.
         self._pending: list[tuple[float, int, Request]] = []
@@ -312,21 +319,12 @@ class ReplicaRuntime:
         return batch
 
     def _grow(self, decodes: list[Request], ahead: int = 0) -> bool:
-        """Grow each of ``decodes``, in order, by its next token's KV with the
-        calls ``Scheduler.prepare_decodes`` makes; ``ahead`` counts re-runs not
-        yet committed to the requests.  Returns False, growing nothing, when
-        the cache lacks the blocks.  Full reservation grows nothing."""
-        if not self.scheduler.preemption:
-            return True
-        kv_cache = self.kv_cache
-        targets = [(r.request_id, r.context_tokens + ahead + 1) for r in decodes]
-        needs = [kv_cache.blocks_needed(request_id, target) for request_id, target in targets]
-        if sum(needs) > kv_cache.free_blocks:
-            return False
-        for (request_id, target), needed in zip(targets, needs):
-            if needed:
-                kv_cache.allocate(request_id, target)
-        return True
+        """Grow ``decodes`` by their next token's KV with the growth pass of
+        ``Scheduler.prepare_decodes`` (:meth:`KVCacheManager.grow_all`);
+        ``ahead`` counts re-runs not yet committed to the requests.  Returns
+        False, growing nothing, when the cache lacks the blocks.  Full
+        reservation grows nothing."""
+        return not self.scheduler.preemption or self.kv_cache.grow_all(decodes, ahead)
 
     def step(self) -> StepOutcome:
         """Execute the next iteration (advancing the local clock past any idle
@@ -335,6 +333,7 @@ class ReplicaRuntime:
         Calling ``step()`` on a drained replica is a no-op returning an
         outcome with ``executed == False``.
         """
+        refused, self._growth_refused = self._growth_refused, False
         while True:
             self._admit_arrivals()
             if not self.waiting and not self.running:
@@ -352,7 +351,7 @@ class ReplicaRuntime:
                 if self.recorder is not None
                 else None
             )
-            batch = self.steady_batch()
+            batch = None if refused else self.steady_batch()
             if batch is not None and self._grow(batch.decode_requests):
                 batch.advance_decode_sums()
             else:
@@ -453,13 +452,15 @@ class ReplicaRuntime:
         ``until`` and the next pending ready time, stopping before the step in
         which its first decode finishes, before a step whose KV growth the
         cache cannot supply, and at ``MAX_ITERATIONS``.  Otherwise one
-        :meth:`step` runs, and a leap follows when it released nothing.
+        :meth:`step` runs, and a leap follows when it released nothing.  After
+        a leap stopped by KV growth, the next step goes to the scheduler: no
+        leap runs until a :meth:`step` has run.
         The outcome is that of the step, or of the last leaped step when the
         call only leaped.  Clocks, counters, requests and recorded events
         end exactly as if each step had run through :meth:`step`.
         """
         self._admit_arrivals()
-        batch = self.steady_batch()
+        batch = None if self._growth_refused else self.steady_batch()
         if batch is not None:
             result = self._leap(batch, until)
             if result is not None:
@@ -491,7 +492,8 @@ class ReplicaRuntime:
         Each step first grows the decodes crossing a block boundary
         (:meth:`_crossings`, :meth:`_grow`) at its start clock, and the leap
         ends before a step whose growth does not fit, so no step is priced
-        that does not run.  Each step is priced by
+        that does not run, and sets ``_growth_refused`` for the next
+        :meth:`step`.  Each step is priced by
         :meth:`InferenceEngine.rerun_durations` and advances the clock and
         busy time by the same float additions as :meth:`step`.  The requests
         are committed once, after the last step: each decode's last token
@@ -524,6 +526,7 @@ class ReplicaRuntime:
                 if crossing:
                     self.clock = clock  # the growth's KV events carry the step's start
                     if not self._grow(crossing, leaped):
+                        self._growth_refused = True
                         break
             duration = next(durations)
             start = clock

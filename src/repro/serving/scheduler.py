@@ -33,10 +33,11 @@ from repro.utils.validation import check_positive
 
 
 #: ``ScheduledBatch.admission_blocked`` reasons — why a scheduler stopped
-#: admitting with requests still waiting.  The telemetry layer attributes
-#: queue stalls by them, and a replica re-runs a steady decode batch past a
-#: waiting queue only when its batch recorded one (the re-run contract in
-#: :class:`Scheduler`).
+#: admitting with requests still waiting.  A replica re-runs a steady decode
+#: batch past a waiting queue only when its batch recorded one (the re-run
+#: contract in :class:`Scheduler`), each ``batch_formed`` event carries the
+#: batch's reason, and perfbench's traced runs count the ``BLOCKED_KV``
+#: batches ``schedule`` returns.
 BLOCKED_KV = "kv"
 BLOCKED_BUDGET = "budget"
 BLOCKED_BATCH_SIZE = "batch_size"
@@ -65,14 +66,16 @@ class Scheduler(ABC):
     or that batch recorded why admission blocked.  Then the queue head is
     still refused for the same reason: decode growth only lowers
     ``free_blocks``, and its LRU evictions change no admission's riders.
-    ``schedule`` must then grow each decode's KV by one token as
-    :meth:`prepare_decodes` does and return that same decode-only batch,
-    with the same ``admission_blocked``, changing no other state and reading
-    nothing else (``now`` included), unless that growth exceeds
+    ``schedule`` must then grow each decode's KV by one token with the
+    growth pass of :meth:`prepare_decodes` and return that same decode-only
+    batch, with the same ``admission_blocked``, changing no other state and
+    reading nothing else (``now`` included), unless that growth exceeds
     ``free_blocks``, in which case it preempts.
     :class:`~repro.serving.replica.ReplicaRuntime` re-runs the previous
     batch without calling it (``ReplicaRuntime.steady_batch``) and makes
-    the same growth itself, calling it only when the growth does not fit.
+    the same growth itself with the same helper
+    (:meth:`KVCacheManager.grow_all`).  It calls ``schedule`` when the
+    growth does not fit, at once when a leap already found that it does not.
     """
 
     name: str = "base"
@@ -132,11 +135,14 @@ class Scheduler(ABC):
     ) -> list[Request]:
         """Select the iteration's decode set, growing KV allocations first.
 
-        In full-reservation mode this is just the running decodes (capped at
-        the batch-size limit).  In preemption mode each decode must grow its
-        allocation by one token before it can run; when the cache cannot
-        supply the blocks, the lowest-priority running request (the latest
-        admitted, vLLM's victim order) is preempted until it can.
+        The decode set is the running decodes, capped at the batch-size
+        limit.  In preemption mode each must first grow its allocation by
+        one token.  One growth pass adds up the blocks they need: when the
+        sum fits ``free_blocks`` they grow, in batch order, and run
+        (:meth:`KVCacheManager.grow_all`).  Otherwise
+        :meth:`_grow_preempting` grows them one at a time, preempting the
+        lowest-priority running request (the latest admitted, vLLM's victim
+        order) whenever the cache cannot supply a decode's blocks.
 
         **Pinned preemption/readmission ordering** (asserted by both
         schedulers, pinned by ``tests/corpus`` entries):
@@ -153,9 +159,22 @@ class Scheduler(ABC):
            from silently re-introducing same-pass preempt/readmit churn.)
         """
         decoding = self.decoding_requests(running)
-        if not self.preemption:
-            return decoding[: self.limits.max_batch_size]
+        decodes = decoding[: self.limits.max_batch_size]
+        if not self.preemption or kv_cache.grow_all(decodes):
+            return decodes
+        return self._grow_preempting(decoding, waiting, running, kv_cache, batch)
 
+    def _grow_preempting(
+        self,
+        decoding: list[Request],
+        waiting: list[Request],
+        running: list[Request],
+        kv_cache: KVCacheManager,
+        batch: ScheduledBatch,
+    ) -> list[Request]:
+        """Grow ``decoding`` one decode at a time, preempting victims from
+        the tail of ``running`` until each decode's blocks fit; return the
+        decodes that run (at most ``max_batch_size``)."""
         scheduled: list[Request] = []
         scheduled_ids: set[int] = set()
         preempted_ids: set[int] = set()

@@ -83,6 +83,7 @@ from repro.utils.validation import check_in_choices
 from repro.verify.events import CHUNK_EXECUTED, EventRecorder
 from repro.verify.invariants import check_event_log
 from repro.verify.reference_engine import ReferenceEngine
+from repro.verify.reference_scheduler import use_references
 from repro.workloads.scenario import build_scenario
 
 #: Router policies a 1-replica cluster must reduce under (all of them).
@@ -131,7 +132,17 @@ def _compare_metrics(label: str, reference: ServingMetrics, candidate: ServingMe
 
 
 class ReschedulingRuntime(ReplicaRuntime):
-    """Calls its scheduler every step: the reference for steady-batch re-runs."""
+    """Calls its scheduler every step: the reference for steady-batch re-runs.
+
+    It schedules on the frozen copies of ``Scheduler.prepare_decodes`` and
+    ``KVCacheManager.can_admit_request``
+    (:mod:`repro.verify.reference_scheduler`), so it is also the reference
+    for the growth pass and the riders memo they replaced.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        use_references(self)
 
     def steady_batch(self) -> None:
         return None
@@ -347,6 +358,7 @@ class _ReschedulingFleet:
     @staticmethod
     def _rescheduling(replica: ReplicaRuntime) -> ReplicaRuntime:
         replica.__class__ = ReschedulingRuntime
+        use_references(replica)
         return replica
 
     def build_replica(self, replica_id: int, recorder: Any = None) -> ReplicaRuntime:

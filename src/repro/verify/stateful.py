@@ -89,6 +89,12 @@ _BLOCK_SIZE = 16
 #: enough to exercise chain interleaving without diluting collision odds.
 _PREFIX_IDS = ("corpus/pa", "corpus/pb")
 
+#: The admissions :class:`KVCacheMachine` checks ``can_admit_request`` on
+#: after every rule: a 12-block prompt under each shared prefix, reserving
+#: 1, 3, 6 or 12 blocks, so the checked chains are 1, 3, 6 and 12 blocks.
+_PROBE_BLOCKS = 12
+_PROBE_RESERVES = (1, 3, 6, 12)
+
 #: Hourly rates the cluster machine prices its replicas with.  Rates are pure
 #: billing metadata (every spec still runs ``_DEPLOYMENT``), so pricing a
 #: fleet heterogeneously cannot perturb the differential oracle — only the
@@ -142,16 +148,23 @@ class ReferenceAllocator:
             assert self.lru, "model exhausted with nothing evictable"
             self.lru.pop(0)
 
+    def can_admit(self, request: Request, reserve_tokens: int) -> bool:
+        """Mirror of ``can_admit_request``: the blocks an admission takes
+        from the free pool (misses, revivals, private blocks) fit."""
+        target = math.ceil(reserve_tokens / self.block_size)
+        chain = self._chain(request)[:target]
+        fresh = sum(1 for h in chain if h not in self.refcount) + (target - len(chain))
+        return fresh <= self.free
+
     def admit(self, request: Request, reserve_tokens: int) -> int:
         """Mirror of ``admit_request``; returns the reusable prompt tokens."""
         rid = request.request_id
         if rid in self.holds or rid in self.private:
             raise ValueError("already admitted")
+        if not self.can_admit(request, reserve_tokens):
+            raise MemoryError("model exhausted")
         target = math.ceil(reserve_tokens / self.block_size)
         chain = self._chain(request)[:target]
-        fresh = sum(1 for h in chain if h not in self.refcount) + (target - len(chain))
-        if fresh > self.free:
-            raise MemoryError("model exhausted")
         hold: list[int] = []
         misses: list[int] = []
         leading, leading_hits = True, 0
@@ -423,6 +436,27 @@ class KVCacheMachine(RuleBasedStateMachine):
     def matches_model(self) -> None:
         problems = compare_allocator_to_model(self.manager, self.model)
         assert not problems, "; ".join(problems)
+
+    @invariant()
+    def admission_checks_match_model(self) -> None:
+        """``can_admit_request`` memoizes chain riders across rules; every
+        probe must still agree with the model's fresh-blocks count."""
+        tokens = _PROBE_BLOCKS * _BLOCK_SIZE
+        for prefix_id in _PREFIX_IDS:
+            probe = Request(
+                request_id=-1,
+                prefill_tokens=tokens,
+                decode_tokens=1,
+                prefix_id=prefix_id,
+                prefix_tokens=tokens,
+            )
+            for blocks in _PROBE_RESERVES:
+                reserve = blocks * _BLOCK_SIZE
+                got = self.manager.can_admit_request(probe, reserve)
+                assert got == self.model.can_admit(probe, reserve), (
+                    f"can_admit_request({prefix_id}, {blocks} blocks) is {got}, "
+                    f"the model says {not got}"
+                )
 
     def teardown(self) -> None:
         for rid in list(self.live):

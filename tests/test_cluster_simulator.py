@@ -4,6 +4,7 @@ scaling, and prefill/decode disaggregation."""
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from typing import NamedTuple
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.request import Request, RequestState
 from repro.serving.replica import ReplicaRuntime
+from repro.serving.scheduler import Scheduler
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.verify import single_replica_reference
 from repro.workloads import build_scenario, uniform_workload
@@ -129,12 +131,28 @@ def _kv_pressure_fleet(deployment) -> ClusterSimulator:
     return ClusterSimulator(topology)
 
 
+class _StepRecord(NamedTuple):
+    """One executed ``ReplicaRuntime.step()`` call, as ``_observe`` saw it."""
+
+    scheduled: int  # SarathiScheduler.schedule calls
+    executed: int  # InferenceEngine.execute calls
+    waiting: int  # the waiting queue left by the last arrival admission
+    prefill: bool  # the batch had a prefill item
+    preempted: int  # the batch's preemptions
+    blocked: bool  # the batch recorded why admission blocked
+    released: int  # the step's releases
+    grows: int  # ReplicaRuntime._grow calls
+    preempting: int  # Scheduler._grow_preempting calls: the growth pass failed
+    leap_refusals: int  # _grow refusals in leaps since the previous step() call
+
+
 class TestSteadyDecodeBatches:
     """A replica reschedules only on the steps that cannot re-run its last
     batch, or whose KV growth does not fit, and runs the engine only on the
     steps it schedules and on the re-runs that release a request: every
-    other re-run leaps.  Every executed step is priced exactly once.  Counts
-    carry no timing noise."""
+    other re-run leaps.  Every executed step is priced exactly once, and a
+    growth that does not fit is checked once by the leap and once by the
+    scheduler.  Counts carry no timing noise."""
 
     #: (fleet, scenario, requests, qps) of the two fleets observed.
     FLEETS = {
@@ -145,17 +163,16 @@ class TestSteadyDecodeBatches:
     @classmethod
     def _observe(cls, monkeypatch, deployment, fleet):
         """Serve ``fleet``'s scenario and return the simulator, the call
-        counts and, per replica, one record per executed ``step()`` call:
-        schedule calls, execute calls, the waiting queue left by the last
-        arrival admission, whether the batch had a prefill item, its
-        preemptions, whether it recorded why admission blocked, and the
-        step's releases."""
+        counts and, per replica, one :class:`_StepRecord` per executed
+        ``step()`` call."""
         build, scenario, num_requests, qps = cls.FLEETS[fleet]
         simulator = build(deployment)
         calls: Counter = Counter()
         waiting: dict[object, int] = {}
         executed: list[ScheduledBatch] = []
         steps: defaultdict[object, list] = defaultdict(list)
+        leap_refusals: Counter = Counter()
+        stepping = []  # the replica inside step(), if any
 
         def counted(name, function):
             def shim(*args, **kwargs):
@@ -177,22 +194,41 @@ class TestSteadyDecodeBatches:
             executed.append(batch)
             return execute(engine, batch)
 
+        grow = ReplicaRuntime._grow
+
+        def observed_grow(replica, decodes, ahead=0):
+            grown = grow(replica, decodes, ahead)
+            calls["grow refusals"] += not grown
+            if stepping:
+                calls["step grows"] += 1
+            elif not grown:
+                leap_refusals[replica] += 1
+            return grown
+
         step = ReplicaRuntime.step
 
         def observed_step(replica):
             before = calls.copy()
-            outcome = step(replica)
+            stepping.append(replica)
+            try:
+                outcome = step(replica)
+            finally:
+                stepping.pop()
+            refusals = leap_refusals.pop(replica, 0)
             if outcome.executed:
                 batch = executed[-1]
                 steps[replica].append(
-                    (
-                        calls["schedule"] - before["schedule"],
-                        calls["execute"] - before["execute"],
-                        waiting[replica],
-                        bool(batch.prefill_items),
-                        len(batch.preempted),
-                        batch.admission_blocked is not None,
-                        len(outcome.released),
+                    _StepRecord(
+                        scheduled=calls["schedule"] - before["schedule"],
+                        executed=calls["execute"] - before["execute"],
+                        waiting=waiting[replica],
+                        prefill=bool(batch.prefill_items),
+                        preempted=len(batch.preempted),
+                        blocked=batch.admission_blocked is not None,
+                        released=len(outcome.released),
+                        grows=calls["step grows"] - before["step grows"],
+                        preempting=calls["preempting"] - before["preempting"],
+                        leap_refusals=refusals,
                     )
                 )
             return outcome
@@ -201,12 +237,16 @@ class TestSteadyDecodeBatches:
             SarathiScheduler, "schedule", counted("schedule", SarathiScheduler.schedule)
         )
         monkeypatch.setattr(
+            Scheduler, "_grow_preempting", counted("preempting", Scheduler._grow_preempting)
+        )
+        monkeypatch.setattr(
             IterationCostModel,
             "iteration_breakdown",
             counted("priced", IterationCostModel.iteration_breakdown),
         )
         monkeypatch.setattr(ReplicaRuntime, "_admit_arrivals", observed_admit)
         monkeypatch.setattr(InferenceEngine, "execute", observed_execute)
+        monkeypatch.setattr(ReplicaRuntime, "_grow", observed_grow)
         monkeypatch.setattr(ReplicaRuntime, "step", observed_step)
         simulator.run_scenario(scenario, num_requests=num_requests, seed=0, qps=qps)
         return simulator, calls, [steps[replica] for replica in simulator.replicas]
@@ -220,10 +260,9 @@ class TestSteadyDecodeBatches:
         earlier call's batch, so they change neither condition."""
         previous_steady = previous_blocked = False  # the first step re-runs nothing
         for record in steps:
-            waiting, prefill, preempted, blocked, released = record[2:]
-            yield record, previous_steady and (not waiting or previous_blocked)
-            previous_steady = not (prefill or preempted or released)
-            previous_blocked = blocked
+            yield record, previous_steady and (not record.waiting or previous_blocked)
+            previous_steady = not (record.prefill or record.preempted or record.released)
+            previous_blocked = record.blocked
 
     @pytest.mark.parametrize("fleet", ["colocated", "kv-pressure"])
     def test_prices_each_executed_step_once(self, llama3_deployment, monkeypatch, fleet):
@@ -239,10 +278,9 @@ class TestSteadyDecodeBatches:
         for steps in per_replica:
             assert steps
             for record, can_rerun in self._walk(steps):
-                scheduled, executed, *_, released = record
-                assert scheduled == (0 if can_rerun else 1)
-                assert executed == 1
-                releasing_reruns += can_rerun and released > 0
+                assert record.scheduled == (0 if can_rerun else 1)
+                assert record.executed == 1
+                releasing_reruns += can_rerun and record.released > 0
         assert releasing_reruns > 0
         assert calls["execute"] == calls["schedule"] + releasing_reruns
         executed_steps = sum(replica.steps_executed for replica in simulator.replicas)
@@ -256,13 +294,32 @@ class TestSteadyDecodeBatches:
         simulator, calls, (steps,) = self._observe(monkeypatch, llama3_deployment, "kv-pressure")
         shapes: Counter = Counter()
         for record, can_rerun in self._walk(steps):
-            scheduled, executed, waiting, _, preempted, *_ = record
-            assert executed == 1
-            assert scheduled == (1 if not can_rerun or preempted else 0)
-            shapes[can_rerun, bool(waiting), scheduled] += 1
+            assert record.executed == 1
+            assert record.scheduled == (1 if not can_rerun or record.preempted else 0)
+            shapes[can_rerun, bool(record.waiting), record.scheduled] += 1
         assert shapes[True, True, 0] > 0  # re-runs past a refused queue head
         assert shapes[True, True, 1] + shapes[True, False, 1] > 0  # growth fell back
         assert 3 * calls["schedule"] < simulator.replicas[0].steps_executed
+
+    def test_growth_that_does_not_fit_is_checked_twice(self, llama3_deployment, monkeypatch):
+        """Only a step that must preempt leaves ``prepare_decodes``' growth
+        pass for the per-decode loop.  A leap that stops because a re-run's
+        growth does not fit hands that refusal to the next ``step()``, which
+        calls the scheduler without growing through ``_grow`` and without a
+        second leap in between: the growth is checked once by the leap and
+        once by the growth pass.  Before the hand-off, 20 of these 22 steps
+        came after a second leap that refused the same growth, and each of
+        the 22 refused it once more through ``_grow``."""
+        simulator, calls, (steps,) = self._observe(monkeypatch, llama3_deployment, "kv-pressure")
+        for record in steps:
+            assert record.preempting == (record.preempted > 0)
+        handed = [record for record in steps if record.leap_refusals]
+        for record in handed:
+            assert (record.leap_refusals, record.grows, record.scheduled) == (1, 0, 1)
+            assert record.preempting == 1
+        refused_in_step = [record for record in steps if record.grows and record.scheduled]
+        assert (len(handed), len(refused_in_step), calls["grow refusals"]) == (22, 1, 23)
+        assert calls["preempting"] == 28  # the 23 refusals and 5 steps that cannot re-run
 
 class TestColocatedCluster:
     @pytest.fixture(scope="class")

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.serving.batch import ScheduledBatch
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.request import Request
-from repro.serving.scheduler import SchedulerLimits
+from repro.serving.scheduler import Scheduler, SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
+from repro.verify.reference_scheduler import reference_prepare_decodes
 
 
 def _kv(capacity=200_000):
@@ -193,3 +195,61 @@ class TestPreemptionReadmissionOrdering:
             Scheduler.check_readmission_ordering(batch, {3})
         # Disjoint sets pass.
         Scheduler.check_readmission_ordering(batch, {4})
+
+
+class TestPrepareDecodesMatchesReference:
+    """``Scheduler.prepare_decodes`` (one growth pass, then the per-decode
+    loop when the growth does not fit) must do exactly what the frozen
+    per-decode reference does: the same decode set, queues, preemptions and
+    KV calls, in the same order."""
+
+    #: name -> (prompt lengths, capacity in blocks, max_batch_size).  A
+    #: decode's context is its prompt + 1, so a prompt of 16k - 1 tokens
+    #: sits on a block boundary and needs a block for its next token.
+    CASES = {
+        "fits": ([47, 30, 63, 20, 95], 64, 256),
+        "over_the_batch_limit": ([47, 63, 79, 95, 31, 15], 64, 4),
+        "preempts": ([63, 47, 60, 31], 13, 256),
+        "preempts_over_the_batch_limit": ([63, 47, 31, 15, 79], 15, 3),
+    }
+
+    @staticmethod
+    def _run(prepare, prompts, capacity_blocks, max_batch_size):
+        scheduler = SarathiScheduler(
+            chunk_size=1024,
+            limits=SchedulerLimits(max_batch_size=max_batch_size),
+            preemption=True,
+        )
+        kv = KVCacheManager(KVCacheConfig(capacity_tokens=capacity_blocks * 16))
+        running = []
+        for request_id, prompt in enumerate(prompts):
+            request = Request(request_id=request_id, prefill_tokens=prompt, decode_tokens=64)
+            kv.allocate(request_id, prompt + 1)
+            request.advance_prefill(prompt, now=0.0)
+            running.append(request)
+        calls = []
+        kv.observer = lambda kind, request_id, blocks, **extra: calls.append(
+            (kind, request_id, blocks, extra)
+        )
+        waiting = [Request(request_id=99, prefill_tokens=16, decode_tokens=4)]
+        batch = ScheduledBatch()
+        decodes = prepare(scheduler, waiting, running, kv, batch)
+        return (
+            [request.request_id for request in decodes],
+            [request.request_id for request in waiting],
+            [request.request_id for request in running],
+            [(request.request_id, lost) for request, lost in batch.preempted],
+            calls,
+            [kv.blocks_of(request_id) for request_id in range(len(prompts))],
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_frozen_reference(self, case):
+        prompts, capacity_blocks, max_batch_size = self.CASES[case]
+        got = self._run(Scheduler.prepare_decodes, prompts, capacity_blocks, max_batch_size)
+        want = self._run(reference_prepare_decodes, prompts, capacity_blocks, max_batch_size)
+        assert got == want
+        decodes, _, _, preempted, calls, _ = got
+        assert len(decodes) == min(len(prompts) - len(preempted), max_batch_size)
+        assert bool(preempted) == case.startswith("preempts")
+        assert any(kind == "kv_alloc" for kind, *_ in calls)

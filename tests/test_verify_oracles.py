@@ -22,9 +22,13 @@ from repro.verify import (
     scheduler_conservation,
     single_replica_equivalence,
 )
+from repro.cluster import ColocatedTopology
 from repro.serving.attention_backend import AttentionBackend
 from repro.serving.batch import ScheduledBatch
-from repro.verify.oracles import leap_equivalence
+from repro.serving.kv_cache import KVCacheManager
+from repro.serving.scheduler_sarathi import SarathiScheduler
+from repro.verify.oracles import ReschedulingRuntime, _ReschedulingFleet, leap_equivalence
+from repro.verify.reference_scheduler import ReferenceKVCacheManager, reference_prepare_decodes
 from repro.workloads import SCENARIOS
 
 SCENARIO_NAMES = tuple(SCENARIOS)
@@ -131,6 +135,46 @@ class TestLeapEquivalence:
         monkeypatch.setattr(AttentionBackend, "rerun_decode_times", one_step_behind)
         assert leap_equivalence(llama3_deployment, "arxiv-summarization", num_requests=16)
         assert estimate_equivalence(llama3_deployment, "arxiv-summarization")
+
+
+class TestReschedulingRuntimeReferences:
+    """The rescheduling reference schedules on the frozen copies of
+    ``prepare_decodes`` and the admission chain walk, so the oracles that
+    run it catch a bug in the growth pass or the riders memo."""
+
+    @staticmethod
+    def _assert_frozen(runtime):
+        assert type(runtime.kv_cache) is ReferenceKVCacheManager
+        assert runtime.scheduler.prepare_decodes.__func__ is reference_prepare_decodes
+
+    def test_built_runtime_runs_the_frozen_copies(self, llama3_deployment):
+        scheduler = SarathiScheduler(preemption=True)
+        runtime = ReschedulingRuntime(llama3_deployment, scheduler)
+        self._assert_frozen(runtime)
+        assert runtime.scheduler is not scheduler
+        assert "prepare_decodes" not in vars(scheduler)
+
+    def test_leap_oracle_fleet_runs_the_frozen_copies(self, llama3_deployment):
+        topology = ColocatedTopology(
+            llama3_deployment,
+            num_replicas=2,
+            scheduler_factory=lambda: SarathiScheduler(preemption=True),
+        )
+        replicas = _ReschedulingFleet(topology).build_replicas()
+        assert len(replicas) == 2
+        for replica in replicas:
+            self._assert_frozen(replica)
+
+    def test_reports_a_growth_pass_out_of_batch_order(self, llama3_deployment, monkeypatch):
+        grow_all = KVCacheManager.grow_all
+
+        def reversed_order(kv_cache, requests, ahead=0):
+            return grow_all(kv_cache, list(requests)[::-1], ahead)
+
+        monkeypatch.setattr(KVCacheManager, "grow_all", reversed_order)
+        assert leap_equivalence(
+            llama3_deployment, "shared-prefix-chat", "kv-pressure", num_requests=96, record=True
+        )
 
 
 class TestSchedulerConservation:

@@ -108,12 +108,6 @@ class ClusterMetrics:
         return max(r.utilization for r in self.replicas)
 
     @property
-    def utilization_imbalance(self) -> float:
-        """Max/mean replica utilization (1.0 = perfectly balanced fleet)."""
-        mean = self.mean_utilization
-        return self.max_utilization / mean if mean > 0 else 0.0
-
-    @property
     def mean_kv_transfer_time(self) -> float:
         if self.num_kv_transfers == 0:
             return 0.0

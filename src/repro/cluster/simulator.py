@@ -8,15 +8,17 @@ advancing whichever is earliest:
    replica's next iteration, it is routed and enqueued first, so routing
    decisions see replica load *as of the arrival time*.
 2. Otherwise the replica with the earliest local clock advances
-   (:meth:`ReplicaRuntime.advance`): it executes one iteration, or leaps
-   through the re-runs of a steady decode batch that start before the next
-   arrival or transfer delivery (nothing reads a replica's state between
-   deliveries); any requests it releases either complete (colocated, or
-   decode pool) or spawn a KV transfer to the decode pool (disaggregated
-   prefill pool).  With a recorder, or in a disaggregated topology, a leap
-   also stops at every other replica's next step, so the event log keeps
-   its global step order and no decode replica runs past a transfer that a
-   prefill replica has yet to create.
+   (:meth:`ReplicaRuntime.advance`): it runs its next iteration, then every
+   iteration that starts before the next arrival or transfer delivery,
+   leaping through the re-runs of steady decode batches, and returns after
+   the first iteration that releases a request.  Between deliveries its
+   releases are all that is read from outside it: any requests it releases
+   either complete (colocated, or decode pool; the control plane counts
+   them) or spawn a KV transfer to the decode pool at the replica's clock
+   (disaggregated prefill pool).  With a recorder, or in a disaggregated
+   topology, a call also stops before every other replica's next step, so
+   the event log keeps its global step order and no decode replica runs
+   past a transfer that a prefill replica has yet to create.
 
 Both hot-path decisions are cheap at fleet scale: the earliest replica comes
 from a ``(next_ready_time, replica_id)`` heap holding one live entry per
@@ -355,11 +357,12 @@ class ClusterSimulator:
 
             if next_replica_id < 0:
                 break  # every queue is drained
-            # The replica may leap up to the next delivery: nothing reads its
-            # state before then.  A recorded log must keep its global step
-            # order, and a decode replica must not run past a transfer that a
-            # prefill replica has yet to create, so both also stop at every
-            # other replica's next step; ready_heap[1:3] bounds them all.
+            # The replica may run up to the next delivery, or its next
+            # release: nothing else reads its state before then.  A recorded
+            # log must keep its global step order, and a decode replica must
+            # not run past a transfer that a prefill replica has yet to
+            # create, so both also stop at every other replica's next step;
+            # ready_heap[1:3] bounds them all.
             until = math.inf if deliver_time is None else deliver_time
             if self.recorder is not None or disaggregated:
                 for ready, _ in ready_heap[1:3]:

@@ -71,10 +71,6 @@ class ExecutionResult:
     def total_ctas(self) -> int:
         return sum(k.num_ctas for k in self.kernels)
 
-    def ctas_on_sm(self, sm_id: int) -> list[CTARecord]:
-        """All CTA records that executed on a given SM."""
-        return [record for record in self.cta_records if record.sm_id == sm_id]
-
     def summary(self) -> dict[str, float]:
         """Compact dictionary view used by benchmarks and examples."""
         return {

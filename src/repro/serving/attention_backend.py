@@ -147,11 +147,12 @@ class AttentionBackend:
     def rerun_decode_times(self, batch: ScheduledBatch) -> Iterator[float]:
         """Decode attention times of successive re-runs of a decode-only batch.
 
-        The j-th time yielded is what :meth:`estimate` gives after
-        :meth:`ScheduledBatch.advance_decode_sums` has run j times, bit for
-        bit; the batch itself is left alone.  The splits read the shortest
-        context only through ``min_context // tile_kv``, so the shapes are
-        looked up again only when that quotient changes.
+        The j-th time yielded is what :meth:`estimate` gives, bit for bit,
+        once every decode's context is j tokens longer than the batch's
+        carried decode sums say; the batch itself is left alone (a leap
+        advances those sums after its last re-run).  The splits read the
+        shortest context only through ``min_context // tile_kv``, so the
+        shapes are looked up again only when that quotient changes.
         """
         num_decodes, context_sum, min_context = batch.context_sums()
         tile_kv = FA_DECODE_TILE.tile_kv

@@ -29,7 +29,7 @@ class ScheduledBatch:
             (``ReplicaRuntime.steady_batch``).
         decode_sums: ``(count, Σ context, min context)`` of the decodes,
             taken by the first estimate (:meth:`context_sums`); a replica
-            that re-runs the batch advances them.
+            that leaps through re-runs of the batch advances them.
     """
 
     prefill_items: list[tuple[Request, int]] = field(default_factory=list)
@@ -45,12 +45,6 @@ class ScheduledBatch:
             contexts = [request.context_tokens for request in self.decode_requests]
             self.decode_sums = (len(contexts), sum(contexts), min(contexts))
         return self.decode_sums
-
-    def advance_decode_sums(self) -> None:
-        """Carry the decode sums past one step in which every decode ran."""
-        if self.decode_sums is not None:
-            count, context_sum, min_context = self.decode_sums
-            self.decode_sums = (count, context_sum + count, min_context + 1)
 
     @property
     def is_empty(self) -> bool:

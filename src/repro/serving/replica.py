@@ -2,13 +2,12 @@
 
 ``ReplicaRuntime`` is the event-level serving core: one replica's
 pending/waiting/running queues, KV cache, engine and local clock, advanced one
-iteration at a time via :meth:`step`, or via :meth:`advance`, which also
-leaps through a steady decode run up to a given time.
-``repro.cluster.ClusterSimulator`` interleaves one or more runtimes under one
-global clock, which is why the stepping API is explicit rather than buried in
-a ``run()`` loop; :meth:`ReplicaRuntime.run_to_completion` is the plain
-single-replica loop the differential oracle in ``repro.verify.oracles``
-replays against it.
+scheduled iteration at a time via :meth:`step`, or via :meth:`advance`, which
+runs iterations up to a given time or a release and leaps through steady
+decode runs.  ``repro.cluster.ClusterSimulator`` interleaves one or more
+runtimes under one global clock, which is why the stepping API is explicit
+rather than buried in a ``run()`` loop; :meth:`ReplicaRuntime.run_to_completion`
+is the plain single-replica loop.
 
 Two details matter for cluster use:
 
@@ -29,37 +28,31 @@ cluster routers read O(1) load snapshots instead of rescanning every
 outstanding request per routing decision (``scan_load`` keeps the reference
 scan for verification).
 
-Steady decode steps skip the scheduler.  When the last step's batch decoded
-every running request and nothing else (no prefill item, so no admission,
-and no preemption) and released nothing, the next step re-runs that batch
-instead of calling ``Scheduler.schedule``, which by contract would return
-the same one, unless requests wait and the batch recorded no reason why
-admission blocked.  A refused queue head stays refused until a release, a
-preemption or an admission: decode growth only lowers ``free_blocks``, and
-the LRU evictions it causes change no admission's free riders.  Under
-preemption a re-run first grows its decodes with the growth pass of
-``Scheduler.prepare_decodes`` (``KVCacheManager.grow_all``: only the
-decodes that cross a block boundary allocate), and calls the scheduler
-(which then preempts) when the cache lacks the blocks.  A re-run advances
-the batch's carried decode sums by one token per decode.  Only
+Steady decode runs leap.  A batch that decoded every running request and
+nothing else (no prefill item, so no admission, and no preemption) and
+released nothing is steady: by contract ``Scheduler.schedule`` would return
+it again, unless requests wait and it recorded no reason why admission
+blocked.  A refused queue head stays refused until a release, a preemption
+or an admission: decode growth only lowers ``free_blocks``, and the LRU
+evictions it causes change no admission's free riders.  Only
 :meth:`ReplicaRuntime.steady_batch` decides; the oracles' reference runtime
-overrides it to reschedule every step.
-
-Steady runs leap.  Within a steady run nothing changes but the clock, the
-decodes' progress and their KV growth, and each re-run's duration depends
-only on its index, so :meth:`ReplicaRuntime.advance` runs in one call every
-re-run that starts before a given time (the cluster's next delivery) and
-before the next pending request is ready, stopping before the step in which
-the first decode finishes or whose growth the cache cannot supply.  A leap
-stopped by that growth hands its refusal to the next :meth:`step`, which
-then calls the scheduler without checking the growth again.  A per-decode
-index of block-boundary crossings makes a leaped step cost its crossings,
-not its decodes.  The engine prices each re-run from the same
-helpers as a step (:meth:`InferenceEngine.rerun_durations`); the clock and
-busy time take the same float additions per re-run, and the requests and
-counters are committed once at the end.  A leap's results, counters and
-recorded events equal those of the same steps run one
-:meth:`ReplicaRuntime.step` at a time, which
+overrides it to reschedule every step.  Within a steady run nothing changes
+but the clock, the decodes' progress and their KV growth, and each re-run's
+duration depends only on its index, so :meth:`ReplicaRuntime.advance`
+re-runs the batch in bulk instead of scheduling it, through the step in
+which the first decode finishes, while each re-run starts before a given
+time (the cluster's next delivery) and before the next pending request is
+ready.  Under preemption each re-run first grows the decodes that cross a
+block boundary with the growth pass of ``Scheduler.prepare_decodes``
+(``KVCacheManager.grow_all``), found from a per-decode index of crossings,
+so a leaped step costs its crossings, not its decodes; a step whose growth
+the cache cannot supply goes to the scheduler, which preempts.  The engine
+prices each re-run from the same helpers as a step
+(:meth:`InferenceEngine.rerun_durations`); the clock and busy time take the
+same float additions per re-run, and the requests, counters and releases
+are committed once at the end.  :meth:`ReplicaRuntime.step` always
+schedules.  A leap's results, counters and recorded events equal those of
+the same steps run one :meth:`ReplicaRuntime.step` at a time, which
 :func:`repro.verify.oracles.leap_equivalence` checks.
 """
 
@@ -75,7 +68,7 @@ if TYPE_CHECKING:  # avoid a runtime serving -> verify import cycle
     from repro.verify.events import EventSink
 from repro.serving.attention_backend import AttentionBackend, FASerialBackend
 from repro.serving.batch import ScheduledBatch
-from repro.serving.engine import InferenceEngine, IterationResult
+from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import Scheduler
@@ -99,15 +92,11 @@ _COMPACT_THRESHOLD = 1024
 @dataclass
 class StepOutcome:
     """What one :meth:`ReplicaRuntime.step` or :meth:`ReplicaRuntime.advance`
-    call did (``result`` is the last iteration it ran)."""
+    call did: the requests its last iteration released, and whether any
+    iteration ran (False when the replica was drained)."""
 
     released: list[Request] = field(default_factory=list)
-    result: IterationResult | None = None
-
-    @property
-    def executed(self) -> bool:
-        """True when an iteration actually ran (False when the replica drained)."""
-        return self.result is not None
+    executed: bool = False
 
 
 class ReplicaRuntime:
@@ -152,10 +141,6 @@ class ReplicaRuntime:
         self._release_decoding = release_on == "first_token"
         # The last executed batch, unless that step released a request.
         self._last_batch: ScheduledBatch | None = None
-        # Set by a leap that stopped because the next re-run's growth does
-        # not fit; the next step() then calls the scheduler without checking
-        # that growth again.
-        self._growth_refused = False
 
         # Pending requests as (ready_time, seq, request), sorted from _cursor on.
         self._pending: list[tuple[float, int, Request]] = []
@@ -258,15 +243,6 @@ class ReplicaRuntime:
 
     # ------------------------------------------------------------ queries
 
-    @property
-    def num_pending(self) -> int:
-        return len(self._pending) - self._cursor
-
-    @property
-    def num_outstanding(self) -> int:
-        """Requests this replica has accepted but not yet released."""
-        return self.num_pending + len(self.waiting) + len(self.running)
-
     def outstanding_requests(self) -> Iterator[Request]:
         """Iterate every request accepted but not yet released (any order)."""
         for i in range(self._cursor, len(self._pending)):
@@ -305,8 +281,9 @@ class ReplicaRuntime:
     # ------------------------------------------------------------ stepping
 
     def steady_batch(self) -> ScheduledBatch | None:
-        """The last batch when this step may re-run it (the rule is in the
-        module docstring), else ``None``.  Override to reschedule every step."""
+        """The last batch when the next iteration may re-run it by leaping
+        (the rule is in the module docstring), else ``None``.  Override to
+        reschedule every step."""
         batch = self._last_batch
         if (
             batch is None
@@ -318,22 +295,13 @@ class ReplicaRuntime:
             return None
         return batch
 
-    def _grow(self, decodes: list[Request], ahead: int = 0) -> bool:
-        """Grow ``decodes`` by their next token's KV with the growth pass of
-        ``Scheduler.prepare_decodes`` (:meth:`KVCacheManager.grow_all`);
-        ``ahead`` counts re-runs not yet committed to the requests.  Returns
-        False, growing nothing, when the cache lacks the blocks.  Full
-        reservation grows nothing."""
-        return not self.scheduler.preemption or self.kv_cache.grow_all(decodes, ahead)
-
     def step(self) -> StepOutcome:
-        """Execute the next iteration (advancing the local clock past any idle
-        gap first) and return the requests it released.
+        """Schedule and execute the next iteration (advancing the local clock
+        past any idle gap first) and return the requests it released.
 
         Calling ``step()`` on a drained replica is a no-op returning an
         outcome with ``executed == False``.
         """
-        refused, self._growth_refused = self._growth_refused, False
         while True:
             self._admit_arrivals()
             if not self.waiting and not self.running:
@@ -351,13 +319,7 @@ class ReplicaRuntime:
                 if self.recorder is not None
                 else None
             )
-            batch = None if refused else self.steady_batch()
-            if batch is not None and self._grow(batch.decode_requests):
-                batch.advance_decode_sums()
-            else:
-                batch = self.scheduler.schedule(
-                    self.waiting, self.running, self.kv_cache, self.clock
-                )
+            batch = self.scheduler.schedule(self.waiting, self.running, self.kv_cache, self.clock)
             # Preemptions put recompute debt back on the clock (remaining
             # prefill grows); prefix-cache hits retire prompt tokens without
             # executing them.  Both must flow through the load counters.
@@ -400,77 +362,79 @@ class ReplicaRuntime:
             # A request is released when its state changed this step (or,
             # releasing at first token, whenever it decodes): scan only after
             # a prefill ran or a decode left DECODING.
-            release_decoding = self._release_decoding
-            scan = release_decoding or bool(batch.prefill_items)
+            scan = self._release_decoding or bool(batch.prefill_items)
             for request in batch.decode_requests:
                 request.advance_decode(self.clock)
                 scan = scan or request.state is not _DECODING
             self.load_total_tokens -= len(batch.decode_requests)
-            released: list[Request] = []
-            if scan:
-                released = [
-                    r
-                    for r in self.running
-                    if r.state is _FINISHED or (release_decoding and r.state is _DECODING)
-                ]
-            self._last_batch = None if released else batch
-            if released:
-                released_ids = {r.request_id for r in released}
+            self._last_batch = batch
+            return StepOutcome(self._release() if scan else [], executed=True)
+
+    def _release(self) -> list[Request]:
+        """Release every running request that is done here (finished or,
+        releasing at first token, decoding) and return them.  A step that
+        releases is not steady, so a release also forgets the last batch."""
+        release_decoding = self._release_decoding
+        released = [
+            r
+            for r in self.running
+            if r.state is _FINISHED or (release_decoding and r.state is _DECODING)
+        ]
+        if released:
+            self._last_batch = None
+            released_ids = {r.request_id for r in released}
+            for request in released:
+                self.kv_cache.free(request.request_id)
+                remaining_prefill = request.remaining_prefill_tokens
+                self.load_num_requests -= 1
+                self.load_total_tokens -= remaining_prefill + request.remaining_decode_tokens
+                self.load_prefill_tokens -= remaining_prefill
+            self.running = [r for r in self.running if r.request_id not in released_ids]
+            self.released.extend(released)
+            if self.recorder is not None:
                 for request in released:
-                    self.kv_cache.free(request.request_id)
-                    remaining_prefill = request.remaining_prefill_tokens
-                    self.load_num_requests -= 1
-                    self.load_total_tokens -= (
-                        remaining_prefill + request.remaining_decode_tokens
+                    self.recorder.emit(
+                        "released",
+                        time=self.clock,
+                        replica_id=self.replica_id,
+                        request_id=request.request_id,
+                        state=request.state.value,
                     )
-                    self.load_prefill_tokens -= remaining_prefill
-                self.running = [r for r in self.running if r.request_id not in released_ids]
-                self.released.extend(released)
-                if self.recorder is not None:
-                    for request in released:
+                    if request.state is RequestState.FINISHED:
                         self.recorder.emit(
-                            "released",
+                            "completed",
                             time=self.clock,
                             replica_id=self.replica_id,
                             request_id=request.request_id,
-                            state=request.state.value,
                         )
-                        if request.state is RequestState.FINISHED:
-                            self.recorder.emit(
-                                "completed",
-                                time=self.clock,
-                                replica_id=self.replica_id,
-                                request_id=request.request_id,
-                            )
-            return StepOutcome(released=released, result=result)
+        return released
 
     def advance(self, until: float = math.inf) -> StepOutcome:
-        """Run the next step, then every re-run step that starts before ``until``.
+        """Run the next iteration, then every iteration that starts before
+        ``until``, up to the first that releases a request.
 
-        After arrival admission, a steady batch (:meth:`steady_batch`) leaps:
-        its re-runs are run in bulk while each starts strictly before both
-        ``until`` and the next pending ready time, stopping before the step in
-        which its first decode finishes, before a step whose KV growth the
-        cache cannot supply, and at ``MAX_ITERATIONS``.  Otherwise one
-        :meth:`step` runs, and a leap follows when it released nothing.  After
-        a leap stopped by KV growth, the next step goes to the scheduler: no
-        leap runs until a :meth:`step` has run.
-        The outcome is that of the step, or of the last leaped step when the
-        call only leaped.  Clocks, counters, requests and recorded events
-        end exactly as if each step had run through :meth:`step`.
+        After arrival admission an iteration over a steady batch
+        (:meth:`steady_batch`) leaps with its re-runs (:meth:`_leap`); any
+        other iteration, and a re-run whose KV growth the cache cannot
+        supply, runs through :meth:`step`.  A replica's releases are the
+        only state read from outside it between deliveries, so the call
+        returns after the first iteration that releases, with its releases,
+        or when the replica drains.  Clocks, counters, requests and recorded
+        events end exactly as if each iteration had run through
+        :meth:`step`.
         """
-        self._admit_arrivals()
-        batch = None if self._growth_refused else self.steady_batch()
-        if batch is not None:
-            result = self._leap(batch, until)
-            if result is not None:
-                return StepOutcome(result=result)
-        outcome = self.step()
-        if outcome.executed and not outcome.released:
+        while True:
+            self._admit_arrivals()
             batch = self.steady_batch()
-            if batch is not None:
-                self._leap(batch, until)
-        return outcome
+            released = None if batch is None else self._leap(batch, until)
+            if released is None:
+                outcome = self.step()
+                if not outcome.executed:
+                    return outcome  # drained before any iteration ran
+                released = outcome.released
+            ready = self.next_ready_time()
+            if released or ready is None or not ready < until:
+                return StepOutcome(released, executed=True)
 
     def _crossings(self, decodes: list[Request]) -> list[list[tuple[int, Request]]]:
         """The decodes, in batch order, bucketed by re-run index modulo the
@@ -486,47 +450,51 @@ class ReplicaRuntime:
             due[first % block_size].append((first, request))
         return due
 
-    def _leap(self, batch: ScheduledBatch, until: float) -> IterationResult | None:
-        """Re-run the steady ``batch`` over every step :meth:`advance` allows.
+    def _leap(self, batch: ScheduledBatch, until: float) -> list[Request] | None:
+        """Re-run the steady ``batch`` through the step in which its first
+        decode finishes, right after arrival admission.
 
-        Each step first grows the decodes crossing a block boundary
-        (:meth:`_crossings`, :meth:`_grow`) at its start clock, and the leap
-        ends before a step whose growth does not fit, so no step is priced
-        that does not run, and sets ``_growth_refused`` for the next
-        :meth:`step`.  Each step is priced by
-        :meth:`InferenceEngine.rerun_durations` and advances the clock and
-        busy time by the same float additions as :meth:`step`.  The requests
-        are committed once, after the last step: each decode's last token
-        landed at the leap's start, so one list of clock differences extends
-        every decode's ``token_intervals``.  Returns the last step's result,
-        or ``None`` when no step may leap.
+        The first re-run always runs: the caller runs this replica's next
+        iteration.  Each later one runs while it starts strictly before both
+        ``until`` and the next pending ready time, up to ``MAX_ITERATIONS``.
+        Under preemption each step first grows the decodes crossing a block
+        boundary (:meth:`_crossings`, ``KVCacheManager.grow_all``) at its
+        start clock, so no step is priced that does not run.  Each step is
+        priced by :meth:`InferenceEngine.rerun_durations` and advances the
+        clock and busy time by the same float additions as :meth:`step`.
+        The requests are committed once, after the last step that ran: each
+        decode's last token landed at the leap's start, so one list of clock
+        differences extends every decode
+        (:meth:`~repro.serving.request.Request.advance_decodes`).  Returns
+        the requests the last step released, or ``None`` when a step's
+        growth does not fit or ``MAX_ITERATIONS`` bars it: the steps before
+        it are committed, and the caller runs it through :meth:`step`.
         """
         decodes = batch.decode_requests
-        steps = min(
-            min(request.remaining_decode_tokens for request in decodes) - 1,
-            MAX_ITERATIONS - self.steps_executed,
-        )
-        self._ensure_sorted()
+        remaining = min(request.remaining_decode_tokens for request in decodes)
+        steps = min(remaining, MAX_ITERATIONS - self.steps_executed)
+        if steps <= 0:
+            return None
         if self._cursor < len(self._pending):
             until = min(until, self._pending[self._cursor][0])
-        clock = self.clock
-        if steps <= 0 or not clock < until:
-            return None
+        kv_cache = self.kv_cache
         due = self._crossings(decodes) if self.scheduler.preemption else None
-        block_size = self.kv_cache.config.block_size
+        block_size = kv_cache.config.block_size
+        clock = self.clock
         busy_time = self.busy_time
         num_tokens = len(decodes)
         recorder = self.recorder
         intervals: list[float] = []
         durations = self.engine.rerun_durations(batch)
+        refused = False
         while True:
             leaped = len(intervals)
             if due is not None:
                 crossing = [r for first, r in due[leaped % block_size] if first <= leaped]
                 if crossing:
                     self.clock = clock  # the growth's KV events carry the step's start
-                    if not self._grow(crossing, leaped):
-                        self._growth_refused = True
+                    if not kv_cache.grow_all(crossing, leaped):
+                        refused = True
                         break
             duration = next(durations)
             start = clock
@@ -538,8 +506,6 @@ class ReplicaRuntime:
             if len(intervals) == steps or not clock < until:
                 break
         leaped = len(intervals)
-        if not leaped:
-            return None
         self.clock = clock
         self.busy_time = busy_time
         self.steps_executed += leaped
@@ -548,10 +514,10 @@ class ReplicaRuntime:
         count, context_sum, min_context = batch.context_sums()
         batch.decode_sums = (count, context_sum + count * leaped, min_context + leaped)
         for request in decodes:
-            request.token_intervals.extend(intervals)
-            request.last_token_time = clock
-            request.decode_done_tokens += leaped
-        return IterationResult(duration, num_tokens, False)
+            request.advance_decodes(intervals, clock)
+        if refused:
+            return None
+        return self._release() if leaped == remaining else []
 
     def _record_iteration(self, batch, running_ids_before: set[int], start: float, result) -> None:
         """Emit the preempted / admitted / batch_formed / step / chunk events

@@ -151,6 +151,15 @@ class Request:
         self.decode_done_tokens += 1
         self._maybe_finish(now)
 
+    def advance_decodes(self, intervals: list[float], now: float) -> None:
+        """Record one output token per back-to-back decode iteration, the
+        last ending at ``now``; ``intervals`` are their times between tokens,
+        the first measured from ``last_token_time``."""
+        self.token_intervals.extend(intervals)
+        self.last_token_time = now
+        self.decode_done_tokens += len(intervals)
+        self._maybe_finish(now)
+
     def _maybe_finish(self, now: float) -> None:
         if self.decode_done_tokens >= self.decode_tokens:
             self.state = RequestState.FINISHED

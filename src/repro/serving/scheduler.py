@@ -71,11 +71,11 @@ class Scheduler(ABC):
     batch, with the same ``admission_blocked``, changing no other state and
     reading nothing else (``now`` included), unless that growth exceeds
     ``free_blocks``, in which case it preempts.
-    :class:`~repro.serving.replica.ReplicaRuntime` re-runs the previous
-    batch without calling it (``ReplicaRuntime.steady_batch``) and makes
-    the same growth itself with the same helper
-    (:meth:`KVCacheManager.grow_all`).  It calls ``schedule`` when the
-    growth does not fit, at once when a leap already found that it does not.
+    ``ReplicaRuntime.advance`` leaps through such re-runs without calling it
+    (``ReplicaRuntime.steady_batch`` decides) and makes the same growth
+    itself with the same helper (:meth:`KVCacheManager.grow_all`); a re-run
+    whose growth does not fit goes to ``schedule``, as every
+    ``ReplicaRuntime.step`` call does.
     """
 
     name: str = "base"

@@ -104,6 +104,7 @@ def __getattr__(name: str) -> object:
         return getattr(stateful, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 __all__ = [
     "ADMITTED",
     "ALL_KINDS",

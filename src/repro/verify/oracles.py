@@ -158,16 +158,18 @@ def single_replica_reference(
     """Serve ``requests`` on one rescheduling runtime with the plain drain loop.
 
     The reference side of the single-replica oracles: fresh copies of every
-    request are enqueued up front on a :class:`ReschedulingRuntime`, and
-    :meth:`~repro.serving.replica.ReplicaRuntime.run_to_completion` steps it
-    until it drains (it never leaps, so one step per call).  Returns the
+    request are enqueued up front on a :class:`ReschedulingRuntime`, which
+    is drained with :meth:`~repro.serving.replica.ReplicaRuntime.step` alone
+    (each call schedules one iteration), so the oracles also check the loop
+    of :meth:`~repro.serving.replica.ReplicaRuntime.advance`.  Returns the
     served copies, their metrics and the KV-cache counters.
     """
     served = [request.fresh_copy() for request in requests]
     runtime = ReschedulingRuntime(deployment, scheduler, backend, kv_config)
     for request in served:
         runtime.enqueue(request)
-    runtime.run_to_completion()
+    while runtime.step().executed:
+        pass
     metrics = compute_metrics(
         served,
         makespan=runtime.clock,

@@ -77,6 +77,7 @@ def _require(violations: Sequence[Violation]) -> None:
     if violations:
         raise InvariantViolationError(violations)
 
+
 #: The deployment every machine runs against (Table 4's Llama-3-8B).  One
 #: shared instance: construction is cheap but not free, and machines are
 #: instantiated once per hypothesis example.

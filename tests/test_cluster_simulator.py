@@ -3,6 +3,7 @@ scaling, and prefill/decode disaggregation."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from repro.models.transformer import IterationCostModel
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
-from repro.serving.kv_cache import KVCacheConfig
+from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.request import Request, RequestState
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.scheduler import Scheduler
@@ -131,28 +132,41 @@ def _kv_pressure_fleet(deployment) -> ClusterSimulator:
     return ClusterSimulator(topology)
 
 
-class _StepRecord(NamedTuple):
-    """One executed ``ReplicaRuntime.step()`` call, as ``_observe`` saw it."""
+class _Iteration(NamedTuple):
+    """One iteration a replica ran, as ``_observe`` saw it: a ``step()``
+    call or one re-run of a leap."""
 
-    scheduled: int  # SarathiScheduler.schedule calls
-    executed: int  # InferenceEngine.execute calls
+    leaped: bool  # a re-run of a leap, not a step() call
+    start: float  # its start clock (a step() call's next ready time on entry)
     waiting: int  # the waiting queue left by the last arrival admission
     prefill: bool  # the batch had a prefill item
     preempted: int  # the batch's preemptions
     blocked: bool  # the batch recorded why admission blocked
-    released: int  # the step's releases
-    grows: int  # ReplicaRuntime._grow calls
+    released: int  # its releases
+    scheduled: int  # SarathiScheduler.schedule calls
+    executed: int  # InferenceEngine.execute calls
+    growths: int  # KVCacheManager.grow_all calls (of a step() call)
     preempting: int  # Scheduler._grow_preempting calls: the growth pass failed
-    leap_refusals: int  # _grow refusals in leaps since the previous step() call
+    refused: bool  # a step() call after a leap that stopped on its growth
+
+
+class _Advance(NamedTuple):
+    """One ``ReplicaRuntime.advance`` call, as ``_observe`` saw it."""
+
+    until: float
+    iterations: list[_Iteration]
+    released: int  # the outcome's releases
+    ready: float | None  # the replica's next ready time after the call
 
 
 class TestSteadyDecodeBatches:
-    """A replica reschedules only on the steps that cannot re-run its last
-    batch, or whose KV growth does not fit, and runs the engine only on the
-    steps it schedules and on the re-runs that release a request: every
-    other re-run leaps.  Every executed step is priced exactly once, and a
-    growth that does not fit is checked once by the leap and once by the
-    scheduler.  Counts carry no timing noise."""
+    """Every ``step()`` call schedules and executes once, and a replica leaps
+    through exactly the steps that may re-run its last batch, except those
+    whose KV growth does not fit, which ``advance`` schedules in the same
+    call.  Every executed step is priced exactly once, a growth that does
+    not fit is checked once by the leap and once by the scheduler's growth
+    pass, and each ``advance`` call stops after a release or before
+    ``until``.  Counts carry no timing noise."""
 
     #: (fleet, scenario, requests, qps) of the two fleets observed.
     FLEETS = {
@@ -163,16 +177,18 @@ class TestSteadyDecodeBatches:
     @classmethod
     def _observe(cls, monkeypatch, deployment, fleet):
         """Serve ``fleet``'s scenario and return the simulator, the call
-        counts and, per replica, one :class:`_StepRecord` per executed
-        ``step()`` call."""
+        counts, per replica its :class:`_Iteration` list, and every
+        :class:`_Advance`."""
         build, scenario, num_requests, qps = cls.FLEETS[fleet]
         simulator = build(deployment)
         calls: Counter = Counter()
         waiting: dict[object, int] = {}
         executed: list[ScheduledBatch] = []
-        steps: defaultdict[object, list] = defaultdict(list)
-        leap_refusals: Counter = Counter()
-        stepping = []  # the replica inside step(), if any
+        durations: list[float] = []
+        iterations: defaultdict[object, list[_Iteration]] = defaultdict(list)
+        advances: list[_Advance] = []
+        refusals: dict[object, int] = {}  # replica -> call whose leap stopped on growth
+        inside: list[str] = []  # "leap" or "step" while one runs
 
         def counted(name, function):
             def shim(*args, **kwargs):
@@ -194,43 +210,99 @@ class TestSteadyDecodeBatches:
             executed.append(batch)
             return execute(engine, batch)
 
-        grow = ReplicaRuntime._grow
+        rerun_durations = InferenceEngine.rerun_durations
 
-        def observed_grow(replica, decodes, ahead=0):
-            grown = grow(replica, decodes, ahead)
-            calls["grow refusals"] += not grown
-            if stepping:
-                calls["step grows"] += 1
-            elif not grown:
-                leap_refusals[replica] += 1
+        def observed_durations(engine, batch):
+            for duration in rerun_durations(engine, batch):
+                durations.append(duration)
+                yield duration
+
+        grow_all = KVCacheManager.grow_all
+
+        def observed_grow_all(kv_cache, requests, ahead=0):
+            grown = grow_all(kv_cache, requests, ahead)
+            calls[f"{inside[-1]} growths"] += 1
+            calls[f"{inside[-1]} growth refusals"] += not grown
             return grown
 
         step = ReplicaRuntime.step
 
         def observed_step(replica):
             before = calls.copy()
-            stepping.append(replica)
+            start = replica.next_ready_time()
+            inside.append("step")
             try:
                 outcome = step(replica)
             finally:
-                stepping.pop()
-            refusals = leap_refusals.pop(replica, 0)
+                inside.pop()
             if outcome.executed:
                 batch = executed[-1]
-                steps[replica].append(
-                    _StepRecord(
-                        scheduled=calls["schedule"] - before["schedule"],
-                        executed=calls["execute"] - before["execute"],
+                iterations[replica].append(
+                    _Iteration(
+                        leaped=False,
+                        start=start,
                         waiting=waiting[replica],
                         prefill=bool(batch.prefill_items),
                         preempted=len(batch.preempted),
                         blocked=batch.admission_blocked is not None,
                         released=len(outcome.released),
-                        grows=calls["step grows"] - before["step grows"],
+                        scheduled=calls["schedule"] - before["schedule"],
+                        executed=calls["execute"] - before["execute"],
+                        growths=calls["step growths"] - before["step growths"],
                         preempting=calls["preempting"] - before["preempting"],
-                        leap_refusals=refusals,
+                        refused=refusals.pop(replica, None) == len(advances),
                     )
                 )
+            return outcome
+
+        leap = ReplicaRuntime._leap
+
+        def observed_leap(replica, batch, until):
+            refused_before = calls["leap growth refusals"]
+            clock, steps = replica.clock, replica.steps_executed
+            durations.clear()
+            inside.append("leap")
+            try:
+                released = leap(replica, batch, until)
+            finally:
+                inside.pop()
+            leaped = replica.steps_executed - steps
+            assert durations[leaped:] == []  # no step is priced that does not run
+            if calls["leap growth refusals"] > refused_before:
+                refusals[replica] = len(advances)
+            for index, duration in enumerate(durations):
+                iterations[replica].append(
+                    _Iteration(
+                        leaped=True,
+                        start=clock,
+                        waiting=len(replica.waiting),
+                        prefill=False,
+                        preempted=0,
+                        blocked=batch.admission_blocked is not None,
+                        released=len(released or ()) if index == leaped - 1 else 0,
+                        scheduled=0,
+                        executed=0,
+                        growths=0,
+                        preempting=0,
+                        refused=False,
+                    )
+                )
+                clock += duration
+            return released
+
+        advance = ReplicaRuntime.advance
+
+        def observed_advance(replica, until=math.inf):
+            first = len(iterations[replica])
+            outcome = advance(replica, until)
+            advances.append(
+                _Advance(
+                    until=until,
+                    iterations=iterations[replica][first:],
+                    released=len(outcome.released),
+                    ready=replica.next_ready_time(),
+                )
+            )
             return outcome
 
         monkeypatch.setattr(
@@ -246,80 +318,111 @@ class TestSteadyDecodeBatches:
         )
         monkeypatch.setattr(ReplicaRuntime, "_admit_arrivals", observed_admit)
         monkeypatch.setattr(InferenceEngine, "execute", observed_execute)
-        monkeypatch.setattr(ReplicaRuntime, "_grow", observed_grow)
+        monkeypatch.setattr(InferenceEngine, "rerun_durations", observed_durations)
+        monkeypatch.setattr(KVCacheManager, "grow_all", observed_grow_all)
         monkeypatch.setattr(ReplicaRuntime, "step", observed_step)
+        monkeypatch.setattr(ReplicaRuntime, "_leap", observed_leap)
+        monkeypatch.setattr(ReplicaRuntime, "advance", observed_advance)
         simulator.run_scenario(scenario, num_requests=num_requests, seed=0, qps=qps)
-        return simulator, calls, [steps[replica] for replica in simulator.replicas]
+        return (
+            simulator,
+            calls,
+            [iterations[replica] for replica in simulator.replicas],
+            advances,
+        )
 
     @staticmethod
-    def _walk(steps):
-        """Yield each step record with whether the rule lets it re-run: the
-        step before it decoded only, preempted and released nothing, and
-        either nothing waits now or that step recorded why admission
-        blocked.  Leaped re-runs between two ``step()`` calls repeat the
-        earlier call's batch, so they change neither condition."""
+    def _walk(iterations):
+        """Yield each iteration with whether the rule lets it re-run: the
+        iteration before it decoded only, preempted and released nothing,
+        and either nothing waits now or that iteration recorded why
+        admission blocked."""
         previous_steady = previous_blocked = False  # the first step re-runs nothing
-        for record in steps:
-            yield record, previous_steady and (not record.waiting or previous_blocked)
-            previous_steady = not (record.prefill or record.preempted or record.released)
-            previous_blocked = record.blocked
+        for iteration in iterations:
+            yield iteration, previous_steady and (not iteration.waiting or previous_blocked)
+            previous_steady = not (iteration.prefill or iteration.preempted or iteration.released)
+            previous_blocked = iteration.blocked
+
+    @pytest.mark.parametrize("fleet", ["colocated", "kv-pressure"])
+    def test_every_step_call_schedules_and_executes_once(
+        self, llama3_deployment, monkeypatch, fleet
+    ):
+        _, calls, per_replica, _ = self._observe(monkeypatch, llama3_deployment, fleet)
+        stepped = [it for iterations in per_replica for it in iterations if not it.leaped]
+        assert all((it.scheduled, it.executed) == (1, 1) for it in stepped)
+        step_calls = {"colocated": 155, "kv-pressure": 306}[fleet]
+        assert calls["schedule"] == calls["execute"] == len(stepped) == step_calls
 
     @pytest.mark.parametrize("fleet", ["colocated", "kv-pressure"])
     def test_prices_each_executed_step_once(self, llama3_deployment, monkeypatch, fleet):
-        simulator, calls, per_replica = self._observe(monkeypatch, llama3_deployment, fleet)
-        executed_steps = sum(replica.steps_executed for replica in simulator.replicas)
-        assert calls["priced"] == executed_steps
-        assert calls["execute"] == sum(map(len, per_replica))
-        assert executed_steps > 2 * calls["execute"]
+        simulator, calls, per_replica, _ = self._observe(monkeypatch, llama3_deployment, fleet)
+        executed_steps = {"colocated": 3750, "kv-pressure": 1521}[fleet]
+        assert sum(replica.steps_executed for replica in simulator.replicas) == executed_steps
+        assert calls["priced"] == sum(map(len, per_replica)) == executed_steps
 
-    def test_executes_only_scheduled_and_releasing_steps(self, llama3_deployment, monkeypatch):
-        simulator, calls, per_replica = self._observe(monkeypatch, llama3_deployment, "colocated")
-        releasing_reruns = 0
-        for steps in per_replica:
-            assert steps
-            for record, can_rerun in self._walk(steps):
-                assert record.scheduled == (0 if can_rerun else 1)
-                assert record.executed == 1
-                releasing_reruns += can_rerun and record.released > 0
-        assert releasing_reruns > 0
-        assert calls["execute"] == calls["schedule"] + releasing_reruns
-        executed_steps = sum(replica.steps_executed for replica in simulator.replicas)
-        assert executed_steps > 10 * calls["execute"]
-
-    def test_preemption_schedules_only_steps_that_cannot_rerun(
-        self, llama3_deployment, monkeypatch
-    ):
-        """Under preemption a step that may re-run still schedules when its
-        decodes' growth does not fit, and the scheduler then preempts."""
-        simulator, calls, (steps,) = self._observe(monkeypatch, llama3_deployment, "kv-pressure")
-        shapes: Counter = Counter()
-        for record, can_rerun in self._walk(steps):
-            assert record.executed == 1
-            assert record.scheduled == (1 if not can_rerun or record.preempted else 0)
-            shapes[can_rerun, bool(record.waiting), record.scheduled] += 1
-        assert shapes[True, True, 0] > 0  # re-runs past a refused queue head
-        assert shapes[True, True, 1] + shapes[True, False, 1] > 0  # growth fell back
-        assert 3 * calls["schedule"] < simulator.replicas[0].steps_executed
+    @pytest.mark.parametrize("fleet", ["colocated", "kv-pressure"])
+    def test_leaps_exactly_the_steps_the_rule_allows(self, llama3_deployment, monkeypatch, fleet):
+        """The leaped re-runs are the steps the rule lets re-run, minus
+        those whose growth does not fit: ``advance`` schedules each of
+        those, and the scheduler preempts."""
+        _, _, per_replica, _ = self._observe(monkeypatch, llama3_deployment, fleet)
+        allowed = leaped = refused = past_waiting = 0
+        for iterations in per_replica:
+            for iteration, can_rerun in self._walk(iterations):
+                assert iteration.leaped == (can_rerun and not iteration.refused)
+                assert iteration.refused <= (can_rerun and iteration.preempted > 0)
+                allowed += can_rerun
+                leaped += iteration.leaped
+                refused += iteration.refused
+                past_waiting += iteration.leaped and iteration.waiting > 0
+        assert leaped == allowed - refused
+        counts = {"colocated": (3595, 0, 0), "kv-pressure": (1215, 23, 527)}[fleet]
+        assert (leaped, refused, past_waiting) == counts
 
     def test_growth_that_does_not_fit_is_checked_twice(self, llama3_deployment, monkeypatch):
         """Only a step that must preempt leaves ``prepare_decodes``' growth
         pass for the per-decode loop.  A leap that stops because a re-run's
-        growth does not fit hands that refusal to the next ``step()``, which
-        calls the scheduler without growing through ``_grow`` and without a
-        second leap in between: the growth is checked once by the leap and
-        once by the growth pass.  Before the hand-off, 20 of these 22 steps
-        came after a second leap that refused the same growth, and each of
-        the 22 refused it once more through ``_grow``."""
-        simulator, calls, (steps,) = self._observe(monkeypatch, llama3_deployment, "kv-pressure")
-        for record in steps:
-            assert record.preempting == (record.preempted > 0)
-        handed = [record for record in steps if record.leap_refusals]
-        for record in handed:
-            assert (record.leap_refusals, record.grows, record.scheduled) == (1, 0, 1)
-            assert record.preempting == 1
-        refused_in_step = [record for record in steps if record.grows and record.scheduled]
-        assert (len(handed), len(refused_in_step), calls["grow refusals"]) == (22, 1, 23)
-        assert calls["preempting"] == 28  # the 23 refusals and 5 steps that cannot re-run
+        growth does not fit is followed, in the same ``advance`` call, by
+        one ``step()`` that schedules that re-run: its growth pass refuses
+        the growth once more and enters the per-decode loop, so the growth
+        is checked once by the leap and once by the growth pass."""
+        _, calls, (iterations,), advances = self._observe(
+            monkeypatch, llama3_deployment, "kv-pressure"
+        )
+        stepped = [it for it in iterations if not it.leaped]
+        for iteration in stepped:
+            assert iteration.growths == 1
+            assert iteration.preempting == (iteration.preempted > 0)
+        refused = [it for it in stepped if it.refused]
+        for iteration in refused:
+            assert (iteration.scheduled, iteration.preempting) == (1, 1)
+        assert calls["leap growth refusals"] == len(refused) == 23
+        # The 23 refused growths, and 5 steps that cannot re-run and preempt.
+        assert calls["step growth refusals"] == calls["preempting"] == 28
+
+    @pytest.mark.parametrize("fleet", ["colocated", "kv-pressure"])
+    def test_advance_ends_after_a_release_or_at_until(self, llama3_deployment, monkeypatch, fleet):
+        """Each ``advance`` call runs its first iteration, then only
+        iterations that start before ``until``, and returns after the
+        first iteration that releases a request, once drained, or when
+        the next iteration would start at or after ``until``."""
+        _, _, _, advances = self._observe(monkeypatch, llama3_deployment, fleet)
+        released = drained = at_until = 0
+        for call in advances:
+            assert call.iterations
+            assert all(it.released == 0 for it in call.iterations[:-1])
+            assert all(it.start < call.until for it in call.iterations[1:])
+            assert call.released == call.iterations[-1].released
+            if call.released:
+                released += 1
+            elif call.ready is None:
+                drained += 1
+            else:
+                assert call.ready >= call.until
+                at_until += 1
+        ends = {"colocated": (16, 0, 25), "kv-pressure": (95, 0, 83)}[fleet]
+        assert (released, drained, at_until) == ends
+
 
 class TestColocatedCluster:
     @pytest.fixture(scope="class")

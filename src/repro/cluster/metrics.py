@@ -198,8 +198,8 @@ def compute_cluster_metrics(
     fleet_metrics = compute_metrics(
         requests,
         makespan=makespan,
-        num_iterations=sum(r.engine.total_iterations for r in replicas),
-        hybrid_iterations=sum(r.engine.hybrid_iterations for r in replicas),
+        num_iterations=sum(r.steps_executed for r in replicas),
+        hybrid_iterations=sum(r.hybrid_iterations for r in replicas),
     )
     costs = replica_costs or {}
     active = fleet.active_seconds(makespan) if fleet is not None else {}
@@ -211,7 +211,7 @@ def compute_cluster_metrics(
             ReplicaStats(
                 replica_id=r.replica_id,
                 role=r.role,
-                num_iterations=r.engine.total_iterations,
+                num_iterations=r.steps_executed,
                 busy_time=r.busy_time,
                 utilization=r.busy_time / makespan if makespan > 0 else 0.0,
                 requests_released=len(r.released),

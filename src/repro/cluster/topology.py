@@ -13,6 +13,14 @@ replicas receive external arrivals:
   shipped to a decode replica over a modelled link and generation continues
   there.  At equal replica count this trades POD's intra-GPU overlap for
   inter-pool specialization plus a KV-transfer cost.
+
+A fleet has one attention cost model per deployment: each ``build_replicas``
+call runs ``backend_builder`` once per distinct
+:class:`~repro.models.config.Deployment` and hands that backend, with its
+prefill and decode memos, to every replica of the deployment, the replicas
+the autoscaler adds through ``build_replica`` included.  Every memo entry is
+a pure function of the deployment and its key, so sharing changes no result;
+each fleet built starts with empty memos, so no two fleets share one.
 """
 
 from __future__ import annotations
@@ -82,14 +90,30 @@ class DecodePoolScheduler(Scheduler):
         return batch
 
 
+class _SharedBackends:
+    """A fleet's attention backends, one per deployment (module docstring);
+    ``build_replicas`` empties ``_backends`` for each fleet it builds."""
+
+    backend_builder: Callable[[Deployment], AttentionBackend] | None
+    _backends: dict[Deployment, AttentionBackend]
+
+    def _backend(self, deployment: Deployment) -> AttentionBackend:
+        backend = self._backends.get(deployment)
+        if backend is None:
+            backend = self._backends[deployment] = (self.backend_builder or PODBackend)(deployment)
+        return backend
+
+
 @dataclass
-class ColocatedTopology:
+class ColocatedTopology(_SharedBackends):
     """N hybrid replicas behind one router (the POD serving model).
 
     Homogeneous by default; pass ``replica_specs`` (one
     :class:`~repro.models.config.ReplicaSpec` per replica) for a
     heterogeneous fleet.  ``backend_builder`` builds a backend *for a given
-    deployment* (default: :class:`~repro.serving.attention_backend.PODBackend`).
+    deployment* (default: :class:`~repro.serving.attention_backend.PODBackend`);
+    it runs once per deployment of each fleet built, and every replica of
+    that deployment shares the backend.
     """
 
     deployment: Deployment
@@ -103,6 +127,7 @@ class ColocatedTopology:
 
     def __post_init__(self) -> None:
         check_positive("num_replicas", self.num_replicas)
+        self._backends = {}
         if self.replica_specs:
             self.replica_specs = tuple(self.replica_specs)
             if len(self.replica_specs) != self.num_replicas:
@@ -134,17 +159,15 @@ class ColocatedTopology:
             return ReplicaSpec(deployment=self.deployment)
         return min(self.replica_specs, key=lambda spec: spec.cost_per_hour)
 
-    def _make_backend(self, deployment: Deployment) -> AttentionBackend:
-        return (self.backend_builder or PODBackend)(deployment)
-
     def build_replica(self, replica_id: int, recorder=None) -> ReplicaRuntime:
-        """Build one hybrid replica (also the autoscaler's scale-up path)."""
+        """Build one hybrid replica (also the autoscaler's scale-up path) on
+        the fleet's backend for its deployment."""
         make_scheduler = self.scheduler_factory or SarathiScheduler
         deployment = self.deployment_for(replica_id)
         return ReplicaRuntime(
             deployment,
             scheduler=make_scheduler(),
-            backend=self._make_backend(deployment),
+            backend=self._backend(deployment),
             kv_config=self.kv_config,
             replica_id=replica_id,
             role="hybrid",
@@ -152,6 +175,8 @@ class ColocatedTopology:
         )
 
     def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
+        """Build a fleet, with fresh backends."""
+        self._backends = {}
         return [self.build_replica(index, recorder=recorder) for index in range(self.num_replicas)]
 
     @property
@@ -165,12 +190,14 @@ class ColocatedTopology:
 
 
 @dataclass
-class DisaggregatedTopology:
+class DisaggregatedTopology(_SharedBackends):
     """Separate prefill and decode pools joined by a KV-transfer link.
 
     Heterogeneous fleets assign ``replica_specs`` in fleet order: the first
     ``num_prefill`` specs form the prefill pool, the rest the decode pool
     (matching :attr:`ClusterSpec.resolved_prefill_replicas` semantics).
+    Both pools share the fleet's backend per deployment, as in
+    :class:`ColocatedTopology`.
     """
 
     deployment: Deployment
@@ -210,15 +237,14 @@ class DisaggregatedTopology:
     def deployment_for(self, replica_id: int) -> Deployment:
         return self.spec_for(replica_id).deployment
 
-    def _make_backend(self, deployment: Deployment) -> AttentionBackend:
-        return (self.backend_builder or PODBackend)(deployment)
-
     def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
+        """Build a fleet, with fresh backends."""
+        self._backends = {}
         replicas = [
             ReplicaRuntime(
                 self.deployment_for(index),
                 scheduler=PrefillPoolScheduler(chunk_size=self.chunk_size, limits=self.limits),
-                backend=self._make_backend(self.deployment_for(index)),
+                backend=self._backend(self.deployment_for(index)),
                 kv_config=self.kv_config,
                 release_on="first_token",
                 replica_id=index,
@@ -231,7 +257,7 @@ class DisaggregatedTopology:
             ReplicaRuntime(
                 self.deployment_for(self.num_prefill + index),
                 scheduler=DecodePoolScheduler(limits=self.limits),
-                backend=self._make_backend(self.deployment_for(self.num_prefill + index)),
+                backend=self._backend(self.deployment_for(self.num_prefill + index)),
                 kv_config=self.kv_config,
                 replica_id=self.num_prefill + index,
                 role="decode",

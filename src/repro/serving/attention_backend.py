@@ -4,12 +4,16 @@ The serving engine needs per-layer attention times for every iteration's
 batch.  A backend supplies them from the analytic model, exactly and at O(1)
 per step: the decode side follows in closed form from the decode count, the
 sum of their contexts and the shortest context, and each prefill chunk's
-FA-tile and POD-tile aggregates are memoized per backend on
-``(chunk_tokens, prior_tokens)``.  Both feed the plain-number helpers of
+FA-tile and POD-tile aggregates are memoized on ``(chunk_tokens,
+prior_tokens)``.  Both feed the plain-number helpers of
 :mod:`repro.attention.analytic` that :func:`analytic_attention_times` uses.
 The decode kernel's shape, fixed by the decode count and KV splits, is
 memoized too, so :meth:`AttentionBackend.rerun_decode_times` prices each
-re-run of a steady decode batch from its context sum alone.
+re-run of a steady decode batch from its context sum alone.  Every memo
+entry is a pure function of the backend's deployment and its key, so one
+backend serves any number of replicas: a topology builds one per deployment
+and its fleet shares it (:mod:`repro.cluster.topology`), and each aggregate
+is built once per fleet.
 :meth:`AttentionBackend.reference` runs that row-summing reference on a
 materialised :class:`HybridBatch`, and the oracle
 :func:`repro.verify.oracles.estimate_equivalence` holds every serving step to

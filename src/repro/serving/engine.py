@@ -37,8 +37,6 @@ class InferenceEngine:
         self.deployment = deployment
         self.backend = backend
         self.iteration_model = IterationCostModel(deployment)
-        self.total_iterations = 0
-        self.hybrid_iterations = 0
 
     def execute(self, batch: ScheduledBatch) -> IterationResult:
         """Estimate the duration of one iteration over ``batch``."""
@@ -49,18 +47,13 @@ class InferenceEngine:
         duration = self.iteration_model.iteration_breakdown(
             num_tokens, estimate.prefill_time, estimate.decode_time
         ).total
-        self.total_iterations += 1
-        is_hybrid = batch.is_hybrid
-        if is_hybrid:
-            self.hybrid_iterations += 1
-        return IterationResult(duration, num_tokens, is_hybrid)
+        return IterationResult(duration, num_tokens, batch.is_hybrid)
 
     def rerun_durations(self, batch: ScheduledBatch) -> Iterator[float]:
         """Durations of successive re-runs of a decode-only ``batch``.
 
         Each equals, bit for bit, what :meth:`execute` returns for that
         re-run: the same breakdown of the backend's re-run decode time.
-        Counting the iterations is the caller's job.
         """
         num_tokens = batch.total_tokens
         breakdown = self.iteration_model.iteration_breakdown

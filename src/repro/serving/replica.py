@@ -102,9 +102,10 @@ class StepOutcome:
 class ReplicaRuntime:
     """One serving replica, advanced iteration-by-iteration.
 
-    The runtime owns its KV cache and engine; the scheduler and attention
-    backend are injected so replicas of different roles (hybrid,
-    prefill-only, decode-only) share one stepping loop.
+    The runtime owns its KV cache, engine and counters; the scheduler and
+    attention backend are injected so replicas of different roles (hybrid,
+    prefill-only, decode-only) share one stepping loop, and replicas of one
+    deployment may share one backend and its memos.
     """
 
     def __init__(
@@ -152,6 +153,7 @@ class ReplicaRuntime:
         self.clock = 0.0
         self.busy_time = 0.0
         self.steps_executed = 0
+        self.hybrid_iterations = 0
         self.released: list[Request] = []
 
         # Incremental load accounting (see module docstring): counters over
@@ -346,6 +348,7 @@ class ReplicaRuntime:
             self.clock += result.duration
             self.busy_time += result.duration
             self.steps_executed += 1
+            self.hybrid_iterations += result.is_hybrid
             if self.recorder is not None:
                 self._record_iteration(batch, running_ids_before, iteration_start, result)
 
@@ -509,7 +512,6 @@ class ReplicaRuntime:
         self.clock = clock
         self.busy_time = busy_time
         self.steps_executed += leaped
-        self.engine.total_iterations += leaped
         self.load_total_tokens -= num_tokens * leaped
         count, context_sum, min_context = batch.context_sums()
         batch.decode_sums = (count, context_sum + count * leaped, min_context + leaped)

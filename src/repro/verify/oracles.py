@@ -173,8 +173,8 @@ def single_replica_reference(
     metrics = compute_metrics(
         served,
         makespan=runtime.clock,
-        num_iterations=runtime.engine.total_iterations,
-        hybrid_iterations=runtime.engine.hybrid_iterations,
+        num_iterations=runtime.steps_executed,
+        hybrid_iterations=runtime.hybrid_iterations,
     )
     return served, metrics, runtime.kv_cache.stats
 
@@ -301,14 +301,16 @@ def estimate_equivalence(
 
     Serves one registry scenario on two colocated replicas
     (``topology="colocated"``) or a 1 + 1 disaggregated fleet
-    (``"disaggregated"``) whose backends are wrapped in a checker: each
-    step's :meth:`~repro.serving.attention_backend.AttentionBackend.estimate`
+    (``"disaggregated"``).  The topology builds one backend per deployment
+    and every replica of that deployment shares it, so the fleet gets one
+    checker per deployment, wrapping that backend: each step's
+    :meth:`~repro.serving.attention_backend.AttentionBackend.estimate`
     must equal the backend's phase split of
     :func:`analytic_attention_times` on ``batch.to_hybrid_batch()`` within
     :data:`ESTIMATE_RTOL`, and be exactly 0 for an absent phase.  Each
     re-run a replica leaps through is checked the same way, on its
-    requests' contexts, so the number of checks must equal the number of
-    executed steps.
+    requests' contexts, so the checks summed over the checkers must equal
+    the steps executed by all replicas.
     """
     check_in_choices("topology", topology, ("colocated", "disaggregated"))
     label = f"{scenario}/{backend}/{topology}"
@@ -316,7 +318,7 @@ def estimate_equivalence(
 
     def build(replica_deployment: Deployment) -> AttentionBackend:
         checker = _EstimateCheckingBackend(
-            get_backend(backend, replica_deployment), f"{label} replica {len(checkers)}"
+            get_backend(backend, replica_deployment), f"{label} {replica_deployment.gpu.name}"
         )
         checkers.append(checker)
         return checker
@@ -348,7 +350,9 @@ class _ReschedulingFleet:
     """``topology`` with every replica it builds a :class:`ReschedulingRuntime`.
 
     The reference side of :func:`leap_equivalence`: it delegates everything
-    else to ``topology``, the autoscaler's scale-up path included.
+    else to ``topology``, the autoscaler's scale-up path included, so its
+    replicas share one backend per deployment just as the leaping fleet's
+    do.
     """
 
     def __init__(self, topology: ColocatedTopology | DisaggregatedTopology) -> None:
@@ -385,8 +389,7 @@ def _replica_state(replica: ReplicaRuntime) -> dict[str, float]:
         "clock": replica.clock,
         "busy_time": replica.busy_time,
         "steps_executed": replica.steps_executed,
-        "total_iterations": replica.engine.total_iterations,
-        "hybrid_iterations": replica.engine.hybrid_iterations,
+        "hybrid_iterations": replica.hybrid_iterations,
         "load_num_requests": replica.load_num_requests,
         "load_total_tokens": replica.load_total_tokens,
         "load_prefill_tokens": replica.load_prefill_tokens,

@@ -1,20 +1,34 @@
 """Tests for the serving backends' exact per-step attention estimates.
 
 A step's estimate comes from closed-form decode sums and per-backend prefill
-memos keyed on ``(chunk_tokens, prior_tokens)``; the oracle
-``estimate_equivalence`` (tests/test_verify_oracles.py) holds every step of
-every registry scenario to the row-summing reference.  This file pins the
-bug the old quantized memo had, and bounds the closed-form work a step may
-do by counting calls, so the bound carries no timing noise.
+memos keyed on ``(chunk_tokens, prior_tokens)``, and a fleet holds one
+backend per deployment; the oracle ``estimate_equivalence``
+(tests/test_verify_oracles.py) holds every step of every registry scenario
+to the row-summing reference.  This file pins the bug the old quantized memo
+had, bounds the closed-form work a fleet's steps may do by counting calls,
+so the bound carries no timing noise, and pins the one backend per
+deployment.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import Counter, defaultdict
 
+import pytest
+
 from repro.attention import analytic, cost_model
-from repro.cluster import ClusterSimulator, ColocatedTopology
+from repro.cluster import (
+    AutoscalerPolicy,
+    ClusterSimulator,
+    ColocatedTopology,
+    ControlPlane,
+    DisaggregatedTopology,
+    topology_from_spec,
+)
+from repro.models.config import ClusterSpec, replica_specs_from_mix
 from repro.models.linear_ops import LinearOpCostModel
+from repro.planner import PlannerConfig, capacity_plan
 from repro.serving.attention_backend import PODBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
@@ -46,26 +60,27 @@ class TestExactEstimates:
 
 class TestClosedFormWork:
     def test_work_per_step_is_bounded(self, llama3_deployment, monkeypatch):
-        """Counts, per backend, the closed-form work a fleet's steps do.
+        """Counts, per fleet, the closed-form work a fleet's steps do.
 
         A step reads its decode side from three sums (no per-decode rows),
-        builds each prefill chunk's aggregates once per backend (FA tile plus
-        at most the two POD tiles), probes occupancy only when the backend is
-        built, and evaluates the linear operators once per token count.
-        The run repeats chunks, so a step that rebuilt a chunk it had already
-        built (a lost prefill memo) fails the once-per-key count.
+        builds each prefill chunk's aggregates once per fleet (FA tile plus
+        at most the two POD tiles), probes occupancy only when the fleet's
+        one backend is built, and evaluates the linear operators once per
+        token count per replica.  The run repeats chunks, on one replica and
+        across both, so a step that rebuilt a chunk the fleet had already
+        built (a lost prefill memo, or a memo per replica) fails the
+        once-per-key count.
         """
         calls: Counter = Counter()
-        current: list[object] = [None]
         pairs: defaultdict[object, set] = defaultdict(set)
         chunks_seen: Counter = Counter()
-        builds: defaultdict[object, Counter] = defaultdict(Counter)
+        builds: Counter = Counter()
         token_counts: defaultdict[int, set] = defaultdict(set)
         layer_calls: Counter = Counter()
 
         def counted(name, function):
             def shim(*args, **kwargs):
-                calls[name, current[0]] += 1
+                calls[name] += 1
                 return function(*args, **kwargs)
 
             return shim
@@ -73,22 +88,18 @@ class TestClosedFormWork:
         prefill_rows = cost_model._prefill_rows
 
         def counted_prefill_rows(deployment, chunk, tile, num_splits):
-            builds[current[0]][chunk, tile, num_splits] += 1
+            builds[chunk, tile, num_splits] += 1
             return prefill_rows(deployment, chunk, tile, num_splits)
 
         execute = InferenceEngine.execute
 
         def tracked_execute(engine, batch):
-            current[0] = engine.backend
-            pairs[engine.backend].update(
+            pairs[engine].update(
                 (tokens, request.prefill_done_tokens) for request, tokens in batch.prefill_items
             )
-            chunks_seen[engine.backend] += len(batch.prefill_items)
+            chunks_seen[engine] += len(batch.prefill_items)
             token_counts[id(engine.iteration_model.linear_model)].add(batch.total_tokens)
-            try:
-                return execute(engine, batch)
-            finally:
-                current[0] = None
+            return execute(engine, batch)
 
         layer_breakdown = LinearOpCostModel.layer_breakdown
 
@@ -114,16 +125,118 @@ class TestClosedFormWork:
         simulator = ClusterSimulator(topology, router="least-tokens")
         simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
 
-        backends = [replica.backend for replica in simulator.replicas]
-        assert all(pairs[backend] for backend in backends)
-        assert sum(n for (name, _), n in calls.items() if name == "_decode_rows") == 0
-        for backend in backends:
-            assert chunks_seen[backend] > len(pairs[backend])
-            assert set(builds[backend].values()) == {1}
-            assert len(builds[backend]) <= 3 * len(pairs[backend])
-        occupancy = sum(n for (name, _), n in calls.items() if name == "_occupancy_for")
-        assert occupancy <= 2 * len(backends)
+        engines = [replica.engine for replica in simulator.replicas]
+        assert all(pairs[engine] for engine in engines)
+        fleet_pairs = set().union(*pairs.values())
+        assert set.intersection(*(pairs[engine] for engine in engines))
+        assert sum(chunks_seen.values()) > len(fleet_pairs)
+        assert calls["_decode_rows"] == 0
+        assert set(builds.values()) == {1}
+        assert len(builds) <= 3 * len(fleet_pairs)
+        assert calls["_occupancy_for"] <= 2
         assert set(layer_calls.values()) == {1}
         assert set(layer_calls) == {
             (model, tokens) for model, counts in token_counts.items() for tokens in counts
         }
+
+
+#: Figure 21's mixed fleet: spot A6000s beside on-demand A100s.
+_MIXED = "a100:1+a6000:1~"
+
+
+def _fleet(deployment, kind: str) -> ClusterSimulator:
+    """Four replicas on one deployment: colocated, autoscaled from two, or 2 + 2 pools."""
+    if kind == "disaggregated":
+        return ClusterSimulator(
+            DisaggregatedTopology(deployment, num_prefill=2, num_decode=2), router="least-tokens"
+        )
+    if kind == "colocated":
+        return ClusterSimulator(
+            ColocatedTopology(deployment, num_replicas=4), router="prefill-aware"
+        )
+    autoscaler = AutoscalerPolicy(
+        min_replicas=2, max_replicas=4, scale_up_queue_depth=2.0, cold_start_s=1.0, cooldown_s=2.0
+    )
+    return ClusterSimulator(
+        ColocatedTopology(deployment, num_replicas=2),
+        router="least-tokens",
+        control=ControlPlane(autoscaler=autoscaler),
+    )
+
+
+class TestOneCostModelPerDeployment:
+    """A topology builds one backend per deployment for the fleet it builds,
+    and every replica of that deployment shares its memos."""
+
+    @pytest.mark.parametrize("kind", ["colocated", "autoscaled", "disaggregated"])
+    def test_fleet_builds_each_prefill_key_once(self, llama3_deployment, monkeypatch, kind):
+        """Each FA ``(chunk, prior)`` key and each POD ``(chunk, prior, ctas)``
+        key is built once per fleet, though several replicas prefill it."""
+        builds: Counter = Counter()
+        prefilled: defaultdict[object, set] = defaultdict(set)
+        prefill_rows = cost_model._prefill_rows
+
+        def counted_prefill_rows(deployment, chunk, tile, num_splits):
+            builds[chunk.chunk_tokens, chunk.prior_tokens, tile, num_splits] += 1
+            return prefill_rows(deployment, chunk, tile, num_splits)
+
+        execute = InferenceEngine.execute
+
+        def tracked_execute(engine, batch):
+            for request, tokens in batch.prefill_items:
+                prefilled[tokens, request.prefill_done_tokens].add(engine)
+            return execute(engine, batch)
+
+        monkeypatch.setattr(cost_model, "_prefill_rows", counted_prefill_rows)
+        monkeypatch.setattr(InferenceEngine, "execute", tracked_execute)
+        simulator = _fleet(llama3_deployment, kind)
+        simulator.run_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0)
+
+        assert len(simulator.replicas) == 4
+        assert any(len(engines) > 1 for engines in prefilled.values())
+        assert builds and set(builds.values()) == {1}
+        assert len({id(replica.backend) for replica in simulator.replicas}) == 1
+
+    def test_each_fleet_starts_with_empty_memos(self, llama3_deployment):
+        topology = ColocatedTopology(llama3_deployment, num_replicas=2)
+        first, second = ClusterSimulator(topology), ClusterSimulator(topology)
+        assert first.replicas[0].backend is first.replicas[1].backend
+        assert first.replicas[0].backend is not second.replicas[0].backend
+
+    def test_heterogeneous_fleet_has_one_cost_model_per_deployment(self):
+        """Replicas tiled as in Figure 21 (A100, A6000, A100, A6000) share
+        two backends, each built for its own GPU."""
+        pattern = replica_specs_from_mix(_MIXED)
+        specs = tuple(pattern[index % len(pattern)] for index in range(4))
+        replicas = topology_from_spec(ClusterSpec(replicas=specs)).build_replicas()
+        assert len({id(replica.backend) for replica in replicas}) == 2
+        for replica, spec in zip(replicas, specs):
+            assert replica.backend.deployment == replica.deployment == spec.deployment
+
+    @pytest.mark.parametrize("replicas", [2, 4])
+    def test_heterogeneous_fleet_serves_the_committed_rows(self, results_snapshot, replicas):
+        """The mixed fleet's colocated least-tokens rows of Figure 21 (its
+        planner config, one candidate), equal to the committed CSV as text."""
+        plan = capacity_plan(
+            PlannerConfig(
+                scenario="shared-prefix-chat",
+                num_requests=40,
+                seed=21,
+                replica_counts=(replicas,),
+                topologies=("colocated",),
+                chunk_sizes=(1024,),
+                routers=("least-tokens",),
+                replica_mixes=(_MIXED,),
+                ttft_p99_target_s=0.5,
+                tbt_p99_target_s=0.05,
+            )
+        )
+        row = {key: str(value) for key, value in plan.candidates[0].row().items()}
+        with (results_snapshot / "fig21_capacity_planner.csv").open(newline="") as handle:
+            committed = [
+                line
+                for line in csv.DictReader(handle)
+                if all(line[key] == row[key] for key in ("mix", "replicas", "topology", "router"))
+            ]
+        assert len(committed) == 1
+        assert {key: value for key, value in committed[0].items() if key != "best"} == row

@@ -18,7 +18,9 @@ argument is built on:
 Each phase computes its per-CTA cost once, as one row per distinct CTA: a
 prefill query tile has ``q_heads × splits`` identical CTAs and a decode
 request ``kv_heads × splits``.  The same rows feed both paths: the CTA
-builders expand them for the engine and the aggregates sum them.
+builders expand them for the engine and the aggregates sum them.  Every copy
+of a row, and every row equal to it, is one shared :class:`CTAWork`, which the
+engine describes once per run.
 """
 
 from __future__ import annotations
@@ -189,11 +191,18 @@ class CTAAggregate:
 
 
 def _ctas(rows: list[_Row], tag: str) -> list[CTAWork]:
-    """One :class:`CTAWork` per row; the builders repeat it for every copy."""
-    return [
-        CTAWork(flops=flops, dram_bytes=dram, tag=tag, fixed_time=CTA_FIXED_OVERHEAD)
-        for flops, dram in rows
-    ]
+    """One :class:`CTAWork` per row, equal rows sharing one object; the
+    builders repeat it for every copy."""
+    shared: dict[_Row, CTAWork] = {}
+    works = []
+    for row in rows:
+        work = shared.get(row)
+        if work is None:
+            flops, dram = row
+            work = CTAWork(flops=flops, dram_bytes=dram, tag=tag, fixed_time=CTA_FIXED_OVERHEAD)
+            shared[row] = work
+        works.append(work)
+    return works
 
 
 def _aggregate(rows: list[_Row], copies: int) -> CTAAggregate:

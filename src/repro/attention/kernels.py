@@ -100,10 +100,15 @@ def fi_decode_kernel(
     FlashInfer's decode kernel is modestly better tuned than FlashAttention's
     (§5.1), modelled as a small effective-bandwidth bonus on its memory traffic.
     """
-    works = [
-        replace(work, dram_bytes=work.dram_bytes / FI_DECODE_BANDWIDTH_BONUS)
-        for work in batch_decode_ctas(deployment, batch, tile=FI_DECODE_TILE)
-    ]
+    # One faster work per distinct decode work, so a row's copies stay shared.
+    faster: dict[int, CTAWork] = {}
+    works = []
+    for work in batch_decode_ctas(deployment, batch, tile=FI_DECODE_TILE):
+        fast = faster.get(id(work))
+        if fast is None:
+            fast = replace(work, dram_bytes=work.dram_bytes / FI_DECODE_BANDWIDTH_BONUS)
+            faster[id(work)] = fast
+        works.append(fast)
     return _kernel_from_works(
         name,
         works,
@@ -164,21 +169,20 @@ def hfuse_kernel(
         profile = FA_PREFILL_PROFILE if prefill_works else FA_DECODE_PROFILE
         return _kernel_from_works(name, works, profile)
 
+    # One fused CTA per distinct (prefill, decode) pair of shared works.
+    pairs: dict[tuple[int, int], CTAWork] = {}
     fused: list[CTAWork] = []
-    num_fused = max(len(prefill_works), len(decode_works))
-    for i in range(num_fused):
-        parts: list[CTAWork] = []
-        if i < len(prefill_works):
-            parts.append(prefill_works[i])
-        if i < len(decode_works):
-            parts.append(decode_works[i])
-        if len(parts) == 2:
+    for prefill, decode in zip(prefill_works, decode_works):
+        merged = pairs.get((id(prefill), id(decode)))
+        if merged is None:
             # Fused CTAs pay for register spills and cross-half barrier
             # interference on top of the straggler effect the engine models.
-            merged = parts[0].merged_with(parts[1], tag="prefill+decode")
-            fused.append(merged.scaled(HFUSE_OVERHEAD_FACTOR))
-        else:
-            fused.append(parts[0])
+            merged = prefill.merged_with(decode, tag="prefill+decode").scaled(HFUSE_OVERHEAD_FACTOR)
+            pairs[(id(prefill), id(decode))] = merged
+        fused.append(merged)
+    # The longer side's surplus runs unfused.
+    pairs_end = len(fused)
+    fused += prefill_works[pairs_end:] + decode_works[pairs_end:]
 
     threads = FA_PREFILL_PROFILE.threads_per_cta + FA_DECODE_PROFILE.threads_per_cta
     shared_mem = FA_PREFILL_PROFILE.shared_mem_bytes + FA_DECODE_PROFILE.shared_mem_bytes

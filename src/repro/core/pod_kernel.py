@@ -46,21 +46,22 @@ def group_virtual_decode_ctas(
     """
     if virtual_factor <= 0:
         raise ValueError(f"virtual_factor must be > 0, got {virtual_factor}")
+    # Groups of the same shared units (a request's copies) share one CTA.
+    shared: dict[tuple[int, ...], CTAWork] = {}
     grouped: list[CTAWork] = []
     for start in range(0, len(decode_units), virtual_factor):
         chunk = decode_units[start : start + virtual_factor]
-        flops = sum(unit.flops for unit in chunk)
-        dram_bytes = sum(unit.dram_bytes for unit in chunk)
-        fixed = max(unit.fixed_time for unit in chunk)
-        grouped.append(
-            CTAWork(
-                flops=flops,
-                dram_bytes=dram_bytes,
+        key = tuple(map(id, chunk))
+        work = shared.get(key)
+        if work is None:
+            work = shared[key] = CTAWork(
+                flops=sum(unit.flops for unit in chunk),
+                dram_bytes=sum(unit.dram_bytes for unit in chunk),
                 tag=DECODE,
-                fixed_time=fixed,
+                fixed_time=max(unit.fixed_time for unit in chunk),
                 meta={"virtual_units": len(chunk)},
             )
-        )
+        grouped.append(work)
     return grouped
 
 

@@ -22,12 +22,26 @@ resources to be saturated at once.
 
 Each event costs O(alive CTAs).  The alive CTAs' state lives in compact NumPy
 arrays, one column per resident CTA in dispatch order (a retiring CTA's column
-is dropped), and one vectorised pass per event computes the rates, the time to
-the next event, the advance and the retirements.  Per-SM co-location and
-occupancy counts are updated at dispatch and retirement, and FLOP and byte
-totals are booked when a CTA retires.  The dispatcher keeps SMs in buckets by
-resident count and remembers, per CTA footprint, where its last pick found no
-SM, so a pick inspects only SMs that could have changed instead of all of them.
+is dropped), and one vectorised pass per event computes the time to the next
+event, the advance and the retirements.  Per-SM co-location and occupancy
+counts are updated at dispatch and retirement, and FLOP and byte totals are
+booked when a CTA retires.  The dispatcher keeps SMs in buckets by resident
+count and remembers, per CTA footprint, where its last pick found no SM, so a
+pick inspects only SMs that could have changed instead of all of them.
+
+A CTA's rates depend only on which compute and memory streams are active on
+its SM and in the HBM pool, so the rate pass (per-pipe sharing counts, the
+pool's split, every CTA's rates) runs only when a column was added or a
+compute or memory stream ended since the last pass.  An event that ends only
+a fixed latency, or only a launch-overhead gap, reuses the rates; an ended
+stream's rate drops to 0, which the one ``fmin`` that finds the next event
+skips.
+
+Dispatch describes each distinct work object once per run: its column of
+initial state, pipe, booking index, tag and totals, keyed by the object's id.
+The description holds the object, so no other object can take that id while
+the run lasts.  New columns are gathered from the descriptions' table, and a
+CTA's slot keeps a reference to its description instead of copies of it.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.gpu.config import GPUSpec
-from repro.gpu.cta import DECODE_TAG, PREFILL_TAG
+from repro.gpu.cta import DECODE_TAG, PREFILL_TAG, CTAWork
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.gpu.occupancy import max_resident_ctas
 from repro.gpu.result import CTARecord, ExecutionResult, KernelResult
@@ -60,6 +74,12 @@ _BOOKED_TAGS = (PREFILL_TAG, DECODE_TAG, "untagged")
 _PREFILL, _DECODE, _UNTAGGED = range(len(_BOOKED_TAGS))
 _BOOKING = {PREFILL_TAG: _PREFILL, DECODE_TAG: _DECODE}
 
+#: What dispatch knows of one distinct work object: the object itself, its
+#: column in the descriptions' table, its pipe's offset in the key space (0 for
+#: tensor cores, ``num_sms`` for CUDA cores), booking index, record tag, FLOPs,
+#: bytes and whether it runs on the CUDA pipe.
+_Description = tuple[CTAWork, int, int, int, str, float, float, bool]
+
 
 @dataclass
 class _LaunchState:
@@ -69,23 +89,20 @@ class _LaunchState:
     index: int
     #: Threads, shared memory and registers one CTA occupies on its SM.
     footprint: tuple[int, int, int]
+    #: The most of each an SM may already hold for one more CTA to fit.
+    room: tuple[int, int, int]
+    num_ctas: int
     dispatched: int = 0
     completed: int = 0
-    eligible_time: float | None = None
+    #: When the launch may start dispatching: inf until its stream predecessor
+    #: has retired every CTA.
+    eligible_time: float = math.inf
     start_time: float | None = None
     end_time: float | None = None
 
     @property
     def kernel(self) -> Kernel:
         return self.launch.kernel
-
-    @property
-    def fully_dispatched(self) -> bool:
-        return self.dispatched >= self.kernel.num_ctas
-
-    @property
-    def finished(self) -> bool:
-        return self.completed >= self.kernel.num_ctas
 
 
 class ExecutionEngine:
@@ -132,18 +149,25 @@ class _Execution:
         spec = engine.spec
         self.spec = spec
         self.record_ctas = engine.record_ctas
-        self.launches = [
-            _LaunchState(
-                launch=launch,
-                index=i,
-                footprint=(
-                    launch.kernel.threads_per_cta,
-                    launch.kernel.shared_mem_per_cta,
-                    launch.kernel.registers_per_thread * launch.kernel.threads_per_cta,
-                ),
+        self.launches = []
+        for i, launch in enumerate(launches):
+            kernel = launch.kernel
+            threads = kernel.threads_per_cta
+            shared_mem = kernel.shared_mem_per_cta
+            registers = kernel.registers_per_thread * threads
+            self.launches.append(
+                _LaunchState(
+                    launch=launch,
+                    index=i,
+                    footprint=(threads, shared_mem, registers),
+                    room=(
+                        spec.max_threads_per_sm - threads,
+                        spec.shared_mem_per_sm - shared_mem,
+                        spec.registers_per_sm - registers,
+                    ),
+                    num_ctas=kernel.num_ctas,
+                )
             )
-            for i, launch in enumerate(launches)
-        ]
         self.time = 0.0
         self.records: list[CTARecord] = []
         self.tensor_peak = spec.tensor_flops_per_sm
@@ -162,28 +186,40 @@ class _Execution:
         self.colocated_sms = 0
         # SM ids by resident count, each bucket in index order, so breadth-first's
         # min((resident count, index)) is the first bucket entry that fits.
-        total_ctas = sum(state.kernel.num_ctas for state in self.launches)
+        total_ctas = sum(state.num_ctas for state in self.launches)
         most_resident = min(spec.max_ctas_per_sm, total_ctas)
         self.buckets: list[list[int]] = [list(range(num_sms))]
         self.buckets += [[] for _ in range(most_resident)]
+        self.open_buckets = self.buckets[: spec.max_ctas_per_sm]
         # SM ids in release order, and per footprint the length of that log when
         # a pick last found no SM: dispatch only consumes resources, so only SMs
         # released since then can fit that footprint.
         self.released: list[int] = []
         self.failed_at: dict[tuple[int, int, int], int] = {}
 
+        # Each distinct work object dispatched so far, by id, and the table of
+        # their initial state columns (grown geometrically, so describing D
+        # works copies O(D) floats).
+        self.described: dict[int, _Description] = {}
+        self.table = np.zeros((10, 8))
+
         # Alive CTAs, one column each, in dispatch order.  Rows of ``state``:
         # 0-2 remaining FLOPs, bytes and fixed time; 3-4 the compute and memory
-        # throughput shared on the CTA's SM (its pipe's peak, and the event's
-        # per-SM bandwidth); 5-6 the CTA's compute and memory caps; 7-9 its
-        # rates (fixed time drains at 1).  Rows of ``keys``: the CTA's compute
-        # pipe (SM id, + num_sms on the CUDA pipe) and memory port (SM id +
-        # 2 * num_sms) in one count space, and its dispatch slot.
+        # throughput shared on the CTA's SM (its pipe's peak, and the last rate
+        # pass's per-SM bandwidth); 5-6 the CTA's compute and memory caps; 7-9
+        # its rates (fixed time drains at 1 until it ends).  Rows of ``keys``: the
+        # CTA's compute pipe (SM id, + num_sms on the CUDA pipe) and memory port
+        # (SM id + 2 * num_sms) in one count space, and its dispatch slot.
+        # ``active`` marks which of rows 0-2 are still outstanding.
         self.state = np.zeros((10, 0))
         self.keys = np.zeros((3, 0), dtype=np.int64)
-        # Per dispatch slot: launch, dispatch index, SM, record tag, start time,
-        # FLOPs, bytes, CUDA pipe?, booking index into _BOOKED_TAGS.
-        self.ctas: list[tuple[_LaunchState, int, int, str, float, float, float, bool, int]] = []
+        self.active = np.zeros((3, 0), dtype=bool)
+        # Whether a column was added or a compute or memory stream ended since
+        # the last rate pass, and how many such streams that pass saw active.
+        self.rates_stale = True
+        self.live_streams = 0
+        # Per dispatch slot: launch, dispatch index, SM, description, start time.
+        self.ctas: list[tuple[_LaunchState, int, int, _Description, float]] = []
 
         # Busy-time integrals for utilization and energy accounting.
         self.tensor_flops_done = 0.0
@@ -197,19 +233,21 @@ class _Execution:
         self.resident_cta_seconds = 0.0
         self._need_dispatch = True
 
+        # Eligible launches with CTAs left to dispatch, in launch order.
+        self.waiting: list[_LaunchState] = []
         seen_streams: set[int] = set()
         for state in self.launches:
             stream = state.launch.stream
             if stream not in seen_streams:
                 state.eligible_time = spec.kernel_launch_overhead
                 seen_streams.add(stream)
+                self.waiting.append(state)
 
     # ------------------------------------------------------------- dispatch
 
-    def _pick_sm(self, footprint: tuple[int, int, int]) -> int:
+    def _pick_sm(self, footprint: tuple[int, int, int], room: tuple[int, int, int]) -> int:
         """The breadth-first SM for the next CTA of ``footprint``, or -1."""
-        threads, shared_mem, registers = footprint
-        spec = self.spec
+        thread_room, shared_room, register_room = room
         resident = self.resident
         released = self.released
         failed_at = self.failed_at.get(footprint)
@@ -218,81 +256,111 @@ class _Execution:
             # Only SMs released since this footprint last fit nowhere can fit it.
             order = sorted(released[failed_at:], key=lambda sm: (resident[sm], sm))
         else:
-            order = itertools.chain.from_iterable(self.buckets[: spec.max_ctas_per_sm])
+            order = itertools.chain.from_iterable(self.open_buckets)
+        max_ctas = self.spec.max_ctas_per_sm
+        threads, shared_mem, registers = self.threads, self.shared_mem, self.registers
         for sm in order:
             if (
-                resident[sm] < spec.max_ctas_per_sm
-                and self.threads[sm] + threads <= spec.max_threads_per_sm
-                and self.shared_mem[sm] + shared_mem <= spec.shared_mem_per_sm
-                and self.registers[sm] + registers <= spec.registers_per_sm
+                resident[sm] < max_ctas
+                and threads[sm] <= thread_room
+                and shared_mem[sm] <= shared_room
+                and registers[sm] <= register_room
             ):
-                break
-        else:
-            self.failed_at[footprint] = len(released)
-            return -1
-        return sm
+                return sm
+        self.failed_at[footprint] = len(released)
+        return -1
 
-    def _dispatch_ready_ctas(self) -> bool:
+    def _describe(self, work: object, kernel: Kernel, index: int) -> _Description:
+        """Describe a work object on its first dispatch in this run.
+
+        Anything but a :class:`CTAWork` (a binder's bad return) is rejected
+        here, once per distinct object, naming the kernel and the CTA.
+        """
+        if not isinstance(work, CTAWork):
+            raise TypeError(
+                f"kernel {kernel.name!r}: CTA {index} was given a "
+                f"{type(work).__name__}, not a CTAWork"
+            )
+        is_cuda = work.meta.get("pipe", "tensor") == "cuda"
+        peak = self.cuda_peak if is_cuda else self.tensor_peak
+        flops, nbytes = float(work.flops), float(work.dram_bytes)
+        fixed = float(work.fixed_time)
+        column = len(self.described)
+        if column == self.table.shape[1]:
+            self.table = np.concatenate((self.table, np.empty_like(self.table)), axis=1)
+        self.table[:, column] = (
+            flops,
+            nbytes,
+            fixed,
+            peak,
+            0.0,
+            work.max_compute_fraction * peak,
+            work.max_mem_fraction * self.spec.sm_mem_bandwidth,
+            0.0,
+            0.0,
+            0.0,
+        )
+        description = (
+            work,
+            column,
+            self.num_sms if is_cuda else 0,
+            _BOOKING.get(work.tag, _UNTAGGED),
+            work.tag or "untagged",
+            flops,
+            nbytes,
+            is_cuda,
+        )
+        self.described[id(work)] = description
+        return description
+
+    def _dispatch_ready_ctas(self) -> None:
         """Fill each eligible launch, in launch order, until its next CTA fits nowhere.
 
         Dispatch only consumes SM resources, so a launch that stops fitting stays
         unfit for the rest of the pass: this dispatches exactly what a launch scan
         restarted after every CTA (earlier launches first) would.
         """
-        horizon = self.time + _TIME_EPS
-        columns: list[tuple[float, ...]] = []
-        keys: list[tuple[int, int, int]] = []
-        for state in self.launches:
-            if state.eligible_time is None or state.eligible_time > horizon:
+        now = self.time
+        horizon = now + _TIME_EPS
+        described = self.described
+        pick, admit, ctas = self._pick_sm, self._admit, self.ctas
+        port_offset = 2 * self.num_sms
+        first_slot = len(ctas)
+        columns: list[int] = []
+        pipes: list[int] = []
+        ports: list[int] = []
+        for state in self.waiting:
+            if state.eligible_time > horizon:
                 continue
             kernel = state.kernel
-            while state.dispatched < kernel.num_ctas:
-                sm = self._pick_sm(state.footprint)
+            work_for = kernel.work_for
+            footprint, room = state.footprint, state.room
+            index = state.dispatched
+            while index < state.num_ctas:
+                sm = pick(footprint, room)
                 if sm < 0:
                     break
-                work = kernel.work_for(state.dispatched, sm)
-                booked = _BOOKING.get(work.tag, _UNTAGGED)
-                self._admit(sm, state.footprint, booked)
-                is_cuda = work.meta.get("pipe", "tensor") == "cuda"
-                peak = self.cuda_peak if is_cuda else self.tensor_peak
-                flops, nbytes = float(work.flops), float(work.dram_bytes)
-                pipe = sm + self.num_sms if is_cuda else sm
-                keys.append((pipe, sm + 2 * self.num_sms, len(self.ctas)))
-                columns.append(
-                    (
-                        flops,
-                        nbytes,
-                        float(work.fixed_time),
-                        peak,
-                        0.0,
-                        work.max_compute_fraction * peak,
-                        work.max_mem_fraction * self.spec.sm_mem_bandwidth,
-                        0.0,
-                        0.0,
-                        1.0,
-                    )
-                )
-                self.ctas.append(
-                    (
-                        state,
-                        state.dispatched,
-                        sm,
-                        work.tag or "untagged",
-                        self.time,
-                        flops,
-                        nbytes,
-                        is_cuda,
-                        booked,
-                    )
-                )
-                if state.start_time is None:
-                    state.start_time = self.time
-                state.dispatched += 1
+                work = work_for(index, sm)
+                description = described.get(id(work)) or self._describe(work, kernel, index)
+                _, column, pipe_offset, booked, _, _, _, _ = description
+                admit(sm, footprint, booked)
+                columns.append(column)
+                pipes.append(sm + pipe_offset)
+                ports.append(sm + port_offset)
+                ctas.append((state, index, sm, description, now))
+                index += 1
+            if index > state.dispatched and state.start_time is None:
+                state.start_time = now
+            state.dispatched = index
         if not columns:
-            return False
-        self.state = np.concatenate((self.state, np.array(columns).T), axis=1)
-        self.keys = np.concatenate((self.keys, np.array(keys, dtype=np.int64).T), axis=1)
-        return True
+            return
+        self.waiting = [state for state in self.waiting if state.dispatched < state.num_ctas]
+        new = self.table.take(columns, axis=1)
+        keys = np.array((pipes, ports, range(first_slot, len(ctas))), dtype=np.int64)
+        self.state = np.concatenate((self.state, new), axis=1)
+        self.keys = np.concatenate((self.keys, keys), axis=1)
+        self.active = np.concatenate((self.active, new[:3] > _EPS), axis=1)
+        self.rates_stale = True
 
     def _admit(self, sm: int, footprint: tuple[int, int, int], booked: int) -> None:
         threads, shared_mem, registers = footprint
@@ -338,15 +406,51 @@ class _Execution:
     # ------------------------------------------------------------------ loop
 
     def _step(self) -> bool:
-        """One event: rates, time to the next event, advance, retirement.
+        """One event: rates if stale, time to the next event, advance, retirement.
 
         Returns whether any CTA retired.
         """
+        state, active = self.state, self.active
+        remaining = state[:3]
+        rate = state[7:]
+        if self.rates_stale:
+            self._rate_pass()
+        # An ended stream's rate is 0, so its quotient is nan (0/0) or inf, and
+        # fmin skips it.
+        dt = float(np.fmin.reduce(remaining / rate, axis=None))
+        # A launch waiting only on its launch-overhead gap can also be the next event.
+        # (The gap goes first: when every alive CTA is work-free, dt is nan.)
+        for launch in self.waiting:
+            if launch.eligible_time > self.time + _TIME_EPS:
+                dt = min(launch.eligible_time - self.time, dt)
+        if not math.isfinite(dt):
+            raise RuntimeError("simulation stalled: residents exist but nothing progresses")
+
+        self.colocated_sm_seconds += self.colocated_sms * dt
+        self.active_sm_seconds += self.occupied_sms * dt
+        self.resident_cta_seconds += remaining.shape[1] * dt
+        remaining -= np.minimum(remaining, rate * dt)
+        self.time += dt
+
+        np.greater(remaining, _EPS, out=active)
+        # An ended fixed time stops draining; an ended compute or memory stream
+        # makes the rates stale, and the next pass zeroes its rate.
+        rate[2] = active[2]
+        live_streams = np.count_nonzero(active[:2])
+        if live_streams != self.live_streams:
+            # A compute or memory stream ended: its SM and pool shares changed.
+            self.rates_stale = True
+        alive = active.any(axis=0)
+        if np.count_nonzero(alive) == alive.size:
+            return False
+        self._retire_finished(alive)
+        return True
+
+    def _rate_pass(self) -> None:
+        """Every alive CTA's compute and memory rates under the current activity."""
         spec = self.spec
         num_sms = self.num_sms
-        state, keys = self.state, self.keys
-        remaining = state[:3]
-        active = remaining > _EPS
+        state, keys, active = self.state, self.keys, self.active
         # Compute- and memory-active residents per pipe and per SM memory port.
         sharing = np.bincount(keys[:2].ravel(), active[:2].ravel(), 3 * num_sms)
         # Memory: the equal-cap max-min split of the HBM pool over the SMs with
@@ -357,93 +461,89 @@ class _Execution:
         # Each active CTA gets an equal share of its SM's throughput, up to its
         # cap; an idle one gets 0 (an idle pipe's share is inf or nan, fmin
         # drops the nan and the cap times False is 0).
-        rate = state[7:]
-        np.multiply(np.fmin(state[3:5] / sharing[keys[:2]], state[5:7]), active[:2], out=rate[:2])
+        np.multiply(np.fmin(state[3:5] / sharing[keys[:2]], state[5:7]), active[:2], out=state[7:9])
+        # Fixed time drains at 1 until it ends.
+        state[9] = active[2]
+        self.live_streams = np.count_nonzero(active[:2])
+        self.rates_stale = False
 
-        candidates = np.where((rate > _EPS) & active, remaining / rate, np.inf)
-        dt = float(candidates.min())
-        # A launch waiting only on its launch-overhead gap can also be the next event.
-        for launch in self.launches:
-            if launch.eligible_time is not None and not launch.fully_dispatched:
-                if launch.eligible_time > self.time + _TIME_EPS:
-                    dt = min(dt, launch.eligible_time - self.time)
-        if not math.isfinite(dt):
-            raise RuntimeError("simulation stalled: residents exist but nothing progresses")
+    def _retire_finished(self, alive: np.ndarray) -> None:
+        """Retire the CTAs whose columns ``alive`` drops, in dispatch order, and drop them.
 
-        self.colocated_sm_seconds += self.colocated_sms * dt
-        self.active_sm_seconds += self.occupied_sms * dt
-        self.resident_cta_seconds += remaining.shape[1] * dt
-        remaining -= np.minimum(remaining, rate * dt)
-        self.time += dt
-
-        alive = (remaining > _EPS).any(axis=0)
-        if np.count_nonzero(alive) == alive.size:
-            return False
-        finished = np.flatnonzero(~alive)
-        leftovers = state[:2, finished].T.tolist()
-        for slot, (flops_left, bytes_left) in zip(keys[2, finished].tolist(), leftovers):
-            self._retire(slot, flops_left, bytes_left)
-        self.state = state.compress(alive, axis=1)
-        self.keys = keys.compress(alive, axis=1)
-        return True
-
-    def _retire(self, slot: int, flops_left: float, bytes_left: float) -> None:
-        launch, index, sm, tag, start_time, flops, nbytes, is_cuda, booked = self.ctas[slot]
-        flops_done = flops - flops_left
-        bytes_done = nbytes - bytes_left
-        if is_cuda:
-            self.cuda_flops_done += flops_done
-        else:
-            self.tensor_flops_done += flops_done
-        self.bytes_done += bytes_done
-        if flops_done or bytes_done:
-            self.tag_flops[booked] += flops_done
-            self.tag_bytes[booked] += bytes_done
-            self.tag_seen[booked] = True
-        self._release(sm, launch.footprint, booked)
-        launch.completed += 1
-        if self.record_ctas:
-            self.records.append(
-                CTARecord(
-                    kernel=launch.kernel.name,
-                    dispatch_index=index,
-                    sm_id=sm,
-                    tag=tag,
-                    start_time=start_time,
-                    end_time=self.time,
-                    flops=flops,
-                    dram_bytes=nbytes,
+        Each retiring CTA books what it did (its totals less what is left, at
+        most ``_EPS``) and frees its SM.
+        """
+        state, keys = self.state, self.keys
+        finished = (~alive).nonzero()[0]
+        leftovers = state[:2].take(finished, axis=1).T.tolist()
+        ctas, release, now = self.ctas, self._release, self.time
+        tag_flops, tag_bytes, tag_seen = self.tag_flops, self.tag_bytes, self.tag_seen
+        tensor_done = self.tensor_flops_done
+        cuda_done = self.cuda_flops_done
+        bytes_done = self.bytes_done
+        for slot, (flops_left, bytes_left) in zip(keys[2].take(finished).tolist(), leftovers):
+            launch, index, sm, description, start_time = ctas[slot]
+            _, _, _, booked, tag, flops, nbytes, is_cuda = description
+            flops_done = flops - flops_left
+            moved = nbytes - bytes_left
+            if is_cuda:
+                cuda_done += flops_done
+            else:
+                tensor_done += flops_done
+            bytes_done += moved
+            if flops_done or moved:
+                tag_flops[booked] += flops_done
+                tag_bytes[booked] += moved
+                tag_seen[booked] = True
+            release(sm, launch.footprint, booked)
+            launch.completed += 1
+            if self.record_ctas:
+                self.records.append(
+                    CTARecord(
+                        kernel=launch.kernel.name,
+                        dispatch_index=index,
+                        sm_id=sm,
+                        tag=tag,
+                        start_time=start_time,
+                        end_time=now,
+                        flops=flops,
+                        dram_bytes=nbytes,
+                    )
                 )
-            )
-        if launch.finished and launch.end_time is None:
-            launch.end_time = self.time
-            self._unlock_successor(launch)
+            if launch.completed == launch.num_ctas:
+                launch.end_time = now
+                self._unlock_successor(launch)
+        self.tensor_flops_done = tensor_done
+        self.cuda_flops_done = cuda_done
+        self.bytes_done = bytes_done
+        kept = alive.nonzero()[0]
+        self.state = state.take(kept, axis=1)
+        self.keys = keys.take(kept, axis=1)
+        self.active = self.active.take(kept, axis=1)
 
     def _unlock_successor(self, finished_state: _LaunchState) -> None:
         stream = finished_state.launch.stream
         for state in self.launches:
             if state.index <= finished_state.index or state.launch.stream != stream:
                 continue
-            if state.eligible_time is None:
+            if state.eligible_time == math.inf:
                 state.eligible_time = self.time + self.spec.kernel_launch_overhead
+                bisect.insort(self.waiting, state, key=lambda waiting: waiting.index)
             break
 
     def run(self) -> ExecutionResult:
         # Idle CTAs divide by zero rates and counts; _step discards those quotients.
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_MAX_EVENTS):
-                if self._need_dispatch and not self._dispatch_ready_ctas():
-                    # Nothing fits right now; retry only after a CTA retires or
-                    # a new launch becomes eligible.
+                if self._need_dispatch:
+                    # A pass fills every eligible launch until its next CTA fits
+                    # nowhere; retry only after a CTA retires or a new launch
+                    # becomes eligible.
+                    if self.waiting:
+                        self._dispatch_ready_ctas()
                     self._need_dispatch = False
                 if self.state.shape[1] == 0:
-                    pending = [
-                        s.eligible_time
-                        for s in self.launches
-                        if not s.finished
-                        and s.eligible_time is not None
-                        and not s.fully_dispatched
-                    ]
+                    pending = [s.eligible_time for s in self.waiting]
                     if not pending:
                         break
                     # With no CTA alive every SM is empty, and run() rejected any
@@ -457,15 +557,11 @@ class _Execution:
                 previous_time = self.time
                 if self._step():
                     self._need_dispatch = True
-                if not self._need_dispatch:
-                    for state in self.launches:
-                        if (
-                            state.eligible_time is not None
-                            and not state.fully_dispatched
-                            and previous_time < state.eligible_time <= self.time + _TIME_EPS
-                        ):
-                            self._need_dispatch = True
-                            break
+                    continue
+                for state in self.waiting:
+                    if previous_time < state.eligible_time <= self.time + _TIME_EPS:
+                        self._need_dispatch = True
+                        break
             else:  # pragma: no cover - safety net
                 raise RuntimeError("execution exceeded the maximum number of simulation events")
 
@@ -494,7 +590,7 @@ class _Execution:
                 stream=state.launch.stream,
                 start_time=state.start_time if state.start_time is not None else 0.0,
                 end_time=state.end_time if state.end_time is not None else total_time,
-                num_ctas=state.kernel.num_ctas,
+                num_ctas=state.num_ctas,
             )
             for state in self.launches
         ]

@@ -6,10 +6,14 @@ import pytest
 
 from repro.attention.cost_model import (
     FA_DECODE_PROFILE,
+    FA_DECODE_TILE,
     FA_PREFILL_PROFILE,
+    FA_PREFILL_TILE,
     FI_DECODE_TILE,
     batch_decode_ctas,
+    batch_prefill_ctas,
 )
+from repro.attention.executors import FAHFuse, FASerial, FIBatched, FISerial
 from repro.attention.kernels import (
     fa_decode_kernel,
     fa_prefill_kernel,
@@ -19,6 +23,8 @@ from repro.attention.kernels import (
     hfuse_kernel,
 )
 from repro.attention.workload import HybridBatch
+from repro.bench.sweeps import figure11_sweep
+from repro.gpu.cta import CTAWork
 from repro.gpu.occupancy import max_resident_ctas
 
 
@@ -126,3 +132,43 @@ class TestHFuseKernel:
         fused = hfuse_kernel(llama3_deployment, batch)
         assert fused is not None
         assert {cta.tag for cta in fused.ctas} == {"decode"}
+
+
+def _value(work: CTAWork) -> tuple:
+    return (
+        work.flops,
+        work.dram_bytes,
+        work.tag,
+        work.fixed_time,
+        work.max_compute_fraction,
+        work.max_mem_fraction,
+    )
+
+
+class TestSharedWork:
+    """The builders share one ``CTAWork`` per distinct row: the engine
+    describes each distinct object once per run."""
+
+    def test_uniform_decode_kernels_hold_one_work(self, llama3_deployment, small_hybrid_batch):
+        for builder in (fa_decode_kernel, fi_decode_kernel):
+            kernel = builder(llama3_deployment, small_hybrid_batch)
+            assert kernel.num_ctas == 24 * 4 * 2
+            assert len({id(work) for work in kernel.ctas}) == 1
+
+    @pytest.mark.parametrize(
+        "executor", (FASerial, FISerial, FIBatched, FAHFuse), ids=lambda e: e.name
+    )
+    def test_one_object_per_distinct_row_on_figure11(self, llama3_deployment, executor):
+        for point in figure11_sweep(max_points=24, seed=0):
+            for launch in executor().build_launches(llama3_deployment, point.to_batch()):
+                works = launch.kernel.ctas
+                assert len({id(work) for work in works}) == len({_value(w) for w in works})
+
+    def test_hfuse_fuses_each_distinct_pair_once(self, llama3_deployment, small_hybrid_batch):
+        batch = small_hybrid_batch
+        prefill = batch_prefill_ctas(llama3_deployment, batch, tile=FA_PREFILL_TILE)
+        decode = batch_decode_ctas(llama3_deployment, batch, tile=FA_DECODE_TILE)
+        pairs = {(id(p), id(d)) for p, d in zip(prefill, decode)}
+        surplus = {id(work) for work in prefill[len(decode) :] + decode[len(prefill) :]}
+        fused = hfuse_kernel(llama3_deployment, batch)
+        assert len({id(work) for work in fused.ctas}) == len(pairs) + len(surplus) < len(fused.ctas)

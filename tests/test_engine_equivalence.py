@@ -247,6 +247,36 @@ class TestSeededBugs:
         gpu, build = _streams_case()
         assert engine_equivalence(gpu, build)
 
+    def test_rates_kept_across_a_dispatch_break_equivalence(self, monkeypatch) -> None:
+        # The CTAs a later dispatch appends keep the rates they were appended
+        # with (0) until some compute or memory stream ends.
+        dispatch = engine_module._Execution._dispatch_ready_ctas
+
+        def keeps_rates(self):
+            stale = self.rates_stale
+            dispatch(self)
+            self.rates_stale = stale
+
+        monkeypatch.setattr(engine_module._Execution, "_dispatch_ready_ctas", keeps_rates)
+        gpu, build = _streams_case()
+        found = engine_equivalence(gpu, build)
+        assert found and found[0].startswith("total_time differs")
+
+    def test_activity_mask_kept_across_a_retirement_breaks_equivalence(self, monkeypatch) -> None:
+        # The mask keeps the retired CTAs' columns, so it no longer lines up
+        # with the alive CTAs: the next rate pass raises.
+        retire = engine_module._Execution._retire_finished
+
+        def keeps_mask(self, alive):
+            mask = self.active
+            retire(self, alive)
+            self.active = mask
+
+        monkeypatch.setattr(engine_module._Execution, "_retire_finished", keeps_mask)
+        gpu, build = _streams_case()
+        (found,) = engine_equivalence(gpu, build)
+        assert found.startswith("reference gave a result, engine gave ValueError")
+
     def test_early_launch_breaks_equivalence_and_stream_order(self, monkeypatch) -> None:
         # A 10 us launch horizon dispatches every launch before its 4 us
         # launch-overhead gap has passed.

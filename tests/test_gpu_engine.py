@@ -182,6 +182,30 @@ class TestBinderKernels:
         assert sorted(d for _, d in seen) == list(range(50))
         assert all(0 <= sm < a100.num_sms for sm, _ in seen)
 
+    def test_binder_returning_anything_but_work_fails_at_dispatch(self, engine):
+        def binder(sm_id, dispatch_index):
+            if dispatch_index == 3:
+                return {"flops": 1e6, "dram_bytes": 1e3}
+            return CTAWork(flops=1e6, dram_bytes=1e3)
+
+        kernel = Kernel.with_binder("bad", 8, binder, threads_per_cta=128, shared_mem_per_cta=0)
+        with pytest.raises(TypeError, match=r"kernel 'bad': CTA 3 was given a dict, not a CTAWork"):
+            engine.run_kernel(kernel)
+
+    def test_each_fresh_work_object_is_described_apart(self, engine):
+        """A binder that builds a new work for every CTA, and keeps none, still
+        gets every CTA its own: descriptions are keyed by id and hold their
+        object, so no later work can take a described work's id in the run."""
+
+        def binder(sm_id, dispatch_index):
+            return CTAWork(flops=1e6 * (dispatch_index + 1), dram_bytes=1e3)
+
+        kernel = Kernel.with_binder("fresh", 300, binder, threads_per_cta=128, shared_mem_per_cta=0)
+        records = engine.run_kernel(kernel).cta_records
+        assert sorted((r.dispatch_index, r.flops) for r in records) == [
+            (index, 1e6 * (index + 1)) for index in range(300)
+        ]
+
 
 class TestResultRecords:
     def test_cta_records_complete(self, a100, engine):

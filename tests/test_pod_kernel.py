@@ -31,6 +31,14 @@ class TestVirtualDecodeCTAs:
         with pytest.raises(ValueError):
             group_virtual_decode_ctas([], virtual_factor=0)
 
+    def test_groups_of_the_same_units_share_one_work(self):
+        first = CTAWork(flops=1.0, dram_bytes=2.0, tag=DECODE_TAG)
+        second = CTAWork(flops=3.0, dram_bytes=4.0, tag=DECODE_TAG)
+        grouped = group_virtual_decode_ctas([first] * 8 + [second] * 4 + [first] * 2, 4)
+        assert [group.flops for group in grouped] == [4.0, 4.0, 12.0, 2.0]
+        assert grouped[0] is grouped[1]
+        assert len({id(group) for group in grouped}) == 3
+
 
 class TestBuildPodKernel:
     def test_plan_counts(self, llama3_deployment, small_hybrid_batch):

@@ -51,7 +51,7 @@ from repro.cluster.control import FleetState
 from repro.cluster.metrics import ClusterMetrics, compute_cluster_metrics
 from repro.cluster.router import ReplicaLoad, RouterPolicy, get_router
 from repro.serving.kv_cache import KVCacheStats
-from repro.serving.replica import ReplicaRuntime
+from repro.serving.replica import ReplicaRuntime, SimulationStuckError
 from repro.serving.request import Request, RequestState
 
 
@@ -399,9 +399,13 @@ class ClusterSimulator:
 
         unfinished = [r for r in requests if not r.is_terminal]
         if unfinished:
-            raise RuntimeError(
-                f"cluster drained with {len(unfinished)} unfinished requests "
-                f"(first: {unfinished[0].request_id})"
+            first = unfinished[0].request_id
+            # Every unfinished request was routed: a shed one is terminal.
+            holder = decode_assignments.get(first, assignments[first])
+            raise SimulationStuckError.at(
+                self.replicas[holder],
+                f"cluster drained with {len(unfinished)} unfinished requests (first: {first})",
+                unfinished=tuple(r.request_id for r in unfinished),
             )
 
         makespan = max(replica.clock for replica in self.replicas)

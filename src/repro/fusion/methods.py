@@ -18,6 +18,7 @@ Each method runs the compute-bound and memory-bound micro-benchmark kernels
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.scheduling_policy import ProportionalPolicy, SchedulingPolicy
 from repro.core.sm_aware import PREFILL, SMAwareScheduler
@@ -119,11 +120,27 @@ def run_cta_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult
     return _summarize("cta_parallel", _engine(spec).run_kernel(kernel))
 
 
+def _fuse_pairs(
+    compute: list[CTAWork], memory: list[CTAWork], fuse: Callable[[CTAWork, CTAWork], CTAWork]
+) -> list[CTAWork]:
+    """``fuse`` of each (compute, memory) CTA pair, run once per distinct pair of works."""
+    fused: dict[tuple[int, int], CTAWork] = {}
+    ctas = []
+    for c, m in zip(compute, memory):
+        work = fused.get((id(c), id(m)))
+        if work is None:
+            work = fused[(id(c), id(m))] = fuse(c, m)
+        ctas.append(work)
+    return ctas
+
+
 def run_warp_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
     """Warp-parallel (HFuse-style) fusion: each CTA carries both operations."""
-    compute = compute_ctas(config)
-    memory = memory_ctas(config)
-    fused = [c.merged_with(m, tag="compute+memory") for c, m in zip(compute, memory)]
+    fused = _fuse_pairs(
+        compute_ctas(config),
+        memory_ctas(config),
+        lambda c, m: c.merged_with(m, tag="compute+memory"),
+    )
     kernel = Kernel.from_ctas(
         "fused_warp",
         fused,
@@ -142,8 +159,6 @@ def run_intra_thread(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult
     barrier from overlapping (paper §3.1): :data:`BARRIER_SERIAL_FRACTION` of
     the shorter operation cannot be hidden.
     """
-    compute = compute_ctas(config)
-    memory = memory_ctas(config)
     compute_time, memory_time = ideal_times(spec, config)
     # Barriers serialise a fraction of the shorter operation: while a thread
     # waits at a barrier for its memory (or compute) segment, the other
@@ -157,18 +172,18 @@ def run_intra_thread(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult
     else:
         extra_flops = 0.0
         extra_bytes = serialized_time * spec.hbm_bandwidth / n
-    fused: list[CTAWork] = []
-    for c, m in zip(compute, memory):
+
+    def fuse(c: CTAWork, m: CTAWork) -> CTAWork:
         merged = c.merged_with(m, tag="intra_thread")
-        fused.append(
-            CTAWork(
-                flops=merged.flops + extra_flops,
-                dram_bytes=merged.dram_bytes + extra_bytes,
-                tag="intra_thread",
-                fixed_time=merged.fixed_time,
-                meta={"pipe": "cuda"},
-            )
+        return CTAWork(
+            flops=merged.flops + extra_flops,
+            dram_bytes=merged.dram_bytes + extra_bytes,
+            tag="intra_thread",
+            fixed_time=merged.fixed_time,
+            meta={"pipe": "cuda"},
         )
+
+    fused = _fuse_pairs(compute_ctas(config), memory_ctas(config), fuse)
     kernel = Kernel.from_ctas(
         "fused_intra_thread",
         fused,

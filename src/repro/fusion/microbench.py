@@ -96,37 +96,29 @@ def calibrated_config(spec: GPUSpec) -> MicrobenchConfig:
 
 
 def compute_ctas(config: MicrobenchConfig) -> list[CTAWork]:
-    """CTA workloads of the compute-bound kernel."""
+    """CTA workloads of the compute-bound kernel: one shared work, as every CTA's is equal."""
     n = CTAS_PER_KERNEL
-    flops = config.compute_flops_total / n
-    dram_bytes = config.compute_bytes_total / n
-    return [
-        CTAWork(
-            flops=flops,
-            dram_bytes=dram_bytes,
-            tag=COMPUTE_TAG,
-            fixed_time=BARRIER_OVERHEAD * config.compute_iterations,
-            meta={"pipe": "cuda"},
-        )
-        for _ in range(n)
-    ]
+    work = CTAWork(
+        flops=config.compute_flops_total / n,
+        dram_bytes=config.compute_bytes_total / n,
+        tag=COMPUTE_TAG,
+        fixed_time=BARRIER_OVERHEAD * config.compute_iterations,
+        meta={"pipe": "cuda"},
+    )
+    return [work] * n
 
 
 def memory_ctas(config: MicrobenchConfig) -> list[CTAWork]:
-    """CTA workloads of the memory-bound kernel."""
+    """CTA workloads of the memory-bound kernel: one shared work, as every CTA's is equal."""
     n = CTAS_PER_KERNEL
-    flops = config.memory_flops_total / n
-    dram_bytes = config.memory_bytes_total / n
-    return [
-        CTAWork(
-            flops=flops,
-            dram_bytes=dram_bytes,
-            tag=MEMORY_TAG,
-            fixed_time=BARRIER_OVERHEAD * MEMORY_PASSES,
-            meta={"pipe": "cuda"},
-        )
-        for _ in range(n)
-    ]
+    work = CTAWork(
+        flops=config.memory_flops_total / n,
+        dram_bytes=config.memory_bytes_total / n,
+        tag=MEMORY_TAG,
+        fixed_time=BARRIER_OVERHEAD * MEMORY_PASSES,
+        meta={"pipe": "cuda"},
+    )
+    return [work] * n
 
 
 def compute_kernel(config: MicrobenchConfig, name: str = "compute_bound") -> Kernel:

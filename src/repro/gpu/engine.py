@@ -24,16 +24,25 @@ Each event costs O(alive CTAs).  The alive CTAs' state lives in compact NumPy
 arrays, one column per resident CTA in dispatch order (a retiring CTA's column
 is dropped), and one vectorised pass per event computes the time to the next
 event, the advance and the retirements.  Per-SM co-location and occupancy
-counts are updated at dispatch and retirement, and FLOP and byte totals are
-booked when a CTA retires.  The dispatcher keeps SMs in buckets by resident
-count and remembers, per CTA footprint, where its last pick found no SM, so a
-pick inspects only SMs that could have changed instead of all of them.
+counts are updated inline in the dispatch and retirement loops, and FLOP and
+byte totals are booked when a CTA retires.  The dispatcher keeps SMs in
+buckets by resident count, each in index order, and fills a launch by one
+breadth-first scan over them that resumes after each pick where it stopped:
+dispatch only consumes resources, so an SM the scan passed over still does
+not fit, and the SM just picked moves up one bucket, where the scan reaches
+it in index order.  Per CTA footprint it remembers where its last pick found
+no SM; while few SMs have been released since, the next pick takes the least
+(resident count, index) among those of them that fit instead of scanning.
 
 A CTA's rates depend only on which compute and memory streams are active on
-its SM and in the HBM pool, so the rate pass (per-pipe sharing counts, the
-pool's split, every CTA's rates) runs only when a column was added or a
-compute or memory stream ended since the last pass.  An event that ends only
-a fixed latency, or only a launch-overhead gap, reuses the rates; an ended
+its SM and in the HBM pool, so the rate pass runs only when a column was added
+or a compute or memory stream ended since the last pass, and it recomputes
+only what that can change: the per-pipe sharing counts, the pool's split and
+every CTA's compute and memory rates.  The step keeps the rest: it stores the
+count of live streams whenever it changes (dispatch adds its new columns'),
+and zeroes the fixed-time rate of each fixed latency that ends (a new column
+starts at 1 if it has a fixed latency, else 0).  An event that ends only a
+fixed latency, or only a launch-overhead gap, reuses the rates; an ended
 stream's rate drops to 0, which the one ``fmin`` that finds the next event
 skips.
 
@@ -41,16 +50,16 @@ Dispatch describes each distinct work object once per run: its column of
 initial state, pipe, booking index, tag and totals, keyed by the object's id.
 The description holds the object, so no other object can take that id while
 the run lasts.  New columns are gathered from the descriptions' table, and a
-CTA's slot keeps a reference to its description instead of copies of it.
+CTA's entry in the alive list keeps a reference to its description instead of
+copies of it.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,12 +194,13 @@ class _Execution:
         self.occupied_sms = 0
         self.colocated_sms = 0
         # SM ids by resident count, each bucket in index order, so breadth-first's
-        # min((resident count, index)) is the first bucket entry that fits.
+        # min((resident count, index)) is the first bucket entry that fits.  The
+        # first ``open_levels`` buckets hold the SMs with a free CTA slot.
         total_ctas = sum(state.num_ctas for state in self.launches)
         most_resident = min(spec.max_ctas_per_sm, total_ctas)
         self.buckets: list[list[int]] = [list(range(num_sms))]
         self.buckets += [[] for _ in range(most_resident)]
-        self.open_buckets = self.buckets[: spec.max_ctas_per_sm]
+        self.open_levels = min(spec.max_ctas_per_sm, len(self.buckets))
         # SM ids in release order, and per footprint the length of that log when
         # a pick last found no SM: dispatch only consumes resources, so only SMs
         # released since then can fit that footprint.
@@ -207,19 +217,19 @@ class _Execution:
         # 0-2 remaining FLOPs, bytes and fixed time; 3-4 the compute and memory
         # throughput shared on the CTA's SM (its pipe's peak, and the last rate
         # pass's per-SM bandwidth); 5-6 the CTA's compute and memory caps; 7-9
-        # its rates (fixed time drains at 1 until it ends).  Rows of ``keys``: the
-        # CTA's compute pipe (SM id, + num_sms on the CUDA pipe) and memory port
-        # (SM id + 2 * num_sms) in one count space, and its dispatch slot.
+        # its rates (fixed time drains at 1 until it ends, when the step zeroes
+        # it).  Rows of ``keys``: the CTA's compute pipe (SM id, + num_sms on the
+        # CUDA pipe) and memory port (SM id + 2 * num_sms) in one count space.
         # ``active`` marks which of rows 0-2 are still outstanding.
         self.state = np.zeros((10, 0))
-        self.keys = np.zeros((3, 0), dtype=np.int64)
+        self.keys = np.zeros((2, 0), dtype=np.int64)
         self.active = np.zeros((3, 0), dtype=bool)
         # Whether a column was added or a compute or memory stream ended since
-        # the last rate pass, and how many such streams that pass saw active.
+        # the last rate pass, and how many compute and memory streams are live.
         self.rates_stale = True
         self.live_streams = 0
-        # Per dispatch slot: launch, dispatch index, SM, description, start time.
-        self.ctas: list[tuple[_LaunchState, int, int, _Description, float]] = []
+        # Per column: launch, dispatch index, SM, description, start time.
+        self.alive_ctas: list[tuple[_LaunchState, int, int, _Description, float]] = []
 
         # Busy-time integrals for utilization and energy accounting.
         self.tensor_flops_done = 0.0
@@ -244,31 +254,6 @@ class _Execution:
                 self.waiting.append(state)
 
     # ------------------------------------------------------------- dispatch
-
-    def _pick_sm(self, footprint: tuple[int, int, int], room: tuple[int, int, int]) -> int:
-        """The breadth-first SM for the next CTA of ``footprint``, or -1."""
-        thread_room, shared_room, register_room = room
-        resident = self.resident
-        released = self.released
-        failed_at = self.failed_at.get(footprint)
-        order: Iterable[int]
-        if failed_at is not None and len(released) - failed_at <= _MAX_RETEST:
-            # Only SMs released since this footprint last fit nowhere can fit it.
-            order = sorted(released[failed_at:], key=lambda sm: (resident[sm], sm))
-        else:
-            order = itertools.chain.from_iterable(self.open_buckets)
-        max_ctas = self.spec.max_ctas_per_sm
-        threads, shared_mem, registers = self.threads, self.shared_mem, self.registers
-        for sm in order:
-            if (
-                resident[sm] < max_ctas
-                and threads[sm] <= thread_room
-                and shared_mem[sm] <= shared_room
-                and registers[sm] <= register_room
-            ):
-                return sm
-        self.failed_at[footprint] = len(released)
-        return -1
 
     def _describe(self, work: object, kernel: Kernel, index: int) -> _Description:
         """Describe a work object on its first dispatch in this run.
@@ -298,7 +283,7 @@ class _Execution:
             work.max_mem_fraction * self.spec.sm_mem_bandwidth,
             0.0,
             0.0,
-            0.0,
+            1.0 if fixed > _EPS else 0.0,
         )
         description = (
             work,
@@ -316,16 +301,24 @@ class _Execution:
     def _dispatch_ready_ctas(self) -> None:
         """Fill each eligible launch, in launch order, until its next CTA fits nowhere.
 
-        Dispatch only consumes SM resources, so a launch that stops fitting stays
-        unfit for the rest of the pass: this dispatches exactly what a launch scan
+        A launch is filled by one breadth-first scan over the open buckets,
+        resumed after each pick (see the module docstring).  Dispatch only
+        consumes SM resources, so a launch that stops fitting stays unfit for
+        the rest of the pass: this dispatches exactly what a launch scan
         restarted after every CTA (earlier launches first) would.
         """
         now = self.time
         horizon = now + _TIME_EPS
-        described = self.described
-        pick, admit, ctas = self._pick_sm, self._admit, self.ctas
-        port_offset = 2 * self.num_sms
-        first_slot = len(ctas)
+        described, alive_ctas = self.described, self.alive_ctas
+        num_sms = self.num_sms
+        port_offset = 2 * num_sms
+        max_ctas = self.spec.max_ctas_per_sm
+        resident, buckets = self.resident, self.buckets
+        threads, shared_mem, registers = self.threads, self.shared_mem, self.registers
+        prefill_ctas, decode_ctas = self.prefill_ctas, self.decode_ctas
+        open_levels = self.open_levels
+        released, failed_at = self.released, self.failed_at
+        occupied, colocated = self.occupied_sms, self.colocated_sms
         columns: list[int] = []
         pipes: list[int] = []
         ports: list[int] = []
@@ -333,75 +326,101 @@ class _Execution:
             if state.eligible_time > horizon:
                 continue
             kernel = state.kernel
-            work_for = kernel.work_for
-            footprint, room = state.footprint, state.room
+            binder, static = kernel.binder, kernel.ctas
+            footprint = state.footprint
+            cta_threads, cta_shared_mem, cta_registers = footprint
+            thread_room, shared_room, register_room = state.room
+            failed = failed_at.get(footprint)
+            # Only SMs released since this footprint last fit nowhere can fit it.
+            retest = (
+                released[failed:]
+                if failed is not None and len(released) - failed <= _MAX_RETEST
+                else None
+            )
+            level = position = 0
             index = state.dispatched
             while index < state.num_ctas:
-                sm = pick(footprint, room)
-                if sm < 0:
-                    break
-                work = work_for(index, sm)
+                sm = -1
+                if retest is not None:
+                    # The least (resident count, index) among the fitting ones;
+                    # a key below max_ctas * num_sms has a free CTA slot.
+                    least = max_ctas * num_sms
+                    for candidate in retest:
+                        key = resident[candidate] * num_sms + candidate
+                        if (
+                            key < least
+                            and threads[candidate] <= thread_room
+                            and shared_mem[candidate] <= shared_room
+                            and registers[candidate] <= register_room
+                        ):
+                            least, sm = key, candidate
+                    if sm < 0:
+                        break
+                    count = resident[sm]
+                    buckets[count].remove(sm)
+                else:
+                    # Resume the scan at (level, position).
+                    while level < open_levels:
+                        bucket = buckets[level]
+                        while position < len(bucket):
+                            candidate = bucket[position]
+                            if (
+                                threads[candidate] <= thread_room
+                                and shared_mem[candidate] <= shared_room
+                                and registers[candidate] <= register_room
+                            ):
+                                sm = candidate
+                                break
+                            position += 1
+                        if sm >= 0:
+                            break
+                        level += 1
+                        position = 0
+                    if sm < 0:
+                        break
+                    count = level
+                    del bucket[position]
+                work = static[index] if binder is None else binder(sm, index)
                 description = described.get(id(work)) or self._describe(work, kernel, index)
                 _, column, pipe_offset, booked, _, _, _, _ = description
-                admit(sm, footprint, booked)
+                # Admit: the SM moves up one bucket, kept in index order.
+                resident[sm] = count + 1
+                bisect.insort(buckets[count + 1], sm)
+                if count == 0:
+                    occupied += 1
+                threads[sm] += cta_threads
+                shared_mem[sm] += cta_shared_mem
+                registers[sm] += cta_registers
+                if booked == _PREFILL:
+                    if prefill_ctas[sm] == 0 and decode_ctas[sm] > 0:
+                        colocated += 1
+                    prefill_ctas[sm] += 1
+                elif booked == _DECODE:
+                    if decode_ctas[sm] == 0 and prefill_ctas[sm] > 0:
+                        colocated += 1
+                    decode_ctas[sm] += 1
                 columns.append(column)
                 pipes.append(sm + pipe_offset)
                 ports.append(sm + port_offset)
-                ctas.append((state, index, sm, description, now))
+                alive_ctas.append((state, index, sm, description, now))
                 index += 1
+            if index < state.num_ctas:
+                failed_at[footprint] = len(released)
             if index > state.dispatched and state.start_time is None:
                 state.start_time = now
             state.dispatched = index
+        self.occupied_sms, self.colocated_sms = occupied, colocated
         if not columns:
             return
         self.waiting = [state for state in self.waiting if state.dispatched < state.num_ctas]
         new = self.table.take(columns, axis=1)
-        keys = np.array((pipes, ports, range(first_slot, len(ctas))), dtype=np.int64)
+        keys = np.array((pipes, ports), dtype=np.int64)
+        outstanding = new[:3] > _EPS
         self.state = np.concatenate((self.state, new), axis=1)
         self.keys = np.concatenate((self.keys, keys), axis=1)
-        self.active = np.concatenate((self.active, new[:3] > _EPS), axis=1)
+        self.active = np.concatenate((self.active, outstanding), axis=1)
+        self.live_streams += int(np.count_nonzero(outstanding[:2]))
         self.rates_stale = True
-
-    def _admit(self, sm: int, footprint: tuple[int, int, int], booked: int) -> None:
-        threads, shared_mem, registers = footprint
-        count = self.resident[sm]
-        self.resident[sm] = count + 1
-        self.buckets[count].remove(sm)
-        bisect.insort(self.buckets[count + 1], sm)
-        if count == 0:
-            self.occupied_sms += 1
-        self.threads[sm] += threads
-        self.shared_mem[sm] += shared_mem
-        self.registers[sm] += registers
-        if booked == _PREFILL:
-            if self.prefill_ctas[sm] == 0 and self.decode_ctas[sm] > 0:
-                self.colocated_sms += 1
-            self.prefill_ctas[sm] += 1
-        elif booked == _DECODE:
-            if self.decode_ctas[sm] == 0 and self.prefill_ctas[sm] > 0:
-                self.colocated_sms += 1
-            self.decode_ctas[sm] += 1
-
-    def _release(self, sm: int, footprint: tuple[int, int, int], booked: int) -> None:
-        threads, shared_mem, registers = footprint
-        count = self.resident[sm] - 1
-        self.resident[sm] = count
-        self.buckets[count + 1].remove(sm)
-        bisect.insort(self.buckets[count], sm)
-        if count == 0:
-            self.occupied_sms -= 1
-        self.threads[sm] -= threads
-        self.shared_mem[sm] -= shared_mem
-        self.registers[sm] -= registers
-        if booked == _PREFILL:
-            self.prefill_ctas[sm] -= 1
-            if self.prefill_ctas[sm] == 0 and self.decode_ctas[sm] > 0:
-                self.colocated_sms -= 1
-        elif booked == _DECODE:
-            self.decode_ctas[sm] -= 1
-            if self.decode_ctas[sm] == 0 and self.prefill_ctas[sm] > 0:
-                self.colocated_sms -= 1
-        self.released.append(sm)
 
     # ------------------------------------------------------------------ loop
 
@@ -439,6 +458,7 @@ class _Execution:
         live_streams = np.count_nonzero(active[:2])
         if live_streams != self.live_streams:
             # A compute or memory stream ended: its SM and pool shares changed.
+            self.live_streams = live_streams
             self.rates_stale = True
         alive = active.any(axis=0)
         if np.count_nonzero(alive) == alive.size:
@@ -452,7 +472,8 @@ class _Execution:
         num_sms = self.num_sms
         state, keys, active = self.state, self.keys, self.active
         # Compute- and memory-active residents per pipe and per SM memory port.
-        sharing = np.bincount(keys[:2].ravel(), active[:2].ravel(), 3 * num_sms)
+        streams = active[:2].astype(np.float64)
+        sharing = np.bincount(keys.ravel(), streams.ravel(), 3 * num_sms)
         # Memory: the equal-cap max-min split of the HBM pool over the SMs with
         # memory-active residents, which then share their SM's draw.
         active_sms = int(np.count_nonzero(sharing[2 * num_sms :]))
@@ -460,29 +481,32 @@ class _Execution:
             state[4] = min(spec.sm_mem_bandwidth, spec.hbm_bandwidth / active_sms)
         # Each active CTA gets an equal share of its SM's throughput, up to its
         # cap; an idle one gets 0 (an idle pipe's share is inf or nan, fmin
-        # drops the nan and the cap times False is 0).
-        np.multiply(np.fmin(state[3:5] / sharing[keys[:2]], state[5:7]), active[:2], out=state[7:9])
-        # Fixed time drains at 1 until it ends.
-        state[9] = active[2]
-        self.live_streams = np.count_nonzero(active[:2])
+        # drops the nan and the cap times 0 is 0).
+        np.multiply(np.fmin(state[3:5] / sharing[keys], state[5:7]), streams, out=state[7:9])
         self.rates_stale = False
 
     def _retire_finished(self, alive: np.ndarray) -> None:
         """Retire the CTAs whose columns ``alive`` drops, in dispatch order, and drop them.
 
         Each retiring CTA books what it did (its totals less what is left, at
-        most ``_EPS``) and frees its SM.
+        most ``_EPS``), frees its SM (which moves down one bucket) and logs the
+        SM in ``released``.
         """
-        state, keys = self.state, self.keys
+        state = self.state
         finished = (~alive).nonzero()[0]
         leftovers = state[:2].take(finished, axis=1).T.tolist()
-        ctas, release, now = self.ctas, self._release, self.time
+        columns = finished.tolist()
+        alive_ctas, now = self.alive_ctas, self.time
+        resident, buckets, released = self.resident, self.buckets, self.released
+        threads, shared_mem, registers = self.threads, self.shared_mem, self.registers
+        prefill_ctas, decode_ctas = self.prefill_ctas, self.decode_ctas
+        occupied, colocated = self.occupied_sms, self.colocated_sms
         tag_flops, tag_bytes, tag_seen = self.tag_flops, self.tag_bytes, self.tag_seen
         tensor_done = self.tensor_flops_done
         cuda_done = self.cuda_flops_done
         bytes_done = self.bytes_done
-        for slot, (flops_left, bytes_left) in zip(keys[2].take(finished).tolist(), leftovers):
-            launch, index, sm, description, start_time = ctas[slot]
+        for column, (flops_left, bytes_left) in zip(columns, leftovers):
+            launch, index, sm, description, start_time = alive_ctas[column]
             _, _, _, booked, tag, flops, nbytes, is_cuda = description
             flops_done = flops - flops_left
             moved = nbytes - bytes_left
@@ -495,7 +519,26 @@ class _Execution:
                 tag_flops[booked] += flops_done
                 tag_bytes[booked] += moved
                 tag_seen[booked] = True
-            release(sm, launch.footprint, booked)
+            # Release: the SM moves down one bucket, kept in index order.
+            count = resident[sm] - 1
+            resident[sm] = count
+            buckets[count + 1].remove(sm)
+            bisect.insort(buckets[count], sm)
+            if count == 0:
+                occupied -= 1
+            cta_threads, cta_shared_mem, cta_registers = launch.footprint
+            threads[sm] -= cta_threads
+            shared_mem[sm] -= cta_shared_mem
+            registers[sm] -= cta_registers
+            if booked == _PREFILL:
+                prefill_ctas[sm] -= 1
+                if prefill_ctas[sm] == 0 and decode_ctas[sm] > 0:
+                    colocated -= 1
+            elif booked == _DECODE:
+                decode_ctas[sm] -= 1
+                if decode_ctas[sm] == 0 and prefill_ctas[sm] > 0:
+                    colocated -= 1
+            released.append(sm)
             launch.completed += 1
             if self.record_ctas:
                 self.records.append(
@@ -513,12 +556,15 @@ class _Execution:
             if launch.completed == launch.num_ctas:
                 launch.end_time = now
                 self._unlock_successor(launch)
+        self.occupied_sms, self.colocated_sms = occupied, colocated
         self.tensor_flops_done = tensor_done
         self.cuda_flops_done = cuda_done
         self.bytes_done = bytes_done
+        for column in reversed(columns):
+            del alive_ctas[column]
         kept = alive.nonzero()[0]
         self.state = state.take(kept, axis=1)
-        self.keys = keys.take(kept, axis=1)
+        self.keys = self.keys.take(kept, axis=1)
         self.active = self.active.take(kept, axis=1)
 
     def _unlock_successor(self, finished_state: _LaunchState) -> None:

@@ -25,7 +25,12 @@ from repro.serving.metrics import (
     slice_by_tenant,
     slo_attainment,
 )
-from repro.serving.replica import RELEASE_MODES, ReplicaRuntime, StepOutcome
+from repro.serving.replica import (
+    RELEASE_MODES,
+    ReplicaRuntime,
+    SimulationStuckError,
+    StepOutcome,
+)
 from repro.serving.request import Request, RequestState, make_requests
 from repro.serving.scheduler import Scheduler, SchedulerLimits
 from repro.serving.scheduler_sarathi import SarathiScheduler
@@ -54,6 +59,7 @@ __all__ = [
     "slo_attainment",
     "RELEASE_MODES",
     "ReplicaRuntime",
+    "SimulationStuckError",
     "StepOutcome",
     "Request",
     "RequestState",

@@ -20,8 +20,11 @@ admission control sheds traffic:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.serving.request import Request
 from repro.utils.stats import percentiles
@@ -120,8 +123,13 @@ def compute_metrics(
         )
     ttft_p50, ttft_p99 = percentiles([r.ttft for r in finished], (50, 99))
     latency_p50, latency_p99 = percentiles([r.e2e_latency for r in finished], (50, 99))
-    tbt_samples = [interval for r in finished for interval in r.token_intervals]
-    tbt_p50, tbt_p99 = percentiles(tbt_samples or [0.0], (50, 99))
+    tbt_count = sum(len(r.token_intervals) for r in finished)
+    tbt_samples = np.fromiter(
+        itertools.chain.from_iterable(r.token_intervals for r in finished),
+        dtype=np.float64,
+        count=tbt_count,
+    )
+    tbt_p50, tbt_p99 = percentiles(tbt_samples if tbt_count else [0.0], (50, 99))
     max_tbts = [r.max_tbt() for r in finished]
     stall_200 = sum(1 for stall in max_tbts if stall > STALL_THRESHOLDS[0]) / len(finished)
     stall_500 = sum(1 for stall in max_tbts if stall > STALL_THRESHOLDS[1]) / len(finished)

@@ -58,6 +58,7 @@ the same steps run one :meth:`ReplicaRuntime.step` at a time, which
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -87,6 +88,60 @@ MAX_ITERATIONS = 2_000_000
 # Compact the consumed head of the pending list once it grows past this size
 # (keeps long online traces from pinning already-admitted request tuples).
 _COMPACT_THRESHOLD = 1024
+
+
+class SimulationStuckError(RuntimeError):
+    """A serving simulation that cannot make progress, with a replica's state.
+
+    Raised when a replica runs ``MAX_ITERATIONS`` iterations without
+    draining, when its scheduler gives an empty batch with no arrival left to
+    wait for, and when a cluster drains with requests unfinished; in the last
+    case ``unfinished`` names them, and the snapshot is of the replica the
+    first of them was routed to last.  The snapshot: the replica's id and
+    clock, its waiting and running request counts, and its free and total KV
+    blocks.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        replica_id: int,
+        clock: float,
+        waiting: int,
+        running: int,
+        kv_free_blocks: int,
+        kv_total_blocks: int,
+        unfinished: tuple[int, ...] = (),
+    ) -> None:
+        super().__init__(message)
+        self.replica_id = replica_id
+        self.clock = clock
+        self.waiting = waiting
+        self.running = running
+        self.kv_free_blocks = kv_free_blocks
+        self.kv_total_blocks = kv_total_blocks
+        self.unfinished = unfinished
+
+    @classmethod
+    def at(
+        cls, replica: ReplicaRuntime, message: str, unfinished: tuple[int, ...] = ()
+    ) -> SimulationStuckError:
+        """The error with ``replica``'s state as it stands."""
+        return cls(
+            message,
+            replica_id=replica.replica_id,
+            clock=replica.clock,
+            waiting=len(replica.waiting),
+            running=len(replica.running),
+            kv_free_blocks=replica.kv_cache.free_blocks,
+            kv_total_blocks=replica.kv_cache.total_blocks,
+            unfinished=unfinished,
+        )
+
+    def __reduce__(self):
+        # An exception unpickles as ``type(*args)``; the snapshot rides as keywords.
+        return functools.partial(type(self), **self.__dict__), self.args
 
 
 @dataclass
@@ -313,8 +368,8 @@ class ReplicaRuntime:
                 continue
 
             if self.steps_executed >= MAX_ITERATIONS:
-                raise RuntimeError(
-                    f"simulation exceeded {MAX_ITERATIONS} iterations without draining"
+                raise SimulationStuckError.at(
+                    self, f"simulation exceeded {MAX_ITERATIONS} iterations without draining"
                 )
             running_ids_before = (
                 {request.request_id for request in self.running}
@@ -338,9 +393,10 @@ class ReplicaRuntime:
                     self._ensure_sorted()
                     self.clock = max(self.clock, self._pending[self._cursor][0])
                     continue
-                raise RuntimeError(
+                raise SimulationStuckError.at(
+                    self,
                     "scheduler produced an empty batch with no future arrivals: "
-                    f"waiting={len(self.waiting)} running={len(self.running)}"
+                    f"waiting={len(self.waiting)} running={len(self.running)}",
                 )
 
             result = self.engine.execute(batch)

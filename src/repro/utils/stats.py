@@ -1,8 +1,9 @@
 """Small statistics helpers used by metrics aggregation and the benchmarks.
 
-We intentionally avoid depending on numpy here so that lightweight metric
-aggregation (latency percentiles over request lists, speedup summaries) works
-on plain Python lists and stays easy to property-test.
+They take plain Python sequences (latencies over request lists, speedup
+summaries) and return Python floats.  :func:`percentiles` also takes a float64
+array, and selects the order statistics it needs with ``numpy.partition``
+instead of sorting every sample.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def mean(values: Sequence[float]) -> float:
@@ -28,24 +31,30 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def percentiles(values: Sequence[float], pcts: Sequence[float]) -> list[float]:
-    """Linear-interpolation percentiles (each pct in [0, 100]), sorting once.
+def percentiles(values: Sequence[float] | np.ndarray, pcts: Sequence[float]) -> list[float]:
+    """Linear-interpolation percentiles (each pct in [0, 100]) as Python floats.
 
     Matches ``numpy.percentile`` with the default ``linear`` interpolation so
     that latency percentiles reported by the serving simulator are standard.
+    Only the order statistics the percentiles need are selected (one
+    ``numpy.partition`` over a float64 array), not a full sort; they are the
+    values a sort would put at those ranks.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("percentile() of an empty sequence")
     for pct in pcts:
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"pct must be within [0, 100], got {pct}")
-    ordered = sorted(values)
-    last = len(ordered) - 1
-    results = []
+    samples = np.asarray(values, dtype=np.float64)
+    last = len(samples) - 1
+    bounds = []
     for pct in pcts:
         rank = (pct / 100.0) * last
-        low = math.floor(rank)
-        high = math.ceil(rank)
+        bounds.append((rank, math.floor(rank), math.ceil(rank)))
+    ranks = sorted({rank for _, low, high in bounds for rank in (low, high)})
+    ordered = dict(zip(ranks, np.partition(samples, ranks)[ranks].tolist()))
+    results = []
+    for rank, low, high in bounds:
         if low == high:
             results.append(ordered[low])
         else:

@@ -23,7 +23,7 @@ from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.request import Request, RequestState
-from repro.serving.replica import ReplicaRuntime
+from repro.serving.replica import ReplicaRuntime, SimulationStuckError
 from repro.serving.scheduler import Scheduler
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.verify import single_replica_reference
@@ -553,6 +553,35 @@ class TestTopologyFromSpec:
         short = model.transfer_time(llama3_deployment, 1024)
         long = model.transfer_time(llama3_deployment, 8192)
         assert long > short > 1e-3
+
+
+class TestStuckCluster:
+    def test_drained_with_unfinished_requests_carries_them(self, llama3_deployment, monkeypatch):
+        """A prefill replica whose hand-offs are lost drains with its requests
+        unfinished: the error names them all, with the state of the replica
+        the first was routed to."""
+        advance = ReplicaRuntime.advance
+
+        def loses_hand_offs(replica, until=math.inf):
+            outcome = advance(replica, until)
+            if replica.replica_id == 0:
+                outcome.released = []
+            return outcome
+
+        monkeypatch.setattr(ReplicaRuntime, "advance", loses_hand_offs)
+        topology = DisaggregatedTopology(
+            llama3_deployment, num_prefill=1, num_decode=1, chunk_size=1024
+        )
+        requests = uniform_workload(3, prefill_tokens=512, decode_tokens=8)
+        with pytest.raises(
+            SimulationStuckError, match=r"cluster drained with 3 unfinished requests \(first: 0\)"
+        ) as caught:
+            ClusterSimulator(topology).run(requests)
+        error = caught.value
+        assert error.unfinished == tuple(r.request_id for r in requests) == (0, 1, 2)
+        assert (error.replica_id, error.waiting, error.running) == (0, 0, 0)
+        assert error.clock > 0
+        assert error.kv_free_blocks == error.kv_total_blocks > 0
 
 
 class TestClusterValidation:

@@ -234,18 +234,21 @@ class TestSeededBugs:
 
     def test_unlogged_release_breaks_equivalence(self, monkeypatch) -> None:
         # A retry then re-tests only SMs released before its footprint's last
-        # failed pick, never the SM that just freed up.
-        release = engine_module._Execution._release
+        # failed pick, never the SM that just freed up.  Retirement releases
+        # the SMs; this one drops what it logged.
+        retire = engine_module._Execution._retire_finished
 
-        def forgetful(self, sm, footprint, booked):
-            release(self, sm, footprint, booked)
-            self.released.pop()
+        def forgetful(self, alive):
+            logged = len(self.released)
+            retire(self, alive)
+            del self.released[logged:]
 
-        monkeypatch.setattr(engine_module._Execution, "_release", forgetful)
+        monkeypatch.setattr(engine_module._Execution, "_retire_finished", forgetful)
         # The starved launch then spins until the event limit; keep that short.
         monkeypatch.setattr(engine_module, "_MAX_EVENTS", 10_000)
         gpu, build = _streams_case()
-        assert engine_equivalence(gpu, build)
+        (found,) = engine_equivalence(gpu, build)
+        assert found.endswith("exceeded the maximum number of simulation events")
 
     def test_rates_kept_across_a_dispatch_break_equivalence(self, monkeypatch) -> None:
         # The CTAs a later dispatch appends keep the rates they were appended

@@ -25,6 +25,7 @@ from repro.fusion.microbench import (
     memory_ctas,
     memory_kernel,
 )
+from repro.gpu.engine import ExecutionEngine
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,36 @@ class TestMicrobenchConfig:
         m_bytes = sum(c.dram_bytes for c in memory_ctas(config))
         assert c_flops / a100.cuda_core_flops > c_bytes / a100.hbm_bandwidth
         assert m_bytes / a100.hbm_bandwidth > m_flops / a100.cuda_core_flops
+
+
+class TestSharedWork:
+    """The builders share one ``CTAWork`` per distinct CTA: the engine
+    describes each distinct object once per run."""
+
+    @pytest.mark.parametrize(
+        "method,works_per_kernel",
+        [
+            ("serial", [1, 1]),
+            ("streams", [1, 1]),
+            ("cta_parallel", [2]),
+            ("warp_parallel", [1]),
+            ("intra_thread", [1]),
+        ],
+    )
+    def test_one_work_per_static_kernel_and_fused_pair(
+        self, a100, config, monkeypatch, method, works_per_kernel
+    ):
+        kernels = []
+        run = ExecutionEngine.run
+
+        def recording(engine, launches):
+            kernels.extend(launch.kernel for launch in launches)
+            return run(engine, launches)
+
+        monkeypatch.setattr(ExecutionEngine, "run", recording)
+        run_method(a100, config, method)
+        assert [len({id(work) for work in kernel.ctas}) for kernel in kernels] == works_per_kernel
+        assert all(kernel.num_ctas >= CTAS_PER_KERNEL for kernel in kernels)
 
 
 class TestMethods:

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attention.executors import FAHFuse, FASerial, FAStreams, FIBatched, FISerial
+from repro.bench.sweeps import figure11_sweep
+from repro.core.pod_kernel import PODAttention
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
-from repro.gpu.engine import ExecutionEngine
+from repro.gpu.engine import ExecutionEngine, _Execution
 from repro.gpu.kernel import Kernel, KernelLaunch
+from repro.models.config import paper_deployment
 from repro.utils.units import KB
 from repro.verify.invariants import check_execution
+from repro.verify.oracles import engine_equivalence
 
 
 def _kernel(ctas, threads=256, smem=48 * KB, regs=128, name="k"):
@@ -274,3 +279,66 @@ class TestExecutionInvariants:
         result = ExecutionEngine(a100, record_ctas=False).run(launches)
         violations = check_execution(launches, result, a100)
         assert violations and {v.invariant for v in violations} == {"work-conservation"}
+
+
+# ------------------------------------------------------------ counted work
+
+#: Figure 11's first four points through the six executors (under 0.1 s of tier-1 call time).
+COUNTED_POINTS = figure11_sweep(max_points=24, seed=0)[:4]
+COUNTED_EXECUTORS = (FASerial, FAStreams, FAHFuse, FISerial, FIBatched, PODAttention)
+#: Events, rate passes, dispatch passes and dispatched CTAs of that sample.
+PINNED_WORK = {"events": 1391, "rate passes": 1051, "dispatch passes": 311, "CTAs": 10434}
+
+
+def counted_work(monkeypatch) -> dict[str, int]:
+    """The engine work of the counted sample, from wrappers on the phase methods."""
+    counts = dict.fromkeys(PINNED_WORK, 0)
+    phases = {
+        "_step": "events",
+        "_rate_pass": "rate passes",
+        "_dispatch_ready_ctas": "dispatch passes",
+    }
+    for name, label in phases.items():
+
+        def counting(self, *args, _phase=getattr(_Execution, name), _label=label):
+            counts[_label] += 1
+            return _phase(self, *args)
+
+        monkeypatch.setattr(_Execution, name, counting)
+    deployment = paper_deployment("llama-3-8b")
+    engine = ExecutionEngine(deployment.gpu, record_ctas=False)
+    for point in COUNTED_POINTS:
+        batch = point.to_batch()
+        for executor in COUNTED_EXECUTORS:
+            result = executor().run(deployment, batch, engine)
+            counts["CTAs"] += sum(kernel.num_ctas for kernel in result.execution.kernels)
+    return counts
+
+
+class TestCountedWork:
+    """The engine's counted work on a fixed sample, pinned exactly: a change
+    that runs more events, rate passes or dispatch passes fails here with no
+    timing involved, even when every result stays the same."""
+
+    def test_work_is_pinned(self, monkeypatch):
+        assert counted_work(monkeypatch) == PINNED_WORK
+
+    def test_a_rate_pass_on_every_event_keeps_results_and_breaks_the_pin(self, monkeypatch):
+        step = _Execution._step
+
+        def always_stale(self):
+            self.rates_stale = True
+            return step(self)
+
+        monkeypatch.setattr(_Execution, "_step", always_stale)
+        deployment = paper_deployment("llama-3-8b")
+        batch = COUNTED_POINTS[0].to_batch()
+        for executor in COUNTED_EXECUTORS:
+
+            def build(executor=executor):
+                return executor().build_launches(deployment, batch)
+
+            assert engine_equivalence(deployment.gpu, build) == []
+        work = counted_work(monkeypatch)
+        assert work["rate passes"] == work["events"] == PINNED_WORK["events"]
+        assert work != PINNED_WORK

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,7 @@ from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import IterationResult
 from repro.serving.metrics import compute_metrics
 from repro.serving import replica as replica_module
-from repro.serving.replica import ReplicaRuntime
+from repro.serving.replica import ReplicaRuntime, SimulationStuckError
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.scheduler_vllm import VLLMScheduler
@@ -181,6 +182,63 @@ class TestSimulatorValidation:
         with pytest.raises(RuntimeError, match="exceeded 50 iterations"):
             runtime.run_to_completion()
         assert runtime.steps_executed == 50
+
+
+class TestStuckReplica:
+    """A replica that cannot progress raises ``SimulationStuckError`` with its state."""
+
+    def test_iteration_cap_carries_the_replica_state(self, llama3_deployment, monkeypatch):
+        monkeypatch.setattr(replica_module, "MAX_ITERATIONS", 50)
+        runtime = ReplicaRuntime(
+            llama3_deployment, SarathiScheduler(chunk_size=1024), replica_id=3
+        )
+        runtime.enqueue(Request(request_id=0, prefill_tokens=512, decode_tokens=200))
+        with pytest.raises(SimulationStuckError, match="exceeded 50 iterations") as caught:
+            runtime.run_to_completion()
+        error = caught.value
+        assert (error.replica_id, error.clock, error.waiting, error.running) == (
+            3,
+            runtime.clock,
+            0,
+            1,
+        )
+        assert error.kv_free_blocks == runtime.kv_cache.free_blocks
+        assert error.kv_total_blocks == runtime.kv_cache.total_blocks > error.kv_free_blocks
+        assert error.unfinished == ()
+
+    def test_empty_batch_with_no_arrival_left_carries_the_replica_state(self, llama3_deployment):
+        class Idle(SarathiScheduler):
+            def schedule(self, waiting, running, kv_cache, now):
+                return ScheduledBatch()
+
+        runtime = ReplicaRuntime(llama3_deployment, Idle(chunk_size=1024), replica_id=2)
+        runtime.enqueue(
+            Request(request_id=7, prefill_tokens=512, decode_tokens=4, arrival_time=1.5)
+        )
+        with pytest.raises(
+            SimulationStuckError, match="empty batch with no future arrivals: waiting=1 running=0"
+        ) as caught:
+            runtime.run_to_completion()
+        error = caught.value
+        assert (error.replica_id, error.clock, error.waiting, error.running) == (2, 1.5, 1, 0)
+        assert error.kv_free_blocks == error.kv_total_blocks == runtime.kv_cache.total_blocks
+        assert error.unfinished == ()
+
+    def test_pickles_with_its_state(self):
+        error = SimulationStuckError(
+            "stuck",
+            replica_id=1,
+            clock=2.5,
+            waiting=3,
+            running=4,
+            kv_free_blocks=5,
+            kv_total_blocks=6,
+            unfinished=(7, 8),
+        )
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SimulationStuckError
+        assert str(copy) == "stuck"
+        assert vars(copy) == vars(error)
 
 
 class TestServingMetrics:

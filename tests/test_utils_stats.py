@@ -103,6 +103,37 @@ class TestPercentiles:
         for value, expected in zip(got, want):
             assert math.isclose(value, float(expected), rel_tol=1e-12)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 3000),
+        repeats=st.booleans(),
+        pcts=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=8),
+    )
+    def test_selection_equals_the_sorted_list_formula(self, seed, size, repeats, pcts):
+        """The selected order statistics are the sorted list's: every
+        percentile equals the full-sort formula exactly, as a Python float,
+        from a list or from a float64 array.  Samples run to thousands (numpy
+        sorts small partitions outright) and may repeat values."""
+        rng = np.random.default_rng(seed)
+        if repeats:
+            values = (rng.integers(-20, 20, size) / 8).tolist()
+        else:
+            values = rng.lognormal(-3.0, 2.0, size).tolist()
+        ordered = sorted(values)
+        last = len(ordered) - 1
+        want = []
+        for pct in pcts:
+            rank = (pct / 100.0) * last
+            low, high = math.floor(rank), math.ceil(rank)
+            frac = rank - low
+            want.append(
+                ordered[low] if low == high else ordered[low] * (1.0 - frac) + ordered[high] * frac
+            )
+        for samples in (values, np.array(values)):
+            got = percentiles(samples, pcts)
+            assert got == want
+            assert all(type(value) is float for value in got)
+
     def test_percentile_is_the_single_case(self):
         data = [0.3, 0.1, 0.7, 0.2]
         assert percentiles(data, (10, 50, 99)) == [percentile(data, p) for p in (10, 50, 99)]

@@ -367,11 +367,6 @@ def prefill_cta_aggregate(
 # --------------------------------------------------------------------------
 
 
-def decode_base_cta_count(deployment: Deployment, decodes: tuple[DecodeRequest, ...]) -> int:
-    """CTAs of a decode batch before KV splitting: one per (request, KV head)."""
-    return len(decodes) * deployment.kv_heads_per_gpu
-
-
 def default_decode_splits(
     deployment: Deployment,
     decodes: tuple[DecodeRequest, ...],

@@ -12,9 +12,10 @@ import cycles with the simulators it wraps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
@@ -29,6 +30,14 @@ def _add_format_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="write output to this file instead of stdout (stdout gets a manifest)",
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a fleet size: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_trace_options(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +58,7 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Serve one scenario on one fleet and print its metrics."""
-    from repro.models.config import ClusterSpec, replica_specs_from_mix
+    from repro.models.config import ClusterSpec, paper_deployment, replica_specs_from_mix
     from repro.workloads.scenario import run_scenario, scenario_table
 
     if args.list:
@@ -59,7 +68,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         emit({"command": "run", "scenarios": rows}, rows=rows, fmt=args.format, out=args.out)
         return 0
 
-    spec = None
     if args.mix is not None:
         pattern = replica_specs_from_mix(args.mix, model=args.model)
         count = max(args.replicas, len(pattern))
@@ -68,28 +76,22 @@ def cmd_run(args: argparse.Namespace) -> int:
             topology=args.topology,
             prefill_replicas=args.prefill_replicas,
         )
-    elif args.prefill_replicas:
-        from repro.models.config import paper_deployment
-
+    else:
         spec = ClusterSpec(
             paper_deployment(args.model),
             args.replicas,
             topology=args.topology,
             prefill_replicas=args.prefill_replicas,
         )
-
-    kwargs: dict[str, Any] = {} if spec is None else {"spec": spec}
-    if spec is None:
-        kwargs.update(replicas=args.replicas, topology=args.topology, model=args.model)
     result = run_scenario(
         args.scenario,
+        spec=spec,
         num_requests=args.num_requests,
         seed=args.seed,
         qps=args.qps,
         router=args.router,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        **kwargs,
     )
 
     metrics = result.metrics
@@ -174,7 +176,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     rows = result.rows()
     payload = {
         "command": "plan",
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "summary": result.summary(),
         "best": best.row() if best is not None else None,
         "candidates": rows,
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleets via --mix, e.g. 'a100:2+a6000:2~').",
     )
     _add_trace_options(run)
-    run.add_argument("--replicas", type=int, default=1, help="fleet size (default: 1)")
+    run.add_argument("--replicas", type=_positive_int, default=1, help="fleet size (default: 1)")
     run.add_argument(
         "--topology", choices=("colocated", "disaggregated"), default="colocated"
     )
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_options(sweep)
     sweep.add_argument(
-        "--replicas", type=int, nargs="+", default=[1, 2, 4], help="fleet sizes to sweep"
+        "--replicas", type=_positive_int, nargs="+", default=[1, 2, 4], help="fleet sizes to sweep"
     )
     sweep.add_argument(
         "--topologies", nargs="+", default=["colocated"], help="topologies to sweep"
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "observability report bundle; prints a JSON manifest of the artifacts.",
     )
     _add_trace_options(report)
-    report.add_argument("--replicas", type=int, default=1)
+    report.add_argument("--replicas", type=_positive_int, default=1)
     report.add_argument("--router", default="prefix-affinity")
     report.add_argument(
         "--capacity-tokens",

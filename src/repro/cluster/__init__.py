@@ -31,7 +31,6 @@ from repro.cluster.router import (
 from repro.cluster.simulator import ClusterResult, ClusterSimulator
 from repro.cluster.sweep import (
     ClusterSweepPoint,
-    build_point_trace,
     run_cluster_sweep,
     run_sweep_point,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ClusterResult",
     "ClusterSimulator",
     "ClusterSweepPoint",
-    "build_point_trace",
     "run_cluster_sweep",
     "run_sweep_point",
     "ColocatedTopology",

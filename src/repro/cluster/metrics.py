@@ -159,22 +159,6 @@ class ClusterMetrics:
             "tokens": self.total_tokens,
         }
 
-    def tenant_rows(self) -> list[dict[str, Any]]:
-        """One flat row per tenant (empty list for untagged workloads)."""
-        return [
-            {
-                "tenant": tenant,
-                "requests": metrics.num_requests,
-                "req_per_min": round(metrics.requests_per_minute, 2),
-                "ttft_p50_s": round(metrics.ttft_p50, 3),
-                "ttft_p99_s": round(metrics.ttft_p99, 3),
-                "tbt_p99_s": round(metrics.tbt_p99, 4),
-                "latency_p99_s": round(metrics.latency_p99, 2),
-                "stalls_200ms_pct": round(metrics.stall_fraction_200ms * 100, 2),
-            }
-            for tenant, metrics in self.per_tenant.items()
-        ]
-
 
 def compute_cluster_metrics(
     requests: Sequence[Request],

@@ -50,10 +50,6 @@ class ReplicaLoad:
     cost_per_hour: float = 0.0
     perf_weight: float = 1.0
 
-    @property
-    def outstanding_decode_tokens(self) -> int:
-        return self.outstanding_tokens - self.outstanding_prefill_tokens
-
     @classmethod
     def zero(cls, replica_id: int) -> "ReplicaLoad":
         """Empty snapshot, for policies that declare ``needs_loads = False``."""

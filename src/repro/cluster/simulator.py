@@ -53,6 +53,7 @@ from repro.cluster.router import ReplicaLoad, RouterPolicy, get_router
 from repro.serving.kv_cache import KVCacheStats
 from repro.serving.replica import ReplicaRuntime, SimulationStuckError
 from repro.serving.request import Request, RequestState
+from repro.workloads.scenario import build_scenario
 
 
 @dataclass
@@ -441,23 +442,11 @@ class ClusterSimulator:
         num_requests: int | None = None,
         seed: int = 0,
         qps: float | None = None,
-        overrides=None,
     ) -> ClusterResult:
-        """Build a registered workload scenario and serve it across the fleet.
+        """Build a registered workload scenario and serve it across this fleet.
 
-        Thin delegate to :func:`repro.workloads.scenario.run_scenario` (the
-        shared entry point) with this simulator's fleet governing; pass
-        ``qps`` scaled to the fleet size to keep per-replica pressure
-        constant, and ``overrides`` to replace scenario fields before the
-        trace is built.
+        Pass ``qps`` scaled to the fleet size to keep per-replica pressure
+        constant.  :func:`repro.workloads.scenario.run_scenario` serves a
+        scenario on the fleet a ``ClusterSpec`` describes.
         """
-        from repro.workloads.scenario import run_scenario
-
-        return run_scenario(
-            name,
-            simulator=self,
-            num_requests=num_requests,
-            seed=seed,
-            qps=qps,
-            overrides=overrides,
-        )
+        return self.run(build_scenario(name, num_requests=num_requests, seed=seed, qps=qps))

@@ -4,7 +4,10 @@ Each grid point is a self-contained, picklable description of one cluster
 simulation (model and workload by name, scalar knobs only), so the runner can
 fan points across processes with ``concurrent.futures.ProcessPoolExecutor`` —
 the parallel-rollout pattern — while staying runnable serially for debugging
-(``parallel=False``) or inside environments without fork.
+(``parallel=False``) or inside environments without fork.  A point runs
+through :func:`repro.workloads.scenario.run_scenario` on the
+:class:`~repro.models.config.ClusterSpec` it describes, the path every
+scenario run takes.
 
 Offered load scales with the fleet: a point at ``qps_per_replica`` and
 ``num_replicas`` replays ``requests_per_replica * num_replicas`` requests at
@@ -19,12 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.cluster.simulator import ClusterSimulator
-from repro.cluster.topology import topology_from_spec
 from repro.models.config import ClusterSpec, paper_deployment
-from repro.serving.request import Request
 from repro.utils.validation import check_positive
-from repro.workloads.scenario import build_scenario
+from repro.workloads.scenario import run_scenario
 
 #: Historical sweep labels of the paper's two traces -> their scenarios.  Rows
 #: keep the label (fig16/fig18 read ``workload=arxiv``).
@@ -62,26 +62,25 @@ class ClusterSweepPoint:
         return f"{self.topology}/{self.router}/x{self.num_replicas}@{self.qps:.2f}qps"
 
 
-def build_point_trace(point: ClusterSweepPoint) -> list[Request]:
-    """Build the request trace for one grid point.
+def run_sweep_point(point: ClusterSweepPoint) -> dict[str, Any]:
+    """Simulate one grid point and return a flat result row.
 
     ``point.workload`` is any scenario from ``repro.workloads.SCENARIOS`` (or
     a label in :data:`WORKLOAD_LABELS`), whose own arrival process is scaled
     to the point's fleet-wide QPS.
     """
-    scenario = WORKLOAD_LABELS.get(point.workload, point.workload)
-    return build_scenario(scenario, num_requests=point.num_requests, seed=point.seed, qps=point.qps)
-
-
-def run_sweep_point(point: ClusterSweepPoint) -> dict[str, Any]:
-    """Simulate one grid point and return a flat result row."""
-    deployment = paper_deployment(point.model)
-    requests = build_point_trace(point)
     spec = ClusterSpec(
-        deployment=deployment, num_replicas=point.num_replicas, topology=point.topology
+        paper_deployment(point.model), num_replicas=point.num_replicas, topology=point.topology
     )
-    topology = topology_from_spec(spec, chunk_size=point.chunk_size)
-    result = ClusterSimulator(topology, router=point.router).run(requests)
+    result = run_scenario(
+        WORKLOAD_LABELS.get(point.workload, point.workload),
+        spec=spec,
+        num_requests=point.num_requests,
+        seed=point.seed,
+        qps=point.qps,
+        router=point.router,
+        chunk_size=point.chunk_size,
+    )
     row: dict[str, Any] = {
         "model": point.model,
         "workload": point.workload,

@@ -14,13 +14,17 @@ replicas receive external arrivals:
   there.  At equal replica count this trades POD's intra-GPU overlap for
   inter-pool specialization plus a KV-transfer cost.
 
-A fleet has one attention cost model per deployment: each ``build_replicas``
-call runs ``backend_builder`` once per distinct
-:class:`~repro.models.config.Deployment` and hands that backend, with its
-prefill and decode memos, to every replica of the deployment, the replicas
-the autoscaler adds through ``build_replica`` included.  Every memo entry is
-a pure function of the deployment and its key, so sharing changes no result;
-each fleet built starts with empty memos, so no two fleets share one.
+A fleet has one serving engine per deployment: each ``build_replicas`` call
+runs ``backend_builder`` once per distinct
+:class:`~repro.models.config.Deployment`, builds one
+:class:`~repro.serving.engine.InferenceEngine` on that backend, and hands the
+engine, with the backend's prefill and decode memos and the linear-operator
+memo, to every replica of the deployment, the replicas the autoscaler adds
+through ``build_replica`` included.  Every memo entry is a pure function of
+the deployment and its key, so sharing changes no result; each fleet built
+starts with empty memos, so no two fleets share one.
+:func:`topology_from_spec` builds either topology from a
+:class:`~repro.models.config.ClusterSpec`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Callable
 from repro.models.config import ClusterSpec, Deployment, KVTransferModel, ReplicaSpec
 from repro.serving.attention_backend import AttentionBackend, PODBackend, get_backend
 from repro.serving.batch import ScheduledBatch
+from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
@@ -90,22 +95,23 @@ class DecodePoolScheduler(Scheduler):
         return batch
 
 
-class _SharedBackends:
-    """A fleet's attention backends, one per deployment (module docstring);
-    ``build_replicas`` empties ``_backends`` for each fleet it builds."""
+class _SharedEngines:
+    """A fleet's serving engines, one per deployment (module docstring);
+    ``build_replicas`` empties ``_engines`` for each fleet it builds."""
 
     backend_builder: Callable[[Deployment], AttentionBackend] | None
-    _backends: dict[Deployment, AttentionBackend]
+    _engines: dict[Deployment, InferenceEngine]
 
-    def _backend(self, deployment: Deployment) -> AttentionBackend:
-        backend = self._backends.get(deployment)
-        if backend is None:
-            backend = self._backends[deployment] = (self.backend_builder or PODBackend)(deployment)
-        return backend
+    def _engine(self, deployment: Deployment) -> InferenceEngine:
+        engine = self._engines.get(deployment)
+        if engine is None:
+            backend = (self.backend_builder or PODBackend)(deployment)
+            engine = self._engines[deployment] = InferenceEngine(backend)
+        return engine
 
 
 @dataclass
-class ColocatedTopology(_SharedBackends):
+class ColocatedTopology(_SharedEngines):
     """N hybrid replicas behind one router (the POD serving model).
 
     Homogeneous by default; pass ``replica_specs`` (one
@@ -113,7 +119,7 @@ class ColocatedTopology(_SharedBackends):
     heterogeneous fleet.  ``backend_builder`` builds a backend *for a given
     deployment* (default: :class:`~repro.serving.attention_backend.PODBackend`);
     it runs once per deployment of each fleet built, and every replica of
-    that deployment shares the backend.
+    that deployment shares the engine built on that backend.
     """
 
     deployment: Deployment
@@ -127,7 +133,7 @@ class ColocatedTopology(_SharedBackends):
 
     def __post_init__(self) -> None:
         check_positive("num_replicas", self.num_replicas)
-        self._backends = {}
+        self._engines = {}
         if self.replica_specs:
             self.replica_specs = tuple(self.replica_specs)
             if len(self.replica_specs) != self.num_replicas:
@@ -161,13 +167,13 @@ class ColocatedTopology(_SharedBackends):
 
     def build_replica(self, replica_id: int, recorder=None) -> ReplicaRuntime:
         """Build one hybrid replica (also the autoscaler's scale-up path) on
-        the fleet's backend for its deployment."""
+        the fleet's engine for its deployment."""
         make_scheduler = self.scheduler_factory or SarathiScheduler
         deployment = self.deployment_for(replica_id)
         return ReplicaRuntime(
             deployment,
             scheduler=make_scheduler(),
-            backend=self._backend(deployment),
+            engine=self._engine(deployment),
             kv_config=self.kv_config,
             replica_id=replica_id,
             role="hybrid",
@@ -175,8 +181,8 @@ class ColocatedTopology(_SharedBackends):
         )
 
     def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
-        """Build a fleet, with fresh backends."""
-        self._backends = {}
+        """Build a fleet, with fresh engines."""
+        self._engines = {}
         return [self.build_replica(index, recorder=recorder) for index in range(self.num_replicas)]
 
     @property
@@ -190,13 +196,13 @@ class ColocatedTopology(_SharedBackends):
 
 
 @dataclass
-class DisaggregatedTopology(_SharedBackends):
+class DisaggregatedTopology(_SharedEngines):
     """Separate prefill and decode pools joined by a KV-transfer link.
 
     Heterogeneous fleets assign ``replica_specs`` in fleet order: the first
     ``num_prefill`` specs form the prefill pool, the rest the decode pool
     (matching :attr:`ClusterSpec.resolved_prefill_replicas` semantics).
-    Both pools share the fleet's backend per deployment, as in
+    Both pools share the fleet's engine per deployment, as in
     :class:`ColocatedTopology`.
     """
 
@@ -238,13 +244,13 @@ class DisaggregatedTopology(_SharedBackends):
         return self.spec_for(replica_id).deployment
 
     def build_replicas(self, recorder=None) -> list[ReplicaRuntime]:
-        """Build a fleet, with fresh backends."""
-        self._backends = {}
+        """Build a fleet, with fresh engines."""
+        self._engines = {}
         replicas = [
             ReplicaRuntime(
                 self.deployment_for(index),
                 scheduler=PrefillPoolScheduler(chunk_size=self.chunk_size, limits=self.limits),
-                backend=self._backend(self.deployment_for(index)),
+                engine=self._engine(self.deployment_for(index)),
                 kv_config=self.kv_config,
                 release_on="first_token",
                 replica_id=index,
@@ -257,7 +263,7 @@ class DisaggregatedTopology(_SharedBackends):
             ReplicaRuntime(
                 self.deployment_for(self.num_prefill + index),
                 scheduler=DecodePoolScheduler(limits=self.limits),
-                backend=self._backend(self.deployment_for(self.num_prefill + index)),
+                engine=self._engine(self.deployment_for(self.num_prefill + index)),
                 kv_config=self.kv_config,
                 replica_id=self.num_prefill + index,
                 role="decode",

@@ -18,7 +18,6 @@ Each method runs the compute-bound and memory-bound micro-benchmark kernels
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.scheduling_policy import ProportionalPolicy, SchedulingPolicy
 from repro.core.sm_aware import PREFILL, SMAwareScheduler
@@ -120,30 +119,14 @@ def run_cta_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult
     return _summarize("cta_parallel", _engine(spec).run_kernel(kernel))
 
 
-def _fuse_pairs(
-    compute: list[CTAWork], memory: list[CTAWork], fuse: Callable[[CTAWork, CTAWork], CTAWork]
-) -> list[CTAWork]:
-    """``fuse`` of each (compute, memory) CTA pair, run once per distinct pair of works."""
-    fused: dict[tuple[int, int], CTAWork] = {}
-    ctas = []
-    for c, m in zip(compute, memory):
-        work = fused.get((id(c), id(m)))
-        if work is None:
-            work = fused[(id(c), id(m))] = fuse(c, m)
-        ctas.append(work)
-    return ctas
-
-
 def run_warp_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
     """Warp-parallel (HFuse-style) fusion: each CTA carries both operations."""
-    fused = _fuse_pairs(
-        compute_ctas(config),
-        memory_ctas(config),
-        lambda c, m: c.merged_with(m, tag="compute+memory"),
-    )
+    # Every CTA of each micro-benchmark kernel shares one work, so one merge
+    # serves every fused CTA.
+    fused = compute_ctas(config)[0].merged_with(memory_ctas(config)[0], tag="compute+memory")
     kernel = Kernel.from_ctas(
         "fused_warp",
-        fused,
+        [fused] * CTAS_PER_KERNEL,
         threads_per_cta=THREADS_PER_CTA * 2,
         shared_mem_per_cta=SHARED_MEM_PER_CTA * 2,
         registers_per_thread=REGISTERS_PER_THREAD,
@@ -183,10 +166,10 @@ def run_intra_thread(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult
             meta={"pipe": "cuda"},
         )
 
-    fused = _fuse_pairs(compute_ctas(config), memory_ctas(config), fuse)
+    fused = fuse(compute_ctas(config)[0], memory_ctas(config)[0])
     kernel = Kernel.from_ctas(
         "fused_intra_thread",
-        fused,
+        [fused] * CTAS_PER_KERNEL,
         threads_per_cta=THREADS_PER_CTA,
         shared_mem_per_cta=SHARED_MEM_PER_CTA * 2,
         registers_per_thread=REGISTERS_PER_THREAD,

@@ -18,8 +18,7 @@ all the reproduction requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
 
 from repro.utils.units import GIGA, KB, TERA
 from repro.utils.validation import check_positive
@@ -87,11 +86,6 @@ class GPUSpec:
         """Per-SM CUDA-core throughput in FLOP/s."""
         return self.cuda_core_flops / self.num_sms
 
-    @property
-    def sms_to_saturate_hbm(self) -> float:
-        """How many SMs must actively stream memory to saturate HBM."""
-        return self.hbm_bandwidth / self.sm_mem_bandwidth
-
     def scaled(self, factor: float, name: str | None = None) -> "GPUSpec":
         """Return a spec with compute, bandwidth and SM count scaled by ``factor``.
 
@@ -108,15 +102,6 @@ class GPUSpec:
             hbm_bandwidth=self.hbm_bandwidth * factor,
             l2_bytes=int(self.l2_bytes * factor),
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping; every field is a scalar, so this is exact."""
-        return {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GPUSpec":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(**{spec_field.name: data[spec_field.name] for spec_field in fields(cls)})
 
 
 def a100_sxm_80gb() -> GPUSpec:

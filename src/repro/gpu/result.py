@@ -60,13 +60,6 @@ class ExecutionResult:
     avg_resident_ctas: float = 0.0
     cta_records: list[CTARecord] = field(default_factory=list)
 
-    def kernel_named(self, name: str) -> KernelResult:
-        """Return the (first) kernel result with the given name."""
-        for kernel in self.kernels:
-            if kernel.name == name:
-                return kernel
-        raise KeyError(f"no kernel named {name!r} in result")
-
     @property
     def total_ctas(self) -> int:
         return sum(k.num_ctas for k in self.kernels)

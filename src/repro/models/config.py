@@ -12,8 +12,8 @@ with the same GPU/tensor-parallel deployments the paper uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.gpu.config import GPUSpec, a100_sxm_80gb
 from repro.utils.validation import check_in_choices, check_non_negative, check_positive
@@ -91,15 +91,6 @@ class ModelConfig:
     def kv_bytes_per_token(self) -> int:
         """KV-cache bytes stored per token across all layers."""
         return self.kv_bytes_per_token_per_layer * self.num_layers
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping; every field is a scalar, so this is exact."""
-        return {cfg_field.name: getattr(self, cfg_field.name) for cfg_field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModelConfig":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(**{cfg_field.name: data[cfg_field.name] for cfg_field in fields(cls)})
 
 
 def yi_6b() -> ModelConfig:
@@ -201,10 +192,6 @@ class Deployment:
         return self.q_heads_per_gpu // self.kv_heads_per_gpu
 
     @property
-    def params_per_layer_per_gpu(self) -> float:
-        return self.model.params_per_layer / self.tensor_parallel
-
-    @property
     def kv_bytes_per_token_per_layer_per_gpu(self) -> int:
         return 2 * self.kv_heads_per_gpu * self.model.head_dim * self.model.dtype_bytes
 
@@ -219,27 +206,6 @@ class Deployment:
         if usable <= 0:
             return 0
         return int(usable // self.kv_bytes_per_token_per_gpu)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping (nested model and GPU specs included); exact."""
-        return {
-            "model": self.model.to_dict(),
-            "gpu": self.gpu.to_dict(),
-            "tensor_parallel": self.tensor_parallel,
-            "interconnect_bandwidth": self.interconnect_bandwidth,
-            "memory_budget_fraction": self.memory_budget_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Deployment":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(
-            model=ModelConfig.from_dict(data["model"]),
-            gpu=GPUSpec.from_dict(data["gpu"]),
-            tensor_parallel=data["tensor_parallel"],
-            interconnect_bandwidth=data["interconnect_bandwidth"],
-            memory_budget_fraction=data["memory_budget_fraction"],
-        )
 
 
 CLUSTER_TOPOLOGIES = ("colocated", "disaggregated")
@@ -266,15 +232,6 @@ class KVTransferModel:
         """Seconds to ship ``context_tokens`` worth of KV cache."""
         bytes_moved = context_tokens * deployment.model.kv_bytes_per_token
         return self.latency + bytes_moved / self.bandwidth
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping; exact."""
-        return {"bandwidth": self.bandwidth, "latency": self.latency}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "KVTransferModel":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(bandwidth=data["bandwidth"], latency=data["latency"])
 
 
 #: Reference hourly prices per *GPU* (USD/GPU-hour), keyed by
@@ -333,29 +290,6 @@ class ReplicaSpec:
         if self.on_demand_per_hour is not None:
             return self.on_demand_per_hour
         return self._default_rate("on_demand")
-
-    @property
-    def cost_per_second(self) -> float:
-        return self.cost_per_hour / 3600.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping (nested deployment included); exact."""
-        return {
-            "deployment": self.deployment.to_dict(),
-            "on_demand_per_hour": self.on_demand_per_hour,
-            "spot_per_hour": self.spot_per_hour,
-            "spot": self.spot,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReplicaSpec":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(
-            deployment=Deployment.from_dict(data["deployment"]),
-            on_demand_per_hour=data["on_demand_per_hour"],
-            spot_per_hour=data["spot_per_hour"],
-            spot=data["spot"],
-        )
 
 
 @dataclass(frozen=True)
@@ -441,11 +375,6 @@ class ClusterSpec:
                 )
 
     @property
-    def is_heterogeneous(self) -> bool:
-        """True when the fleet mixes deployments (GPU generation or TP degree)."""
-        return self.deployment is None
-
-    @property
     def resolved_replicas(self) -> tuple[ReplicaSpec, ...]:
         """The per-replica spec list; the homogeneous form expands here.
 
@@ -486,35 +415,6 @@ class ClusterSpec:
     def cost_per_hour(self) -> float:
         """Whole-fleet USD/hour with every replica running."""
         return sum(spec.cost_per_hour for spec in self.resolved_replicas)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping of the *normalized* spec; exact round-trip.
-
-        The homogeneous form serializes as ``deployment`` + ``num_replicas``
-        with an empty ``replicas`` list (so legacy specs stay compact);
-        explicit replica lists serialize entry by entry.
-        """
-        return {
-            "deployment": None if self.deployment is None else self.deployment.to_dict(),
-            "num_replicas": self.num_replicas,
-            "topology": self.topology,
-            "prefill_replicas": self.prefill_replicas,
-            "transfer": self.transfer.to_dict(),
-            "replicas": [spec.to_dict() for spec in self.replicas],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        deployment = data["deployment"]
-        return cls(
-            deployment=None if deployment is None else Deployment.from_dict(deployment),
-            num_replicas=data["num_replicas"],
-            topology=data["topology"],
-            prefill_replicas=data["prefill_replicas"],
-            transfer=KVTransferModel.from_dict(data["transfer"]),
-            replicas=tuple(ReplicaSpec.from_dict(entry) for entry in data["replicas"]),
-        )
 
 
 def replica_specs_from_mix(

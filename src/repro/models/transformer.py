@@ -51,10 +51,6 @@ class IterationBreakdown(NamedTuple):
         # The fields are declared in OPERATION_ORDER, so this sums them in that order.
         return sum(self)
 
-    @property
-    def attention_total(self) -> float:
-        return self.prefill_attention + self.decode_attention
-
     def fractions(self) -> dict[str, float]:
         """Fraction of iteration time spent in each operation (Figure 4 rows)."""
         total = self.total
@@ -119,14 +115,3 @@ class IterationCostModel:
             ffn,
             others,
         )
-
-    def iteration_time(
-        self,
-        num_tokens: int,
-        prefill_attention_per_layer: float = 0.0,
-        decode_attention_per_layer: float = 0.0,
-    ) -> float:
-        """Total wall-clock time of one iteration, seconds."""
-        return self.iteration_breakdown(
-            num_tokens, prefill_attention_per_layer, decode_attention_per_layer
-        ).total

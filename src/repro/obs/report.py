@@ -278,7 +278,6 @@ def scenario_telemetry(
     capacity_tokens: int | None = None,
     sample_interval: float = 0.5,
     model: str = "llama-3-8b",
-    overrides: dict[str, Any] | None = None,
 ) -> tuple[Telemetry, dict[str, Any]]:
     """Serve one registered scenario with a fresh Telemetry attached.
 
@@ -288,7 +287,7 @@ def scenario_telemetry(
     routed by ``router``.
     """
     from repro.bench.pressure_rows import FIG19_CHUNK_SIZE
-    from repro.models.config import paper_deployment
+    from repro.models.config import ClusterSpec, paper_deployment
     from repro.serving.kv_cache import KVCacheConfig
     from repro.workloads.scenario import run_scenario
 
@@ -307,10 +306,8 @@ def scenario_telemetry(
         num_requests=num_requests,
         seed=seed,
         qps=qps,
-        overrides=overrides,
         recorder=telemetry,
-        model=model,
-        replicas=replicas,
+        spec=ClusterSpec(deployment, replicas),
         router=router,
         chunk_size=FIG19_CHUNK_SIZE,
         backend="pod",

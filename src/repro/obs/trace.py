@@ -218,11 +218,6 @@ class SpanTracer(EventSink):
 
     # ------------------------------------------------------------- queries
 
-    def spans_for(self, request_id: int) -> list[Span]:
-        """One request's phase spans, in chronological order."""
-        track = self.requests.get(request_id)
-        return list(track.spans) if track is not None else []
-
     def waterfall_rows(self, top_k: int = 10) -> list[dict[str, Any]]:
         """Top-K slowest completed requests with their phase breakdown.
 

@@ -22,8 +22,8 @@ fig21 benchmark baselines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.models.config import ClusterSpec, ReplicaSpec, replica_specs_from_mix
@@ -76,25 +76,6 @@ class PlannerConfig:
                 raise ValueError(
                     f"prefill_fractions entries must be in (0, 1), got {fraction}"
                 )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping (all fields are scalars/tuples); exact."""
-        out: dict[str, Any] = {}
-        for cfg_field in fields(self):
-            value = getattr(self, cfg_field.name)
-            out[cfg_field.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlannerConfig":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        kwargs: dict[str, Any] = {}
-        for cfg_field in fields(cls):
-            if cfg_field.name not in data:
-                continue
-            value = data[cfg_field.name]
-            kwargs[cfg_field.name] = tuple(value) if isinstance(value, list) else value
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ directly (no :class:`~repro.attention.workload.HybridBatch` is built), and
 the iteration model memoizes the linear operators per token count.
 :meth:`InferenceEngine.rerun_durations` prices a steady decode batch's
 re-runs through the same breakdown, without a backend estimate per step.
+
+An engine is built on a backend and serves that backend's deployment.  Both
+memos are pure functions of the deployment and their keys and the engine
+keeps no per-replica state, so a topology builds one engine per deployment
+and every replica of that deployment runs on it
+(:mod:`repro.cluster.topology`).
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.models.config import Deployment
 from repro.models.transformer import IterationCostModel
 from repro.serving.attention_backend import AttentionBackend
 from repro.serving.batch import ScheduledBatch
@@ -31,12 +36,11 @@ class IterationResult:
 
 
 class InferenceEngine:
-    """Computes iteration durations for scheduled batches."""
+    """Computes iteration durations for scheduled batches on ``backend``'s deployment."""
 
-    def __init__(self, deployment: Deployment, backend: AttentionBackend) -> None:
-        self.deployment = deployment
+    def __init__(self, backend: AttentionBackend) -> None:
         self.backend = backend
-        self.iteration_model = IterationCostModel(deployment)
+        self.iteration_model = IterationCostModel(backend.deployment)
 
     def execute(self, batch: ScheduledBatch) -> IterationResult:
         """Estimate the duration of one iteration over ``batch``."""

@@ -1,13 +1,16 @@
 """Steppable per-replica serving runtime.
 
 ``ReplicaRuntime`` is the event-level serving core: one replica's
-pending/waiting/running queues, KV cache, engine and local clock, advanced one
+pending/waiting/running queues, KV cache and local clock, advanced one
 scheduled iteration at a time via :meth:`step`, or via :meth:`advance`, which
 runs iterations up to a given time or a release and leaps through steady
 decode runs.  ``repro.cluster.ClusterSimulator`` interleaves one or more
 runtimes under one global clock, which is why the stepping API is explicit
 rather than buried in a ``run()`` loop; :meth:`ReplicaRuntime.run_to_completion`
-is the plain single-replica loop.
+is the plain single-replica loop.  The replica prices its iterations on an
+:class:`~repro.serving.engine.InferenceEngine`, which holds no per-replica
+state: a topology hands every replica of one deployment the same engine, and
+a runtime refuses an engine built for another deployment.
 
 Two details matter for cluster use:
 
@@ -67,7 +70,7 @@ from repro.models.config import Deployment
 
 if TYPE_CHECKING:  # avoid a runtime serving -> verify import cycle
     from repro.verify.events import EventSink
-from repro.serving.attention_backend import AttentionBackend, FASerialBackend
+from repro.serving.attention_backend import FASerialBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
@@ -88,6 +91,10 @@ MAX_ITERATIONS = 2_000_000
 # Compact the consumed head of the pending list once it grows past this size
 # (keeps long online traces from pinning already-admitted request tuples).
 _COMPACT_THRESHOLD = 1024
+
+
+def _describe(deployment: Deployment) -> str:
+    return f"{deployment.model.name} on {deployment.tensor_parallel} x {deployment.gpu.name}"
 
 
 class SimulationStuckError(RuntimeError):
@@ -157,17 +164,18 @@ class StepOutcome:
 class ReplicaRuntime:
     """One serving replica, advanced iteration-by-iteration.
 
-    The runtime owns its KV cache, engine and counters; the scheduler and
-    attention backend are injected so replicas of different roles (hybrid,
-    prefill-only, decode-only) share one stepping loop, and replicas of one
-    deployment may share one backend and its memos.
+    The runtime owns its KV cache and counters; the scheduler and engine are
+    injected so replicas of different roles (hybrid, prefill-only,
+    decode-only) share one stepping loop, and replicas of one deployment
+    share one engine and its memos.  Without an engine the runtime builds
+    one on a :class:`~repro.serving.attention_backend.FASerialBackend`.
     """
 
     def __init__(
         self,
         deployment: Deployment,
         scheduler: Scheduler | None = None,
-        backend: AttentionBackend | None = None,
+        engine: InferenceEngine | None = None,
         kv_config: KVCacheConfig | None = None,
         release_on: str = "finish",
         replica_id: int = 0,
@@ -175,11 +183,17 @@ class ReplicaRuntime:
         recorder: "EventSink | list[EventSink] | None" = None,
     ) -> None:
         check_in_choices("release_on", release_on, RELEASE_MODES)
+        if engine is None:
+            engine = InferenceEngine(FASerialBackend(deployment))
+        elif engine.backend.deployment != deployment:
+            raise ValueError(
+                f"replica {replica_id} serves {_describe(deployment)}, but its engine was "
+                f"built for another deployment, {_describe(engine.backend.deployment)}"
+            )
         self.deployment = deployment
         self.scheduler = scheduler or SarathiScheduler()
-        self.backend = backend or FASerialBackend(deployment)
         self.kv_cache = KVCacheManager(kv_config or KVCacheConfig.for_deployment(deployment))
-        self.engine = InferenceEngine(deployment, self.backend)
+        self.engine = engine
         self.release_on = release_on
         self.replica_id = replica_id
         self.role = role

@@ -1,4 +1,4 @@
-"""Shared utilities: unit helpers, statistics, and argument validation."""
+"""Shared utilities: unit constants, statistics, and argument validation."""
 
 from repro.utils.units import (
     GB,
@@ -6,9 +6,6 @@ from repro.utils.units import (
     KB,
     MB,
     TERA,
-    bytes_to_gb,
-    seconds_to_ms,
-    seconds_to_us,
 )
 from repro.utils.stats import (
     geometric_mean,
@@ -28,9 +25,6 @@ __all__ = [
     "KB",
     "MB",
     "TERA",
-    "bytes_to_gb",
-    "seconds_to_ms",
-    "seconds_to_us",
     "geometric_mean",
     "mean",
     "percentile",

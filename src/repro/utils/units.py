@@ -1,8 +1,8 @@
-"""Unit constants and conversions used throughout the simulator.
+"""Unit constants used throughout the simulator.
 
 All internal computations use SI base units: seconds, bytes, FLOPs, watts and
-joules.  These helpers keep conversions explicit at the boundaries (GPU specs
-are naturally written in GB/s and TFLOPS, results are reported in ms).
+joules.  These constants keep conversions explicit at the boundaries (GPU
+specs are naturally written in GB/s and TFLOPS, results are reported in ms).
 """
 
 from __future__ import annotations
@@ -20,43 +20,3 @@ GHZ: float = 1e9
 
 MS: float = 1e-3
 US: float = 1e-6
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1e3
-
-
-def seconds_to_us(seconds: float) -> float:
-    """Convert seconds to microseconds."""
-    return seconds * 1e6
-
-
-def ms_to_seconds(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms * 1e-3
-
-
-def us_to_seconds(us: float) -> float:
-    """Convert microseconds to seconds."""
-    return us * 1e-6
-
-
-def bytes_to_gb(num_bytes: float) -> float:
-    """Convert a byte count to (binary) gigabytes."""
-    return num_bytes / GB
-
-
-def gb_to_bytes(gigabytes: float) -> float:
-    """Convert (binary) gigabytes to bytes."""
-    return gigabytes * GB
-
-
-def tflops_to_flops_per_s(tflops: float) -> float:
-    """Convert TFLOPS (as printed on a spec sheet) to FLOPs per second."""
-    return tflops * TERA
-
-
-def gbps_to_bytes_per_s(gbps: float) -> float:
-    """Convert GB/s (decimal, spec-sheet style) to bytes per second."""
-    return gbps * GIGA

@@ -72,6 +72,7 @@ from repro.serving.attention_backend import (
     get_backend,
 )
 from repro.serving.batch import ScheduledBatch
+from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, KVCacheStats
 from repro.serving.metrics import ServingMetrics, compute_metrics
 from repro.serving.replica import ReplicaRuntime
@@ -165,7 +166,7 @@ def single_replica_reference(
     served copies, their metrics and the KV-cache counters.
     """
     served = [request.fresh_copy() for request in requests]
-    runtime = ReschedulingRuntime(deployment, scheduler, backend, kv_config)
+    runtime = ReschedulingRuntime(deployment, scheduler, InferenceEngine(backend), kv_config)
     for request in served:
         runtime.enqueue(request)
     while runtime.step().executed:
@@ -301,9 +302,10 @@ def estimate_equivalence(
 
     Serves one registry scenario on two colocated replicas
     (``topology="colocated"``) or a 1 + 1 disaggregated fleet
-    (``"disaggregated"``).  The topology builds one backend per deployment
-    and every replica of that deployment shares it, so the fleet gets one
-    checker per deployment, wrapping that backend: each step's
+    (``"disaggregated"``).  The topology builds one backend per deployment,
+    and every replica of that deployment runs on the one engine built on
+    it, so the fleet gets one checker per deployment, wrapping that
+    backend: each step's
     :meth:`~repro.serving.attention_backend.AttentionBackend.estimate`
     must equal the backend's phase split of
     :func:`analytic_attention_times` on ``batch.to_hybrid_batch()`` within
@@ -351,7 +353,7 @@ class _ReschedulingFleet:
 
     The reference side of :func:`leap_equivalence`: it delegates everything
     else to ``topology``, the autoscaler's scale-up path included, so its
-    replicas share one backend per deployment just as the leaping fleet's
+    replicas share one engine per deployment just as the leaping fleet's
     do.
     """
 

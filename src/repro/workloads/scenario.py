@@ -7,10 +7,13 @@ deterministic request trace from a name::
     from repro.workloads import build_scenario
     requests = build_scenario("rag-burst", num_requests=64, seed=3)
 
-``SCENARIOS`` is consumed by :func:`run_scenario` (and
-``ClusterSimulator.run_scenario``), the cluster sweep runner (any scenario
-name is a valid ``ClusterSweepPoint.workload``) and the Figure 17 scenario
-sweep benchmark.  Builds are pure functions of ``(name, num_requests, seed,
+``ClusterSimulator.run_scenario`` serves a scenario's trace on a fleet
+already built.  :func:`run_scenario` builds the fleet a
+:class:`~repro.models.config.ClusterSpec` describes and serves the trace on
+it: the one path from a fleet description to a run, which the CLI, the
+cluster sweep runner (any scenario name is a valid
+``ClusterSweepPoint.workload``), the capacity planner and the observability
+report take.  Builds are pure functions of ``(name, num_requests, seed,
 qps)``: the same arguments always yield an identical trace.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.models.config import ClusterSpec, paper_deployment
 from repro.serving.request import Request
 from repro.workloads.arrivals import get_arrival_process
 from repro.workloads.shapes import get_shape
@@ -218,79 +222,37 @@ def build_scenario(
 def run_scenario(
     name: str,
     *,
-    simulator: Any | None = None,
+    spec: ClusterSpec | None = None,
     num_requests: int | None = None,
     seed: int = 0,
     qps: float | None = None,
-    overrides: Mapping[str, Any] | None = None,
     recorder: Any | None = None,
     control: Any | None = None,
-    spec: Any | None = None,
-    model: str = "llama-3-8b",
-    replicas: int = 1,
-    topology: str = "colocated",
     router: str = "least-tokens",
     chunk_size: int = 1024,
     backend: str = "pod",
     kv_config: Any | None = None,
 ) -> ClusterResult:
-    """Serve a registered scenario — the one entry point for every run.
+    """Serve a registered scenario on the fleet ``spec`` describes.
 
-    This is the shared keyword surface behind ``ClusterSimulator.run_scenario``,
-    the ``repro`` CLI and the observability report:
-
-    * ``simulator=`` runs the trace on an already-configured
-      ``ClusterSimulator`` (its own fleet governs; passing fleet-building
-      keywords alongside is an error).
-    * Otherwise a ``ClusterSimulator`` is built here over
-      ``topology_from_spec``: ``spec`` may be any
-      :class:`repro.models.config.ClusterSpec`, including heterogeneous
-      ``replicas=[...]`` fleets; without one, ``replicas`` × ``topology`` of
-      ``model`` (one Sarathi replica on the named attention backend by
-      default).
-
-    ``overrides`` is a mapping of :class:`Scenario` field replacements
-    (``dataclasses.replace``) applied before the trace is built, e.g.
-    ``{"qps": 3.0}`` or ``{"arrival": "gamma-burst"}``.  Builds stay pure
-    functions of ``(name, overrides, num_requests, seed, qps)``.
+    The one path from a fleet description to a run, behind the ``repro``
+    CLI, the cluster sweep runner, the capacity planner and the
+    observability report: ``topology_from_spec`` builds the fleet, its
+    schedulers at ``chunk_size`` and its engines on the named attention
+    ``backend``, ``kv_config`` replaces its deployment-sized KV cache when
+    given, and a ``ClusterSimulator`` serves the scenario's trace on it.
+    ``spec`` is any :class:`~repro.models.config.ClusterSpec`,
+    heterogeneous fleets included; without one, one Llama-3-8B replica.
     """
-    import dataclasses
+    requests = build_scenario(name, num_requests=num_requests, seed=seed, qps=qps)
 
-    scenario = get_scenario(name)
-    if overrides:
-        scenario = dataclasses.replace(scenario, **dict(overrides))
-    requests = scenario.build(num_requests=num_requests, seed=seed, qps=qps)
-
-    if simulator is not None:
-        conflicting = {
-            "recorder": recorder is not None,
-            "control": control is not None,
-            "spec": spec is not None,
-            "kv_config": kv_config is not None,
-            "replicas": replicas != 1,
-            "topology": topology != "colocated",
-        }
-        bad = sorted(key for key, hit in conflicting.items() if hit)
-        if bad:
-            raise ValueError(
-                f"simulator= carries its own configuration; also passing {bad} "
-                "is ambiguous (configure the simulator instead)"
-            )
-        return simulator.run(requests)
-
-    # Lazy imports: the serving/cluster layers import repro.workloads, so
-    # importing them at module scope here would be a cycle.
+    # Lazy imports: the cluster layer imports repro.workloads, so importing
+    # it at module scope here would be a cycle.
     from repro.cluster.simulator import ClusterSimulator
     from repro.cluster.topology import topology_from_spec
-    from repro.models.config import ClusterSpec, paper_deployment
 
     if spec is None:
-        spec = ClusterSpec(paper_deployment(model), max(replicas, 1), topology=topology)
-    elif replicas != 1 or topology != "colocated":
-        raise ValueError(
-            "spec= already fixes the fleet size and topology; also passing "
-            "replicas=/topology= is ambiguous"
-        )
+        spec = ClusterSpec(paper_deployment("llama-3-8b"), 1)
     built = topology_from_spec(spec, chunk_size=chunk_size, backend=backend)
     if kv_config is not None:
         built.kv_config = kv_config

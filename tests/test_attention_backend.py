@@ -2,17 +2,18 @@
 
 A step's estimate comes from closed-form decode sums and per-backend prefill
 memos keyed on ``(chunk_tokens, prior_tokens)``, and a fleet holds one
-backend per deployment; the oracle ``estimate_equivalence``
-(tests/test_verify_oracles.py) holds every step of every registry scenario
-to the row-summing reference.  This file pins the bug the old quantized memo
-had, bounds the closed-form work a fleet's steps may do by counting calls,
-so the bound carries no timing noise, and pins the one backend per
-deployment.
+serving engine, on one backend, per deployment; the oracle
+``estimate_equivalence`` (tests/test_verify_oracles.py) holds every step of
+every registry scenario to the row-summing reference.  This file pins the
+bug the old quantized memo had, bounds the closed-form work a fleet's steps
+may do by counting calls, so the bound carries no timing noise, and pins the
+one engine per deployment.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter, defaultdict
 
 import pytest
@@ -26,12 +27,14 @@ from repro.cluster import (
     DisaggregatedTopology,
     topology_from_spec,
 )
-from repro.models.config import ClusterSpec, replica_specs_from_mix
+from repro.gpu.config import get_gpu
+from repro.models.config import ClusterSpec, paper_deployment, replica_specs_from_mix
 from repro.models.linear_ops import LinearOpCostModel
 from repro.planner import PlannerConfig, capacity_plan
 from repro.serving.attention_backend import PODBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
+from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
 
@@ -45,6 +48,24 @@ def _decode(context_tokens: int) -> Request:
     request = Request(request_id=1, prefill_tokens=context_tokens - 1, decode_tokens=8)
     request.advance_prefill(context_tokens - 1, now=0.0)
     return request
+
+
+def _track_steps(monkeypatch) -> list[ReplicaRuntime]:
+    """Shim ``ReplicaRuntime.step`` so that the returned list's last entry is
+    the replica whose step is running: the replicas of a deployment share one
+    engine, so an ``execute`` call does not name its replica."""
+    stepping: list[ReplicaRuntime] = []
+    step = ReplicaRuntime.step
+
+    def tracked_step(replica):
+        stepping.append(replica)
+        try:
+            return step(replica)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(ReplicaRuntime, "step", tracked_step)
+    return stepping
 
 
 class TestExactEstimates:
@@ -66,8 +87,8 @@ class TestClosedFormWork:
         builds each prefill chunk's aggregates once per fleet (FA tile plus
         at most the two POD tiles), probes occupancy only when the fleet's
         one backend is built, and evaluates the linear operators once per
-        token count per replica.  The run repeats chunks, on one replica and
-        across both, so a step that rebuilt a chunk the fleet had already
+        token count per deployment.  The run repeats chunks, on one replica
+        and across both, so a step that rebuilt a chunk the fleet had already
         built (a lost prefill memo, or a memo per replica) fails the
         once-per-key count.
         """
@@ -92,12 +113,13 @@ class TestClosedFormWork:
             return prefill_rows(deployment, chunk, tile, num_splits)
 
         execute = InferenceEngine.execute
+        stepping = _track_steps(monkeypatch)
 
         def tracked_execute(engine, batch):
-            pairs[engine].update(
+            pairs[stepping[-1]].update(
                 (tokens, request.prefill_done_tokens) for request, tokens in batch.prefill_items
             )
-            chunks_seen[engine] += len(batch.prefill_items)
+            chunks_seen[stepping[-1]] += len(batch.prefill_items)
             token_counts[id(engine.iteration_model.linear_model)].add(batch.total_tokens)
             return execute(engine, batch)
 
@@ -125,10 +147,10 @@ class TestClosedFormWork:
         simulator = ClusterSimulator(topology, router="least-tokens")
         simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
 
-        engines = [replica.engine for replica in simulator.replicas]
-        assert all(pairs[engine] for engine in engines)
+        replicas = simulator.replicas
+        assert all(pairs[replica] for replica in replicas)
         fleet_pairs = set().union(*pairs.values())
-        assert set.intersection(*(pairs[engine] for engine in engines))
+        assert set.intersection(*(pairs[replica] for replica in replicas))
         assert sum(chunks_seen.values()) > len(fleet_pairs)
         assert calls["_decode_rows"] == 0
         assert set(builds.values()) == {1}
@@ -142,6 +164,12 @@ class TestClosedFormWork:
 
 #: Figure 21's mixed fleet: spot A6000s beside on-demand A100s.
 _MIXED = "a100:1+a6000:1~"
+
+
+def _mixed_specs():
+    """Four replicas tiled as in Figure 21: A100, A6000, A100, A6000."""
+    pattern = replica_specs_from_mix(_MIXED)
+    return tuple(pattern[index % len(pattern)] for index in range(4))
 
 
 def _fleet(deployment, kind: str) -> ClusterSimulator:
@@ -165,8 +193,8 @@ def _fleet(deployment, kind: str) -> ClusterSimulator:
 
 
 class TestOneCostModelPerDeployment:
-    """A topology builds one backend per deployment for the fleet it builds,
-    and every replica of that deployment shares its memos."""
+    """A topology builds one engine, on one backend, per deployment for the
+    fleet it builds, and every replica of that deployment shares its memos."""
 
     @pytest.mark.parametrize("kind", ["colocated", "autoscaled", "disaggregated"])
     def test_fleet_builds_each_prefill_key_once(self, llama3_deployment, monkeypatch, kind):
@@ -181,10 +209,11 @@ class TestOneCostModelPerDeployment:
             return prefill_rows(deployment, chunk, tile, num_splits)
 
         execute = InferenceEngine.execute
+        stepping = _track_steps(monkeypatch)
 
         def tracked_execute(engine, batch):
             for request, tokens in batch.prefill_items:
-                prefilled[tokens, request.prefill_done_tokens].add(engine)
+                prefilled[tokens, request.prefill_done_tokens].add(stepping[-1])
             return execute(engine, batch)
 
         monkeypatch.setattr(cost_model, "_prefill_rows", counted_prefill_rows)
@@ -193,25 +222,65 @@ class TestOneCostModelPerDeployment:
         simulator.run_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0)
 
         assert len(simulator.replicas) == 4
-        assert any(len(engines) > 1 for engines in prefilled.values())
+        assert any(len(replicas) > 1 for replicas in prefilled.values())
         assert builds and set(builds.values()) == {1}
-        assert len({id(replica.backend) for replica in simulator.replicas}) == 1
+        assert len({id(replica.engine.backend) for replica in simulator.replicas}) == 1
+
+    @pytest.mark.parametrize("kind", ["colocated", "mixed"])
+    def test_fleet_prices_each_token_count_once_per_deployment(
+        self, llama3_deployment, monkeypatch, kind
+    ):
+        """Four colocated replicas on one deployment, and the mixed A100 +
+        A6000 fleet, hold one engine per deployment, so the linear operators
+        of a token count are evaluated once per deployment, though several
+        replicas run batches of that many tokens."""
+        calls: Counter = Counter()
+        layer_breakdown = LinearOpCostModel.layer_breakdown
+
+        def counted_layer_breakdown(model, num_tokens):
+            calls[model.deployment, num_tokens] += 1
+            return layer_breakdown(model, num_tokens)
+
+        monkeypatch.setattr(LinearOpCostModel, "layer_breakdown", counted_layer_breakdown)
+        if kind == "colocated":
+            simulator = _fleet(llama3_deployment, "colocated")
+        else:
+            simulator = ClusterSimulator(
+                topology_from_spec(ClusterSpec(replicas=_mixed_specs())), router="least-tokens"
+            )
+        simulator.run_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0)
+
+        engines = {replica.deployment: replica.engine for replica in simulator.replicas}
+        assert len(engines) == (1 if kind == "colocated" else 2)
+        for replica in simulator.replicas:
+            assert replica.engine is engines[replica.deployment]
+        assert {deployment for deployment, _ in calls} == set(engines)
+        assert set(calls.values()) == {1}
+
+    def test_engine_for_another_deployment_is_refused(self, llama3_deployment):
+        a6000 = paper_deployment("llama-3-8b", gpu=get_gpu("a6000"))
+        engine = InferenceEngine(PODBackend(a6000))
+        message = (
+            "replica 3 serves Llama-3-8B on 2 x A100-SXM4-80GB, but its engine was built "
+            "for another deployment, Llama-3-8B on 2 x RTX-A6000"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReplicaRuntime(llama3_deployment, engine=engine, replica_id=3)
 
     def test_each_fleet_starts_with_empty_memos(self, llama3_deployment):
         topology = ColocatedTopology(llama3_deployment, num_replicas=2)
         first, second = ClusterSimulator(topology), ClusterSimulator(topology)
-        assert first.replicas[0].backend is first.replicas[1].backend
-        assert first.replicas[0].backend is not second.replicas[0].backend
+        assert first.replicas[0].engine is first.replicas[1].engine
+        assert first.replicas[0].engine is not second.replicas[0].engine
 
     def test_heterogeneous_fleet_has_one_cost_model_per_deployment(self):
         """Replicas tiled as in Figure 21 (A100, A6000, A100, A6000) share
-        two backends, each built for its own GPU."""
-        pattern = replica_specs_from_mix(_MIXED)
-        specs = tuple(pattern[index % len(pattern)] for index in range(4))
+        two engines, each built for its own GPU."""
+        specs = _mixed_specs()
         replicas = topology_from_spec(ClusterSpec(replicas=specs)).build_replicas()
-        assert len({id(replica.backend) for replica in replicas}) == 2
+        assert len({id(replica.engine) for replica in replicas}) == 2
         for replica, spec in zip(replicas, specs):
-            assert replica.backend.deployment == replica.deployment == spec.deployment
+            assert replica.engine.backend.deployment == replica.deployment == spec.deployment
 
     @pytest.mark.parametrize("replicas", [2, 4])
     def test_heterogeneous_fleet_serves_the_committed_rows(self, results_snapshot, replicas):

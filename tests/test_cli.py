@@ -95,6 +95,23 @@ class TestHelpSurface:
         capsys.readouterr()
 
 
+class TestReplicasFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--replicas", "0"],
+            ["report", "--replicas", "0"],
+            ["sweep", "--replicas", "2", "0", "--serial"],
+        ],
+    )
+    def test_non_positive_replicas_is_usage_error(self, tmp_path, capsys, argv):
+        """A fleet size below one fails at parse time, naming the flag."""
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--num-requests", "4", "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert "argument --replicas: must be a positive integer, got 0" in capsys.readouterr().err
+
+
 class TestRun:
     def test_single_replica_json(self, capsys):
         assert main(["run", "--num-requests", "6", "--seed", "1"]) == 0
@@ -177,6 +194,7 @@ class TestPlan:
             == 0
         )
         payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["replica_mixes"] == ["a100", "a6000~"]
         assert payload["summary"]["candidates"] == 2
         assert len(payload["candidates"]) == 2
         assert payload["best"] is None or payload["best"]["feasible"] == 1

@@ -125,7 +125,6 @@ class TestZeroedSnapshots:
         assert load.num_requests == 0
         assert load.outstanding_tokens == 0
         assert load.outstanding_prefill_tokens == 0
-        assert load.outstanding_decode_tokens == 0
 
     def test_needs_loads_declarations(self):
         assert RoundRobinRouter.needs_loads is False
@@ -223,9 +222,3 @@ class TestRegistry:
     def test_unknown_router(self):
         with pytest.raises(ValueError):
             get_router("random-drop")
-
-    def test_decode_tokens_property(self):
-        load = ReplicaLoad(
-            replica_id=0, num_requests=2, outstanding_tokens=100, outstanding_prefill_tokens=60
-        )
-        assert load.outstanding_decode_tokens == 40

@@ -18,7 +18,6 @@ from repro.attention.cost_model import (
     batch_decode_ctas,
     batch_prefill_aggregate,
     batch_prefill_ctas,
-    decode_base_cta_count,
     decode_cta_works,
     decode_splits,
     default_decode_splits,
@@ -57,7 +56,7 @@ class TestPrefillCTACounts:
     def test_paper_decode_cta_claim_for_yi(self, yi_deployment):
         """Paper §3.2: each decode request of Yi-6B uses 4 CTAs (one per KV head)."""
         decodes = tuple(DecodeRequest(16384) for _ in range(54))
-        assert decode_base_cta_count(yi_deployment, decodes) == 54 * 4
+        assert len(decode_cta_works(yi_deployment, decodes)) == 54 * 4
 
 
 class TestPrefillCosts:

@@ -18,7 +18,7 @@ class TestA100Preset:
 
     def test_hbm_saturation_needs_many_sms(self, a100):
         # The key property for SM-level co-location: one SM cannot saturate HBM.
-        assert 30 < a100.sms_to_saturate_hbm < a100.num_sms
+        assert 30 < a100.hbm_bandwidth / a100.sm_mem_bandwidth < a100.num_sms
 
     def test_shared_mem_limits(self, a100):
         assert a100.max_shared_mem_per_cta <= a100.shared_mem_per_sm

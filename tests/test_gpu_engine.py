@@ -225,12 +225,6 @@ class TestResultRecords:
         result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)] * 4))
         assert result.cta_records == []
 
-    def test_kernel_named_lookup(self, a100, engine):
-        result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)], name="abc"))
-        assert result.kernel_named("abc").num_ctas == 1
-        with pytest.raises(KeyError):
-            result.kernel_named("missing")
-
     def test_summary_keys(self, a100, engine):
         result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)]))
         assert {"total_time_ms", "compute_utilization", "memory_utilization"} <= set(

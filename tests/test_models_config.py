@@ -80,8 +80,3 @@ class TestDeployment:
 
     def test_kv_cache_capacity_zero_when_memory_too_small(self, llama3_deployment):
         assert llama3_deployment.kv_cache_capacity_tokens(gpu_memory_bytes=1e9) == 0
-
-    def test_params_per_layer_split_by_tp(self, llama3_deployment):
-        assert llama3_deployment.params_per_layer_per_gpu == pytest.approx(
-            llama3_deployment.model.params_per_layer / 2
-        )

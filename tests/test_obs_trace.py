@@ -43,7 +43,7 @@ def pressured_run(deployment):
 def assert_span_invariants(tracer: SpanTracer) -> None:
     for request_id, track in tracer.requests.items():
         assert track.complete_time is not None, f"request {request_id} never completed"
-        spans = tracer.spans_for(request_id)
+        spans = track.spans
         assert spans, f"request {request_id} has no spans"
         assert {span.name for span in spans} <= PHASES
         for span in spans:

@@ -25,10 +25,6 @@ def small_plan():
 
 
 class TestConfig:
-    def test_round_trip_exact(self):
-        data = json.loads(json.dumps(SMALL.to_dict()))
-        assert PlannerConfig.from_dict(data) == SMALL
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="replica_mixes"):
             PlannerConfig(replica_mixes=())

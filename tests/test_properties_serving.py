@@ -57,9 +57,7 @@ def drain(runtime: ReplicaRuntime, requests) -> None:
 @given(specs=request_specs, chunk_size=st.sampled_from([512, 1024, 2048]))
 def test_sarathi_batches_respect_token_budget(specs, chunk_size):
     scheduler = RecordingScheduler(chunk_size=chunk_size)
-    runtime = ReplicaRuntime(
-        DEPLOYMENT, scheduler=scheduler, backend=FASerialBackend(DEPLOYMENT)
-    )
+    runtime = ReplicaRuntime(DEPLOYMENT, scheduler=scheduler)
     drain(runtime, make_requests(specs))
     assert scheduler.batches
     for batch in scheduler.batches:
@@ -73,9 +71,7 @@ def test_sarathi_batches_respect_token_budget(specs, chunk_size):
 @settings(max_examples=15, deadline=None)
 @given(specs=request_specs, scheduler_cls=st.sampled_from([SarathiScheduler, VLLMScheduler]))
 def test_kv_blocks_freed_when_replica_drains(specs, scheduler_cls):
-    runtime = ReplicaRuntime(
-        DEPLOYMENT, scheduler=scheduler_cls(), backend=FASerialBackend(DEPLOYMENT)
-    )
+    runtime = ReplicaRuntime(DEPLOYMENT, scheduler=scheduler_cls())
     requests = make_requests(specs)
     drain(runtime, requests)
     assert all(request.is_finished for request in requests)
@@ -159,9 +155,7 @@ def test_load_counters_match_scan_under_fuzzed_scenarios(config):
         if config.scheduler == "sarathi"
         else VLLMScheduler()
     )
-    runtime = ReplicaRuntime(
-        DEPLOYMENT, scheduler=scheduler, backend=FASerialBackend(DEPLOYMENT)
-    )
+    runtime = ReplicaRuntime(DEPLOYMENT, scheduler=scheduler)
     for request in requests:
         runtime.enqueue(request)
         assert not check_replica_load_counters([runtime])

@@ -1,7 +1,7 @@
 """ReplicaSpec economics, the redesigned ClusterSpec, and heterogeneous fleets.
 
 Covers the serving-economics API surface: default hourly rates per GPU
-generation, spot pricing, JSON round-trips, the legacy-homogeneous /
+generation, spot pricing, the legacy-homogeneous /
 explicit-heterogeneous dual form of ``ClusterSpec``, the mix-string parser,
 and the differential oracle that pins a uniform-cost heterogeneous fleet to
 its homogeneous twin bit-for-bit.
@@ -10,7 +10,6 @@ its homogeneous twin bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -18,8 +17,6 @@ from repro.gpu.config import get_gpu
 from repro.models.config import (
     DEFAULT_HOURLY_RATES,
     ClusterSpec,
-    Deployment,
-    KVTransferModel,
     ReplicaSpec,
     paper_deployment,
     replica_specs_from_mix,
@@ -55,10 +52,6 @@ class TestReplicaSpecRates:
         spot = ReplicaSpec(A100, spot_per_hour=0.77, spot=True)
         assert spot.cost_per_hour == 0.77
 
-    def test_cost_per_second(self):
-        spec = ReplicaSpec(A100, on_demand_per_hour=3600.0)
-        assert spec.cost_per_second == pytest.approx(1.0)
-
     def test_unknown_gpu_without_rate_raises(self):
         custom = dataclasses.replace(A100, gpu=dataclasses.replace(A100.gpu, name="TPU-v9"))
         spec = ReplicaSpec(custom)
@@ -73,34 +66,10 @@ class TestReplicaSpecRates:
             assert 0 < rates["spot"] < rates["on_demand"], name
 
 
-class TestSerialization:
-    def test_replica_spec_round_trip(self):
-        spec = ReplicaSpec(A6000, spot=True, spot_per_hour=0.5)
-        data = json.loads(json.dumps(spec.to_dict()))
-        assert ReplicaSpec.from_dict(data) == spec
-
-    def test_deployment_round_trip(self):
-        data = json.loads(json.dumps(A100.to_dict()))
-        assert Deployment.from_dict(data) == A100
-
-    def test_homogeneous_cluster_spec_round_trip(self):
-        spec = ClusterSpec(A100, 4, topology="disaggregated", prefill_replicas=1)
-        data = json.loads(json.dumps(spec.to_dict()))
-        assert ClusterSpec.from_dict(data) == spec
-
-    def test_heterogeneous_cluster_spec_round_trip(self):
-        spec = ClusterSpec(
-            replicas=(ReplicaSpec(A100), ReplicaSpec(A6000, spot=True)),
-            transfer=KVTransferModel(bandwidth=1e9, latency=0.01),
-        )
-        data = json.loads(json.dumps(spec.to_dict()))
-        assert ClusterSpec.from_dict(data) == spec
-
-
 class TestClusterSpecDualForm:
     def test_legacy_form_is_homogeneous(self):
         spec = ClusterSpec(A100, 3)
-        assert not spec.is_heterogeneous
+        assert spec.deployment == A100
         assert len(spec.resolved_replicas) == 3
         assert all(r.deployment == A100 for r in spec.resolved_replicas)
         assert spec.deployment_for(2) == A100
@@ -108,12 +77,10 @@ class TestClusterSpecDualForm:
     def test_uniform_explicit_list_fills_deployment(self):
         spec = ClusterSpec(replicas=(ReplicaSpec(A100), ReplicaSpec(A100)))
         assert spec.deployment == A100
-        assert not spec.is_heterogeneous
         assert spec.num_replicas == 2
 
     def test_mixed_list_is_heterogeneous(self):
         spec = ClusterSpec(replicas=(ReplicaSpec(A100), ReplicaSpec(A6000)))
-        assert spec.is_heterogeneous
         assert spec.deployment is None
         assert spec.deployment_for(0) == A100
         assert spec.deployment_for(1) == A6000

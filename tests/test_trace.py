@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.sweep import ClusterSweepPoint, build_point_trace
+from repro.cluster.sweep import ClusterSweepPoint, run_sweep_point
 from repro.workloads import (
     ArxivShape,
     InternalShape,
     PoissonArrivals,
-    build_scenario,
     describe_workload,
     pd_ratio_workload,
     uniform_workload,
@@ -71,19 +70,20 @@ class TestPaperWorkloads:
         ]
 
     def test_get_workload(self):
-        """Sweep points name the paper's traces by their historical labels."""
+        """Sweep points name the paper's traces by their historical labels: a
+        labelled point serves its scenario's trace, as the named point does."""
         labels = (("internal", "enterprise-internal"), ("arxiv", "arxiv-summarization"))
         for label, scenario in labels:
-            point = ClusterSweepPoint(
-                num_replicas=2, workload=label, requests_per_replica=8, seed=3
+            by_label, by_name = (
+                run_sweep_point(
+                    ClusterSweepPoint(num_replicas=2, workload=name, requests_per_replica=8, seed=3)
+                )
+                for name in (label, scenario)
             )
-            trace = build_point_trace(point)
-            expected = build_scenario(scenario, 16, seed=3, qps=point.qps)
-            assert [(r.prefill_tokens, r.decode_tokens, r.arrival_time) for r in trace] == [
-                (r.prefill_tokens, r.decode_tokens, r.arrival_time) for r in expected
-            ]
+            assert by_label["workload"] == label
+            assert {**by_label, "workload": scenario} == by_name
         with pytest.raises(ValueError):
-            build_point_trace(ClusterSweepPoint(num_replicas=1, workload="sharegpt"))
+            run_sweep_point(ClusterSweepPoint(num_replicas=1, workload="sharegpt"))
 
 
 class TestPoissonArrivals:

@@ -35,11 +35,6 @@ class TestIterationBreakdown:
             "others",
         )
 
-    def test_attention_total(self, iteration_model):
-        breakdown = iteration_model.iteration_breakdown(512, 1e-4, 2e-4)
-        layers = iteration_model.deployment.model.num_layers
-        assert breakdown.attention_total == pytest.approx(3e-4 * layers)
-
     def test_layers_multiply_attention(self, iteration_model, llama3_deployment):
         breakdown = iteration_model.iteration_breakdown(512, 1e-4, 0.0)
         assert breakdown.prefill_attention == pytest.approx(
@@ -56,11 +51,6 @@ class TestIterationBreakdown:
         long_attention = long_frac["prefill_attention"] + long_frac["decode_attention"]
         assert long_attention > 0.5
         assert long_attention > short_attention
-
-    def test_iteration_time_matches_breakdown(self, iteration_model):
-        total = iteration_model.iteration_time(512, 1e-4, 1e-4)
-        breakdown = iteration_model.iteration_breakdown(512, 1e-4, 1e-4)
-        assert total == pytest.approx(breakdown.total)
 
     def test_scheduler_overhead_included(self, iteration_model, llama3_deployment):
         others = iteration_model.linear_breakdown(128).others

@@ -19,27 +19,6 @@ class TestUnits:
         assert units.MB == 1024 * 1024
         assert units.GB == 1024**3
 
-    def test_seconds_to_ms(self):
-        assert units.seconds_to_ms(0.5) == 500.0
-
-    def test_seconds_to_us(self):
-        assert units.seconds_to_us(1e-6) == pytest.approx(1.0)
-
-    def test_ms_roundtrip(self):
-        assert units.ms_to_seconds(units.seconds_to_ms(0.123)) == pytest.approx(0.123)
-
-    def test_us_roundtrip(self):
-        assert units.us_to_seconds(units.seconds_to_us(4.2e-5)) == pytest.approx(4.2e-5)
-
-    def test_bytes_to_gb_roundtrip(self):
-        assert units.gb_to_bytes(units.bytes_to_gb(12345678)) == pytest.approx(12345678)
-
-    def test_tflops_conversion(self):
-        assert units.tflops_to_flops_per_s(312) == pytest.approx(312e12)
-
-    def test_gbps_conversion(self):
-        assert units.gbps_to_bytes_per_s(2039) == pytest.approx(2039e9)
-
 
 class TestCheckPositive:
     def test_accepts_positive(self):

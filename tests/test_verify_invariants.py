@@ -539,17 +539,12 @@ class TestReplicaLoadCounters:
     @staticmethod
     def _runtime():
         from repro.models.config import paper_deployment
-        from repro.serving.attention_backend import FASerialBackend
         from repro.serving.replica import ReplicaRuntime
         from repro.serving.request import Request
         from repro.serving.scheduler_sarathi import SarathiScheduler
 
         deployment = paper_deployment("llama-3-8b")
-        runtime = ReplicaRuntime(
-            deployment,
-            scheduler=SarathiScheduler(chunk_size=512),
-            backend=FASerialBackend(deployment),
-        )
+        runtime = ReplicaRuntime(deployment, scheduler=SarathiScheduler(chunk_size=512))
         for request_id in range(3):
             runtime.enqueue(
                 Request(request_id=request_id, prefill_tokens=1024, decode_tokens=8)
@@ -618,10 +613,10 @@ class TestCostAccounting:
         )
 
     def test_unpriced_fleet_passes_trivially(self):
+        from repro.models.config import ClusterSpec, paper_deployment
         from repro.verify import check_cost_accounting
         from repro.workloads.scenario import run_scenario
 
-        metrics = run_scenario(
-            "shared-prefix-chat", num_requests=6, seed=4, replicas=2
-        ).metrics
+        spec = ClusterSpec(paper_deployment("llama-3-8b"), 2)
+        metrics = run_scenario("shared-prefix-chat", num_requests=6, seed=4, spec=spec).metrics
         assert check_cost_accounting(metrics) == []

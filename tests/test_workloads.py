@@ -239,8 +239,6 @@ class TestSimulatorIntegration:
         result = simulator.run_scenario("multi-tenant-slo", num_requests=12, seed=1, qps=4.0)
         assert result.metrics.per_tenant
         assert sum(m.num_requests for m in result.metrics.per_tenant.values()) == 12
-        rows = result.metrics.tenant_rows()
-        assert {row["tenant"] for row in rows} == set(result.metrics.per_tenant)
 
     def test_sweep_point_accepts_scenario_workloads(self):
         point = ClusterSweepPoint(
@@ -265,4 +263,3 @@ class TestSimulatorIntegration:
         simulator = ClusterSimulator(topology_from_spec(spec), router="round-robin")
         result = simulator.run_scenario("arxiv-summarization", num_requests=4, seed=0, qps=2.0)
         assert result.metrics.per_tenant == {}
-        assert result.metrics.tenant_rows() == []

@@ -34,9 +34,12 @@ def _add_format_options(parser: argparse.ArgumentParser) -> None:
 
 def _positive_int(text: str) -> int:
     """argparse type of a fleet size: a positive integer."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 

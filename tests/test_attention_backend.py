@@ -13,6 +13,7 @@ one engine per deployment.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import re
 from collections import Counter, defaultdict
 
@@ -28,10 +29,15 @@ from repro.cluster import (
     topology_from_spec,
 )
 from repro.gpu.config import get_gpu
-from repro.models.config import ClusterSpec, paper_deployment, replica_specs_from_mix
+from repro.models.config import (
+    ClusterSpec,
+    ReplicaSpec,
+    paper_deployment,
+    replica_specs_from_mix,
+)
 from repro.models.linear_ops import LinearOpCostModel
 from repro.planner import PlannerConfig, capacity_plan
-from repro.serving.attention_backend import PODBackend
+from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
 from repro.serving.replica import ReplicaRuntime
@@ -281,6 +287,48 @@ class TestOneCostModelPerDeployment:
         assert len({id(replica.engine) for replica in replicas}) == 2
         for replica, spec in zip(replicas, specs):
             assert replica.engine.backend.deployment == replica.deployment == spec.deployment
+
+    def test_engine_reads_its_deployment_from_the_backend(self, llama3_deployment):
+        """An engine prices iterations on its backend's deployment; a runtime
+        given none builds its own, on an ``FASerialBackend``."""
+        a6000 = paper_deployment("llama-3-8b", gpu=get_gpu("a6000"))
+        engine = InferenceEngine(PODBackend(a6000))
+        assert engine.iteration_model.deployment is a6000
+        assert ReplicaRuntime(a6000, engine=engine).engine is engine
+        default = ReplicaRuntime(llama3_deployment)
+        assert isinstance(default.engine.backend, FASerialBackend)
+        assert default.engine.backend.deployment is llama3_deployment
+        assert ReplicaRuntime(llama3_deployment).engine is not default.engine
+
+    def test_equal_deployments_share_one_engine(self, llama3_deployment):
+        """A fleet keys its engines by the deployment's value: replicas
+        described by equal but distinct deployment objects share one."""
+        twin = dataclasses.replace(llama3_deployment)
+        assert twin == llama3_deployment and twin is not llama3_deployment
+        specs = (ReplicaSpec(llama3_deployment), ReplicaSpec(twin))
+        first, second = topology_from_spec(ClusterSpec(replicas=specs)).build_replicas()
+        assert first.engine is second.engine
+
+    def test_autoscaled_replica_joins_its_deployments_engine(self):
+        """A replica the autoscaler adds to the mixed fleet runs on the
+        cheapest spec's deployment, on the engine the fleet already holds."""
+        specs = _mixed_specs()
+        topology = ColocatedTopology(specs[0].deployment, num_replicas=4, replica_specs=specs)
+        fleet = topology.build_replicas()
+        extra = topology.build_replica(4)
+        cheapest = min(specs, key=lambda spec: spec.cost_per_hour).deployment
+        assert extra.deployment == cheapest != fleet[0].deployment
+        assert extra.engine is next(r.engine for r in fleet if r.deployment == cheapest)
+
+    def test_disaggregated_pools_share_each_deployments_engine(self):
+        """The mixed fleet split into pools, A100 + A6000 prefilling and
+        A100 + A6000 decoding: each engine serves a replica of each pool."""
+        spec = ClusterSpec(replicas=_mixed_specs(), topology="disaggregated", prefill_replicas=2)
+        roles: defaultdict[int, set] = defaultdict(set)
+        for replica in topology_from_spec(spec).build_replicas():
+            assert replica.engine.backend.deployment == replica.deployment
+            roles[id(replica.engine)].add(replica.role)
+        assert list(roles.values()) == [{"prefill", "decode"}] * 2
 
     @pytest.mark.parametrize("replicas", [2, 4])
     def test_heterogeneous_fleet_serves_the_committed_rows(self, results_snapshot, replicas):

@@ -111,6 +111,17 @@ class TestReplicasFlag:
         assert err.value.code == 2
         assert "argument --replicas: must be a positive integer, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "report", "sweep"])
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_replicas_must_be_a_positive_integer(self, tmp_path, capsys, command, value):
+        """A negative fleet size reaches the flag's check rather than reading
+        as an option, and a non-number gets the same message as zero."""
+        with pytest.raises(SystemExit) as err:
+            main([command, "--replicas", value, "--num-requests", "4", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        message = f"argument --replicas: must be a positive integer, got {value}"
+        assert message in capsys.readouterr().err
+
 
 class TestRun:
     def test_single_replica_json(self, capsys):

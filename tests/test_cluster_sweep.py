@@ -8,7 +8,9 @@ import pytest
 
 from repro.bench.reporting import ResultTable
 from repro.bench.sweeps import cluster_scaling_grid
+from repro.cluster import sweep
 from repro.cluster.sweep import ClusterSweepPoint, run_cluster_sweep, run_sweep_point
+from repro.models.config import ClusterSpec, paper_deployment
 
 FAST = dict(requests_per_replica=6, qps_per_replica=1.0, seed=11)
 
@@ -54,6 +56,35 @@ class TestRunner:
         assert row["requests"] == 12
         assert row["gpus"] == 4  # llama-3-8b is TP-2
         assert row["req_per_min"] > 0
+
+    def test_point_runs_through_run_scenario(self, monkeypatch):
+        """A point is one ``run_scenario`` call on the point's ``ClusterSpec``,
+        its workload label resolved to its scenario, and its row carries
+        that run's metrics."""
+        calls = []
+        run_scenario = sweep.run_scenario
+
+        def recorded(name, **kwargs):
+            calls.append((name, kwargs))
+            return run_scenario(name, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_scenario", recorded)
+        point = ClusterSweepPoint(
+            num_replicas=2, router="least-tokens", topology="disaggregated", **FAST
+        )
+        row = run_sweep_point(point)
+        ((name, kwargs),) = calls
+        assert name == "arxiv-summarization"
+        assert kwargs == {
+            "spec": ClusterSpec(paper_deployment("llama-3-8b"), 2, topology="disaggregated"),
+            "num_requests": 12,
+            "seed": 11,
+            "qps": point.qps,
+            "router": "least-tokens",
+            "chunk_size": 1024,
+        }
+        metrics = run_scenario(name, **kwargs).metrics.as_row()
+        assert {key: row[key] for key in metrics} == metrics
 
     def test_serial_matches_parallel(self):
         grid = [

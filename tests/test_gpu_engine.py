@@ -225,6 +225,20 @@ class TestResultRecords:
         result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)] * 4))
         assert result.cta_records == []
 
+    def test_kernel_named_lookup(self, engine):
+        """A launch's kernel record is found by its kernel's name, with its
+        CTA count; a stream's second launch starts after its first ends."""
+        result = engine.run(
+            [
+                KernelLaunch(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)], name="abc")),
+                KernelLaunch(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)] * 3, name="xyz")),
+            ]
+        )
+        by_name = {kernel.name: kernel for kernel in result.kernels}
+        assert (by_name["abc"].num_ctas, by_name["xyz"].num_ctas) == (1, 3)
+        assert "missing" not in by_name
+        assert by_name["xyz"].start_time >= by_name["abc"].end_time
+
     def test_summary_keys(self, a100, engine):
         result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)]))
         assert {"total_time_ms", "compute_utilization", "memory_utilization"} <= set(

@@ -80,3 +80,16 @@ class TestDeployment:
 
     def test_kv_cache_capacity_zero_when_memory_too_small(self, llama3_deployment):
         assert llama3_deployment.kv_cache_capacity_tokens(gpu_memory_bytes=1e9) == 0
+
+    def test_params_per_layer_split_by_tp(self, llama3_deployment):
+        """Tensor parallelism splits the weights over the GPUs: a memory whose
+        budget holds three quarters of Llama-3-8B's weights leaves no KV cache
+        on one GPU and some on each of two."""
+        model = llama3_deployment.model
+        memory = (
+            0.75 * model.total_params * model.dtype_bytes
+            / llama3_deployment.memory_budget_fraction
+        )
+        single = dataclasses.replace(llama3_deployment, tensor_parallel=1)
+        assert single.kv_cache_capacity_tokens(memory) == 0
+        assert llama3_deployment.kv_cache_capacity_tokens(memory) > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,13 @@ def small_plan():
 
 
 class TestConfig:
+    def test_round_trip_exact(self):
+        """``repro plan`` emits ``dataclasses.asdict(config)``; its JSON
+        rebuilds the config exactly, floats and grid axes included."""
+        data = json.loads(json.dumps(dataclasses.asdict(SMALL)))
+        axes = {key: tuple(value) for key, value in data.items() if isinstance(value, list)}
+        assert PlannerConfig(**{**data, **axes}) == SMALL
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="replica_mixes"):
             PlannerConfig(replica_mixes=())

@@ -60,6 +60,17 @@ class TestReplicaSpecRates:
         # An explicit rate makes any hardware billable.
         assert ReplicaSpec(custom, on_demand_per_hour=2.5).cost_per_hour == 2.5
 
+    def test_cost_per_second(self):
+        """A replica billed 3,600 $/h costs 1 $ per second it is active."""
+        from repro.workloads.scenario import run_scenario
+
+        spec = ClusterSpec(replicas=(ReplicaSpec(A100, on_demand_per_hour=3600.0),))
+        metrics = run_scenario("shared-prefix-chat", num_requests=4, seed=0, spec=spec).metrics
+        (replica,) = metrics.replicas
+        assert replica.active_seconds > 0
+        assert replica.cost_usd == pytest.approx(replica.active_seconds)
+        assert metrics.cost_usd == replica.cost_usd
+
     def test_every_priced_gpu_has_both_kinds(self):
         for name, rates in DEFAULT_HOURLY_RATES.items():
             assert set(rates) == {"on_demand", "spot"}, name

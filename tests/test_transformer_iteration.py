@@ -11,6 +11,10 @@ from repro.models.transformer import (
     IterationBreakdown,
     IterationCostModel,
 )
+from repro.serving.attention_backend import FASerialBackend
+from repro.serving.batch import ScheduledBatch
+from repro.serving.engine import InferenceEngine
+from repro.serving.request import Request
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,15 @@ class TestIterationBreakdown:
             1e-4 * llama3_deployment.model.num_layers
         )
 
+    def test_attention_total(self, iteration_model):
+        """Each attention row is its per-layer time times the layer count."""
+        breakdown = iteration_model.iteration_breakdown(512, 1e-4, 2e-4)
+        layers = iteration_model.deployment.model.num_layers
+        assert breakdown.decode_attention == pytest.approx(2e-4 * layers)
+        assert breakdown.prefill_attention + breakdown.decode_attention == pytest.approx(
+            3e-4 * layers
+        )
+
     def test_attention_fraction_grows_with_context(self, iteration_model):
         """Figure 4: attention dominates at long context lengths."""
         short = iteration_model.iteration_breakdown(1084, 5e-5, 5e-5)
@@ -60,6 +73,25 @@ class TestIterationBreakdown:
 
     def test_scheduler_overhead_non_negative(self):
         assert 0.0 <= SCHEDULER_OVERHEAD < float("inf")
+
+    def test_iteration_time_matches_breakdown(self, iteration_model):
+        """A serving engine's iteration time is the total of the breakdown of
+        its backend's attention estimate, for a hybrid batch."""
+
+        def hybrid_batch() -> ScheduledBatch:
+            decoding = Request(request_id=1, prefill_tokens=255, decode_tokens=8)
+            decoding.advance_prefill(255, now=0.0)
+            prefilling = Request(request_id=0, prefill_tokens=512, decode_tokens=8)
+            return ScheduledBatch(prefill_items=[(prefilling, 512)], decode_requests=[decoding])
+
+        engine = InferenceEngine(FASerialBackend(iteration_model.deployment))
+        estimate = engine.backend.estimate(hybrid_batch())
+        breakdown = iteration_model.iteration_breakdown(
+            513, estimate.prefill_time, estimate.decode_time
+        )
+        result = engine.execute(hybrid_batch())
+        assert (result.num_tokens, result.is_hybrid) == (513, True)
+        assert result.duration == breakdown.total
 
     def test_negative_attention_rejected(self, iteration_model):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.gpu.config import get_gpu
 from repro.utils import units
 from repro.utils.validation import (
     check_fraction,
@@ -18,6 +19,22 @@ class TestUnits:
         assert units.KB == 1024
         assert units.MB == 1024 * 1024
         assert units.GB == 1024**3
+
+    def test_seconds_to_ms(self):
+        assert 0.5 / units.MS == pytest.approx(500.0)
+
+    def test_seconds_to_us(self):
+        assert 1e-6 / units.US == pytest.approx(1.0)
+
+    def test_tflops_conversion(self):
+        """Spec sheets print tensor throughput in TFLOPS: the A100's 312."""
+        assert 312 * units.TERA == pytest.approx(312e12)
+        assert get_gpu("a100").tensor_flops == 312 * units.TERA
+
+    def test_gbps_conversion(self):
+        """... and HBM bandwidth in decimal GB/s: the A100's 2,039."""
+        assert 2039 * units.GIGA == pytest.approx(2039e9)
+        assert get_gpu("a100").hbm_bandwidth == 2039 * units.GIGA
 
 
 class TestCheckPositive:

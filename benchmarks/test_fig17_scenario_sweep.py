@@ -31,7 +31,7 @@ from repro.bench.scenario_rows import (
 from repro.bench.sweeps import scenario_cluster_grid
 from repro.cluster.sweep import run_cluster_sweep
 from repro.serving.metrics import compute_tenant_metrics, slo_attainment
-from repro.workloads import SCENARIOS, get_scenario
+from repro.workloads import SCENARIOS, build_scenario, get_scenario
 
 # Pinned scenario list: fig19 covers the newer memory-pressure scenarios.
 SCENARIO_NAMES = FIG17_SCENARIOS
@@ -99,7 +99,7 @@ def test_figure17(benchmark, llama3_deployment, report):
 
     # Per-tenant slicing: the multi-tenant scenario decomposes exactly.
     pod = scenario_system_simulator(llama3_deployment, "Sarathi+POD")
-    mt = pod.run_scenario("multi-tenant-slo", num_requests=NUM_REQUESTS, seed=SEED)
+    mt = pod.run(build_scenario("multi-tenant-slo", num_requests=NUM_REQUESTS, seed=SEED))
     tenant_metrics = compute_tenant_metrics(mt.requests, makespan=mt.makespan)
     assert sum(m.num_requests for m in tenant_metrics.values()) == NUM_REQUESTS
     targets = get_scenario("multi-tenant-slo").slo_targets()

@@ -15,6 +15,7 @@ import sys
 
 from repro.bench.pressure_rows import fig19_cluster_row, memory_pressure_simulator
 from repro.models.config import paper_deployment
+from repro.workloads import build_scenario
 
 SCENARIO = "shared-prefix-chat"
 NUM_REQUESTS = 48
@@ -30,7 +31,7 @@ def main() -> None:
           f"{'hit rate':>9s} {'preempts':>9s}")
     for prefix_caching, preemption in ((False, False), (False, True), (True, False), (True, True)):
         simulator = memory_pressure_simulator(deployment, capacity, prefix_caching, preemption)
-        result = simulator.run_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED)
+        result = simulator.run(build_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED))
         metrics = result.metrics.fleet
         label = (
             f"caching={'on' if prefix_caching else 'off'} "

@@ -18,6 +18,7 @@ import sys
 from repro.bench.pressure_rows import memory_pressure_simulator
 from repro.models.config import paper_deployment
 from repro.obs import Telemetry, generate_report
+from repro.workloads import build_scenario
 
 SCENARIO = "shared-prefix-chat"
 NUM_REQUESTS = 48
@@ -36,7 +37,7 @@ def main() -> None:
         preemption=True,
         recorder=telemetry,
     )
-    result = simulator.run_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED)
+    result = simulator.run(build_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED))
     telemetry.finalize()
 
     print(f"{SCENARIO} x{NUM_REQUESTS} @ {capacity} KV tokens ({deployment.model.name})\n")

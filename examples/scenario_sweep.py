@@ -16,7 +16,7 @@ from repro.cluster import ClusterSimulator, ColocatedTopology
 from repro.models import paper_deployment
 from repro.serving import PODBackend, SarathiScheduler
 from repro.serving.metrics import compute_tenant_metrics, slo_attainment
-from repro.workloads import SCENARIOS, get_scenario, scenario_table
+from repro.workloads import SCENARIOS, build_scenario, get_scenario, scenario_table
 
 
 def sarathi_pod(deployment) -> ClusterSimulator:
@@ -47,7 +47,8 @@ def main(num_requests: int = 24) -> None:
     print("-" * len(header))
     for name in SCENARIOS:
         simulator = sarathi_pod(deployment)
-        metrics = simulator.run_scenario(name, num_requests=num_requests, seed=7).metrics.fleet
+        trace = build_scenario(name, num_requests=num_requests, seed=7)
+        metrics = simulator.run(trace).metrics.fleet
         print(
             f"{name:<26} {metrics.requests_per_minute:>8.1f} {metrics.ttft_p50:>8.2f}s "
             f"{metrics.tbt_p99:>7.3f}s {metrics.stall_fraction_200ms:>6.1%}"
@@ -56,7 +57,7 @@ def main(num_requests: int = 24) -> None:
 
     scenario = get_scenario("multi-tenant-slo")
     simulator = sarathi_pod(deployment)
-    result = simulator.run_scenario(scenario.name, num_requests=num_requests * 2, seed=7)
+    result = simulator.run(build_scenario(scenario.name, num_requests=num_requests * 2, seed=7))
     sliced = compute_tenant_metrics(result.requests, makespan=result.makespan)
     print(f"Per-tenant SLO attainment ({scenario.name}, {num_requests * 2} requests):")
     header = (

@@ -21,6 +21,7 @@ from repro.models.config import Deployment
 from repro.serving.attention_backend import PODBackend
 from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.scheduler_sarathi import SarathiScheduler
+from repro.workloads.scenario import build_scenario
 
 #: The sweep's fixed parameters.
 FIG19_NUM_REQUESTS = 48
@@ -94,7 +95,7 @@ def fig19_single_row(
     simulator = memory_pressure_simulator(
         deployment, capacity_tokens, prefix_caching, preemption
     )
-    result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
+    result = simulator.run(build_scenario(scenario, num_requests=num_requests, seed=seed))
     row: dict[str, Any] = {
         "scenario": scenario,
         "mode": "single",
@@ -128,9 +129,8 @@ def fig19_cluster_row(
             capacity_tokens=capacity_tokens, block_size=16, enable_prefix_caching=True
         ),
     )
-    result = ClusterSimulator(topology, router=router).run_scenario(
-        scenario, num_requests=num_requests, seed=seed, qps=qps
-    )
+    trace = build_scenario(scenario, num_requests=num_requests, seed=seed, qps=qps)
+    result = ClusterSimulator(topology, router=router).run(trace)
     row: dict[str, Any] = {
         "scenario": scenario,
         "mode": f"cluster-x{num_replicas}",

@@ -66,10 +66,10 @@ def scenario_single_replica_row(
     chunk_size: int = FIG17_CHUNK_SIZE,
 ) -> dict[str, Any]:
     """One ``mode="single"`` row of the Figure 17 table."""
-    from repro.workloads.scenario import get_scenario
+    from repro.workloads.scenario import build_scenario, get_scenario
 
     simulator = scenario_system_simulator(deployment, system, chunk_size)
-    result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
+    result = simulator.run(build_scenario(scenario, num_requests=num_requests, seed=seed))
     metrics = result.metrics.fleet
     return {
         "scenario": scenario,

@@ -53,7 +53,6 @@ from repro.cluster.router import ReplicaLoad, RouterPolicy, get_router
 from repro.serving.kv_cache import KVCacheStats
 from repro.serving.replica import ReplicaRuntime, SimulationStuckError
 from repro.serving.request import Request, RequestState
-from repro.workloads.scenario import build_scenario
 
 
 @dataclass
@@ -138,11 +137,12 @@ class ClusterSimulator:
     def _replica_economics(self, index: int) -> tuple[float, float]:
         """(USD/hour, perf proxy) of replica ``index``; best-effort.
 
-        Cost comes from the topology's per-replica spec; a fleet whose GPU
-        has no price (custom/scaled specs without explicit rates) reads as
-        cost 0.0, which every consumer treats as "unpriced/uniform".  The
-        perf proxy is the replica's aggregate tensor throughput in PFLOP/s —
-        only ratios matter, so any fixed unit works.
+        Cost is the topology's per-replica spec's
+        :attr:`~repro.models.config.ReplicaSpec.billed_per_hour` (0.0 for a
+        GPU with no price, which every consumer treats as
+        "unpriced/uniform").  The perf proxy is the replica's aggregate
+        tensor throughput in PFLOP/s — only ratios matter, so any fixed unit
+        works.
         """
         cached = self._economics.get(index)
         if cached is not None:
@@ -150,10 +150,7 @@ class ClusterSimulator:
         spec = self.topology.spec_for(index)
         deployment = spec.deployment
         perf = deployment.gpu.tensor_flops * deployment.tensor_parallel / 1e15
-        try:
-            cost = spec.cost_per_hour
-        except ValueError:
-            cost = 0.0  # no rate known for this GPU: treat as unpriced
+        cost = spec.billed_per_hour
         self._economics[index] = (cost, perf)
         return cost, perf
 
@@ -435,18 +432,3 @@ class ClusterSimulator:
             decode_assignments=decode_assignments,
             kv_stats=kv_stats,
         )
-
-    def run_scenario(
-        self,
-        name: str,
-        num_requests: int | None = None,
-        seed: int = 0,
-        qps: float | None = None,
-    ) -> ClusterResult:
-        """Build a registered workload scenario and serve it across this fleet.
-
-        Pass ``qps`` scaled to the fleet size to keep per-replica pressure
-        constant.  :func:`repro.workloads.scenario.run_scenario` serves a
-        scenario on the fleet a ``ClusterSpec`` describes.
-        """
-        return self.run(build_scenario(name, num_requests=num_requests, seed=seed, qps=qps))

@@ -39,7 +39,7 @@ from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
-from repro.serving.scheduler import Scheduler, SchedulerLimits
+from repro.serving.scheduler import Scheduler
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.utils.validation import check_positive
 
@@ -110,16 +110,33 @@ class _SharedEngines:
         return engine
 
 
+def _fleet_specs(
+    deployment: Deployment, num_replicas: int, replica_specs: tuple[ReplicaSpec, ...]
+) -> tuple[ReplicaSpec, ...]:
+    """One spec per replica: ``replica_specs``, or ``num_replicas`` default-priced
+    specs of ``deployment`` when none are given."""
+    if not replica_specs:
+        return (ReplicaSpec(deployment=deployment),) * num_replicas
+    replica_specs = tuple(replica_specs)
+    if len(replica_specs) != num_replicas:
+        raise ValueError(
+            f"replica_specs has {len(replica_specs)} entries for {num_replicas} replicas"
+        )
+    return replica_specs
+
+
 @dataclass
 class ColocatedTopology(_SharedEngines):
     """N hybrid replicas behind one router (the POD serving model).
 
-    Homogeneous by default; pass ``replica_specs`` (one
-    :class:`~repro.models.config.ReplicaSpec` per replica) for a
-    heterogeneous fleet.  ``backend_builder`` builds a backend *for a given
-    deployment* (default: :class:`~repro.serving.attention_backend.PODBackend`);
-    it runs once per deployment of each fleet built, and every replica of
-    that deployment shares the engine built on that backend.
+    Homogeneous by default: ``(deployment, num_replicas)`` expands into
+    ``num_replicas`` specs of ``deployment`` at default pricing.  Pass
+    ``replica_specs`` (one :class:`~repro.models.config.ReplicaSpec` per
+    replica) for a heterogeneous fleet.  ``backend_builder`` builds a
+    backend *for a given deployment* (default:
+    :class:`~repro.serving.attention_backend.PODBackend`); it runs once per
+    deployment of each fleet built, and every replica of that deployment
+    shares the engine built on that backend.
     """
 
     deployment: Deployment
@@ -134,19 +151,11 @@ class ColocatedTopology(_SharedEngines):
     def __post_init__(self) -> None:
         check_positive("num_replicas", self.num_replicas)
         self._engines = {}
-        if self.replica_specs:
-            self.replica_specs = tuple(self.replica_specs)
-            if len(self.replica_specs) != self.num_replicas:
-                raise ValueError(
-                    f"replica_specs has {len(self.replica_specs)} entries for "
-                    f"num_replicas={self.num_replicas}"
-                )
+        self.replica_specs = _fleet_specs(self.deployment, self.num_replicas, self.replica_specs)
 
     def spec_for(self, replica_id: int) -> ReplicaSpec:
         """The spec of replica ``replica_id``; autoscaled extras (ids past the
         initial fleet) reuse :meth:`scale_up_spec`."""
-        if not self.replica_specs:
-            return ReplicaSpec(deployment=self.deployment)
         if replica_id < len(self.replica_specs):
             return self.replica_specs[replica_id]
         return self.scale_up_spec()
@@ -158,12 +167,10 @@ class ColocatedTopology(_SharedEngines):
         """The spec a new autoscaled replica uses: the cheapest eligible one.
 
         The autoscaler provisions marginal capacity, so it picks the lowest
-        $/hour spec present in the fleet (ties fall to the lowest replica
-        index).  Homogeneous fleets trivially reuse their single spec.
+        :attr:`~repro.models.config.ReplicaSpec.billed_per_hour` spec present
+        in the fleet (ties fall to the lowest replica index).
         """
-        if not self.replica_specs:
-            return ReplicaSpec(deployment=self.deployment)
-        return min(self.replica_specs, key=lambda spec: spec.cost_per_hour)
+        return min(self.replica_specs, key=lambda spec: spec.billed_per_hour)
 
     def build_replica(self, replica_id: int, recorder=None) -> ReplicaRuntime:
         """Build one hybrid replica (also the autoscaler's scale-up path) on
@@ -201,9 +208,11 @@ class DisaggregatedTopology(_SharedEngines):
 
     Heterogeneous fleets assign ``replica_specs`` in fleet order: the first
     ``num_prefill`` specs form the prefill pool, the rest the decode pool
-    (matching :attr:`ClusterSpec.resolved_prefill_replicas` semantics).
-    Both pools share the fleet's engine per deployment, as in
-    :class:`ColocatedTopology`.
+    (matching :attr:`ClusterSpec.resolved_prefill_replicas` semantics);
+    without them every replica runs ``deployment``, as in
+    :class:`ColocatedTopology`.  Both pools share the fleet's engine per
+    deployment, and every replica schedules under the default
+    :class:`~repro.serving.scheduler.SchedulerLimits`.
     """
 
     deployment: Deployment
@@ -212,7 +221,6 @@ class DisaggregatedTopology(_SharedEngines):
     chunk_size: int = 1024
     transfer: KVTransferModel = field(default_factory=KVTransferModel)
     kv_config: KVCacheConfig | None = None
-    limits: SchedulerLimits | None = None
     replica_specs: tuple[ReplicaSpec, ...] = ()
     backend_builder: Callable[[Deployment], AttentionBackend] | None = None
 
@@ -222,22 +230,13 @@ class DisaggregatedTopology(_SharedEngines):
         check_positive("num_prefill", self.num_prefill)
         check_positive("num_decode", self.num_decode)
         check_positive("chunk_size", self.chunk_size)
-        if self.replica_specs:
-            self.replica_specs = tuple(self.replica_specs)
-            if len(self.replica_specs) != self.num_replicas:
-                raise ValueError(
-                    f"replica_specs has {len(self.replica_specs)} entries for "
-                    f"{self.num_replicas} replicas "
-                    f"({self.num_prefill} prefill + {self.num_decode} decode)"
-                )
+        self.replica_specs = _fleet_specs(self.deployment, self.num_replicas, self.replica_specs)
 
     @property
     def num_replicas(self) -> int:
         return self.num_prefill + self.num_decode
 
     def spec_for(self, replica_id: int) -> ReplicaSpec:
-        if not self.replica_specs:
-            return ReplicaSpec(deployment=self.deployment)
         return self.replica_specs[replica_id]
 
     def deployment_for(self, replica_id: int) -> Deployment:
@@ -249,7 +248,7 @@ class DisaggregatedTopology(_SharedEngines):
         replicas = [
             ReplicaRuntime(
                 self.deployment_for(index),
-                scheduler=PrefillPoolScheduler(chunk_size=self.chunk_size, limits=self.limits),
+                scheduler=PrefillPoolScheduler(chunk_size=self.chunk_size),
                 engine=self._engine(self.deployment_for(index)),
                 kv_config=self.kv_config,
                 release_on="first_token",
@@ -262,7 +261,7 @@ class DisaggregatedTopology(_SharedEngines):
         replicas.extend(
             ReplicaRuntime(
                 self.deployment_for(self.num_prefill + index),
-                scheduler=DecodePoolScheduler(limits=self.limits),
+                scheduler=DecodePoolScheduler(),
                 engine=self._engine(self.deployment_for(self.num_prefill + index)),
                 kv_config=self.kv_config,
                 replica_id=self.num_prefill + index,

@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
+#: The longest repeat period (prefill + decode slots) a proportional ratio keeps.
+MAX_PERIOD = 4
+
 
 class SchedulingPolicy(ABC):
     """Decides the per-SM prefill:decode interleaving ratio."""
@@ -45,18 +48,14 @@ class ProportionalPolicy(SchedulingPolicy):
     """Bind CTAs in proportion to the batch's prefill and decode CTA counts.
 
     The ratio is reduced by the greatest common divisor and capped so the
-    repeat period stays small (e.g. 50 prefill and 100 decode CTAs → 1:2).
-    A small period matters: the Figure-9 ticket mapping runs the first
-    ``prefill_ratio`` CTAs of each period as prefill, so a long period would
-    front-load one operation and delay the other on every SM.
+    repeat period stays within :data:`MAX_PERIOD` (e.g. 50 prefill and 100
+    decode CTAs → 1:2).  A small period matters: the Figure-9 ticket mapping
+    runs the first ``prefill_ratio`` CTAs of each period as prefill, so a
+    long period would front-load one operation and delay the other on every
+    SM.
     """
 
     name = "proportional"
-
-    def __init__(self, max_period: int = 4) -> None:
-        if max_period < 2:
-            raise ValueError(f"max_period must be >= 2, got {max_period}")
-        self.max_period = max_period
 
     def ratio(self, num_prefill_ctas: int, num_decode_ctas: int) -> tuple[int, int]:
         if num_prefill_ctas == 0:
@@ -67,12 +66,12 @@ class ProportionalPolicy(SchedulingPolicy):
         prefill_ratio = num_prefill_ctas // divisor
         decode_ratio = num_decode_ctas // divisor
         period = prefill_ratio + decode_ratio
-        if period > self.max_period:
+        if period > MAX_PERIOD:
             # Rescale to a small period while preserving the proportion as
             # closely as possible (each side gets at least one slot).
-            scale = self.max_period / period
+            scale = MAX_PERIOD / period
             prefill_ratio = max(1, round(prefill_ratio * scale))
-            decode_ratio = max(1, self.max_period - prefill_ratio)
+            decode_ratio = max(1, MAX_PERIOD - prefill_ratio)
         return (prefill_ratio, decode_ratio)
 
 

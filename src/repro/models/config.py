@@ -291,6 +291,16 @@ class ReplicaSpec:
             return self.on_demand_per_hour
         return self._default_rate("on_demand")
 
+    @property
+    def billed_per_hour(self) -> float:
+        """What the replica bills per hour: :attr:`cost_per_hour`, or 0.0
+        for a GPU with no known rate, which every consumer (routers, the
+        autoscaler's spec choice, fleet costs) reads as unpriced."""
+        try:
+            return self.cost_per_hour
+        except ValueError:
+            return 0.0
+
 
 @dataclass(frozen=True)
 class ClusterSpec:

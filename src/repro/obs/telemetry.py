@@ -44,13 +44,9 @@ from repro.verify.events import EventSink
 class Telemetry(EventSink):
     """Bundle registry, tracer and sampler behind one ``recorder=`` sink."""
 
-    def __init__(
-        self,
-        sample_interval: float = DEFAULT_INTERVAL,
-        keep_step_spans: bool = True,
-    ) -> None:
+    def __init__(self, sample_interval: float = DEFAULT_INTERVAL) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(keep_step_spans=keep_step_spans)
+        self.tracer = SpanTracer()
         self.sampler = FleetSampler(interval=sample_interval)
         self._finalized = False
 

@@ -92,10 +92,7 @@ class _RequestTrack:
 class SpanTracer(EventSink):
     """Fold simulator events into spans; export as Perfetto trace JSON."""
 
-    def __init__(self, keep_step_spans: bool = True) -> None:
-        #: Retain per-replica step spans (the densest track; disable for
-        #: huge fleet runs where only request waterfalls are wanted).
-        self.keep_step_spans = keep_step_spans
+    def __init__(self) -> None:
         self.requests: dict[int, _RequestTrack] = {}
         self.step_spans: list[Span] = []
         self.counter_samples: list[tuple[float, int, str, float]] = []
@@ -193,20 +190,19 @@ class SpanTracer(EventSink):
             start = time
             end = time + data.get("duration", 0.0)
             self._last_step[replica_id] = (start, end)
-            if self.keep_step_spans:
-                self.step_spans.append(
-                    Span(
-                        "step",
-                        start,
-                        end,
-                        replica_id=replica_id,
-                        args={
-                            "num_tokens": data.get("num_tokens"),
-                            "num_waiting": data.get("num_waiting"),
-                            "num_running": data.get("num_running"),
-                        },
-                    )
+            self.step_spans.append(
+                Span(
+                    "step",
+                    start,
+                    end,
+                    replica_id=replica_id,
+                    args={
+                        "num_tokens": data.get("num_tokens"),
+                        "num_waiting": data.get("num_waiting"),
+                        "num_running": data.get("num_running"),
+                    },
                 )
+            )
             if "num_waiting" in data:
                 self.counter_samples.append(
                     (start, replica_id, "queue_depth", float(data["num_waiting"]))

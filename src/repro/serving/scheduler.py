@@ -145,7 +145,8 @@ class Scheduler(ABC):
         order) whenever the cache cannot supply a decode's blocks.
 
         **Pinned preemption/readmission ordering** (asserted by both
-        schedulers, pinned by ``tests/corpus`` entries):
+        schedulers, pinned by the ``test_sched_*_preempt_ordering`` tests in
+        ``tests/test_stateful_corpus.py``):
 
         1. Preempted requests re-enter the waiting queue at the *front*, in
            their original admission order, ahead of every arrival already

@@ -11,14 +11,16 @@ paths can land without fear.
 * :mod:`repro.verify.oracles` — differential oracles between independent
   layers (single-replica vs cluster, scheduler vs scheduler, serving-step
   attention estimates vs the analytic reference, analytic cost model vs GPU
-  simulator, GPU engine vs its frozen reference).
+  simulator, GPU engine vs its frozen reference), and
+  :class:`~repro.verify.oracles.ReferenceAllocator`, the one reference model
+  of the KV allocator.
 * :mod:`repro.verify.reference_engine` — the frozen reference copy of the
   event-driven GPU engine that ``engine_equivalence`` diffs against.
 * :mod:`repro.verify.fuzzer` — hypothesis-driven scenario fuzzing that runs
   the invariant checker on randomly composed workloads and configs.
 * :mod:`repro.verify.stateful` — hypothesis stateful machines driving raw
-  API interleavings (KV cache, scheduler/replica, cluster), plus the
-  ``tests/corpus/`` replayer for committed minimized failures.
+  API interleavings (KV cache, scheduler/replica, cluster); each failure
+  they found is pinned as a plain test in ``tests/test_stateful_corpus.py``.
 
 The committed-baseline perf gate lives in :mod:`repro.bench.regression`.
 """
@@ -67,8 +69,9 @@ from repro.verify.oracles import (
     ENGINE_RTOL,
     ESTIMATE_RTOL,
     REDUCIBLE_ROUTERS,
-    SeedBlockAllocator,
+    ReferenceAllocator,
     analytic_vs_simulated,
+    compare_allocator_to_model,
     engine_equivalence,
     estimate_equivalence,
     kv_allocator_equivalence,
@@ -86,10 +89,7 @@ _FUZZER_EXPORTS = ("FuzzConfig", "build_fuzz_requests", "fuzz_configs", "run_fuz
 _STATEFUL_EXPORTS = (
     "ClusterInterleavingMachine",
     "KVCacheMachine",
-    "ReferenceAllocator",
     "SchedulerReplicaMachine",
-    "compare_allocator_to_model",
-    "replay_corpus_entry",
 )
 
 
@@ -140,10 +140,7 @@ __all__ = [
     "run_fuzz_case",
     "ClusterInterleavingMachine",
     "KVCacheMachine",
-    "ReferenceAllocator",
     "SchedulerReplicaMachine",
-    "compare_allocator_to_model",
-    "replay_corpus_entry",
     "InvariantViolationError",
     "Violation",
     "assert_no_violations",
@@ -155,9 +152,10 @@ __all__ = [
     "ENGINE_RTOL",
     "ESTIMATE_RTOL",
     "REDUCIBLE_ROUTERS",
+    "ReferenceAllocator",
     "ReferenceEngine",
-    "SeedBlockAllocator",
     "analytic_vs_simulated",
+    "compare_allocator_to_model",
     "engine_equivalence",
     "estimate_equivalence",
     "kv_allocator_equivalence",

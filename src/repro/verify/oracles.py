@@ -31,12 +31,11 @@ strings (empty = the oracle passes):
   stay within its declared tolerance of the event-driven GPU simulator
   (the "validate the fast path against ground truth" discipline).
 * :func:`kv_allocator_equivalence` — with prefix caching disabled, the
-  :class:`~repro.serving.kv_cache.KVCacheManager` must behave like the
-  original block allocator (a frozen copy of which lives here as
-  :class:`SeedBlockAllocator`): identical observable state, identical
-  observer kinds, ids and block counts, and identical exceptions on any
-  sequence of admissions, growths and frees.  The prefix-caching subsystem
-  is strictly opt-in.
+  :class:`~repro.serving.kv_cache.KVCacheManager` must behave like
+  :class:`ReferenceAllocator`, the one naive model of the allocator (the
+  stateful machine also holds the manager to it with caching on): identical
+  observable state, identical observer kinds, ids and block counts, and
+  identical exceptions on any sequence of admissions, growths and frees.
 * :func:`engine_equivalence` — the event-driven GPU engine
   (:class:`~repro.gpu.engine.ExecutionEngine`) must reproduce the frozen
   :class:`~repro.verify.reference_engine.ReferenceEngine` exactly: the same
@@ -73,7 +72,12 @@ from repro.serving.attention_backend import (
 )
 from repro.serving.batch import ScheduledBatch
 from repro.serving.engine import InferenceEngine
-from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, KVCacheStats
+from repro.serving.kv_cache import (
+    KVCacheConfig,
+    KVCacheManager,
+    KVCacheStats,
+    prefix_block_hashes,
+)
 from repro.serving.metrics import ServingMetrics, compute_metrics
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
@@ -533,7 +537,7 @@ def scheduler_conservation(
             backend_builder=PODBackend,
         )
         simulator = ClusterSimulator(topology, recorder=recorder)
-        result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
+        result = simulator.run(build_scenario(scenario, num_requests=num_requests, seed=seed))
         for violation in check_event_log(recorder):
             discrepancies.append(f"{name}: {violation}")
         unfinished = [r.request_id for r in result.requests if not r.is_finished]
@@ -556,52 +560,160 @@ def scheduler_conservation(
 # ------------------------------------------------- KV allocator equivalence
 
 
-class SeedBlockAllocator:
-    """Frozen copy of the original (pre-prefix-caching) block allocator.
+class ReferenceAllocator:
+    """Pure-python model of :class:`KVCacheManager` with explicit block identity.
 
-    This is deliberately a *duplicate*, not an import: it pins the seed
-    semantics independently of ``repro.serving.kv_cache``, so any behavioural
-    drift of the manager with prefix caching off — in admissions and in
-    growth — is caught by :func:`kv_allocator_equivalence` rather than
-    silently inherited.  The seed admitted a request by allocating it.
+    Deliberately naive: blocks are dict/list entries, every operation is a
+    linear walk, a growth's blocks are worked out here from its token target,
+    and the prefix chain is re-derived from scratch on each admission.  It is
+    a duplicate, not an import, so a bug in the manager is caught instead of
+    inherited.  ``emissions`` logs every mutation's ``(kind, request id,
+    blocks)`` in the manager's observer kinds.  :func:`compare_allocator_to_model`
+    diffs a manager against it, with prefix caching on and off, and with
+    caching off it is the reference of :func:`kv_allocator_equivalence`.
     """
 
-    def __init__(self, num_blocks: int, block_size: int) -> None:
+    def __init__(self, num_blocks: int, block_size: int, caching: bool) -> None:
         self.num_blocks = num_blocks
         self.block_size = block_size
-        self._blocks: dict[int, int] = {}
+        self.caching = caching
+        self.refcount: dict[int, int] = {}  # chain hash -> live references
+        self.lru: list[int] = []  # evictable hashes, oldest first
+        self.private: dict[int, int] = {}  # live request id -> private block count
+        self.chains: dict[int, list[int]] = {}  # request id -> chain hashes held
+        self.double_frees = 0
         self.emissions: list[tuple[str, int, int]] = []
 
     @property
-    def used_blocks(self) -> int:
-        return sum(self._blocks.values())
+    def used(self) -> int:
+        return sum(self.private.values()) + len(self.refcount)
 
     @property
-    def free_blocks(self) -> int:
-        return self.num_blocks - self.used_blocks
+    def free(self) -> int:
+        return self.num_blocks - self.used
 
-    def blocks_needed(self, request_id: int, new_total_tokens: int) -> int:
-        current = self._blocks.get(request_id, 0)
-        return max(0, math.ceil(new_total_tokens / self.block_size) - current)
+    def holds(self, rid: int) -> bool:
+        return rid in self.private
 
-    def allocate(self, request_id: int, new_total_tokens: int) -> None:
-        needed = self.blocks_needed(request_id, new_total_tokens)
-        if needed > self.free_blocks:
-            raise MemoryError("exhausted")
-        self._blocks[request_id] = self._blocks.get(request_id, 0) + needed
-        self.emissions.append(("kv_alloc", request_id, needed))
+    def blocks_of(self, rid: int) -> int:
+        return self.private.get(rid, 0) + len(self.chains.get(rid, []))
 
-    def free(self, request_id: int) -> None:
-        blocks = self._blocks.pop(request_id, None)
-        if blocks is None:
+    def _chain(self, request: Request) -> list[int]:
+        if not self.caching or request.prefix_id is None:
+            return []
+        prefix_tokens = min(request.prefix_tokens, request.prefill_tokens)
+        blocks = prefix_tokens // self.block_size
+        return prefix_block_hashes(request.prefix_id, blocks) if blocks > 0 else []
+
+    def _consume(self) -> None:
+        """Take one physical block, evicting the LRU head under pressure."""
+        if self.used + len(self.lru) >= self.num_blocks:
+            assert self.lru, "model exhausted with nothing evictable"
+            self.lru.pop(0)
+
+    def _take_private(self, rid: int, blocks: int) -> None:
+        # One block at a time, so the manager's closed-form eviction count
+        # is checked against a per-block walk.
+        for _ in range(blocks):
+            self._consume()
+            self.private[rid] = self.private.get(rid, 0) + 1
+        self.private.setdefault(rid, 0)
+
+    def can_admit(self, request: Request, reserve_tokens: int) -> bool:
+        """Mirror of ``can_admit_request``: the blocks an admission takes
+        from the free pool (misses, revivals, private blocks) fit."""
+        target = math.ceil(reserve_tokens / self.block_size)
+        chain = self._chain(request)[:target]
+        fresh = sum(1 for h in chain if h not in self.refcount) + (target - len(chain))
+        return fresh <= self.free
+
+    def admit(self, request: Request, reserve_tokens: int) -> int:
+        """Mirror of ``admit_request``; returns the reusable prompt tokens."""
+        rid = request.request_id
+        if self.holds(rid):
+            raise ValueError("already admitted")
+        if not self.can_admit(request, reserve_tokens):
+            raise MemoryError("model exhausted")
+        target = math.ceil(reserve_tokens / self.block_size)
+        chain = self._chain(request)[:target]
+        misses: list[int] = []
+        revived = 0
+        leading, leading_hits = True, 0
+        for block_hash in chain:
+            if block_hash in self.refcount:
+                self.refcount[block_hash] += 1
+                leading_hits += 1 if leading else 0
+            elif block_hash in self.lru:
+                self.lru.remove(block_hash)
+                self.refcount[block_hash] = 1
+                revived += 1
+                leading_hits += 1 if leading else 0
+            else:
+                leading = False
+                misses.append(block_hash)
+        for block_hash in misses:
+            self._consume()
+            self.refcount[block_hash] = 1
+        self._take_private(rid, target - len(chain))
+        self.chains[rid] = chain
+        self.emissions.append(
+            ("kv_shared_alloc", rid, target - len(chain) + len(misses) + revived)
+        )
+        if not self.caching:
+            return 0
+        return max(0, min(leading_hits * self.block_size, request.prefill_tokens - 1))
+
+    def grow(self, rid: int, tokens: int) -> None:
+        """Mirror of ``allocate``: grow ``rid`` (a new id holds nothing) to
+        hold ``tokens`` tokens, in private blocks."""
+        needed = max(0, math.ceil(tokens / self.block_size) - self.blocks_of(rid))
+        if needed > self.free:
+            raise MemoryError("model exhausted")
+        self._take_private(rid, needed)
+        self.emissions.append(("kv_alloc", rid, needed))
+
+    def release(self, rid: int) -> None:
+        """Mirror of ``free``: a free of an id holding nothing is counted."""
+        if not self.holds(rid):
+            self.double_frees += 1
+            self.emissions.append(("kv_double_free", rid, 0))
             return
-        self.emissions.append(("kv_free", request_id, blocks))
+        blocks = self.blocks_of(rid)
+        del self.private[rid]
+        for block_hash in self.chains.pop(rid, []):
+            self.refcount[block_hash] -= 1
+            if self.refcount[block_hash] == 0:
+                del self.refcount[block_hash]
+                self.lru.append(block_hash)
+        self.emissions.append(("kv_free", rid, blocks))
 
-    def blocks_of(self, request_id: int) -> int:
-        return self._blocks.get(request_id, 0)
 
-    def holds(self, request_id: int) -> bool:
-        return request_id in self._blocks
+def compare_allocator_to_model(manager: KVCacheManager, model: ReferenceAllocator) -> list[str]:
+    """Every observable the model mirrors, diffed; empty when equivalent."""
+    problems: list[str] = []
+    if manager.used_blocks != model.used:
+        problems.append(f"used_blocks {manager.used_blocks} != model {model.used}")
+    if manager.free_blocks != model.free:
+        problems.append(f"free_blocks {manager.free_blocks} != model {model.free}")
+    if manager.cached_blocks != len(model.lru):
+        problems.append(f"cached_blocks {manager.cached_blocks} != model {len(model.lru)}")
+    if manager.used_blocks + manager.cached_blocks > manager.total_blocks:
+        problems.append("used + cached exceeds capacity")
+    if dict(manager._shared_refcount) != model.refcount:
+        problems.append(f"refcounts {dict(manager._shared_refcount)} != model {model.refcount}")
+    if list(manager._lru) != model.lru:
+        problems.append(f"LRU order {list(manager._lru)} != model {model.lru}")
+    for rid in model.private:
+        if manager.blocks_of(rid) != model.blocks_of(rid):
+            problems.append(
+                f"blocks_of({rid}) {manager.blocks_of(rid)} != model {model.blocks_of(rid)}"
+            )
+    if manager.stats.double_free_count != model.double_frees:
+        problems.append(
+            f"double_free_count {manager.stats.double_free_count} "
+            f"!= model {model.double_frees}"
+        )
+    return problems
 
 
 def kv_allocator_operations(
@@ -631,39 +743,37 @@ def kv_allocator_equivalence(
     capacity_tokens: int = 1024,
     block_size: int = 16,
 ) -> list[str]:
-    """Replay one operation sequence against both allocators and diff them.
+    """Replay one operation sequence against the manager and its model; diff them.
 
     The candidate is the manager with ``enable_prefix_caching=False`` (the
     default — what every simulation without prefix caching constructs); the
-    reference is the frozen seed allocator.  ``admit`` of a fresh id runs
-    ``admit_request`` against the seed's ``allocate`` (its
-    ``kv_shared_alloc`` emission compares as the seed's ``kv_alloc``);
-    ``admit`` of a live id must raise ``ValueError`` and change nothing.
-    Usage, holdings, observer emissions and raise/no-raise must match after
-    every operation.
+    reference is :class:`ReferenceAllocator` with caching off.  ``admit`` of a
+    fresh id runs ``admit_request`` on both and ``allocate`` runs the
+    manager's ``allocate`` against the model's ``grow``; ``admit`` of a live
+    id must raise ``ValueError`` and change nothing.  Raise/no-raise, the
+    operation's ``holds`` and everything :func:`compare_allocator_to_model`
+    diffs (usage, free blocks, every holding's ``blocks_of``) must match
+    after every operation, and the manager's observer emissions must equal
+    the model's log, kind for kind.
     """
-    reference = SeedBlockAllocator(capacity_tokens // block_size, block_size)
+    reference = ReferenceAllocator(capacity_tokens // block_size, block_size, caching=False)
     candidate = KVCacheManager(
         KVCacheConfig(capacity_tokens=capacity_tokens, block_size=block_size)
     )
     emissions: list[tuple[str, int, int]] = []
 
     def observe(kind: str, request_id: int, blocks: int, **extra: int) -> None:
-        emissions.append(
-            ("kv_alloc" if kind == "kv_shared_alloc" else kind, request_id, blocks)
-        )
-
-    def admit(request_id: int, tokens: int) -> None:
-        request = Request(request_id=request_id, prefill_tokens=tokens, decode_tokens=1)
-        candidate.admit_request(request, tokens)
+        emissions.append((kind, request_id, blocks))
 
     candidate.observer = observe
     discrepancies: list[str] = []
     for index, (op, request_id, tokens) in enumerate(operations):
         label = f"op {index} ({op} r{request_id} t{tokens})"
+        if op == "admit":
+            request = Request(request_id=request_id, prefill_tokens=tokens, decode_tokens=1)
         if op == "admit" and reference.holds(request_id):
             try:
-                admit(request_id, tokens)
+                candidate.admit_request(request, tokens)
             except ValueError:
                 pass
             else:
@@ -671,12 +781,15 @@ def kv_allocator_equivalence(
         elif op in ("admit", "allocate"):
             ref_raised = cand_raised = False
             try:
-                reference.allocate(request_id, tokens)
+                if op == "admit":
+                    reference.admit(request, tokens)
+                else:
+                    reference.grow(request_id, tokens)
             except MemoryError:
                 ref_raised = True
             try:
                 if op == "admit":
-                    admit(request_id, tokens)
+                    candidate.admit_request(request, tokens)
                 else:
                     candidate.allocate(request_id, tokens)
             except MemoryError:
@@ -687,28 +800,14 @@ def kv_allocator_equivalence(
                     f"candidate {'raised' if cand_raised else 'allocated'}"
                 )
         elif op == "free":
-            reference.free(request_id)
+            reference.release(request_id)
             candidate.free(request_id)
         else:
             raise ValueError(f"unknown operation {op!r}")
-        if candidate.used_blocks != reference.used_blocks:
-            discrepancies.append(
-                f"{label}: used_blocks {candidate.used_blocks} != "
-                f"{reference.used_blocks}"
-            )
-        if candidate.free_blocks != reference.free_blocks:
-            discrepancies.append(
-                f"{label}: free_blocks {candidate.free_blocks} != "
-                f"{reference.free_blocks}"
-            )
+        problems = compare_allocator_to_model(candidate, reference)
         if candidate.holds(request_id) != reference.holds(request_id):
-            discrepancies.append(f"{label}: holds() diverges")
-        if candidate.blocks_of(request_id) != reference.blocks_of(request_id):
-            discrepancies.append(f"{label}: blocks_of() diverges")
-    # kv_double_free is a diagnostic emission added after the seed (the seed
-    # allocator absorbed no-op frees silently); the block-accounting stream
-    # must still match the seed's kinds, ids and block counts.
-    emissions = [e for e in emissions if e[0] != "kv_double_free"]
+            problems.append("holds() diverges")
+        discrepancies.extend(f"{label}: {problem}" for problem in problems)
     if emissions != reference.emissions:
         discrepancies.append(
             f"observer emissions diverge: candidate {len(emissions)}, "

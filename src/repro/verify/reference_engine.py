@@ -5,7 +5,7 @@ before that module's per-event work was reduced to the alive CTAs: every SM
 pick scans all SMs, and every event runs its rate, ``dt`` and advance passes
 over one array slot per CTA ever dispatched, alive or retired.  It is
 deliberately a *duplicate*, not an import (like
-:class:`~repro.verify.oracles.SeedBlockAllocator`): it pins the engine's
+:class:`~repro.verify.oracles.ReferenceAllocator`): it pins the engine's
 semantics independently of ``repro.gpu.engine``, so
 :func:`~repro.verify.oracles.engine_equivalence` catches any drift in the
 fast engine instead of inheriting it.

@@ -11,9 +11,10 @@ operation sequence.
 Three machines:
 
 * :class:`KVCacheMachine` — the block allocator (prefix caching on and off)
-  mirrored against :class:`ReferenceAllocator`, a deliberately naive
-  pure-python model with explicit block identity.  Every rule cross-checks
-  usage, refcounts, LRU order and per-request holdings.
+  mirrored against :class:`~repro.verify.oracles.ReferenceAllocator`, a
+  deliberately naive pure-python model with explicit block identity.  Every
+  rule cross-checks usage, refcounts, LRU order, per-request holdings and
+  the observer's emissions.
 * :class:`SchedulerReplicaMachine` — either scheduler driven through
   ``ReplicaRuntime`` one enqueue/step/advance at a time, with the event-log
   invariant checker and a rescheduling twin stepped in lockstep as the
@@ -24,10 +25,9 @@ Three machines:
   :func:`~repro.verify.oracles.single_replica_reference` run over the same
   trace (the differential oracle).
 
-Minimized failing examples graduate into ``tests/corpus/`` as JSON entries
-(one file per bug) and are replayed deterministically by
-:func:`replay_corpus_entry` in tier-1 — see ``docs/testing.md`` for the
-minimize-and-commit workflow.
+A shrunk failure prints as the calls a test would make (``state.admit(...)``);
+pasted into ``tests/test_stateful_corpus.py`` as a plain test, it stays
+pinned in tier-1 — see ``docs/testing.md``.
 
 This module imports ``hypothesis`` (a test-only dependency) and is therefore
 re-exported lazily by ``repro.verify`` — import it directly (or via the lazy
@@ -36,9 +36,7 @@ package attribute) only in test/CI contexts.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 from typing import Any, Sequence
 
 from hypothesis import strategies as st
@@ -55,7 +53,7 @@ from repro.cluster.router import ReplicaLoad, get_router
 from repro.cluster.topology import ColocatedTopology
 from repro.models.config import ReplicaSpec, paper_deployment
 from repro.serving.attention_backend import FASerialBackend
-from repro.serving.kv_cache import KVCacheConfig, KVCacheManager, prefix_block_hashes
+from repro.serving.kv_cache import KVCacheConfig, KVCacheManager
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
@@ -69,7 +67,12 @@ from repro.verify.invariants import (
     check_kv_drain_balance,
     check_replica_load_counters,
 )
-from repro.verify.oracles import ReschedulingRuntime, single_replica_reference
+from repro.verify.oracles import (
+    ReferenceAllocator,
+    ReschedulingRuntime,
+    compare_allocator_to_model,
+    single_replica_reference,
+)
 
 
 def _require(violations: Sequence[Violation]) -> None:
@@ -104,154 +107,6 @@ _HOURLY_RATES = (0.5, 1.0, 2.5, 4.0)
 
 
 # --------------------------------------------------------------------------
-# Reference model for the block allocator
-# --------------------------------------------------------------------------
-
-
-class ReferenceAllocator:
-    """Pure-python mirror of :class:`KVCacheManager` with explicit identity.
-
-    Deliberately naive: blocks are dict/list entries, every operation is a
-    linear walk, and the prefix chain is re-derived from scratch on each
-    admission.  The machine asserts the real allocator's observable state
-    (usage, refcounts, LRU order, per-request holdings) matches this model
-    after every rule, with prefix caching on and off.
-    """
-
-    def __init__(self, num_blocks: int, block_size: int, caching: bool) -> None:
-        self.num_blocks = num_blocks
-        self.block_size = block_size
-        self.caching = caching
-        self.refcount: dict[int, int] = {}  # chain hash -> live references
-        self.lru: list[int] = []  # evictable hashes, oldest first
-        self.private: dict[int, int] = {}  # request id -> private block count
-        self.holds: dict[int, list[int]] = {}  # request id -> chain hashes held
-        self.double_frees = 0
-
-    @property
-    def used(self) -> int:
-        return sum(self.private.values()) + len(self.refcount)
-
-    @property
-    def free(self) -> int:
-        return self.num_blocks - self.used
-
-    def _chain(self, request: Request) -> list[int]:
-        if not self.caching or request.prefix_id is None:
-            return []
-        prefix_tokens = min(request.prefix_tokens, request.prefill_tokens)
-        blocks = prefix_tokens // self.block_size
-        return prefix_block_hashes(request.prefix_id, blocks) if blocks > 0 else []
-
-    def _consume(self) -> None:
-        """Take one physical block, evicting the LRU head under pressure."""
-        if self.used + len(self.lru) >= self.num_blocks:
-            assert self.lru, "model exhausted with nothing evictable"
-            self.lru.pop(0)
-
-    def can_admit(self, request: Request, reserve_tokens: int) -> bool:
-        """Mirror of ``can_admit_request``: the blocks an admission takes
-        from the free pool (misses, revivals, private blocks) fit."""
-        target = math.ceil(reserve_tokens / self.block_size)
-        chain = self._chain(request)[:target]
-        fresh = sum(1 for h in chain if h not in self.refcount) + (target - len(chain))
-        return fresh <= self.free
-
-    def admit(self, request: Request, reserve_tokens: int) -> int:
-        """Mirror of ``admit_request``; returns the reusable prompt tokens."""
-        rid = request.request_id
-        if rid in self.holds or rid in self.private:
-            raise ValueError("already admitted")
-        if not self.can_admit(request, reserve_tokens):
-            raise MemoryError("model exhausted")
-        target = math.ceil(reserve_tokens / self.block_size)
-        chain = self._chain(request)[:target]
-        hold: list[int] = []
-        misses: list[int] = []
-        leading, leading_hits = True, 0
-        for block_hash in chain:
-            if block_hash in self.refcount:
-                self.refcount[block_hash] += 1
-                leading_hits += 1 if leading else 0
-            elif block_hash in self.lru:
-                self.lru.remove(block_hash)
-                self.refcount[block_hash] = 1
-                leading_hits += 1 if leading else 0
-            else:
-                leading = False
-                misses.append(block_hash)
-            hold.append(block_hash)
-        for block_hash in misses:
-            self._consume()
-            self.refcount[block_hash] = 1
-        for _ in range(target - len(chain)):
-            # One block at a time, so the real allocator's closed-form
-            # eviction count is checked against a per-block walk.
-            self._consume()
-            self.private[rid] = self.private.get(rid, 0) + 1
-        self.private.setdefault(rid, 0)
-        self.holds[rid] = hold
-        if not self.caching:
-            return 0
-        return max(0, min(leading_hits * self.block_size, request.prefill_tokens - 1))
-
-    def grow(self, rid: int, needed: int) -> None:
-        if needed > self.free:
-            raise MemoryError("model exhausted")
-        for _ in range(needed):
-            self._consume()
-            self.private[rid] = self.private.get(rid, 0) + 1
-        self.private.setdefault(rid, 0)
-        self.holds.setdefault(rid, [])
-
-    def release(self, rid: int) -> None:
-        if rid not in self.private and rid not in self.holds:
-            self.double_frees += 1
-            return
-        self.private.pop(rid, 0)
-        for block_hash in self.holds.pop(rid, []):
-            self.refcount[block_hash] -= 1
-            if self.refcount[block_hash] == 0:
-                del self.refcount[block_hash]
-                self.lru.append(block_hash)
-
-
-def compare_allocator_to_model(
-    manager: KVCacheManager, model: ReferenceAllocator
-) -> list[str]:
-    """Every observable the model mirrors, diffed; empty when equivalent."""
-    problems: list[str] = []
-    if manager.used_blocks != model.used:
-        problems.append(f"used_blocks {manager.used_blocks} != model {model.used}")
-    if manager.free_blocks != model.free:
-        problems.append(f"free_blocks {manager.free_blocks} != model {model.free}")
-    if manager.cached_blocks != len(model.lru):
-        problems.append(
-            f"cached_blocks {manager.cached_blocks} != model {len(model.lru)}"
-        )
-    if manager.used_blocks + manager.cached_blocks > manager.total_blocks:
-        problems.append("used + cached exceeds capacity")
-    if dict(manager._shared_refcount) != model.refcount:
-        problems.append(
-            f"refcounts {dict(manager._shared_refcount)} != model {model.refcount}"
-        )
-    if list(manager._lru) != model.lru:
-        problems.append(f"LRU order {list(manager._lru)} != model {model.lru}")
-    for rid in model.private:
-        expected = model.private[rid] + len(model.holds.get(rid, []))
-        if manager.blocks_of(rid) != expected:
-            problems.append(
-                f"blocks_of({rid}) {manager.blocks_of(rid)} != model {expected}"
-            )
-    if manager.stats.double_free_count != model.double_frees:
-        problems.append(
-            f"double_free_count {manager.stats.double_free_count} "
-            f"!= model {model.double_frees}"
-        )
-    return problems
-
-
-# --------------------------------------------------------------------------
 # Machine 1: the KV-cache allocator against the reference model
 # --------------------------------------------------------------------------
 
@@ -276,6 +131,10 @@ class KVCacheMachine(RuleBasedStateMachine):
         )
         self.manager = KVCacheManager(config)
         self.model = ReferenceAllocator(num_blocks, _BLOCK_SIZE, caching)
+        self.emissions: list[tuple[str, int, int]] = []
+        self.manager.observer = lambda kind, rid, blocks, **extra: self.emissions.append(
+            (kind, rid, blocks)
+        )
         self.live: dict[int, tuple[Request, int]] = {}  # rid -> (request, tokens)
         self.preempted: dict[int, tuple[Request, int]] = {}
         self.next_id = 0
@@ -349,14 +208,13 @@ class KVCacheMachine(RuleBasedStateMachine):
         target = tokens + data.draw(
             st.integers(min_value=1, max_value=2 * _BLOCK_SIZE), label="extra"
         )
-        needed = self.manager.blocks_needed(rid, target)
         real_error = model_error = None
         try:
             self.manager.allocate(rid, target)
         except MemoryError:
             real_error = "memory"
         try:
-            self.model.grow(rid, needed)
+            self.model.grow(rid, target)
         except MemoryError:
             model_error = "memory"
         assert real_error == model_error, f"grow divergence for {rid}"
@@ -437,6 +295,10 @@ class KVCacheMachine(RuleBasedStateMachine):
     def matches_model(self) -> None:
         problems = compare_allocator_to_model(self.manager, self.model)
         assert not problems, "; ".join(problems)
+        assert self.emissions == self.model.emissions, (
+            f"observer emissions {self.emissions[-3:]} diverge from the model's "
+            f"{self.model.emissions[-3:]}"
+        )
 
     @invariant()
     def admission_checks_match_model(self) -> None:
@@ -465,11 +327,39 @@ class KVCacheMachine(RuleBasedStateMachine):
             self.model.release(rid)
         assert self.manager.used_blocks == 0, "blocks leaked after full drain"
         assert not compare_allocator_to_model(self.manager, self.model)
+        assert self.emissions == self.model.emissions
 
 
 # --------------------------------------------------------------------------
 # Machine 2: schedulers through ReplicaRuntime, invariant checker as oracle
 # --------------------------------------------------------------------------
+
+
+def _draw_request_shape(
+    data: st.DataObject, capacity_tokens: int
+) -> tuple[int, int, str | None, int]:
+    """Draw a request's prefill, decode, prefix id and prefix tokens, in that
+    order and under those labels.
+
+    Every request is bounded so that its full context fits an otherwise
+    empty cache of ``capacity_tokens``: a permanently unschedulable request
+    is a *rejected configuration*, not an interleaving bug
+    (``KVCacheConfig`` validation and the scheduler's cannot-grow refusal
+    cover it directly).
+    """
+    budget = capacity_tokens - _BLOCK_SIZE
+    prefill = data.draw(st.integers(min_value=1, max_value=max(1, budget - 1)), label="prefill")
+    decode = data.draw(
+        st.integers(min_value=1, max_value=max(1, min(8, budget - prefill))),
+        label="decode",
+    )
+    prefix_id = data.draw(st.sampled_from((None,) + _PREFIX_IDS), label="prefix_id")
+    prefix_tokens = (
+        data.draw(st.integers(min_value=0, max_value=prefill), label="prefix_tokens")
+        if prefix_id is not None
+        else 0
+    )
+    return prefill, decode, prefix_id, prefix_tokens
 
 
 def _build_scheduler(kind: str, chunk_size: int, preemption: bool) -> Any:
@@ -541,23 +431,8 @@ class SchedulerReplicaMachine(RuleBasedStateMachine):
     def enqueue(self, data: st.DataObject) -> None:
         rid = self.next_id
         self.next_id += 1
-        # Bound every request so its full context always fits an otherwise
-        # empty cache: permanently unschedulable requests are a *rejected
-        # configuration*, not an interleaving bug (KVCacheConfig validation
-        # and the scheduler's cannot-grow refusal cover them directly).
-        budget = self.capacity_tokens - _BLOCK_SIZE
-        prefill = data.draw(
-            st.integers(min_value=1, max_value=max(1, budget - 1)), label="prefill"
-        )
-        decode = data.draw(
-            st.integers(min_value=1, max_value=max(1, min(8, budget - prefill))),
-            label="decode",
-        )
-        prefix_id = data.draw(st.sampled_from((None,) + _PREFIX_IDS), label="prefix_id")
-        prefix_tokens = (
-            data.draw(st.integers(min_value=0, max_value=prefill), label="prefix_tokens")
-            if prefix_id is not None
-            else 0
+        prefill, decode, prefix_id, prefix_tokens = _draw_request_shape(
+            data, self.capacity_tokens
         )
         arrival = self.last_arrival + data.draw(
             st.floats(min_value=0.0, max_value=0.5, allow_nan=False), label="gap"
@@ -764,19 +639,8 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
     def route_request(self, data: st.DataObject) -> None:
         rid = self.next_id
         self.next_id += 1
-        budget = self.capacity_tokens - _BLOCK_SIZE
-        prefill = data.draw(
-            st.integers(min_value=1, max_value=max(1, budget - 1)), label="prefill"
-        )
-        decode = data.draw(
-            st.integers(min_value=1, max_value=max(1, min(8, budget - prefill))),
-            label="decode",
-        )
-        prefix_id = data.draw(st.sampled_from((None,) + _PREFIX_IDS), label="prefix_id")
-        prefix_tokens = (
-            data.draw(st.integers(min_value=0, max_value=prefill), label="prefix_tokens")
-            if prefix_id is not None
-            else 0
+        prefill, decode, prefix_id, prefix_tokens = _draw_request_shape(
+            data, self.capacity_tokens
         )
         # Globally monotone arrivals, delivered with the real event loop's
         # discipline: an arrival due at ``t`` lands only once every step
@@ -943,381 +807,3 @@ class ClusterInterleavingMachine(RuleBasedStateMachine):
         assert merged.counter_totals() == kv_stats.counter_totals(), (
             "KV counters diverged from the batch-mode oracle"
         )
-
-
-# --------------------------------------------------------------------------
-# Corpus replay (schemathesis-style committed minimized examples)
-# --------------------------------------------------------------------------
-
-#: Directory of committed minimized examples, resolved relative to the repo
-#: root by ``tests/test_stateful_corpus.py`` (kept here only as the default).
-CORPUS_SCHEMA_VERSION = 1
-
-
-def _replay_kv_config(entry: dict[str, Any]) -> None:
-    """Harness ``kv_config``: constructing the config must raise (or not)."""
-    config = entry["config"]
-    expect_error = entry.get("expect_error")
-    try:
-        KVCacheConfig(**config)
-    except ValueError as exc:
-        assert expect_error, f"KVCacheConfig({config}) raised unexpectedly: {exc}"
-        assert expect_error in str(exc), (
-            f"expected {expect_error!r} in the error message, got: {exc}"
-        )
-    else:
-        assert not expect_error, (
-            f"KVCacheConfig({config}) accepted a configuration that must be "
-            f"rejected ({expect_error!r})"
-        )
-
-
-def _request_from_spec(spec: dict[str, Any]) -> Request:
-    return Request(
-        request_id=spec["id"],
-        prefill_tokens=spec["prefill"],
-        decode_tokens=spec.get("decode", 4),
-        arrival_time=spec.get("arrival", 0.0),
-        prefix_id=spec.get("prefix_id"),
-        prefix_tokens=spec.get("prefix_tokens", 0),
-    )
-
-
-def _replay_kv(entry: dict[str, Any]) -> None:
-    """Harness ``kv``: an operation sequence on one ``KVCacheManager``.
-
-    The manager is mirrored against :class:`ReferenceAllocator` exactly as
-    the state machine does, so corpus entries keep their oracle when
-    replayed.  ``events`` collects observer emissions for assertions.
-    """
-    config = entry["config"]
-    manager = KVCacheManager(KVCacheConfig(**config))
-    model = ReferenceAllocator(
-        manager.total_blocks, manager.config.block_size,
-        manager.config.enable_prefix_caching,
-    )
-    events: list[tuple[str, int, int]] = []
-    manager.observer = lambda kind, rid, blocks, **extra: events.append(
-        (kind, rid, blocks)
-    )
-    requests: dict[int, Request] = {}
-    for op in entry["ops"]:
-        name = op["op"]
-        if name == "admit":
-            request = _request_from_spec(op)
-            requests[request.request_id] = request
-            reserve = op.get("reserve", request.prefill_tokens)
-            cached = manager.admit_request(request, reserve)
-            model_cached = model.admit(request, reserve)
-            assert cached == model_cached, (
-                f"cached tokens diverged on admit {request.request_id}: "
-                f"{cached} != {model_cached}"
-            )
-            if "expect_cached" in op:
-                assert cached == op["expect_cached"], (
-                    f"admit {request.request_id}: cached {cached}, "
-                    f"entry expects {op['expect_cached']}"
-                )
-        elif name == "admit_rejected":
-            request = requests.get(op["id"]) or _request_from_spec(op)
-            reserve = op.get("reserve", request.prefill_tokens)
-            error = op.get("error", "ValueError")
-            try:
-                manager.admit_request(request, reserve)
-            except (ValueError, MemoryError) as exc:
-                assert type(exc).__name__ == error, (
-                    f"admit of {request.request_id} raised {type(exc).__name__}, "
-                    f"entry expects {error}"
-                )
-            else:
-                raise AssertionError(
-                    f"admit of {request.request_id} must raise {error}; it "
-                    "was accepted"
-                )
-        elif name == "grow":
-            target = op["tokens"]
-            needed = manager.blocks_needed(op["id"], target)
-            manager.allocate(op["id"], target)
-            model.grow(op["id"], needed)
-        elif name == "free":
-            manager.free(op["id"])
-            model.release(op["id"])
-        elif name == "preempt":
-            # Scheduler recompute preemption frees the victim's blocks; the
-            # later readmission is an explicit ``admit`` op with the same id.
-            manager.free(op["id"])
-            model.release(op["id"])
-        elif name == "assert_refcount":
-            chain = prefix_block_hashes(op["prefix_id"], op["block"] + 1)
-            actual = manager._shared_refcount.get(chain[-1], 0)
-            assert actual == op["count"], (
-                f"refcount of {op['prefix_id']} block {op['block']}: "
-                f"{actual}, entry expects {op['count']}"
-            )
-        elif name == "assert_state":
-            for key, expected in op.items():
-                if key == "op":
-                    continue
-                actual = getattr(manager, key)
-                assert actual == expected, (
-                    f"manager.{key} is {actual}, entry expects {expected}"
-                )
-        elif name == "assert_counters":
-            totals = manager.stats.counter_totals()
-            for key, expected in op.items():
-                if key == "op":
-                    continue
-                assert key in totals, (
-                    f"counter_totals() has no {key!r} key — counters drifted "
-                    f"from the corpus entry (present: {sorted(totals)})"
-                )
-                assert totals[key] == expected, (
-                    f"counter {key} is {totals[key]}, entry expects {expected}"
-                )
-        elif name == "assert_event":
-            expected = (op["kind"], op["id"], op.get("blocks", 0))
-            assert expected in events, (
-                f"observer never emitted {expected}; saw {events}"
-            )
-        else:
-            raise ValueError(f"stale corpus entry: unknown kv op {name!r}")
-    problems = compare_allocator_to_model(manager, model)
-    assert not problems, "; ".join(problems)
-    if entry.get("expect_drain_balance", False):
-        for rid in list(requests):
-            if manager.holds(rid):
-                manager.free(rid)
-                model.release(rid)
-        assert manager.used_blocks == 0, "corpus replay leaked blocks"
-
-
-def _replay_scheduler(entry: dict[str, Any]) -> None:
-    """Harness ``scheduler``: enqueue/step/advance ops through ``ReplicaRuntime``.
-
-    A :class:`~repro.verify.oracles.ReschedulingRuntime` replays the ops in
-    lockstep: one ``step()`` per step the runtime ran, so an ``advance``
-    (which leaps through a steady decode run) is matched step for step.  The
-    drain runs the runtime through ``run_to_completion`` and the reference
-    one ``step()`` at a time, and the two event logs must be identical.
-    """
-    config = entry["config"]
-    recorder = EventRecorder()
-    reference_recorder = EventRecorder()
-
-    def build(runtime_class: type[ReplicaRuntime], sink: EventRecorder) -> ReplicaRuntime:
-        scheduler = _build_scheduler(
-            config.get("scheduler", "sarathi"),
-            config.get("chunk_size", 64),
-            config.get("preemption", True),
-        )
-        kv_config = KVCacheConfig(
-            capacity_tokens=config["capacity_tokens"],
-            block_size=config.get("block_size", _BLOCK_SIZE),
-            enable_prefix_caching=config.get("prefix_caching", False),
-        )
-        return runtime_class(_DEPLOYMENT, scheduler, kv_config=kv_config, recorder=sink)
-
-    runtime = build(ReplicaRuntime, recorder)
-    reference = build(ReschedulingRuntime, reference_recorder)
-    for op in entry["ops"]:
-        name = op["op"]
-        if name == "enqueue":
-            for replica in (runtime, reference):
-                replica.enqueue(_request_from_spec(op), ready_time=op.get("ready"))
-        elif name == "step":
-            for _ in range(op.get("times", 1)):
-                runtime.step()
-                reference.step()
-        elif name == "advance":
-            runtime.advance()
-            while reference.steps_executed < runtime.steps_executed:
-                reference.step()
-        elif name == "assert_steps":
-            assert runtime.steps_executed == op["count"], (
-                f"{runtime.steps_executed} steps executed, entry expects {op['count']}"
-            )
-        elif name == "assert_waiting_order":
-            actual = [request.request_id for request in runtime.waiting]
-            assert actual == op["ids"], (
-                f"waiting order {actual}, entry expects {op['ids']} — the "
-                "pinned preemption/readmission ordering regressed"
-            )
-        elif name == "assert_preemptions":
-            preemptions = len(recorder.of_kind("preempted"))
-            assert preemptions == op["count"], (
-                f"{preemptions} preemptions recorded, entry expects {op['count']}"
-            )
-        elif name == "assert_no_same_pass_readmit":
-            # Within each scheduling pass (same emission burst at one clock),
-            # no request may appear as both preempted and admitted.
-            by_time: dict[float, dict[str, set[int]]] = {}
-            for event in recorder.events:
-                if event.kind in ("preempted", "admitted"):
-                    bucket = by_time.setdefault(event.time, {"p": set(), "a": set()})
-                    bucket["p" if event.kind == "preempted" else "a"].add(
-                        event.request_id
-                    )
-            for when, bucket in by_time.items():
-                overlap = bucket["p"] & bucket["a"]
-                assert not overlap, (
-                    f"requests {sorted(overlap)} preempted and re-admitted in "
-                    f"the same pass at t={when}"
-                )
-        else:
-            raise ValueError(f"stale corpus entry: unknown scheduler op {name!r}")
-    if entry.get("drain", True):
-        runtime.run_to_completion()
-        while reference.next_ready_time() is not None:
-            if not reference.step().executed:
-                break
-        _require(check_event_log(recorder, expect_drained=True))
-        _require(check_kv_drain_balance([runtime]))
-    else:
-        _require(check_event_log(recorder, expect_drained=False))
-    _require(check_replica_load_counters([runtime]))
-    assert recorder.events == reference_recorder.events, (
-        "re-running steady decode batches diverged from rescheduling every step"
-    )
-
-
-def _replay_sampler(entry: dict[str, Any]) -> None:
-    """Harness ``sampler``: KV ops observed by a ``FleetSampler``.
-
-    Pins the reconciliation contract: every ``counter_totals()`` key must be
-    covered by ``window_totals()`` and the integrals must match exactly.
-    """
-    from repro.obs.sampler import FleetSampler
-
-    config = entry["config"]
-    manager = KVCacheManager(KVCacheConfig(**config))
-    sampler = FleetSampler(interval=entry.get("interval", 0.5))
-    clock = {"now": 0.0}
-
-    def observe(kind: str, rid: int, blocks: int, **extra: Any) -> None:
-        sampler.emit(
-            kind,
-            time=clock["now"],
-            replica_id=0,
-            request_id=rid,
-            blocks=blocks,
-            used_blocks=manager.used_blocks,
-            cached_blocks=manager.cached_blocks,
-            total_blocks=manager.total_blocks,
-            **extra,
-        )
-
-    manager.observer = observe
-    for op in entry["ops"]:
-        name = op["op"]
-        clock["now"] = op.get("time", clock["now"])
-        if name == "admit":
-            manager.admit_request(_request_from_spec(op), op.get("reserve", op["prefill"]))
-        elif name == "free":
-            manager.free(op["id"])
-        else:
-            raise ValueError(f"stale corpus entry: unknown sampler op {name!r}")
-    sampler.finalize()
-    totals = sampler.window_totals()
-    counters = manager.stats.counter_totals()
-    missing = sorted(set(counters) - set(totals))
-    assert not missing, (
-        f"window_totals() does not cover counter(s) {missing} — the sampler "
-        "reconciliation has a blind spot"
-    )
-    mismatched = {
-        key: (totals[key], counters[key])
-        for key in counters
-        if totals[key] != counters[key]
-    }
-    assert not mismatched, f"sampler integrals diverge from counters: {mismatched}"
-    for key, expected in entry.get("expect_counters", {}).items():
-        assert counters.get(key) == expected, (
-            f"counter {key} is {counters.get(key)}, entry expects {expected}"
-        )
-
-
-def _replay_control(entry: dict[str, Any]) -> None:
-    """Harness ``control``: decision sequences on a :class:`ControlPlane`.
-
-    Replays autoscale/admit/release calls against the pure policy object and
-    asserts every decision, pinning the control plane's arithmetic (pressure
-    thresholds, cooldown windows, token-bucket refill) without a simulator
-    in the loop.
-    """
-    from repro.cluster.control import AdmissionPolicy, AutoscalerPolicy, ControlPlane
-
-    config = entry["config"]
-    plane = ControlPlane(
-        autoscaler=(
-            AutoscalerPolicy(**config["autoscaler"])
-            if "autoscaler" in config
-            else None
-        ),
-        admission=(
-            AdmissionPolicy(**config["admission"]) if "admission" in config else None
-        ),
-    )
-    requests: dict[int, Request] = {}
-    for op in entry["ops"]:
-        name = op["op"]
-        if name == "autoscale":
-            decision = plane.autoscale(
-                op["time"], op["live"], op.get("warming", 0), op["outstanding"]
-            )
-            assert decision == op["expect"], (
-                f"autoscale at t={op['time']} decided {decision}, "
-                f"entry expects {op['expect']}"
-            )
-        elif name == "admit":
-            request = Request(
-                request_id=op["id"],
-                prefill_tokens=op.get("prefill", 128),
-                decode_tokens=op.get("decode", 8),
-                arrival_time=op["time"],
-                tenant=op.get("tenant"),
-            )
-            requests[op["id"]] = request
-            reason = plane.admit(
-                request, op["time"], op.get("live", 1), op["outstanding"]
-            )
-            assert reason == op["expect"], (
-                f"admit of {op['id']} at t={op['time']} returned {reason!r}, "
-                f"entry expects {op['expect']!r}"
-            )
-        elif name == "release":
-            plane.note_release(requests[op["id"]])
-        elif name == "reset":
-            plane.reset()
-        else:
-            raise ValueError(f"stale corpus entry: unknown control op {name!r}")
-
-
-_HARNESSES = {
-    "kv_config": _replay_kv_config,
-    "kv": _replay_kv,
-    "scheduler": _replay_scheduler,
-    "sampler": _replay_sampler,
-    "control": _replay_control,
-}
-
-
-def replay_corpus_entry(entry: "dict[str, Any] | str | Path") -> None:
-    """Deterministically replay one committed minimized example.
-
-    ``entry`` is a parsed corpus dict or a path to its JSON file.  Raises
-    ``AssertionError`` when the pinned behaviour regressed and ``ValueError``
-    when the entry itself is stale (unknown harness, op or schema version) —
-    stale entries must be fixed or deleted, never skipped.
-    """
-    if not isinstance(entry, dict):
-        entry = json.loads(Path(entry).read_text())
-    version = entry.get("schema_version")
-    if version != CORPUS_SCHEMA_VERSION:
-        raise ValueError(
-            f"stale corpus entry: schema_version {version!r} "
-            f"(current {CORPUS_SCHEMA_VERSION})"
-        )
-    harness = entry.get("harness")
-    if harness not in _HARNESSES:
-        raise ValueError(f"stale corpus entry: unknown harness {harness!r}")
-    _HARNESSES[harness](entry)

@@ -7,11 +7,11 @@ deterministic request trace from a name::
     from repro.workloads import build_scenario
     requests = build_scenario("rag-burst", num_requests=64, seed=3)
 
-``ClusterSimulator.run_scenario`` serves a scenario's trace on a fleet
-already built.  :func:`run_scenario` builds the fleet a
-:class:`~repro.models.config.ClusterSpec` describes and serves the trace on
-it: the one path from a fleet description to a run, which the CLI, the
-cluster sweep runner (any scenario name is a valid
+A fleet already built serves a trace with
+``ClusterSimulator.run(build_scenario(...))``.  :func:`run_scenario` builds
+the fleet a :class:`~repro.models.config.ClusterSpec` describes and serves
+the trace on it: the one path from a fleet description to a run, which the
+CLI, the cluster sweep runner (any scenario name is a valid
 ``ClusterSweepPoint.workload``), the capacity planner and the observability
 report take.  Builds are pure functions of ``(name, num_requests, seed,
 qps)``: the same arguments always yield an identical trace.
@@ -227,7 +227,6 @@ def run_scenario(
     seed: int = 0,
     qps: float | None = None,
     recorder: Any | None = None,
-    control: Any | None = None,
     router: str = "least-tokens",
     chunk_size: int = 1024,
     backend: str = "pod",
@@ -256,7 +255,7 @@ def run_scenario(
     built = topology_from_spec(spec, chunk_size=chunk_size, backend=backend)
     if kv_config is not None:
         built.kv_config = kv_config
-    sim = ClusterSimulator(built, router=router, recorder=recorder, control=control)
+    sim = ClusterSimulator(built, router=router, recorder=recorder)
     return sim.run(requests)
 
 

@@ -43,6 +43,7 @@ from repro.serving.engine import InferenceEngine
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request
 from repro.serving.scheduler_sarathi import SarathiScheduler
+from repro.workloads import build_scenario
 
 
 def _prefill_item(tokens: int) -> tuple[Request, int]:
@@ -151,7 +152,7 @@ class TestClosedFormWork:
             backend_builder=PODBackend,
         )
         simulator = ClusterSimulator(topology, router="least-tokens")
-        simulator.run_scenario("arxiv-summarization", num_requests=16, seed=0)
+        simulator.run(build_scenario("arxiv-summarization", num_requests=16, seed=0))
 
         replicas = simulator.replicas
         assert all(pairs[replica] for replica in replicas)
@@ -225,7 +226,7 @@ class TestOneCostModelPerDeployment:
         monkeypatch.setattr(cost_model, "_prefill_rows", counted_prefill_rows)
         monkeypatch.setattr(InferenceEngine, "execute", tracked_execute)
         simulator = _fleet(llama3_deployment, kind)
-        simulator.run_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0)
+        simulator.run(build_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0))
 
         assert len(simulator.replicas) == 4
         assert any(len(replicas) > 1 for replicas in prefilled.values())
@@ -254,7 +255,7 @@ class TestOneCostModelPerDeployment:
             simulator = ClusterSimulator(
                 topology_from_spec(ClusterSpec(replicas=_mixed_specs())), router="least-tokens"
             )
-        simulator.run_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0)
+        simulator.run(build_scenario("arxiv-summarization", num_requests=32, seed=0, qps=8.0))
 
         engines = {replica.deployment: replica.engine for replica in simulator.replicas}
         assert len(engines) == (1 if kind == "colocated" else 2)

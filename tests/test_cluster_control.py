@@ -9,6 +9,8 @@ scaling-causality invariants.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -26,6 +28,7 @@ from repro.cluster.control import (
     SHED_TENANT_QUEUE,
     FleetState,
 )
+from repro.models.config import ReplicaSpec
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.verify import EventRecorder, assert_no_violations
@@ -314,6 +317,38 @@ class TestAutoscalerIntegration:
             assert result.makespan == pytest.approx(auto.makespan, rel=1e-12)
             assert result.assignments == auto.assignments
             assert result.metrics.num_scale_ups == auto.metrics.num_scale_ups
+
+
+class TestUnpricedElasticFleet:
+    """A GPU with no default hourly rate bills 0 in either fleet form, the
+    autoscaler's scale-up included (it raised when given replica specs)."""
+
+    @staticmethod
+    def run(topology):
+        control = ControlPlane(
+            autoscaler=AutoscalerPolicy(
+                min_replicas=2,
+                max_replicas=4,
+                scale_up_queue_depth=1.0,
+                scale_down_queue_depth=0.5,
+                cold_start_s=0.5,
+                cooldown_s=1.0,
+            )
+        )
+        return ClusterSimulator(topology, router="least-tokens", control=control).run(
+            burst_trace(num_requests=24, qps=20.0)
+        )
+
+    def test_replica_specs_run_like_the_homogeneous_form(self, llama3_deployment):
+        gpu = dataclasses.replace(llama3_deployment.gpu, name="A100-custom")
+        custom = dataclasses.replace(llama3_deployment, gpu=gpu)
+        homogeneous = self.run(ColocatedTopology(custom, 2))
+        given = self.run(ColocatedTopology(custom, 2, replica_specs=(ReplicaSpec(custom),) * 2))
+        assert given.metrics.num_scale_ups == homogeneous.metrics.num_scale_ups > 0
+        assert given.assignments == homogeneous.assignments
+        for result in (homogeneous, given):
+            assert result.metrics.cost_usd == 0.0
+            assert result.metrics.fleet_cost_per_hour == 0.0
 
 
 class _StubReplica:

@@ -16,7 +16,7 @@ from repro.cluster import (
     KVTransferModel,
     topology_from_spec,
 )
-from repro.models.config import ClusterSpec
+from repro.models.config import ClusterSpec, ReplicaSpec
 from repro.models.transformer import IterationCostModel
 from repro.serving.attention_backend import FASerialBackend, PODBackend
 from repro.serving.batch import ScheduledBatch
@@ -323,7 +323,7 @@ class TestSteadyDecodeBatches:
         monkeypatch.setattr(ReplicaRuntime, "step", observed_step)
         monkeypatch.setattr(ReplicaRuntime, "_leap", observed_leap)
         monkeypatch.setattr(ReplicaRuntime, "advance", observed_advance)
-        simulator.run_scenario(scenario, num_requests=num_requests, seed=0, qps=qps)
+        simulator.run(build_scenario(scenario, num_requests=num_requests, seed=0, qps=qps))
         return (
             simulator,
             calls,
@@ -553,6 +553,28 @@ class TestTopologyFromSpec:
         short = model.transfer_time(llama3_deployment, 1024)
         long = model.transfer_time(llama3_deployment, 8192)
         assert long > short > 1e-3
+
+
+def _fleet(kind: str, deployment, replica_specs=()):
+    if kind == "colocated":
+        return ColocatedTopology(deployment, 2, replica_specs=replica_specs)
+    return DisaggregatedTopology(deployment, 1, 1, replica_specs=replica_specs)
+
+
+class TestOneFleetForm:
+    """``(deployment, num_replicas)`` and ``replica_specs`` are one fleet form."""
+
+    @pytest.mark.parametrize("kind", ["colocated", "disaggregated"])
+    def test_homogeneous_form_expands_to_replica_specs(self, llama3_deployment, kind):
+        topology = _fleet(kind, llama3_deployment)
+        assert topology.replica_specs == (ReplicaSpec(llama3_deployment),) * 2
+        assert [topology.spec_for(index) for index in range(2)] == list(topology.replica_specs)
+        assert topology.deployment_for(1) == llama3_deployment
+
+    @pytest.mark.parametrize("kind", ["colocated", "disaggregated"])
+    def test_spec_count_must_match_the_fleet(self, llama3_deployment, kind):
+        with pytest.raises(ValueError, match="replica_specs has 1 entries for 2 replicas"):
+            _fleet(kind, llama3_deployment, replica_specs=(ReplicaSpec(llama3_deployment),))
 
 
 class TestStuckCluster:

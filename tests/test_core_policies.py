@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.scheduling_policy import (
+    MAX_PERIOD,
     FiftyFiftyPolicy,
     POLICIES,
     ProportionalPolicy,
@@ -30,19 +31,20 @@ class TestProportional:
         assert ProportionalPolicy().ratio(50, 100) == (1, 2)
 
     def test_reduces_by_gcd(self):
-        assert ProportionalPolicy(max_period=8).ratio(20, 30) == (2, 3)
+        # Rescaling without the gcd would give (2, 2) and (3, 1).
+        assert ProportionalPolicy().ratio(30, 30) == (1, 1)
+        assert ProportionalPolicy().ratio(40, 20) == (2, 1)
 
     def test_long_periods_are_rescaled(self):
-        # 20:30 reduces to 2:3 (period 5), which exceeds the default period cap
-        # of 4 and is rescaled while keeping both sides represented.
+        # 20:30 reduces to 2:3 (period 5), which exceeds the period cap of
+        # MAX_PERIOD = 4 and is rescaled while keeping both sides represented.
         prefill_ratio, decode_ratio = ProportionalPolicy().ratio(20, 30)
         assert prefill_ratio >= 1 and decode_ratio >= 1
-        assert prefill_ratio + decode_ratio <= 4
+        assert prefill_ratio + decode_ratio <= MAX_PERIOD == 4
 
     def test_large_ratio_is_capped(self):
-        policy = ProportionalPolicy(max_period=4)
-        prefill_ratio, decode_ratio = policy.ratio(1536, 220)
-        assert prefill_ratio + decode_ratio <= 4
+        prefill_ratio, decode_ratio = ProportionalPolicy().ratio(1536, 220)
+        assert prefill_ratio + decode_ratio <= MAX_PERIOD
         assert prefill_ratio >= 1 and decode_ratio >= 1
 
     def test_degenerate_sides(self):
@@ -50,15 +52,11 @@ class TestProportional:
         assert policy.ratio(5, 0) == (1, 0)
         assert policy.ratio(0, 5) == (0, 1)
 
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            ProportionalPolicy(max_period=1)
-
     @given(st.integers(1, 5000), st.integers(1, 5000))
     def test_ratio_is_small_and_positive(self, prefill, decode):
         prefill_ratio, decode_ratio = ProportionalPolicy().ratio(prefill, decode)
         assert prefill_ratio >= 1 and decode_ratio >= 1
-        assert prefill_ratio + decode_ratio <= ProportionalPolicy().max_period + 1
+        assert prefill_ratio + decode_ratio <= MAX_PERIOD + 1
 
     @given(st.integers(1, 5000), st.integers(1, 5000))
     def test_ratio_orientation_preserved(self, prefill, decode):

@@ -2,9 +2,10 @@
 
 Covers the satellite edge cases called out for this subsystem — eviction
 during allocation, preempt-then-readmit, zero-capacity caches, the
-double-free counter — plus the seed-allocator differential oracle, the
-shared-prefix workload tagging and the prefix-affinity router, and recorded
-end-to-end runs through the full invariant checker.
+double-free counter — plus the allocator differential oracle (the manager
+with caching off against ``ReferenceAllocator``), the shared-prefix
+workload tagging and the prefix-affinity router, and recorded end-to-end
+runs through the full invariant checker.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.verify.invariants import (
     check_kv_drain_balance,
 )
 from repro.verify.oracles import kv_allocator_equivalence, kv_allocator_operations
+from repro.workloads import build_scenario
 from repro.workloads.shapes import get_shape
 
 
@@ -206,6 +208,9 @@ class TestDoubleFreeCounter:
 
 
 class TestSeedAllocatorOracle:
+    """With caching off the manager keeps the seed allocator's semantics,
+    held against ``ReferenceAllocator(caching=False)``."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_operation_sequences(self, seed):
         operations = kv_allocator_operations(seed)
@@ -323,7 +328,7 @@ class TestCachingWithPreemptionEndToEnd:
             ),
             recorder=recorder,
         )
-        result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=3)
+        result = simulator.run(build_scenario("shared-prefix-chat", num_requests=24, seed=3))
         assert all(r.is_finished for r in result.requests)
         assert check_event_log(recorder) == []
         assert check_kv_drain_balance(simulator.replicas) == []
@@ -340,7 +345,7 @@ class TestCachingWithPreemptionEndToEnd:
             kv_config=KVCacheConfig(capacity_tokens=8192, block_size=16),
             recorder=recorder,
         )
-        result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=3)
+        result = simulator.run(build_scenario("shared-prefix-chat", num_requests=24, seed=3))
         assert all(r.prefix_id is not None for r in result.requests)
         assert check_event_log(recorder) == []
         admissions = recorder.of_kind(KV_SHARED_ALLOC)

@@ -23,6 +23,7 @@ from repro.models.config import paper_deployment
 from repro.obs.profiling import HostProfiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
 from repro.verify.events import EventRecorder, TeeSink, as_sink
+from repro.workloads import build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def run_pressured(deployment, recorder):
     simulator = memory_pressure_simulator(
         deployment, capacity_tokens=8192, prefix_caching=True, preemption=True, recorder=recorder
     )
-    result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=19)
+    result = simulator.run(build_scenario("shared-prefix-chat", num_requests=24, seed=19))
     return simulator, result
 
 

@@ -22,6 +22,7 @@ from repro.bench.pressure_rows import (
 from repro.models.config import paper_deployment
 from repro.obs.sampler import FleetSampler
 from repro.obs.telemetry import Telemetry
+from repro.workloads import build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,8 @@ def run_pressured(deployment, capacity, num_requests=24, interval=0.5):
         preemption=True,
         recorder=telemetry,
     )
-    result = simulator.run_scenario(
-        "shared-prefix-chat", num_requests=num_requests, seed=FIG19_SEED
+    result = simulator.run(
+        build_scenario("shared-prefix-chat", num_requests=num_requests, seed=FIG19_SEED)
     )
     telemetry.finalize()
     return telemetry, result
@@ -162,7 +163,6 @@ class TestControlGauges:
             ControlPlane,
         )
         from repro.serving.scheduler_sarathi import SarathiScheduler
-        from repro.workloads import build_scenario
 
         telemetry = Telemetry(sample_interval=1.0)
         control = ControlPlane(

@@ -20,6 +20,7 @@ from repro.obs.trace import REQUESTS_PID, SpanTracer
 from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.verify import EventRecorder, assert_no_violations, check_event_log
+from repro.workloads import build_scenario
 
 PHASES = {"queued", "prefill", "recompute", "decode"}
 
@@ -36,7 +37,7 @@ def pressured_run(deployment):
     simulator = memory_pressure_simulator(
         deployment, capacity_tokens=8192, prefix_caching=True, preemption=True, recorder=tracer
     )
-    result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=19)
+    result = simulator.run(build_scenario("shared-prefix-chat", num_requests=24, seed=19))
     return tracer, result
 
 
@@ -114,7 +115,7 @@ class TestClusterTracing:
         simulator = ClusterSimulator(
             topology, router="prefix-affinity", recorder=[recorder, tracer]
         )
-        result = simulator.run_scenario("shared-prefix-chat", num_requests=30, seed=3)
+        result = simulator.run(build_scenario("shared-prefix-chat", num_requests=30, seed=3))
         assert_no_violations(check_event_log(recorder))
         assert len(tracer.requests) == len(result.requests)
         assert_span_invariants(tracer)
@@ -165,12 +166,15 @@ class TestPerfettoExport:
         # ts/dur are microseconds: a multi-second run must exceed 1e6.
         assert max(e["ts"] for e in request_spans) > 1e6
 
-    def test_keep_step_spans_off_drops_replica_tracks(self, deployment, single_replica):
-        tracer = SpanTracer(keep_step_spans=False)
+    def test_one_step_span_per_executed_step(self, deployment, single_replica):
+        """The tracer keeps every step as a span, leaped re-runs included."""
+        tracer = SpanTracer()
         simulator = single_replica(
             deployment, scheduler=SarathiScheduler(chunk_size=1024), recorder=tracer
         )
-        simulator.run_scenario("shared-prefix-chat", num_requests=8, seed=1)
-        assert not tracer.step_spans
-        assert tracer.counter_samples  # counters still sampled
+        simulator.run(build_scenario("shared-prefix-chat", num_requests=8, seed=1))
+        (replica,) = simulator.replicas
+        assert len(tracer.step_spans) == replica.steps_executed > 0
+        assert {span.replica_id for span in tracer.step_spans} == {replica.replica_id}
+        assert tracer.counter_samples
         assert_span_invariants(tracer)

@@ -60,6 +60,14 @@ class TestReplicaSpecRates:
         # An explicit rate makes any hardware billable.
         assert ReplicaSpec(custom, on_demand_per_hour=2.5).cost_per_hour == 2.5
 
+    def test_unpriced_gpu_bills_zero(self):
+        custom = dataclasses.replace(A100, gpu=dataclasses.replace(A100.gpu, name="TPU-v9"))
+        assert ReplicaSpec(custom).billed_per_hour == 0.0
+        assert ReplicaSpec(custom, on_demand_per_hour=2.5).billed_per_hour == 2.5
+        assert ReplicaSpec(A6000, spot=True).billed_per_hour == (
+            ReplicaSpec(A6000, spot=True).cost_per_hour
+        )
+
     def test_cost_per_second(self):
         """A replica billed 3,600 $/h costs 1 $ per second it is active."""
         from repro.workloads.scenario import run_scenario

@@ -4,19 +4,18 @@ The machines live in :mod:`repro.verify.stateful`; exposing their generated
 ``TestCase`` classes here runs them under the active hypothesis profile
 (``ci`` by default — small, derandomized example counts; ``nightly`` in the
 scheduled fuzz job escalates to hundreds of examples).  See
-``docs/testing.md`` for the corpus workflow when one of these fails.
+``docs/testing.md`` for turning a failure into a regression test.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.verify.oracles import ReferenceAllocator, compare_allocator_to_model
 from repro.verify.stateful import (
     ClusterInterleavingMachine,
     KVCacheMachine,
-    ReferenceAllocator,
     SchedulerReplicaMachine,
-    compare_allocator_to_model,
 )
 
 TestKVCacheStateful = KVCacheMachine.TestCase
@@ -67,7 +66,7 @@ class TestReferenceAllocator:
         from repro.serving.request import Request
 
         model = ReferenceAllocator(num_blocks=2, block_size=16, caching=False)
-        model.grow(1, 2)
+        model.grow(1, 32)
         with pytest.raises(MemoryError):
             model.admit(
                 Request(request_id=2, prefill_tokens=16, decode_tokens=1), 16

@@ -29,7 +29,7 @@ from repro.serving.kv_cache import KVCacheManager
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.verify.oracles import ReschedulingRuntime, _ReschedulingFleet, leap_equivalence
 from repro.verify.reference_scheduler import ReferenceKVCacheManager, reference_prepare_decodes
-from repro.workloads import SCENARIOS
+from repro.workloads import SCENARIOS, build_scenario
 
 SCENARIO_NAMES = tuple(SCENARIOS)
 
@@ -223,7 +223,7 @@ class TestDiscrepancyReporting:
 
         metrics = (
             single_replica(llama3_deployment, scheduler=SarathiScheduler())
-            .run_scenario("code-completion-surge", num_requests=4, seed=0)
+            .run(build_scenario("code-completion-surge", num_requests=4, seed=0))
             .metrics.fleet
         )
         other = replace(metrics, makespan=metrics.makespan * 2)

@@ -228,7 +228,7 @@ class TestSimulatorIntegration:
                 scheduler=SarathiScheduler(chunk_size=1024),
                 backend=PODBackend(llama3_deployment),
             )
-            return simulator.run_scenario("code-completion-surge", num_requests=12, seed=3)
+            return simulator.run(build_scenario("code-completion-surge", num_requests=12, seed=3))
 
         first, second = run(), run()
         assert first.metrics == second.metrics
@@ -236,7 +236,7 @@ class TestSimulatorIntegration:
     def test_cluster_simulator_run_scenario_slices_tenants(self, llama3_deployment):
         spec = ClusterSpec(llama3_deployment, num_replicas=2)
         simulator = ClusterSimulator(topology_from_spec(spec), router="round-robin")
-        result = simulator.run_scenario("multi-tenant-slo", num_requests=12, seed=1, qps=4.0)
+        result = simulator.run(build_scenario("multi-tenant-slo", num_requests=12, seed=1, qps=4.0))
         assert result.metrics.per_tenant
         assert sum(m.num_requests for m in result.metrics.per_tenant.values()) == 12
 
@@ -261,5 +261,7 @@ class TestSimulatorIntegration:
     def test_untenanted_cluster_run_has_no_tenant_slices(self, llama3_deployment):
         spec = ClusterSpec(llama3_deployment, num_replicas=1)
         simulator = ClusterSimulator(topology_from_spec(spec), router="round-robin")
-        result = simulator.run_scenario("arxiv-summarization", num_requests=4, seed=0, qps=2.0)
+        result = simulator.run(
+            build_scenario("arxiv-summarization", num_requests=4, seed=0, qps=2.0)
+        )
         assert result.metrics.per_tenant == {}
